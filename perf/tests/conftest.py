@@ -1,0 +1,10 @@
+"""Harness self-tests: ``python -m pytest perf/tests`` (not part of tier-1)."""
+
+import os
+import sys
+
+PERF = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(PERF)
+for path in (os.path.join(ROOT, "src"), PERF):
+    if path not in sys.path:
+        sys.path.insert(0, path)
