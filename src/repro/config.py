@@ -28,16 +28,12 @@ The sections:
 - :class:`WorkloadConfig` — the load generator's offered load.
 
 :func:`build_store` / :func:`build_service` / :func:`build_cluster`
-turn a config into live objects; :func:`AppConfig.from_legacy_kwargs`
-keeps the pre-layering flat keyword soup working behind a
-:class:`DeprecationWarning` (with a parity regression test pinning the
-mapping).
+turn a config into live objects.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -209,64 +205,6 @@ class AppConfig:
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     kernels: KernelsConfig = field(default_factory=KernelsConfig)
-
-    # -- legacy flat-kwargs shim ---------------------------------------------
-
-    #: old flat keyword → dotted path in the layered model
-    _LEGACY_KEYS = {
-        "n": "store.n",
-        "r": "store.r",
-        "m": "store.m",
-        "s": "store.s",
-        "stripes": "store.stripes",
-        "symbols": "store.symbols",
-        "fault_rate": "store.fault_rate",
-        "damaged": "store.damaged",
-        "corrupt_fraction": "store.corrupt_fraction",
-        "seed": "store.seed",
-        "batch_trigger": "service.batch_trigger",
-        "max_pending": "service.max_pending",
-        "scrub_stripes": "service.repair.scrub_stripes",
-        "repair_rate": "service.repair.rate_blocks_per_s",
-        "nodes": "cluster.nodes",
-        "requests": "workload.requests",
-        "concurrency": "workload.concurrency",
-        "degraded_fraction": "workload.degraded_fraction",
-    }
-
-    @classmethod
-    def from_legacy_kwargs(cls, **kwargs: Any) -> "AppConfig":
-        """The pre-layering flat keyword soup, mapped and deprecated.
-
-        ``flush_ms`` (milliseconds), ``naive`` (inverted
-        ``service.coalesce``) and ``repair`` (bool enabling a default
-        :class:`~repro.repair.RepairConfig`) are translated; everything
-        else maps 1:1 through dotted paths.  Seeds ``store.seed`` into
-        ``cluster.seed`` so one legacy ``seed=`` keeps the whole world
-        deterministic, as it used to.
-        """
-        warnings.warn(
-            "flat service kwargs are deprecated; build an AppConfig "
-            "(repro.config) and use from_dict/apply_overrides instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kwargs = dict(kwargs)
-        overrides: dict[str, Any] = {}
-        if kwargs.pop("repair", False):
-            overrides["service.repair"] = True
-        if "flush_ms" in kwargs:
-            overrides["service.flush_interval_s"] = kwargs.pop("flush_ms") / 1e3
-        if "naive" in kwargs:
-            overrides["service.coalesce"] = not kwargs.pop("naive")
-        for key, value in kwargs.items():
-            try:
-                overrides[cls._LEGACY_KEYS[key]] = value
-            except KeyError:
-                raise TypeError(f"unknown legacy kwarg {key!r}") from None
-        if "store.seed" in overrides:
-            overrides.setdefault("cluster.seed", overrides["store.seed"])
-        return apply_overrides(cls(), overrides)
 
 
 #: nested dataclass sections, in the order they appear in a config file

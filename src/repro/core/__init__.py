@@ -2,41 +2,70 @@
 
 Pipeline: :func:`build_log_table` -> :func:`partition` (or the SD fast
 path :func:`partition_sd`) -> :func:`plan_decode` (costs C1..C4, sequence
-choice) -> :class:`PPMDecoder` execution (parallel groups + rest merge).
-:class:`TraditionalDecoder` is the baseline whole-matrix method.
+choice, ``DecodePlan.stages``).  This package *plans*;
+:class:`repro.pipeline.DecodePipeline` *executes*.  The decoder classes
+re-exported here (:class:`PPMDecoder`, the :class:`TraditionalDecoder`
+baseline, ...) are presets of that engine.
 """
 
 from __future__ import annotations
 
-from .bitdecoder import BitMatrixDecoder
-from .decoder import DecodeStats, PPMDecoder, TraditionalDecoder
-from .executor import PhaseTiming, run_group, run_groups_parallel, run_groups_serial
+from typing import TYPE_CHECKING
+
 from .logtable import LogTableEntry, build_log_table, format_log_table
 from .partition import IndependentGroup, Partition, partition, partition_sd
-from .procparallel import ProcessParallelDecoder
-from .registry import available_decoders, get_decoder, register_decoder
-from .rowparallel import RowParallelDecoder, simulate_row_parallel_time
-from .segparallel import SegmentParallelDecoder
-from .visualize import inspect, render_matrix, render_partition
 from .planner import (
     DecodePlan,
     GroupPlan,
     RestPlan,
+    Stage,
     TraditionalPlan,
     evaluate_costs,
     plan_decode,
 )
 from .sequences import ExecutionMode, SequenceCosts, SequencePolicy
+from .visualize import inspect, render_matrix, render_partition
+
+if TYPE_CHECKING:  # resolved lazily at run time, see __getattr__
+    from .bitdecoder import BitMatrixDecoder
+    from .decoder import DecodeStats, PPMDecoder, ProcessParallelDecoder, TraditionalDecoder
+    from .registry import available_decoders, get_decoder
+    from .rowparallel import RowParallelDecoder, simulate_row_parallel_time
+    from .segparallel import SegmentParallelDecoder
+
+#: The decoder presets subclass the engine in :mod:`repro.pipeline`,
+#: which (with :mod:`repro.stripes` and :mod:`repro.parallel` under it)
+#: imports the planning modules above — so they load on first use.
+_PRESETS = {
+    "BitMatrixDecoder": "bitdecoder",
+    "DecodeStats": "decoder",
+    "PPMDecoder": "decoder",
+    "ProcessParallelDecoder": "decoder",
+    "TraditionalDecoder": "decoder",
+    "available_decoders": "registry",
+    "get_decoder": "registry",
+    "RowParallelDecoder": "rowparallel",
+    "simulate_row_parallel_time": "rowparallel",
+    "SegmentParallelDecoder": "segparallel",
+}
+
+
+def __getattr__(name: str):
+    submodule = _PRESETS.get(name)
+    if submodule is None:
+        raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BitMatrixDecoder",
     "DecodeStats",
     "PPMDecoder",
     "TraditionalDecoder",
-    "PhaseTiming",
-    "run_group",
-    "run_groups_parallel",
-    "run_groups_serial",
     "LogTableEntry",
     "build_log_table",
     "format_log_table",
@@ -47,7 +76,6 @@ __all__ = [
     "ProcessParallelDecoder",
     "available_decoders",
     "get_decoder",
-    "register_decoder",
     "RowParallelDecoder",
     "simulate_row_parallel_time",
     "SegmentParallelDecoder",
@@ -57,6 +85,7 @@ __all__ = [
     "DecodePlan",
     "GroupPlan",
     "RestPlan",
+    "Stage",
     "TraditionalPlan",
     "evaluate_costs",
     "plan_decode",

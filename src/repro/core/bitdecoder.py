@@ -11,11 +11,11 @@ averages ~w^2/2 ones, vs one table-gather per coefficient).
 
 from __future__ import annotations
 
-from typing import Mapping
+import threading
 
 import numpy as np
 
-from ..gf import GF, OpCounter
+from ..gf import OpCounter
 from ..gf.bitmatrix import (
     apply_bitmatrix,
     expand_matrix,
@@ -24,16 +24,40 @@ from ..gf.bitmatrix import (
     xor_count,
 )
 from ..gf.region import RegionOps
-from .decoder import _PlanningDecoder
-from .sequences import ExecutionMode, SequencePolicy
+from ..pipeline.engine import DecodePipeline
+from .sequences import SequencePolicy
 
 
-class BitMatrixDecoder(_PlanningDecoder):
+class _BitPlaneOps(RegionOps):
+    """Region ops whose matrix application is expanded bit-matrix XORs.
+
+    ``counter`` tallies XORs as xor-only mult_XORs on packets, so cost
+    comparisons against the GF backend are explicit.
+    """
+
+    def __init__(self, field, counter):
+        super().__init__(field, counter)
+        self._expanded: dict[tuple, np.ndarray] = {}
+        self._lock = threading.Lock()  # one decoder may serve several threads
+
+    def matrix_apply(self, matrix, regions):
+        key = (matrix.shape, matrix.tobytes())
+        with self._lock:
+            bitmatrix = self._expanded.get(key)
+            if bitmatrix is None:
+                bitmatrix = self._expanded[key] = expand_matrix(self.field, matrix)
+        planes = [to_bitplanes(region, self.field) for region in regions]
+        outs = apply_bitmatrix(bitmatrix, planes, self.field.w, counter=self.counter)
+        return [from_bitplanes(p, self.field) for p in outs]
+
+
+class BitMatrixDecoder(DecodePipeline):
     """Decode via expanded bit-matrices and bit-plane XORs.
 
-    Executes the plan's chosen mode (PPM partition included) with
-    XOR-only kernels.  ``counter`` tallies XORs as xor-only mult_XORs on
-    packets, so cost comparisons against the GF backend are explicit.
+    A serial pipeline that executes the plan's chosen mode (PPM
+    partition included) with XOR-only kernels in place of GF region
+    programs — ``compile`` is accepted for constructor uniformity but
+    there is no compiled path.
     """
 
     def __init__(
@@ -44,116 +68,18 @@ class BitMatrixDecoder(_PlanningDecoder):
         verify: bool = False,
         compile: bool = False,
     ):
-        # `compile` is accepted for ctor uniformity but has no compiled
-        # path: this decoder executes bit-planes, not GF region programs.
-        super().__init__(policy, counter, verify=verify, compile=compile)
-        self._bit_cache: dict[tuple, np.ndarray] = {}
+        super().__init__(
+            pool="serial", workers=1, policy=policy,
+            counter=counter, verify=verify, compile=False,
+        )
 
-    def _expanded(self, field: GF, key: tuple, coefficients: np.ndarray) -> np.ndarray:
-        cached = self._bit_cache.get(key)
-        if cached is None:
-            cached = expand_matrix(field, coefficients)
-            self._bit_cache[key] = cached
-        return cached
-
-    def _apply(
-        self,
-        field: GF,
-        key: tuple,
-        coefficients: np.ndarray,
-        survivor_ids,
-        planes: Mapping[int, np.ndarray],
-    ) -> list[np.ndarray]:
-        bm = self._expanded(field, key, coefficients)
-        sources = [planes[b] for b in survivor_ids]
-        return apply_bitmatrix(bm, sources, field.w, counter=self.counter)
-
-    def execute(self, plan, blocks: Mapping[int, np.ndarray], ops: RegionOps):
-        field = ops.field
-        planes = {b: to_bitplanes(region, field) for b, region in blocks.items()}
-        recovered_planes: dict[int, np.ndarray] = {}
-
-        def run_matrix(tag, matrix, survivor_ids, faulty_ids, extra=None):
-            source = dict(planes)
-            if extra:
-                source.update(extra)
-            outs = self._apply(
-                field, (id(plan), tag), matrix.array, survivor_ids, source
-            )
-            return dict(zip(faulty_ids, outs))
-
-        if plan.uses_partition:
-            for gi, group in enumerate(plan.groups):
-                recovered_planes.update(
-                    run_matrix(("g", gi), group.weights, group.survivor_ids, group.faulty_ids)
-                )
-            if plan.rest is not None:
-                rest = plan.rest
-                if plan.mode is ExecutionMode.PPM_REST_MATRIX_FIRST:
-                    recovered_planes.update(
-                        run_matrix(
-                            ("rest", "w"),
-                            rest.weights,
-                            rest.survivor_ids,
-                            rest.faulty_ids,
-                            extra=recovered_planes,
-                        )
-                    )
-                else:
-                    source = dict(planes)
-                    source.update(recovered_planes)
-                    intermediate = self._apply(
-                        field, (id(plan), ("rest", "s")), rest.s.array, rest.survivor_ids, source
-                    )
-                    tmp = {("t", i): p for i, p in enumerate(intermediate)}
-                    outs = self._apply(
-                        field,
-                        (id(plan), ("rest", "finv")),
-                        rest.f_inv.array,
-                        list(tmp),
-                        tmp,
-                    )
-                    recovered_planes.update(zip(rest.faulty_ids, outs))
-        else:
-            tp = plan.traditional
-            if plan.mode is ExecutionMode.TRADITIONAL_MATRIX_FIRST:
-                recovered_planes.update(
-                    run_matrix(("trad", "w"), tp.weights, tp.survivor_ids, tp.faulty_ids)
-                )
-            else:
-                intermediate = self._apply(
-                    field, (id(plan), ("trad", "s")), tp.s.array, tp.survivor_ids, planes
-                )
-                tmp = {("t", i): p for i, p in enumerate(intermediate)}
-                outs = self._apply(
-                    field, (id(plan), ("trad", "finv")), tp.f_inv.array, list(tmp), tmp
-                )
-                recovered_planes.update(zip(tp.faulty_ids, outs))
-
-        recovered = {
-            b: from_bitplanes(p, field) for b, p in recovered_planes.items()
-        }
-        return recovered, None, 0.0
+    def _make_ops(self, field, counter):
+        return _BitPlaneOps(field, counter)
 
     def xor_cost(self, source, faulty) -> int:
         """Total XORs the chosen plan costs in this backend (per packet)."""
-        plan = self.plan(source, faulty)
-        field = source.field
-        total = 0
-        if plan.uses_partition:
-            for g in plan.groups:
-                total += xor_count(expand_matrix(field, g.weights.array))
-            if plan.rest is not None:
-                if plan.mode is ExecutionMode.PPM_REST_MATRIX_FIRST:
-                    total += xor_count(expand_matrix(field, plan.rest.weights.array))
-                else:
-                    total += xor_count(expand_matrix(field, plan.rest.s.array))
-                    total += xor_count(expand_matrix(field, plan.rest.f_inv.array))
-        else:
-            tp = plan.traditional
-            if plan.mode is ExecutionMode.TRADITIONAL_MATRIX_FIRST:
-                total += xor_count(expand_matrix(field, tp.weights.array))
-            else:
-                total += xor_count(expand_matrix(field, tp.s.array))
-                total += xor_count(expand_matrix(field, tp.f_inv.array))
-        return total
+        return sum(
+            xor_count(expand_matrix(source.field, matrix))
+            for stage in self.plan(source, faulty).stages
+            for matrix in stage.arrays
+        )

@@ -12,7 +12,10 @@ for a rebuild touching thousands of stripes with one failure geometry).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from ..codes.base import ErasureCode
 from ..matrix import (
@@ -92,6 +95,36 @@ class TraditionalPlan:
 
 
 @dataclass(frozen=True)
+class Stage:
+    """One step of a plan's chosen mode: a matrix chain over block regions.
+
+    Recover ``faulty_ids`` by applying ``matrices`` in order — ``(W,)``
+    for the matrix-first sequence, ``(S, F^-1)`` for the normal one — to
+    the regions of ``survivor_ids``.  ``row_ids`` are the parity-check
+    rows the step was derived from (what a syndrome check of its output
+    needs).  An ``independent`` stage reads true survivors only, so it
+    can run concurrently with every other independent stage; a
+    dependent one (``H_rest``) also reads blocks earlier stages
+    recovered and runs after them, in order.
+    """
+
+    matrices: tuple[GFMatrix, ...]
+    survivor_ids: tuple[int, ...]
+    faulty_ids: tuple[int, ...]
+    row_ids: tuple[int, ...]
+    independent: bool
+
+    @property
+    def cost(self) -> int:
+        return sum(u(m) for m in self.matrices)
+
+    @property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """``matrices`` as raw coefficient arrays (what region ops take)."""
+        return tuple(m.array for m in self.matrices)
+
+
+@dataclass(frozen=True)
 class DecodePlan:
     """A complete, data-independent decode recipe for one scenario."""
 
@@ -125,6 +158,41 @@ class DecodePlan:
     def group_costs(self) -> tuple[int, ...]:
         """Per-group mult_XORs — the c_i of Section III-C."""
         return tuple(g.cost for g in self.groups)
+
+    @cached_property
+    def stages(self) -> tuple[Stage, ...]:
+        """What the chosen mode executes, in order: groups then rest, or
+        the single whole-matrix stage.
+
+        This is the one place ``mode`` is turned into matrices; every
+        executor, lowering and cost model walks it
+        (``sum(s.cost for s in stages) == predicted_cost``).
+        """
+
+        def split(sub: TraditionalPlan | RestPlan, matrix_first: bool, independent: bool):
+            matrices = (sub.weights,) if matrix_first else (sub.s, sub.f_inv)
+            return Stage(
+                matrices, sub.survivor_ids, sub.faulty_ids, sub.row_ids, independent
+            )
+
+        if not self.uses_partition:
+            matrix_first = self.mode is ExecutionMode.TRADITIONAL_MATRIX_FIRST
+            return (split(self.traditional, matrix_first, True),)
+        stages = [
+            Stage((g.weights,), g.survivor_ids, g.faulty_ids, g.row_ids, True)
+            for g in self.groups
+        ]
+        if self.rest is not None:
+            matrix_first = self.mode is ExecutionMode.PPM_REST_MATRIX_FIRST
+            stages.append(split(self.rest, matrix_first, False))
+        return tuple(stages)
+
+    @cached_property
+    def read_ids(self) -> tuple[int, ...]:
+        """Surviving blocks the stages read, sorted (recovered blocks a
+        later stage reuses are intermediates, not reads)."""
+        read = {b for stage in self.stages for b in stage.survivor_ids}
+        return tuple(sorted(read.difference(self.faulty_ids)))
 
 
 def _square_subplan(h: GFMatrix, rows: Sequence[int], faulty: Sequence[int]):

@@ -1,8 +1,8 @@
 """Registry mapping decoder-kind names to constructors.
 
 Mirrors :mod:`repro.codes.registry`: CLI flags and benchmark configs
-name decoders by string — ``get_decoder("ppm", threads=4)`` — and
-extensions register their own kinds.  All registered constructors take
+name decoders by string — ``get_decoder("ppm", threads=4)``.  Every
+kind is the pipeline engine or a preset of it; all constructors take
 keyword-only parameters with the uniform vocabulary ``threads=``,
 ``policy=``, ``verify=``, ``counter=`` (each where meaningful).
 """
@@ -11,28 +11,20 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..pipeline.engine import DecodePipeline
 from .bitdecoder import BitMatrixDecoder
-from .decoder import PPMDecoder, TraditionalDecoder
-from .procparallel import ProcessParallelDecoder
+from .decoder import PPMDecoder, ProcessParallelDecoder, TraditionalDecoder
 from .rowparallel import RowParallelDecoder
 from .segparallel import SegmentParallelDecoder
 
-
-def _pipeline_ctor(**params):
-    """Deferred import: the pipeline engine sits above repro.core."""
-    from ..pipeline import DecodePipeline
-
-    return DecodePipeline(**params)
-
-
-_REGISTRY: dict[str, Callable] = {
+_REGISTRY: dict[str, Callable[..., DecodePipeline]] = {
     "traditional": TraditionalDecoder,
     "ppm": PPMDecoder,
     "row_parallel": RowParallelDecoder,
     "segment_parallel": SegmentParallelDecoder,
     "process_parallel": ProcessParallelDecoder,
     "bitmatrix": BitMatrixDecoder,
-    "pipeline": _pipeline_ctor,
+    "pipeline": DecodePipeline,
 }
 
 
@@ -41,7 +33,7 @@ def available_decoders() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def get_decoder(kind: str, **params):
+def get_decoder(kind: str, **params) -> DecodePipeline:
     """Construct a decoder by registry name with keyword parameters."""
     try:
         ctor = _REGISTRY[kind]
@@ -50,10 +42,3 @@ def get_decoder(kind: str, **params):
             f"unknown decoder kind {kind!r}; available: {', '.join(available_decoders())}"
         ) from None
     return ctor(**params)
-
-
-def register_decoder(kind: str, ctor: Callable) -> None:
-    """Register a custom decoder constructor (extension point)."""
-    if kind in _REGISTRY:
-        raise ValueError(f"decoder kind {kind!r} already registered")
-    _REGISTRY[kind] = ctor

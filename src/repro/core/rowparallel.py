@@ -19,33 +19,31 @@ Differences from PPM this baseline makes measurable:
   (C2 > C4: worse CPU occupancy and energy, and redundant survivor reads
   that real memory systems charge for).
 
-:class:`RowParallelDecoder` plugs into the same plan/stats machinery as
-the other decoders, so benches can compare all three on identical
-scenarios (``benchmarks/bench_ablation_rowparallel.py``).
+:class:`RowParallelDecoder` is the pipeline engine with one override —
+the ``W`` stage is split into one task per row — so benches can compare
+all three on identical scenarios
+(``benchmarks/bench_ablation_rowparallel.py``).
 """
 
 from __future__ import annotations
 
-import time
-from typing import Mapping
-
 import numpy as np
 
-from ..gf import OpCounter, RegionOps
-from ..pipeline.pool import ThreadWorkerPool
-from .decoder import _PlanningDecoder
-from .executor import PhaseTiming
+from ..gf import OpCounter
+from ..pipeline.engine import DecodePipeline
+from .planner import Stage
 from .sequences import SequencePolicy
 
 
-class RowParallelDecoder(_PlanningDecoder):
+class RowParallelDecoder(DecodePipeline):
     """Whole-matrix matrix-first decode with per-equation threading.
 
-    Executes ``W = F^-1 S`` row by row, ``threads`` rows at a time
-    (row i on worker i mod T — the same round-robin the paper's
-    Algorithm 1 uses for sub-matrices, applied at equation granularity).
-    The strategy is matrix-first by construction, so ``policy`` only
-    accepts :attr:`SequencePolicy.MATRIX_FIRST`.
+    Executes ``W = F^-1 S`` row by row on ``threads`` workers (row i on
+    worker i mod T — the same round-robin the paper's Algorithm 1 uses
+    for sub-matrices, applied at equation granularity); total cost is
+    ``u(W)`` = C2 whatever T is.  The strategy is matrix-first by
+    construction, so ``policy`` only accepts
+    :attr:`SequencePolicy.MATRIX_FIRST`.
     """
 
     def __init__(
@@ -57,52 +55,23 @@ class RowParallelDecoder(_PlanningDecoder):
         verify: bool = False,
         compile: bool = True,
     ):
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
         if policy is not SequencePolicy.MATRIX_FIRST:
             raise ValueError(
                 "RowParallelDecoder is matrix-first by construction; "
                 f"policy must be SequencePolicy.MATRIX_FIRST, got {policy!r}"
             )
-        super().__init__(policy, counter, verify=verify, compile=compile)
-        self.threads = threads
-
-    def execute(self, plan, blocks: Mapping[int, np.ndarray], ops: RegionOps):
-        tp = plan.traditional
-        regions = [blocks[b] for b in tp.survivor_ids]
-        weights = tp.weights.array
-        rows = list(range(weights.shape[0]))
-        t_eff = max(1, min(self.threads, len(rows)))
-        if t_eff == 1:
-            t0 = time.perf_counter()
-            outs = ops.matrix_apply(weights, regions)
-            wall = time.perf_counter() - t0
-            timing = PhaseTiming(thread_seconds=(wall,), wall_seconds=wall)
-            return dict(zip(tp.faulty_ids, outs)), timing, 0.0
-
-        buckets: list[list[int]] = [[] for _ in range(t_eff)]
-        for i in rows:
-            buckets[i % t_eff].append(i)
-
-        def worker(bucket: list[int]):
-            t0 = time.perf_counter()
-            out = {
-                i: ops.linear_combination(weights[i], regions) for i in bucket
-            }
-            return out, time.perf_counter() - t0
-
-        wall0 = time.perf_counter()
-        with ThreadWorkerPool(t_eff) as pool:
-            results = pool.run_buckets(worker, buckets)
-        wall = time.perf_counter() - wall0
-        recovered: dict[int, np.ndarray] = {}
-        for out, _elapsed in results:
-            for i, region in out.items():
-                recovered[tp.faulty_ids[i]] = region
-        timing = PhaseTiming(
-            thread_seconds=tuple(e for _o, e in results), wall_seconds=wall
+        super().__init__(
+            pool="thread" if threads > 1 else "serial", workers=threads,
+            policy=policy, assignment="round_robin",
+            counter=counter, verify=verify, compile=compile,
         )
-        return recovered, timing, 0.0
+
+    def _stage_tasks(self, stage: Stage):
+        (weights,) = stage.arrays  # matrix-first: the one W stage
+        return [
+            ((weights[i : i + 1],), stage.faulty_ids[i : i + 1])
+            for i in range(weights.shape[0])
+        ]
 
 
 def simulate_row_parallel_time(plan, profile, threads: int, sector_symbols: int):

@@ -17,23 +17,21 @@ data-parallelism — for the ablation bench.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
-from ..gf import OpCounter, RegionOps
+from ..gf import OpCounter
+from ..pipeline.engine import DecodePipeline, _PatternBatch
 from ..pipeline.pool import ThreadWorkerPool
-from .decoder import _PlanningDecoder, _fused, _run_rest, _run_traditional
-from .executor import run_groups_serial
 from .sequences import SequencePolicy
 
 
-class SegmentParallelDecoder(_PlanningDecoder):
+class SegmentParallelDecoder(DecodePipeline):
     """Decode by splitting every sector into ``threads`` segments.
 
-    Worker ``t`` runs the full plan over symbols
-    ``[t*L/T, (t+1)*L/T)`` of every block; results are views into the
-    preallocated outputs, so no merge copy is needed.
+    A serial pipeline whose batches are cut into symbol ranges: worker
+    ``t`` runs the full plan over symbols ``[t*L/T, (t+1)*L/T)`` of
+    every block.  mult_XORs calls are per segment, so that count scales
+    by T while the symbols processed do not.
     """
 
     def __init__(
@@ -47,35 +45,33 @@ class SegmentParallelDecoder(_PlanningDecoder):
     ):
         if threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
-        super().__init__(policy, counter, verify=verify, compile=compile)
+        super().__init__(
+            pool="serial", workers=1, policy=policy,
+            counter=counter, verify=verify, compile=compile,
+        )
         self.threads = threads
 
-    def _run_whole(self, plan, blocks, ops):
-        fused = _fused(plan, blocks, ops)
-        if fused is not None:
-            return fused
-        if plan.uses_partition:
-            recovered, _timing = run_groups_serial(plan.groups, blocks, ops)
-            recovered.update(_run_rest(plan, blocks, recovered, ops))
-            return recovered
-        return _run_traditional(plan, blocks, ops)
-
-    def execute(self, plan, blocks: Mapping[int, np.ndarray], ops: RegionOps):
-        sample = next(iter(blocks.values()))
-        length = sample.shape[0]
-        t_eff = max(1, min(self.threads, length))
-        if t_eff == 1:
-            return self._run_whole(plan, blocks, ops), None, 0.0
-        bounds = [round(t * length / t_eff) for t in range(t_eff + 1)]
-
-        def worker(t: int) -> dict[int, np.ndarray]:
-            lo, hi = bounds[t], bounds[t + 1]
-            segment_blocks = {b: region[lo:hi] for b, region in blocks.items()}
-            return self._run_whole(plan, segment_blocks, ops)
-
-        with ThreadWorkerPool(t_eff) as pool:
-            partials = pool.map(worker, range(t_eff))
-        recovered: dict[int, np.ndarray] = {}
-        for bid in partials[0]:
-            recovered[bid] = np.concatenate([part[bid] for part in partials])
-        return recovered, None, 0.0
+    def _execute(self, code, batches, ops, deadline_s):
+        run_serial = super()._execute
+        queued = 0
+        for batch in batches:
+            length = batch.offsets[-1]
+            t_eff = max(1, min(self.threads, length))
+            if t_eff == 1:
+                queued += run_serial(code, [batch], ops, deadline_s)
+                continue
+            bounds = [round(t * length / t_eff) for t in range(t_eff + 1)]
+            parts = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                part = _PatternBatch(batch.pattern, batch.plan)
+                part.concat = {b: region[lo:hi] for b, region in batch.concat.items()}
+                parts.append(part)
+            with ThreadWorkerPool(t_eff) as pool:
+                queued += sum(
+                    pool.map(lambda part: run_serial(code, [part], ops, deadline_s), parts)
+                )
+            batch.recovered = {
+                bid: np.concatenate([part.recovered[bid] for part in parts])
+                for bid in parts[0].recovered
+            }
+        return queued

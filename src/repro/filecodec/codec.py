@@ -28,7 +28,7 @@ import numpy as np
 
 from ..codes import get_code
 from ..codes.base import ErasureCode
-from ..core.decoder import _PlanningDecoder
+from ..pipeline import DecodePipeline
 from ..stripes.layout import StripeLayout
 
 
@@ -97,7 +97,7 @@ def encode_file(
     code: ErasureCode,
     out_dir: str,
     sector_bytes: int = 4096,
-    encoder: _PlanningDecoder | None = None,
+    encoder: DecodePipeline | None = None,
     code_params: dict | None = None,
 ) -> FileCodecMeta:
     """Encode ``path`` into per-disk strip files under ``out_dir``.
@@ -202,7 +202,7 @@ def _recover_stripes(
     code: ErasureCode,
     available: dict[int, bytes],
     missing: list[int],
-    decoder: _PlanningDecoder,
+    decoder: DecodePipeline,
 ):
     """Yield (stripe_index, blocks dict incl. recovered) for every stripe."""
     layout = StripeLayout.of_code(code)
@@ -226,7 +226,7 @@ def _recover_stripes(
 def decode_file(
     meta_path: str,
     out_path: str,
-    decoder: _PlanningDecoder | None = None,
+    decoder: DecodePipeline | None = None,
 ) -> FileCodecMeta:
     """Reconstruct the original file from the strip files next to ``meta_path``."""
     from ..core import PPMDecoder
@@ -254,7 +254,7 @@ def decode_file(
 
 def repair_files(
     meta_path: str,
-    decoder: _PlanningDecoder | None = None,
+    decoder: DecodePipeline | None = None,
 ) -> list[int]:
     """Regenerate missing strip files in place; returns the repaired disks."""
     from ..core import PPMDecoder

@@ -30,7 +30,6 @@ from .backends import BackendTuning
 from .ir import RegionProgram
 from .lower import (
     PlanProgram,
-    lower_encode,
     lower_linear_combination,
     lower_matrix,
     lower_matrix_chain,
@@ -181,26 +180,4 @@ class ProgramCache:
         key = ("plan", field.w, field.polynomial, id(plan), optimize)
         return self._get_or_build(
             key, lambda: lower_plan(field, plan, optimize=optimize), pin=plan
-        )
-
-    def encode_program(
-        self, field: GF, code, policy=None, optimize: bool = True
-    ) -> PlanProgram:
-        """The fused all-parities encode program for ``code``.
-
-        Content-keyed on the parity-check matrix (plus the sequence
-        policy), so equivalent code instances — e.g. one per pipeline
-        worker — share one compiled program.
-        """
-        key = (
-            "encode",
-            field.w,
-            field.polynomial,
-            code.H.array.shape,
-            code.H.array.tobytes(),
-            None if policy is None else policy.value,
-            optimize,
-        )
-        return self._get_or_build(
-            key, lambda: lower_encode(field, code, policy=policy, optimize=optimize)
         )

@@ -223,57 +223,24 @@ def lower_plan(
 ) -> PlanProgram:
     """Fuse an entire decode plan into one region program.
 
-    The emitted stages follow the plan's execution mode exactly:
-
-    - traditional matrix-first: one ``W`` stage (cost C2);
-    - traditional normal: ``S`` then ``F^-1`` (cost C1);
-    - partitioned: one ``W_i`` stage per group, whose outputs feed the
-      rest stage as recovered survivors, then the rest stage in
-      matrix-first (C3) or normal (C4) form.
-
-    By construction ``program.mult_xors == plan.predicted_cost``.
+    One IR stage per matrix of every :attr:`DecodePlan.stages` entry, in
+    order; each plan stage's outputs become slots later stages may read
+    (the paper's Step 4: recovered sectors join the survivors of
+    ``H_rest``).  By construction
+    ``program.mult_xors == plan.predicted_cost``.
     """
-    from ..core.sequences import ExecutionMode  # deferred: core imports kernels
-
-    matrix_first_modes = (
-        ExecutionMode.TRADITIONAL_MATRIX_FIRST,
-        ExecutionMode.PPM_REST_MATRIX_FIRST,
-    )
-    if plan.uses_partition:
-        recovered: set[int] = set()
-        needed: set[int] = set()
-        for group in plan.groups:
-            recovered.update(group.faulty_ids)
-            needed.update(group.survivor_ids)
-        if plan.rest is not None:
-            needed.update(plan.rest.survivor_ids)
-        input_ids = tuple(sorted(needed - recovered))
-    else:
-        input_ids = tuple(plan.traditional.survivor_ids)
+    input_ids = plan.read_ids
     if not input_ids:
         raise ValueError("plan reads no survivor blocks; nothing to compile")
     slot_of = {block_id: slot for slot, block_id in enumerate(input_ids)}
     builder = ProgramBuilder(
         field, len(input_ids), label=f"plan:{plan.mode.value}"
     )
-
-    def emit_split(sub, use_weights: bool) -> None:
-        src = [slot_of[b] for b in sub.survivor_ids]
-        if use_weights:
-            outs = builder.emit_stage(_matrix_rows(sub.weights.array, src), share=share)
-        else:
-            temps = builder.emit_stage(_matrix_rows(sub.s.array, src), share=share)
-            outs = builder.emit_stage(_matrix_rows(sub.f_inv.array, temps), share=share)
-        for block_id, slot in zip(sub.faulty_ids, outs):
-            slot_of[block_id] = slot
-
-    if plan.uses_partition:
-        for group in plan.groups:
-            emit_split(group, use_weights=True)
-        if plan.rest is not None:
-            emit_split(plan.rest, use_weights=plan.mode in matrix_first_modes)
-    else:
-        emit_split(plan.traditional, use_weights=plan.mode in matrix_first_modes)
+    for stage in plan.stages:
+        slots = [slot_of[b] for b in stage.survivor_ids]
+        for matrix in stage.arrays:
+            slots = builder.emit_stage(_matrix_rows(matrix, slots), share=share)
+        slot_of.update(zip(stage.faulty_ids, slots))
 
     output_ids = tuple(plan.faulty_ids)
     program = builder.finish(

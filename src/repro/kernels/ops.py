@@ -163,26 +163,3 @@ class CompiledRegionOps(RegionOps):
             raise ValueError("run_plan requires 1-D block regions")
         outs = self.executor.execute(plan_prog.program, inputs, counter=self.counter)
         return dict(zip(plan_prog.output_ids, outs))
-
-    # -- fused encode execution --------------------------------------------
-
-    def encode_program(self, code, policy=None) -> PlanProgram:
-        """The compiled (cached) all-parities encode program for ``code``."""
-        return self.programs.encode_program(
-            self.field, code, policy=policy, optimize=self.optimize
-        )
-
-    def run_encode(self, code, blocks, policy=None) -> dict[int, np.ndarray]:
-        """Compute every parity block of ``code`` as one fused program.
-
-        ``blocks`` maps block id -> region and must contain the data
-        blocks; parity entries, stale or otherwise, are never read.
-        Returns ``{parity_id: region}``.  Pass the owning decoder's
-        ``policy`` to book its exact op counts.
-        """
-        enc = self.encode_program(code, policy=policy)
-        inputs = [blocks[b] for b in enc.input_ids]
-        if not self._compilable(inputs):
-            raise ValueError("run_encode requires 1-D block regions")
-        outs = self.executor.execute(enc.program, inputs, counter=self.counter)
-        return dict(zip(enc.output_ids, outs))

@@ -1,6 +1,7 @@
-"""Parallel substrate: thread execution lives in :mod:`repro.core.executor`;
-this package provides the calibrated decode-time model used to evaluate
-multi-core behaviour (this host has one core — DESIGN.md, substitutions).
+"""Parallel substrate: execution lives in :mod:`repro.pipeline`; this
+package provides the work-assignment rules it uses and the calibrated
+decode-time model used to evaluate multi-core behaviour (this host has
+one core — DESIGN.md, substitutions).
 """
 
 from __future__ import annotations
@@ -19,14 +20,7 @@ from .calibrate import (
     measure_throughput,
     scaled_paper_profile,
 )
-from .rebuild import (
-    HybridRebuilder,
-    IntraStripeRebuilder,
-    PipelineRebuilder,
-    RebuildResult,
-    StripeParallelRebuilder,
-    simulate_rebuild_time,
-)
+from .rebuild import PipelineRebuilder, RebuildResult, simulate_rebuild_time
 from .simulate import (
     E5_2603,
     E5_2650,
@@ -50,11 +44,8 @@ __all__ = [
     "compare_repair_bills",
     "default_placement",
     "repair_bill",
-    "HybridRebuilder",
-    "IntraStripeRebuilder",
     "PipelineRebuilder",
     "RebuildResult",
-    "StripeParallelRebuilder",
     "simulate_rebuild_time",
     "host_profile",
     "measure_spawn_overhead",

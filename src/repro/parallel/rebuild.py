@@ -1,22 +1,14 @@
-"""Multi-stripe rebuild schedulers.
+"""Multi-stripe rebuild through the batched pipeline.
 
 The paper's related work distinguishes *block-level* and *disk-level*
 parallel reconstruction (its refs [36]-[40]) from PPM's matrix-oriented
 intra-stripe parallelism.  An array rebuild touches many stripes, so the
-two compose: this module provides the schedulers that spread a rebuild
-over a worker pool at either granularity, letting benches compare
-
-- ``StripeParallelRebuilder`` — classic block-level parallelism: one
-  stripe per worker, each decoded serially (traditional or PPM-serial);
-- ``IntraStripeRebuilder``   — PPM's parallelism *within* each stripe,
-  stripes processed in sequence;
-- ``HybridRebuilder``        — stripes across workers, PPM sequence
-  optimisation (serial) inside each: the practical sweet spot when
-  stripes outnumber cores.
-
-All three recover identical data; they differ in wall-clock shape, which
-``simulate_rebuild_time`` models with the same calibrated profiles used
-for single-stripe decoding.
+two compose: :class:`PipelineRebuilder` hands every damaged stripe to
+one :class:`~repro.pipeline.DecodePipeline` submission (stripes sharing
+a failure geometry fuse into one region sweep; independent sub-matrices
+spread over the pool), and ``simulate_rebuild_time`` models the
+stripe-level vs intra-stripe wall-clock shapes with the same calibrated
+profiles used for single-stripe decoding.
 """
 
 from __future__ import annotations
@@ -25,9 +17,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.decoder import PPMDecoder, TraditionalDecoder
 from ..core.planner import DecodePlan
-from ..pipeline.pool import ThreadWorkerPool
 from ..stripes.array import DiskArray
 from .simulate import CPUProfile, SimulatedTime, simulate_ppm_time
 
@@ -39,97 +29,6 @@ class RebuildResult:
     blocks_repaired: int
     wall_seconds: float
     strategy: str
-
-
-class _BaseRebuilder:
-    strategy = "base"
-
-    def __init__(self, threads: int = 4):
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
-        self.threads = threads
-
-    def _decoder(self):
-        raise NotImplementedError
-
-    def rebuild(self, array: DiskArray) -> RebuildResult:
-        t0 = time.perf_counter()
-        repaired = self._run(array)
-        return RebuildResult(
-            blocks_repaired=repaired,
-            wall_seconds=time.perf_counter() - t0,
-            strategy=self.strategy,
-        )
-
-    def _run(self, array: DiskArray) -> int:
-        raise NotImplementedError
-
-
-class IntraStripeRebuilder(_BaseRebuilder):
-    """Stripes in sequence; PPM threads inside each stripe."""
-
-    strategy = "intra-stripe (PPM threads)"
-
-    def _run(self, array: DiskArray) -> int:
-        decoder = PPMDecoder(threads=self.threads)
-        return array.rebuild(decoder)
-
-
-class StripeParallelRebuilder(_BaseRebuilder):
-    """One stripe per worker; serial decode inside (block-level parallelism).
-
-    ``use_ppm`` selects PPM's sequence optimisation (serial execution)
-    inside each stripe; False gives the pure traditional baseline.
-    """
-
-    strategy = "stripe-parallel (traditional)"
-
-    def __init__(self, threads: int = 4, use_ppm: bool = False):
-        super().__init__(threads)
-        self.use_ppm = use_ppm
-        if use_ppm:
-            self.strategy = "stripe-parallel (PPM serial)"
-
-    def _make_decoder(self):
-        # one decoder per worker: plan caches are shared per decoder and
-        # plans are immutable, but the region-op counter is per-decoder
-        if self.use_ppm:
-            return PPMDecoder(parallel=False)
-        return TraditionalDecoder(policy="normal")
-
-    def _run(self, array: DiskArray) -> int:
-        work = [
-            (stripe, stripe.erased_ids)
-            for stripe in array.stripes
-            if stripe.erased_ids
-        ]
-        if not work:
-            return 0
-        decoders = [self._make_decoder() for _ in range(self.threads)]
-
-        def repair(item):
-            index, (stripe, faulty) = item
-            decoder = decoders[index % self.threads]
-            recovered = decoder.decode(array.code, stripe, faulty)
-            return stripe, recovered
-
-        with ThreadWorkerPool(self.threads) as pool:
-            results = pool.map(repair, enumerate(work))
-        repaired = 0
-        for stripe, recovered in results:
-            for bid, region in recovered.items():
-                stripe.put(bid, region)
-            repaired += len(recovered)
-        array.failed_disks.clear()
-        return repaired
-
-
-class HybridRebuilder(StripeParallelRebuilder):
-    """Stripe-level workers + PPM sequence optimisation inside each."""
-
-    def __init__(self, threads: int = 4):
-        super().__init__(threads, use_ppm=True)
-        self.strategy = "hybrid (stripes x PPM serial)"
 
 
 class _BackgroundPipeline:
@@ -153,13 +52,12 @@ class _BackgroundPipeline:
         return self._pipeline.decode_batch(code, stripes, faulty, **kwargs)
 
 
-class PipelineRebuilder(_BaseRebuilder):
+class PipelineRebuilder:
     """Batched rebuild through :class:`repro.pipeline.DecodePipeline`.
 
     All stripes sharing a failure geometry are fused into one region-op
     sweep, plans come from the pipeline's LRU cache, and the worker pool
-    is spawned once for the whole rebuild — the throughput-oriented
-    sibling of the per-stripe strategies above.
+    is spawned once for the whole rebuild.
 
     Pass ``pipeline=`` to route the rebuild through an *existing*
     pipeline (sharing its plan cache, pool and metrics with the serving
@@ -168,27 +66,35 @@ class PipelineRebuilder(_BaseRebuilder):
     degraded reads.
     """
 
-    strategy = "pipeline (batched)"
-
     def __init__(
         self,
         threads: int = 4,
         pool: str = "thread",
         pipeline=None,
     ):
-        super().__init__(threads)
+        if threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
+        self.threads = threads
         self.pool_kind = pool
         self.pipeline = pipeline
-        if pipeline is not None:
-            self.strategy = "pipeline (batched, shared)"
+        self.strategy = (
+            "pipeline (batched)" if pipeline is None else "pipeline (batched, shared)"
+        )
 
-    def _run(self, array: DiskArray) -> int:
+    def rebuild(self, array: DiskArray) -> RebuildResult:
+        t0 = time.perf_counter()
         if self.pipeline is not None:
-            return array.rebuild(_BackgroundPipeline(self.pipeline))
-        from ..pipeline import DecodePipeline  # deferred: engine sits above core
+            repaired = array.rebuild(_BackgroundPipeline(self.pipeline))
+        else:
+            from ..pipeline import DecodePipeline  # deferred: engine imports parallel
 
-        with DecodePipeline(workers=self.threads, pool=self.pool_kind) as pipe:
-            return array.rebuild(pipe)
+            with DecodePipeline(workers=self.threads, pool=self.pool_kind) as pipe:
+                repaired = array.rebuild(pipe)
+        return RebuildResult(
+            blocks_repaired=repaired,
+            wall_seconds=time.perf_counter() - t0,
+            strategy=self.strategy,
+        )
 
 
 def simulate_rebuild_time(

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..core.planner import DecodePlan
-from ..core.sequences import ExecutionMode
 
 #: Default per-core throughput: symbols * mult_XORs per second.  This is
 #: overwritten by host calibration in the bench harness; the raw value
@@ -97,38 +96,27 @@ def simulate_ppm_time(
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     per_op = sector_symbols / profile.throughput
-    if not plan.uses_partition:
-        # whole-matrix execution: strictly serial
-        return SimulatedTime(
-            phase1_seconds=plan.predicted_cost * per_op,
-            rest_seconds=0.0,
-            spawn_seconds=0.0,
-        )
-    group_costs = plan.group_costs
-    t_eff = max(1, min(threads, len(group_costs)))
+    # independent stages (the groups, or the one whole-matrix stage)
+    # spread over threads; dependent ones (the rest phase) are serial
+    parallel_costs = tuple(s.cost for s in plan.stages if s.independent)
+    serial_cost = sum(s.cost for s in plan.stages if not s.independent)
+    t_eff = max(1, min(threads, len(parallel_costs)))
     if t_eff == 1:
-        phase1 = sum(group_costs) * per_op
+        phase1 = sum(parallel_costs) * per_op
         spawn = 0.0
     else:
-        bins = _round_robin_bins(group_costs, t_eff)
+        bins = _round_robin_bins(parallel_costs, t_eff)
         concurrent = min(t_eff, profile.cores)
         # cores bound the achievable parallelism; oversubscription adds churn
-        makespan = max(max(bins), sum(group_costs) / concurrent)
+        makespan = max(max(bins), sum(parallel_costs) / concurrent)
         penalty = 1.0
         if t_eff > profile.cores:
             penalty += OVERSUBSCRIPTION_PENALTY * (t_eff - profile.cores)
         phase1 = makespan * per_op * penalty
         spawn = profile.spawn_overhead_s * t_eff
-    rest_cost = 0
-    if plan.rest is not None:
-        rest_cost = (
-            plan.rest.cost_matrix_first
-            if plan.mode is ExecutionMode.PPM_REST_MATRIX_FIRST
-            else plan.rest.cost_normal
-        )
     return SimulatedTime(
         phase1_seconds=phase1,
-        rest_seconds=rest_cost * per_op,
+        rest_seconds=serial_cost * per_op,
         spawn_seconds=spawn,
     )
 

@@ -1,32 +1,28 @@
-"""Throughput-oriented decode pipeline: plan caching + persistent pools.
+"""The decode pipeline: the one executor of :class:`DecodePlan` objects.
 
-Single-stripe decoders (:mod:`repro.core`) optimise one decode; this
-package optimises *many* — the multi-stripe shape every array rebuild
-and degraded-read storm produces:
+:mod:`repro.core` plans; this package runs plans — one stripe or the
+multi-stripe shape every array rebuild and degraded-read storm
+produces:
 
 - :mod:`repro.pipeline.pool` — persistent worker pools (the only place
   executors may be constructed; lint rule PPM007);
 - :mod:`repro.pipeline.plancache` — LRU :class:`PlanCache` with
   hit/miss counters and optional static certification;
-- :mod:`repro.pipeline.engine` — :class:`DecodePipeline`, which fuses
-  stripes sharing an erasure pattern into one region-op sweep;
+- :mod:`repro.pipeline.engine` — :class:`DecodePipeline`, which walks
+  ``plan.stages`` and fuses stripes sharing an erasure pattern into one
+  region-op sweep (every decoder class is a preset of it);
 - :mod:`repro.pipeline.metrics` — :class:`PipelineMetrics` snapshots;
 - :mod:`repro.pipeline.admission` — :class:`PriorityAdmission`, the
   foreground/background gate that keeps scrub-repair batches from
   delaying live degraded reads.
-
-Only :mod:`pool` and :mod:`metrics` (dependency-free) are imported
-eagerly; the engine and plan cache load lazily (PEP 562) so that
-low-level modules — :mod:`repro.core.executor` and friends — can depend
-on :mod:`repro.pipeline.pool` without cycling through
-:mod:`repro.core`.
 """
 
 from __future__ import annotations
 
 from .admission import PriorityAdmission
-from .metrics import PipelineMetrics
-from .metrics import LatencyTracker
+from .engine import BatchStats, DecodePipeline, DecodeStats
+from .metrics import LatencyTracker, PipelineMetrics
+from .plancache import CacheStats, PlanCache
 from .pool import (
     ProcessWorkerPool,
     SerialPool,
@@ -55,25 +51,6 @@ __all__ = [
     "live_pools",
     "make_pool",
     "BatchStats",
+    "DecodeStats",
     "DecodePipeline",
 ]
-
-_LAZY_EXPORTS = {
-    "DecodePipeline": "engine",
-    "BatchStats": "engine",
-    "PlanCache": "plancache",
-    "CacheStats": "plancache",
-}
-
-
-def __getattr__(name: str):
-    """Lazy re-export of modules that import repro.core submodules."""
-    submodule = _LAZY_EXPORTS.get(name)
-    if submodule is not None:
-        import importlib
-
-        module = importlib.import_module(f".{submodule}", __name__)
-        value = getattr(module, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module 'repro.pipeline' has no attribute {name!r}")

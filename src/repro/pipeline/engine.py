@@ -1,9 +1,11 @@
-"""The batched decode engine: many stripes per submission, one plan each.
+"""The decode engine: the one place a plan plus blocks become regions.
 
-The paper's speedup has two amortisable fixed costs — *planning* (log
-table, partition, ``F^-1 S`` products) and *worker startup* — plus a
-per-stripe variable cost of Python dispatch around the region kernels.
-:class:`DecodePipeline` attacks all three at once:
+:mod:`repro.core` *plans* (``DecodePlan.stages`` says which matrices run
+on which blocks); :class:`DecodePipeline` *executes* — it is the only
+code that walks those stages over sector data, so policy is a property
+of the plan and parallelism a property of the pool.  The decoder
+classes of :mod:`repro.core` are presets of it.  It amortises the
+paper's two fixed costs and the per-stripe dispatch cost at once:
 
 - plans come from a shared :class:`~repro.pipeline.plancache.PlanCache`
   (LRU, hit/miss counted, optionally statically certified);
@@ -14,32 +16,31 @@ per-stripe variable cost of Python dispatch around the region kernels.
   the whole batch (``u(W)`` region operations total instead of
   ``u(W) x stripes``, each over a region ``stripes`` times longer).
 
-Work is scheduled at (pattern x independent-sub-matrix) granularity and
-spread over workers with the LPT greedy from
-:mod:`repro.parallel.assignment` (round-robin available for
-paper-faithful comparisons).  The serial rest phase of each pattern runs
-on the caller's thread after its groups complete, exactly like the
-single-stripe decoders.
+On a concurrent pool, work is scheduled at (pattern x independent stage)
+granularity and spread over workers with the LPT greedy from
+:mod:`repro.parallel.assignment` (or round-robin, Algorithm 1's
+``p mod T``); each pattern's dependent stage (``H_rest``) then runs on
+the caller's thread.  A serial pool runs each pattern as its one cached
+whole-plan program instead.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, FIRST_EXCEPTION, Future, wait
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..codes.base import ErasureCode
-from ..core.decoder import _PlanningDecoder, _run_rest
-from ..core.planner import DecodePlan, GroupPlan, TraditionalPlan
-from ..core.procparallel import _child_ops
+from ..core.planner import DecodePlan, Stage
 from ..core.sequences import ExecutionMode, SequencePolicy
 from ..gf.field import GF
 from ..gf.region import OpCounter, RegionOps
-from ..kernels import CompiledRegionOps, ProgramCache
+from ..kernels import CompiledRegionOps, ProgramCache, ProgramCacheStats
+from ..matrix.gfmatrix import GFMatrix
 from ..parallel.assignment import assign_lpt, assign_round_robin
 from ..stripes.scrub import verify_rows
 from ..stripes.store import Stripe
@@ -48,11 +49,10 @@ from .metrics import LatencyTracker, PipelineMetrics
 from .plancache import PlanCache
 from .pool import StragglerTimeout, WorkerPool, make_pool
 
-#: One schedulable unit: apply ``m1`` (then optionally ``m2``) to the
-#: concatenated survivor regions.  ``(m1, None)`` covers independent
-#: groups and the matrix-first whole-matrix sequence; ``(s, f_inv)``
-#: covers the normal sequence.  Pure data, picklable for process pools.
-_Task = tuple[int, np.ndarray, "np.ndarray | None", list[np.ndarray], tuple[int, ...]]
+#: One schedulable unit: apply ``matrices`` in order — ``(W,)`` or
+#: ``(S, F^-1)`` — to the fused survivor ``regions``, recovering
+#: ``faulty_ids``.  Pure data, picklable for process pools.
+_Task = tuple[int, tuple[np.ndarray, ...], list[np.ndarray], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,48 @@ class BatchStats:
     queue_depth: int
 
 
-def _apply_task(
-    ops: RegionOps,
-    m1: np.ndarray,
-    m2: np.ndarray | None,
-    regions: list[np.ndarray],
+@dataclass(frozen=True)
+class DecodeStats(BatchStats):
+    """What one single-stripe ``decode`` did, with the plan it ran."""
+
+    plan: DecodePlan
+
+    @property
+    def mode(self) -> ExecutionMode:
+        return self.plan.mode
+
+
+def _blocks_of(stripe: Stripe | Mapping[int, np.ndarray]) -> Mapping[int, np.ndarray]:
+    if isinstance(stripe, Stripe):
+        return {b: stripe.get(b) for b in stripe.present_ids}
+    return stripe
+
+
+def _apply(
+    ops: RegionOps, matrices: Sequence[np.ndarray], regions: list[np.ndarray]
 ) -> list[np.ndarray]:
-    if m2 is not None:
-        # one fused chain program under the compiled backend, equivalent
-        # chained matrix_apply calls under the interpreted one
-        return ops.matrix_chain_apply((m1, m2), regions)
-    return ops.matrix_apply(m1, regions)
+    if len(matrices) == 1:
+        return ops.matrix_apply(matrices[0], regions)
+    # one fused chain program under the compiled backend, equivalent
+    # chained matrix_apply calls under the interpreted one
+    return ops.matrix_chain_apply(matrices, regions)
+
+
+#: Per-worker-process ops instances: the program cache inside survives
+#: across submits, so each weight matrix compiles once per worker.
+_CHILD_OPS: dict[tuple[int, int, bool], RegionOps] = {}
+
+
+def _child_ops(w: int, polynomial: int, compiled: bool) -> RegionOps:
+    key = (w, polynomial, compiled)
+    ops = _CHILD_OPS.get(key)
+    if ops is None:
+        field = GF(w, polynomial)
+        ops = CompiledRegionOps(field) if compiled else RegionOps(field)
+        # per-process memo: each pool worker owns its own interpreter,
+        # so no lock is needed (or possible) across processes
+        _CHILD_OPS[key] = ops  # ppm: noqa[PPM011]
+    return ops
 
 
 def _run_task_bucket(
@@ -96,9 +127,8 @@ def _run_task_bucket(
     t0 = time.perf_counter()
     ops = _child_ops(w, polynomial, compiled)
     out: dict[int, dict[int, np.ndarray]] = {}
-    for task_id, m1, m2, regions, faulty_ids in tasks:
-        outs = _apply_task(ops, m1, m2, regions)
-        out[task_id] = dict(zip(faulty_ids, outs))
+    for task_id, matrices, regions, faulty_ids in tasks:
+        out[task_id] = dict(zip(faulty_ids, _apply(ops, matrices, regions)))
     return out, time.perf_counter() - t0
 
 
@@ -110,29 +140,27 @@ class _PatternBatch:
         self.plan = plan
         self.indices: list[int] = []  # positions in the submitted batch
         self.offsets: list[int] = [0]  # concat boundaries, len(indices)+1
-        self.concat: dict[int, np.ndarray] = {}  # survivor id -> fused region
+        self.concat: Mapping[int, np.ndarray] = {}  # survivor id -> fused region
         self.recovered: dict[int, np.ndarray] = {}  # faulty id -> fused region
 
     def fuse(self, blocks_list: list[Mapping[int, np.ndarray]]) -> None:
-        """Concatenate the survivor regions this plan reads, per block id."""
-        plan = self.plan
-        needed: set[int] = set()
-        if plan.uses_partition:
-            for group in plan.groups:
-                needed.update(group.survivor_ids)
-            if plan.rest is not None:
-                needed.update(plan.rest.survivor_ids)
-            needed.difference_update(plan.faulty_ids)
-        else:
-            needed.update(plan.traditional.survivor_ids)
+        """Concatenate the survivor regions this plan reads, per block id.
+
+        A lone stripe is not copied: its fused regions *are* its input
+        regions (no executor writes to an input).
+        """
+        read_ids = self.plan.read_ids
         maps = [blocks_list[i] for i in self.indices]
         for blocks in maps:
-            sample = blocks[next(iter(needed))]
             # each _PatternBatch belongs to exactly one decode_batch call
-            self.offsets.append(self.offsets[-1] + sample.shape[0])  # ppm: noqa[PPM010]
-        self.concat = {  # ppm: noqa[PPM010] - batch owned by one call
-            b: np.concatenate([blocks[b] for blocks in maps]) for b in needed
-        }
+            self.offsets.append(  # ppm: noqa[PPM010]
+                self.offsets[-1] + blocks[read_ids[0]].shape[0]
+            )
+        self.concat = (  # ppm: noqa[PPM010] - batch owned by one call
+            {b: maps[0][b] for b in read_ids}
+            if len(maps) == 1
+            else {b: np.concatenate([blocks[b] for blocks in maps]) for b in read_ids}
+        )
 
     def split(self, results: list[dict[int, np.ndarray]]) -> None:
         """Slice each fused recovered region back into per-stripe views."""
@@ -144,11 +172,14 @@ class _PatternBatch:
 
 
 class DecodePipeline:
-    """Throughput-oriented batched decoder with persistent workers.
+    """The decoder: plan cache + worker pool + the one stage executor.
 
-    Satisfies the single-stripe ``decode`` protocol (so it drops into
-    :meth:`repro.stripes.DiskArray.degraded_read` and any existing
-    harness), but its native entry point is :meth:`decode_batch`.
+    Its native entry point is :meth:`decode_batch`; :meth:`decode` (the
+    single-stripe protocol :class:`repro.stripes.DiskArray` speaks) is a
+    batch of one and the ``encode*`` family is a decode of the parity
+    positions (paper, footnote 1).  The decoder classes of
+    :mod:`repro.core` are this class with fixed ``policy`` / ``pool`` /
+    ``workers`` / ``assignment`` choices.
 
     Parameters
     ----------
@@ -166,7 +197,8 @@ class DecodePipeline:
     plan_cache_size:
         LRU capacity of the shared :class:`PlanCache`.
     verify:
-        Statically certify every cache-miss plan (PR-1 verifier).
+        Statically certify every plan before it first executes (see
+        :func:`repro.verify.verify_plan`); overridable per call.
     counter:
         Optional shared :class:`~repro.gf.region.OpCounter`.
     compile:
@@ -262,8 +294,7 @@ class DecodePipeline:
         self.deadline_s = deadline_s
         self.faults = faults
         self.latency = LatencyTracker()
-        self._ops_cache: dict[int, RegionOps] = {}
-        self._hedge_ops_cache: dict[int, RegionOps] = {}
+        self._ops_cache: dict[tuple[int, bool], RegionOps] = {}
         # lifetime tallies behind metrics(); decode_batch runs on
         # whatever thread calls it (several asyncio.to_thread workers
         # at once under the async service), so the tallies and the ops
@@ -283,36 +314,27 @@ class DecodePipeline:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _ops_for(self, field: GF) -> RegionOps:
-        key = id(field)
+    def _make_ops(self, field: GF, counter: OpCounter) -> RegionOps:
+        if self.programs is not None:
+            return CompiledRegionOps(field, counter, programs=self.programs)
+        return RegionOps(field, counter)
+
+    def _ops_for(self, field: GF, hedge: bool = False) -> RegionOps:
+        """The (cached) region ops for ``field``.
+
+        ``hedge=True`` gives the ops hedge executions use: shared
+        program cache, private counter.  A hedged bucket runs *twice*;
+        booking both runs into the pipeline's :class:`OpCounter` would
+        inflate the paper's operation accounting, so hedges compute
+        with a throwaway counter.  The primary always runs to
+        completion in the pool and is counted exactly once, win or lose.
+        """
+        key = (id(field), hedge)
         with self._tally_lock:
             ops = self._ops_cache.get(key)
             if ops is None:
-                if self.programs is not None:
-                    ops = CompiledRegionOps(field, self.counter, programs=self.programs)
-                else:
-                    ops = RegionOps(field, self.counter)
+                ops = self._make_ops(field, OpCounter() if hedge else self.counter)
                 self._ops_cache[key] = ops
-        return ops
-
-    def _hedge_ops_for(self, field: GF) -> RegionOps:
-        """Ops for hedge executions: shared program cache, private counter.
-
-        A hedged bucket runs *twice*; booking both runs into the
-        pipeline's :class:`OpCounter` would inflate the paper's
-        operation accounting, so hedges compute with a throwaway
-        counter.  The primary always runs to completion in the pool and
-        is counted exactly once, win or lose.
-        """
-        key = id(field)
-        with self._tally_lock:
-            ops = self._hedge_ops_cache.get(key)
-            if ops is None:
-                if self.programs is not None:
-                    ops = CompiledRegionOps(field, OpCounter(), programs=self.programs)
-                else:
-                    ops = RegionOps(field, OpCounter())
-                self._hedge_ops_cache[key] = ops
         return ops
 
     @staticmethod
@@ -344,18 +366,26 @@ class DecodePipeline:
 
     def _account_remote_tasks(self, tasks: Sequence[_Task]) -> None:
         """Book work done in child processes into the parent counter."""
-        for _task_id, m1, m2, regions, _faulty in tasks:
+        for _task_id, matrices, regions, _faulty in tasks:
             if not regions:
                 continue
             length = regions[0].shape[0]
-            for m in (m1, m2):
-                if m is None:
-                    continue
+            for m in matrices:
                 count = int(np.count_nonzero(m))
                 ones = int(np.count_nonzero(m == 1))
                 self.counter.record(count, count * length, xor_only=ones)
 
     # -- the decode API ------------------------------------------------------
+
+    def plan(
+        self,
+        source: ErasureCode | GFMatrix,
+        faulty: Sequence[int],
+        verify: bool | None = None,
+    ) -> DecodePlan:
+        """Fetch (or build, certify and cache) the plan this pipeline
+        would run for a scenario."""
+        return self.plans.get(source, faulty, self.policy, verify=verify)
 
     def decode(
         self,
@@ -364,14 +394,24 @@ class DecodePipeline:
         faulty: Sequence[int],
         *,
         return_stats: bool = False,
+        verify: bool | None = None,
     ):
-        """Single-stripe decode: a batch of one (protocol compatibility)."""
+        """Recover the faulty blocks of one stripe: a batch of one.
+
+        ``code`` may also be a bare parity-check ``GFMatrix`` (it carries
+        its field), except with ``verify_workers``.
+
+        ``return_stats=True`` additionally returns a
+        :class:`DecodeStats` (op counts, wall time, the plan).
+        ``verify`` overrides the pipeline's construction-time default
+        for this call.
+        """
         results, stats = self.decode_batch(
-            code, [stripe], [tuple(faulty)], return_stats=True
+            code, [stripe], [tuple(faulty)], return_stats=True, verify=verify
         )
-        if return_stats:
-            return results[0], stats
-        return results[0]
+        if not return_stats:
+            return results[0]
+        return results[0], DecodeStats(**vars(stats), plan=self.plan(code, faulty))
 
     def decode_batch(
         self,
@@ -382,6 +422,7 @@ class DecodePipeline:
         return_stats: bool = False,
         priority: str = "foreground",
         deadline_s: float | None = None,
+        verify: bool | None = None,
     ):
         """Recover the faulty blocks of many stripes in one submission.
 
@@ -400,92 +441,77 @@ class DecodePipeline:
         ``deadline_s`` bounds this batch's phase-1 gather (default: the
         pipeline's ``deadline_s``); on expiry outstanding workers are
         abandoned and :class:`~repro.pipeline.pool.StragglerTimeout`
-        propagates — no partial batch is ever returned.
+        propagates — no partial batch is ever returned.  ``verify``
+        overrides the pipeline's plan-certification default.
         """
+        if deadline_s is None:
+            deadline_s = self.deadline_s
         with self.admission.admit(priority):
-            return self._decode_batch_admitted(
-                code,
-                stripes,
-                faulty,
-                return_stats=return_stats,
-                background=priority == "background",
-                deadline_s=self.deadline_s if deadline_s is None else deadline_s,
+            t0 = time.perf_counter()
+            before = self.counter.snapshot()
+            hits0, misses0 = self.plans.stats.hits, self.plans.stats.misses
+            patterns = self._normalize_faulty(stripes, faulty)
+            blocks_list = [_blocks_of(s) for s in stripes]
+            results: list[dict[int, np.ndarray]] = [{} for _ in stripes]
+
+            # group stripes by pattern; every stripe resolves its plan through
+            # the cache, so the hit rate reads as "stripes served by a cached
+            # plan" (the first stripe of a new pattern is the one miss)
+            batches: dict[tuple[int, ...], _PatternBatch] = {}
+            for index, pattern in enumerate(patterns):
+                if not pattern:
+                    continue  # intact stripe: nothing to recover
+                plan = self.plans.get(code, pattern, self.policy, verify=verify)
+                batch = batches.get(pattern)
+                if batch is None:
+                    batch = batches[pattern] = _PatternBatch(pattern, plan)
+                batch.indices.append(index)
+            for batch in batches.values():
+                batch.fuse(blocks_list)
+
+            queue_depth = self._execute(
+                code, list(batches.values()), self._ops_for(code.field), deadline_s
             )
+            for batch in batches.values():
+                batch.split(results)
 
-    def _decode_batch_admitted(
-        self,
-        code: ErasureCode,
-        stripes: Sequence[Stripe | Mapping[int, np.ndarray]],
-        faulty: Sequence[int] | Sequence[Sequence[int]] | None,
-        *,
-        return_stats: bool,
-        background: bool,
-        deadline_s: float | None = None,
-    ):
-        t0 = time.perf_counter()
-        before = self.counter.snapshot()
-        hits0, misses0 = self.plans.stats.hits, self.plans.stats.misses
-        patterns = self._normalize_faulty(stripes, faulty)
-        blocks_list = [_PlanningDecoder._blocks_of(s) for s in stripes]
-        results: list[dict[int, np.ndarray]] = [{} for _ in stripes]
+            wall = time.perf_counter() - t0
+            after = self.counter.snapshot()
+            with self._tally_lock:
+                self._queue_peak = max(self._queue_peak, queue_depth)
+                self._stripes += len(stripes)
+                self._batches += 1
+                if priority == "background":
+                    self._background_batches += 1
+                self._patterns += len(batches)
+                self._wall += wall
+            stats = BatchStats(
+                stripes=len(stripes),
+                patterns=len(batches),
+                plan_hits=self.plans.stats.hits - hits0,
+                plan_misses=self.plans.stats.misses - misses0,
+                mult_xors=after[0] - before[0],
+                symbols=after[2] - before[2],
+                wall_seconds=wall,
+                queue_depth=queue_depth,
+            )
+            return (results, stats) if return_stats else results
 
-        # group stripes by pattern; every stripe resolves its plan through
-        # the cache, so the hit rate reads as "stripes served by a cached
-        # plan" (the first stripe of a new pattern is the one miss)
-        batches: dict[tuple[int, ...], _PatternBatch] = {}
-        for index, pattern in enumerate(patterns):
-            if not pattern:
-                continue  # intact stripe: nothing to recover
-            plan = self.plans.get(code, pattern, self.policy)
-            batch = batches.get(pattern)
-            if batch is None:
-                batch = batches[pattern] = _PatternBatch(pattern, plan)
-            batch.indices.append(index)
-        for batch in batches.values():
-            batch.fuse(blocks_list)
+    def encode(
+        self, code: ErasureCode, stripe: Stripe | Mapping[int, np.ndarray]
+    ) -> dict[int, np.ndarray]:
+        """Compute all parity blocks of one stripe from its data blocks."""
+        return self.encode_batch(code, [stripe])[0]
 
-        ops = self._ops_for(code.field)
-        tasks, owners, specs = self._build_tasks(batches)
-        queue_depth = len(tasks)
-        with self._tally_lock:
-            self._queue_peak = max(self._queue_peak, queue_depth)
-        task_results = self._run_tasks(tasks, ops, deadline_s=deadline_s)
-        if self.verify_workers:
-            self._verify_task_results(code, tasks, owners, specs, task_results, ops)
+    def encode_into(self, code: ErasureCode, stripe: Stripe) -> None:
+        """Encode and write the parity blocks back into ``stripe``."""
+        self.encode_into_batch(code, [stripe])
 
-        # merge phase-1 outputs, then run each pattern's serial rest phase
-        for task_id, recovered in task_results.items():
-            owners[task_id].recovered.update(recovered)
-        for batch in batches.values():
-            plan = batch.plan
-            if plan.uses_partition and plan.rest is not None:
-                batch.recovered.update(
-                    _run_rest(plan, batch.concat, batch.recovered, ops)
-                )
-            batch.split(results)
-
-        wall = time.perf_counter() - t0
-        after = self.counter.snapshot()
-        with self._tally_lock:
-            self._stripes += len(stripes)
-            self._batches += 1
-            if background:
-                self._background_batches += 1
-            self._patterns += len(batches)
-            self._wall += wall
-        stats = BatchStats(
-            stripes=len(stripes),
-            patterns=len(batches),
-            plan_hits=self.plans.stats.hits - hits0,
-            plan_misses=self.plans.stats.misses - misses0,
-            mult_xors=after[0] - before[0],
-            symbols=after[2] - before[2],
-            wall_seconds=wall,
-            queue_depth=queue_depth,
-        )
-        if return_stats:
-            return results, stats
-        return results
+    def encode_into_batch(self, code: ErasureCode, stripes: Sequence[Stripe]) -> None:
+        """Batch-encode and write the parities back into each stripe."""
+        for stripe, parities in zip(stripes, self.encode_batch(code, stripes)):
+            for bid, region in parities.items():
+                stripe.put(bid, region)
 
     def encode_batch(
         self,
@@ -509,7 +535,7 @@ class DecodePipeline:
         data_ids = code.data_block_ids
         data_only = [
             {b: blocks[b] for b in data_ids}
-            for blocks in (_PlanningDecoder._blocks_of(s) for s in stripes)
+            for blocks in (_blocks_of(s) for s in stripes)
         ]
         return self.decode_batch(
             code,
@@ -519,62 +545,71 @@ class DecodePipeline:
             priority=priority,
         )
 
-    def rebuild(self, array) -> int:
-        """Batched full-array rebuild; returns blocks repaired.
+    # -- execution -------------------------------------------------------------
 
-        Delegates to :meth:`repro.stripes.DiskArray.rebuild`, which
-        routes through :meth:`decode_batch` for batch-aware decoders.
+    def _execute(
+        self,
+        code: ErasureCode,
+        batches: list[_PatternBatch],
+        ops: RegionOps,
+        deadline_s: float | None,
+    ) -> int:
+        """Fill ``batch.recovered`` for every batch; returns tasks queued.
+
+        A serial pool has no worker to hand a stage to (and nothing to
+        verify, hedge or inject into), so each batch runs as its cached
+        whole-plan program.  Otherwise independent stages go to the pool
+        as tasks and each batch's dependent stages follow on this thread.
         """
-        return array.rebuild(self)
-
-    # -- phase-1 scheduling --------------------------------------------------
-
-    def _build_tasks(
-        self, batches: Mapping[tuple[int, ...], _PatternBatch]
-    ) -> tuple[
-        list[_Task],
-        dict[int, _PatternBatch],
-        dict[int, "GroupPlan | TraditionalPlan"],
-    ]:
-        """One task per (pattern, sub-matrix); whole-matrix plans get one.
-
-        ``specs`` maps each task id back to the plan record (group or
-        traditional) that produced it — the verification pass needs the
-        record's ``row_ids`` to syndrome-check the worker's output.
-        """
+        if (
+            self.pool.kind == "serial"
+            and isinstance(ops, CompiledRegionOps)
+            and not self.verify_workers
+            and self.faults is None
+            and all(r.ndim == 1 for b in batches for r in b.concat.values())
+        ):
+            t0 = time.perf_counter()
+            for batch in batches:
+                batch.recovered = ops.run_plan(batch.plan, batch.concat)
+            with self._tally_lock:
+                self._busy[0] += time.perf_counter() - t0
+            return len(batches)
+        # one task per (pattern, independent stage) unit; origin remembers
+        # each task's batch and stage (whose row_ids verify its output)
         tasks: list[_Task] = []
-        owners: dict[int, _PatternBatch] = {}
-        specs: dict[int, GroupPlan | TraditionalPlan] = {}
-        for batch in batches.values():
-            plan = batch.plan
-            if plan.uses_partition:
-                for group in plan.groups:
-                    task_id = len(tasks)
-                    regions = [batch.concat[b] for b in group.survivor_ids]
-                    tasks.append(
-                        (task_id, group.weights.array, None, regions, group.faulty_ids)
+        origin: dict[int, tuple[_PatternBatch, Stage]] = {}
+        for batch in batches:
+            for stage in batch.plan.stages:
+                if stage.independent:
+                    regions = [batch.concat[b] for b in stage.survivor_ids]
+                    for matrices, faulty_ids in self._stage_tasks(stage):
+                        origin[len(tasks)] = (batch, stage)
+                        tasks.append((len(tasks), matrices, regions, faulty_ids))
+        task_results = self._run_tasks(tasks, ops, deadline_s=deadline_s)
+        if self.verify_workers:
+            self._verify_task_results(code, tasks, origin, task_results, ops)
+        for task_id, recovered in task_results.items():
+            origin[task_id][0].recovered.update(recovered)
+        for batch in batches:
+            for stage in batch.plan.stages:
+                if not stage.independent:
+                    blocks = {**batch.concat, **batch.recovered}
+                    regions = [blocks[b] for b in stage.survivor_ids]
+                    batch.recovered.update(
+                        zip(stage.faulty_ids, _apply(ops, stage.arrays, regions))
                     )
-                    owners[task_id] = batch
-                    specs[task_id] = group
-            else:
-                tp = plan.traditional
-                task_id = len(tasks)
-                regions = [batch.concat[b] for b in tp.survivor_ids]
-                if plan.mode is ExecutionMode.TRADITIONAL_MATRIX_FIRST:
-                    m1, m2 = tp.weights.array, None
-                else:
-                    m1, m2 = tp.s.array, tp.f_inv.array
-                tasks.append((task_id, m1, m2, regions, tp.faulty_ids))
-                owners[task_id] = batch
-                specs[task_id] = tp
-        return tasks, owners, specs
+        return len(tasks)
+
+    def _stage_tasks(self, stage: Stage) -> list[tuple[tuple[np.ndarray, ...], tuple[int, ...]]]:
+        """``(matrix chain, block ids it recovers)`` units of one stage —
+        the whole stage; presets may split it finer."""
+        return [(stage.arrays, stage.faulty_ids)]
 
     def _verify_task_results(
         self,
         code: ErasureCode,
         tasks: list[_Task],
-        owners: dict[int, _PatternBatch],
-        specs: dict[int, "GroupPlan | TraditionalPlan"],
+        origin: dict[int, tuple[_PatternBatch, Stage]],
         task_results: dict[int, dict[int, np.ndarray]],
         ops: RegionOps,
     ) -> None:
@@ -593,15 +628,14 @@ class DecodePipeline:
         """
         check_ops = RegionOps(code.field)
         for task_id in sorted(task_results):
-            recovered = task_results[task_id]
-            spec = specs[task_id]
-            blocks = dict(owners[task_id].concat)
-            blocks.update(recovered)
-            if verify_rows(code, spec.row_ids, blocks, ops=check_ops):
+            batch, stage = origin[task_id]
+            blocks = {**batch.concat, **task_results[task_id]}
+            if verify_rows(code, stage.row_ids, blocks, ops=check_ops):
                 continue
-            _tid, m1, m2, regions, faulty_ids = tasks[task_id]
-            outs = _apply_task(ops, m1, m2, regions)
-            task_results[task_id] = dict(zip(faulty_ids, outs))
+            _tid, matrices, regions, faulty_ids = tasks[task_id]
+            task_results[task_id] = dict(
+                zip(faulty_ids, _apply(ops, matrices, regions))
+            )
             with self._tally_lock:
                 self._verify_rejects += 1
 
@@ -620,69 +654,61 @@ class DecodePipeline:
         if not tasks:
             return {}
         costs = [
-            int(np.count_nonzero(m1)) + (int(np.count_nonzero(m2)) if m2 is not None else 0)
-            for _tid, m1, m2, _regions, _faulty in tasks
+            sum(int(np.count_nonzero(m)) for m in matrices)
+            for _tid, matrices, _regions, _faulty in tasks
         ]
         assign = assign_lpt if self.assignment == "lpt" else assign_round_robin
         buckets = [b for b in assign(costs, self.workers) if b]
         # latency-tracker shape key: total mult-entries x fused symbols,
         # banded to powers of two so similar buckets share a history
-        length = tasks[0][3][0].shape[0] if tasks[0][3] else 0
+        length = tasks[0][2][0].shape[0] if tasks[0][2] else 0
         keys = [
             (sum(costs[i] for i in bucket) * max(1, length)).bit_length()
             for bucket in buckets
         ]
         faults = self.faults
 
-        def run_local_with(local_ops: RegionOps, inject: bool):
-            def run_local(bucket: list[int]):
-                t0 = time.perf_counter()
+        def run_local(bucket: list[int], local_ops: RegionOps = ops, inject: bool = True):
+            t0 = time.perf_counter()
+            if inject and faults is not None:
+                delay = faults.worker_delay()
+                if delay > 0.0:
+                    time.sleep(delay)
+            out: dict[int, dict[int, np.ndarray]] = {}
+            for i in bucket:
+                task_id, matrices, regions, faulty_ids = tasks[i]
+                recovered = dict(zip(faulty_ids, _apply(local_ops, matrices, regions)))
                 if inject and faults is not None:
-                    delay = faults.worker_delay()
-                    if delay > 0.0:
-                        time.sleep(delay)
-                out: dict[int, dict[int, np.ndarray]] = {}
-                for i in bucket:
-                    task_id, m1, m2, regions, faulty_ids = tasks[i]
-                    outs = _apply_task(local_ops, m1, m2, regions)
-                    recovered = dict(zip(faulty_ids, outs))
-                    if inject and faults is not None:
-                        faults.corrupt_worker_output(recovered)
-                    out[task_id] = recovered
-                return out, time.perf_counter() - t0
+                    faults.corrupt_worker_output(recovered)
+                out[task_id] = recovered
+            return out, time.perf_counter() - t0
 
-            return run_local
+        if self.pool.kind == "serial" or (self.pool.kind == "process" and len(buckets) == 1):
+            # serial pool, or one bucket not worth pickling: run on the
+            # caller's thread (nothing to hedge or time out — there is no
+            # concurrent worker to race)
+            gathered = [run_local(bucket) for bucket in buckets]
+        elif self.pool.kind == "thread":
+            # hedges run uncounted and uninjected (see _ops_for)
+            hedge_ops = self._ops_for(ops.field, hedge=True)
 
-        if self.pool.kind == "process" and len(buckets) > 1:
+            def submit(index: int, hedged: bool) -> Future:
+                if hedged:
+                    return self.pool.submit(run_local, buckets[index], hedge_ops, False)
+                return self.pool.submit(run_local, buckets[index])
+
+            gathered = self._gather_hedged(submit, keys, deadline_s)
+        else:
             field = ops.field
             payloads = [[tasks[i] for i in bucket] for bucket in buckets]
 
             def submit(index: int, hedged: bool) -> Future:
                 return self.pool.submit(
-                    _run_task_bucket,
-                    field.w,
-                    field.polynomial,
-                    payloads[index],
-                    self.compile,
+                    _run_task_bucket, field.w, field.polynomial, payloads[index], self.compile
                 )
 
             gathered = self._gather_hedged(submit, keys, deadline_s)
             self._account_remote_tasks(tasks)
-        elif self.pool.kind in ("process", "serial"):
-            # serial pool, or a single bucket on a process pool: run on
-            # the caller's thread (skips pickling; nothing to hedge —
-            # there is no concurrent worker to race)
-            run_local = run_local_with(ops, inject=True)
-            gathered = [run_local(bucket) for bucket in buckets]
-        else:
-            primary = run_local_with(ops, inject=True)
-            hedged_run = run_local_with(self._hedge_ops_for(ops.field), inject=False)
-
-            def submit(index: int, hedged: bool) -> Future:
-                fn = hedged_run if hedged else primary
-                return self.pool.submit(fn, buckets[index])
-
-            gathered = self._gather_hedged(submit, keys, deadline_s)
         merged: dict[int, dict[int, np.ndarray]] = {}
         with self._tally_lock:
             for worker_index, (out, elapsed) in enumerate(gathered):
@@ -722,25 +748,6 @@ class DecodePipeline:
         results: list[tuple[dict, float] | None] = [None] * n
         resolved = [False] * n
         outstanding = set(primaries)
-        hedging = self.hedge and self.pool.kind != "serial"
-
-        if not hedging and deadline_s is None:
-            # plain gather: first failure cancels the siblings
-            done, _ = wait(primaries, return_when=FIRST_EXCEPTION)
-            for future in done:
-                if future.exception() is not None:
-                    for other in primaries:
-                        other.cancel()
-                    future.result()
-            return [f.result() for f in primaries]
-
-        def trigger_for(index: int) -> float | None:
-            return self.latency.hedge_after(
-                keys[index],
-                percentile=self.hedge_percentile,
-                factor=self.hedge_factor,
-                min_samples=self.hedge_min_samples,
-            )
 
         while not all(resolved):
             now = time.perf_counter()
@@ -757,23 +764,29 @@ class DecodePipeline:
                     pending,
                     {i: results[i] for i in completed},
                 )
-            # sleep until the deadline or the earliest hedge trigger
-            timeout: float | None = None
-            if deadline_s is not None:
-                timeout = max(0.0, deadline_s - (now - t0))
-            if hedging:
-                soonest: float | None = None
-                for i in range(n):
-                    if resolved[i] or i in hedges:
-                        continue
-                    trigger = trigger_for(i)
-                    if trigger is None:
-                        continue
-                    wait_left = max(0.0, (starts[i] + trigger) - now)
-                    if soonest is None or wait_left < soonest:
-                        soonest = wait_left
-                if soonest is not None:
-                    timeout = soonest if timeout is None else min(timeout, soonest)
+            # hedge every bucket past its trigger, then sleep until the
+            # deadline or the earliest trigger still ahead
+            timeout = None if deadline_s is None else deadline_s - (now - t0)
+            for i in range(n) if self.hedge else ():
+                if resolved[i] or i in hedges:
+                    continue
+                trigger = self.latency.hedge_after(
+                    keys[i],
+                    percentile=self.hedge_percentile,
+                    factor=self.hedge_factor,
+                    min_samples=self.hedge_min_samples,
+                )
+                if trigger is None:
+                    continue
+                wait_left = starts[i] + trigger - now
+                if wait_left <= 0.0:
+                    hedges[i] = submit(i, True)
+                    owner[hedges[i]] = (i, True)
+                    outstanding.add(hedges[i])
+                    with self._tally_lock:
+                        self._hedges += 1
+                elif timeout is None or wait_left < timeout:
+                    timeout = wait_left
             done, _ = wait(outstanding, timeout=timeout, return_when=FIRST_COMPLETED)
             for future in done:
                 outstanding.discard(future)
@@ -793,19 +806,6 @@ class DecodePipeline:
                 twin = primaries[index] if was_hedge else hedges.get(index)
                 if twin is not None and twin in outstanding:
                     twin.cancel()  # best effort; a running twin is abandoned
-            if hedging:
-                now = time.perf_counter()
-                for i in range(n):
-                    if resolved[i] or i in hedges:
-                        continue
-                    trigger = trigger_for(i)
-                    if trigger is not None and now - starts[i] >= trigger:
-                        hedge_future = submit(i, True)
-                        hedges[i] = hedge_future
-                        owner[hedge_future] = (i, True)
-                        outstanding.add(hedge_future)
-                        with self._tally_lock:
-                            self._hedges += 1
         return results  # type: ignore[return-value]
 
     # -- observability / lifecycle -------------------------------------------
@@ -814,9 +814,8 @@ class DecodePipeline:
         """Immutable snapshot of lifetime throughput and utilisation."""
         mult_xors, _xor_only, symbols = self.counter.snapshot()
         wall = self._wall
-        busy = tuple(
-            (b / wall) if wall > 0 else 0.0 for b in self._busy
-        )
+        programs = ProgramCacheStats() if self.programs is None else self.programs.stats
+        busy = tuple((b / wall) if wall > 0 else 0.0 for b in self._busy)
         return PipelineMetrics(
             stripes=self._stripes,
             batches=self._batches,
@@ -836,15 +835,9 @@ class DecodePipeline:
             worker_busy_fraction=busy,
             queue_depth_peak=self._queue_peak,
             compiled=self.programs is not None,
-            program_cache_hits=(
-                self.programs.stats.hits if self.programs is not None else 0
-            ),
-            program_cache_misses=(
-                self.programs.stats.misses if self.programs is not None else 0
-            ),
-            program_cache_evictions=(
-                self.programs.stats.evictions if self.programs is not None else 0
-            ),
+            program_cache_hits=programs.hits,
+            program_cache_misses=programs.misses,
+            program_cache_evictions=programs.evictions,
             hedges=self._hedges,
             hedge_wins=self._hedge_wins,
             verify_rejects=self._verify_rejects,
@@ -862,9 +855,9 @@ class DecodePipeline:
         if self.programs is None:
             return stats
         backends: dict[str, dict[str, float]] = {}
-        for ops in self._ops_cache.values():
+        for (_field, hedge), ops in self._ops_cache.items():
             executor = getattr(ops, "executor", None)
-            if executor is None:
+            if executor is None or hedge:
                 continue
             for key, value in executor.stats().items():
                 if key == "backends":

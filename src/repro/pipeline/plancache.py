@@ -11,7 +11,9 @@ sequence policy)`` with hit/miss/eviction counters that feed
 When ``verify=True`` every *miss* is statically certified against the
 parity-check matrix via :func:`repro.verify.assert_plan_valid` before it
 enters the cache, so hits hand out already-proven plans for free (the
-PR-1 verification layer, amortised the same way planning is).
+PR-1 verification layer, amortised the same way planning is).  A
+``get(..., verify=True)`` on a cache built without it certifies the
+entry once and remembers that it did.
 """
 
 from __future__ import annotations
@@ -82,7 +84,8 @@ class PlanCache:
         self.maxsize = maxsize
         self.verify = verify
         self.stats = CacheStats()
-        self._entries: OrderedDict[PlanKey, tuple[GFMatrix, DecodePlan]] = OrderedDict()
+        # key -> [H (pinned), plan, certified]
+        self._entries: OrderedDict[PlanKey, list] = OrderedDict()
         # decode_batch calls arrive concurrently from asyncio.to_thread
         # workers; the OrderedDict reorder + stats tallies need a lock.
         # Planning itself happens outside it (double-checked insert).
@@ -106,33 +109,46 @@ class PlanCache:
         source: ErasureCode | GFMatrix,
         faulty: Sequence[int],
         policy: SequencePolicy = SequencePolicy.PAPER,
+        verify: bool | None = None,
     ) -> DecodePlan:
-        """Fetch (hit) or build-certify-insert (miss) the plan."""
+        """Fetch (hit) or build-and-insert (miss) the plan.
+
+        ``verify`` overrides the cache-level default for this lookup; a
+        plan is certified at most once while it stays cached.
+        """
         h = source.H if isinstance(source, ErasureCode) else source
         key = (id(h), tuple(sorted(set(faulty))), policy)
+        want_certified = self.verify if verify is None else verify
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-                return entry[1]
-        plan = plan_decode(h, faulty, policy=policy)  # plan outside the lock
-        if self.verify:
-            from ..verify import assert_plan_valid  # deferred: verify imports core
+        if entry is None:
+            plan = plan_decode(h, faulty, policy=policy)  # plan outside the lock
+            if want_certified:
+                self._certify(plan, h)  # raises before a bad plan is cached
+            with self._lock:
+                entry = self._entries.get(key)
+                if entry is None:
+                    self.stats.misses += 1
+                    entry = self._entries[key] = [h, plan, want_certified]
+                    while len(self._entries) > self.maxsize:
+                        self._entries.popitem(last=False)
+                        self.stats.evictions += 1
+                else:  # a concurrent miss planned it first
+                    self._entries.move_to_end(key)
+                    self.stats.hits += 1
+        if want_certified and not entry[2]:
+            self._certify(entry[1], h)
+            entry[2] = True
+        return entry[1]
 
-            assert_plan_valid(plan, h)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:  # a concurrent miss planned it first
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry[1]
-            self.stats.misses += 1
-            self._entries[key] = (h, plan)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return plan
+    @staticmethod
+    def _certify(plan: DecodePlan, h: GFMatrix) -> None:
+        from ..verify import assert_plan_valid  # deferred: verify imports core
+
+        assert_plan_valid(plan, h)
 
     def clear(self) -> None:
         """Drop every entry (counters are kept; use ``reset_stats`` too)."""

@@ -48,16 +48,7 @@ def plan_io(code: ErasureCode, plan: DecodePlan) -> RepairIO:
     Counts every survivor block any phase of the plan reads (recovered
     blocks reused by the rest phase are intermediate, not device reads).
     """
-    recovered = set(plan.faulty_ids)
-    reads: set[int] = set()
-    if plan.uses_partition:
-        for g in plan.groups:
-            reads.update(g.survivor_ids)
-        if plan.rest is not None:
-            reads.update(b for b in plan.rest.survivor_ids if b not in recovered)
-    else:
-        reads.update(plan.traditional.survivor_ids)
-    blocks = tuple(sorted(reads))
+    blocks = plan.read_ids
     disks = tuple(sorted({code.position(b)[1] for b in blocks}))
     return RepairIO(
         blocks_read=blocks, disks_touched=disks, mult_xors=plan.predicted_cost

@@ -20,7 +20,7 @@ Three analyzers, all purely symbolic (no block data touched):
   liveness: dead stores, unreachable slots, pool slack) — the cheap
   pass gates ``lower_plan`` and every ``ProgramCache`` admission.
 - :func:`run_lint` (and ``tools/lint_repro.py``) — per-file AST lint
-  enforcing repo invariants PPM001-PPM009 (:mod:`repro.verify.lint`).
+  enforcing repo invariants PPM001-PPM009 and PPM014 (:mod:`repro.verify.lint`).
 - :func:`analyze_races` — whole-program concurrency analysis
   PPM010-PPM013 (:mod:`repro.verify.races`): shared-mutable-state map
   plus execution-context propagation (event loop vs worker threads).

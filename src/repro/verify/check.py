@@ -3,7 +3,7 @@
 Aggregates every static analyzer the repo has grown into a single
 front-end with one report and stable exit codes:
 
-- **lint** — the per-file AST rules PPM001-PPM009
+- **lint** — the per-file AST rules PPM001-PPM009, PPM014
   (:mod:`repro.verify.lint`), sharing one parse per file;
 - **races** — the whole-program concurrency analysis PPM010-PPM013
   (:mod:`repro.verify.races`), run over the *same* parsed modules;

@@ -33,7 +33,14 @@ performance story depend on:
   or subprocesses on the event loop stall *every* in-flight request
   (and the scrub/repair loop runs on that same loop); sleep with
   ``await asyncio.sleep`` and push CPU/IO work off-loop
-  (``asyncio.to_thread`` / the pipeline's worker pool).
+  (``asyncio.to_thread`` / the pipeline's worker pool);
+- **PPM014** no ``ExecutionMode.<member>`` reference outside
+  ``core/sequences.py``, ``core/planner.py`` and :mod:`repro.verify` —
+  "which matrices does this mode run" is answered once, by
+  ``DecodePlan.stages``; everything else walks the stages (the verifiers
+  keep their own independent walk: they are the referee).
+  (PPM010-PPM013 are the whole-program race rules in
+  :mod:`repro.verify.races`.)
 
 Each rule is a :class:`LintRule` subclass registered in :data:`RULES`;
 ``docs/VERIFICATION.md`` documents how to add one.  The CLI entry point
@@ -534,6 +541,37 @@ class NoBlockingInServiceRule(LintRule):
                         "use await asyncio.sleep / asyncio streams / "
                         "asyncio.to_thread instead",
                     )
+
+
+@register_rule
+class NoExecutionModeForkRule(LintRule):
+    code = "PPM014"
+    name = "no-execution-mode-fork"
+    explanation = (
+        "ExecutionMode.<member> outside core/sequences.py, core/planner.py "
+        "and verify/ re-derives what a plan's mode runs; iterate "
+        "DecodePlan.stages instead"
+    )
+
+    _OWNERS = (("core", "sequences.py"), ("core", "planner.py"))
+
+    def applies_to(self, relpath: Path) -> bool:
+        return "verify" not in relpath.parts[:-1] and relpath.parts[-2:] not in self._OWNERS
+
+    def check(self, tree: ast.Module, relpath: Path) -> Iterator[LintFinding]:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and node.attr.isupper()):
+                continue
+            owner = node.value
+            name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+            if name == "ExecutionMode":
+                yield self.finding(
+                    relpath,
+                    node,
+                    f"ExecutionMode.{node.attr} branches on the plan's mode; "
+                    "walk plan.stages (matrices, survivor/faulty ids, "
+                    "independent) so the mode is interpreted in one place",
+                )
 
 
 def lint_module(

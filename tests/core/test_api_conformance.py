@@ -8,7 +8,10 @@ The redesign's contract, checked uniformly across the registry:
 - ``decode(code, stripe, faulty)`` returns ``{block_id: region}``, and
   ``decode(..., return_stats=True)`` returns ``(recovered, stats)``
   with mult_XOR accounting;
-- the legacy ``decode_with_stats`` shim still works but warns;
+- every decoder *is* the pipeline engine (a preset or narrow override
+  of :class:`repro.pipeline.DecodePipeline`), and a differential oracle
+  — a test-local interpreted ``RegionOps`` walk of ``plan.stages`` —
+  agrees with each of them bit for bit and op for op;
 - ``get_decoder(kind, **params)`` constructs every registered kind.
 """
 
@@ -29,9 +32,9 @@ from repro.core import (
     TraditionalDecoder,
     available_decoders,
     get_decoder,
-    register_decoder,
 )
-from repro.gf import OpCounter
+from repro.gf import OpCounter, RegionOps
+from repro.gf.bitmatrix import expand_matrix
 from repro.pipeline import DecodePipeline
 from repro.stripes import Stripe, StripeLayout, worst_case_sd
 
@@ -86,9 +89,58 @@ def test_get_decoder_unknown_kind_lists_available():
         get_decoder("magic")
 
 
-def test_register_decoder_rejects_duplicates():
-    with pytest.raises(ValueError, match="already registered"):
-        register_decoder("ppm", PPMDecoder)
+@pytest.mark.parametrize("kind", sorted(DECODER_PARAMS))
+def test_every_decoder_is_the_pipeline_engine(kind):
+    decoder = make(kind)
+    try:
+        assert isinstance(decoder, DecodePipeline)
+    finally:
+        close(decoder)
+
+
+def interpreted_walk(plan, blocks, ops):
+    """The oracle: ``plan.stages`` applied one matrix at a time."""
+    known = dict(blocks)
+    for stage in plan.stages:
+        regions = [known[b] for b in stage.survivor_ids]
+        for matrix in stage.arrays:
+            regions = ops.matrix_apply(matrix, regions)
+        known.update(zip(stage.faulty_ids, regions))
+    return {b: known[b] for b in plan.faulty_ids}
+
+
+def documented_mult_xors(kind, decoder, plan, field) -> int:
+    """What each kind says it books for one decode of ``plan``."""
+    if kind == "segment_parallel":
+        return decoder.threads * plan.predicted_cost  # one walk per segment
+    if kind == "bitmatrix":  # one XOR per 1-entry of every expanded matrix
+        return sum(
+            int(np.count_nonzero(expand_matrix(field, matrix)))
+            for stage in plan.stages
+            for matrix in stage.arrays
+        )
+    if kind == "row_parallel":
+        assert plan.predicted_cost == plan.costs.c2  # matrix-first by construction
+    return plan.predicted_cost
+
+
+@pytest.mark.parametrize("kind", sorted(DECODER_PARAMS))
+def test_differential_oracle(setup, kind):
+    code, faulty, stripe, _truth = setup
+    blocks = {b: stripe.get(b) for b in stripe.present_ids}
+    decoder = make(kind)
+    try:
+        recovered, stats = decoder.decode(code, blocks, faulty, return_stats=True)
+        expected_ops = documented_mult_xors(kind, decoder, stats.plan, code.field)
+    finally:
+        close(decoder)
+    oracle_ops = RegionOps(code.field)
+    oracle = interpreted_walk(stats.plan, blocks, oracle_ops)
+    assert sorted(recovered) == sorted(oracle)
+    for b in oracle:
+        assert np.array_equal(recovered[b], oracle[b]), (kind, b)
+    assert oracle_ops.counter.mult_xors == stats.plan.predicted_cost
+    assert stats.mult_xors == expected_ops
 
 
 @pytest.mark.parametrize("cls", DECODER_CLASSES)
@@ -131,21 +183,6 @@ def test_decode_return_stats_flag(setup, kind):
     assert stats.wall_seconds >= 0.0
 
 
-@pytest.mark.parametrize("kind", sorted(set(DECODER_PARAMS) - {"pipeline"}))
-def test_decode_with_stats_shim_warns_but_works(setup, kind):
-    code, faulty, stripe, truth = setup
-    decoder = make(kind)
-    try:
-        with pytest.warns(DeprecationWarning, match="decode_with_stats"):
-            recovered, stats = decoder.decode_with_stats(code, stripe, faulty)
-    finally:
-        close(decoder)
-    assert sorted(recovered) == sorted(faulty)
-    assert stats.mult_xors > 0
-    for b in faulty:
-        assert np.array_equal(recovered[b], truth.get(b)), (kind, b)
-
-
 @pytest.mark.parametrize(
     "kind", ["traditional", "ppm", "segment_parallel", "process_parallel", "bitmatrix"]
 )
@@ -171,12 +208,6 @@ def test_verify_parameter_is_uniform(setup, kind):
         close(decoder)
     for b in faulty:
         assert np.array_equal(recovered[b], truth.get(b)), (kind, b)
-
-
-def test_traditional_sequence_alias_warns():
-    with pytest.warns(DeprecationWarning, match="sequence"):
-        decoder = TraditionalDecoder(sequence="matrix_first")
-    assert decoder.sequence == "matrix_first"
 
 
 def test_all_decoders_agree_bit_for_bit(setup):

@@ -14,7 +14,7 @@ import pytest
 from repro.codes import RSCode, SDCode
 from repro.core import PPMDecoder, SequencePolicy, TraditionalDecoder
 from repro.gf import GF, RegionOps
-from repro.kernels import CompiledRegionOps, ProgramCache, lower_encode
+from repro.kernels import lower_encode
 from repro.pipeline import DecodePipeline
 from repro.stripes import Stripe, StripeLayout
 
@@ -64,11 +64,14 @@ class TestLowerEncode:
         for bid, region in zip(compiled.output_ids, outputs):
             assert np.array_equal(region, expected[bid]), bid
 
+
     def test_cache_returns_same_program(self, sd_code):
-        cache = ProgramCache()
-        a = cache.encode_program(sd_code.field, sd_code)
-        b = cache.encode_program(sd_code.field, sd_code)
-        assert a is b
+        # encoding is the parity-pattern decode plan: compiled once per code
+        with DecodePipeline(pool="serial") as pipeline:
+            for rng in (1, 2, 3):
+                pipeline.encode_batch(sd_code, data_stripes(sd_code, 2, rng=rng))
+            stats = pipeline.programs.stats
+        assert (stats.misses, stats.hits) == (1, 2)
 
 
 class TestEncodeBatch:

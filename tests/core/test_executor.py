@@ -1,17 +1,17 @@
-"""Unit tests for the parallel group executor."""
+"""The one executor, seen through the plan's stages and the PPM presets.
+
+``repro.pipeline.DecodePipeline`` is the only code that runs a plan;
+these tests pin the behaviours the old per-class executors had: a stage
+decodes its own blocks, serial and thread-parallel runs agree bit for
+bit and op for op, and groups are dealt round-robin (Algorithm 1's
+``p mod T``) over at most as many workers as there are groups.
+"""
 
 import numpy as np
 import pytest
 
 from repro.codes import SDCode
-from repro.core import (
-    PPMDecoder,
-    TraditionalDecoder,
-    plan_decode,
-    run_group,
-    run_groups_parallel,
-    run_groups_serial,
-)
+from repro.core import PPMDecoder, TraditionalDecoder, plan_decode
 from repro.gf import RegionOps
 from repro.stripes import Stripe, StripeLayout, worst_case_sd
 
@@ -30,63 +30,67 @@ def setup():
 
 
 def test_run_group(setup):
+    """An independent stage recovers its blocks from true survivors only."""
     code, plan, blocks, truth = setup
-    group = plan.groups[0]
-    out = run_group(group, blocks, RegionOps(code.field))
-    assert sorted(out) == sorted(group.faulty_ids)
-    for b, region in out.items():
+    stage = plan.stages[0]
+    assert stage.independent
+    (weights,) = stage.arrays
+    regions = [blocks[b] for b in stage.survivor_ids]  # KeyError on a faulty id
+    outs = RegionOps(code.field).matrix_apply(weights, regions)
+    assert stage.faulty_ids == plan.groups[0].faulty_ids
+    for b, region in zip(stage.faulty_ids, outs):
         assert np.array_equal(region, truth.get(b))
 
 
 def test_serial_equals_parallel(setup):
     code, plan, blocks, truth = setup
-    serial, s_timing = run_groups_serial(plan.groups, blocks, RegionOps(code.field))
-    parallel, p_timing = run_groups_parallel(
-        plan.groups, blocks, RegionOps(code.field), threads=4
-    )
+    serial = PPMDecoder(parallel=False).decode(code, blocks, plan.faulty_ids)
+    with PPMDecoder(threads=4) as decoder:
+        parallel = decoder.decode(code, blocks, plan.faulty_ids)
+        busy = decoder.metrics().worker_busy_fraction
     assert sorted(serial) == sorted(parallel)
     for b in serial:
         assert np.array_equal(serial[b], parallel[b])
         assert np.array_equal(serial[b], truth.get(b))
-    assert len(s_timing.thread_seconds) == 1
-    assert len(p_timing.thread_seconds) == 4
-    assert p_timing.wall_seconds > 0
-    assert p_timing.busy_seconds > 0
+    assert len(busy) == 4 and all(fraction > 0 for fraction in busy)
 
 
 def test_thread_count_clamped(setup):
     code, plan, blocks, _ = setup
-    # more threads than groups: clamped to the group count
-    _, timing = run_groups_parallel(
-        plan.groups, blocks, RegionOps(code.field), threads=1000
-    )
-    assert len(timing.thread_seconds) == len(plan.groups)
+    # more threads than groups: only as many workers as groups get work
+    with PPMDecoder(threads=1000) as decoder:
+        decoder.decode(code, blocks, plan.faulty_ids)
+        busy = decoder.metrics().worker_busy_fraction
+    assert sum(1 for fraction in busy if fraction > 0) == len(plan.groups)
 
 
 def test_single_thread_short_circuits(setup):
     code, plan, blocks, _ = setup
-    _, timing = run_groups_parallel(plan.groups, blocks, RegionOps(code.field), threads=1)
-    assert len(timing.thread_seconds) == 1
-    assert timing.spawn_seconds == 0.0
+    decoder = PPMDecoder(threads=1)
+    decoder.decode(code, blocks, plan.faulty_ids)
+    assert decoder.pool.kind == "serial"
+    assert decoder.pool.spawn_count == 0
 
 
 def test_op_counter_complete_across_threads(setup):
     """Thread-parallel execution must not lose op counts."""
     code, plan, blocks, _ = setup
-    ops_serial = RegionOps(code.field)
-    run_groups_serial(plan.groups, blocks, ops_serial)
-    ops_parallel = RegionOps(code.field)
-    run_groups_parallel(plan.groups, blocks, ops_parallel, threads=4)
-    assert ops_serial.counter.mult_xors == ops_parallel.counter.mult_xors
-    assert ops_serial.counter.mult_xors == sum(g.cost for g in plan.groups)
+    serial = PPMDecoder(parallel=False)
+    serial.decode(code, blocks, plan.faulty_ids)
+    with PPMDecoder(threads=4) as parallel:
+        parallel.decode(code, blocks, plan.faulty_ids)
+    assert serial.counter.mult_xors == parallel.counter.mult_xors
+    assert serial.counter.mult_xors == plan.predicted_cost
 
 
 def test_round_robin_assignment_matches_algorithm1(setup):
-    """Group p lands on worker p mod T (observable via PPMDecoder timing)."""
+    """Group p lands on worker p mod T: with p >= T every worker is busy."""
     code, plan, blocks, truth = setup
-    decoder = PPMDecoder(threads=3)
-    recovered, stats = decoder.decode(code, blocks, plan.faulty_ids, return_stats=True)
-    assert stats.phase1 is not None
-    assert len(stats.phase1.thread_seconds) == 3
+    with PPMDecoder(threads=3) as decoder:
+        assert decoder.assignment == "round_robin"
+        recovered = decoder.decode(code, blocks, plan.faulty_ids)
+        busy = decoder.metrics().worker_busy_fraction
+    assert len(plan.groups) >= 3
+    assert len(busy) == 3 and all(fraction > 0 for fraction in busy)
     for b in plan.partition.independent_faulty_ids:
         assert np.array_equal(recovered[b], truth.get(b))

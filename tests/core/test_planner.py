@@ -126,3 +126,55 @@ def test_survivor_column_compaction(code, scenario):
         assert isinstance(matrix, GFMatrix)
         if matrix.cols:
             assert matrix.array.any(axis=0).all()
+
+
+# -- DecodePlan.stages: the one place a mode becomes matrices ---------------
+
+
+def _swept_plans(kind, policy, samples=10):
+    from repro.codes import get_code, is_decodable
+    from repro.verify.sweep import DEFAULT_INSTANCES, iter_scenarios
+
+    code = get_code(kind, **DEFAULT_INSTANCES[kind])
+    for faulty in iter_scenarios(code, samples, seed=2015):
+        if is_decodable(code, faulty):
+            yield code, plan_decode(code, faulty, policy)
+    yield code, plan_decode(code, code.parity_block_ids, policy)  # encoding
+
+
+def _registered_kinds():
+    from repro.codes import available_codes
+    from repro.verify.sweep import DEFAULT_INSTANCES
+
+    return [kind for kind in available_codes() if kind in DEFAULT_INSTANCES]
+
+
+@pytest.mark.parametrize("policy", list(SequencePolicy), ids=lambda p: p.value)
+@pytest.mark.parametrize("kind", _registered_kinds())
+def test_stages_carry_the_predicted_cost_and_reads(kind, policy):
+    from repro.kernels import lower_plan
+    from repro.stripes import plan_io
+
+    for code, plan in _swept_plans(kind, policy):
+        stages = plan.stages
+        assert sum(u(m) for stage in stages for m in stage.matrices) == (
+            plan.predicted_cost
+        )
+        assert plan.read_ids == lower_plan(code.field, plan).input_ids
+        assert plan.read_ids == plan_io(code, plan).blocks_read
+        # together the stages recover exactly the plan's faulty blocks
+        recovered = [b for stage in stages for b in stage.faulty_ids]
+        assert sorted(recovered) == list(plan.faulty_ids)
+        known = set(plan.read_ids)
+        for stage in stages:
+            assert len(stage.matrices) in (1, 2)  # (W,) or (S, F^-1)
+            assert stage.matrices[0].cols == len(stage.survivor_ids)
+            assert stage.matrices[-1].rows == len(stage.faulty_ids)
+            if stage.independent:
+                assert not set(stage.survivor_ids) & set(plan.faulty_ids)
+            # every stage reads only survivors or blocks recovered before it
+            assert set(stage.survivor_ids) <= known
+            known.update(stage.faulty_ids)
+        # dependent stages come last (groups, then rest)
+        flags = [stage.independent for stage in stages]
+        assert flags == sorted(flags, reverse=True)

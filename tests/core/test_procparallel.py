@@ -61,15 +61,6 @@ def test_thread_validation():
         ProcessParallelDecoder(threads=0)
 
 
-def test_processes_alias_deprecated():
-    """The pre-redesign ``processes=`` keyword still works but warns."""
-    with pytest.warns(DeprecationWarning, match="processes"):
-        decoder = ProcessParallelDecoder(processes=2)
-    assert decoder.threads == 2
-    assert decoder.processes == 2
-    decoder.close()
-
-
 def test_pool_spawned_once_across_batch(setup):
     """Regression: the worker pool must persist across decode calls.
 
@@ -94,3 +85,22 @@ def test_pool_respawns_after_close(setup):
     decoder.decode(code, stripe, scen.faulty_blocks)
     assert decoder.pool.spawn_count == 2
     decoder.close()
+
+
+def test_decode_honours_deadline(setup):
+    """Regression: a process-pool decode used to wait on ``future.result()``
+    forever; through the engine a stalled pool raises a typed timeout."""
+    import time
+
+    from repro.pipeline import StragglerTimeout
+
+    code, scen, stripe, _ = setup
+    with ProcessParallelDecoder(threads=2) as decoder:
+        stalls = [decoder.pool.submit(time.sleep, 1.0) for _ in range(2)]
+        # waiting the stall out would return a result instead of raising
+        with pytest.raises(StragglerTimeout) as exc_info:
+            decoder.decode_batch(code, [stripe], scen.faulty_blocks, deadline_s=0.1)
+        assert exc_info.value.pending
+        assert decoder.metrics().straggler_timeouts == 1
+        for future in stalls:
+            future.result(timeout=10)

@@ -23,7 +23,7 @@ from repro.core import (
     TraditionalDecoder,
 )
 from repro.gf import OpCounter, RegionOps
-from repro.parallel import HybridRebuilder
+from repro.parallel import PipelineRebuilder
 from repro.stripes import DiskArray, Stripe, StripeLayout, worst_case_sd
 
 
@@ -108,9 +108,9 @@ def test_full_array_lifecycle():
     target_stripe, target_block = 0, array.layout.block_id(3, 0)
     value = array.degraded_read(PPMDecoder(threads=2), target_stripe, target_block)
     assert np.array_equal(value, array._truth[0].get(target_block))
-    # rebuild with the hybrid scheduler
+    # rebuild with the batched pipeline scheduler
     expected = sum(len(s.erased_ids) for s in array.stripes)
-    result = HybridRebuilder(threads=2).rebuild(array)
+    result = PipelineRebuilder(threads=2).rebuild(array)
     assert result.blocks_repaired == expected
     assert array.fully_intact()
 

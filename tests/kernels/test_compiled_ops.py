@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.codes import SDCode
-from repro.core import SequencePolicy
+from repro.core import ExecutionMode, SequencePolicy
 from repro.core.planner import plan_decode
 from repro.gf import GF, OpCounter, RegionOps
 from repro.kernels import CompiledRegionOps, ProgramCache
@@ -163,17 +163,27 @@ def test_run_plan_matches_stage_by_stage_decode(faulty, policy):
 
     got = compiled.run_plan(plan, blocks)
     assert set(got) == set(faulty)
-    # interpreted reference: execute the plan's stages by hand
-    reference = dict(blocks)
-    from repro.core.decoder import _run_rest, _run_traditional
-    from repro.core.executor import run_groups_serial
+    # interpreted reference: the plan's classic fields executed by hand,
+    # independently of DecodePlan.stages (which run_plan lowers)
+    def run(sub, known, matrix_first):
+        regions = [known[b] for b in sub.survivor_ids]
+        if matrix_first:
+            outs = interp.matrix_apply(sub.weights.array, regions)
+        else:
+            outs = interp.matrix_chain_apply((sub.s.array, sub.f_inv.array), regions)
+        return dict(zip(sub.faulty_ids, outs))
 
+    reference = dict(blocks)
     if plan.uses_partition:
-        recovered, _timing = run_groups_serial(plan.groups, reference, interp)
-        reference.update(recovered)
-        recovered.update(_run_rest(plan, reference, recovered, interp))
+        for group in plan.groups:
+            reference.update(run(group, reference, True))
+        if plan.rest is not None:
+            rest_mf = plan.mode is ExecutionMode.PPM_REST_MATRIX_FIRST
+            reference.update(run(plan.rest, reference, rest_mf))
     else:
-        recovered = _run_traditional(plan, blocks, interp)
+        trad_mf = plan.mode is ExecutionMode.TRADITIONAL_MATRIX_FIRST
+        reference.update(run(plan.traditional, reference, trad_mf))
+    recovered = {b: reference[b] for b in faulty}
     for b in faulty:
         assert np.array_equal(got[b], recovered[b])
     assert compiled.counter.snapshot() == interp.counter.snapshot()

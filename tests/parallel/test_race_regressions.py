@@ -175,7 +175,7 @@ class TestDecoderCaches:
         plans = hammer(lambda _i: [decoder.plan(code, (1,)) for _ in range(50)])
         flat = [p for sub in plans for p in sub]
         assert len({id(p) for p in flat}) == 1
-        ops = hammer(lambda _i: decoder.ops_for(code.field))
+        ops = hammer(lambda _i: decoder._ops_for(code.field))
         assert len({id(o) for o in ops}) == 1
 
 

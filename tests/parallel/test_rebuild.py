@@ -1,4 +1,4 @@
-"""Unit tests for multi-stripe rebuild schedulers."""
+"""Unit tests for the multi-stripe rebuild scheduler."""
 
 import copy
 
@@ -6,13 +6,7 @@ import pytest
 
 from repro.codes import SDCode
 from repro.core import TraditionalDecoder, plan_decode
-from repro.parallel import (
-    E5_2603,
-    HybridRebuilder,
-    IntraStripeRebuilder,
-    StripeParallelRebuilder,
-    simulate_rebuild_time,
-)
+from repro.parallel import E5_2603, PipelineRebuilder, simulate_rebuild_time
 from repro.stripes import DiskArray, worst_case_sd
 
 
@@ -31,19 +25,11 @@ def failed_array():
     return array
 
 
-@pytest.mark.parametrize(
-    "rebuilder_cls,kwargs",
-    [
-        (StripeParallelRebuilder, {}),
-        (StripeParallelRebuilder, {"use_ppm": True}),
-        (HybridRebuilder, {}),
-        (IntraStripeRebuilder, {}),
-    ],
-)
-def test_all_strategies_recover(failed_array, rebuilder_cls, kwargs):
+@pytest.mark.parametrize("pool", ["serial", "thread"])
+def test_all_strategies_recover(failed_array, pool):
     array = copy.deepcopy(failed_array)
     expected = sum(len(s.erased_ids) for s in array.stripes)
-    result = rebuilder_cls(threads=2, **kwargs).rebuild(array)
+    result = PipelineRebuilder(threads=2, pool=pool).rebuild(array)
     assert result.blocks_repaired == expected
     assert array.fully_intact()
     assert result.wall_seconds > 0
@@ -58,20 +44,17 @@ def test_noop_on_intact_array():
         encoder.encode_into(code, stripe)
         for b in range(code.num_blocks):
             truth.put(b, stripe.get(b))
-    result = StripeParallelRebuilder(threads=2).rebuild(array)
+    result = PipelineRebuilder(threads=2).rebuild(array)
     assert result.blocks_repaired == 0
 
 
 def test_thread_validation():
     with pytest.raises(ValueError):
-        StripeParallelRebuilder(threads=0)
+        PipelineRebuilder(threads=0)
 
 
 def test_strategy_labels():
-    assert "traditional" in StripeParallelRebuilder().strategy
-    assert "PPM serial" in StripeParallelRebuilder(use_ppm=True).strategy
-    assert "hybrid" in HybridRebuilder().strategy
-    assert "intra-stripe" in IntraStripeRebuilder().strategy
+    assert PipelineRebuilder().strategy == "pipeline (batched)"
 
 
 def test_simulated_rebuild_time_shapes():
@@ -92,7 +75,6 @@ def test_simulated_rebuild_time_shapes():
 
 
 def test_pipeline_rebuilder_shares_a_live_pipeline(failed_array):
-    from repro.parallel import PipelineRebuilder
     from repro.pipeline import DecodePipeline
 
     array = copy.deepcopy(failed_array)

@@ -322,3 +322,26 @@ def test_degraded_read_with_pipeline(code, faulty):
     with DecodePipeline(pool="serial") as pipe:
         value = arr.degraded_read(pipe, 0, victim)
     assert np.array_equal(value, truth)
+
+
+def test_one_stripe_batch_views_its_inputs(code, faulty):
+    """Regression: fusing a lone stripe used to ``np.concatenate`` — copy —
+    every survivor region; a batch of one must be a view of its inputs."""
+    from repro.core import plan_decode
+    from repro.pipeline.engine import _PatternBatch
+
+    stripe = make_stripes(code, 1)[0]
+    blocks = {b: stripe.get(b) for b in stripe.present_ids if b not in faulty}
+    batch = _PatternBatch(tuple(faulty), plan_decode(code, faulty))
+    batch.indices.append(0)
+    batch.fuse([blocks])
+    assert batch.concat
+    for b, fused in batch.concat.items():
+        assert np.shares_memory(fused, blocks[b]), b
+    # and the decode on top of the views is still right (and leaves them intact)
+    before = {b: region.copy() for b, region in blocks.items()}
+    with DecodePipeline(workers=2, pool="thread") as pipe:
+        got = pipe.decode(code, blocks, faulty)
+    assert_results_equal(reference_decode(code, [stripe], faulty), [got])
+    for b, region in blocks.items():
+        assert np.array_equal(region, before[b])

@@ -143,29 +143,3 @@ def test_run_loadgen_multi_validates_lengths(code):
                 await run_loadgen_multi([client], [[], []], concurrency=1)
 
     asyncio.run(run())
-
-
-def test_service_client_shim_still_connects(code):
-    """The deprecated pre-cluster entry point keeps working."""
-    from repro.service import ServiceClient
-
-    async def run():
-        service = BlobService(make_store(code), config=fast_config())
-        async with service:
-            server = await serve(service, port=0)
-            port = server.sockets[0].getsockname()[1]
-            try:
-                with pytest.warns(DeprecationWarning, match="ServiceClient"):
-                    client = await ServiceClient.connect("127.0.0.1", port)
-                assert isinstance(client, Client)
-                await client.ping()
-                sid = service.store.stripe_ids[0]
-                block = service.store.stripe(sid).present_ids[0]
-                data = await client.get(sid, block)
-                assert service.verify_block(sid, block, data)
-                await client.close()
-            finally:
-                server.close()
-                await server.wait_closed()
-
-    asyncio.run(run())

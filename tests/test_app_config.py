@@ -1,9 +1,7 @@
 """The layered config model: defaults → dict → dotted overrides.
 
 Pins the three-layer precedence, the strictness guarantees (unknown
-keys raise, values coerce to field types), the builders, and the
-legacy flat-kwargs shim — including the parity regression test the
-shim's docstring promises.
+keys raise, values coerce to field types) and the builders.
 """
 
 from __future__ import annotations
@@ -152,65 +150,6 @@ def test_build_cluster_stitches_the_service_section():
     cluster = build_cluster(config)
     for node in cluster.nodes.values():
         assert node.service.config.batch_trigger == 3
-
-
-# -- legacy flat-kwargs shim --------------------------------------------------
-
-
-def test_legacy_kwargs_warn_and_match_layered_config():
-    """Parity regression: the flat keyword soup must build the exact
-    config the layered API builds, so old callers keep working."""
-    with pytest.warns(DeprecationWarning, match="flat service kwargs"):
-        legacy = AppConfig.from_legacy_kwargs(
-            n=6,
-            r=4,
-            m=2,
-            s=2,
-            stripes=4,
-            symbols=16,
-            fault_rate=0.0,
-            seed=99,
-            batch_trigger=3,
-            flush_ms=5.0,
-            naive=True,
-            repair=True,
-            scrub_stripes=4,
-            nodes=2,
-            requests=50,
-            concurrency=8,
-            degraded_fraction=0.25,
-        )
-    layered = apply_overrides(
-        AppConfig(),
-        {
-            **SMALL,
-            "store.seed": 99,
-            "service.batch_trigger": 3,
-            "service.flush_interval_s": 0.005,
-            "service.coalesce": False,
-            "service.repair": True,
-            "service.repair.scrub_stripes": 4,
-            "cluster.nodes": 2,
-            "cluster.seed": 99,
-            "workload.requests": 50,
-            "workload.concurrency": 8,
-            "workload.degraded_fraction": 0.25,
-        },
-    )
-    assert legacy == layered
-
-
-def test_legacy_seed_feeds_the_placement_ring():
-    with pytest.warns(DeprecationWarning):
-        config = AppConfig.from_legacy_kwargs(seed=123)
-    assert config.store.seed == 123
-    assert config.cluster.seed == 123
-
-
-def test_legacy_unknown_kwarg_raises():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(TypeError, match="unknown legacy kwarg"):
-            AppConfig.from_legacy_kwargs(shards=3)
 
 
 def test_service_config_is_default_constructed_sections():

@@ -1,7 +1,7 @@
 """Verification wired into the decoder and the CLI.
 
 ``decode(..., verify=True)`` certifies plans before executing them (and
-raises on a corrupted plan injected into the cache); ``ppm verify``
+raises on a corrupted plan coming out of the planner); ``ppm verify``
 sweeps the registry and exits 0 on the shipped codebase.
 """
 
@@ -14,7 +14,7 @@ import pytest
 
 from repro import cli
 from repro.codes import SDCode
-from repro.core import ExecutionMode, PPMDecoder, TraditionalDecoder
+from repro.core import ExecutionMode, PPMDecoder, TraditionalDecoder, plan_decode
 from repro.stripes import Stripe, StripeLayout
 from repro.verify import PlanVerificationError
 
@@ -54,27 +54,39 @@ def test_decode_verify_kwarg_overrides_default():
         assert np.array_equal(recovered[b], truth.get(b))
 
 
-def test_corrupted_cached_plan_is_rejected_before_execution():
+def test_corrupted_cached_plan_is_rejected_before_execution(monkeypatch):
+    from repro.pipeline import plancache
+
+    # a planner bug: the plan's mode contradicts its costs
+    def bad_plan_decode(h, faulty, policy):
+        good = plan_decode(h, faulty, policy=policy)
+        wrong = next(m for m in ExecutionMode if m is not good.mode)
+        return replace(good, mode=wrong)
+
+    monkeypatch.setattr(plancache, "plan_decode", bad_plan_decode)
     decoder = PPMDecoder(parallel=False, verify=True)
-    good = decoder.plan(CODE, FAULTY)
-    # poison the cache with a plan whose mode contradicts its costs
-    wrong = next(m for m in ExecutionMode if m is not good.mode)
-    (key,) = decoder._plan_cache
-    decoder._plan_cache[key] = replace(good, mode=wrong)
     stripe = _encoded_stripe()
     stripe.erase(FAULTY)
     with pytest.raises(PlanVerificationError, match="plan/mode-mismatch"):
         decoder.decode(CODE, stripe, FAULTY)
+    assert len(decoder.plans) == 0  # nothing unverified was cached
+    assert decoder.counter.mult_xors == 0  # and no region op ran
 
 
-def test_verification_is_cached_per_plan():
-    decoder = PPMDecoder(parallel=False, verify=True)
-    plan = decoder.plan(CODE, FAULTY)
-    assert id(plan) in decoder._verified_plans
+def test_verification_is_cached_per_plan(monkeypatch):
+    from repro import verify
+
+    calls = []
+    certify = verify.assert_plan_valid
+    monkeypatch.setattr(
+        verify, "assert_plan_valid", lambda plan, h: calls.append(plan) or certify(plan, h)
+    )
+    decoder = PPMDecoder(parallel=False)  # certification requested per call
+    plan = decoder.plan(CODE, FAULTY, verify=True)
     # second planning call reuses both the plan and its certificate
-    again = decoder.plan(CODE, FAULTY)
+    again = decoder.plan(CODE, FAULTY, verify=True)
     assert again is plan
-    assert len(decoder._verified_plans) == 1
+    assert calls == [plan]
 
 
 def test_cli_verify_all_exits_zero(capsys):

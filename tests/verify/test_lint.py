@@ -30,6 +30,7 @@ def test_rule_registry_is_populated():
         "PPM007",
         "PPM008",
         "PPM009",
+        "PPM014",
     } <= set(RULES)
     for rule in RULES.values():
         assert rule.explanation, f"{rule.code} has no explanation"
@@ -280,3 +281,27 @@ def test_shipped_src_tree_is_lint_clean():
     """The invariant CI enforces: `python tools/lint_repro.py src` is clean."""
     findings = run_lint([str(REPO_SRC)])
     assert findings == [], "\n".join(f.format() for f in findings)
+
+
+def test_ppm014_execution_mode_fork():
+    fork = (
+        "from __future__ import annotations\n"
+        "from .sequences import ExecutionMode\n"
+        "def f(plan):\n"
+        "    return plan.mode is ExecutionMode.PPM_REST_NORMAL\n"
+    )
+    assert "PPM014" in codes_of(fork, "repro/pipeline/x.py")
+    assert "PPM014" in codes_of(fork, "repro/core/decoder.py")
+    qualified = fork.replace("ExecutionMode.PPM", "sequences.ExecutionMode.PPM")
+    assert "PPM014" in codes_of(qualified, "repro/kernels/x.py")
+    # the enum's home, the planner that derives stages, and the referee
+    for owner in ("repro/core/sequences.py", "repro/core/planner.py", "repro/verify/plan.py"):
+        assert "PPM014" not in codes_of(fork, owner)
+    # naming the type or reading a plan's mode is not a fork
+    neutral = (
+        "from __future__ import annotations\n"
+        "from .sequences import ExecutionMode\n"
+        "def f(plan) -> ExecutionMode:\n"
+        "    return plan.mode.value\n"
+    )
+    assert "PPM014" not in codes_of(neutral, "repro/pipeline/x.py")

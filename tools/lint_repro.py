@@ -4,7 +4,7 @@
 Thin shim that works from a plain checkout (no install needed): it puts
 ``<repo>/src`` on ``sys.path`` and delegates to the ``ppm check``
 front-end (:mod:`repro.verify.check`), which runs the per-file lint
-rules PPM001-PPM009 *and* the whole-program concurrency analysis
+rules PPM001-PPM009 + PPM014 *and* the whole-program concurrency analysis
 PPM010-PPM013 over one shared parse.  Exit status 1 when any finding is
 reported, 0 when clean, 2 on usage errors.  Run with ``--list-rules``
 to see the combined catalogue, ``--strict`` to add the plan/program/
