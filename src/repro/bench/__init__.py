@@ -13,8 +13,6 @@ from .measure import (
     measure_improvement,
     measure_wall,
 )
-from .hedge import format_hedge_report, run_hedge_bench
-from .pipeline import build_batch, format_pipeline_report, run_pipeline_bench
 from .report import Report, format_reports
 from .workloads import (
     LRC_COST_FAMILIES,
@@ -41,11 +39,6 @@ __all__ = [
     "measure_decoder",
     "measure_improvement",
     "measure_wall",
-    "build_batch",
-    "format_hedge_report",
-    "run_hedge_bench",
-    "format_pipeline_report",
-    "run_pipeline_bench",
     "Report",
     "format_reports",
     "LRC_COST_FAMILIES",

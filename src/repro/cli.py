@@ -10,6 +10,7 @@ calibrate       print this host's measured GF-kernel profile
 demo            encode/fail/decode a stripe and verify, with both decoders
 list-codes      show the registered erasure-code constructions
 verify          static verification sweep of decode plans + XOR schedules
+check           static-analysis gate: lint + race analysis (+ sweeps, --strict)
 verify-code     Monte-Carlo decodability verification of a code instance
 search          search SD coefficient sets (the SD authors' pipeline)
 io-compare      degraded-read I/O bill of LRC vs RS vs SD
@@ -18,15 +19,9 @@ inspect         Figure-3-style dump: matrix, log table, partition, costs
 extra NAME      extra experiments (c2-share, energy, parallel-strategies,
                 rebuild-strategies, degraded-read-io, xor-scheduling,
                 paper-average)
-pipeline-bench  batched DecodePipeline vs per-stripe decode throughput
-hedge-bench     tail latency under injected slow/corrupt workers, gated
-kernel-bench    compiled region programs vs interpreted decode throughput
 serve           run the degraded-read BlobService on a TCP port
 cluster         run a sharded multi-node cluster behind one TCP port
 loadgen         drive services/clusters (in-process or TCP) with seeded load
-service-bench   coalesced batched serving vs naive per-request decode
-repair-bench    online scrub-and-repair vs no-repair baseline under load
-cluster-bench   sharded router vs single service; storm p99; rebalance
 encode-file     split + encode a file into per-disk strip files
 decode-file     reconstruct a file from surviving strips (erasure-decoding)
 repair-files    regenerate missing strip files in place
@@ -325,131 +320,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pipeline_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.pipeline import format_pipeline_report, run_pipeline_bench
-
-    result = run_pipeline_bench(
-        n=args.n,
-        r=args.r,
-        m=args.m,
-        s=args.s,
-        num_stripes=args.stripes,
-        sector_symbols=args.symbols,
-        workers=args.workers,
-        pool=args.pool,
-        repeats=args.repeats,
-        seed=args.seed,
-    )
-    print(format_pipeline_report(result))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _cmd_hedge_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.hedge import format_hedge_report, run_hedge_bench
-
-    result = run_hedge_bench(
-        n=args.n,
-        r=args.r,
-        m=args.m,
-        s=args.s,
-        num_stripes=args.stripes,
-        sector_symbols=args.symbols,
-        calls=150 if args.quick else args.calls,
-        warmup=30 if args.quick else args.warmup,
-        workers=args.workers,
-        slow_rate=args.slow_rate,
-        slow_factor=args.slow_factor,
-        corrupt_rate=args.corrupt_rate,
-        max_p99_ratio=args.max_p99_ratio,
-        seed=args.seed,
-    )
-    print(format_hedge_report(result))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0 if result["gates"]["passed"] else 1
-
-
-def _backend_choices() -> tuple[str, ...]:
-    from .kernels import BACKEND_CHOICES
-
-    return BACKEND_CHOICES
-
-
-def _cmd_kernel_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.kernels import format_kernel_report, run_kernel_bench
-
-    result = run_kernel_bench(
-        n=args.n,
-        r=args.r,
-        m=args.m,
-        s=args.s,
-        sector_symbols=args.symbols,
-        iters=args.iters,
-        repeats=args.repeats,
-        seed=args.seed,
-        backend=args.backend,
-        encode_stripes=args.encode_stripes,
-    )
-    print(format_kernel_report(result))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    failed = False
-    if args.min_speedup and result["speedup"] < args.min_speedup:
-        print(
-            f"FAIL: compiled speedup {result['speedup']:.2f}x < "
-            f"required {args.min_speedup:.2f}x"
-        )
-        failed = True
-    if args.min_backend_speedup:
-        # the gated class: the SD decode program over w=8 regions of
-        # --gate-symbols (default 64K: past the paired-table residency
-        # crossover, where the bitsliced backend is designed to win)
-        gated = next(
-            (
-                c
-                for c in result["backends"]["classes"]
-                if c["w"] == 8 and c["symbols"] == args.gate_symbols
-            ),
-            result["backends"]["classes"][0],
-        )
-        got = (
-            gated["backends"]
-            .get(args.gate_backend, {})
-            .get("speedup_vs_baseline", 0.0)
-        )
-        if got < args.min_backend_speedup:
-            print(
-                f"FAIL: {args.gate_backend} speedup {got:.2f}x < required "
-                f"{args.min_backend_speedup:.2f}x at w={gated['w']} "
-                f"{gated['symbols']} symbols"
-            )
-            failed = True
-    if args.min_encode_speedup and result["encode"]["speedup"] < args.min_encode_speedup:
-        print(
-            f"FAIL: batched encode speedup {result['encode']['speedup']:.2f}x < "
-            f"required {args.min_encode_speedup:.2f}x"
-        )
-        failed = True
-    return 1 if failed else 0
-
-
 #: CLI flag → dotted path in the layered config (see repro.config);
 #: flags default to None so only *explicitly passed* values override
 #: the config file, which overrides the dataclass defaults
@@ -477,15 +347,15 @@ _FLAG_PATHS = {
 }
 
 
-def _app_config(args: argparse.Namespace, base=None):
-    """The three config layers, bottom to top: dataclass defaults (or a
-    command-specific ``base``), then ``--config FILE``, then explicit
-    flags and ``--set path=value`` overrides."""
+def _app_config(args: argparse.Namespace):
+    """The three config layers, bottom to top: dataclass defaults, then
+    ``--config FILE``, then explicit flags and ``--set path=value``
+    overrides."""
     import json
 
     from . import config as appcfg
 
-    cfg = base if base is not None else appcfg.AppConfig()
+    cfg = appcfg.AppConfig()
     if getattr(args, "config", None):
         with open(args.config) as fh:
             cfg = appcfg.apply_overrides(cfg, appcfg.flatten(json.load(fh)))
@@ -494,8 +364,6 @@ def _app_config(args: argparse.Namespace, base=None):
         overrides["service.repair"] = True
     if getattr(args, "flush_ms", None) is not None:
         overrides["service.flush_interval_s"] = args.flush_ms / 1e3
-    if getattr(args, "naive", False):
-        overrides["service.coalesce"] = False
     for flag, path in _FLAG_PATHS.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -702,137 +570,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_service_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.service import format_service_report, run_service_bench
-    from .config import AppConfig, apply_overrides
-
-    cfg = _app_config(
-        args, base=apply_overrides(AppConfig(), {"workload.concurrency": 32})
-    )
-    result = run_service_bench(
-        n=cfg.store.n,
-        r=cfg.store.r,
-        m=cfg.store.m,
-        s=cfg.store.s,
-        num_stripes=cfg.store.stripes,
-        sector_symbols=cfg.store.symbols,
-        requests=cfg.workload.requests,
-        concurrency=cfg.workload.concurrency,
-        fault_rate=cfg.store.fault_rate,
-        batch_trigger=cfg.service.batch_trigger,
-        flush_interval_s=cfg.service.flush_interval_s,
-        seed=cfg.store.seed,
-    )
-    print(format_service_report(result))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    if result["failed_requests"] or result["corrupt_responses"]:
-        print("FAIL: failed or corrupt requests under injected faults")
-        return 1
-    if args.min_speedup and result["speedup"] < args.min_speedup:
-        print(
-            f"FAIL: coalesced serving speedup {result['speedup']:.2f}x < "
-            f"required {args.min_speedup:.2f}x"
-        )
-        return 1
-    return 0
-
-
-def _cmd_repair_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.repair import format_repair_report, run_repair_bench
-    from .config import AppConfig, apply_overrides
-
-    cfg = _app_config(
-        args,
-        base=apply_overrides(
-            AppConfig(), {"service.repair": True, "service.repair.scrub_stripes": 8}
-        ),
-    )
-    repair = cfg.service.repair
-    result = run_repair_bench(
-        n=cfg.store.n,
-        r=cfg.store.r,
-        m=cfg.store.m,
-        s=cfg.store.s,
-        num_stripes=cfg.store.stripes,
-        sector_symbols=cfg.store.symbols,
-        requests=cfg.workload.requests,
-        concurrency=cfg.workload.concurrency,
-        fault_rate=cfg.store.fault_rate,
-        damaged_fraction=cfg.store.damaged,
-        corrupt_fraction=cfg.store.corrupt_fraction,
-        degraded_fraction=cfg.workload.degraded_fraction,
-        scrub_stripes=repair.scrub_stripes,
-        rate_blocks_per_s=repair.rate_blocks_per_s,
-        heal_timeout_s=args.heal_timeout,
-        max_p99_ratio=args.max_p99_ratio,
-        seed=cfg.store.seed,
-    )
-    print(format_repair_report(result))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    if not result["healed"] or not result["truth_verified"]:
-        print("FAIL: array did not fully heal to verified ground truth")
-        return 1
-    if not result["p99_within_bound"]:
-        print(
-            f"FAIL: foreground p99 degraded {result['p99_ratio']:.2f}x with "
-            f"repair on (bound {result['max_p99_ratio']:.1f}x)"
-        )
-        return 1
-    return 0
-
-
-def _cmd_cluster_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.cluster import (
-        bench_defaults,
-        format_cluster_report,
-        run_cluster_bench,
-    )
-
-    cfg = _app_config(args, base=bench_defaults())
-    result = run_cluster_bench(
-        cfg,
-        heal_timeout_s=args.heal_timeout,
-        min_speedup=args.min_speedup,
-        max_p99_ratio=args.max_p99_ratio,
-    )
-    print(format_cluster_report(result))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    if not result["gates"]["healed_ok"]:
-        print("FAIL: rebuild storm did not heal to verified ground truth")
-        return 1
-    if not result["gates"]["speedup_ok"]:
-        print(
-            f"FAIL: router speedup {result['throughput']['speedup']:.2f}x < "
-            f"required {args.min_speedup:.2f}x"
-        )
-        return 1
-    if not result["gates"]["p99_ok"]:
-        print(
-            f"FAIL: foreground p99 degraded {result['storm']['p99_ratio']:.2f}x "
-            f"under the storm (bound {args.max_p99_ratio:.1f}x)"
-        )
-        return 1
-    return 0
-
-
 def _cmd_encode_file(args: argparse.Namespace) -> int:
     from .codes import get_code
     from .filecodec import encode_file
@@ -1006,114 +743,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_extra.add_argument("--csv", action="store_true")
     p_extra.set_defaults(func=_cmd_extra)
 
-    p_pipe = sub.add_parser(
-        "pipeline-bench",
-        help="batched DecodePipeline vs per-stripe decode throughput",
-    )
-    p_pipe.add_argument("--n", type=int, default=10)
-    p_pipe.add_argument("--r", type=int, default=8)
-    p_pipe.add_argument("--m", type=int, default=2)
-    p_pipe.add_argument("--s", type=int, default=2)
-    p_pipe.add_argument("--stripes", type=int, default=64)
-    p_pipe.add_argument("--symbols", type=int, default=512)
-    p_pipe.add_argument("--workers", type=int, default=4)
-    p_pipe.add_argument(
-        "--pool", choices=("thread", "process", "serial"), default="thread"
-    )
-    p_pipe.add_argument("--repeats", type=int, default=3)
-    p_pipe.add_argument("--seed", type=int, default=2015)
-    p_pipe.add_argument("--json", help="also write the JSON-ready result to a file")
-    p_pipe.set_defaults(func=_cmd_pipeline_bench)
-
-    p_hedge = sub.add_parser(
-        "hedge-bench",
-        help="p99 decode latency under injected slow/corrupt workers, "
-             "with hedging + worker verification on (gated)",
-    )
-    p_hedge.add_argument("--n", type=int, default=6)
-    p_hedge.add_argument("--r", type=int, default=4)
-    p_hedge.add_argument("--m", type=int, default=2)
-    p_hedge.add_argument("--s", type=int, default=2)
-    p_hedge.add_argument("--stripes", type=int, default=4)
-    p_hedge.add_argument("--symbols", type=int, default=2048)
-    p_hedge.add_argument("--calls", type=int, default=400,
-                         help="measured decode_batch calls per phase")
-    p_hedge.add_argument("--warmup", type=int, default=40,
-                         help="unmeasured calls that prime caches and the "
-                              "hedge latency tracker")
-    p_hedge.add_argument("--workers", type=int, default=4)
-    p_hedge.add_argument("--slow-rate", type=float, default=0.05,
-                         help="fraction of worker executions stalled")
-    p_hedge.add_argument("--slow-factor", type=float, default=10.0,
-                         help="stall duration as a multiple of the clean "
-                              "median call latency")
-    p_hedge.add_argument("--corrupt-rate", type=float, default=0.01,
-                         help="fraction of worker outputs silently bit-flipped")
-    p_hedge.add_argument("--max-p99-ratio", type=float, default=2.0,
-                         help="exit nonzero if faulty-phase p99 exceeds this "
-                              "multiple of the clean p99")
-    p_hedge.add_argument("--quick", action="store_true",
-                         help="CI mode: 150 calls / 30 warmup")
-    p_hedge.add_argument("--seed", type=int, default=2015)
-    p_hedge.add_argument("--json", help="also write the JSON-ready result to a file")
-    p_hedge.set_defaults(func=_cmd_hedge_bench)
-
-    p_kern = sub.add_parser(
-        "kernel-bench",
-        help="compiled region programs vs interpreted single-stripe decode",
-    )
-    p_kern.add_argument("--n", type=int, default=10)
-    p_kern.add_argument("--r", type=int, default=8)
-    p_kern.add_argument("--m", type=int, default=2)
-    p_kern.add_argument("--s", type=int, default=2)
-    p_kern.add_argument("--symbols", type=int, default=4096)
-    p_kern.add_argument("--iters", type=int, default=20)
-    p_kern.add_argument("--repeats", type=int, default=3)
-    p_kern.add_argument("--seed", type=int, default=2015)
-    p_kern.add_argument("--json", help="also write the JSON-ready result to a file")
-    p_kern.add_argument(
-        "--backend",
-        choices=_backend_choices(),
-        default="auto",
-        help="pin the compiled path's executor backend "
-             "(auto = per-class auto-tune; the per-backend table always "
-             "covers every registered backend)",
-    )
-    p_kern.add_argument("--encode-stripes", type=int, default=32,
-                        help="stripes in the naive-vs-batched encode section")
-    p_kern.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="exit nonzero unless the compiled path beats this speedup",
-    )
-    p_kern.add_argument(
-        "--min-backend-speedup",
-        type=float,
-        default=0.0,
-        help="exit nonzero unless --gate-backend beats this speedup over "
-             "the baseline on the gated (w=8, --symbols) class",
-    )
-    p_kern.add_argument(
-        "--gate-backend",
-        default="bitsliced",
-        help="backend the --min-backend-speedup gate checks",
-    )
-    p_kern.add_argument(
-        "--gate-symbols",
-        type=int,
-        default=65536,
-        help="region length (symbols) of the gated w=8 backend class",
-    )
-    p_kern.add_argument(
-        "--min-encode-speedup",
-        type=float,
-        default=0.0,
-        help="exit nonzero unless batched encode beats this speedup over "
-             "the naive per-stripe loop",
-    )
-    p_kern.set_defaults(func=_cmd_kernel_bench)
-
     def _service_store_args(p: argparse.ArgumentParser) -> None:
         # defaults live in repro.config (the layered model), not here:
         # a flag left unset (None) never overrides --config or defaults
@@ -1154,12 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="repair rate limit in blocks/sec (0 = unlimited)")
         p.add_argument("--seed", type=int, default=None)
 
-    def _workload_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--requests", type=int, default=None)
-        p.add_argument("--concurrency", type=int, default=None)
-        p.add_argument("--degraded-fraction", type=float, default=None,
-                       help="fraction of reads steered at erased blocks")
-
     def _cluster_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--nodes", type=int, default=None,
                        help="cluster node count")
@@ -1172,8 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
     _service_store_args(p_srv)
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=0, help="0 picks a free port")
-    p_srv.add_argument("--naive", action="store_true",
-                       help="disable coalescing (per-request decode)")
     p_srv.set_defaults(func=_cmd_serve)
 
     p_clu = sub.add_parser(
@@ -1190,10 +811,11 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen", help="drive services/clusters (in-process or TCP) with seeded load"
     )
     _service_store_args(p_load)
-    _workload_args(p_load)
+    p_load.add_argument("--requests", type=int, default=None)
+    p_load.add_argument("--concurrency", type=int, default=None)
+    p_load.add_argument("--degraded-fraction", type=float, default=None,
+                        help="fraction of reads steered at erased blocks")
     _cluster_args(p_load)
-    p_load.add_argument("--naive", action="store_true",
-                        help="disable coalescing (per-request decode)")
     p_load.add_argument("--cluster", action="store_true",
                         help="drive an in-process cluster instead of one service")
     p_load.add_argument("--connect", action="append", metavar="HOST:PORT",
@@ -1202,52 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "+ aggregate summaries)")
     p_load.add_argument("--json", help="also write summary + metrics to a file")
     p_load.set_defaults(func=_cmd_loadgen)
-
-    p_sbench = sub.add_parser(
-        "service-bench",
-        help="coalesced batched serving vs naive per-request decode",
-    )
-    _service_store_args(p_sbench)
-    _workload_args(p_sbench)
-    p_sbench.add_argument("--json", help="also write the JSON-ready result to a file")
-    p_sbench.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="exit nonzero unless coalesced serving beats this speedup",
-    )
-    p_sbench.set_defaults(func=_cmd_service_bench)
-
-    p_rbench = sub.add_parser(
-        "repair-bench",
-        help="online scrub-and-repair vs no-repair baseline under load",
-    )
-    _service_store_args(p_rbench)
-    _workload_args(p_rbench)
-    p_rbench.add_argument("--heal-timeout", type=float, default=30.0,
-                          help="seconds allowed for the array to fully heal")
-    p_rbench.add_argument("--max-p99-ratio", type=float, default=2.0,
-                          help="exit nonzero if repair-on p99 exceeds this "
-                               "multiple of the no-repair baseline")
-    p_rbench.add_argument("--json", help="also write the JSON-ready result to a file")
-    p_rbench.set_defaults(func=_cmd_repair_bench)
-
-    p_cbench = sub.add_parser(
-        "cluster-bench",
-        help="sharded router vs single service; rebuild-storm p99; rebalance",
-    )
-    _service_store_args(p_cbench)
-    _workload_args(p_cbench)
-    _cluster_args(p_cbench)
-    p_cbench.add_argument("--heal-timeout", type=float, default=60.0,
-                          help="seconds allowed for the storm to fully heal")
-    p_cbench.add_argument("--min-speedup", type=float, default=2.0,
-                          help="required router speedup over one service")
-    p_cbench.add_argument("--max-p99-ratio", type=float, default=2.0,
-                          help="bound on foreground p99 under the storm vs "
-                               "the no-storm baseline")
-    p_cbench.add_argument("--json", help="also write the JSON-ready result to a file")
-    p_cbench.set_defaults(func=_cmd_cluster_bench)
 
     p_enc = sub.add_parser("encode-file", help="encode a file into strip files")
     p_enc.add_argument("file")

@@ -1,8 +1,8 @@
 """The layered application config: dataclass defaults → dict → overrides.
 
 Every serving entry point (``ppm serve``, ``ppm cluster``,
-``ppm loadgen``, ``ppm cluster-bench``, ``ppm repair-bench``) builds
-its world from one :class:`AppConfig`, assembled in three layers:
+``ppm loadgen``) builds its world from one :class:`AppConfig`,
+assembled in three layers:
 
 1. **dataclass defaults** — the frozen records below are the single
    source of truth for every default value (the CLI no longer carries
@@ -19,7 +19,7 @@ The sections:
 - :class:`StoreConfig` — the erasure-coded world: code parameters,
   stripe population, injected faults/damage/corruption, seed;
 - :class:`~repro.service.ServiceConfig` — one node's serving knobs
-  (coalescing, deadlines, retries, repair, simulated I/O envelope);
+  (coalescing, deadlines, retries, repair);
 - :class:`~repro.cluster.config.ClusterConfig` — cluster shape
   (membership, placement ring, transport, rebalance metering, storm
   shape).  Its embedded per-node service config is *stitched in* from

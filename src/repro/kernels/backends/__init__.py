@@ -16,8 +16,7 @@ Selection is ``"auto"`` by default: the executor micro-benchmarks the
 candidates per *(program shape, w, region size)* class and caches the
 winner (:mod:`.tuning`).  A process-wide override is available through
 :func:`set_default_backend` (wired to ``AppConfig.kernels.backend``)
-and per-executor through ``ProgramExecutor(backend=...)``; the
-``ppm kernel-bench --backend`` flag exercises a specific one.
+and per-executor through ``ProgramExecutor(backend=...)``.
 
 Registering your own backend: subclass :class:`ExecutorBackend`,
 implement ``supports`` / ``bind`` / ``execute_chunk`` and call

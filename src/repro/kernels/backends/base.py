@@ -60,8 +60,7 @@ class ExecutorBackend:
     misaligned caller buffers instead of crashing).
     """
 
-    #: Registry name (also the ``AppConfig.kernels.backend`` /
-    #: ``ppm kernel-bench --backend`` spelling).
+    #: Registry name (also the ``AppConfig.kernels.backend`` spelling).
     name: str = "?"
 
     #: Required data-pointer alignment, in bytes, of every input/output

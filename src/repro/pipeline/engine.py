@@ -236,7 +236,7 @@ class DecodePipeline:
         Optional :class:`~repro.service.store.FaultInjector` whose
         slow-worker/corrupt-worker modes apply to primary worker
         executions on the thread/serial path (hedges and process-pool
-        children are not injected) — the test/bench hook proving the
+        children are not injected) — the test hook proving the
         hedging and verification machinery works.
     """
 
@@ -406,12 +406,16 @@ class DecodePipeline:
         ``verify`` overrides the pipeline's construction-time default
         for this call.
         """
-        results, stats = self.decode_batch(
-            code, [stripe], [tuple(faulty)], return_stats=True, verify=verify
+        results, stats, batches = self._run_batch(
+            code, [stripe], [tuple(faulty)], "foreground", None, verify
         )
         if not return_stats:
             return results[0]
-        return results[0], DecodeStats(**vars(stats), plan=self.plan(code, faulty))
+        # the plan the batch resolved, not a second cache lookup (which
+        # would book a phantom hit, or re-plan after an eviction); an
+        # empty pattern ran no plan and raises as planning it always did
+        plan = batches[0].plan if batches else self.plan(code, faulty)
+        return results[0], DecodeStats(**vars(stats), plan=plan)
 
     def decode_batch(
         self,
@@ -444,6 +448,22 @@ class DecodePipeline:
         propagates — no partial batch is ever returned.  ``verify``
         overrides the pipeline's plan-certification default.
         """
+        results, stats, _ = self._run_batch(
+            code, stripes, faulty, priority, deadline_s, verify
+        )
+        return (results, stats) if return_stats else results
+
+    def _run_batch(
+        self,
+        code: ErasureCode,
+        stripes: Sequence[Stripe | Mapping[int, np.ndarray]],
+        faulty: Sequence[int] | Sequence[Sequence[int]] | None,
+        priority: str,
+        deadline_s: float | None,
+        verify: bool | None,
+    ) -> tuple[list[dict[int, np.ndarray]], BatchStats, list[_PatternBatch]]:
+        """:meth:`decode_batch` proper; also hands back the pattern
+        batches so :meth:`decode` can report the plan that actually ran."""
         if deadline_s is None:
             deadline_s = self.deadline_s
         with self.admission.admit(priority):
@@ -495,7 +515,7 @@ class DecodePipeline:
                 wall_seconds=wall,
                 queue_depth=queue_depth,
             )
-            return (results, stats) if return_stats else results
+            return results, stats, list(batches.values())
 
     def encode(
         self, code: ErasureCode, stripe: Stripe | Mapping[int, np.ndarray]

@@ -183,7 +183,7 @@ class RepairManager:
     # -- one tick ------------------------------------------------------------
 
     async def tick(self) -> ScanFindings:
-        """One scan-queue-drain cycle (public for tests and benches)."""
+        """One scan-queue-drain cycle (public for tests)."""
         findings = await asyncio.to_thread(
             self.scrubber.scan_chunk, self.config.scrub_stripes
         )
@@ -341,8 +341,8 @@ class RepairManager:
         store finds nothing to repair and the queue is empty.
 
         Drives ticks directly (kicking the background loop's sleep out
-        of the way), so benches and the CI smoke job can await "array
-        fully healed" without polling metrics.
+        of the way), so tests and ``Cluster.wait_healthy`` can await
+        "array fully healed" without polling metrics.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout_s

@@ -1,10 +1,10 @@
 """Tunable knobs of the degraded-read service, in one frozen record.
 
-The defaults encode the latency/throughput trade the benchmarks gate
-on: coalesce up to :attr:`batch_trigger` same-pattern reads (the
-pipeline fuses them into one region sweep) but never hold a request
-longer than :attr:`flush_interval_s` waiting for riders — size-or-
-deadline, whichever comes first.  Backoff is plain exponential,
+The defaults encode a latency/throughput trade: coalesce up to
+:attr:`batch_trigger` same-pattern reads (the pipeline fuses them into
+one region sweep) but never hold a request longer than
+:attr:`flush_interval_s` waiting for riders — size-or-deadline,
+whichever comes first.  Backoff is plain exponential,
 ``min(backoff_cap_s, backoff_base_s * 2**attempt)``; with the fault
 injector bounding consecutive faults per stripe below
 ``max_retries`` (see :class:`repro.service.store.FaultInjector`),
@@ -26,8 +26,7 @@ class ServiceConfig:
     ----------
     batch_trigger:
         Flush a pattern group as soon as it holds this many degraded
-        reads.  ``1`` disables coalescing (every read is its own
-        flush); the CI gate requires the coalesced win at ``>= 8``.
+        reads.  ``1`` disables coalescing (every read is its own flush).
     flush_interval_s:
         Deadline trigger: a group is flushed this many seconds after
         its *oldest* request was enqueued even if under-full, so a lone
@@ -44,11 +43,6 @@ class ServiceConfig:
         exponential backoff) before falling back / failing.
     backoff_base_s / backoff_cap_s:
         Exponential backoff parameters between retries.
-    coalesce:
-        ``False`` selects the *naive* serving mode — every degraded
-        read runs its own fresh uncompiled single-stripe decode, no
-        scheduler, no plan reuse.  This is the baseline the service
-        benchmark measures the coalesced path against.
     fallback_single:
         When the coalesced batch decode errors, re-serve the affected
         requests through an uncompiled single-stripe decode instead of
@@ -59,16 +53,6 @@ class ServiceConfig:
         the request path (started on ``__aenter__``/``start_repair``,
         stopped on ``close``).  ``None`` (the default) disables
         scrub-and-repair entirely.
-    io_latency_s / io_queue_depth:
-        Simulated storage-device envelope: every request pays one
-        ``io_latency_s`` service time through a queue admitting
-        ``io_queue_depth`` concurrent I/Os, capping one node at
-        ``io_queue_depth / io_latency_s`` requests/sec the way a real
-        disk or NIC does.  ``io_latency_s = 0`` (the default) disables
-        the simulation entirely.  This is what makes *sharding*
-        measurable: a cluster of N nodes aggregates N of these
-        envelopes, while a single service has exactly one (see
-        ``ppm cluster-bench`` and ``docs/CLUSTER.md``).
     """
 
     batch_trigger: int = 8
@@ -78,11 +62,8 @@ class ServiceConfig:
     max_retries: int = 3
     backoff_base_s: float = 0.001
     backoff_cap_s: float = 0.050
-    coalesce: bool = True
     fallback_single: bool = True
     repair: RepairConfig | None = None
-    io_latency_s: float = 0.0
-    io_queue_depth: int = 8
 
     def __post_init__(self) -> None:
         if self.batch_trigger < 1:
@@ -97,10 +78,6 @@ class ServiceConfig:
             raise ValueError("max_retries must be >= 0")
         if self.backoff_base_s < 0 or self.backoff_cap_s < self.backoff_base_s:
             raise ValueError("need 0 <= backoff_base_s <= backoff_cap_s")
-        if self.io_latency_s < 0:
-            raise ValueError("io_latency_s must be >= 0")
-        if self.io_queue_depth < 1:
-            raise ValueError(f"io_queue_depth must be >= 1, got {self.io_queue_depth}")
 
     def backoff(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (0-based), in seconds."""

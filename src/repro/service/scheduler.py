@@ -60,9 +60,9 @@ DecodeBatchFn = Callable[
     "list[dict[int, np.ndarray]]",
 ]
 
-#: single-stripe fallback callable: (stripe_id, block, inject_faults)
-#: -> recovered region.  Matches ``BlobService._single_decode``.
-SingleDecodeFn = Callable[[int, int, bool], np.ndarray]
+#: single-stripe fallback callable: (stripe_id, block) -> recovered
+#: region.  Matches ``BlobService._single_decode``.
+SingleDecodeFn = Callable[[int, int], np.ndarray]
 
 
 def _is_decode_error(exc: BaseException) -> bool:
@@ -280,7 +280,7 @@ class CoalescingScheduler:
                 continue
             try:
                 region = await asyncio.to_thread(
-                    self._single_decode, read.stripe_id, read.block, False
+                    self._single_decode, read.stripe_id, read.block
                 )
             except Exception as exc:
                 wrapped = BatchDecodeError(

@@ -19,10 +19,6 @@ store) and its degradation ladder:
    never correctness.
 5. The caller's deadline caps the whole ladder; expiry cancels the
    queued read and raises :class:`DeadlineExceeded`.
-
-``config.coalesce=False`` selects *naive mode* — step 2 is replaced by
-a per-request fresh uncompiled decode — which is the baseline
-``repro.bench.service`` measures the coalesced path against.
 """
 
 from __future__ import annotations
@@ -105,34 +101,23 @@ class BlobService:
             if self.config.repair is not None
             else None
         )
-        #: simulated storage-device envelope: at most io_queue_depth
-        #: requests in service at once, io_latency_s each (see
-        #: ServiceConfig); a no-op when io_latency_s == 0
-        self._io_gate = asyncio.Semaphore(self.config.io_queue_depth)
         self._closed = False
 
     # -- decode plumbing -----------------------------------------------------
-
-    async def _simulate_io(self) -> None:
-        """Pay one device service time through the node's I/O queue."""
-        if self.config.io_latency_s <= 0:
-            return
-        async with self._io_gate:
-            await asyncio.sleep(self.config.io_latency_s)
 
     def _decode_batch(self, snapshots, patterns):
         """Worker-thread hop into the pipeline (scheduler callback)."""
         return self.pipeline.decode_batch(self.store.code, snapshots, patterns)
 
-    def _single_decode(
-        self, stripe_id: int, block: int, inject: bool
-    ) -> np.ndarray:
-        """Fresh uncompiled single-stripe decode (naive mode / fallback).
+    def _single_decode(self, stripe_id: int, block: int) -> np.ndarray:
+        """The independent recovery channel behind a failed batch decode.
 
-        Re-plans every call — deliberately the pre-subsystem state of
-        the repo, so the benchmark's baseline is honest.
+        A fresh uncompiled single-stripe decode that re-plans every
+        call and reads the store fault-free: it shares no plan cache,
+        compiled program or worker pool with the batch path that just
+        failed.
         """
-        blocks = self.store.snapshot_blocks(stripe_id, inject=inject)
+        blocks = self.store.snapshot_blocks(stripe_id, inject=False)
         pattern = self.store.pattern(stripe_id)
         if block in blocks:
             return blocks[block]
@@ -174,7 +159,6 @@ class BlobService:
     ) -> np.ndarray:
         """Serve one block, decoding transparently if it is erased."""
         self._check_open()
-        await self._simulate_io()
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         budget = deadline_s if deadline_s is not None else self.config.default_deadline_s
@@ -215,7 +199,6 @@ class BlobService:
         past its caller's budget.
         """
         self._check_open()
-        await self._simulate_io()
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         budget = deadline_s if deadline_s is not None else self.config.default_deadline_s
@@ -244,9 +227,6 @@ class BlobService:
         when omitted).
         """
         self._check_open()
-        # survivor reads are device I/O too, so a degraded read reached
-        # through get() pays the envelope twice (probe + reconstruction)
-        await self._simulate_io()
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         budget = deadline_s if deadline_s is not None else self.config.default_deadline_s
@@ -286,14 +266,10 @@ class BlobService:
         loop = asyncio.get_running_loop()
         for attempt in range(self.config.max_retries + 1):
             try:
-                if self.config.coalesce:
-                    # the scheduler owns the single-stripe fallback: a
-                    # BatchDecodeError escaping submit() means the batch
-                    # *and* this rider's fallback both failed
-                    return await self.scheduler.submit(stripe_id, block)
-                return await asyncio.to_thread(
-                    self._single_decode, stripe_id, block, True
-                )
+                # the scheduler owns the single-stripe fallback: a
+                # BatchDecodeError escaping submit() means the batch
+                # *and* this rider's fallback both failed
+                return await self.scheduler.submit(stripe_id, block)
             except NodeFault:
                 self.metrics.faults_seen += 1
                 if attempt >= self.config.max_retries:

@@ -121,6 +121,18 @@ def test_single_decode_protocol(code, faulty):
     assert stats.plan_hits == 1  # second decode reused the cached plan
 
 
+def test_decode_stats_report_the_plan_that_ran(code, faulty):
+    """``decode(return_stats=True)`` used to look the plan up a second
+    time: a phantom cache hit (or a re-plan, had the entry been evicted)."""
+    stripe = make_stripes(code, 1)[0]
+    with DecodePipeline(pool="serial") as pipe:
+        _, stats = pipe.decode(code, stripe, faulty, return_stats=True)
+        assert (stats.plan_hits, stats.plan_misses) == (0, 1)
+        assert pipe.plans.stats.hits + pipe.plans.stats.misses == 1
+        assert stats.plan is pipe.plan(code, faulty)  # the cached object
+        assert pipe.plans.stats.misses == 1
+
+
 def test_counter_matches_batch_stats(code, faulty):
     """The shared OpCounter and BatchStats tell the same mult_XORs story."""
     counter = OpCounter()

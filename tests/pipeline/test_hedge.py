@@ -13,11 +13,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.pipeline import build_batch
 from repro.codes import SDCode
 from repro.pipeline import DecodePipeline, LatencyTracker, StragglerTimeout
 from repro.service.store import FaultInjector
 from repro.stripes import worst_case_sd
+
+from .test_engine import make_stripes
 
 SYMBOLS = 64
 WARMUP = 30  # executions needed before the measured call (min_samples <= 30)
@@ -27,7 +28,7 @@ WARMUP = 30  # executions needed before the measured call (min_samples <= 30)
 def workload():
     code = SDCode(6, 4, 2, 2)
     faulty = list(worst_case_sd(code, z=1, rng=7).faulty_blocks)
-    stripes = build_batch(code, 2, SYMBOLS, seed=7)
+    stripes = make_stripes(code, 2, SYMBOLS, rng=7)
     expected = [
         {bid: np.array(stripe.get(bid)) for bid in faulty} for stripe in stripes
     ]

@@ -1,10 +1,12 @@
-"""The serve/loadgen/service-bench CLI commands (small, fast configs)."""
+"""The serve/loadgen CLI commands (small, fast configs)."""
 
 from __future__ import annotations
 
 import json
 
-from repro.cli import main
+import pytest
+
+from repro.cli import build_parser, main
 
 SMALL = [
     "--n", "6", "--r", "4", "--m", "2", "--s", "2",
@@ -24,14 +26,6 @@ def test_loadgen_in_process(capsys):
     assert "p99" in out
 
 
-def test_loadgen_naive_mode(capsys):
-    assert main(
-        ["loadgen", *SMALL, "--requests", "10", "--fault-rate", "0.0", "--naive"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "10/10 requests ok" in out
-
-
 def test_loadgen_writes_json(tmp_path, capsys):
     out_file = tmp_path / "loadgen.json"
     assert main(
@@ -45,61 +39,21 @@ def test_loadgen_writes_json(tmp_path, capsys):
     assert "pipeline" in doc["service"]
 
 
-def test_service_bench_gate(tmp_path, capsys):
-    out_file = tmp_path / "BENCH_service.json"
-    assert main(
-        ["service-bench", *SMALL, "--requests", "40", "--concurrency", "16",
-         "--fault-rate", "0.1", "--batch-trigger", "4",
-         "--min-speedup", "1.0", "--json", str(out_file)]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "speedup" in out
-    assert "0 failed / 0 corrupt" in out
-    doc = json.loads(out_file.read_text())
-    assert doc["failed_requests"] == 0
-    assert doc["speedup"] > 0
-
-
-def test_service_bench_min_speedup_gate_fails(tmp_path, capsys, monkeypatch):
-    import repro.bench.service as bench_service
-
-    def tiny_bench(**kwargs):
-        result = {
-            "workload": {"code": "SD", "num_stripes": 1, "requests": 1,
-                         "concurrency": 1, "fault_rate": 0.0,
-                         "batch_trigger": 8, "flush_interval_s": 0.002},
-            "naive": {"loadgen": {"requests_per_sec": 100.0,
-                                  "latency": {"p50_s": 0.0, "p99_s": 0.0}}},
-            "coalesced": {
-                "loadgen": {"requests_per_sec": 110.0,
-                            "latency": {"p50_s": 0.0, "p99_s": 0.0}},
-                "service": {"resilience": {"faults_seen": 0, "retries": 0,
-                                           "fallbacks": 0}},
-            },
-            "speedup": 1.1,
-            "p99_s": 0.001,
-            "failed_requests": 0,
-            "corrupt_responses": 0,
-            "coalesce_factor": 2.0,
-            "results_verified": True,
-        }
-        return result
-
-    monkeypatch.setattr(bench_service, "run_service_bench", tiny_bench)
-    assert main(["service-bench", "--min-speedup", "5.0"]) == 1
-    assert "FAIL" in capsys.readouterr().out
-
-
 def test_serve_parser_has_the_knobs():
-    from repro.cli import build_parser
-
     args = build_parser().parse_args(
-        ["serve", "--port", "9999", "--fault-rate", "0.2", "--naive"]
+        ["serve", "--port", "9999", "--fault-rate", "0.2"]
     )
     assert args.port == 9999
     assert args.fault_rate == 0.2
-    assert args.naive is True
     assert args.func is not None
+
+
+@pytest.mark.parametrize("command", ["serve", "loadgen"])
+def test_naive_flag_is_gone(command, capsys):
+    with pytest.raises(SystemExit) as exc:  # parse only: never start a server
+        build_parser().parse_args([command, "--naive"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --naive" in capsys.readouterr().err
 
 
 def test_loadgen_with_repair_flags(capsys):
@@ -124,31 +78,3 @@ def test_loadgen_exits_nonzero_on_served_corruption(capsys):
     out = capsys.readouterr().out
     assert "corrupt" in out
     assert "FAIL" in out
-
-
-def test_repair_bench_cli_gate(tmp_path, capsys):
-    out_file = tmp_path / "BENCH_repair.json"
-    assert main(
-        ["repair-bench", *SMALL, "--requests", "30", "--concurrency", "8",
-         "--damaged", "0.25", "--corrupt-fraction", "0.25",
-         "--max-p99-ratio", "100.0", "--json", str(out_file)]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "HEALED" in out
-    doc = json.loads(out_file.read_text())
-    assert doc["healed"] is True
-    assert doc["truth_verified"] is True
-    assert doc["unhealthy_stripes_after"] == 0
-
-
-def test_repair_parser_knobs():
-    from repro.cli import build_parser
-
-    args = build_parser().parse_args(
-        ["repair-bench", "--corrupt-fraction", "0.1", "--repair-rate", "64",
-         "--scrub-stripes", "4", "--heal-timeout", "5.0"]
-    )
-    assert args.corrupt_fraction == 0.1
-    assert args.repair_rate == 64.0
-    assert args.scrub_stripes == 4
-    assert args.heal_timeout == 5.0

@@ -240,7 +240,7 @@ def test_decode_error_with_single_decode_falls_back_per_rider(code):
     metrics = ServiceMetrics()
     decoder = PPMDecoder(parallel=False, compile=False)
 
-    def single(stripe_id, blk, inject):
+    def single(stripe_id, blk):
         recovered = decoder.decode(
             code, store.snapshot_blocks(stripe_id, inject=False),
             store.pattern(stripe_id),

@@ -193,22 +193,6 @@ def test_infrastructure_error_surfaces_distinctly(code):
     run(main())
 
 
-def test_naive_mode_never_touches_the_scheduler(code):
-    store = make_store(code, num_stripes=2)
-    block = store.pattern(0)[0]
-
-    async def main():
-        config = fast_config(coalesce=False)
-        async with BlobService(store, config=config) as service:
-            for sid in range(2):
-                region = await service.degraded_get(sid, block)
-                assert store.verify_block(sid, block, region)
-            assert service.metrics.flushes == 0
-            assert service.metrics.degraded_gets == 2
-
-    run(main())
-
-
 def test_coalesced_serving_is_bit_identical_to_truth(code):
     store = make_store(code, num_stripes=4)
     pattern = store.pattern(0)

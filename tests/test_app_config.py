@@ -77,22 +77,32 @@ def test_apply_overrides_coerces_strings():
         {
             "store.stripes": "8",
             "store.fault_rate": "0.25",
-            "service.coalesce": "false",
+            "service.fallback_single": "false",
             "service.repair": "true",
         },
     )
     assert config.store.stripes == 8
     assert config.store.fault_rate == 0.25
-    assert config.service.coalesce is False
+    assert config.service.fallback_single is False
     assert config.service.repair == RepairConfig()
     with pytest.raises(ValueError, match="not a bool"):
-        apply_overrides(AppConfig(), {"service.coalesce": "maybe"})
+        apply_overrides(AppConfig(), {"service.fallback_single": "maybe"})
 
 
 def test_apply_overrides_rejects_unknown_paths():
     for path in ("store.shards", "nope.x", "store", "service.repair.nope"):
         with pytest.raises(ValueError):
             apply_overrides(AppConfig(), {path: 1})
+
+
+def test_removed_service_knobs_are_unknown_keys():
+    """``coalesce`` (naive mode) and the simulated I/O envelope are gone;
+    a config still naming them fails loudly instead of being ignored."""
+    with pytest.raises(ValueError, match="unknown config key service.coalesce"):
+        from_dict({"service": {"coalesce": False}})
+    for path in ("service.coalesce", "service.io_latency_s", "service.io_queue_depth"):
+        with pytest.raises(ValueError, match="unknown override path"):
+            apply_overrides(AppConfig(), {path: "0.004"})
 
 
 def test_repair_subkey_materialises_default_config():

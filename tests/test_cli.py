@@ -55,3 +55,19 @@ def test_calibrate(capsys):
     out = capsys.readouterr().out
     assert "throughput" in out
     assert "E5-2603" in out
+
+
+def test_docstring_command_list_matches_the_parser():
+    """The module docstring's command table is hand-kept; pin it to the
+    subparsers that actually exist."""
+    import re
+
+    import repro.cli as cli
+
+    (subparsers,) = (
+        action for action in cli.build_parser()._actions
+        if hasattr(action, "choices") and action.dest == "command"
+    )
+    listing = cli.__doc__.split("--------\n", 1)[1]
+    documented = re.findall(r"^([a-z][a-z-]*)\b", listing, flags=re.M)
+    assert sorted(documented) == sorted(subparsers.choices)
