@@ -58,13 +58,11 @@ _LAZY_EXPORTS = {
         "partition",
         "evaluate_costs",
         "SequencePolicy",
-        "get_decoder",
-        "available_decoders",
     ],
     "repro.parallel": ["CPUProfile", "simulate_decode_time", "host_profile"],
     "repro.pipeline": ["DecodePipeline", "PlanCache", "PipelineMetrics"],
     "repro.service": ["BlobService", "BlobStore", "ServiceConfig", "ServiceMetrics"],
-    "repro.analysis": ["sd_costs", "predicted_improvement"],
+    "repro.analysis": ["sd_costs"],
 }
 
 _LAZY_LOOKUP = {name: module for module, names in _LAZY_EXPORTS.items() for name in names}

@@ -1,28 +1,8 @@
-"""Numerical analysis: the paper's closed-form cost model and the
-predicted-improvement calculators built on it."""
+"""Numerical analysis: the paper's closed-form cost model (Section III-B)."""
 
 from __future__ import annotations
 
 from .costmodel import PAPER_RANGES, SDConfig, c1_minus_c4, c3_minus_c2, sd_costs
-from .energy import (
-    EnergyBill,
-    EnergyComparison,
-    EnergyModel,
-    decode_energy,
-    energy_comparison,
-)
-from .improvement import (
-    ImprovementBreakdown,
-    cost_only_improvement,
-    predicted_improvement,
-)
-from .reliability import (
-    MTTDLEstimate,
-    ReliabilityModel,
-    mttdl,
-    mttdl_improvement,
-    rebuild_hours,
-)
 
 __all__ = [
     "PAPER_RANGES",
@@ -30,17 +10,4 @@ __all__ = [
     "c1_minus_c4",
     "c3_minus_c2",
     "sd_costs",
-    "EnergyBill",
-    "EnergyComparison",
-    "EnergyModel",
-    "decode_energy",
-    "energy_comparison",
-    "ImprovementBreakdown",
-    "cost_only_improvement",
-    "predicted_improvement",
-    "MTTDLEstimate",
-    "ReliabilityModel",
-    "mttdl",
-    "mttdl_improvement",
-    "rebuild_hours",
 ]

@@ -2,28 +2,15 @@
 
 Each function returns a :class:`~repro.bench.report.Report` and has a
 CLI entry (``ppm extra <name>``).  These quantify claims the paper makes
-in passing (C2-wins share, power draw) and the design-space neighbours
-its related work names (equation-oriented and block-level parallelism,
-XOR scheduling, rebuild strategies, degraded-read I/O).
+in passing (the 85.78% mean C4/C1, the C2-wins share) and the
+degraded-read I/O that motivates LRC in its introduction.
 """
 
 from __future__ import annotations
 
-from ..analysis import energy_comparison
 from ..codes import LRCCode, RSCode, SDCode
-from ..core import SequencePolicy, plan_decode, simulate_row_parallel_time
-from ..gf.bitmatrix import expand_matrix
-from ..gf.schedule import naive_schedule, pair_reuse_schedule, schedule_cost
-from ..parallel import (
-    E5_2603,
-    host_profile,
-    improvement_ratio,
-    scaled_paper_profile,
-    simulate_ppm_time,
-    simulate_rebuild_time,
-    simulate_traditional_time,
-)
-from ..stripes import compare_degraded_read, worst_case_sd
+from ..core import SequencePolicy
+from ..stripes import compare_degraded_read
 from .report import Report
 from .workloads import sd_workload
 
@@ -57,106 +44,6 @@ def c2_share(fast: bool = True, seed: int = 2015) -> Report:
     return report
 
 
-def energy(fast: bool = True, seed: int = 2015) -> Report:
-    """The paper's deferred power/energy evaluation."""
-    profile = scaled_paper_profile(E5_2603, host_profile())
-    report = Report(
-        title="Extra: decode energy, traditional vs PPM (32MB stripes, T=4)",
-        headers=("m", "s", "n", "trad J", "ppm J", "saving", "extra W"),
-    )
-    grid = [(1, 1), (2, 2), (3, 3)] if fast else [(m, s) for m in (1, 2, 3) for s in (1, 2, 3)]
-    for m, s in grid:
-        for n in (6, 16):
-            if n <= m:
-                continue
-            wl = sd_workload(n, 16, m, s, z=1, stripe_bytes=1 << 25, seed=seed)
-            comparison = energy_comparison(
-                wl.plan, profile, threads=4, sector_symbols=wl.sector_symbols
-            )
-            report.add(
-                m,
-                s,
-                n,
-                comparison.traditional.total_j,
-                comparison.ppm.total_j,
-                comparison.saving,
-                comparison.extra_threading_watts,
-            )
-    report.note("paper: 'extra power consumption ... no more than two watts'")
-    return report
-
-
-def parallel_strategies(fast: bool = True, seed: int = 2015) -> Report:
-    """PPM vs equation-oriented vs data-segment parallelism (model, T=4)."""
-    profile = scaled_paper_profile(E5_2603, host_profile())
-    report = Report(
-        title="Extra: parallelisation strategies at T=4 (32MB stripes)",
-        headers=(
-            "m",
-            "s",
-            "n",
-            "trad s",
-            "ppm s",
-            "row-parallel s",
-            "segment s",
-            "ppm impr",
-        ),
-    )
-    grid = [(2, 2)] if fast else [(1, 1), (2, 2), (3, 3)]
-    for m, s in grid:
-        for n in (6, 11, 16, 21):
-            if n <= m:
-                continue
-            wl = sd_workload(n, 16, m, s, z=1, stripe_bytes=1 << 25, seed=seed)
-            sym = wl.sector_symbols
-            trad = simulate_traditional_time(wl.plan, profile, sym)
-            ppm = simulate_ppm_time(wl.plan, profile, 4, sym)
-            rowp = simulate_row_parallel_time(wl.plan, profile, 4, sym)
-            # segment parallelism: the chosen sequence's ops spread evenly
-            # over min(T, cores) workers, one spawn batch
-            seg_seconds = (
-                wl.plan.predicted_cost * sym / profile.throughput / min(4, profile.cores)
-                + profile.spawn_overhead_s * 4
-            )
-            report.add(
-                m,
-                s,
-                n,
-                trad.total_seconds,
-                ppm.total_seconds,
-                rowp.total_seconds,
-                seg_seconds,
-                improvement_ratio(trad, ppm),
-            )
-    report.note("row-parallel pays C2 ops but has no serial phase;")
-    report.note("segment parallelism composes PPM's cost cut with even splitting")
-    return report
-
-
-def rebuild_strategies(fast: bool = True, seed: int = 2015) -> Report:
-    """Multi-stripe rebuild scheduling (block-level vs PPM vs hybrid)."""
-    profile = scaled_paper_profile(E5_2603, host_profile())
-    code = SDCode(12, 16, 2, 2)
-    scen = worst_case_sd(code, z=1, rng=seed)
-    plan = plan_decode(code, scen.faulty_blocks)
-    stripe_counts = (4, 32) if fast else (1, 4, 16, 64, 256)
-    report = Report(
-        title="Extra: array rebuild strategies (T=4, per-stripe worst case)",
-        headers=("stripes", "stripe-parallel s", "intra-stripe s", "hybrid s"),
-    )
-    sym = 1 << 16
-    for count in stripe_counts:
-        plans = [plan] * count
-        report.add(
-            count,
-            simulate_rebuild_time(plans, profile, 4, sym, "stripe-parallel").total_seconds,
-            simulate_rebuild_time(plans, profile, 4, sym, "intra-stripe").total_seconds,
-            simulate_rebuild_time(plans, profile, 4, sym, "hybrid").total_seconds,
-        )
-    report.note("hybrid = stripe-level workers x PPM sequence optimisation")
-    return report
-
-
 def degraded_read_io(fast: bool = True) -> Report:
     """Repair I/O of one lost data block across code families."""
     del fast
@@ -177,108 +64,6 @@ def degraded_read_io(fast: bool = True) -> Report:
     return report
 
 
-def xor_scheduling(fast: bool = True, seed: int = 2015) -> Report:
-    """XOR-schedule CSE savings on real decode bit-matrices."""
-    report = Report(
-        title="Extra: XOR scheduling on expanded decode matrices",
-        headers=("code", "matrix", "naive XORs", "scheduled XORs", "saving"),
-    )
-    configs = [("SD(6,4,2,2)", SDCode(6, 4, 2, 2))]
-    if not fast:
-        configs.append(("SD(8,8,2,2)", SDCode(8, 8, 2, 2)))
-    configs.append(("LRC(8,2,2)", LRCCode(8, 2, 2)))
-    for name, code in configs:
-        if code.kind == "lrc":
-            faulty = [0, code.groups[1][0], code.global_parity_id(0)]
-        else:
-            faulty = list(worst_case_sd(code, z=1, rng=seed).faulty_blocks)
-        plan = plan_decode(code, faulty)
-        matrices = {"W0": plan.groups[0].weights.array}
-        if plan.rest is not None:
-            matrices["S_rest"] = plan.rest.s.array
-        for label, coeffs in matrices.items():
-            expanded = expand_matrix(code.field, coeffs)
-            naive = schedule_cost(naive_schedule(expanded))
-            optimised = schedule_cost(pair_reuse_schedule(expanded))
-            saving = 1 - optimised / naive if naive else 0.0
-            report.add(name, label, naive, optimised, saving)
-    report.note("greedy pair-reuse (simplified Uber-CSHR); savings grow with density")
-    return report
-
-
-def network_repair(fast: bool = True) -> Report:
-    """Distributed degraded-read bills: network bytes + latency per code."""
-    del fast
-    from ..parallel import NetworkModel, compare_repair_bills
-
-    profile = scaled_paper_profile(E5_2603, host_profile())
-    sector = 1 << 22  # 4 MB blocks, cluster-scale
-    rs = RSCode(16, 12, r=1)
-    rs14 = RSCode(14, 12, r=1)
-    lrc = LRCCode(12, 4, 2)
-    bills = compare_repair_bills(
-        [
-            ("RS(16,12)", rs, plan_decode(rs, [0])),
-            ("RS(14,12)", rs14, plan_decode(rs14, [0])),
-            ("LRC(12,4,2)", lrc, plan_decode(lrc, [0])),
-        ],
-        sector,
-        profile,
-        network=NetworkModel(),
-    )
-    report = Report(
-        title="Extra: distributed degraded read of one 4MB block (10GbE)",
-        headers=("code", "net MB", "remote nodes", "transfer ms", "compute ms", "total ms"),
-    )
-    for name, bill in bills.items():
-        report.add(
-            name,
-            bill.network_bytes / 1e6,
-            bill.remote_nodes,
-            bill.transfer_seconds * 1e3,
-            bill.compute_seconds * 1e3,
-            bill.total_seconds * 1e3,
-        )
-    report.note("LRC's locality cuts network traffic and latency (paper §I)")
-    return report
-
-
-def reliability(fast: bool = True, seed: int = 2015) -> Report:
-    """MTTDL: what PPM's faster repair buys at the system level."""
-    del fast
-    from ..analysis import ReliabilityModel, mttdl_improvement
-
-    profile = scaled_paper_profile(E5_2603, host_profile())
-    code = SDCode(12, 16, 2, 2)
-    scen = worst_case_sd(code, z=1, rng=seed)
-    plan = plan_decode(code, scen.faulty_blocks)
-    report = Report(
-        title="Extra: MTTDL with traditional vs PPM repair (12 devices, f=2)",
-        headers=(
-            "rebuild bound",
-            "trad repair h",
-            "ppm repair h",
-            "trad MTTDL yr",
-            "ppm MTTDL yr",
-            "MTTDL gain",
-        ),
-    )
-    for label, media in (("compute-bound", 0.0), ("disk-bound (150MB/s)", 150e6)):
-        model = ReliabilityModel(media_bytes_per_s=media, capacity_bytes=4e12)
-        trad, ppm = mttdl_improvement(plan, 12, 2, profile, threads=4, model=model)
-        report.add(
-            label,
-            trad.repair_hours,
-            ppm.repair_hours,
-            trad.mttdl_years,
-            ppm.mttdl_years,
-            ppm.mttdl_years / trad.mttdl_years,
-        )
-    report.note("decode gain compounds as gain^f while compute-bound,")
-    report.note("and saturates once rebuilds are media-bound")
-    return report
-
-
 def paper_average(fast: bool = True) -> Report:
     """The paper's headline 85.78% mean C4/C1, regenerated exactly."""
     del fast
@@ -289,14 +74,8 @@ def paper_average(fast: bool = True) -> Report:
 
 EXTRAS = {
     "paper-average": paper_average,
-    "network-repair": network_repair,
-    "reliability": reliability,
     "c2-share": c2_share,
-    "energy": energy,
-    "parallel-strategies": parallel_strategies,
-    "rebuild-strategies": rebuild_strategies,
     "degraded-read-io": degraded_read_io,
-    "xor-scheduling": xor_scheduling,
 }
 
 

@@ -13,12 +13,7 @@ verify          static verification sweep of decode plans + XOR schedules
 check           static-analysis gate: lint + race analysis (+ sweeps, --strict)
 verify-code     Monte-Carlo decodability verification of a code instance
 search          search SD coefficient sets (the SD authors' pipeline)
-io-compare      degraded-read I/O bill of LRC vs RS vs SD
-lifetime        synthetic failure-trace simulation of lifetime repair cost
-inspect         Figure-3-style dump: matrix, log table, partition, costs
-extra NAME      extra experiments (c2-share, energy, parallel-strategies,
-                rebuild-strategies, degraded-read-io, xor-scheduling,
-                paper-average)
+extra NAME      extra experiments (paper-average, c2-share, degraded-read-io)
 serve           run the degraded-read BlobService on a TCP port
 cluster         run a sharded multi-node cluster behind one TCP port
 loadgen         drive services/clusters (in-process or TCP) with seeded load
@@ -257,66 +252,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_io_compare(args: argparse.Namespace) -> int:
-    from .codes import LRCCode, RSCode, SDCode
-    from .stripes import compare_degraded_read
-
-    codes = {
-        f"RS({args.k + 4},{args.k})": RSCode(args.k + 4, args.k, r=1),
-        f"LRC({args.k},4,2)": LRCCode(args.k, 4, 2),
-        f"SD(n={args.k + 2},m=2,s=2) [row read]": SDCode(args.k + 2, 16, 2, 2),
-    }
-    print(f"degraded read of one data block (k = {args.k}):")
-    for name, io in compare_degraded_read(codes, lost_block=0).items():
-        print(
-            f"  {name:<28} reads {io.read_count:>3} blocks on "
-            f"{len(io.disks_touched):>3} disks, {io.mult_xors:>4} mult_XORs"
-        )
-    return 0
-
-
-def _cmd_lifetime(args: argparse.Namespace) -> int:
-    from .codes import SDCode
-    from .stripes import TraceConfig, simulate_lifetime
-
-    code = SDCode(args.n, args.r, args.m, args.s)
-    config = TraceConfig(
-        years=args.years, disk_afr=args.afr, lse_rate=args.lse, seed=args.seed
-    )
-    report = simulate_lifetime(code, num_stripes=args.stripes, config=config)
-    print(code.describe())
-    print(
-        f"{args.years:.1f} years: {report.disk_failures} disk failures, "
-        f"{report.lse_events} LSEs, {report.stripes_repaired} stripe repairs, "
-        f"{report.unrecoverable_stripes} unrecoverable"
-    )
-    print(
-        f"repair compute: C1={report.mult_xors['C1']:,} "
-        f"PPM={report.mult_xors['PPM']:,} saved={report.improvement():.1%}"
-    )
-    return 0
-
-
 def _cmd_extra(args: argparse.Namespace) -> int:
     from .bench import run_extra
 
     report = run_extra(args.name, fast=not args.full)
     print(report.to_csv() if args.csv else report.format_table())
-    return 0
-
-
-def _cmd_inspect(args: argparse.Namespace) -> int:
-    from .codes import get_code
-    from .core import inspect
-    from .stripes import worst_case_sd
-
-    params = dict(pair.split("=", 1) for pair in args.param)
-    code = get_code(args.kind, **{k: int(v) for k, v in params.items()})
-    if args.faulty:
-        faulty = [int(b) for b in args.faulty.split(",")]
-    else:
-        faulty = list(worst_case_sd(code, z=1, rng=args.seed).faulty_blocks)
-    print(inspect(code, faulty, show_matrix=not args.no_matrix))
     return 0
 
 
@@ -710,30 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--tries", type=int, default=64)
     p_search.add_argument("--samples", type=int, default=64)
     p_search.set_defaults(func=_cmd_search)
-
-    p_io = sub.add_parser("io-compare", help="degraded-read I/O of LRC vs RS vs SD")
-    p_io.add_argument("--k", type=int, default=12)
-    p_io.set_defaults(func=_cmd_io_compare)
-
-    p_life = sub.add_parser("lifetime", help="failure-trace lifetime simulation")
-    p_life.add_argument("--n", type=int, default=12)
-    p_life.add_argument("--r", type=int, default=16)
-    p_life.add_argument("--m", type=int, default=2)
-    p_life.add_argument("--s", type=int, default=2)
-    p_life.add_argument("--years", type=float, default=3.0)
-    p_life.add_argument("--afr", type=float, default=0.04)
-    p_life.add_argument("--lse", type=float, default=0.15)
-    p_life.add_argument("--stripes", type=int, default=64)
-    p_life.add_argument("--seed", type=int, default=2015)
-    p_life.set_defaults(func=_cmd_lifetime)
-
-    p_ins = sub.add_parser("inspect", help="render H, log table and partition")
-    p_ins.add_argument("kind", help="registry name, e.g. sd")
-    p_ins.add_argument("param", nargs="+", help="constructor params, e.g. n=4 r=4 m=1 s=1")
-    p_ins.add_argument("--faulty", help="comma-separated block ids (default: worst case)")
-    p_ins.add_argument("--no-matrix", action="store_true")
-    p_ins.add_argument("--seed", type=int, default=2015)
-    p_ins.set_defaults(func=_cmd_inspect)
 
     from .bench.extras import EXTRAS as _extras
 

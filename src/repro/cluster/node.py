@@ -19,6 +19,7 @@ erasures and survivors rebuild them — see
 
 from __future__ import annotations
 
+from ..pipeline import DecodePipeline
 from ..service.config import ServiceConfig
 from ..service.server import BlobService
 from ..service.store import BlobStore
@@ -30,10 +31,19 @@ NODE_STATES = ("up", "draining", "drained", "dead")
 class StorageNode:
     """A named single-node service stack inside a cluster."""
 
-    def __init__(self, node_id: str, store: BlobStore, *, config: ServiceConfig):
+    def __init__(
+        self,
+        node_id: str,
+        store: BlobStore,
+        *,
+        config: ServiceConfig,
+        pipeline: DecodePipeline,
+    ):
         self.node_id = node_id
         self.store = store
-        self.service = BlobService(store, config=config)
+        self.service = BlobService(
+            store, config=config, pipeline=pipeline, own_pipeline=True
+        )
         self.state = "up"
         #: TCP-transport plumbing, owned by the router (None for local)
         self.server = None

@@ -33,7 +33,7 @@ costs latency, never correctness.
 from __future__ import annotations
 
 import asyncio
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -50,6 +50,9 @@ from .metrics import ClusterMetrics
 from .node import StorageNode
 from .placement import HashRing
 
+if TYPE_CHECKING:
+    from ..config import PipelineConfig
+
 
 class Cluster:
     """Sharded multi-node frontend over per-node ``BlobService`` stacks.
@@ -64,6 +67,10 @@ class Cluster:
         Pre-populated per-node stores keyed by node id (tests,
         migrations); when omitted the cluster starts empty — use
         :meth:`build` for the common seeded case.
+    pipeline:
+        The :class:`~repro.config.PipelineConfig` every node's decode
+        pipeline is built from (``AppConfig.pipeline``; defaults apply
+        when omitted).
     """
 
     def __init__(
@@ -72,9 +79,15 @@ class Cluster:
         config: ClusterConfig | None = None,
         *,
         stores: Mapping[str, BlobStore] | None = None,
+        pipeline: PipelineConfig | None = None,
     ):
         self.code = code
         self.config = config if config is not None else ClusterConfig()
+        if pipeline is None:
+            from ..config import PipelineConfig  # deferred: config imports cluster
+
+            pipeline = PipelineConfig()
+        self._pipeline_config = pipeline
         self.ring = HashRing(
             self.config.node_ids, vnodes=self.config.vnodes, seed=self.config.seed
         )
@@ -100,7 +113,14 @@ class Cluster:
             self._attach(node_id, store)
 
     def _attach(self, node_id: str, store: BlobStore) -> StorageNode:
-        node = StorageNode(node_id, store, config=self.config.service)
+        # the store's injector is shared in, so slow/corrupt *worker*
+        # faults ride the same seeded stream as read faults
+        node = StorageNode(
+            node_id,
+            store,
+            config=self.config.service,
+            pipeline=self._pipeline_config.build(faults=store.faults),
+        )
         self.nodes[node_id] = node
         for sid in store.stripe_ids:
             self._placement[sid] = node_id
@@ -120,6 +140,7 @@ class Cluster:
         *,
         fault_rate: float = 0.0,
         rng: np.random.Generator | int | None = None,
+        pipeline: PipelineConfig | None = None,
     ) -> "Cluster":
         """Seeded cluster of ``num_stripes`` encoded stripes, placed by
         the ring across per-node stores (each with its own seeded
@@ -138,7 +159,7 @@ class Cluster:
             )
             for i, node_id in enumerate(config.node_ids)
         }
-        cluster = cls(code, config, stores=stores)
+        cluster = cls(code, config, stores=stores, pipeline=pipeline)
         cluster._sector_symbols = sector_symbols
         cluster._fault_rate = fault_rate
         layout = StripeLayout.of_code(code)

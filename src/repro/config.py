@@ -388,8 +388,9 @@ def build_service(config: AppConfig):
 
 def build_cluster(config: AppConfig):
     """A :class:`~repro.cluster.Cluster` with ``config.service``
-    stitched in as every node's service config and the same per-node
-    damage/corruption :func:`build_store` applies."""
+    stitched in as every node's service config, ``config.pipeline``
+    behind every node's decodes (as in :func:`build_service`) and the
+    same per-node damage/corruption :func:`build_store` applies."""
     from .cluster import Cluster
     from .service import corrupt_store, damage_store
 
@@ -401,6 +402,7 @@ def build_cluster(config: AppConfig):
         store_cfg.symbols,
         config.cluster.with_service(config.service),
         fault_rate=store_cfg.fault_rate,
+        pipeline=config.pipeline,
     )
     for node in cluster.nodes.values():
         damage_store(node.store, fraction=store_cfg.damaged, seed=store_cfg.seed)

@@ -24,14 +24,11 @@ from .planner import (
     plan_decode,
 )
 from .sequences import ExecutionMode, SequenceCosts, SequencePolicy
-from .visualize import inspect, render_matrix, render_partition
 
 if TYPE_CHECKING:  # resolved lazily at run time, see __getattr__
     from .bitdecoder import BitMatrixDecoder
     from .decoder import DecodeStats, PPMDecoder, ProcessParallelDecoder, TraditionalDecoder
-    from .registry import available_decoders, get_decoder
-    from .rowparallel import RowParallelDecoder, simulate_row_parallel_time
-    from .segparallel import SegmentParallelDecoder
+    from .rowparallel import RowParallelDecoder
 
 #: The decoder presets subclass the engine in :mod:`repro.pipeline`,
 #: which (with :mod:`repro.stripes` and :mod:`repro.parallel` under it)
@@ -42,11 +39,7 @@ _PRESETS = {
     "PPMDecoder": "decoder",
     "ProcessParallelDecoder": "decoder",
     "TraditionalDecoder": "decoder",
-    "available_decoders": "registry",
-    "get_decoder": "registry",
     "RowParallelDecoder": "rowparallel",
-    "simulate_row_parallel_time": "rowparallel",
-    "SegmentParallelDecoder": "segparallel",
 }
 
 
@@ -74,14 +67,7 @@ __all__ = [
     "partition",
     "partition_sd",
     "ProcessParallelDecoder",
-    "available_decoders",
-    "get_decoder",
     "RowParallelDecoder",
-    "simulate_row_parallel_time",
-    "SegmentParallelDecoder",
-    "inspect",
-    "render_matrix",
-    "render_partition",
     "DecodePlan",
     "GroupPlan",
     "RestPlan",

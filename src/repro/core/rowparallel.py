@@ -27,8 +27,6 @@ all three on identical scenarios
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..gf import OpCounter
 from ..pipeline.engine import DecodePipeline
 from .planner import Stage
@@ -73,36 +71,3 @@ class RowParallelDecoder(DecodePipeline):
             for i in range(weights.shape[0])
         ]
 
-
-def simulate_row_parallel_time(plan, profile, threads: int, sector_symbols: int):
-    """Makespan model for the equation-oriented baseline.
-
-    Bins per-row weights of the whole-matrix ``W`` round-robin over
-    ``threads`` workers; same conventions as
-    :func:`repro.parallel.simulate.simulate_ppm_time`.
-    """
-    from ..parallel.simulate import OVERSUBSCRIPTION_PENALTY, SimulatedTime
-
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    weights = plan.traditional.weights.array
-    row_costs = [int(np.count_nonzero(row)) for row in weights]
-    per_op = sector_symbols / profile.throughput
-    t_eff = max(1, min(threads, len(row_costs)))
-    if t_eff == 1:
-        return SimulatedTime(
-            phase1_seconds=sum(row_costs) * per_op, rest_seconds=0.0, spawn_seconds=0.0
-        )
-    bins = [0] * t_eff
-    for i, c in enumerate(row_costs):
-        bins[i % t_eff] += c
-    concurrent = min(t_eff, profile.cores)
-    makespan = max(max(bins), sum(row_costs) / concurrent)
-    penalty = 1.0
-    if t_eff > profile.cores:
-        penalty += OVERSUBSCRIPTION_PENALTY * (t_eff - profile.cores)
-    return SimulatedTime(
-        phase1_seconds=makespan * per_op * penalty,
-        rest_seconds=0.0,
-        spawn_seconds=profile.spawn_overhead_s * t_eff,
-    )

@@ -7,20 +7,12 @@ one core — DESIGN.md, substitutions).
 from __future__ import annotations
 
 from .assignment import assign_lpt, assign_round_robin, lpt_advantage, makespan
-from .network import (
-    NetworkModel,
-    RepairBill,
-    compare_repair_bills,
-    default_placement,
-    repair_bill,
-)
 from .calibrate import (
     host_profile,
     measure_spawn_overhead,
     measure_throughput,
     scaled_paper_profile,
 )
-from .rebuild import PipelineRebuilder, RebuildResult, simulate_rebuild_time
 from .simulate import (
     E5_2603,
     E5_2650,
@@ -39,14 +31,6 @@ __all__ = [
     "assign_round_robin",
     "lpt_advantage",
     "makespan",
-    "NetworkModel",
-    "RepairBill",
-    "compare_repair_bills",
-    "default_placement",
-    "repair_bill",
-    "PipelineRebuilder",
-    "RebuildResult",
-    "simulate_rebuild_time",
     "host_profile",
     "measure_spawn_overhead",
     "measure_throughput",

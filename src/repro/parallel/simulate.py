@@ -20,7 +20,7 @@ threading overhead the paper says its measurements include.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core.planner import DecodePlan
 
@@ -53,10 +53,6 @@ class CPUProfile:
     def throughput(self) -> float:
         """symbols * mult_XORs per second per core."""
         return self.base_throughput * self.ghz
-
-    def with_throughput(self, per_ghz: float) -> "CPUProfile":
-        """Profile with a recalibrated base throughput."""
-        return replace(self, base_throughput=per_ghz)
 
 
 #: The three machines of the paper's Section IV.

@@ -32,24 +32,9 @@ from .scrub import (
     syndromes,
     verify_rows,
 )
-from .rotation import RotatedDiskArray, logical_disk, parity_load, physical_disk
 from .store import Stripe
-from .traces import (
-    LifetimeReport,
-    TraceConfig,
-    TraceEvent,
-    generate_trace,
-    iter_repair_batches,
-    simulate_lifetime,
-)
 
 __all__ = [
-    "LifetimeReport",
-    "TraceConfig",
-    "TraceEvent",
-    "generate_trace",
-    "iter_repair_batches",
-    "simulate_lifetime",
     "RepairIO",
     "compare_degraded_read",
     "degraded_read_cost",
@@ -66,10 +51,6 @@ __all__ = [
     "scrub_stripe",
     "syndromes",
     "verify_rows",
-    "RotatedDiskArray",
-    "logical_disk",
-    "parity_load",
-    "physical_disk",
     "DiskArray",
     "FailureScenario",
     "UndecodableScenarioError",

@@ -79,27 +79,6 @@ class DiskArray:
         """Lose a single sector (latent sector error)."""
         self.stripes[stripe_index].erase([block])
 
-    def inject_lse(
-        self, count: int, rng: np.random.Generator | int | None = None
-    ) -> list[tuple[int, int]]:
-        """Drop ``count`` random still-present sectors across the array.
-
-        Returns the (stripe_index, block) pairs hit.
-        """
-        rng = np.random.default_rng(rng)
-        candidates = [
-            (si, b)
-            for si, stripe in enumerate(self.stripes)
-            for b in stripe.present_ids
-        ]
-        if count > len(candidates):
-            raise ValueError(f"only {len(candidates)} sectors present, asked {count}")
-        picks = rng.choice(len(candidates), size=count, replace=False)
-        hits = [candidates[int(p)] for p in picks]
-        for si, b in hits:
-            self.stripes[si].erase([b])
-        return hits
-
     # -- repair paths -----------------------------------------------------------
 
     def rebuild(self, decoder: Decoder) -> int:

@@ -65,6 +65,7 @@ def test_figure6_ratio_falls_with_r():
         assert ratios == sorted(ratios, reverse=True), (m, s)
 
 
+@pytest.mark.usefixtures("pinned_host_profile")
 def test_figure7_gain_positive_and_peaks_by_cores():
     report = run_figure(7, fast=True, stripe_bytes=1 << 20)
     for m, s, n in {(r[0], r[1], r[2]) for r in report.rows}:
@@ -95,6 +96,7 @@ def test_figure8_sim_positive_at_paper_scale():
         assert sim > 0
 
 
+@pytest.mark.usefixtures("pinned_host_profile")
 def test_figure9_gain_grows_with_stripe_size():
     report = run_figure(9, fast=True)
     for m, s in {(row[0], row[1]) for row in report.rows}:
@@ -106,6 +108,7 @@ def test_figure9_gain_grows_with_stripe_size():
         assert gains == sorted(gains), (m, s)
 
 
+@pytest.mark.usefixtures("pinned_host_profile")
 def test_figure10_similar_across_cpus():
     report = run_figure(10, fast=True, stripe_bytes=1 << 25)
     keys = {(row[1], row[2], row[3]) for row in report.rows}

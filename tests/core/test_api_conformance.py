@@ -1,6 +1,6 @@
 """Shared API-conformance suite: every decoder speaks the same dialect.
 
-The redesign's contract, checked uniformly across the registry:
+The redesign's contract, checked uniformly across the presets:
 
 - constructors take keyword-only uniform parameters (``threads=``,
   ``policy=``, ``verify=``, ``counter=`` where meaningful) and reject
@@ -11,8 +11,7 @@ The redesign's contract, checked uniformly across the registry:
 - every decoder *is* the pipeline engine (a preset or narrow override
   of :class:`repro.pipeline.DecodePipeline`), and a differential oracle
   — a test-local interpreted ``RegionOps`` walk of ``plan.stages`` —
-  agrees with each of them bit for bit and op for op;
-- ``get_decoder(kind, **params)`` constructs every registered kind.
+  agrees with each of them bit for bit and op for op.
 """
 
 from __future__ import annotations
@@ -28,36 +27,22 @@ from repro.core import (
     PPMDecoder,
     ProcessParallelDecoder,
     RowParallelDecoder,
-    SegmentParallelDecoder,
     TraditionalDecoder,
-    available_decoders,
-    get_decoder,
 )
 from repro.gf import OpCounter, RegionOps
 from repro.gf.bitmatrix import expand_matrix
 from repro.pipeline import DecodePipeline
 from repro.stripes import Stripe, StripeLayout, worst_case_sd
 
-#: kind -> (constructor params, decoder classes covered)
-DECODER_PARAMS: dict[str, dict] = {
-    "traditional": {},
-    "ppm": {"threads": 2},
-    "row_parallel": {"threads": 2},
-    "segment_parallel": {"threads": 2},
-    "process_parallel": {"threads": 2},
-    "bitmatrix": {},
-    "pipeline": {"workers": 2, "pool": "serial"},
+#: kind -> (class, constructor params): the five presets and the engine
+DECODERS: dict[str, tuple[type, dict]] = {
+    "traditional": (TraditionalDecoder, {}),
+    "ppm": (PPMDecoder, {"threads": 2}),
+    "row_parallel": (RowParallelDecoder, {"threads": 2}),
+    "process_parallel": (ProcessParallelDecoder, {"threads": 2}),
+    "bitmatrix": (BitMatrixDecoder, {}),
+    "pipeline": (DecodePipeline, {"workers": 2, "pool": "serial"}),
 }
-
-DECODER_CLASSES = [
-    TraditionalDecoder,
-    PPMDecoder,
-    RowParallelDecoder,
-    SegmentParallelDecoder,
-    ProcessParallelDecoder,
-    BitMatrixDecoder,
-    DecodePipeline,
-]
 
 
 @pytest.fixture(scope="module")
@@ -71,8 +56,9 @@ def setup():
     return code, list(scen.faulty_blocks), stripe, truth
 
 
-def make(kind):
-    return get_decoder(kind, **DECODER_PARAMS[kind])
+def make(kind, **extra):
+    cls, params = DECODERS[kind]
+    return cls(**params, **extra)
 
 
 def close(decoder):
@@ -80,16 +66,7 @@ def close(decoder):
         decoder.close()
 
 
-def test_registry_covers_every_decoder_class():
-    assert set(DECODER_PARAMS) == set(available_decoders())
-
-
-def test_get_decoder_unknown_kind_lists_available():
-    with pytest.raises(ValueError, match="bitmatrix"):
-        get_decoder("magic")
-
-
-@pytest.mark.parametrize("kind", sorted(DECODER_PARAMS))
+@pytest.mark.parametrize("kind", sorted(DECODERS))
 def test_every_decoder_is_the_pipeline_engine(kind):
     decoder = make(kind)
     try:
@@ -109,10 +86,8 @@ def interpreted_walk(plan, blocks, ops):
     return {b: known[b] for b in plan.faulty_ids}
 
 
-def documented_mult_xors(kind, decoder, plan, field) -> int:
+def documented_mult_xors(kind, plan, field) -> int:
     """What each kind says it books for one decode of ``plan``."""
-    if kind == "segment_parallel":
-        return decoder.threads * plan.predicted_cost  # one walk per segment
     if kind == "bitmatrix":  # one XOR per 1-entry of every expanded matrix
         return sum(
             int(np.count_nonzero(expand_matrix(field, matrix)))
@@ -124,14 +99,14 @@ def documented_mult_xors(kind, decoder, plan, field) -> int:
     return plan.predicted_cost
 
 
-@pytest.mark.parametrize("kind", sorted(DECODER_PARAMS))
+@pytest.mark.parametrize("kind", sorted(DECODERS))
 def test_differential_oracle(setup, kind):
     code, faulty, stripe, _truth = setup
     blocks = {b: stripe.get(b) for b in stripe.present_ids}
     decoder = make(kind)
     try:
         recovered, stats = decoder.decode(code, blocks, faulty, return_stats=True)
-        expected_ops = documented_mult_xors(kind, decoder, stats.plan, code.field)
+        expected_ops = documented_mult_xors(kind, stats.plan, code.field)
     finally:
         close(decoder)
     oracle_ops = RegionOps(code.field)
@@ -143,7 +118,7 @@ def test_differential_oracle(setup, kind):
     assert stats.mult_xors == expected_ops
 
 
-@pytest.mark.parametrize("cls", DECODER_CLASSES)
+@pytest.mark.parametrize("cls", [cls for cls, _ in DECODERS.values()])
 def test_constructors_are_keyword_only(cls):
     signature = inspect.signature(cls.__init__)
     for name, param in signature.parameters.items():
@@ -156,7 +131,7 @@ def test_constructors_are_keyword_only(cls):
         cls("positional")
 
 
-@pytest.mark.parametrize("kind", sorted(DECODER_PARAMS))
+@pytest.mark.parametrize("kind", sorted(DECODERS))
 def test_decode_returns_recovered_mapping(setup, kind):
     code, faulty, stripe, truth = setup
     decoder = make(kind)
@@ -169,7 +144,7 @@ def test_decode_returns_recovered_mapping(setup, kind):
         assert np.array_equal(recovered[b], truth.get(b)), (kind, b)
 
 
-@pytest.mark.parametrize("kind", sorted(DECODER_PARAMS))
+@pytest.mark.parametrize("kind", sorted(DECODERS))
 def test_decode_return_stats_flag(setup, kind):
     code, faulty, stripe, truth = setup
     decoder = make(kind)
@@ -184,12 +159,12 @@ def test_decode_return_stats_flag(setup, kind):
 
 
 @pytest.mark.parametrize(
-    "kind", ["traditional", "ppm", "segment_parallel", "process_parallel", "bitmatrix"]
+    "kind", ["traditional", "ppm", "process_parallel", "bitmatrix"]
 )
 def test_counter_parameter_is_uniform(setup, kind):
     code, faulty, stripe, _ = setup
     counter = OpCounter()
-    decoder = get_decoder(kind, counter=counter, **DECODER_PARAMS[kind])
+    decoder = make(kind, counter=counter)
     try:
         _, stats = decoder.decode(code, stripe, faulty, return_stats=True)
     finally:
@@ -198,10 +173,10 @@ def test_counter_parameter_is_uniform(setup, kind):
     assert mult_xors == stats.mult_xors
 
 
-@pytest.mark.parametrize("kind", sorted(DECODER_PARAMS))
+@pytest.mark.parametrize("kind", sorted(DECODERS))
 def test_verify_parameter_is_uniform(setup, kind):
     code, faulty, stripe, truth = setup
-    decoder = get_decoder(kind, verify=True, **DECODER_PARAMS[kind])
+    decoder = make(kind, verify=True)
     try:
         recovered = decoder.decode(code, stripe, faulty)
     finally:
@@ -213,7 +188,7 @@ def test_verify_parameter_is_uniform(setup, kind):
 def test_all_decoders_agree_bit_for_bit(setup):
     code, faulty, stripe, truth = setup
     outputs = {}
-    for kind in sorted(DECODER_PARAMS):
+    for kind in sorted(DECODERS):
         decoder = make(kind)
         try:
             outputs[kind] = decoder.decode(code, stripe, faulty)

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.codes import SDCode
-from repro.core import (
-    PPMDecoder,
-    RowParallelDecoder,
-    TraditionalDecoder,
-    plan_decode,
-    simulate_row_parallel_time,
-)
-from repro.parallel import E5_2603, simulate_ppm_time
+from repro.core import PPMDecoder, RowParallelDecoder, TraditionalDecoder
 from repro.stripes import Stripe, StripeLayout, worst_case_sd
 
 
@@ -69,39 +62,3 @@ def test_thread_validation():
     with pytest.raises(ValueError):
         RowParallelDecoder(threads=0)
 
-
-def test_simulated_time_model():
-    code = SDCode(16, 16, 2, 2)
-    scen = worst_case_sd(code, z=1, rng=2)
-    plan = plan_decode(code, scen.faulty_blocks)
-    sym = 1 << 20
-    serial = simulate_row_parallel_time(plan, E5_2603, 1, sym)
-    assert serial.total_seconds == pytest.approx(
-        plan.costs.c2 * sym / E5_2603.throughput
-    )
-    par = simulate_row_parallel_time(plan, E5_2603, 4, sym)
-    assert par.total_seconds < serial.total_seconds
-    with pytest.raises(ValueError):
-        simulate_row_parallel_time(plan, E5_2603, 0, sym)
-
-
-def test_ppm_vs_row_parallel_tradeoff():
-    """PPM always wins on total work (C4 < C2 -> CPU/energy); the
-    equation-oriented baseline can hide its extra ops behind threads in a
-    bandwidth-free model because it has no serial rest phase.  At T = 1
-    PPM is therefore strictly faster; at high T the baseline's makespan
-    can undercut PPM's serial rest (the trade-off the paper's related
-    work discussion implies)."""
-    code = SDCode(16, 16, 2, 2)
-    scen = worst_case_sd(code, z=1, rng=3)
-    plan = plan_decode(code, scen.faulty_blocks)
-    sym = 1 << 22
-    assert plan.predicted_cost < plan.costs.c2  # fewer ops, always
-    ppm_serial = simulate_ppm_time(plan, E5_2603, 1, sym)
-    rp_serial = simulate_row_parallel_time(plan, E5_2603, 1, sym)
-    assert ppm_serial.total_seconds < rp_serial.total_seconds
-    # the baseline parallelises all of C2; PPM keeps H_rest serial
-    rp4 = simulate_row_parallel_time(plan, E5_2603, 4, sym)
-    ppm4 = simulate_ppm_time(plan, E5_2603, 4, sym)
-    assert rp4.total_seconds < rp_serial.total_seconds
-    assert ppm4.total_seconds < ppm_serial.total_seconds

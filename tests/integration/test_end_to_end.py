@@ -23,7 +23,7 @@ from repro.core import (
     TraditionalDecoder,
 )
 from repro.gf import OpCounter, RegionOps
-from repro.parallel import PipelineRebuilder
+from repro.pipeline import DecodePipeline
 from repro.stripes import DiskArray, Stripe, StripeLayout, worst_case_sd
 
 
@@ -103,15 +103,16 @@ def test_full_array_lifecycle():
             truth.put(b, stripe.get(b))
     # degrade
     array.fail_disk(0)
-    array.inject_lse(4, rng=8)
+    for stripe_index, block in [(1, 9), (2, 14), (2, 27), (3, 4)]:
+        array.corrupt_sector(stripe_index, block)
     # serve a degraded read before repair
     target_stripe, target_block = 0, array.layout.block_id(3, 0)
     value = array.degraded_read(PPMDecoder(threads=2), target_stripe, target_block)
     assert np.array_equal(value, array._truth[0].get(target_block))
     # rebuild with the batched pipeline scheduler
     expected = sum(len(s.erased_ids) for s in array.stripes)
-    result = PipelineRebuilder(threads=2).rebuild(array)
-    assert result.blocks_repaired == expected
+    with DecodePipeline(workers=2) as pipe:
+        assert array.rebuild(pipe) == expected
     assert array.fully_intact()
 
 

@@ -116,10 +116,3 @@ def test_validation():
     zero = simulate_traditional_time(plan, E5_2603, SYM)
     with pytest.raises(ZeroDivisionError):
         improvement_ratio(zero, type(zero)(0.0, 0.0, 0.0))
-
-
-def test_with_throughput():
-    p = CPUProfile("x", cores=2, ghz=2.0, base_throughput=1e6)
-    q = p.with_throughput(2e6)
-    assert q.throughput == 4e6
-    assert q.cores == 2

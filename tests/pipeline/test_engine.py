@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.codes import SDCode
-from repro.core import PPMDecoder, SequencePolicy, TraditionalDecoder, get_decoder
+from repro.core import PPMDecoder, SequencePolicy, TraditionalDecoder
 from repro.gf import OpCounter
 from repro.pipeline import BatchStats, DecodePipeline, PipelineMetrics, SerialPool
 from repro.stripes import DiskArray, Stripe, StripeLayout, worst_case_sd
@@ -279,12 +279,6 @@ def test_shared_pool_instance(code, faulty):
         pipe.decode_batch(code, make_stripes(code, 2), faulty)
 
 
-def test_registry_constructs_pipeline():
-    pipe = get_decoder("pipeline", workers=2, pool="serial")
-    assert isinstance(pipe, DecodePipeline)
-    pipe.close()
-
-
 def valid_array(code, num_stripes=3, symbols=16, rng=0):
     arr = DiskArray(code, num_stripes=num_stripes, sector_symbols=symbols, rng=rng)
     encoder = TraditionalDecoder()
@@ -315,14 +309,11 @@ def test_array_rebuild_nothing_to_do(code):
     assert arr.fully_intact()
 
 
-def test_pipeline_rebuilder_strategy(code):
-    from repro.parallel import PipelineRebuilder
-
+def test_array_rebuild_on_default_pool(code):
     arr = valid_array(code, rng=5)
     arr.fail_disk(1)
-    result = PipelineRebuilder(threads=2).rebuild(arr)
-    assert result.blocks_repaired == code.r * arr.num_stripes
-    assert result.strategy == "pipeline (batched)"
+    with DecodePipeline(workers=2) as pipe:
+        assert arr.rebuild(pipe) == code.r * arr.num_stripes
     assert arr.fully_intact()
 
 

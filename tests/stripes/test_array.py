@@ -36,15 +36,6 @@ def test_fail_disk(array):
         array.fail_disk(6)
 
 
-def test_inject_lse(array):
-    hits = array.inject_lse(5, rng=1)
-    assert len(hits) == 5
-    for si, b in hits:
-        assert not array.stripes[si].has(b)
-    with pytest.raises(ValueError):
-        array.inject_lse(10**6, rng=1)
-
-
 def test_rebuild_after_disk_and_lse(array):
     array.fail_disk(2)
     array.fail_disk(5)

@@ -267,6 +267,36 @@ def test_build_service_wires_pipeline_section_and_faults():
         asyncio_run_close(service)
 
 
+def test_build_cluster_wires_pipeline_section_into_every_node():
+    """Regression: nodes used to decode through ``BlobService``'s default
+    serial pipeline whatever ``AppConfig.pipeline`` said."""
+    import asyncio
+
+    config = from_dict(
+        {
+            "store": {"n": 6, "r": 4, "stripes": 4, "symbols": 16, "damaged": 0.0},
+            "pipeline": {"pool": "thread", "workers": 2, "verify_workers": True, "hedge": True},
+            "cluster": {"nodes": 2},
+        }
+    )
+
+    async def scenario():
+        cluster = build_cluster(config)
+        try:
+            joined = await cluster.add_node()
+            assert joined in cluster.nodes and len(cluster.nodes) == 3
+            for node in cluster.nodes.values():
+                pipe = node.service.pipeline
+                assert pipe.pool.kind == "thread" and pipe.workers == 2
+                assert pipe.verify_workers is True
+                assert pipe.hedge is True
+                assert pipe.faults is node.store.faults
+        finally:
+            await cluster.close()
+
+    asyncio.run(scenario())
+
+
 def asyncio_run_close(service):
     import asyncio
 

@@ -71,3 +71,13 @@ def test_docstring_command_list_matches_the_parser():
     listing = cli.__doc__.split("--------\n", 1)[1]
     documented = re.findall(r"^([a-z][a-z-]*)\b", listing, flags=re.M)
     assert sorted(documented) == sorted(subparsers.choices)
+
+
+@pytest.mark.parametrize(
+    "argv", [["lifetime"], ["inspect", "sd", "n=4"], ["io-compare"], ["extra", "energy"]]
+)
+def test_removed_commands_are_argparse_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err

@@ -26,22 +26,6 @@ def test_search(capsys):
     assert "SD^{1,1}_{4,4}(8|1,2)" in capsys.readouterr().out
 
 
-def test_io_compare(capsys):
-    assert main(["io-compare", "--k", "12"]) == 0
-    out = capsys.readouterr().out
-    assert "LRC(12,4,2)" in out
-    assert "RS(16,12)" in out
-
-
-def test_lifetime(capsys):
-    assert main(
-        ["lifetime", "--years", "1", "--stripes", "8", "--n", "8", "--r", "8"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "repair compute" in out
-    assert "saved=" in out
-
-
 def test_reproduce_writes_files(tmp_path, capsys):
     out_dir = tmp_path / "res"
     # regenerating all figures is slow; patch FIGURES down to one cheap entry
