@@ -201,7 +201,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if failed:
         print(f"FAIL: {failed} of {len(results)} code(s) produced invalid plans")
         return 1
-    print(f"all plans verified: {len(results)} code(s), {total} scenario(s)")
+    pruned = sum(r.pruned_plans for r in results)
+    print(
+        f"all plans verified: {len(results)} code(s), {total} scenario(s), "
+        f"{pruned} pruned plan(s)"
+    )
     return 0
 
 

@@ -11,7 +11,7 @@ for a rebuild touching thousands of stripes with one failure geometry).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
@@ -106,6 +106,10 @@ class Stage:
     can run concurrently with every other independent stage; a
     dependent one (``H_rest``) also reads blocks earlier stages
     recovered and runs after them, in order.
+
+    In a plan pruned to ``targets`` a stage keeps only the rows something
+    asked for, so ``faulty_ids`` may be fewer than the erased blocks its
+    ``row_ids`` touch — such a stage's output cannot be syndrome-checked.
     """
 
     matrices: tuple[GFMatrix, ...]
@@ -124,11 +128,36 @@ class Stage:
         return tuple(m.array for m in self.matrices)
 
 
+def _prune_stage(stage: Stage, rows: list[int]) -> Stage:
+    """``stage`` reduced to output ``rows``: walking the chain backwards,
+    keep the wanted rows of each matrix and drop the columns (and with
+    them the previous matrix's rows, or the survivors) left all-zero."""
+    faulty_ids = tuple(stage.faulty_ids[i] for i in rows)
+    matrices = []
+    for matrix in reversed(stage.matrices):
+        kept = matrix.take_rows(rows)
+        rows = np.flatnonzero(kept.array.any(axis=0)).tolist()
+        matrices.append(kept.take_columns(rows))
+    survivor_ids = tuple(stage.survivor_ids[c] for c in rows)
+    return Stage(
+        tuple(reversed(matrices)), survivor_ids, faulty_ids, stage.row_ids,
+        stage.independent,
+    )
+
+
 @dataclass(frozen=True)
 class DecodePlan:
-    """A complete, data-independent decode recipe for one scenario."""
+    """A complete, data-independent decode recipe for one scenario.
+
+    ``targets`` are the erased blocks the plan recovers — all of
+    ``faulty_ids`` unless it came from :meth:`for_targets`.  The
+    sub-plans (``traditional``, ``groups``, ``rest``) always describe the
+    whole pattern; ``costs``, ``mode``, ``stages`` and ``read_ids``
+    describe what recovering just the targets takes.
+    """
 
     faulty_ids: tuple[int, ...]
+    targets: tuple[int, ...]
     partition: Partition
     traditional: TraditionalPlan
     groups: tuple[GroupPlan, ...]
@@ -162,11 +191,23 @@ class DecodePlan:
     @cached_property
     def stages(self) -> tuple[Stage, ...]:
         """What the chosen mode executes, in order: groups then rest, or
-        the single whole-matrix stage.
+        the single whole-matrix stage — pruned to what ``targets`` need.
 
         This is the one place ``mode`` is turned into matrices; every
         executor, lowering and cost model walks it
         (``sum(s.cost for s in stages) == predicted_cost``).
+        """
+        return self._walk(self.mode, self.targets)
+
+    def _walk(self, mode: ExecutionMode, targets: tuple[int, ...]) -> tuple[Stage, ...]:
+        """The stages ``mode`` runs to recover ``targets``.
+
+        Recovering every faulty block is the unpruned walk.  Otherwise,
+        last stage first: a stage no wanted block comes from is dropped,
+        a kept one is cut down to its wanted rows
+        (:func:`_prune_stage`), and the recovered blocks those rows
+        still read become wanted from the stages before it — the paper's
+        independence observation, read per request.
         """
 
         def split(sub: TraditionalPlan | RestPlan, matrix_first: bool, independent: bool):
@@ -175,17 +216,61 @@ class DecodePlan:
                 matrices, sub.survivor_ids, sub.faulty_ids, sub.row_ids, independent
             )
 
-        if not self.uses_partition:
-            matrix_first = self.mode is ExecutionMode.TRADITIONAL_MATRIX_FIRST
-            return (split(self.traditional, matrix_first, True),)
-        stages = [
-            Stage((g.weights,), g.survivor_ids, g.faulty_ids, g.row_ids, True)
-            for g in self.groups
-        ]
-        if self.rest is not None:
-            matrix_first = self.mode is ExecutionMode.PPM_REST_MATRIX_FIRST
-            stages.append(split(self.rest, matrix_first, False))
-        return tuple(stages)
+        if mode is ExecutionMode.TRADITIONAL_NORMAL:
+            stages = [split(self.traditional, False, True)]
+        elif mode is ExecutionMode.TRADITIONAL_MATRIX_FIRST:
+            stages = [split(self.traditional, True, True)]
+        else:
+            stages = [
+                Stage((g.weights,), g.survivor_ids, g.faulty_ids, g.row_ids, True)
+                for g in self.groups
+            ]
+            if self.rest is not None:
+                matrix_first = mode is ExecutionMode.PPM_REST_MATRIX_FIRST
+                stages.append(split(self.rest, matrix_first, False))
+        if targets == self.faulty_ids:
+            return tuple(stages)
+        wanted = set(targets)
+        kept = []
+        for stage in reversed(stages):
+            rows = [i for i, b in enumerate(stage.faulty_ids) if b in wanted]
+            if rows:
+                kept.append(_prune_stage(stage, rows))
+                wanted.update(kept[-1].survivor_ids)
+        return tuple(reversed(kept))
+
+    def for_targets(self, targets: Sequence[int]) -> "DecodePlan":
+        """This scenario's plan for recovering only ``targets``.
+
+        Pure row selection from the matrices already here — nothing is
+        inverted again.  C1..C4 are re-counted on each mode's pruned walk
+        and the plan's own policy picks among them, so a one-block read
+        may run a different sequence than the whole-pattern rebuild.
+        """
+        targets = tuple(sorted(set(targets)))
+        if not targets:
+            raise ValueError("no target blocks: nothing to recover")
+        stray = sorted(set(targets).difference(self.faulty_ids))
+        if stray:
+            raise ValueError(
+                f"target block(s) {stray} are not in the erasure pattern "
+                f"{list(self.faulty_ids)}"
+            )
+        if targets == self.targets:
+            return self
+
+        def cost(mode: ExecutionMode) -> int:
+            return sum(stage.cost for stage in self._walk(mode, targets))
+
+        costs = SequenceCosts(
+            c1=cost(ExecutionMode.TRADITIONAL_NORMAL),
+            c2=cost(ExecutionMode.TRADITIONAL_MATRIX_FIRST),
+            c3=cost(ExecutionMode.PPM_REST_MATRIX_FIRST),
+            c4=cost(ExecutionMode.PPM_REST_NORMAL),
+        )
+        return replace(
+            self, targets=targets, costs=costs, mode=costs.choose(self.policy)
+        )
 
     @cached_property
     def read_ids(self) -> tuple[int, ...]:
@@ -216,13 +301,16 @@ def plan_decode(
     faulty: Sequence[int],
     policy: SequencePolicy = SequencePolicy.PAPER,
     partition_result: Partition | None = None,
+    targets: Sequence[int] | None = None,
 ) -> DecodePlan:
     """Build the full decode plan for a failure scenario.
 
     ``source`` is a code (its cached ``H`` is used) or a parity-check
-    matrix directly.  Raises
-    :class:`~repro.matrix.SingularMatrixError` if the scenario is not
-    decodable.
+    matrix directly.  ``targets`` are the erased blocks the caller wants
+    back (default: all of ``faulty``); the plan is pruned to them by
+    :meth:`DecodePlan.for_targets`, and one outside ``faulty`` is a
+    ``ValueError``.  Raises :class:`~repro.matrix.SingularMatrixError`
+    if the scenario is not decodable.
     """
     h = source.H if isinstance(source, ErasureCode) else source
     faulty = tuple(sorted(set(faulty)))
@@ -284,8 +372,9 @@ def plan_decode(
         c3=group_total + (rest.cost_matrix_first if rest else 0),
         c4=group_total + (rest.cost_normal if rest else 0),
     )
-    return DecodePlan(
+    plan = DecodePlan(
         faulty_ids=faulty,
+        targets=faulty,
         partition=part,
         traditional=trad,
         groups=tuple(groups),
@@ -294,6 +383,7 @@ def plan_decode(
         policy=policy,
         mode=costs.choose(policy),
     )
+    return plan if targets is None else plan.for_targets(targets)
 
 
 def evaluate_costs(

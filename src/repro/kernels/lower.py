@@ -205,8 +205,8 @@ class PlanProgram:
 
     ``input_ids`` are the block ids the program reads (the true
     survivors — blocks the group stages recover internally are *not*
-    inputs), in slot order; ``output_ids`` are the recovered block ids,
-    aligned with ``program.outputs``.
+    inputs), in slot order; ``output_ids`` are the recovered block ids
+    (the plan's ``targets``), aligned with ``program.outputs``.
     """
 
     program: RegionProgram
@@ -226,7 +226,8 @@ def lower_plan(
     One IR stage per matrix of every :attr:`DecodePlan.stages` entry, in
     order; each plan stage's outputs become slots later stages may read
     (the paper's Step 4: recovered sectors join the survivors of
-    ``H_rest``).  By construction
+    ``H_rest``).  The program outputs ``plan.targets`` — every faulty
+    block unless the plan was pruned.  By construction
     ``program.mult_xors == plan.predicted_cost``.
     """
     input_ids = plan.read_ids
@@ -242,7 +243,7 @@ def lower_plan(
             slots = builder.emit_stage(_matrix_rows(matrix, slots), share=share)
         slot_of.update(zip(stage.faulty_ids, slots))
 
-    output_ids = tuple(plan.faulty_ids)
+    output_ids = plan.targets
     program = builder.finish(
         [slot_of[b] for b in output_ids], optimize=optimize
     )

@@ -14,7 +14,11 @@ paper's two fixed costs and the per-stripe dispatch cost at once:
 - stripes sharing an erasure pattern are *fused*: their survivor sectors
   are concatenated per block id, so one ``F^-1 S`` region sweep recovers
   the whole batch (``u(W)`` region operations total instead of
-  ``u(W) x stripes``, each over a region ``stripes`` times longer).
+  ``u(W) x stripes``, each over a region ``stripes`` times longer);
+- a caller that wants only some of the erased blocks back says so with
+  ``targets=`` and runs the plan pruned to them — the same stages walk,
+  fewer rows — which is what makes a one-block degraded read cost one
+  row of its group instead of the whole rebuild.
 
 On a concurrent pool, work is scheduled at (pattern x independent stage)
 granularity and spread over workers with the LPT greedy from
@@ -133,11 +137,13 @@ def _run_task_bucket(
 
 
 class _PatternBatch:
-    """All stripes of one batch that share one erasure pattern."""
+    """All stripes of one batch that share one erasure pattern and one
+    set of wanted blocks."""
 
     def __init__(self, pattern: tuple[int, ...], plan: DecodePlan):
         self.pattern = pattern
-        self.plan = plan
+        self.targets = plan.targets  # what the caller gets back
+        self.plan = plan  # may be widened to recover more (verify_workers)
         self.indices: list[int] = []  # positions in the submitted batch
         self.offsets: list[int] = [0]  # concat boundaries, len(indices)+1
         self.concat: Mapping[int, np.ndarray] = {}  # survivor id -> fused region
@@ -163,12 +169,10 @@ class _PatternBatch:
         )
 
     def split(self, results: list[dict[int, np.ndarray]]) -> None:
-        """Slice each fused recovered region back into per-stripe views."""
+        """Slice each fused target region back into per-stripe views."""
         for rank, index in enumerate(self.indices):
             lo, hi = self.offsets[rank], self.offsets[rank + 1]
-            results[index] = {
-                bid: region[lo:hi] for bid, region in self.recovered.items()
-            }
+            results[index] = {bid: self.recovered[bid][lo:hi] for bid in self.targets}
 
 
 class DecodePipeline:
@@ -226,7 +230,10 @@ class DecodePipeline:
         quarantined and recomputed on the caller's thread (the trusted
         serial path), counted in ``verify_rejects``.  Roughly doubles
         the phase-1 region work — the price of not merging a silently
-        corrupt worker output.
+        corrupt worker output.  A syndrome needs every block of its
+        rows, so ``targets`` are widened to whole stages here (a group
+        block brings its group along); callers still get only what they
+        asked for.
     deadline_s:
         Default per-batch bound on the phase-1 gather; on expiry
         outstanding buckets are abandoned and
@@ -304,6 +311,8 @@ class DecodePipeline:
         self._batches = 0
         self._background_batches = 0
         self._patterns = 0
+        self._blocks_read = 0
+        self._blocks_recovered = 0
         self._wall = 0.0
         self._busy = [0.0] * self.workers
         self._queue_peak = 0
@@ -338,7 +347,21 @@ class DecodePipeline:
         return ops
 
     @staticmethod
+    def _per_stripe(
+        count: int, ids: Sequence[int] | Sequence[Sequence[int]], what: str
+    ) -> list[tuple[int, ...]]:
+        """One sorted id tuple per stripe from one shared set or one each."""
+        seq = list(ids)
+        if seq and isinstance(seq[0], (int, np.integer)):
+            one = tuple(sorted({int(b) for b in seq}))
+            return [one] * count
+        if len(seq) != count:
+            raise ValueError(f"{len(seq)} {what} for {count} stripes")
+        return [tuple(sorted({int(b) for b in one})) for one in seq]
+
+    @classmethod
     def _normalize_faulty(
+        cls,
         stripes: Sequence[Stripe | Mapping[int, np.ndarray]],
         faulty: Sequence[int] | Sequence[Sequence[int]] | None,
     ) -> list[tuple[int, ...]]:
@@ -354,15 +377,7 @@ class DecodePipeline:
                     )
                 patterns.append(tuple(sorted(stripe.erased_ids)))
             return patterns
-        seq = list(faulty)
-        if seq and isinstance(seq[0], (int, np.integer)):
-            one = tuple(sorted({int(b) for b in seq}))
-            return [one] * len(stripes)
-        if len(seq) != len(stripes):
-            raise ValueError(
-                f"{len(seq)} erasure patterns for {len(stripes)} stripes"
-            )
-        return [tuple(sorted({int(b) for b in pat})) for pat in seq]
+        return cls._per_stripe(len(stripes), faulty, "erasure patterns")
 
     def _account_remote_tasks(self, tasks: Sequence[_Task]) -> None:
         """Book work done in child processes into the parent counter."""
@@ -382,10 +397,13 @@ class DecodePipeline:
         source: ErasureCode | GFMatrix,
         faulty: Sequence[int],
         verify: bool | None = None,
+        targets: Sequence[int] | None = None,
     ) -> DecodePlan:
         """Fetch (or build, certify and cache) the plan this pipeline
-        would run for a scenario."""
-        return self.plans.get(source, faulty, self.policy, verify=verify)
+        would run for a scenario, pruned to ``targets`` when given."""
+        return self.plans.get(
+            source, faulty, self.policy, verify=verify, targets=targets
+        )
 
     def decode(
         self,
@@ -393,6 +411,7 @@ class DecodePipeline:
         stripe: Stripe | Mapping[int, np.ndarray],
         faulty: Sequence[int],
         *,
+        targets: Sequence[int] | None = None,
         return_stats: bool = False,
         verify: bool | None = None,
     ):
@@ -401,13 +420,21 @@ class DecodePipeline:
         ``code`` may also be a bare parity-check ``GFMatrix`` (it carries
         its field), except with ``verify_workers``.
 
-        ``return_stats=True`` additionally returns a
-        :class:`DecodeStats` (op counts, wall time, the plan).
+        ``targets`` are the erased blocks wanted back (default: all of
+        ``faulty``): only they are returned, and only the rows of the
+        plan that recover them run.  ``return_stats=True`` additionally
+        returns a :class:`DecodeStats` (op counts, wall time, the plan).
         ``verify`` overrides the pipeline's construction-time default
         for this call.
         """
         results, stats, batches = self._run_batch(
-            code, [stripe], [tuple(faulty)], "foreground", None, verify
+            code,
+            [stripe],
+            [tuple(faulty)],
+            None if targets is None else [tuple(targets)],
+            "foreground",
+            None,
+            verify,
         )
         if not return_stats:
             return results[0]
@@ -423,6 +450,7 @@ class DecodePipeline:
         stripes: Sequence[Stripe | Mapping[int, np.ndarray]],
         faulty: Sequence[int] | Sequence[Sequence[int]] | None = None,
         *,
+        targets: Sequence[int] | Sequence[Sequence[int]] | None = None,
         return_stats: bool = False,
         priority: str = "foreground",
         deadline_s: float | None = None,
@@ -432,9 +460,13 @@ class DecodePipeline:
 
         ``faulty`` is one pattern shared by every stripe, one pattern per
         stripe, or ``None`` to read each stripe's own erased ids.
-        Returns a list of ``{block_id: region}`` dicts aligned with
-        ``stripes`` (regions are views into the fused batch buffers);
-        with ``return_stats=True`` also a :class:`BatchStats`.
+        ``targets`` — one set for every stripe or one per stripe — names
+        the erased blocks wanted back (default: all of them); stripes
+        fuse per (pattern, targets) and each runs its plan pruned to
+        those blocks.  Returns a list of ``{block_id: region}`` dicts
+        aligned with ``stripes``, holding exactly the targets (regions
+        are views into the fused batch buffers); with
+        ``return_stats=True`` also a :class:`BatchStats`.
 
         ``priority`` classes the batch for admission: ``"foreground"``
         (live degraded reads — admitted immediately) or
@@ -449,7 +481,7 @@ class DecodePipeline:
         overrides the pipeline's plan-certification default.
         """
         results, stats, _ = self._run_batch(
-            code, stripes, faulty, priority, deadline_s, verify
+            code, stripes, faulty, targets, priority, deadline_s, verify
         )
         return (results, stats) if return_stats else results
 
@@ -458,6 +490,7 @@ class DecodePipeline:
         code: ErasureCode,
         stripes: Sequence[Stripe | Mapping[int, np.ndarray]],
         faulty: Sequence[int] | Sequence[Sequence[int]] | None,
+        targets: Sequence[int] | Sequence[Sequence[int]] | None,
         priority: str,
         deadline_s: float | None,
         verify: bool | None,
@@ -471,22 +504,33 @@ class DecodePipeline:
             before = self.counter.snapshot()
             hits0, misses0 = self.plans.stats.hits, self.plans.stats.misses
             patterns = self._normalize_faulty(stripes, faulty)
+            wanted = (
+                [None] * len(stripes)
+                if targets is None
+                else self._per_stripe(len(stripes), targets, "target sets")
+            )
             blocks_list = [_blocks_of(s) for s in stripes]
             results: list[dict[int, np.ndarray]] = [{} for _ in stripes]
 
-            # group stripes by pattern; every stripe resolves its plan through
-            # the cache, so the hit rate reads as "stripes served by a cached
-            # plan" (the first stripe of a new pattern is the one miss)
-            batches: dict[tuple[int, ...], _PatternBatch] = {}
+            # group stripes by (pattern, targets); every stripe resolves its
+            # plan through the cache, so the hit rate reads as "stripes
+            # served by a cached plan" (the first stripe of a new pattern is
+            # the one miss)
+            batches: dict[tuple[tuple[int, ...], ...], _PatternBatch] = {}
             for index, pattern in enumerate(patterns):
                 if not pattern:
                     continue  # intact stripe: nothing to recover
-                plan = self.plans.get(code, pattern, self.policy, verify=verify)
-                batch = batches.get(pattern)
+                plan = self.plans.get(
+                    code, pattern, self.policy, verify=verify, targets=wanted[index]
+                )
+                key = (pattern, plan.targets)
+                batch = batches.get(key)
                 if batch is None:
-                    batch = batches[pattern] = _PatternBatch(pattern, plan)
+                    batch = batches[key] = _PatternBatch(pattern, plan)
                 batch.indices.append(index)
             for batch in batches.values():
+                if self.verify_workers and batch.targets != batch.pattern:
+                    batch.plan = self._checkable(code, batch.plan, verify)
                 batch.fuse(blocks_list)
 
             queue_depth = self._execute(
@@ -504,6 +548,9 @@ class DecodePipeline:
                 if priority == "background":
                     self._background_batches += 1
                 self._patterns += len(batches)
+                for batch in batches.values():
+                    self._blocks_read += len(batch.plan.read_ids) * len(batch.indices)
+                    self._blocks_recovered += len(batch.plan.targets) * len(batch.indices)
                 self._wall += wall
             stats = BatchStats(
                 stripes=len(stripes),
@@ -624,6 +671,38 @@ class DecodePipeline:
         """``(matrix chain, block ids it recovers)`` units of one stage —
         the whole stage; presets may split it finer."""
         return [(stage.arrays, stage.faulty_ids)]
+
+    def _checkable(
+        self, code: ErasureCode, plan: DecodePlan, verify: bool | None
+    ) -> DecodePlan:
+        """``plan`` with its targets widened until every independent
+        stage recovers all the erased blocks its parity rows touch.
+
+        :meth:`_verify_task_results` can only zero a stage's rows with
+        every block in them known, and a stage pruned to single rows
+        leaves its siblings unrecovered.  Widening by whole stages keeps
+        the check (and most of the pruning: a group target pulls in its
+        group, not the pattern).  A whole-pattern plan is already closed.
+        """
+        while True:
+            missing: set[int] = set()
+            for stage in plan.stages:
+                if stage.independent:
+                    touched = code.H.array[list(stage.row_ids)].any(axis=0)
+                    missing.update(
+                        b
+                        for b in plan.faulty_ids
+                        if touched[b] and b not in stage.faulty_ids
+                    )
+            if not missing:
+                return plan
+            plan = self.plans.get(
+                code,
+                plan.faulty_ids,
+                self.policy,
+                verify=verify,
+                targets=plan.targets + tuple(missing),
+            )
 
     def _verify_task_results(
         self,
@@ -843,6 +922,8 @@ class DecodePipeline:
             batches_deferred=self.admission.deferred_batches,
             deferred_seconds=self.admission.deferred_seconds,
             patterns=self._patterns,
+            blocks_read=self._blocks_read,
+            blocks_recovered=self._blocks_recovered,
             wall_seconds=wall,
             mult_xors=mult_xors,
             symbols=symbols,

@@ -109,6 +109,10 @@ class PipelineMetrics:
     ``priority="background"`` submissions (scrub/repair traffic);
     ``batches_deferred`` / ``deferred_seconds`` tally how often and how
     long admission held background work for in-flight foreground reads.
+    ``blocks_read`` / ``blocks_recovered`` sum, over every decoded
+    stripe, the survivor blocks its plan read and the blocks it
+    recovered — their ratio is the served access bandwidth (what target
+    pruning cuts for a one-block degraded read).
 
     Straggler tolerance: ``hedges`` counts speculative resubmissions of
     slow buckets, ``hedge_wins`` how many of those finished before
@@ -124,6 +128,8 @@ class PipelineMetrics:
     batches_deferred: int = 0
     deferred_seconds: float = 0.0
     patterns: int = 0
+    blocks_read: int = 0
+    blocks_recovered: int = 0
     wall_seconds: float = 0.0
     mult_xors: int = 0
     symbols: int = 0
@@ -192,6 +198,8 @@ class PipelineMetrics:
             "deferred_seconds": self.deferred_seconds,
             "patterns": self.patterns,
             "coalesce_factor": self.coalesce_factor,
+            "blocks_read": self.blocks_read,
+            "blocks_recovered": self.blocks_recovered,
             "evictions": self.evictions,
             "wall_seconds": self.wall_seconds,
             "stripes_per_sec": self.stripes_per_sec,
@@ -233,6 +241,8 @@ class PipelineMetrics:
             f"{self.batches_deferred} deferred {self.deferred_seconds:.3f}s)",
             f"coalesce factor      {self.coalesce_factor:.2f} "
             f"({self.stripes} stripes / {self.patterns} pattern sweeps)",
+            f"blocks read          {self.blocks_read} "
+            f"(for {self.blocks_recovered} recovered)",
             f"wall seconds         {self.wall_seconds:.4f}",
             f"stripes/sec          {self.stripes_per_sec:.1f}",
             f"mult_XORs            {self.mult_xors}",

@@ -14,6 +14,13 @@ enters the cache, so hits hand out already-proven plans for free (the
 PR-1 verification layer, amortised the same way planning is).  A
 ``get(..., verify=True)`` on a cache built without it certifies the
 entry once and remembers that it did.
+
+``get(..., targets=...)`` hands out the entry's plan pruned to those
+blocks (:meth:`~repro.core.planner.DecodePlan.for_targets`).  Pruned
+plans are memoised *inside* their pattern's entry — capacity, hits,
+misses and evictions keep counting patterns — and are certified on
+first use exactly like whole ones, so each stays one long-lived object
+the identity-keyed program cache can hold on to.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ class PlanCache:
         self.maxsize = maxsize
         self.verify = verify
         self.stats = CacheStats()
-        # key -> [H (pinned), plan, certified]
+        # key -> [H (pinned), plan, certified, {targets: [pruned plan, certified]}]
         self._entries: OrderedDict[PlanKey, list] = OrderedDict()
         # decode_batch calls arrive concurrently from asyncio.to_thread
         # workers; the OrderedDict reorder + stats tallies need a lock.
@@ -110,11 +117,15 @@ class PlanCache:
         faulty: Sequence[int],
         policy: SequencePolicy = SequencePolicy.PAPER,
         verify: bool | None = None,
+        targets: Sequence[int] | None = None,
     ) -> DecodePlan:
         """Fetch (hit) or build-and-insert (miss) the plan.
 
         ``verify`` overrides the cache-level default for this lookup; a
         plan is certified at most once while it stays cached.
+        ``targets`` (default: every faulty block) selects the plan pruned
+        to those blocks, derived once per entry from the whole-pattern
+        plan; a target outside ``faulty`` raises ``ValueError``.
         """
         h = source.H if isinstance(source, ErasureCode) else source
         key = (id(h), tuple(sorted(set(faulty))), policy)
@@ -132,7 +143,7 @@ class PlanCache:
                 entry = self._entries.get(key)
                 if entry is None:
                     self.stats.misses += 1
-                    entry = self._entries[key] = [h, plan, want_certified]
+                    entry = self._entries[key] = [h, plan, want_certified, {}]
                     while len(self._entries) > self.maxsize:
                         self._entries.popitem(last=False)
                         self.stats.evictions += 1
@@ -142,7 +153,23 @@ class PlanCache:
         if want_certified and not entry[2]:
             self._certify(entry[1], h)
             entry[2] = True
-        return entry[1]
+        if targets is None:
+            return entry[1]
+        wanted = tuple(sorted(set(targets)))
+        if wanted == key[1]:
+            return entry[1]
+        with self._lock:
+            pruned = entry[3].get(wanted)
+        if pruned is None:
+            plan = entry[1].for_targets(wanted)  # row selection, outside the lock
+            if want_certified:
+                self._certify(plan, h)
+            with self._lock:
+                pruned = entry[3].setdefault(wanted, [plan, want_certified])
+        if want_certified and not pruned[1]:
+            self._certify(pruned[0], h)
+            pruned[1] = True
+        return pruned[0]
 
     @staticmethod
     def _certify(plan: DecodePlan, h: GFMatrix) -> None:

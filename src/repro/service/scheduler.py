@@ -12,11 +12,18 @@ traffic instead of offline scripts.  Two triggers race per group:
   oldest request, so a lone read is never held hostage to riders.
 
 Grouping uses the pattern observed *at enqueue*, but the flush
-re-reads each stripe's pattern and snapshots its surviving blocks *at
-flush time* — ``decode_batch`` accepts one pattern per stripe, so a
-double fault arriving while a read is queued simply decodes under the
-wider pattern, and one arriving after the snapshot cannot touch the
-in-flight batch at all.
+snapshots each stripe's surviving blocks *at flush time* and reads the
+pattern off that snapshot — ``decode_batch`` accepts one pattern per
+stripe, so a double fault arriving while a read is queued simply
+decodes under the wider pattern, and one arriving after the snapshot
+cannot touch the in-flight batch at all.  A rider whose block is
+present in its snapshot (healed while queued) is answered from it and
+never enters the batch.
+
+Coalescing is by pattern — one flush, one worker-thread hop — but every
+rider asks the decoder for its own block only (``targets``), so the
+pipeline runs, per rider, just the rows of the pattern's plan that
+recover that block, not the whole rebuild.
 
 The decode itself runs off-loop (``asyncio.to_thread``); the event
 loop only ever does bookkeeping.  Admission control lives here too:
@@ -53,10 +60,15 @@ from .errors import (
 from .metrics import ServiceMetrics
 from .store import BlobStore
 
-#: decode_batch-shaped callable: (blocks_per_stripe, pattern_per_stripe)
-#: -> one {block_id: region} dict per stripe.
+#: decode_batch-shaped callable: (blocks_per_stripe, pattern_per_stripe,
+#: targets_per_stripe) -> one {block_id: region} dict per stripe, holding
+#: (at least) that stripe's targets — the erased blocks its rider wants.
 DecodeBatchFn = Callable[
-    [Sequence[Mapping[int, np.ndarray]], Sequence[tuple[int, ...]]],
+    [
+        Sequence[Mapping[int, np.ndarray]],
+        Sequence[tuple[int, ...]],
+        Sequence[tuple[int, ...]],
+    ],
     "list[dict[int, np.ndarray]]",
 ]
 
@@ -212,14 +224,28 @@ class CoalescingScheduler:
                 continue
             self._metrics.queue_wait.observe(now - read.enqueued_at)
             try:
-                # snapshot + pattern re-read at flush time: double faults
-                # arriving while queued decode under the current pattern
-                snapshots.append(self._store.snapshot_blocks(read.stripe_id))
-                patterns.append(self._store.pattern(read.stripe_id))
+                # snapshot at flush time: double faults arriving while
+                # queued decode under the pattern the snapshot shows
+                blocks = self._store.snapshot_blocks(read.stripe_id)
             except NodeFault as fault:
                 read.future.set_exception(fault)
                 continue
+            if read.block in blocks:
+                # healed (or never erased) by flush time: nothing to decode
+                read.future.set_result(blocks[read.block])
+                continue
+            pattern = self._store.pattern_of(blocks)
+            if read.block not in pattern:
+                # not a block of this code: keep it out of its co-riders' batch
+                read.future.set_exception(
+                    BlockUnavailableError(
+                        f"stripe {read.stripe_id} has no block {read.block}"
+                    )
+                )
+                continue
             live.append(read)
+            snapshots.append(blocks)
+            patterns.append(pattern)
         if not live:
             return
         self._metrics.flushes += 1
@@ -227,7 +253,10 @@ class CoalescingScheduler:
         t0 = loop.time()
         try:
             results = await asyncio.to_thread(
-                self._decode_batch, snapshots, patterns
+                self._decode_batch,
+                snapshots,
+                patterns,
+                [(read.block,) for read in live],
             )
         except Exception as exc:
             self._metrics.batch_errors += 1
@@ -250,16 +279,13 @@ class CoalescingScheduler:
                     read.future.set_exception(wrapped)
             return
         self._metrics.decode.observe(loop.time() - t0)
-        for read, blocks, recovered in zip(live, snapshots, results):
+        for read, recovered in zip(live, results):
             if read.future.done():
                 continue
             if read.block in recovered:
                 # own the result: recovered regions are views into the
                 # fused batch buffer shared by every rider
                 read.future.set_result(np.array(recovered[read.block]))
-            elif read.block in blocks:
-                # healed (or never erased) by flush time: serve the snapshot
-                read.future.set_result(blocks[read.block])
             else:
                 read.future.set_exception(
                     BlockUnavailableError(

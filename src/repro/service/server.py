@@ -105,9 +105,11 @@ class BlobService:
 
     # -- decode plumbing -----------------------------------------------------
 
-    def _decode_batch(self, snapshots, patterns):
+    def _decode_batch(self, snapshots, patterns, targets):
         """Worker-thread hop into the pipeline (scheduler callback)."""
-        return self.pipeline.decode_batch(self.store.code, snapshots, patterns)
+        return self.pipeline.decode_batch(
+            self.store.code, snapshots, patterns, targets=targets
+        )
 
     def _single_decode(self, stripe_id: int, block: int) -> np.ndarray:
         """The independent recovery channel behind a failed batch decode.
@@ -115,19 +117,19 @@ class BlobService:
         A fresh uncompiled single-stripe decode that re-plans every
         call and reads the store fault-free: it shares no plan cache,
         compiled program or worker pool with the batch path that just
-        failed.
+        failed.  Like the batch path it runs only the rows of the plan
+        that recover ``block``.
         """
         blocks = self.store.snapshot_blocks(stripe_id, inject=False)
-        pattern = self.store.pattern(stripe_id)
         if block in blocks:
             return blocks[block]
-        decoder = PPMDecoder(parallel=False, compile=False)
-        recovered = decoder.decode(self.store.code, blocks, pattern)
-        if block not in recovered:
+        pattern = self.store.pattern_of(blocks)
+        if block not in pattern:
             raise BlockUnavailableError(
-                f"stripe {stripe_id} block {block} not recovered"
+                f"stripe {stripe_id} has no block {block}"
             )
-        return recovered[block]
+        decoder = PPMDecoder(parallel=False, compile=False)
+        return decoder.decode(self.store.code, blocks, pattern, targets=(block,))[block]
 
     # -- request API ---------------------------------------------------------
 

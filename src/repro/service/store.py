@@ -245,6 +245,11 @@ class BlobStore:
         """The stripe's *current* erasure pattern (sorted block ids)."""
         return tuple(self.stripe(stripe_id).erased_ids)
 
+    def pattern_of(self, blocks: "dict[int, np.ndarray]") -> tuple[int, ...]:
+        """The erasure pattern a :meth:`snapshot_blocks` mapping shows —
+        the pattern a decode of exactly that snapshot must use."""
+        return tuple(b for b in range(self.code.num_blocks) if b not in blocks)
+
     # -- the read/write path -------------------------------------------------
 
     def read(self, stripe_id: int, block: int) -> np.ndarray:

@@ -10,7 +10,8 @@ paths:
   block (what LRC local parities are designed to make cheap).
 
 Decoding itself is delegated to any object with the
-``decode(code, stripe, faulty) -> dict[block_id, region]`` interface —
+``decode(code, stripe, faulty, targets=...) -> dict[block_id, region]``
+interface (``targets``: the erased blocks wanted back) —
 both :class:`repro.core.TraditionalDecoder` and
 :class:`repro.core.PPMDecoder` satisfy it, which is how the examples
 compare repair strategies on the same failure history.
@@ -30,7 +31,9 @@ from .store import Stripe
 class Decoder(Protocol):
     """Anything that can recover erased blocks of a stripe."""
 
-    def decode(self, code: ErasureCode, stripe: Stripe, faulty) -> dict[int, np.ndarray]:
+    def decode(
+        self, code: ErasureCode, stripe: Stripe, faulty, *, targets=None
+    ) -> dict[int, np.ndarray]:
         ...  # pragma: no cover - protocol
 
 
@@ -133,7 +136,9 @@ class DiskArray:
         stripe = self.stripes[stripe_index]
         if stripe.has(block):
             return stripe.get(block)
-        recovered = decoder.decode(self.code, stripe, stripe.erased_ids)
+        recovered = decoder.decode(
+            self.code, stripe, stripe.erased_ids, targets=(block,)
+        )
         return recovered[block]
 
     # -- verification --------------------------------------------------------------

@@ -12,6 +12,9 @@ just that block — for an LRC that is its local group (group-size reads),
 for RS it is k reads — reproducing the comparison that motivates
 asymmetric parity in the first place (see
 ``examples/degraded_read_lrc.py`` and ``tests/stripes/test_reads.py``).
+With ``pattern=`` it bills the same read while a wider erasure pattern
+is in force — the plan of that pattern pruned to the lost blocks, which
+is what the service runs for one degraded read.
 """
 
 from __future__ import annotations
@@ -59,14 +62,16 @@ def degraded_read_cost(
     code: ErasureCode,
     lost_blocks: Sequence[int],
     policy: SequencePolicy = SequencePolicy.PAPER,
+    pattern: Sequence[int] | None = None,
 ) -> RepairIO:
     """I/O bill for serving a degraded read of ``lost_blocks``.
 
-    Plans the recovery of exactly those blocks (assuming everything else
-    survives) and bills the survivors the plan touches.
+    Plans the recovery of exactly those blocks while ``pattern`` is
+    erased (default: everything but ``lost_blocks`` survives) and bills
+    the survivors the targeted plan touches.
     """
-    plan = plan_decode(code, lost_blocks, policy)
-    return plan_io(code, plan)
+    erased = lost_blocks if pattern is None else pattern
+    return plan_io(code, plan_decode(code, erased, policy, targets=lost_blocks))
 
 
 def compare_degraded_read(codes: dict[str, ErasureCode], lost_block: int = 0) -> dict[str, RepairIO]:

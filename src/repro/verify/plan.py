@@ -18,6 +18,13 @@ single region op runs, against the parity-check matrix alone:
 5. **Cost certification** — the reported C1..C4 equal the ``u(·)``
    nonzero counts recomputed from the certified matrices, and the chosen
    execution mode is what the policy dictates for those costs.
+6. **Pruned plans** (``targets`` fewer than the faulty blocks) — the
+   costs are recounted on the verifier's own pruning of each mode's
+   matrices (:func:`reference_walk`), and the ``stages`` the executors
+   will run are composed symbolically: every block a stage reads must be
+   a survivor or already recovered, every target must come out, and each
+   target's composed row over the true survivors must lie in the row
+   space of ``H`` — i.e. satisfy the parity checks for every codeword.
 
 Checks are structured so a corrupted plan produces a *specific*
 diagnostic naming the offending group/coefficient, not a generic
@@ -25,6 +32,8 @@ failure; the mutation tests in ``tests/verify`` pin this down.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..codes.base import ErasureCode
 from ..matrix import GFMatrix, rank, u
@@ -103,6 +112,130 @@ def _check_inverse(
         )
 
 
+#: One matrix application of a walk: (chain applied in order, ids of the
+#: blocks it reads, ids of the blocks it produces).
+Step = tuple[list[np.ndarray], tuple[int, ...], tuple[int, ...]]
+
+
+def reference_walk(plan, mode) -> list[Step]:
+    """The verifier's own reading of what ``mode`` applies to recover
+    ``plan.targets``, taken from the plan's sub-plans (NOT from
+    ``plan.stages`` or the lowering).
+
+    Matrix-first modes apply one weight matrix per step, normal modes
+    ``S`` then ``F^-1``.  When the targets are fewer than the faulty
+    blocks each step keeps only the rows something downstream reads:
+    last step first, select the wanted output rows, drop the columns
+    left all-zero, and pass the still-read recovered blocks on as wanted.
+    """
+    from ..core.sequences import ExecutionMode  # deferred: avoid core cycle
+
+    matrix_first = mode in (
+        ExecutionMode.TRADITIONAL_MATRIX_FIRST,
+        ExecutionMode.PPM_REST_MATRIX_FIRST,
+    )
+
+    def step(sub, use_weights: bool) -> Step:
+        chain = [sub.weights.array] if use_weights else [sub.s.array, sub.f_inv.array]
+        return chain, tuple(sub.survivor_ids), tuple(sub.faulty_ids)
+
+    if mode in (
+        ExecutionMode.PPM_REST_NORMAL,
+        ExecutionMode.PPM_REST_MATRIX_FIRST,
+    ):
+        steps = [step(group, True) for group in plan.groups]
+        if plan.rest is not None:
+            steps.append(step(plan.rest, matrix_first))
+    else:
+        steps = [step(plan.traditional, matrix_first)]
+    if tuple(plan.targets) == tuple(plan.faulty_ids):
+        return steps
+    wanted = set(plan.targets)
+    pruned: list[Step] = []
+    for chain, src_ids, dst_ids in reversed(steps):
+        keep = np.array([i for i, b in enumerate(dst_ids) if b in wanted], dtype=int)
+        if not keep.size:
+            continue
+        dst_ids = tuple(dst_ids[i] for i in keep)
+        cut = []
+        for matrix in reversed(chain):
+            matrix = matrix[keep]
+            keep = np.flatnonzero(matrix.any(axis=0))
+            cut.append(matrix[:, keep])
+        src_ids = tuple(src_ids[j] for j in keep)
+        wanted.update(src_ids)
+        pruned.append((cut[::-1], src_ids, dst_ids))
+    return pruned[::-1]
+
+
+def _check_pruned_stages(report: VerificationReport, h: GFMatrix, plan) -> None:
+    """Compose ``plan.stages`` over the true survivors and hold every
+    target's row against the parity checks (see the module docstring)."""
+    field = h.field
+    faulty_set = set(plan.faulty_ids)
+    survivors = [b for b in range(h.cols) if b not in faulty_set]
+    column = {b: j for j, b in enumerate(survivors)}
+    # block id -> its value as a coefficient vector over the survivors
+    composed: dict[int, np.ndarray] = {}
+    for si, stage in enumerate(plan.stages):
+        context = f"stage[{si}]"
+        unknown = [
+            b for b in stage.survivor_ids if b not in column and b not in composed
+        ]
+        if unknown:
+            report.add(
+                "plan/pruned-reads-unrecovered",
+                f"stage reads block(s) {unknown} which are neither survivors "
+                "nor recovered by an earlier stage (a stage a target "
+                "depends on was dropped)",
+                context,
+            )
+            return
+        widths = [len(stage.survivor_ids)] + [m.rows for m in stage.matrices]
+        if [m.cols for m in stage.matrices] != widths[:-1] or widths[-1] != len(
+            stage.faulty_ids
+        ):
+            report.add(
+                "plan/pruned-shape",
+                f"matrix chain {[m.shape for m in stage.matrices]} does not map "
+                f"{len(stage.survivor_ids)} read blocks to "
+                f"{len(stage.faulty_ids)} recovered ones",
+                context,
+            )
+            return
+        vectors = field.zeros((len(stage.survivor_ids), len(survivors)))
+        for i, b in enumerate(stage.survivor_ids):
+            if b in column:
+                vectors[i, column[b]] = 1
+            else:
+                vectors[i] = composed[b]
+        value = GFMatrix(field, vectors, copy=False)
+        for matrix in stage.matrices:
+            value = matrix @ value
+        composed.update(zip(stage.faulty_ids, value.array))
+    missing = sorted(set(plan.targets) - set(composed))
+    if missing:
+        report.add(
+            "plan/pruned-coverage",
+            f"target block(s) {missing} are recovered by no stage; the "
+            "read would come back without them",
+        )
+        return
+    h_rank = rank(h)
+    for b in plan.targets:
+        relation = field.zeros((1, h.cols))
+        relation[0, survivors] = composed[b]
+        relation[0, b] = 1
+        if rank(h.vstack(GFMatrix(field, relation, copy=False))) != h_rank:
+            report.add(
+                "plan/pruned-row",
+                f"the stages recover block {b} as a combination of survivors "
+                "that is not implied by H's parity checks (a pruned "
+                "coefficient is corrupt, or a needed column was dropped)",
+                f"target {b}",
+            )
+
+
 def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
     """Statically verify a decode plan against its parity-check matrix.
 
@@ -123,6 +256,18 @@ def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
         report.add(
             "plan/faulty-out-of-range",
             f"faulty block ids {out_of_range} outside H's {h.cols} columns",
+        )
+        return report
+    targets = tuple(plan.targets)
+    if (
+        not targets
+        or not set(targets) <= faulty_set
+        or list(targets) != sorted(set(targets))
+    ):
+        report.add(
+            "plan/targets",
+            f"targets {list(targets)} must be a non-empty sorted subset of "
+            f"the faulty blocks {list(faulty)}",
         )
         return report
 
@@ -279,19 +424,22 @@ def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
             )
 
     # -- cost certification (recomputed u(.) counts) -----------------------
-    trad = plan.traditional
-    group_total = sum(u(g.weights) for g in plan.groups)
+    from ..core.sequences import ExecutionMode  # deferred: avoid core cycle
+
+    if targets != faulty and not report.ok:
+        return report  # the pruned walks derive from the sub-plans just faulted
     expected = {
-        "c1": u(trad.f_inv) + u(trad.s),
-        "c2": u(trad.weights),
-        "c3": group_total
-        + (u(plan.rest.weights) if plan.rest is not None else 0),
-        "c4": group_total
-        + (
-            u(plan.rest.f_inv) + u(plan.rest.s)
-            if plan.rest is not None
-            else 0
-        ),
+        name: sum(
+            int(np.count_nonzero(matrix))
+            for chain, _src, _dst in reference_walk(plan, mode)
+            for matrix in chain
+        )
+        for name, mode in (
+            ("c1", ExecutionMode.TRADITIONAL_NORMAL),
+            ("c2", ExecutionMode.TRADITIONAL_MATRIX_FIRST),
+            ("c3", ExecutionMode.PPM_REST_MATRIX_FIRST),
+            ("c4", ExecutionMode.PPM_REST_NORMAL),
+        )
     }
     for name, want in expected.items():
         got = getattr(plan.costs, name)
@@ -311,6 +459,18 @@ def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
             f"{plan.policy.value} dictates {chosen.value} for costs "
             f"{plan.costs.as_dict()}",
         )
+
+    # -- pruned plans: what the executors will actually run ----------------
+    if targets != faulty:
+        _check_pruned_stages(report, h, plan)
+        staged = sum(u(m) for stage in plan.stages for m in stage.matrices)
+        if staged != plan.costs.cost_of(plan.mode):
+            report.add(
+                "plan/cost-mismatch",
+                f"the stages hold {staged} nonzero coefficients but the plan "
+                f"predicts {plan.costs.cost_of(plan.mode)} mult_XORs",
+                "stages",
+            )
 
     # -- advisory: redundant groups ---------------------------------------
     for gi, group in enumerate(plan.groups):

@@ -16,12 +16,14 @@ is checked *semantically* rather than trusted.
 
 1. **Structure** — the IR invariants (:meth:`RegionProgram.validate`)
    and the field width match.
-2. **I/O contract** — the program reads exactly the plan's true
-   survivors and writes exactly ``plan.faulty_ids`` in order.
+2. **I/O contract** — the program reads only true survivors, every one
+   the plan's targets need, and writes exactly ``plan.targets`` in
+   order (all of ``plan.faulty_ids`` unless the plan is pruned).
 3. **Transfer equality** — ``T`` equals the matrix the plan's own
-   stages dictate (group weights feeding the rest stage, or the
-   traditional ``W`` / ``F^-1 S`` per the execution mode), recomputed
-   here from the plan's matrices without consulting the lowering.
+   sub-plans dictate (group weights feeding the rest stage, or the
+   traditional ``W`` / ``F^-1 S`` per the execution mode, cut down to
+   the targets by the verifier's own pruning), recomputed here from
+   the plan's matrices without consulting the lowering.
 4. **Op accounting** — the program's *model* counts
    (``mult_xors`` / ``xor_only``) equal the nonzero/one coefficient
    counts of the applied matrices, so a compiled decode books exactly
@@ -34,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..gf.field import GF
+from ..matrix import GFMatrix
 from ..kernels import (
     OP_COPY,
     OP_MUL,
@@ -44,6 +47,7 @@ from ..kernels import (
     RegionProgram,
 )
 from .findings import ProgramVerificationError, VerificationReport
+from .plan import reference_walk
 
 
 def transfer_matrix(program: RegionProgram, field: GF) -> np.ndarray:
@@ -80,94 +84,33 @@ def transfer_matrix(program: RegionProgram, field: GF) -> np.ndarray:
     return out
 
 
-def _plan_stages(plan) -> list[tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]]:
-    """The plan's matrix applications as ``(matrix, src_ids, dst_ids)``.
-
-    Mirrors the execution-mode semantics (NOT the lowering): matrix-first
-    modes apply one combined weight matrix, normal modes apply ``S`` then
-    ``F^-1`` — whose product over the field is the same transfer, so the
-    two are folded here with a GF matrix product.
-    """
-    from ..core.sequences import ExecutionMode  # deferred: avoid core cycle
-
-    matrix_first = plan.mode in (
-        ExecutionMode.TRADITIONAL_MATRIX_FIRST,
-        ExecutionMode.PPM_REST_MATRIX_FIRST,
-    )
-
-    def combined(sub) -> np.ndarray:
-        if matrix_first:
-            return sub.weights.array
-        return (sub.f_inv @ sub.s).array
-
-    stages = []
-    if plan.uses_partition:
-        for group in plan.groups:
-            stages.append(
-                (group.weights.array, group.survivor_ids, group.faulty_ids)
-            )
-        if plan.rest is not None:
-            stages.append(
-                (combined(plan.rest), plan.rest.survivor_ids, plan.rest.faulty_ids)
-            )
-    else:
-        tp = plan.traditional
-        stages.append((combined(tp), tp.survivor_ids, tp.faulty_ids))
-    return stages
-
-
 def expected_transfer(field: GF, plan, input_ids: tuple[int, ...]) -> np.ndarray:
-    """The transfer matrix the plan's stages dictate over ``input_ids``."""
-    n = len(input_ids)
-    vec_of: dict[int, np.ndarray] = {}
-    for j, block_id in enumerate(input_ids):
-        vec = np.zeros(n, dtype=field.dtype)
-        vec[j] = 1
-        vec_of[block_id] = vec
-    for matrix, src_ids, dst_ids in _plan_stages(plan):
-        outs = []
-        for i in range(matrix.shape[0]):
-            acc = np.zeros(n, dtype=field.dtype)
-            for j, block_id in enumerate(src_ids):
-                c = int(matrix[i, j])
-                if c:
-                    acc = acc ^ field.mul(field.dtype.type(c), vec_of[block_id])
-            outs.append(acc)
-        for block_id, vec in zip(dst_ids, outs):
-            vec_of[block_id] = vec
-    expected = np.zeros((len(plan.faulty_ids), n), dtype=field.dtype)
-    for i, block_id in enumerate(plan.faulty_ids):
-        expected[i] = vec_of[block_id]
-    return expected
+    """The transfer matrix the plan dictates for its targets over
+    ``input_ids``.
+
+    Composed from :func:`~repro.verify.plan.reference_walk` — the plan's
+    sub-plans read per execution mode, never its ``stages`` or the
+    lowering.  A normal-sequence chain (``S`` then ``F^-1``) folds into
+    the same linear map as its product, so chains are simply applied in
+    order.
+    """
+    vec_of: dict[int, np.ndarray] = dict(zip(input_ids, field.eye(len(input_ids))))
+    for chain, src_ids, dst_ids in reference_walk(plan, plan.mode):
+        value = GFMatrix(field, np.stack([vec_of[b] for b in src_ids]), copy=False)
+        for matrix in chain:
+            value = GFMatrix(field, matrix, copy=False) @ value
+        vec_of.update(zip(dst_ids, value.array))
+    return np.stack([vec_of[b] for b in plan.targets])
 
 
-def _expected_model_counts(plan) -> tuple[int, int]:
+def _expected_model_counts(walk) -> tuple[int, int]:
     """(mult_xors, xor_only) the applied matrices dictate, per mode.
 
     The model counts every nonzero coefficient of every applied matrix —
     for normal modes that is ``S`` and ``F^-1`` *separately* (the
     interpreted path applies them as two sweeps), not their product.
     """
-    from ..core.sequences import ExecutionMode  # deferred: avoid core cycle
-
-    matrix_first = plan.mode in (
-        ExecutionMode.TRADITIONAL_MATRIX_FIRST,
-        ExecutionMode.PPM_REST_MATRIX_FIRST,
-    )
-
-    def applied(sub, use_weights: bool) -> list[np.ndarray]:
-        if use_weights:
-            return [sub.weights.array]
-        return [sub.s.array, sub.f_inv.array]
-
-    mats: list[np.ndarray] = []
-    if plan.uses_partition:
-        for group in plan.groups:
-            mats.extend(applied(group, use_weights=True))
-        if plan.rest is not None:
-            mats.extend(applied(plan.rest, use_weights=matrix_first))
-    else:
-        mats.extend(applied(plan.traditional, use_weights=matrix_first))
+    mats = [m for chain, _src, _dst in walk for m in chain]
     mult_xors = sum(int(np.count_nonzero(m)) for m in mats)
     xor_only = sum(int(np.count_nonzero(m == 1)) for m in mats)
     return mult_xors, xor_only
@@ -179,7 +122,8 @@ def verify_plan_program(
     """Certify a compiled plan program against the plan it came from."""
     program = plan_program.program
     report = VerificationReport(
-        subject=f"PlanProgram(faulty={list(plan.faulty_ids)}, mode={plan.mode.value})"
+        subject=f"PlanProgram(targets={list(plan.targets)} of "
+        f"faulty={list(plan.faulty_ids)}, mode={plan.mode.value})"
     )
 
     if program.w != field.w:
@@ -199,11 +143,11 @@ def verify_plan_program(
 
     # -- I/O contract ------------------------------------------------------
     faulty_set = set(plan.faulty_ids)
-    if plan_program.output_ids != tuple(plan.faulty_ids):
+    if plan_program.output_ids != tuple(plan.targets):
         report.add(
             "program/io-outputs",
             f"program outputs blocks {list(plan_program.output_ids)} but the "
-            f"plan recovers {list(plan.faulty_ids)}",
+            f"plan recovers {list(plan.targets)}",
         )
     overlap = sorted(set(plan_program.input_ids) & faulty_set)
     if overlap:
@@ -217,6 +161,15 @@ def verify_plan_program(
             "program/io-inputs",
             f"{len(plan_program.input_ids)} input ids for a program with "
             f"{program.num_inputs} input slots",
+        )
+    walk = reference_walk(plan, plan.mode)
+    needed = {b for _chain, src_ids, _dst in walk for b in src_ids} - faulty_set
+    unread = sorted(needed - set(plan_program.input_ids))
+    if unread:
+        report.add(
+            "program/io-inputs",
+            f"program does not read survivor block(s) {unread} the plan's "
+            "targets depend on",
         )
     if report.findings:
         return report
@@ -244,7 +197,7 @@ def verify_plan_program(
         )
 
     # -- op accounting -----------------------------------------------------
-    want_mult, want_xor = _expected_model_counts(plan)
+    want_mult, want_xor = _expected_model_counts(walk)
     if program.mult_xors != want_mult:
         report.add(
             "program/op-count",

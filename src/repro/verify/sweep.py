@@ -6,11 +6,13 @@ decodable tolerance, builds the decode plan for each, and runs the
 static plan verifier on it; it then lowers each verified plan to a
 compiled :class:`~repro.kernels.RegionProgram` and certifies the
 program's GF(2^w) transfer matrix and model op counts against the plan
-(:mod:`repro.verify.program`); optionally it also expands the
-traditional decode matrix to a bit-matrix, builds both the naive and
-pair-reuse XOR schedules, and runs the schedule verifier.  Everything is
-symbolic — no stripe data is ever allocated — so a full sweep is fast
-enough for CI.
+(:mod:`repro.verify.program`); every scenario's plan is also pruned to
+each single erased block and to one random multi-block subset (the
+plans a targeted degraded read runs) and those go through the same
+checks; optionally it also expands the traditional decode matrix to a
+bit-matrix, builds both the naive and pair-reuse XOR schedules, and runs
+the schedule verifier.  Everything is symbolic — no stripe data is ever
+allocated — so a full sweep is fast enough for CI.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ class SweepResult:
     skipped_undecodable: int = 0
     schedules: int = 0
     programs: int = 0
+    pruned_plans: int = 0
     encode_programs: int = 0
     backend_checks: int = 0
     report: VerificationReport = field(
@@ -76,6 +79,7 @@ class SweepResult:
             extras += f", {self.backend_checks} backend check(s)"
         return (
             f"{self.code}: {self.scenarios} scenario(s) verified, "
+            f"{self.pruned_plans} pruned plan(s), "
             f"{self.schedules} schedule(s), {self.programs} compiled "
             f"program(s){extras}, "
             f"{self.skipped_undecodable} undecodable draw(s) skipped -> {status}"
@@ -181,10 +185,47 @@ def sweep_code(
     result = SweepResult(code=code.describe())
     result.report.subject = f"sweep of {code.kind}"
     scheduled = 0
+    # its own stream, so the scenarios drawn do not depend on the targets
+    target_rng = np.random.default_rng([seed, 0x7A26E7])
+
+    def certify(plan, label: str) -> None:
+        """Plan verifier, then the compiled program against the plan."""
+        sub = verify_plan(plan, code)
+        if sub.findings:
+            sub.subject = label
+            result.report.merge(sub)
+        if not (check_programs and sub.ok):
+            return
+        # lower the verified plan and certify the compiled program
+        compiled = lower_plan(code.field, plan)
+        sub = verify_plan_program(compiled, code.field, plan)
+        if sub.findings:
+            sub.subject = f"program {label}"
+            result.report.merge(sub)
+        # strict static dataflow: liveness audits (dead stores,
+        # unreachable slots, pool slack) on top of the cheap
+        # admission checks lower_plan already ran
+        sub = analyze_program(compiled.program, strict=True)
+        if sub.findings:
+            sub.subject = f"dataflow {label}"
+            result.report.merge(sub)
+        if check_backends:
+            result.backend_checks += _certify_backends(
+                code.field, compiled.program, result.report, label, seed
+            )
+        result.programs += 1
+
     for faulty in iter_scenarios(code, samples, seed, max_faults):
         if not is_decodable(code, faulty):
             result.skipped_undecodable += 1
             continue
+        # what a targeted read of this scenario asks for: each erased
+        # block alone, and one random strict multi-block subset
+        target_sets = [(b,) for b in faulty] if len(faulty) > 1 else []
+        if len(faulty) > 2:
+            size = int(target_rng.integers(2, len(faulty)))
+            picks = target_rng.choice(len(faulty), size=size, replace=False)
+            target_sets.append(tuple(sorted(faulty[int(i)] for i in picks)))
         for policy in policies:
             try:
                 plan = plan_decode(code, faulty, policy=policy)
@@ -196,37 +237,11 @@ def sweep_code(
                     f"faulty={list(faulty)}",
                 )
                 continue
-            sub = verify_plan(plan, code)
-            if sub.findings:
-                sub.subject = f"faulty={list(faulty)} policy={policy.value}"
-                result.report.merge(sub)
-            if check_programs and sub.ok:
-                # lower the verified plan and certify the compiled program
-                compiled = lower_plan(code.field, plan)
-                sub = verify_plan_program(compiled, code.field, plan)
-                if sub.findings:
-                    sub.subject = (
-                        f"program faulty={list(faulty)} policy={policy.value}"
-                    )
-                    result.report.merge(sub)
-                # strict static dataflow: liveness audits (dead stores,
-                # unreachable slots, pool slack) on top of the cheap
-                # admission checks lower_plan already ran
-                sub = analyze_program(compiled.program, strict=True)
-                if sub.findings:
-                    sub.subject = (
-                        f"dataflow faulty={list(faulty)} policy={policy.value}"
-                    )
-                    result.report.merge(sub)
-                if check_backends:
-                    result.backend_checks += _certify_backends(
-                        code.field,
-                        compiled.program,
-                        result.report,
-                        f"faulty={list(faulty)} policy={policy.value}",
-                        seed,
-                    )
-                result.programs += 1
+            label = f"faulty={list(faulty)} policy={policy.value}"
+            certify(plan, label)
+            for targets in target_sets:
+                certify(plan.for_targets(targets), f"targets={list(targets)} {label}")
+                result.pruned_plans += 1
         result.scenarios += 1
         if check_schedules and scheduled < 2:
             # expand the traditional decode matrix and certify both

@@ -27,3 +27,15 @@ def test_degraded_read_lrc_cheapest():
     assert by_code["LRC(12,4,2)"] < by_code["RS(16,12)"]
     assert by_code["LRC(12,4,2)"] < by_code["SD(14,16,2,2) row"]
 
+
+
+def test_degraded_read_worst_case_rows():
+    """The benchmark pattern's three rows: whole pattern / group block /
+    H_rest block, with the access-bandwidth bound cited, not built."""
+    report = run_extra("degraded-read-io")
+    rows = {row[0]: row[1:] for row in report.rows}
+    assert rows["SD(10,8,2,2) worst: whole pattern"] == (62, 8, 292)
+    assert rows["SD(10,8,2,2) worst: group block"] == (8, 8, 8)
+    assert rows["SD(10,8,2,2) worst: H_rest block"] == (62, 8, 62)
+    assert any("mean 19.9" in note for note in report.notes)
+    assert any("(K+2,K,2)" in note and "not built" in note for note in report.notes)

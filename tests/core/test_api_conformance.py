@@ -11,7 +11,8 @@ The redesign's contract, checked uniformly across the presets:
 - every decoder *is* the pipeline engine (a preset or narrow override
   of :class:`repro.pipeline.DecodePipeline`), and a differential oracle
   — a test-local interpreted ``RegionOps`` walk of ``plan.stages`` —
-  agrees with each of them bit for bit and op for op.
+  agrees with each of them bit for bit and op for op, for the whole
+  pattern and for every kind of ``targets=`` subset of it.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def interpreted_walk(plan, blocks, ops):
         for matrix in stage.arrays:
             regions = ops.matrix_apply(matrix, regions)
         known.update(zip(stage.faulty_ids, regions))
-    return {b: known[b] for b in plan.faulty_ids}
+    return {b: known[b] for b in plan.targets}
 
 
 def documented_mult_xors(kind, plan, field) -> int:
@@ -99,23 +100,71 @@ def documented_mult_xors(kind, plan, field) -> int:
     return plan.predicted_cost
 
 
-@pytest.mark.parametrize("kind", sorted(DECODERS))
-def test_differential_oracle(setup, kind):
-    code, faulty, stripe, _truth = setup
+def check_against_oracle(setup, kind, decoder, targets=None):
+    code, faulty, stripe, truth = setup
     blocks = {b: stripe.get(b) for b in stripe.present_ids}
-    decoder = make(kind)
     try:
-        recovered, stats = decoder.decode(code, blocks, faulty, return_stats=True)
+        recovered, stats = decoder.decode(
+            code, blocks, faulty, targets=targets, return_stats=True
+        )
         expected_ops = documented_mult_xors(kind, stats.plan, code.field)
     finally:
         close(decoder)
     oracle_ops = RegionOps(code.field)
     oracle = interpreted_walk(stats.plan, blocks, oracle_ops)
-    assert sorted(recovered) == sorted(oracle)
+    assert sorted(recovered) == sorted(oracle) == sorted(targets or faulty)
     for b in oracle:
         assert np.array_equal(recovered[b], oracle[b]), (kind, b)
+        assert np.array_equal(recovered[b], truth.get(b)), (kind, b)
     assert oracle_ops.counter.mult_xors == stats.plan.predicted_cost
     assert stats.mult_xors == expected_ops
+    return stats
+
+
+@pytest.mark.parametrize("kind", sorted(DECODERS))
+def test_differential_oracle(setup, kind):
+    check_against_oracle(setup, kind, make(kind))
+
+
+#: the oracle's target sets, as positions in the fixture's sorted pattern
+#: (two whole disks + two sectors of SD(6,6,2,2)): one block of a group,
+#: one block only H_rest recovers, a mix of both, and the whole pattern
+TARGET_SHAPES = {
+    "group_block": lambda code, faulty, plan: plan.groups[0].faulty_ids[:1],
+    "rest_block": lambda code, faulty, plan: plan.rest.faulty_ids[-1:],
+    "mixed": lambda code, faulty, plan: (
+        plan.groups[0].faulty_ids[0],
+        plan.groups[-1].faulty_ids[-1],
+        plan.rest.faulty_ids[0],
+    ),
+    "all": lambda code, faulty, plan: tuple(faulty),
+}
+
+#: the engine on every pool kind, beside the five presets
+POOLED = {
+    **DECODERS,
+    "pipeline_thread": (DecodePipeline, {"workers": 2, "pool": "thread"}),
+    "pipeline_process": (DecodePipeline, {"workers": 2, "pool": "process"}),
+}
+
+
+@pytest.mark.parametrize("compile", [True, False], ids=["compiled", "interpreted"])
+@pytest.mark.parametrize("shape", sorted(TARGET_SHAPES))
+@pytest.mark.parametrize("kind", sorted(POOLED))
+def test_differential_oracle_over_targets(setup, kind, shape, compile):
+    from repro.core import plan_decode
+
+    code, faulty, _stripe, _truth = setup
+    cls, params = POOLED[kind]
+    decoder = cls(**params, compile=compile)
+    whole = plan_decode(code, faulty, decoder.policy)
+    targets = tuple(sorted(TARGET_SHAPES[shape](code, faulty, whole)))
+    stats = check_against_oracle(setup, kind, decoder, targets)
+    assert stats.plan.targets == targets
+    assert stats.plan.faulty_ids == tuple(faulty)
+    if shape != "all":
+        assert stats.plan.predicted_cost < whole.predicted_cost
+        assert set(stats.plan.read_ids) <= set(whole.read_ids)
 
 
 @pytest.mark.parametrize("cls", [cls for cls, _ in DECODERS.values()])

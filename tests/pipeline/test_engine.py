@@ -348,3 +348,72 @@ def test_one_stripe_batch_views_its_inputs(code, faulty):
     assert_results_equal(reference_decode(code, [stripe], faulty), [got])
     for b, region in blocks.items():
         assert np.array_equal(region, before[b])
+
+
+# -- targets: a read runs the rows of the plan that recover it ---------------
+
+
+@pytest.mark.parametrize("pool", ["serial", "thread", "process"])
+def test_targets_fuse_per_pattern_and_target_set(code, faulty, pool):
+    stripes = make_stripes(code, 5)
+    expected = reference_decode(code, stripes, faulty)
+    group_block, rest_block = faulty[0], faulty[-1]
+    wanted = [[group_block], [rest_block], [group_block], faulty, [rest_block, group_block]]
+    with DecodePipeline(workers=2, pool=pool) as pipe:
+        got, stats = pipe.decode_batch(
+            code, stripes, faulty, targets=wanted, return_stats=True
+        )
+        plans = [pipe.plan(code, faulty, targets=t) for t in wanted]
+        metrics = pipe.metrics()
+    for exp, out, targets in zip(expected, got, wanted):
+        assert sorted(out) == sorted(targets)  # the targets and nothing else
+        for b in targets:
+            assert np.array_equal(out[b], exp[b])
+    assert stats.patterns == 4  # stripes 0 and 2 fused; one pattern otherwise
+    assert stats.plan_misses == 1 and stats.plan_hits == 4
+    assert plans[0] is plans[2]
+    # a fused batch applies its plan once, whatever its stripe count
+    assert stats.mult_xors == sum(plan.predicted_cost for plan in plans[:2] + plans[3:])
+    assert plans[0].predicted_cost < plans[3].predicted_cost
+    assert metrics.blocks_recovered == sum(len(t) for t in wanted)
+    assert metrics.blocks_read == sum(len(plan.read_ids) for plan in plans)
+    assert metrics.as_dict()["blocks_read"] == metrics.blocks_read
+
+
+def test_one_target_set_applies_to_every_stripe(code, faulty):
+    stripes = make_stripes(code, 3)
+    expected = reference_decode(code, stripes, faulty)
+    with DecodePipeline(pool="serial") as pipe:
+        got, stats = pipe.decode_batch(
+            code, stripes, faulty, targets=faulty[:1], return_stats=True
+        )
+    assert stats.patterns == 1
+    assert [list(out) for out in got] == [faulty[:1]] * 3
+    assert_results_equal([{faulty[0]: exp[faulty[0]]} for exp in expected], got)
+
+
+def test_target_set_count_and_membership_are_checked(code, faulty):
+    stripes = make_stripes(code, 2)
+    stray = next(b for b in range(code.num_blocks) if b not in faulty)
+    with DecodePipeline(pool="serial") as pipe:
+        with pytest.raises(ValueError, match="target sets"):
+            pipe.decode_batch(code, stripes, faulty, targets=[[faulty[0]]])
+        with pytest.raises(ValueError, match="not in the erasure pattern"):
+            pipe.decode_batch(code, stripes, faulty, targets=[stray])
+
+
+def test_degraded_read_runs_only_the_targeted_plan(code, faulty):
+    """``DiskArray.degraded_read`` asks for its one block: the counted
+    work is that block's row of the plan, not the whole rebuild."""
+    array = DiskArray(code, num_stripes=1, sector_symbols=16, rng=3)
+    TraditionalDecoder().encode_into(code, array.stripes[0])
+    truth = array.stripes[0].copy()
+    array.stripes[0].erase(faulty)
+    counter = OpCounter()
+    with DecodePipeline(pool="serial", counter=counter) as pipe:
+        block = faulty[0]
+        got = array.degraded_read(pipe, 0, block)
+        targeted = pipe.plan(code, faulty, targets=[block])
+        whole = pipe.plan(code, faulty)
+    assert np.array_equal(got, truth.get(block))
+    assert counter.mult_xors == targeted.predicted_cost < whole.predicted_cost

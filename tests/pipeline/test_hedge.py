@@ -224,3 +224,37 @@ def test_hedge_after_needs_min_samples():
     tracker.observe("k", 0.01)
     trigger = tracker.hedge_after("k", percentile=0.95, factor=2.0, min_samples=8)
     assert trigger == pytest.approx(0.02)
+
+
+def test_verify_workers_still_checks_targeted_reads(workload):
+    """A pruned stage's rows touch erased blocks it does not recover, so
+    the syndrome check widens the targets by whole stages instead of
+    being skipped: corrupt worker output is still caught, and the caller
+    still gets only what it asked for."""
+    code, stripes, faulty, expected = workload
+    faults = FaultInjector(rate=0.0, rng=3, corrupt_worker_rate=0.99)
+    with DecodePipeline(
+        workers=2, pool="thread", verify_workers=True, faults=faults
+    ) as pipe:
+        whole = pipe.plan(code, faulty)
+        for block in faulty:
+            out, stats = pipe.decode(
+                code, stripes[0], faulty, targets=[block], return_stats=True
+            )
+            assert list(out) == [block]
+            assert np.array_equal(out[block], expected[0][block]), block
+            # every independent stage that ran closes over its rows' blocks
+            for stage in stats.plan.stages:
+                if stage.independent:
+                    touched = code.H.array[list(stage.row_ids)].any(axis=0)
+                    assert {b for b in faulty if touched[b]} <= set(stage.faulty_ids)
+        metrics = pipe.metrics()
+        group_block = whole.groups[0].faulty_ids[0]
+        _, stats = pipe.decode(
+            code, stripes[0], faulty, targets=[group_block], return_stats=True
+        )
+    assert faults.corrupt_injected >= len(faulty)
+    assert metrics.verify_rejects == faults.corrupt_injected - 1  # the last decode
+    # stage granularity: a group target ran its group, not the pattern
+    assert stats.plan.targets == whole.groups[0].faulty_ids
+    assert stats.plan.predicted_cost < whole.predicted_cost

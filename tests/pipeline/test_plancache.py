@@ -118,3 +118,60 @@ def test_stats_as_dict(code, faulty):
 def test_key_of_matches_get(code, faulty):
     key = PlanCache.key_of(code, faulty, SequencePolicy.PAPER)
     assert key == (id(code.H), tuple(sorted(set(faulty))), SequencePolicy.PAPER)
+
+
+# -- targets: pruned plans live inside their pattern's entry -----------------
+
+
+def test_pruned_plans_are_memoised_inside_the_pattern_entry(code, faulty):
+    cache = PlanCache(maxsize=1)
+    whole = cache.get(code, faulty)
+    one = cache.get(code, faulty, targets=[faulty[0]])
+    assert one is cache.get(code, faulty, targets=(faulty[0],))  # one object
+    assert one is not whole and one.targets == (min(faulty),)
+    assert one == whole.for_targets([faulty[0]])
+    other = cache.get(code, faulty, targets=faulty[-2:])
+    assert other.targets == tuple(sorted(faulty[-2:]))
+    # every target of the pattern is the whole plan itself
+    assert cache.get(code, faulty, targets=reversed(faulty)) is whole
+    # capacity and the counters keep counting patterns, not target sets
+    assert len(cache) == 1
+    assert cache.stats.misses == 1 and cache.stats.evictions == 0
+    assert cache.stats.hits == 4
+    # evicting the pattern drops its pruned plans with it
+    cache.get(code, faulty[:2])
+    assert cache.stats.evictions == 1
+    assert cache.get(code, faulty, targets=[faulty[0]]) is not one
+
+
+def test_target_outside_the_pattern_is_a_value_error(code, faulty):
+    cache = PlanCache()
+    stray = next(b for b in range(code.num_blocks) if b not in faulty)
+    with pytest.raises(ValueError, match="not in the erasure pattern"):
+        cache.get(code, faulty, targets=[faulty[0], stray])
+    with pytest.raises(ValueError, match="no target blocks"):
+        cache.get(code, faulty, targets=[])
+    with pytest.raises(ValueError, match="not in the erasure pattern"):
+        plan_decode(code, faulty, targets=[stray])
+
+
+def test_verify_certifies_each_pruned_plan_once(code, faulty, monkeypatch):
+    certified = []
+    real = PlanCache._certify
+    monkeypatch.setattr(
+        PlanCache,
+        "_certify",
+        staticmethod(lambda plan, h: (certified.append(plan.targets), real(plan, h))),
+    )
+    cache = PlanCache(verify=True)
+    target = (min(faulty),)
+    cache.get(code, faulty, targets=target)
+    cache.get(code, faulty, targets=target)
+    assert certified == [tuple(sorted(faulty)), target]
+    # a cache built without verification certifies on demand, once
+    lazy = PlanCache()
+    lazy.get(code, faulty, targets=target)
+    assert len(certified) == 2
+    lazy.get(code, faulty, targets=target, verify=True)
+    lazy.get(code, faulty, targets=target, verify=True)
+    assert certified[2:] == [tuple(sorted(faulty)), target]

@@ -335,3 +335,29 @@ def test_straggler_timeout_is_transient_not_unrepairable(code):
     run(main())
     assert not store.stripe(0).erased_ids
     assert store_matches_truth(store)
+
+
+def test_repair_still_writes_back_every_erased_block(code):
+    """Repair is a rebuild, not a read: it never passes ``targets``, so a
+    stripe leaves the queue with *all* of its erased blocks restored —
+    and the pipeline's counters show whole-pattern plans only."""
+    store = make_store(code, num_stripes=3)
+    patterns = {sid: store.pattern(sid) for sid in store.stripe_ids}
+    assert all(len(pattern) > 1 for pattern in patterns.values())
+    manager, pipeline = make_manager(store)
+
+    async def main():
+        with pipeline:
+            await manager.tick()
+            return await manager.wait_healthy(timeout_s=10.0)
+
+    assert run(main())
+    assert not any(store.stripe(sid).erased_ids for sid in store.stripe_ids)
+    assert store_matches_truth(store)
+    erased = sum(len(pattern) for pattern in patterns.values())
+    assert manager.metrics.blocks_repaired == erased
+    metrics = pipeline.metrics()
+    assert metrics.blocks_recovered == erased
+    whole = pipeline.plan(code, patterns[0])
+    assert whole.targets == patterns[0]
+    assert metrics.blocks_read == len(whole.read_ids) * len(patterns)

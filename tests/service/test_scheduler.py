@@ -19,15 +19,19 @@ from repro.service.errors import (
 from .conftest import make_store
 
 
-def make_scheduler(code, store, config, decode=None):
+def make_scheduler(code, store, config, decode=None, calls=None):
+    """``calls``, when given, collects every (patterns, targets)
+    submission the default decode stub receives."""
     metrics = ServiceMetrics()
     if decode is None:
         decoder = PPMDecoder(parallel=False, compile=False)
 
-        def decode(snapshots, patterns):
+        def decode(snapshots, patterns, targets):
+            if calls is not None:
+                calls.append((list(patterns), list(targets)))
             return [
-                decoder.decode(code, blocks, pattern)
-                for blocks, pattern in zip(snapshots, patterns)
+                decoder.decode(code, blocks, pattern, targets=wanted)
+                for blocks, pattern, wanted in zip(snapshots, patterns, targets)
             ]
 
     return CoalescingScheduler(store, decode, config, metrics), metrics
@@ -181,7 +185,7 @@ def test_batch_decode_error_wraps_and_hits_every_rider(code):
     block = store.pattern(0)[0]
     config = ServiceConfig(batch_trigger=2, flush_interval_s=10.0)
 
-    def broken(snapshots, patterns):
+    def broken(snapshots, patterns, targets):
         raise ValueError("poisoned batch plan")
 
     scheduler, metrics = make_scheduler(code, store, config, decode=broken)
@@ -208,7 +212,7 @@ def test_infrastructure_error_is_not_wrapped_as_decode_failure(code):
     block = store.pattern(0)[0]
     config = ServiceConfig(batch_trigger=2, flush_interval_s=10.0)
 
-    def dying_pool(snapshots, patterns):
+    def dying_pool(snapshots, patterns, targets):
         raise RuntimeError("cannot schedule new futures after shutdown")
 
     scheduler, metrics = make_scheduler(code, store, config, decode=dying_pool)
@@ -234,7 +238,7 @@ def test_decode_error_with_single_decode_falls_back_per_rider(code):
     block = store.pattern(0)[0]
     config = ServiceConfig(batch_trigger=2, flush_interval_s=10.0)
 
-    def broken(snapshots, patterns):
+    def broken(snapshots, patterns, targets):
         raise ValueError("poisoned batch plan")
 
     metrics = ServiceMetrics()
@@ -320,3 +324,98 @@ def test_straggler_timeout_classified_as_decode_error():
 
     assert _is_decode_error(StragglerTimeout(0.5, (0,), (1,)))
     assert not _is_decode_error(RuntimeError("pool closed"))
+
+
+# -- flush hygiene: targets per rider, healed riders, stray block ids -------
+
+
+def test_flush_asks_for_each_riders_own_block(code):
+    """One flush, one submission — and per rider exactly its block."""
+    store = make_store(code, num_stripes=3)
+    pattern = store.pattern(0)
+    calls: list = []
+    config = ServiceConfig(batch_trigger=3, flush_interval_s=10.0)
+    scheduler, metrics = make_scheduler(code, store, config, calls=calls)
+    wanted = [pattern[0], pattern[-1], pattern[1]]
+
+    async def main():
+        results = await asyncio.gather(
+            *(scheduler.submit(sid, block) for sid, block in enumerate(wanted))
+        )
+        await scheduler.close()
+        return results
+
+    results = asyncio.run(main())
+    assert calls == [([pattern] * 3, [(b,) for b in wanted])]
+    assert metrics.flushes == 1 and metrics.coalesce_factor == pytest.approx(3.0)
+    for sid, (block, region) in enumerate(zip(wanted, results)):
+        assert store.verify_block(sid, block, region)
+
+
+def test_healed_rider_is_served_from_the_snapshot_and_never_decoded(code):
+    """A block repaired while its read was queued comes from the flush
+    snapshot; its stripe — still erased elsewhere — is not submitted."""
+    store = make_store(code, num_stripes=2)
+    pattern = store.pattern(0)
+    block = pattern[0]
+    calls: list = []
+    config = ServiceConfig(batch_trigger=100, flush_interval_s=10.0)
+    scheduler, metrics = make_scheduler(code, store, config, calls=calls)
+
+    async def main():
+        tasks = [asyncio.create_task(scheduler.submit(sid, block)) for sid in range(2)]
+        await asyncio.sleep(0)
+        # heal stripe 0's block only: the rest of its pattern stays erased
+        store.repair(0, {block: store.truth(0).get(block)})
+        await scheduler.drain()
+        return await asyncio.gather(*tasks)
+
+    healed, decoded = asyncio.run(main())
+    assert store.verify_block(0, block, healed)
+    assert store.verify_block(1, block, decoded)
+    assert store.pattern(0) == pattern[1:]  # still erased elsewhere
+    # the mixed batch submitted stripe 1 alone
+    assert calls == [([pattern], [(block,)])]
+    assert metrics.flushes == 1 and metrics.flushed_reads == 1
+
+
+def test_all_riders_healed_submits_nothing(code):
+    store = make_store(code, num_stripes=1)
+    block = store.pattern(0)[0]
+    calls: list = []
+    config = ServiceConfig(batch_trigger=100, flush_interval_s=10.0)
+    scheduler, metrics = make_scheduler(code, store, config, calls=calls)
+
+    async def main():
+        task = asyncio.create_task(scheduler.submit(0, block))
+        await asyncio.sleep(0)
+        store.repair(0, {block: store.truth(0).get(block)})
+        await scheduler.drain()
+        return await task
+
+    assert store.verify_block(0, block, asyncio.run(main()))
+    assert calls == [] and metrics.flushes == 0
+
+
+def test_stray_block_id_fails_alone(code):
+    """A block id the code does not have must not poison its co-riders'
+    batch (it is no target of their pattern)."""
+    from repro.service.errors import BlockUnavailableError
+
+    store = make_store(code, num_stripes=2)
+    block = store.pattern(0)[0]
+    calls: list = []
+    config = ServiceConfig(batch_trigger=2, flush_interval_s=10.0)
+    scheduler, metrics = make_scheduler(code, store, config, calls=calls)
+
+    async def main():
+        return await asyncio.gather(
+            scheduler.submit(0, code.num_blocks + 3),
+            scheduler.submit(1, block),
+            return_exceptions=True,
+        )
+
+    stray, good = asyncio.run(main())
+    assert isinstance(stray, BlockUnavailableError)
+    assert store.verify_block(1, block, good)
+    assert metrics.batch_errors == 0 and len(calls) == 1

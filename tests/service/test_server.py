@@ -138,7 +138,7 @@ def test_batch_error_falls_back_to_single_decode(code):
 
     async def main():
         async with BlobService(store, config=fast_config(batch_trigger=1)) as service:
-            def broken(snapshots, patterns):
+            def broken(snapshots, patterns, targets):
                 raise ValueError("poisoned batch plan")
 
             service.scheduler._decode_batch = broken
@@ -158,7 +158,7 @@ def test_batch_error_without_fallback_surfaces(code):
 
     async def main():
         async with BlobService(store, config=config) as service:
-            def broken(snapshots, patterns):
+            def broken(snapshots, patterns, targets):
                 raise ValueError("poisoned batch plan")
 
             service.scheduler._decode_batch = broken
@@ -178,7 +178,7 @@ def test_infrastructure_error_surfaces_distinctly(code):
 
     async def main():
         async with BlobService(store, config=fast_config(batch_trigger=1)) as service:
-            def dying_pool(snapshots, patterns):
+            def dying_pool(snapshots, patterns, targets):
                 raise RuntimeError("cannot schedule new futures after shutdown")
 
             service.scheduler._decode_batch = dying_pool
@@ -325,3 +325,130 @@ def test_degraded_ladder_fails_within_tight_deadline(code):
             assert service.metrics.timeouts >= 1
 
     asyncio.run(main())
+
+
+# -- targeted reads: the fallback channel and worker verification -----------
+
+
+def benchmark_store(num_stripes: int = 1):
+    """SD(10,8,2,2) under the benchmark's worst-case pattern (2 disks +
+    2 sectors = 18 erased blocks; whole-pattern decode = 292 mult_XORs)."""
+    from repro.codes import SDCode
+    from repro.service import BlobStore, damage_store
+
+    store = BlobStore.build(SDCode(10, 8, 2, 2), num_stripes, SYMBOLS, rng=1)
+    damage_store(store, fraction=1.0, seed=2015)
+    return store
+
+
+def test_single_decode_runs_only_the_targeted_plan(monkeypatch):
+    """The recovery channel behind a failed batch returns one block, so it
+    runs that block's row of the plan — 8 mult_XORs for a group block of
+    the benchmark pattern, 61-62 for an H_rest block, never the 292."""
+    from repro.core import PPMDecoder, plan_decode
+    from repro.service import server
+
+    made = []
+
+    class Recording(PPMDecoder):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(server, "PPMDecoder", Recording)
+    store = benchmark_store()
+    code, pattern = store.code, store.pattern(0)
+    whole = plan_decode(code, pattern)
+    assert whole.predicted_cost == 292
+    service = BlobService(store, config=fast_config())
+    try:
+        for block in (whole.groups[0].faulty_ids[0], whole.rest.faulty_ids[0]):
+            region = service._single_decode(0, block)
+            assert store.verify_block(0, block, region)
+            expected = plan_decode(code, pattern, targets=[block]).predicted_cost
+            assert made[-1].counter.mult_xors == expected
+        costs = [decoder.counter.mult_xors for decoder in made]
+        assert costs[0] == 8 and costs[1] in (61, 62)
+    finally:
+        run(service.close())
+
+
+def test_failed_targeted_batch_reaches_the_single_stripe_fallback(code):
+    """A batch poisoned by its *targets* is a decode-shaped failure like
+    any other: every rider is served by the fallback channel."""
+    store = make_store(code, num_stripes=2)
+    block = store.pattern(0)[0]
+
+    async def main():
+        async with BlobService(store, config=fast_config(batch_trigger=2)) as service:
+            real = service.scheduler._decode_batch
+
+            def stray_targets(snapshots, patterns, targets):
+                bad = next(b for b in range(code.num_blocks) if b not in patterns[0])
+                return real(snapshots, patterns, [(bad,)] * len(targets))
+
+            service.scheduler._decode_batch = stray_targets
+            regions = await asyncio.gather(
+                *(service.degraded_get(sid, block) for sid in range(2))
+            )
+            for sid, region in enumerate(regions):
+                assert store.verify_block(sid, block, region)
+            assert service.metrics.batch_errors == 1
+            assert service.metrics.fallbacks == 2
+            assert service.metrics.failures == 0
+
+    run(main())
+
+
+def test_targeted_reads_with_corrupt_workers_serve_no_corrupt_byte(code):
+    """``verify_workers`` on targeted reads: every merged worker result
+    is still syndrome-checked, so injected corruption is rejected and
+    recomputed — never served."""
+    from repro.pipeline import DecodePipeline
+
+    store = make_store(code, num_stripes=4)
+    pattern = store.pattern(0)
+    faults = FaultInjector(rate=0.0, rng=5, corrupt_worker_rate=0.5)
+    pipeline = DecodePipeline(
+        workers=2, pool="thread", verify_workers=True, faults=faults
+    )
+
+    async def main():
+        async with BlobService(
+            store, config=fast_config(), pipeline=pipeline, own_pipeline=True
+        ) as service:
+            for _ in range(3):
+                requests = [(sid, block) for sid in range(4) for block in pattern]
+                regions = await asyncio.gather(
+                    *(service.degraded_get(sid, block) for sid, block in requests)
+                )
+                for (sid, block), region in zip(requests, regions):
+                    assert store.verify_block(sid, block, region), (sid, block)
+            doc = service.metrics_dict()["pipeline"]
+            assert service.metrics.failures == 0
+            assert service.metrics.fallbacks == 0
+            return doc
+
+    doc = run(main())
+    assert faults.corrupt_injected > 0
+    assert doc["verify_rejects"] == faults.corrupt_injected
+    assert doc["blocks_recovered"] >= doc["stripes"] > 0
+
+
+def test_metrics_show_what_a_one_block_read_reads():
+    """One read of each erased block of the benchmark pattern: the served
+    survivor-blocks-per-recovered-block ratio is 358 / 18 = 19.9 (14 group
+    blocks x 8 + 4 H_rest blocks x 61-62), not the whole pattern's 62."""
+    store = benchmark_store()
+    pattern = store.pattern(0)
+
+    async def main():
+        async with BlobService(store, config=fast_config(batch_trigger=1)) as service:
+            for block in pattern:
+                region = await service.degraded_get(0, block)
+                assert store.verify_block(0, block, region)
+            return service.metrics_dict()["pipeline"]
+
+    doc = run(main())
+    assert (doc["blocks_read"], doc["blocks_recovered"]) == (358, 18)
+    assert doc["mult_xors"] == 358  # one coefficient per block read

@@ -168,13 +168,13 @@ def test_double_fault_between_coalesce_flush_and_decode(code):
     survivor = store.stripe(0).present_ids[0]
     decoder = PPMDecoder(parallel=False, compile=False)
 
-    def decode_with_late_fault(snapshots, patterns):
+    def decode_with_late_fault(snapshots, patterns, targets):
         # the double fault arrives *during* the decode window: beyond the
         # code's tolerance, so a fresh decode of the stripe would now fail
         store.erase(0, [survivor])
         return [
-            decoder.decode(code, blocks, pattern)
-            for blocks, pattern in zip(snapshots, patterns)
+            decoder.decode(code, blocks, pattern, targets=wanted)
+            for blocks, pattern, wanted in zip(snapshots, patterns, targets)
         ]
 
     config = ServiceConfig(batch_trigger=1, flush_interval_s=0.0)

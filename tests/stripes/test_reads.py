@@ -65,3 +65,24 @@ def test_disks_touched_consistent():
     lrc = LRCCode(12, 4, 2)
     io = degraded_read_cost(lrc, [0])
     assert io.disks_touched == io.blocks_read  # r == 1: block id == disk id
+
+
+def test_degraded_read_cost_under_a_wider_pattern():
+    """``pattern=`` bills the read while more than the wanted block is
+    erased: the benchmark's worst-case SD pattern, block by block."""
+    from repro.stripes import worst_case_sd
+
+    sd = SDCode(10, 8, 2, 2)
+    pattern = worst_case_sd(sd, z=1, rng=2015).faulty_blocks
+    whole = degraded_read_cost(sd, pattern)
+    assert (whole.read_count, whole.mult_xors) == (62, 292)
+    singles = [degraded_read_cost(sd, [b], pattern=pattern) for b in pattern]
+    assert sorted({io.mult_xors for io in singles}) == [8, 61, 62]
+    assert [io.mult_xors for io in singles].count(8) == 14
+    assert sum(io.mult_xors for io in singles) == 358  # mean 19.9
+    for io in singles:
+        assert io.read_count == io.mult_xors  # one coefficient per survivor
+        assert not set(io.blocks_read) & set(pattern)
+    assert degraded_read_cost(sd, pattern, pattern=pattern) == whole
+    with pytest.raises(ValueError):
+        degraded_read_cost(sd, [0], pattern=pattern)

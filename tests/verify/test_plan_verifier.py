@@ -226,3 +226,93 @@ def test_distinct_diagnostics_across_mutations(plan, disk_plan):
         "plan/cost-mismatch",
         "plan/mode-mismatch",
     } <= checks
+
+
+# -- pruned plans (targets fewer than the faulty blocks) ---------------------
+#
+# ``stages`` is what the executors run, so the mutations below plant a
+# corrupted walk where ``cached_property`` keeps it (the instance dict).
+
+BENCH_CODE = SDCode(10, 8, 2, 2)
+BENCH_FAULTY = [5, 7, 12, 15, 17, 18] + [r * 10 + d for r in range(2, 8) for d in (5, 7)]
+
+
+def pruned_plan(targets, policy=SequencePolicy.PAPER):
+    plan = plan_decode(BENCH_CODE, BENCH_FAULTY, policy, targets=targets)
+    assert verify_plan(plan, BENCH_CODE).ok
+    return plan
+
+
+def with_stages(plan, stages):
+    bad = replace(plan)  # fresh instance: nothing cached yet
+    bad.__dict__["stages"] = tuple(stages)
+    return bad
+
+
+def test_pruned_plans_verify_clean():
+    whole = plan_decode(BENCH_CODE, BENCH_FAULTY)
+    for targets in [(b,) for b in BENCH_FAULTY] + [(5, 12, 77), BENCH_FAULTY[3:]]:
+        for policy in SequencePolicy:
+            plan = plan_decode(BENCH_CODE, BENCH_FAULTY, policy, targets=targets)
+            report = verify_plan(plan, BENCH_CODE)
+            assert report.ok and not report.findings, (targets, policy, report.format())
+            assert plan.predicted_cost <= whole.costs.cost_of(plan.mode)
+
+
+def test_mutation_flipped_pruned_coefficient_is_caught():
+    plan = pruned_plan([5])
+    (stage,) = plan.stages
+    arr = stage.matrices[0].array.copy()
+    arr[0, 3] ^= 0x1D  # one coefficient of the one kept row
+    bad_stage = replace(stage, matrices=(GFMatrix(BENCH_CODE.field, arr),))
+    report = verify_plan(with_stages(plan, [bad_stage]), BENCH_CODE)
+    assert report.has("plan/pruned-row")
+    (finding,) = [f for f in report.findings if f.check == "plan/pruned-row"]
+    assert "target 5" in finding.context and "parity checks" in finding.message
+
+
+def test_mutation_dropped_dependency_stage_is_caught():
+    """An ``H_rest`` target under a partition mode reads group-recovered
+    blocks; dropping the stage that recovers one must be named."""
+    plan = pruned_plan([12], SequencePolicy.PPM_NORMAL_REST)
+    assert len(plan.stages) > 1 and not plan.stages[-1].independent
+    dropped = plan.stages[0]
+    report = verify_plan(with_stages(plan, plan.stages[1:]), BENCH_CODE)
+    assert report.has("plan/pruned-reads-unrecovered")
+    (finding,) = [
+        f for f in report.findings if f.check == "plan/pruned-reads-unrecovered"
+    ]
+    assert str(dropped.faulty_ids[0]) in finding.message
+
+
+def test_mutation_missing_target_stage_is_caught():
+    plan = pruned_plan([5, 25])
+    assert len(plan.stages) == 2
+    report = verify_plan(with_stages(plan, plan.stages[:1]), BENCH_CODE)
+    assert report.has("plan/pruned-coverage")
+
+
+def test_mutation_misreported_pruned_cost_is_caught():
+    plan = pruned_plan([12])
+    cooked = replace(plan.costs, c2=plan.costs.c2 - 1)
+    report = verify_plan(replace(plan, costs=cooked), BENCH_CODE)
+    assert report.has("plan/cost-mismatch")
+    assert any(f.context == "c2" for f in report.findings)
+    # the whole-pattern numbers are not a pruned plan's costs either
+    whole = plan_decode(BENCH_CODE, BENCH_FAULTY)
+    report = verify_plan(replace(plan, costs=whole.costs, mode=whole.mode), BENCH_CODE)
+    assert report.has("plan/cost-mismatch")
+
+
+def test_mutation_wrong_pruned_mode_is_caught():
+    plan = pruned_plan([12])
+    assert plan.mode is ExecutionMode.TRADITIONAL_MATRIX_FIRST
+    report = verify_plan(replace(plan, mode=ExecutionMode.PPM_REST_NORMAL), BENCH_CODE)
+    assert report.has("plan/mode-mismatch")
+
+
+def test_mutation_bad_targets_are_caught():
+    plan = pruned_plan([5])
+    for targets in [(), (6,), (7, 5)]:
+        report = verify_plan(replace(plan, targets=targets), BENCH_CODE)
+        assert report.has("plan/targets"), targets

@@ -137,3 +137,68 @@ def test_sweep_counts_and_certifies_programs():
         code, samples=6, check_schedules=False, check_programs=False
     )
     assert skipped.programs == 0
+
+
+# -- programs compiled from target-pruned plans ------------------------------
+
+
+def pruned_case(targets=(5, 12)):
+    code = SDCode(10, 8, 2, 2)
+    plan = plan_decode(code, [5, 7, 12, 15], targets=list(targets))
+    return code, plan, lower_plan(code.field, plan)
+
+
+@pytest.mark.parametrize("targets", [(5,), (12,), (5, 12), (7, 12, 15)])
+@pytest.mark.parametrize("policy", list(SequencePolicy), ids=lambda p: p.value)
+def test_clean_pruned_lowerings_certify(targets, policy):
+    code = SDCode(10, 8, 2, 2)
+    plan = plan_decode(code, [5, 7, 12, 15], policy=policy, targets=targets)
+    compiled = lower_plan(code.field, plan)
+    assert compiled.output_ids == targets
+    assert compiled.program.mult_xors == plan.predicted_cost
+    report = verify_plan_program(compiled, code.field, plan)
+    assert report.ok, report.format()
+
+
+def test_pruned_program_with_wrong_output_ids_is_caught():
+    """A pruned program must output the targets — not the pattern."""
+    code, plan, compiled = pruned_case()
+    whole = lower_plan(code.field, plan_decode(code, [5, 7, 12, 15]))
+    report = verify_plan_program(whole, code.field, plan)
+    assert report.has("program/io-outputs"), report.format()
+    bad = replace(compiled, output_ids=(5, 15))
+    report = verify_plan_program(bad, code.field, plan)
+    assert report.has("program/io-outputs"), report.format()
+
+
+def test_pruned_program_missing_a_needed_input_is_caught():
+    code, plan, compiled = pruned_case()
+    stranger = next(
+        b for b in range(code.num_blocks)
+        if b not in compiled.input_ids and b not in plan.faulty_ids
+    )
+    bad = replace(compiled, input_ids=(stranger,) + compiled.input_ids[1:])
+    report = verify_plan_program(bad, code.field, plan)
+    assert report.has("program/io-inputs"), report.format()
+
+
+def test_pruned_program_booking_the_whole_cost_is_caught():
+    code, plan, compiled = pruned_case()
+    whole_cost = plan_decode(code, [5, 7, 12, 15]).predicted_cost
+    assert whole_cost > plan.predicted_cost
+    bad = mutate_program(compiled, mult_xors=whole_cost)
+    report = verify_plan_program(bad, code.field, plan)
+    assert report.has("program/op-count"), report.format()
+
+
+def test_sweep_certifies_pruned_plans():
+    code = SDCode(6, 4, 2, 2)
+    result = sweep_code(code, samples=6, check_schedules=False, check_backends=True)
+    assert result.ok, result.report.format()
+    # per scenario with t > 1 faults: t single-block plans (+ one random
+    # multi-block subset when t > 2), under both policies
+    assert result.pruned_plans == 2 * sum(
+        (t if t > 1 else 0) + (t > 2) for t in range(1, 7)
+    )
+    assert result.programs == result.pruned_plans + 2 * result.scenarios
+    assert "pruned plan(s)" in result.summary()

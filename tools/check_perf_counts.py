@@ -6,7 +6,10 @@
 Timings on a CI host are noise; ``gf_symbols_per_byte`` is an exact count
 that repeats bit-identically, so any drift from ``tools/perf_counts.json``
 is a real change in the work done.  Update that file only in a PR whose
-ISSUE names the new value.
+ISSUE names the new value.  ``wire_mixed`` serves one-block reads whose
+cost depends on the block (8 vs 61-62 mult_XORs on its pattern), so its
+tracked value belongs to the command above exactly: seed 1, and the 12
+rounds a 1-second run always does.
 """
 
 from __future__ import annotations
