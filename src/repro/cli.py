@@ -28,6 +28,7 @@ import argparse
 import sys
 
 from . import __version__
+from . import config as appcfg
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -210,28 +211,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .verify.check import list_rules, run_check
+    from .verify.check import main as check_main
 
-    if args.list_rules:
-        print(list_rules())
-        return 0
-    try:
-        report = run_check(
-            args.paths or ["src"],
-            strict=args.strict,
-            samples=args.samples,
-            seed=args.seed,
-        )
-    except FileNotFoundError as exc:
-        print(f"ppm check: {exc}", file=sys.stderr)
-        return 2
-    if args.json:
-        import json
-
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.format_human())
-    return report.exit_code
+    return check_main(args.argv)
 
 
 def _cmd_verify_code(args: argparse.Namespace) -> int:
@@ -264,51 +246,80 @@ def _cmd_extra(args: argparse.Namespace) -> int:
     return 0
 
 
-#: CLI flag → dotted path in the layered config (see repro.config);
-#: flags default to None so only *explicitly passed* values override
-#: the config file, which overrides the dataclass defaults
+#: CLI flag → (dotted path in the layered config, help).  The flags are
+#: generated from this table: each takes its field's type, a bool field
+#: is a switch, and every flag defaults to None so only *explicitly
+#: passed* values override the config file, which overrides the
+#: dataclass defaults.  A command gets the rows of the sections it uses.
 _FLAG_PATHS = {
-    "n": "store.n",
-    "r": "store.r",
-    "m": "store.m",
-    "s": "store.s",
-    "stripes": "store.stripes",
-    "symbols": "store.symbols",
-    "fault_rate": "store.fault_rate",
-    "damaged": "store.damaged",
-    "corrupt_fraction": "store.corrupt_fraction",
-    "seed": "store.seed",
-    "batch_trigger": "service.batch_trigger",
-    "hedge": "pipeline.hedge",
-    "verify_workers": "pipeline.verify_workers",
-    "scrub_stripes": "service.repair.scrub_stripes",
-    "repair_rate": "service.repair.rate_blocks_per_s",
-    "nodes": "cluster.nodes",
-    "transport": "cluster.transport",
-    "requests": "workload.requests",
-    "concurrency": "workload.concurrency",
-    "degraded_fraction": "workload.degraded_fraction",
+    "n": ("store.n", "SD code: disks per stripe"),
+    "r": ("store.r", "SD code: rows per stripe"),
+    "m": ("store.m", "SD code: parity disks"),
+    "s": ("store.s", "SD code: extra parity sectors"),
+    "stripes": ("store.stripes", "stripes in the store"),
+    "symbols": ("store.symbols", "symbols per sector"),
+    "fault_rate": ("store.fault_rate", "transient node-fault injection rate"),
+    "damaged": ("store.damaged", "fraction of stripes given a worst-case erasure"),
+    "corrupt_fraction": (
+        "store.corrupt_fraction",
+        "fraction of stripes silently corrupted (bit rot; only a scrub can see it)",
+    ),
+    "seed": ("store.seed", "seed of the whole world (also cluster.seed unless set)"),
+    "batch_trigger": ("service.batch_trigger", "flush a pattern group at this many reads"),
+    "flush_interval_s": ("service.flush_interval_s", "coalescing flush deadline in seconds"),
+    "repair": ("service.repair.enabled", "run the background scrub-and-repair manager"),
+    "scrub_stripes": ("service.repair.scrub_stripes", "stripes syndrome-checked per repair tick"),
+    "repair_rate": (
+        "service.repair.rate_blocks_per_s",
+        "repair rate limit in blocks/sec (0 = unlimited)",
+    ),
+    "hedge": (
+        "pipeline.hedge",
+        "speculatively resubmit straggling decode buckets "
+        "(tune via --set pipeline.hedge_factor= etc.)",
+    ),
+    "verify_workers": (
+        "pipeline.verify_workers",
+        "syndrome-check every decode worker result before merging",
+    ),
+    "nodes": ("cluster.nodes", "cluster node count"),
+    "transport": ("cluster.transport", "node transport: local (in-process) or tcp"),
+    "requests": ("workload.requests", "requests to issue"),
+    "concurrency": ("workload.concurrency", "requests in flight"),
+    "degraded_fraction": (
+        "workload.degraded_fraction",
+        "fraction of reads steered at erased blocks",
+    ),
 }
+
+
+def _config_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+    """``--config``, ``--set`` and the ``_FLAG_PATHS`` rows of ``sections``."""
+    # defaults live in repro.config (the layered model), not here
+    p.add_argument("--config", metavar="FILE",
+                   help="JSON config file layered over the defaults "
+                        "(see repro.config / docs/SERVICE.md)")
+    p.add_argument("--set", action="append", metavar="PATH=VALUE",
+                   help="dotted-path config override, e.g. "
+                        "--set service.batch_trigger=4 (repeatable)")
+    for flag, (path, text) in _FLAG_PATHS.items():
+        if path.split(".", 1)[0] not in sections:
+            continue
+        kind = appcfg.field_type(path)
+        typed = {"action": "store_true"} if kind is bool else {"type": kind}
+        p.add_argument(f"--{flag.replace('_', '-')}", default=None,
+                       help=f"{text} ({path})", **typed)
+    p.set_defaults(config_parser=p)
 
 
 def _app_config(args: argparse.Namespace):
     """The three config layers, bottom to top: dataclass defaults, then
     ``--config FILE``, then explicit flags and ``--set path=value``
-    overrides."""
+    overrides.  A value the config rejects is a usage error (exit 2)."""
     import json
 
-    from . import config as appcfg
-
-    cfg = appcfg.AppConfig()
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = appcfg.apply_overrides(cfg, appcfg.flatten(json.load(fh)))
     overrides: dict = {}
-    if getattr(args, "repair", False) and cfg.service.repair is None:
-        overrides["service.repair"] = True
-    if getattr(args, "flush_ms", None) is not None:
-        overrides["service.flush_interval_s"] = args.flush_ms / 1e3
-    for flag, path in _FLAG_PATHS.items():
+    for flag, (path, _text) in _FLAG_PATHS.items():
         value = getattr(args, flag, None)
         if value is not None:
             overrides[path] = value
@@ -316,12 +327,19 @@ def _app_config(args: argparse.Namespace):
     # placement ring too unless cluster.seed was set separately
     if "store.seed" in overrides:
         overrides.setdefault("cluster.seed", overrides["store.seed"])
-    cfg = appcfg.apply_overrides(cfg, overrides)
-    for item in getattr(args, "set", None) or []:
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise SystemExit(f"--set needs path=value, got {item!r}")
-        cfg = appcfg.apply_overrides(cfg, {key: value})
+    try:
+        cfg = appcfg.AppConfig()
+        if args.config:
+            with open(args.config) as fh:
+                cfg = appcfg.apply_overrides(cfg, appcfg.flatten(json.load(fh)))
+        cfg = appcfg.apply_overrides(cfg, overrides)
+        for item in args.set or []:
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise ValueError(f"--set needs path=value, got {item!r}")
+            cfg = appcfg.apply_overrides(cfg, {key: value})
+    except ValueError as exc:
+        args.config_parser.error(str(exc))
     return cfg
 
 
@@ -329,13 +347,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from .config import build_service
     from .service import serve
 
     cfg = _app_config(args)
 
     async def main() -> int:
-        service = build_service(cfg)
+        service = appcfg.build_service(cfg)
         service.start_repair()
         server = await serve(service, host=args.host, port=args.port)
         host, port = server.sockets[0].getsockname()[:2]
@@ -365,13 +382,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from .config import build_cluster
     from .service import serve
 
     cfg = _app_config(args)
 
     async def main() -> int:
-        cluster = build_cluster(cfg)
+        cluster = appcfg.build_cluster(cfg)
         async with cluster:
             server = await serve(cluster, host=args.host, port=args.port)
             host, port = server.sockets[0].getsockname()[:2]
@@ -421,7 +437,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from .config import build_cluster, build_service
     from .service import (
         build_request_schedule,
         connect,
@@ -435,7 +450,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     async def run_inprocess() -> tuple[dict, dict]:
         """One in-process backend: a service, or a cluster (--cluster)."""
         use_cluster = args.cluster or args.nodes is not None
-        backend = build_cluster(cfg) if use_cluster else build_service(cfg)
+        backend = appcfg.build_cluster(cfg) if use_cluster else appcfg.build_service(cfg)
         schedule = build_request_schedule(
             backend, workload.requests, seed=cfg.store.seed,
             degraded_fraction=workload.degraded_fraction,
@@ -620,22 +635,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_vfy.set_defaults(func=_cmd_verify)
 
+    # repro.verify.check.main owns this command's flags (and its -h):
+    # with no "-" prefix char here, every argument passes through to it
     p_chk = sub.add_parser(
         "check",
         help="static-analysis gate: lint + race analysis (+ sweeps with --strict)",
+        add_help=False,
+        prefix_chars="+",
     )
-    p_chk.add_argument("paths", nargs="*", default=["src"], help="files or directories")
-    p_chk.add_argument(
-        "--strict",
-        action="store_true",
-        help="also sweep plan/program/dataflow verification across all codes",
-    )
-    p_chk.add_argument("--samples", type=int, default=10, help="sweep scenarios per code")
-    p_chk.add_argument("--seed", type=int, default=2015)
-    p_chk.add_argument("--json", action="store_true", help="machine-readable report")
-    p_chk.add_argument(
-        "--list-rules", action="store_true", help="print the combined rule catalogue"
-    )
+    p_chk.add_argument("argv", nargs="*")
     p_chk.set_defaults(func=_cmd_check)
 
     p_ver = sub.add_parser("verify-code", help="Monte-Carlo decodability check")
@@ -663,56 +671,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_extra.add_argument("--csv", action="store_true")
     p_extra.set_defaults(func=_cmd_extra)
 
-    def _service_store_args(p: argparse.ArgumentParser) -> None:
-        # defaults live in repro.config (the layered model), not here:
-        # a flag left unset (None) never overrides --config or defaults
-        p.add_argument("--config", metavar="FILE",
-                       help="JSON config file layered over the defaults "
-                            "(see repro.config / docs/SERVICE.md)")
-        p.add_argument("--set", action="append", metavar="PATH=VALUE",
-                       help="dotted-path config override, e.g. "
-                            "--set service.batch_trigger=4 (repeatable)")
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--r", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--s", type=int, default=None)
-        p.add_argument("--stripes", type=int, default=None)
-        p.add_argument("--symbols", type=int, default=None)
-        p.add_argument("--fault-rate", type=float, default=None,
-                       help="transient node-fault injection rate")
-        p.add_argument("--damaged", type=float, default=None,
-                       help="fraction of stripes given a worst-case erasure")
-        p.add_argument("--corrupt-fraction", type=float, default=None,
-                       help="fraction of stripes silently corrupted (bit "
-                            "rot; only a scrub can see it)")
-        p.add_argument("--batch-trigger", type=int, default=None)
-        p.add_argument("--hedge", action="store_true", default=None,
-                       help="speculatively resubmit straggling decode "
-                            "buckets (pipeline.hedge; tune via --set "
-                            "pipeline.hedge_factor= etc.)")
-        p.add_argument("--verify-workers", action="store_true", default=None,
-                       help="syndrome-check every decode worker result "
-                            "before merging (pipeline.verify_workers)")
-        p.add_argument("--flush-ms", type=float, default=None,
-                       help="coalescing flush deadline in milliseconds")
-        p.add_argument("--repair", action="store_true",
-                       help="run the background scrub-and-repair manager")
-        p.add_argument("--scrub-stripes", type=int, default=None,
-                       help="stripes syndrome-checked per repair tick")
-        p.add_argument("--repair-rate", type=float, default=None,
-                       help="repair rate limit in blocks/sec (0 = unlimited)")
-        p.add_argument("--seed", type=int, default=None)
-
-    def _cluster_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--nodes", type=int, default=None,
-                       help="cluster node count")
-        p.add_argument("--transport", choices=("local", "tcp"), default=None,
-                       help="node transport: in-process or per-node TCP")
+    serving = ("store", "service", "pipeline")
 
     p_srv = sub.add_parser(
         "serve", help="run the degraded-read BlobService on a TCP port"
     )
-    _service_store_args(p_srv)
+    _config_flags(p_srv, *serving)
     p_srv.add_argument("--host", default="127.0.0.1")
     p_srv.add_argument("--port", type=int, default=0, help="0 picks a free port")
     p_srv.set_defaults(func=_cmd_serve)
@@ -721,8 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cluster",
         help="run a sharded multi-node cluster behind one TCP port",
     )
-    _service_store_args(p_clu)
-    _cluster_args(p_clu)
+    _config_flags(p_clu, *serving, "cluster")
     p_clu.add_argument("--host", default="127.0.0.1")
     p_clu.add_argument("--port", type=int, default=0, help="0 picks a free port")
     p_clu.set_defaults(func=_cmd_cluster)
@@ -730,12 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load = sub.add_parser(
         "loadgen", help="drive services/clusters (in-process or TCP) with seeded load"
     )
-    _service_store_args(p_load)
-    p_load.add_argument("--requests", type=int, default=None)
-    p_load.add_argument("--concurrency", type=int, default=None)
-    p_load.add_argument("--degraded-fraction", type=float, default=None,
-                        help="fraction of reads steered at erased blocks")
-    _cluster_args(p_load)
+    _config_flags(p_load, *serving, "cluster", "workload")
     p_load.add_argument("--cluster", action="store_true",
                         help="drive an in-process cluster instead of one service")
     p_load.add_argument("--connect", action="append", metavar="HOST:PORT",

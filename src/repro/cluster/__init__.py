@@ -21,9 +21,12 @@ consistent-hash :class:`HashRing` and fans ``get``/``put``/
   (up → draining → drained, or dead);
 - :mod:`repro.cluster.router` — :class:`Cluster`: routing, membership,
   rebalancing, whole-node-death rebuild storms, health barriers;
-- :mod:`repro.cluster.config` — declarative :class:`ClusterConfig`;
 - :mod:`repro.cluster.metrics` — :class:`ClusterMetrics` +
   cluster-wide JSON aggregation.
+
+The cluster's shape is :class:`repro.config.ClusterConfig` (re-exported
+here); every node runs the one ``service`` and ``pipeline`` section
+handed to :class:`Cluster`.
 
 A cluster implements the same backend protocol as a single service, so
 ``repro.service.net.serve`` / ``connect()`` / the load generator work
@@ -34,7 +37,7 @@ cover this package like they do ``repro/service/``.
 
 from __future__ import annotations
 
-from .config import ClusterConfig
+from ..config import ClusterConfig
 from .metrics import ClusterMetrics
 from .node import StorageNode
 from .placement import HashRing, default_node_ids, spread

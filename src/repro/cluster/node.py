@@ -19,8 +19,8 @@ erasures and survivors rebuild them — see
 
 from __future__ import annotations
 
+from ..config import ServiceConfig
 from ..pipeline import DecodePipeline
-from ..service.config import ServiceConfig
 from ..service.server import BlobService
 from ..service.store import BlobStore
 
@@ -36,13 +36,13 @@ class StorageNode:
         node_id: str,
         store: BlobStore,
         *,
-        config: ServiceConfig,
+        service: ServiceConfig,
         pipeline: DecodePipeline,
     ):
         self.node_id = node_id
         self.store = store
         self.service = BlobService(
-            store, config=config, pipeline=pipeline, own_pipeline=True
+            store, config=service, pipeline=pipeline, own_pipeline=True
         )
         self.state = "up"
         #: TCP-transport plumbing, owned by the router (None for local)

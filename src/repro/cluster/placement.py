@@ -8,7 +8,7 @@ covered by a property test in ``tests/cluster/test_placement.py``):
 - **determinism** — placement is a pure function of
   ``(node_ids, vnodes, seed)``.  Hashes come from ``hashlib.blake2b``
   keyed by the seed, never Python's salted ``hash()``, so two routers
-  built from the same :class:`~repro.cluster.config.ClusterConfig`
+  built from the same :class:`~repro.config.ClusterConfig`
   agree on every stripe without talking to each other.
 - **balance** — with the default 64 vnodes/node, the max/min stripe
   share across nodes stays within a small constant factor.

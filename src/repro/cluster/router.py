@@ -33,25 +33,21 @@ costs latency, never correctness.
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from ..codes.base import ErasureCode
+from ..config import ClusterConfig, PipelineConfig, ServiceConfig
 from ..repair.ratelimit import TokenBucket
-from ..service.config import ServiceConfig
 from ..service.errors import BlockUnavailableError, NodeFault, ServiceClosedError
 from ..service.net import ClientPool, serve
 from ..service.store import BlobStore, FaultInjector
 from ..stripes.failures import worst_case_sd
 from ..stripes.store import Stripe
-from .config import ClusterConfig
 from .metrics import ClusterMetrics
 from .node import StorageNode
-from .placement import HashRing
-
-if TYPE_CHECKING:
-    from ..config import PipelineConfig
+from .placement import HashRing, default_node_ids
 
 
 class Cluster:
@@ -62,11 +58,14 @@ class Cluster:
     code:
         The erasure code every stripe is encoded with.
     config:
-        Declarative cluster shape (:class:`ClusterConfig`).
+        Declarative cluster shape (:class:`~repro.config.ClusterConfig`).
     stores:
         Pre-populated per-node stores keyed by node id (tests,
         migrations); when omitted the cluster starts empty — use
         :meth:`build` for the common seeded case.
+    service:
+        The :class:`~repro.config.ServiceConfig` every node serves with
+        (``AppConfig.service``; defaults apply when omitted).
     pipeline:
         The :class:`~repro.config.PipelineConfig` every node's decode
         pipeline is built from (``AppConfig.pipeline``; defaults apply
@@ -79,18 +78,15 @@ class Cluster:
         config: ClusterConfig | None = None,
         *,
         stores: Mapping[str, BlobStore] | None = None,
+        service: ServiceConfig | None = None,
         pipeline: PipelineConfig | None = None,
     ):
         self.code = code
         self.config = config if config is not None else ClusterConfig()
-        if pipeline is None:
-            from ..config import PipelineConfig  # deferred: config imports cluster
-
-            pipeline = PipelineConfig()
-        self._pipeline_config = pipeline
-        self.ring = HashRing(
-            self.config.node_ids, vnodes=self.config.vnodes, seed=self.config.seed
-        )
+        self._service_config = service if service is not None else ServiceConfig()
+        self._pipeline_config = pipeline if pipeline is not None else PipelineConfig()
+        node_ids = default_node_ids(self.config.nodes)
+        self.ring = HashRing(node_ids, vnodes=self.config.vnodes, seed=self.config.seed)
         self.metrics = ClusterMetrics()
         self.bucket = TokenBucket(
             self.config.rebalance_blocks_per_s, self.config.rebalance_burst_blocks
@@ -106,7 +102,7 @@ class Cluster:
         self._next_index = self.config.nodes
         self._started = False
         self._closed = False
-        for node_id in self.config.node_ids:
+        for node_id in node_ids:
             store = (stores or {}).get(node_id)
             if store is None:
                 store = BlobStore(code, sector_symbols=0)
@@ -118,7 +114,7 @@ class Cluster:
         node = StorageNode(
             node_id,
             store,
-            config=self.config.service,
+            service=self._service_config,
             pipeline=self._pipeline_config.build(faults=store.faults),
         )
         self.nodes[node_id] = node
@@ -140,6 +136,7 @@ class Cluster:
         *,
         fault_rate: float = 0.0,
         rng: np.random.Generator | int | None = None,
+        service: ServiceConfig | None = None,
         pipeline: PipelineConfig | None = None,
     ) -> "Cluster":
         """Seeded cluster of ``num_stripes`` encoded stripes, placed by
@@ -157,9 +154,9 @@ class Cluster:
                 sector_symbols,
                 faults=FaultInjector(fault_rate, rng=base + i),
             )
-            for i, node_id in enumerate(config.node_ids)
+            for i, node_id in enumerate(default_node_ids(config.nodes))
         }
-        cluster = cls(code, config, stores=stores, pipeline=pipeline)
+        cluster = cls(code, config, stores=stores, service=service, pipeline=pipeline)
         cluster._sector_symbols = sector_symbols
         cluster._fault_rate = fault_rate
         layout = StripeLayout.of_code(code)

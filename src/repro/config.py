@@ -10,23 +10,29 @@ assembled in three layers:
 2. **dict / JSON** — ``--config app.json`` merges a *partial* nested
    dict over the defaults via :func:`from_dict` (unknown keys are
    errors, not typos silently ignored);
-3. **overrides** — ``--set service.batch_trigger=4`` and the legacy
-   flags both funnel through :func:`apply_overrides` with dotted
-   paths, coerced to the field's declared type.
+3. **overrides** — ``--set service.batch_trigger=4`` and the CLI flags
+   both funnel through :func:`apply_overrides` with dotted paths,
+   coerced to the field's declared type.
 
+Every section lives in this module, and a nested section is a plain
+dataclass field: :func:`from_dict`, :func:`flatten` and
+:func:`apply_overrides` treat ``service.repair`` exactly like ``store``.
 The sections:
 
 - :class:`StoreConfig` — the erasure-coded world: code parameters,
   stripe population, injected faults/damage/corruption, seed;
-- :class:`~repro.service.ServiceConfig` — one node's serving knobs
-  (coalescing, deadlines, retries, repair);
-- :class:`~repro.cluster.config.ClusterConfig` — cluster shape
-  (membership, placement ring, transport, rebalance metering, storm
-  shape).  Its embedded per-node service config is *stitched in* from
-  ``AppConfig.service`` by :func:`build_cluster`, so there is exactly
-  one service section to edit;
-- :class:`WorkloadConfig` — the load generator's offered load.
+- :class:`ServiceConfig` — one node's serving knobs (coalescing,
+  deadlines, retries) and its :class:`RepairConfig` (background
+  scrub-and-repair, off unless ``enabled``);
+- :class:`PipelineConfig` — the decode pipeline behind every node;
+- :class:`ClusterConfig` — cluster shape (membership, placement ring,
+  transport, rebalance metering, storm shape).  Every node of a
+  cluster runs the one ``service`` and ``pipeline`` section;
+- :class:`WorkloadConfig` — the load generator's offered load;
+- :class:`KernelsConfig` — the executor-backend selection.
 
+This module imports no ``repro`` sub-package at module level, so every
+sub-package can import its section from here.
 :func:`build_store` / :func:`build_service` / :func:`build_cluster`
 turn a config into live objects.
 """
@@ -34,12 +40,9 @@ turn a config into live objects.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
-
-from .cluster.config import ClusterConfig
-from .repair.config import RepairConfig
-from .service.config import ServiceConfig
 
 
 @dataclass(frozen=True)
@@ -84,20 +87,21 @@ class KernelsConfig:
     ``backend`` pins the process-wide executor backend selection:
     ``"auto"`` (default) micro-benchmarks the registered backends per
     (program shape, w, region size) class and caches the winner; a
-    backend name forces it for every supporting program.  Applied by
-    the builders via
+    registered backend name forces it for every supporting program (an
+    optional backend that did not register on this host is rejected
+    here, not at first use).  Applied by the builders via
     :func:`repro.kernels.backends.set_default_backend`.
     """
 
     backend: str = "auto"
 
     def __post_init__(self) -> None:
-        from .kernels.backends import BACKEND_CHOICES
+        from .kernels.backends import available_backends
 
-        if self.backend not in BACKEND_CHOICES:
+        choices = ("auto", *available_backends())
+        if self.backend not in choices:
             raise ValueError(
-                f"kernels.backend must be one of {BACKEND_CHOICES}, "
-                f"got {self.backend!r}"
+                f"kernels.backend must be one of {choices}, got {self.backend!r}"
             )
 
     def apply(self) -> None:
@@ -105,6 +109,27 @@ class KernelsConfig:
         from .kernels.backends import set_default_backend
 
         set_default_backend(self.backend)
+
+
+def check_straggler_knobs(
+    hedge_percentile: float,
+    hedge_factor: float,
+    hedge_min_samples: int,
+    deadline_s: float | None,
+) -> None:
+    """Validate the hedging/deadline knobs (``deadline_s=None``: unbounded).
+
+    The one rule :class:`PipelineConfig` and
+    :class:`~repro.pipeline.DecodePipeline` both apply.
+    """
+    if not 0.0 < hedge_percentile <= 1.0:
+        raise ValueError(f"hedge_percentile must be in (0, 1], got {hedge_percentile}")
+    if hedge_factor < 1.0:
+        raise ValueError(f"hedge_factor must be >= 1.0, got {hedge_factor}")
+    if hedge_min_samples < 1:
+        raise ValueError(f"hedge_min_samples must be >= 1, got {hedge_min_samples}")
+    if deadline_s is not None and deadline_s <= 0:
+        raise ValueError(f"deadline_s must be positive (or unbounded), got {deadline_s}")
 
 
 @dataclass(frozen=True)
@@ -139,20 +164,12 @@ class PipelineConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if not 0.0 < self.hedge_percentile <= 1.0:
-            raise ValueError(
-                f"hedge_percentile must be in (0, 1], got {self.hedge_percentile}"
-            )
-        if self.hedge_factor < 1.0:
-            raise ValueError(
-                f"hedge_factor must be >= 1.0, got {self.hedge_factor}"
-            )
-        if self.hedge_min_samples < 1:
-            raise ValueError(
-                f"hedge_min_samples must be >= 1, got {self.hedge_min_samples}"
-            )
-        if self.deadline_s < 0:
-            raise ValueError(f"deadline_s must be >= 0, got {self.deadline_s}")
+        check_straggler_knobs(
+            self.hedge_percentile,
+            self.hedge_factor,
+            self.hedge_min_samples,
+            self.deadline_s or None,
+        )
 
     def build(self, *, faults=None):
         """A live :class:`~repro.pipeline.DecodePipeline` per this section."""
@@ -169,6 +186,226 @@ class PipelineConfig:
             deadline_s=self.deadline_s or None,
             faults=faults,
         )
+
+
+@dataclass(frozen=True)
+class RepairConfig:
+    """Knobs of the online scrub-and-repair loop
+    (:class:`~repro.repair.RepairManager`).
+
+    Repair is *background* work: it scans a bounded chunk of the array
+    per tick (never the whole store at once), submits decode batches at
+    background priority (the pipeline defers them while foreground
+    reads are in flight), and meters write-back through a token bucket
+    so a badly corrupted array cannot monopolise the decode pool.
+
+    Parameters
+    ----------
+    enabled:
+        Whether a :class:`~repro.service.BlobService` runs the loop
+        beside its request path (started on ``__aenter__`` /
+        ``start_repair``, stopped on ``close``).  Off by default.
+    scrub_interval_s:
+        Pause between scrub ticks.  Each tick scans one chunk and
+        drains any repairs it produced; shorter intervals scrub the
+        array faster at the cost of more background decode pressure.
+    scrub_stripes:
+        Stripes syndrome-checked per tick (the scrub cursor's chunk
+        size).
+    repair_batch:
+        Most stripes repaired in one ``decode_batch`` submission.
+        Same-pattern stripes in a batch fuse into one region sweep, so
+        a disk loss (many stripes, one pattern) heals in a few sweeps.
+    rate_blocks_per_s:
+        Token-bucket refill rate for repair, in recovered blocks per
+        second.  ``0`` disables rate limiting (drain as fast as the
+        pipeline admits).
+    burst_blocks:
+        Token-bucket capacity: how many blocks may be repaired
+        back-to-back before the rate limit bites.
+    max_errors:
+        Corruption-location search depth per stripe.  Keep at 1
+        online: the pair-and-beyond search in
+        :func:`repro.stripes.scrub.locate_corruptions` is
+        combinatorial, and a scrub loop that stalls is worse than one
+        that reports "ambiguous" and moves on.
+    verify_repairs:
+        Re-scrub every repaired stripe and count any stripe whose
+        syndromes are still nonzero as a ``verify_failure`` instead of
+        silently trusting the write-back.
+    """
+
+    enabled: bool = False
+    scrub_interval_s: float = 0.02
+    scrub_stripes: int = 16
+    repair_batch: int = 8
+    rate_blocks_per_s: float = 0.0
+    burst_blocks: int = 16
+    max_errors: int = 1
+    verify_repairs: bool = True
+
+    def __post_init__(self) -> None:
+        if self.scrub_interval_s < 0:
+            raise ValueError("scrub_interval_s must be >= 0")
+        if self.scrub_stripes < 1:
+            raise ValueError(f"scrub_stripes must be >= 1, got {self.scrub_stripes}")
+        if self.repair_batch < 1:
+            raise ValueError(f"repair_batch must be >= 1, got {self.repair_batch}")
+        if self.rate_blocks_per_s < 0:
+            raise ValueError("rate_blocks_per_s must be >= 0")
+        if self.burst_blocks < 1:
+            raise ValueError(f"burst_blocks must be >= 1, got {self.burst_blocks}")
+        if self.max_errors < 1:
+            raise ValueError(f"max_errors must be >= 1, got {self.max_errors}")
+
+
+@dataclass(frozen=True)
+class ServiceConfig:
+    """Knobs of one degraded-read :class:`~repro.service.BlobService`.
+
+    The defaults encode a latency/throughput trade: coalesce up to
+    ``batch_trigger`` same-pattern reads (the pipeline fuses them into
+    one region sweep) but never hold a request longer than
+    ``flush_interval_s`` waiting for riders — size-or-deadline,
+    whichever comes first.  With the fault injector bounding
+    consecutive faults per stripe below ``max_retries`` (see
+    :class:`repro.service.store.FaultInjector`), retries are guaranteed
+    to absorb every transient fault.
+
+    Parameters
+    ----------
+    batch_trigger:
+        Flush a pattern group as soon as it holds this many degraded
+        reads.  ``1`` disables coalescing (every read is its own flush).
+    flush_interval_s:
+        Deadline trigger: a group is flushed this many seconds after
+        its *oldest* request was enqueued even if under-full, so a lone
+        degraded read never waits for riders that may not come.
+    max_pending:
+        Admission bound on degraded reads queued in the scheduler.
+        Beyond it, requests are shed immediately with
+        :class:`~repro.service.errors.ServiceOverloadError`.
+    default_deadline_s:
+        Per-request deadline when the caller does not pass one.
+    max_retries:
+        How many times a request hitting a transient
+        :class:`~repro.service.errors.NodeFault` is retried (with
+        exponential backoff) before falling back / failing.
+    backoff_base_s / backoff_cap_s:
+        Exponential backoff between retries:
+        ``min(backoff_cap_s, backoff_base_s * 2**attempt)``.
+    fallback_single:
+        When the coalesced batch decode errors, re-serve the affected
+        requests through an uncompiled single-stripe decode instead of
+        failing them.
+    repair:
+        The background scrub-and-repair loop (:class:`RepairConfig`;
+        runs only when ``repair.enabled``).
+    """
+
+    batch_trigger: int = 8
+    flush_interval_s: float = 0.002
+    max_pending: int = 1024
+    default_deadline_s: float = 5.0
+    max_retries: int = 3
+    backoff_base_s: float = 0.001
+    backoff_cap_s: float = 0.050
+    fallback_single: bool = True
+    repair: RepairConfig = field(default_factory=RepairConfig)
+
+    def __post_init__(self) -> None:
+        if self.batch_trigger < 1:
+            raise ValueError(f"batch_trigger must be >= 1, got {self.batch_trigger}")
+        if self.flush_interval_s < 0:
+            raise ValueError("flush_interval_s must be >= 0")
+        if self.max_pending < 1:
+            raise ValueError(f"max_pending must be >= 1, got {self.max_pending}")
+        if self.default_deadline_s <= 0:
+            raise ValueError("default_deadline_s must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.backoff_base_s < 0 or self.backoff_cap_s < self.backoff_base_s:
+            raise ValueError("need 0 <= backoff_base_s <= backoff_cap_s")
+
+    def backoff(self, attempt: int) -> float:
+        """Sleep before retry number ``attempt`` (0-based), in seconds."""
+        return min(self.backoff_cap_s, self.backoff_base_s * (2.0 ** attempt))
+
+
+#: transports the router can fan requests out over
+TRANSPORTS = ("local", "tcp")
+
+
+@dataclass(frozen=True)
+class ClusterConfig:
+    """Shape of a :class:`~repro.cluster.Cluster`.
+
+    One record builds one cluster; two clusters built from equal
+    configs place every stripe identically.  Every node runs the
+    ``service`` and ``pipeline`` sections handed to the cluster beside
+    this one.
+
+    Parameters
+    ----------
+    nodes:
+        Node count; members are named ``node-0`` .. ``node-N-1``.
+    vnodes:
+        Virtual points per node on the placement ring (balance knob).
+    seed:
+        Placement hash key *and* the base for per-node fault-injector
+        seeds — the whole cluster is deterministic from it.
+    transport:
+        ``"local"`` awaits each node's ``BlobService`` in-process;
+        ``"tcp"`` runs every node behind its own JSON-lines wire server
+        and fans requests out through pooled
+        :class:`~repro.service.net.Client` connections (the same
+        protocol ``ppm serve`` speaks).
+    connections_per_node:
+        TCP-transport connection-pool width per node (ignored for
+        ``"local"``).
+    rebalance_blocks_per_s:
+        Token-bucket refill for background stripe migration, in blocks
+        per second.  ``0`` disables metering (move as fast as possible).
+    rebalance_burst_blocks:
+        Token-bucket capacity for migration bursts.
+    storm_z:
+        Shape of the erasure a whole-node death inflicts on each stripe
+        it hosted: the ``z`` handed to
+        :func:`repro.stripes.failures.worst_case_sd` when the stripe is
+        re-homed onto a survivor (see ``docs/CLUSTER.md`` for the
+        simulation contract).
+    """
+
+    nodes: int = 3
+    vnodes: int = 64
+    seed: int = 2015
+    transport: str = "local"
+    connections_per_node: int = 4
+    rebalance_blocks_per_s: float = 0.0
+    rebalance_burst_blocks: int = 256
+    storm_z: int = 1
+
+    def __post_init__(self) -> None:
+        if self.nodes < 1:
+            raise ValueError(f"nodes must be >= 1, got {self.nodes}")
+        if self.vnodes < 1:
+            raise ValueError(f"vnodes must be >= 1, got {self.vnodes}")
+        if self.transport not in TRANSPORTS:
+            raise ValueError(
+                f"transport must be one of {TRANSPORTS}, got {self.transport!r}"
+            )
+        if self.connections_per_node < 1:
+            raise ValueError(
+                f"connections_per_node must be >= 1, got {self.connections_per_node}"
+            )
+        if self.rebalance_blocks_per_s < 0:
+            raise ValueError("rebalance_blocks_per_s must be >= 0")
+        if self.rebalance_burst_blocks < 1:
+            raise ValueError(
+                f"rebalance_burst_blocks must be >= 1, got {self.rebalance_burst_blocks}"
+            )
+        if self.storm_z < 1:
+            raise ValueError(f"storm_z must be >= 1, got {self.storm_z}")
 
 
 @dataclass(frozen=True)
@@ -192,12 +429,7 @@ class WorkloadConfig:
 
 @dataclass(frozen=True)
 class AppConfig:
-    """One record configuring any serving entry point.
-
-    ``cluster.service`` is ignored as configuration input — the one
-    ``service`` section here is stitched into the cluster by
-    :func:`build_cluster`, so per-node knobs are never edited twice.
-    """
+    """One record configuring any serving entry point."""
 
     store: StoreConfig = field(default_factory=StoreConfig)
     service: ServiceConfig = field(default_factory=ServiceConfig)
@@ -207,8 +439,21 @@ class AppConfig:
     kernels: KernelsConfig = field(default_factory=KernelsConfig)
 
 
-#: nested dataclass sections, in the order they appear in a config file
-_SECTIONS = ("store", "service", "pipeline", "cluster", "workload", "kernels")
+def _field_types(cls: type) -> dict[str, Any]:
+    """Field name → declared type (a section class for a nested section)."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def field_type(path: str) -> Any:
+    """The declared type of the field a dotted path names
+    (``"service.repair.enabled"`` → ``bool``)."""
+    kind: Any = AppConfig
+    for name in path.split("."):
+        if not dataclasses.is_dataclass(kind) or name not in _field_types(kind):
+            raise ValueError(f"unknown config path {path!r}")
+        kind = _field_types(kind)[name]
+    return kind
 
 
 def to_dict(config: AppConfig) -> dict[str, Any]:
@@ -217,24 +462,17 @@ def to_dict(config: AppConfig) -> dict[str, Any]:
     return dataclasses.asdict(config)
 
 
-def _build_section(cls: type, data: Mapping[str, Any], path: str) -> Any:
-    known = {f.name: f for f in dataclasses.fields(cls)}
+def _build_section(cls: type, data: Any, path: str) -> Any:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"config section {path} must be a mapping, got {data!r}")
+    types = _field_types(cls)
     kwargs: dict[str, Any] = {}
     for key, value in data.items():
-        if key not in known:
+        if key not in types:
             raise ValueError(f"unknown config key {path}.{key}")
-        if key == "repair":
-            # ServiceConfig.repair: null | true | {...} in a file
-            if value is None or isinstance(value, RepairConfig):
-                kwargs[key] = value
-            elif value is True:
-                kwargs[key] = RepairConfig()
-            else:
-                kwargs[key] = _build_section(RepairConfig, value, f"{path}.repair")
-        elif key == "service" and isinstance(value, Mapping):
-            kwargs[key] = _build_section(ServiceConfig, value, f"{path}.service")
-        else:
-            kwargs[key] = value
+        kind = types[key]
+        nested = dataclasses.is_dataclass(kind)
+        kwargs[key] = _build_section(kind, value, f"{path}.{key}") if nested else value
     return cls(**kwargs)
 
 
@@ -243,99 +481,70 @@ def from_dict(data: Mapping[str, Any]) -> AppConfig:
 
     The shape mirrors :func:`to_dict`::
 
-        {"store": {"stripes": 64}, "service": {"repair": true},
+        {"store": {"stripes": 64}, "service": {"repair": {"enabled": true}},
          "cluster": {"nodes": 6}, "workload": {"concurrency": 32}}
     """
-    sections: dict[str, Any] = {}
-    classes = {
-        "store": StoreConfig,
-        "service": ServiceConfig,
-        "pipeline": PipelineConfig,
-        "cluster": ClusterConfig,
-        "workload": WorkloadConfig,
-        "kernels": KernelsConfig,
-    }
-    for key, value in data.items():
-        if key not in classes:
+    sections = _field_types(AppConfig)
+    for key in data:
+        if key not in sections:
             raise ValueError(
-                f"unknown config section {key!r} (expected one of {_SECTIONS})"
+                f"unknown config section {key!r} (expected one of {tuple(sections)})"
             )
-        sections[key] = _build_section(classes[key], value, key)
-    return AppConfig(**sections)
+    return AppConfig(
+        **{key: _build_section(sections[key], value, key) for key, value in data.items()}
+    )
 
 
 def flatten(data: Mapping[str, Any], prefix: str = "") -> dict[str, Any]:
-    """Nested config dict → dotted-path overrides (``repair`` dicts stay
-    whole so they can switch repair on with their own knobs)."""
+    """Nested config dict → dotted-path overrides (leaves only)."""
     out: dict[str, Any] = {}
     for key, value in data.items():
         path = f"{prefix}{key}"
-        if isinstance(value, Mapping) and key != "repair":
+        if isinstance(value, Mapping):
             out.update(flatten(value, path + "."))
         else:
             out[path] = value
     return out
 
 
-def _coerce(value: Any, annotation: Any) -> Any:
-    """Best-effort string → field-type coercion for CLI overrides."""
-    if not isinstance(value, str):
+def _coerce(value: Any, kind: Any) -> Any:
+    """String → field-type coercion for CLI overrides."""
+    if not isinstance(value, str) or kind is str:
         return value
-    text = str(annotation)
-    if "bool" in text:
+    if kind is bool:
         if value.lower() in ("1", "true", "yes", "on"):
             return True
         if value.lower() in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"not a bool: {value!r}")
-    if "int" in text:
-        return int(value)
-    if "float" in text:
-        return float(value)
-    return value
+    return kind(value)
 
 
 def apply_overrides(config: AppConfig, overrides: Mapping[str, Any]) -> AppConfig:
     """Dotted-path overrides over a config; returns a new config.
 
     ``{"service.batch_trigger": "4"}`` → ``replace`` down the path with
-    the value coerced to the field's declared type.  Setting any
-    ``service.repair.*`` key materialises a default
-    :class:`~repro.repair.RepairConfig` first; ``service.repair``
-    itself accepts ``true``/``false`` to switch repair on or off.
+    the value coerced to the field's declared type.  A path must end at
+    a field: ``service.repair.enabled=true`` switches repair on,
+    ``service.repair`` alone names a section and raises.
     """
     for path, value in overrides.items():
-        parts = path.split(".")
-        if parts[0] not in _SECTIONS or len(parts) < 2:
-            raise ValueError(f"unknown override path {path!r}")
-        config = _set_path(config, parts, value, path)
+        config = _set_path(config, path.split("."), value, path)
     return config
 
 
 def _set_path(node: Any, parts: list[str], value: Any, full: str) -> Any:
     name, rest = parts[0], parts[1:]
-    known = {f.name: f for f in dataclasses.fields(node)}
-    if name not in known:
+    types = _field_types(type(node))
+    if name not in types:
         raise ValueError(f"unknown override path {full!r}")
-    if not rest:
-        if name == "repair":
-            if isinstance(value, str):
-                value = _coerce(value, "bool")
-            if value is True:
-                value = RepairConfig()
-            elif isinstance(value, Mapping):
-                value = _build_section(RepairConfig, value, full)
-            elif not isinstance(value, RepairConfig) and not value:
-                value = None
-        else:
-            value = _coerce(value, known[name].type)
-        return replace(node, **{name: value})
-    child = getattr(node, name)
-    if child is None and name == "repair":
-        child = RepairConfig()
-    if not dataclasses.is_dataclass(child):
+    if dataclasses.is_dataclass(types[name]) != bool(rest):
         raise ValueError(f"override path {full!r} does not name a config field")
-    return replace(node, **{name: _set_path(child, rest, value, full)})
+    if rest:
+        value = _set_path(getattr(node, name), rest, value, full)
+    else:
+        value = _coerce(value, types[name])
+    return replace(node, **{name: value})
 
 
 # -- builders: config → live objects ----------------------------------------
@@ -387,10 +596,10 @@ def build_service(config: AppConfig):
 
 
 def build_cluster(config: AppConfig):
-    """A :class:`~repro.cluster.Cluster` with ``config.service``
-    stitched in as every node's service config, ``config.pipeline``
-    behind every node's decodes (as in :func:`build_service`) and the
-    same per-node damage/corruption :func:`build_store` applies."""
+    """A :class:`~repro.cluster.Cluster` whose every node runs
+    ``config.service`` over a pipeline built from ``config.pipeline``
+    (as in :func:`build_service`), with the same per-node
+    damage/corruption :func:`build_store` applies."""
     from .cluster import Cluster
     from .service import corrupt_store, damage_store
 
@@ -400,8 +609,9 @@ def build_cluster(config: AppConfig):
         build_code(store_cfg),
         store_cfg.stripes,
         store_cfg.symbols,
-        config.cluster.with_service(config.service),
+        config.cluster,
         fault_rate=store_cfg.fault_rate,
+        service=config.service,
         pipeline=config.pipeline,
     )
     for node in cluster.nodes.values():

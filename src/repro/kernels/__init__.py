@@ -11,7 +11,6 @@ table binding and L2-chunked ``np.take`` gathers.  See ``docs/KERNELS.md``.
 from __future__ import annotations
 
 from .backends import (
-    BACKEND_CHOICES,
     BASELINE_BACKEND,
     BackendTuning,
     ExecutorBackend,
@@ -52,7 +51,6 @@ __all__ = [
     "OP_MULXOR",
     "OP_XOR",
     "OP_ZERO",
-    "BACKEND_CHOICES",
     "BASELINE_BACKEND",
     "DEFAULT_PROGRAM_CACHE_SIZE",
     "BackendTuning",

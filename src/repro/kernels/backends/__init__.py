@@ -37,9 +37,6 @@ from .tuning import BackendTuning, shape_key, size_class
 #: The baseline every executor can always fall back to.
 BASELINE_BACKEND = "numpy"
 
-#: Names accepted by config / CLI selection knobs ("auto" + registry).
-BACKEND_CHOICES = ("auto", "numpy", "bitsliced", "splittab", "numba")
-
 _registry_lock = threading.Lock()
 _REGISTRY: dict[str, ExecutorBackend] = {}
 _DEFAULT = "auto"
@@ -107,7 +104,6 @@ if numba_available():  # pragma: no cover - depends on the environment
     register_backend(NumbaBackend())
 
 __all__ = [
-    "BACKEND_CHOICES",
     "BASELINE_BACKEND",
     "BackendTuning",
     "BitslicedBackend",

@@ -45,7 +45,6 @@ from ..gf.chunking import DEFAULT_CHUNK_SYMBOLS
 from ..gf.field import GF
 from ..gf.region import OpCounter
 from .backends import (
-    BACKEND_CHOICES,
     BASELINE_BACKEND,
     BackendTuning,
     ExecutorBackend,
@@ -462,4 +461,4 @@ class ProgramExecutor:
         return out_arrays
 
 
-__all__ = ["ProgramExecutor", "BACKEND_CHOICES"]
+__all__ = ["ProgramExecutor"]

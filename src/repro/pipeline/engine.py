@@ -39,6 +39,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..codes.base import ErasureCode
+from ..config import check_straggler_knobs
 from ..core.planner import DecodePlan, Stage
 from ..core.sequences import ExecutionMode, SequencePolicy
 from ..gf.field import GF
@@ -271,18 +272,7 @@ class DecodePipeline:
             raise ValueError(
                 f"assignment must be 'lpt' or 'round_robin', got {assignment!r}"
             )
-        if not 0.0 < hedge_percentile <= 1.0:
-            raise ValueError(
-                f"hedge_percentile must be in (0, 1], got {hedge_percentile}"
-            )
-        if hedge_factor < 1.0:
-            raise ValueError(f"hedge_factor must be >= 1.0, got {hedge_factor}")
-        if hedge_min_samples < 1:
-            raise ValueError(
-                f"hedge_min_samples must be >= 1, got {hedge_min_samples}"
-            )
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
+        check_straggler_knobs(hedge_percentile, hedge_factor, hedge_min_samples, deadline_s)
         self.pool = pool if isinstance(pool, WorkerPool) else make_pool(pool, workers)
         self.workers = self.pool.workers
         self.policy = policy

@@ -30,14 +30,12 @@ import threading
 import time
 import weakref
 from concurrent.futures import (
-    FIRST_EXCEPTION,
     Executor,
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    wait,
 )
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable
 
 logger = logging.getLogger(__name__)
 
@@ -45,14 +43,15 @@ logger = logging.getLogger(__name__)
 class StragglerTimeout(TimeoutError):
     """A pooled gather expired before every bucket finished.
 
-    Raised by :meth:`WorkerPool.run_buckets` when ``deadline_s`` elapses
-    with work still outstanding.  ``completed`` / ``pending`` hold the
-    *bucket indices* (positions in the submitted sequence) that did and
-    did not finish, so callers can tell partial progress from a total
-    stall; ``results`` maps each completed index to its result, letting
-    a caller salvage finished work (e.g. retry only the stragglers).
-    Outstanding futures have already been cancelled — ones already
-    running are abandoned, never joined.
+    Raised by :meth:`repro.pipeline.DecodePipeline._gather_hedged` (the
+    one gather every pool's work goes through) when ``deadline_s``
+    elapses with work still outstanding.  ``completed`` / ``pending``
+    hold the *bucket indices* (positions in the submitted sequence)
+    that did and did not finish, so callers can tell partial progress
+    from a total stall; ``results`` maps each completed index to its
+    result, letting a caller salvage finished work (e.g. retry only the
+    stragglers).  Outstanding futures have already been cancelled —
+    ones already running are abandoned, never joined.
     """
 
     def __init__(
@@ -197,61 +196,6 @@ class WorkerPool:
                 future.set_exception(exc)
             return future
         return executor.submit(fn, *args, **kwargs)
-
-    def run_buckets(
-        self,
-        fn: Callable[[Any], Any],
-        buckets: Sequence[Any],
-        *,
-        deadline_s: float | None = None,
-    ) -> list[Any]:
-        """Run ``fn`` once per bucket, concurrently; results in bucket order.
-
-        The gather stops at the *first* bucket failure: outstanding
-        siblings are cancelled (queued ones never start; running ones
-        are abandoned, not joined) and the failure re-raises, instead of
-        blocking on every earlier future in order while later ones leak.
-        ``deadline_s`` bounds the whole gather — on expiry outstanding
-        futures are cancelled and :class:`StragglerTimeout` reports
-        which bucket indices finished (with their results) and which
-        did not.
-        """
-        futures = [self.submit(fn, bucket) for bucket in buckets]
-        done, not_done = wait(futures, timeout=deadline_s, return_when=FIRST_EXCEPTION)
-        for future in not_done:
-            future.cancel()
-        for future in done:
-            if future.exception() is not None:
-                future.result()  # re-raises the first observed failure
-        if not_done:
-            completed: list[int] = []
-            pending: list[int] = []
-            results: dict[int, Any] = {}
-            for index, future in enumerate(futures):
-                # a cancel() can lose the race with a worker that just
-                # started; classify by what actually happened
-                if future in not_done and not future.done():
-                    pending.append(index)
-                elif future.cancelled():
-                    pending.append(index)
-                else:
-                    completed.append(index)
-                    results[index] = future.result()
-            assert deadline_s is not None  # not_done is empty without a timeout
-            raise StragglerTimeout(
-                deadline_s, tuple(completed), tuple(pending), results
-            )
-        return [f.result() for f in futures]
-
-    def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Iterable[Any],
-        *,
-        deadline_s: float | None = None,
-    ) -> list[Any]:
-        """Concurrent ``map`` preserving input order (see :meth:`run_buckets`)."""
-        return self.run_buckets(fn, list(items), deadline_s=deadline_s)
 
 
 class SerialPool(WorkerPool):

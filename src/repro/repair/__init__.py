@@ -13,12 +13,13 @@ Layering: this package sits *below* :mod:`repro.service` (which starts
 a manager beside its request path) and duck-types the store, so it
 depends only on :mod:`repro.stripes` and the pipeline's decode
 protocol.  Lint rule PPM009 covers the whole package: nothing here may
-block the event loop.
+block the event loop.  Its knobs are :class:`repro.config.RepairConfig`
+(re-exported here).
 """
 
 from __future__ import annotations
 
-from .config import RepairConfig
+from ..config import RepairConfig
 from .manager import RepairManager, RepairMetrics
 from .queue import RepairQueue, RepairTask
 from .ratelimit import TokenBucket

@@ -32,9 +32,9 @@ from __future__ import annotations
 import asyncio
 import logging
 
+from ..config import RepairConfig
 from ..pipeline.pool import StragglerTimeout
 from ..stripes.scrub import scrub_stripe
-from .config import RepairConfig
 from .queue import RepairQueue, RepairTask
 from .ratelimit import TokenBucket
 from .scrubber import ScanFindings, StoreScrubber
@@ -109,7 +109,8 @@ class RepairManager:
         pipeline serving degraded reads, so repair shares its plan
         cache and defers to its foreground batches.
     config:
-        :class:`RepairConfig` knobs.
+        :class:`RepairConfig` knobs (``enabled`` is the service's
+        switch; a manager built directly always runs).
     """
 
     def __init__(self, store, pipeline, config: RepairConfig | None = None):

@@ -16,7 +16,6 @@ The request path this package adds on top of the offline machinery::
   batching live degraded reads per erasure pattern;
 - :mod:`repro.service.store` — :class:`BlobStore` + transient
   :class:`FaultInjector`;
-- :mod:`repro.service.config` — :class:`ServiceConfig` knobs;
 - :mod:`repro.service.metrics` — :class:`ServiceMetrics` /
   :class:`LatencyHistogram`;
 - :mod:`repro.service.net` — the JSON-lines TCP wire
@@ -25,11 +24,12 @@ The request path this package adds on top of the offline machinery::
   generator;
 - :mod:`repro.service.errors` — the request-failure vocabulary.
 
-When :attr:`ServiceConfig.repair` is set, the service also runs a
-background :class:`repro.repair.RepairManager` beside the request
-path: it scrubs stripes for silent corruption and heals them through
-the *same* pipeline at background priority (see :mod:`repro.repair`
-and ``docs/REPAIR.md``).
+The service's knobs are :class:`repro.config.ServiceConfig` (re-exported
+here).  When ``ServiceConfig.repair.enabled`` is set, the service also
+runs a background :class:`repro.repair.RepairManager` beside the
+request path: it scrubs stripes for silent corruption and heals them
+through the *same* pipeline at background priority (see
+:mod:`repro.repair` and ``docs/REPAIR.md``).
 
 Lint rule PPM009 bans blocking calls (``time.sleep``, synchronous
 I/O) in this package: everything slow runs off-loop.
@@ -37,7 +37,7 @@ I/O) in this package: everything slow runs off-loop.
 
 from __future__ import annotations
 
-from .config import ServiceConfig
+from ..config import ServiceConfig
 from .errors import (
     BatchDecodeError,
     BlockUnavailableError,

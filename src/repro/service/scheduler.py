@@ -47,8 +47,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from ..config import ServiceConfig
 from ..pipeline.pool import StragglerTimeout
-from .config import ServiceConfig
 from .errors import (
     BatchDecodeError,
     BlockUnavailableError,

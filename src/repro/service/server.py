@@ -27,10 +27,10 @@ import asyncio
 
 import numpy as np
 
+from ..config import ServiceConfig
 from ..core import PPMDecoder
 from ..pipeline import DecodePipeline
 from ..repair import RepairManager
-from .config import ServiceConfig
 from .errors import (
     BatchDecodeError,
     BlockUnavailableError,
@@ -95,10 +95,11 @@ class BlobService:
         )
         #: background scrub-and-repair, sharing this service's pipeline
         #: (so repair batches defer to foreground reads via admission);
-        #: built from config, started lazily on __aenter__/start_repair
+        #: built when config.repair.enabled, started lazily on
+        #: __aenter__/start_repair
         self.repair: RepairManager | None = (
             RepairManager(store, self.pipeline, self.config.repair)
-            if self.config.repair is not None
+            if self.config.repair.enabled
             else None
         )
         self._closed = False

@@ -9,17 +9,16 @@ paths:
 - :meth:`DiskArray.degraded_read` — recover just enough to serve one
   block (what LRC local parities are designed to make cheap).
 
-Decoding itself is delegated to any object with the
-``decode(code, stripe, faulty, targets=...) -> dict[block_id, region]``
-interface (``targets``: the erased blocks wanted back) —
-both :class:`repro.core.TraditionalDecoder` and
-:class:`repro.core.PPMDecoder` satisfy it, which is how the examples
-compare repair strategies on the same failure history.
+Decoding itself is delegated to a :class:`Decoder` — in practice a
+:class:`repro.pipeline.DecodePipeline` or one of its presets
+(:class:`repro.core.TraditionalDecoder`, :class:`repro.core.PPMDecoder`,
+…), which is how the examples compare repair strategies on the same
+failure history.
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -29,11 +28,25 @@ from .store import Stripe
 
 
 class Decoder(Protocol):
-    """Anything that can recover erased blocks of a stripe."""
+    """Anything that can recover erased blocks of stripes.
+
+    ``decode`` serves one stripe's ``targets`` (the erased blocks
+    wanted back; default all of ``faulty``); ``decode_batch`` recovers
+    every erased block of many stripes, one pattern per stripe, in one
+    submission.
+    """
 
     def decode(
         self, code: ErasureCode, stripe: Stripe, faulty, *, targets=None
     ) -> dict[int, np.ndarray]:
+        ...  # pragma: no cover - protocol
+
+    def decode_batch(
+        self,
+        code: ErasureCode,
+        stripes: Sequence[Stripe],
+        faulty: Sequence[Sequence[int]],
+    ) -> list[dict[int, np.ndarray]]:
         ...  # pragma: no cover - protocol
 
 
@@ -87,28 +100,11 @@ class DiskArray:
     def rebuild(self, decoder: Decoder) -> int:
         """Recover every erased block of every stripe; returns blocks repaired.
 
-        When the decoder exposes ``decode_batch`` (the
-        :class:`repro.pipeline.DecodePipeline` interface) all damaged
-        stripes go down in one submission, so stripes sharing a failure
-        geometry — the common case after a disk loss — are fused into a
-        single region-op sweep instead of decoded one by one.
+        All damaged stripes go down in one ``decode_batch`` submission,
+        so stripes sharing a failure geometry — the common case after a
+        disk loss — are fused into a single region-op sweep instead of
+        decoded one by one.
         """
-        decode_batch = getattr(decoder, "decode_batch", None)
-        if decode_batch is not None:
-            return self._rebuild_batched(decode_batch)
-        repaired = 0
-        for stripe in self.stripes:
-            faulty = stripe.erased_ids
-            if not faulty:
-                continue
-            recovered = decoder.decode(self.code, stripe, faulty)
-            for bid, region in recovered.items():
-                stripe.put(bid, region)
-            repaired += len(recovered)
-        self.failed_disks.clear()
-        return repaired
-
-    def _rebuild_batched(self, decode_batch) -> int:
         work = [
             (stripe, stripe.erased_ids)
             for stripe in self.stripes
@@ -117,7 +113,7 @@ class DiskArray:
         if not work:
             self.failed_disks.clear()
             return 0
-        results = decode_batch(
+        results = decoder.decode_batch(
             self.code, [s for s, _ in work], [f for _, f in work]
         )
         repaired = 0

@@ -19,7 +19,7 @@ Three analyzers, all purely symbolic (no block data touched):
   (definite-assignment, aliasing, table bindings; strict mode adds
   liveness: dead stores, unreachable slots, pool slack) — the cheap
   pass gates ``lower_plan`` and every ``ProgramCache`` admission.
-- :func:`run_lint` (and ``tools/lint_repro.py``) — per-file AST lint
+- :func:`run_lint` — per-file AST lint
   enforcing repo invariants PPM001-PPM009 and PPM014 (:mod:`repro.verify.lint`).
 - :func:`analyze_races` — whole-program concurrency analysis
   PPM010-PPM013 (:mod:`repro.verify.races`): shared-mutable-state map

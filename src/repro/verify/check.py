@@ -192,6 +192,7 @@ def list_rules() -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """The ``ppm check`` command (``repro.cli`` hands it every argument)."""
     parser = argparse.ArgumentParser(
         prog="ppm check", description="repo static-analysis gate"
     )

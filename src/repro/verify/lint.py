@@ -43,15 +43,15 @@ performance story depend on:
   :mod:`repro.verify.races`.)
 
 Each rule is a :class:`LintRule` subclass registered in :data:`RULES`;
-``docs/VERIFICATION.md`` documents how to add one.  The CLI entry point
-is ``tools/lint_repro.py`` (also wired into CI).
+``docs/VERIFICATION.md`` documents how to add one.  The command-line
+front-end is ``ppm check`` (:mod:`repro.verify.check`, also wired into
+CI), which runs these rules beside the race analysis.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -651,61 +651,3 @@ def run_lint(
         findings, _suppressed = filter_noqa(findings, noqa_by_path)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI used by ``tools/lint_repro.py`` and CI."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="lint_repro",
-        description="repo-specific AST lint for the PPM codebase",
-    )
-    parser.add_argument("paths", nargs="*", default=["src"], help="files or directories")
-    parser.add_argument("--select", help="comma-separated rule codes to run")
-    parser.add_argument("--ignore", help="comma-separated rule codes to skip")
-    parser.add_argument(
-        "--list-rules", action="store_true", help="print the rule registry and exit"
-    )
-    parser.add_argument(
-        "-v",
-        "--verbose",
-        action="store_true",
-        help="with --list-rules: run the rules over the paths and report "
-        "per-rule wall time",
-    )
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        timings: dict[str, float] = {}
-        if args.verbose:
-            try:
-                run_lint(args.paths or ["src"], timings=timings)
-            except FileNotFoundError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        for code, rule in sorted(RULES.items()):
-            suffix = (
-                f"  [{timings.get(code, 0.0) * 1000:.1f} ms]" if args.verbose else ""
-            )
-            print(f"{code} {rule.name}: {rule.explanation}{suffix}")
-        return 0
-    try:
-        findings = run_lint(
-            args.paths or ["src"],
-            select=args.select.split(",") if args.select else None,
-            ignore=args.ignore.split(",") if args.ignore else None,
-        )
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for f in findings:
-        print(f.format())
-    if findings:
-        print(f"{len(findings)} finding(s)")
-        return 1
-    print(f"lint clean ({len(RULES)} rules)")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

@@ -16,9 +16,8 @@ whole source tree in three passes:
    concurrent execution contexts of this codebase: the **event loop**
    (every ``async def``) and **worker threads** (callables handed to
    ``asyncio.to_thread`` / ``loop.run_in_executor`` /
-   ``threading.Thread(target=...)`` / ``<pool>.submit`` /
-   ``<pool>.run_buckets`` / ``<pool>.map``).  Contexts propagate along
-   call edges — ``self.method()`` precisely, ``self.attr.method()``
+   ``threading.Thread(target=...)`` / ``<pool>.submit``).  Contexts
+   propagate along call edges — ``self.method()`` precisely, ``self.attr.method()``
    through the attribute-type table, and otherwise through a
    unique-method-name fallback (suppressed for ubiquitous names like
    ``get``/``close``).  Callables reach a pool through locals too —
@@ -346,7 +345,7 @@ def _thread_root_exprs(call: ast.Call) -> list[ast.expr]:
         return [call.args[1]]
     if name == "Thread" or dotted == "threading.Thread":
         return [kw.value for kw in call.keywords if kw.arg == "target"]
-    if name in ("submit", "run_buckets", "map") and isinstance(func, ast.Attribute):
+    if name == "submit" and isinstance(func, ast.Attribute):
         receiver = _dotted(func.value) or ""
         if "pool" in receiver.lower() or "executor" in receiver.lower():
             return call.args[:1]

@@ -38,10 +38,16 @@ def make_cluster(
     *,
     fault_rate: float = 0.0,
     seed: int = 7,
+    service: ServiceConfig | None = None,
     **config_kwargs,
 ) -> Cluster:
-    config_kwargs.setdefault("service", fast_service())
     config = ClusterConfig(nodes=nodes, seed=seed, **config_kwargs)
     return Cluster.build(
-        code, num_stripes, SYMBOLS, config, fault_rate=fault_rate, rng=seed
+        code,
+        num_stripes,
+        SYMBOLS,
+        config,
+        fault_rate=fault_rate,
+        rng=seed,
+        service=service if service is not None else fast_service(),
     )

@@ -144,7 +144,7 @@ def test_kill_node_storms_and_heals(code):
             nodes=3,
             num_stripes=12,
             service=fast_service(
-                repair=RepairConfig(scrub_interval_s=0.002, scrub_stripes=8)
+                repair=RepairConfig(enabled=True, scrub_interval_s=0.002, scrub_stripes=8)
             ),
         )
         async with cluster:
@@ -225,14 +225,8 @@ def test_tcp_transport_round_trip(code):
     """The same cluster behind per-node TCP servers + pooled clients."""
 
     async def run():
-        config = ClusterConfig(
-            nodes=2,
-            seed=7,
-            transport="tcp",
-            connections_per_node=2,
-            service=fast_service(),
-        )
-        cluster = Cluster.build(code, 6, 16, config, rng=7)
+        config = ClusterConfig(nodes=2, seed=7, transport="tcp", connections_per_node=2)
+        cluster = Cluster.build(code, 6, 16, config, rng=7, service=fast_service())
         for node in cluster.nodes.values():
             damage_store(node.store, fraction=1.0, seed=3)
         async with cluster:

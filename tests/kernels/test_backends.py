@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from repro.gf import GF, RegionOps
 from repro.kernels import (
-    BACKEND_CHOICES,
     BASELINE_BACKEND,
     ProgramExecutor,
     available_backends,
@@ -54,9 +53,13 @@ class TestRegistry:
         assert ("numba" in available_backends()) == numba_available()
 
     def test_choices_cover_registry(self):
-        assert "auto" in BACKEND_CHOICES
-        for name in available_backends():
-            assert name in BACKEND_CHOICES
+        """The config accepts exactly ``auto`` plus what registered."""
+        from repro.config import KernelsConfig
+
+        for name in ("auto", *available_backends()):
+            assert KernelsConfig(backend=name).backend == name
+        with pytest.raises(ValueError, match="backend"):
+            KernelsConfig(backend="nonesuch")
 
     def test_get_backend_unknown_raises(self):
         with pytest.raises(KeyError, match="no executor backend"):

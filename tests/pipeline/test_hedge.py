@@ -10,6 +10,9 @@ doubles (the engine duck-types ``worker_delay`` /
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -72,8 +75,6 @@ def test_hedge_fires_on_straggler_and_wins(workload):
         for _ in range(WARMUP):
             _assert_truth(expected, pipe.decode_batch(code, stripes, faulty))
         assert pipe.metrics().hedges == 0  # healthy executions never hedge
-        import time
-
         t0 = time.perf_counter()
         outs = pipe.decode_batch(code, stripes, faulty)
         wall = time.perf_counter() - t0
@@ -175,6 +176,88 @@ def test_per_call_deadline_overrides_constructor(workload):
         outs = pipe.decode_batch(code, stripes, faulty, deadline_s=30.0)
         assert pipe.metrics().straggler_timeouts == 0
     _assert_truth(expected, outs)
+
+
+class StallAfterFirst:
+    """Worker execution 1 fails (``fail=True``) or runs; every later one
+    blocks until :attr:`release` is set, then runs normally."""
+
+    def __init__(self, fail: bool):
+        self.fail = fail
+        self.calls = 0
+        self.lock = threading.Lock()
+        self.release = threading.Event()
+
+    def worker_delay(self) -> float:
+        with self.lock:
+            self.calls += 1
+            first = self.calls == 1
+        if first and self.fail:
+            raise RuntimeError("injected worker failure")
+        if not first:
+            self.release.wait(10.0)
+        return 0.0
+
+    def corrupt_worker_output(self, regions) -> bool:
+        return False
+
+
+@pytest.fixture(scope="module")
+def grouped():
+    """A pattern whose plan has several independent stages, so a
+    two-worker pool runs it as two concurrent buckets."""
+    code = SDCode(8, 4, 2, 2)
+    faulty = list(worst_case_sd(code, z=1, rng=7).faulty_blocks)
+    stripes = make_stripes(code, 2, SYMBOLS, rng=7)
+    expected = [
+        {bid: np.array(stripe.get(bid)) for bid in faulty} for stripe in stripes
+    ]
+    return code, stripes, faulty, expected
+
+
+def test_first_worker_failure_abandons_sibling_buckets(grouped):
+    """A worker exception re-raises at once: the gather does not wait
+    for (it cancels, or abandons if running) the sibling bucket, and the
+    pipeline stays usable."""
+    code, stripes, faulty, expected = grouped
+    faults = StallAfterFirst(fail=True)
+    with DecodePipeline(workers=2, pool="thread", faults=faults) as pipe:
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError, match="injected worker failure"):
+            pipe.decode_batch(code, stripes, faulty)
+        assert time.perf_counter() - t0 < 5.0  # the stalled sibling is not joined
+        faults.release.set()
+        _assert_truth(expected, pipe.decode_batch(code, stripes, faulty))
+
+
+def test_deadline_names_finished_and_pending_buckets(grouped):
+    code, stripes, faulty, _expected = grouped
+    faults = StallAfterFirst(fail=False)
+    with DecodePipeline(workers=2, pool="thread", faults=faults) as pipe:
+        try:
+            with pytest.raises(StragglerTimeout) as exc_info:
+                pipe.decode_batch(code, stripes, faulty, deadline_s=0.5)
+        finally:
+            faults.release.set()
+        assert pipe.metrics().straggler_timeouts == 1
+    exc = exc_info.value
+    assert isinstance(exc, TimeoutError)  # catchable as the stdlib type
+    assert exc.deadline_s == 0.5
+    assert len(exc.completed) == 1 and len(exc.pending) == 1
+    assert set(exc.completed) | set(exc.pending) == {0, 1}
+    recovered, _elapsed = exc.results[exc.completed[0]]  # the finished bucket's output
+    assert recovered and set(exc.results) == set(exc.completed)
+    assert "1 of 2 bucket(s)" in str(exc)
+
+
+def test_serial_pipeline_deadline_is_best_effort(workload):
+    """A serial pool runs every bucket on the caller's thread, so there
+    is no concurrent worker to abandon: a deadline can never expire
+    mid-gather, but it is accepted for pool interchangeability."""
+    code, stripes, faulty, expected = workload
+    with DecodePipeline(pool="serial", deadline_s=0.001, faults=AlwaysSlow(0.01)) as pipe:
+        _assert_truth(expected, pipe.decode_batch(code, stripes, faulty))
+        assert pipe.metrics().straggler_timeouts == 0
 
 
 def test_constructor_validation():

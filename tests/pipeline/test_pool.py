@@ -81,22 +81,13 @@ def test_serial_pool_propagates_exceptions():
         future.result()
 
 
-def test_run_buckets_preserves_order():
-    with ThreadWorkerPool(4) as pool:
-        results = pool.run_buckets(lambda bucket: sum(bucket), [[1], [2, 3], [4, 5, 6]])
-    assert results == [1, 5, 15]
-
-
-def test_map_preserves_order():
-    with SerialPool() as pool:
-        assert pool.map(lambda x: x * x, range(5)) == [0, 1, 4, 9, 16]
-
-
 def test_thread_pool_actually_uses_worker_threads():
-    seen = set()
     with ThreadWorkerPool(2) as pool:
-        pool.map(lambda _: seen.add(threading.current_thread().name), range(8))
-    assert all(name.startswith("ppm-pool") for name in seen)
+        names = [
+            pool.submit(lambda: threading.current_thread().name).result()
+            for _ in range(8)
+        ]
+    assert all(name.startswith("ppm-pool") for name in names)
 
 
 def test_context_manager_closes():
@@ -220,88 +211,3 @@ def test_swallowed_close_error_is_logged(caplog):
     finally:
         WorkerPool.close(bad)
     assert any("ignoring error closing pool" in r.message for r in caplog.records)
-
-
-# -- deadlines and first-failure cancellation --------------------------------
-
-
-def test_first_failure_cancels_outstanding_buckets():
-    """A worker exception must not leave sibling buckets running: queued
-    work is cancelled, the first failure propagates, and the pool is
-    immediately reusable."""
-    from repro.pipeline import StragglerTimeout  # noqa: F401  (public surface)
-
-    sibling_ran = threading.Event()
-
-    def run(bucket):
-        if bucket == ["boom"]:
-            raise ValueError("injected bucket failure")
-        sibling_ran.set()
-        return bucket
-
-    with ThreadWorkerPool(1) as pool:
-        with pytest.raises(ValueError, match="injected bucket failure"):
-            # one worker: the raiser runs first, the sibling is still
-            # queued when the failure is observed and must be cancelled
-            pool.run_buckets(run, [["boom"], ["sibling"]])
-        assert not sibling_ran.wait(0.2)
-        # the pool survives a failed gather
-        assert pool.run_buckets(sum, [[1, 2]]) == [3]
-
-
-def test_deadline_raises_straggler_timeout_with_finished_buckets():
-    from repro.pipeline import StragglerTimeout
-
-    release = threading.Event()
-
-    def run(bucket):
-        if bucket == ["slow"]:
-            release.wait(10.0)
-        return list(bucket)
-
-    with ThreadWorkerPool(2) as pool:
-        try:
-            with pytest.raises(StragglerTimeout) as exc_info:
-                pool.run_buckets(run, [["fast"], ["slow"]], deadline_s=0.25)
-        finally:
-            release.set()
-    exc = exc_info.value
-    assert isinstance(exc, TimeoutError)  # catchable as the stdlib type
-    assert exc.deadline_s == 0.25
-    assert exc.completed == (0,)
-    assert exc.pending == (1,)
-    assert exc.results[0] == ["fast"]
-    assert "1 of 2 bucket(s)" in str(exc)
-
-
-def test_deadline_met_returns_normally():
-    with ThreadWorkerPool(2) as pool:
-        assert pool.run_buckets(sum, [[1], [2, 3]], deadline_s=5.0) == [1, 5]
-
-
-def test_map_deadline():
-    from repro.pipeline import StragglerTimeout
-
-    release = threading.Event()
-
-    def work(x):
-        if x == 1:
-            release.wait(10.0)
-        return x * x
-
-    with ThreadWorkerPool(2) as pool:
-        try:
-            with pytest.raises(StragglerTimeout) as exc_info:
-                pool.map(work, [0, 1], deadline_s=0.25)
-        finally:
-            release.set()
-    assert exc_info.value.completed == (0,)
-    assert exc_info.value.results[0] == 0
-
-
-def test_serial_pool_deadline_is_best_effort():
-    """SerialPool futures are already resolved at submit time, so a
-    deadline can never expire mid-gather — but the parameter must be
-    accepted for pool interchangeability."""
-    with SerialPool() as pool:
-        assert pool.run_buckets(sum, [[1, 2]], deadline_s=0.001) == [3]

@@ -197,7 +197,7 @@ def test_service_wires_repair_lifecycle_and_metrics(code):
     config = ServiceConfig(
         batch_trigger=2,
         flush_interval_s=0.002,
-        repair=RepairConfig(scrub_interval_s=0.005, scrub_stripes=64),
+        repair=RepairConfig(enabled=True, scrub_interval_s=0.005, scrub_stripes=64),
     )
 
     async def main():
@@ -230,7 +230,9 @@ def test_heals_to_zero_under_foreground_load():
                 "n": 6, "r": 4, "m": 2, "s": 2, "stripes": 4, "symbols": 16,
                 "seed": 3, "damaged": 0.25, "corrupt_fraction": 0.25,
             },
-            "service": {"repair": {"scrub_interval_s": 0.002, "scrub_stripes": 8}},
+            "service": {
+                "repair": {"enabled": True, "scrub_interval_s": 0.002, "scrub_stripes": 8}
+            },
         }
     )
     service = build_service(config)
@@ -277,7 +279,7 @@ def test_scrub_racing_inflight_degraded_read(code):
     config = ServiceConfig(
         batch_trigger=100,
         flush_interval_s=30.0,  # hold the read queued until we drain
-        repair=RepairConfig(scrub_stripes=64),
+        repair=RepairConfig(enabled=True, scrub_stripes=64),
     )
 
     async def main():

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _FLAG_PATHS, _app_config, build_parser, main
+from repro.config import AppConfig, field_type
 
 SMALL = [
     "--n", "6", "--r", "4", "--m", "2", "--s", "2",
@@ -54,6 +56,63 @@ def test_naive_flag_is_gone(command, capsys):
         build_parser().parse_args([command, "--naive"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --naive" in capsys.readouterr().err
+
+
+#: one valid, non-default sample value per field type
+SAMPLE = {int: "5", float: "0.25", bool: "true", str: "tcp"}
+
+#: the cluster section's deleted copy of the service section
+OLD_SERVICE_COPY = ".".join(("cluster", "service"))
+
+
+@pytest.mark.parametrize("flag", sorted(_FLAG_PATHS))
+def test_flag_equals_its_set_path(flag):
+    """Every generated flag is exactly ``--set <its path>=<value>``."""
+    path, _help = _FLAG_PATHS[flag]
+    kind = field_type(path)
+    option = "--" + flag.replace("_", "-")
+    argv = [option] if kind is bool else [option, SAMPLE[kind]]
+    sets = [f"{path}={SAMPLE[kind]}"]
+    if path == "store.seed":  # documented: --seed also seeds the placement ring
+        sets.append(f"cluster.seed={SAMPLE[kind]}")
+    by_flag = _app_config(build_parser().parse_args(["loadgen", *argv]))
+    by_set = _app_config(
+        build_parser().parse_args(["loadgen", *(a for s in sets for a in ("--set", s))])
+    )
+    assert by_flag == by_set != AppConfig()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--transport", "pigeon"], "transport must be one of"),
+        (["--flush-interval-s", "-1"], "flush_interval_s must be >= 0"),
+        (["--set", f"{OLD_SERVICE_COPY}.batch_trigger=4"], "unknown override path"),
+        (["--set", "service.repair=true"], "does not name a config field"),
+        (["--set", "store.stripes"], "--set needs path=value"),
+        (["--flush-ms", "2"], "unrecognized arguments: --flush-ms"),
+    ],
+)
+def test_bad_config_values_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["loadgen", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_serve_repair_flag_builds_the_repair_loop():
+    from repro.config import build_service
+
+    args = build_parser().parse_args(["serve", *SMALL, "--repair", "--scrub-stripes", "2"])
+    cfg = _app_config(args)
+    assert cfg.service.repair.enabled and cfg.service.repair.scrub_stripes == 2
+    service = build_service(cfg)
+    try:
+        assert service.repair is not None
+        assert service.repair.config is cfg.service.repair
+    finally:
+        asyncio.run(service.close())
+    assert _app_config(build_parser().parse_args(["serve"])).service.repair.enabled is False
 
 
 def test_loadgen_with_repair_flags(capsys):

@@ -12,6 +12,8 @@ import pytest
 
 from repro.config import (
     AppConfig,
+    RepairConfig,
+    ServiceConfig,
     StoreConfig,
     WorkloadConfig,
     apply_overrides,
@@ -22,8 +24,6 @@ from repro.config import (
     from_dict,
     to_dict,
 )
-from repro.repair import RepairConfig
-from repro.service import ServiceConfig
 
 
 def test_defaults_round_trip_through_dict():
@@ -36,7 +36,7 @@ def test_overridden_config_round_trips():
         AppConfig(),
         {
             "store.stripes": 64,
-            "service.repair": True,
+            "service.repair.enabled": True,
             "service.repair.scrub_stripes": 4,
             "cluster.nodes": 6,
             "workload.concurrency": 32,
@@ -57,18 +57,30 @@ def test_from_dict_is_partial_and_strict():
 
 
 def test_from_dict_repair_forms():
-    assert from_dict({"service": {"repair": None}}).service.repair is None
-    assert from_dict({"service": {"repair": True}}).service.repair == RepairConfig()
-    config = from_dict({"service": {"repair": {"scrub_stripes": 4}}})
-    assert config.service.repair.scrub_stripes == 4
+    """``service.repair`` is a section like any other: a mapping whose
+    ``enabled`` switches the loop on; the old scalar forms are errors."""
+    assert from_dict({}).service.repair == RepairConfig(enabled=False)
+    on = from_dict({"service": {"repair": {"enabled": True}}})
+    assert on.service.repair == RepairConfig(enabled=True)
+    tuned = from_dict({"service": {"repair": {"scrub_stripes": 4}}})
+    assert tuned.service.repair.scrub_stripes == 4
+    assert tuned.service.repair.enabled is False  # knobs alone do not switch it on
+    for scalar in (None, True, False):
+        with pytest.raises(ValueError, match="service.repair must be a mapping"):
+            from_dict({"service": {"repair": scalar}})
 
 
-def test_flatten_inverts_nesting_but_keeps_repair_whole():
-    flat = flatten({"store": {"stripes": 8}, "service": {"repair": {"scrub_stripes": 4}}})
-    assert flat == {"store.stripes": 8, "service.repair": {"scrub_stripes": 4}}
+def test_flatten_inverts_nesting():
+    nested = {"store": {"stripes": 8}, "service": {"repair": {"enabled": True, "scrub_stripes": 4}}}
+    flat = flatten(nested)
+    assert flat == {
+        "store.stripes": 8,
+        "service.repair.enabled": True,
+        "service.repair.scrub_stripes": 4,
+    }
     config = apply_overrides(AppConfig(), flat)
-    assert config.store.stripes == 8
-    assert config.service.repair.scrub_stripes == 4
+    assert config == from_dict(nested)
+    assert config.service.repair == RepairConfig(enabled=True, scrub_stripes=4)
 
 
 def test_apply_overrides_coerces_strings():
@@ -78,19 +90,19 @@ def test_apply_overrides_coerces_strings():
             "store.stripes": "8",
             "store.fault_rate": "0.25",
             "service.fallback_single": "false",
-            "service.repair": "true",
+            "service.repair.enabled": "true",
         },
     )
     assert config.store.stripes == 8
     assert config.store.fault_rate == 0.25
     assert config.service.fallback_single is False
-    assert config.service.repair == RepairConfig()
+    assert config.service.repair == RepairConfig(enabled=True)
     with pytest.raises(ValueError, match="not a bool"):
         apply_overrides(AppConfig(), {"service.fallback_single": "maybe"})
 
 
 def test_apply_overrides_rejects_unknown_paths():
-    for path in ("store.shards", "nope.x", "store", "service.repair.nope"):
+    for path in ("store.shards", "nope.x", "store", "service.repair", "service.repair.nope"):
         with pytest.raises(ValueError):
             apply_overrides(AppConfig(), {path: 1})
 
@@ -105,12 +117,44 @@ def test_removed_service_knobs_are_unknown_keys():
             apply_overrides(AppConfig(), {path: "0.004"})
 
 
-def test_repair_subkey_materialises_default_config():
+def test_repair_enabled_switches_repair_on_and_off():
     config = apply_overrides(AppConfig(), {"service.repair.scrub_stripes": 4})
-    assert config.service.repair is not None
     assert config.service.repair.scrub_stripes == 4
-    off = apply_overrides(config, {"service.repair": "false"})
-    assert off.service.repair is None
+    assert config.service.repair.enabled is False
+    on = apply_overrides(config, {"service.repair.enabled": "true"})
+    assert on.service.repair == RepairConfig(enabled=True, scrub_stripes=4)
+    off = apply_overrides(on, {"service.repair.enabled": "false"})
+    assert off.service.repair == config.service.repair  # knobs kept while off
+
+
+def test_cluster_service_copy_is_an_unknown_key():
+    """Regression: the cluster section used to carry its own copy of the
+    service section, which parsed and was then overwritten by
+    ``AppConfig.service`` in ``build_cluster`` — its 16 paths were
+    accepted and silently did nothing."""
+    copy = {"service": to_dict(AppConfig())["service"]}
+    paths = [f"cluster.{path}" for path in flatten(copy)]
+    assert len(paths) == 16
+    for path in paths:
+        with pytest.raises(ValueError, match="unknown override path"):
+            apply_overrides(AppConfig(), {path: "4"})
+    with pytest.raises(ValueError, match="unknown config key cluster"):
+        from_dict({"cluster": {"service": {"batch_trigger": 4}}})
+
+
+def test_configs_round_trip_through_dict(monkeypatch):
+    """Default, repair-enabled, and the benchmark's served-store config
+    (``perf/workloads.py``'s ``WireMixed.app_config``, which its server
+    child re-parses from ``to_dict``) all survive ``from_dict(to_dict())``."""
+    import importlib
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perf"))
+    wire_mixed = importlib.import_module("workloads").WireMixed(seed=1).app_config()
+    assert wire_mixed.pipeline.pool == "thread"  # really the partial dict, not defaults
+    repaired = apply_overrides(AppConfig(), {"service.repair.enabled": True})
+    for config in (AppConfig(), repaired, wire_mixed):
+        assert from_dict(to_dict(config)) == config
 
 
 def test_overrides_never_mutate_the_input():
@@ -186,6 +230,21 @@ def test_kernels_backend_is_validated():
         KernelsConfig(backend="nonesuch")
     with pytest.raises(ValueError, match="backend"):
         from_dict({"kernels": {"backend": "nonesuch"}})
+
+
+def test_kernels_backend_must_be_registered_on_this_host():
+    """Regression: names came from a hand-kept list that included
+    ``numba``, so on a host without numba ``kernels.backend=numba``
+    parsed and ``build_store`` then failed with a ``KeyError``."""
+    from repro.config import KernelsConfig
+    from repro.kernels import numba_available
+
+    if numba_available():
+        pytest.skip("numba is registered here")
+    with pytest.raises(ValueError, match="backend"):
+        KernelsConfig(backend="numba")
+    with pytest.raises(ValueError, match="backend"):
+        apply_overrides(AppConfig(), {"kernels.backend": "numba"})
 
 
 def test_kernels_apply_sets_process_default():

@@ -1,15 +1,15 @@
 """Lint engine: each rule catches its target pattern; the repo is clean.
 
 ``lint_source`` is exercised with minimal violating snippets per rule,
-then the whole shipped ``src`` tree is linted as a self-check — the same
-invocation CI runs via ``tools/lint_repro.py src``.
+then the whole shipped ``src`` tree goes through ``run_check`` as a
+self-check — the gate CI runs as ``ppm check --strict src``.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.verify import RULES, run_lint
+from repro.verify import RULES, run_check, run_lint
 from repro.verify.lint import LintRule, lint_source, register_rule
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
@@ -269,18 +269,18 @@ def test_nonexistent_path_errors_instead_of_passing_vacuously(capsys):
     """A typo'd path in CI must not report "lint clean"."""
     import pytest
 
-    from repro.verify.lint import main
+    from repro.cli import main
 
     with pytest.raises(FileNotFoundError, match="does not exist"):
         run_lint(["/no/such/dir"])
-    assert main(["/no/such/dir"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main(["check", "/no/such/dir"]) == 2
+    assert "does not exist" in capsys.readouterr().err
 
 
 def test_shipped_src_tree_is_lint_clean():
-    """The invariant CI enforces: `python tools/lint_repro.py src` is clean."""
-    findings = run_lint([str(REPO_SRC)])
-    assert findings == [], "\n".join(f.format() for f in findings)
+    """The invariant CI enforces: `ppm check src` is clean (lint and races)."""
+    report = run_check([str(REPO_SRC)])
+    assert report.lint == [] and report.ok, report.format_human()
 
 
 def test_ppm014_execution_mode_fork():
