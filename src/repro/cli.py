@@ -9,7 +9,7 @@ paper-example   walk through the Section II-B/III-B worked example
 calibrate       print this host's measured GF-kernel profile
 demo            encode/fail/decode a stripe and verify, with both decoders
 list-codes      show the registered erasure-code constructions
-verify          static verification sweep of decode plans + XOR schedules
+verify          static verification sweep of decode plans + compiled programs
 check           static-analysis gate: lint + race analysis (+ sweeps, --strict)
 verify-code     Monte-Carlo decodability verification of a code instance
 search          search SD coefficient sets (the SD authors' pipeline)
@@ -173,7 +173,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         results = sweep_all(
             samples=args.samples,
             seed=args.seed,
-            check_schedules=not args.no_schedules,
             check_programs=not args.no_programs,
             check_backends=args.strict,
         )
@@ -185,7 +184,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 code,
                 samples=args.samples,
                 seed=args.seed,
-                check_schedules=not args.no_schedules,
                 check_programs=not args.no_programs,
                 check_backends=args.strict,
             )
@@ -612,16 +610,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vfy = sub.add_parser(
         "verify",
-        help="statically verify decode plans (and XOR schedules) across codes",
+        help="statically verify decode plans (and their compiled programs) across codes",
     )
     p_vfy.add_argument("--all", action="store_true", help="sweep every registered kind")
     p_vfy.add_argument("kind", nargs="?", help="registry name, e.g. sd (default: --all)")
     p_vfy.add_argument("param", nargs="*", help="constructor params, e.g. n=6 r=4 m=2 s=2")
     p_vfy.add_argument("--samples", type=int, default=50, help="scenarios per code")
     p_vfy.add_argument("--seed", type=int, default=2015)
-    p_vfy.add_argument(
-        "--no-schedules", action="store_true", help="skip XOR-schedule verification"
-    )
     p_vfy.add_argument(
         "--no-programs",
         action="store_true",

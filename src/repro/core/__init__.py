@@ -26,7 +26,6 @@ from .planner import (
 from .sequences import ExecutionMode, SequenceCosts, SequencePolicy
 
 if TYPE_CHECKING:  # resolved lazily at run time, see __getattr__
-    from .bitdecoder import BitMatrixDecoder
     from .decoder import DecodeStats, PPMDecoder, ProcessParallelDecoder, TraditionalDecoder
     from .rowparallel import RowParallelDecoder
 
@@ -34,7 +33,6 @@ if TYPE_CHECKING:  # resolved lazily at run time, see __getattr__
 #: which (with :mod:`repro.stripes` and :mod:`repro.parallel` under it)
 #: imports the planning modules above — so they load on first use.
 _PRESETS = {
-    "BitMatrixDecoder": "bitdecoder",
     "DecodeStats": "decoder",
     "PPMDecoder": "decoder",
     "ProcessParallelDecoder": "decoder",
@@ -55,7 +53,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "BitMatrixDecoder",
     "DecodeStats",
     "PPMDecoder",
     "TraditionalDecoder",

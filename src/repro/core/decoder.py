@@ -58,7 +58,6 @@ class TraditionalDecoder(DecodePipeline):
         policy: str | SequencePolicy = "normal",
         counter: OpCounter | None = None,
         verify: bool = False,
-        compile: bool = True,
     ):
         resolved = self._POLICIES.get(policy) if isinstance(policy, str) else policy
         if resolved is None or resolved not in self._POLICIES.values():
@@ -67,7 +66,7 @@ class TraditionalDecoder(DecodePipeline):
             )
         super().__init__(
             pool="serial", workers=1, policy=resolved,
-            counter=counter, verify=verify, compile=compile,
+            counter=counter, verify=verify,
         )
 
 
@@ -101,7 +100,6 @@ class PPMDecoder(DecodePipeline):
         parallel: bool = True,
         counter: OpCounter | None = None,
         verify: bool = False,
-        compile: bool = True,
         deadline_s: float | None = None,
     ):
         if threads < 1:
@@ -111,7 +109,7 @@ class PPMDecoder(DecodePipeline):
             pool="thread" if concurrent else "serial",
             workers=threads if concurrent else 1,
             policy=policy, assignment="round_robin",
-            counter=counter, verify=verify, compile=compile, deadline_s=deadline_s,
+            counter=counter, verify=verify, deadline_s=deadline_s,
         )
 
 
@@ -136,9 +134,8 @@ class ProcessParallelDecoder(DecodePipeline):
         policy: SequencePolicy = SequencePolicy.PAPER,
         counter: OpCounter | None = None,
         verify: bool = False,
-        compile: bool = True,
     ):
         super().__init__(
             pool="process", workers=threads, policy=policy, assignment="round_robin",
-            counter=counter, verify=verify, compile=compile,
+            counter=counter, verify=verify,
         )

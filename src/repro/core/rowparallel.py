@@ -51,7 +51,6 @@ class RowParallelDecoder(DecodePipeline):
         policy: SequencePolicy = SequencePolicy.MATRIX_FIRST,
         counter: OpCounter | None = None,
         verify: bool = False,
-        compile: bool = True,
     ):
         if policy is not SequencePolicy.MATRIX_FIRST:
             raise ValueError(
@@ -61,7 +60,7 @@ class RowParallelDecoder(DecodePipeline):
         super().__init__(
             pool="thread" if threads > 1 else "serial", workers=threads,
             policy=policy, assignment="round_robin",
-            counter=counter, verify=verify, compile=compile,
+            counter=counter, verify=verify,
         )
 
     def _stage_tasks(self, stage: Stage):

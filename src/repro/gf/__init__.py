@@ -11,48 +11,20 @@ Public surface:
 
 from __future__ import annotations
 
-from .bitmatrix import (
-    apply_bitmatrix,
-    bitmatrix_multiply,
-    companion_matrix,
-    expand_matrix,
-    from_bitplanes,
-    to_bitplanes,
-    xor_count,
-)
 from .field import GF
 from .polynomials import DEFAULT_POLYNOMIALS, default_polynomial, is_irreducible, is_primitive
 from .region import OpCounter, RegionOps
-from .schedule import (
-    XorSchedule,
-    execute_schedule,
-    naive_schedule,
-    pair_reuse_schedule,
-    schedule_cost,
-)
 from .split import mul_region_split, split_tables
 from .tables import build_logexp, build_mul8, dtype_for
 
 __all__ = [
     "GF",
-    "apply_bitmatrix",
-    "bitmatrix_multiply",
-    "companion_matrix",
-    "expand_matrix",
-    "from_bitplanes",
-    "to_bitplanes",
-    "xor_count",
     "DEFAULT_POLYNOMIALS",
     "default_polynomial",
     "is_irreducible",
     "is_primitive",
     "OpCounter",
     "RegionOps",
-    "XorSchedule",
-    "execute_schedule",
-    "naive_schedule",
-    "pair_reuse_schedule",
-    "schedule_cost",
     "mul_region_split",
     "split_tables",
     "build_logexp",

@@ -17,7 +17,6 @@ from .backends import (
     available_backends,
     default_backend,
     get_backend,
-    numba_available,
     register_backend,
     set_default_backend,
     unregister_backend,
@@ -73,7 +72,6 @@ __all__ = [
     "lower_matrix",
     "lower_matrix_chain",
     "lower_plan",
-    "numba_available",
     "optimize_program",
     "register_backend",
     "set_default_backend",

@@ -8,9 +8,7 @@ execution to a registered :class:`ExecutorBackend`:
 - ``bitsliced`` — paired bit-plane gathers through fused two-symbol
   tables for w=4/8 (typically 1.2-2x the baseline, see CI gate);
 - ``splittab`` — fused halfword split tables (log/antilog-built for
-  w=16) for w=16/32;
-- ``numba`` — optional JIT-compiled instruction stream, registered only
-  when numba imports cleanly (never required).
+  w=16) for w=16/32.
 
 Selection is ``"auto"`` by default: the executor micro-benchmarks the
 candidates per *(program shape, w, region size)* class and caches the
@@ -29,7 +27,6 @@ import threading
 
 from .base import ExecutorBackend, RegionAlignmentError
 from .bitsliced import BitslicedBackend, paired_table
-from .numba_jit import NumbaBackend, numba_available
 from .numpy_tables import NumpyTablesBackend
 from .splittab import SplitTableBackend, halfword_tables
 from .tuning import BackendTuning, shape_key, size_class
@@ -100,15 +97,12 @@ def default_backend() -> str:
 register_backend(NumpyTablesBackend())
 register_backend(BitslicedBackend())
 register_backend(SplitTableBackend())
-if numba_available():  # pragma: no cover - depends on the environment
-    register_backend(NumbaBackend())
 
 __all__ = [
     "BASELINE_BACKEND",
     "BackendTuning",
     "BitslicedBackend",
     "ExecutorBackend",
-    "NumbaBackend",
     "NumpyTablesBackend",
     "RegionAlignmentError",
     "SplitTableBackend",
@@ -116,7 +110,6 @@ __all__ = [
     "default_backend",
     "get_backend",
     "halfword_tables",
-    "numba_available",
     "paired_table",
     "register_backend",
     "set_default_backend",

@@ -10,8 +10,8 @@ call, once per (program, backend):
   temporaries live in thread-local chunk-sized scratch while outputs
   are real full-length arrays;
 - regions are processed in L2-sized chunks
-  (:data:`repro.gf.chunking.DEFAULT_CHUNK_SYMBOLS`), keeping every
-  temporary hot across the whole instruction stream.
+  (:data:`DEFAULT_CHUNK_SYMBOLS`), keeping every temporary hot across
+  the whole instruction stream.
 
 **Backend selection** is ``"auto"`` by default: on the first execution
 of a *(program shape, w, region size)* class the executor
@@ -41,7 +41,6 @@ import time
 
 import numpy as np
 
-from ..gf.chunking import DEFAULT_CHUNK_SYMBOLS
 from ..gf.field import GF
 from ..gf.region import OpCounter
 from .backends import (
@@ -56,6 +55,9 @@ from .backends import (
 )
 from .backends.base import RegionAlignmentError
 from .ir import RegionProgram
+
+#: Default chunk size in symbols: 64 KB of w=8 data — half a typical L2.
+DEFAULT_CHUNK_SYMBOLS = 1 << 16
 
 #: Bindings kept for at most this many distinct (program, backend)
 #: pairs before the executor's table cache is reset (programs come from

@@ -7,8 +7,7 @@ coefficient structure to a :class:`~repro.kernels.ir.RegionProgram`
 a whole :class:`~repro.core.planner.DecodePlan` as one fused program.
 
 The scalar primitives (``mult_xors``, ``mul_region``) stay interpreted:
-they are single region passes with nothing to amortise, and
-:func:`repro.gf.chunking.chunked_matrix_apply` builds on them directly.
+they are single region passes with nothing to amortise.
 Multi-dimensional regions also fall back to the interpreted path — the
 executor is specialised for the 1-D sectors the decoders use.
 """
@@ -17,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..gf.chunking import DEFAULT_CHUNK_SYMBOLS
 from ..gf.field import GF
 from ..gf.region import OpCounter, RegionOps
 from .cache import ProgramCache
@@ -35,14 +33,10 @@ class CompiledRegionOps(RegionOps):
     programs:
         Optional shared :class:`ProgramCache`; decoders hand one cache
         to all their ops instances so plans compile once per geometry.
-    optimize:
-        Run the optimisation passes (pair CSE, DCE, slot compaction) on
-        every compiled program.  Off is useful for debugging only.
-    chunk_symbols:
-        L2 blocking factor for the executor.
-    backend:
-        Executor backend selection: ``"auto"`` (default, per-class
-        auto-tune) or a registered backend name to force it.
+
+    Every program is optimised (pair CSE, DCE, slot compaction) and runs
+    on the executor's defaults: L2-sized chunks, ``"auto"`` backend
+    selection (or the process-wide ``AppConfig.kernels.backend``).
     """
 
     def __init__(
@@ -51,21 +45,12 @@ class CompiledRegionOps(RegionOps):
         counter: OpCounter | None = None,
         *,
         programs: ProgramCache | None = None,
-        optimize: bool = True,
-        chunk_symbols: int = DEFAULT_CHUNK_SYMBOLS,
-        backend: str = "auto",
     ):
         super().__init__(field, counter)
         self.programs = programs if programs is not None else ProgramCache()
-        self.optimize = optimize
         # tuning state lives on the program cache: backend winners are
         # shared by every ops/executor built over the same cache
-        self.executor = ProgramExecutor(
-            field,
-            chunk_symbols=chunk_symbols,
-            backend=backend,
-            tuning=self.programs.tuning,
-        )
+        self.executor = ProgramExecutor(field, tuning=self.programs.tuning)
 
     def _compilable(self, regions: list[np.ndarray]) -> bool:
         return all(r.ndim == 1 for r in regions)
@@ -97,9 +82,7 @@ class CompiledRegionOps(RegionOps):
                 )
             if not out.flags.c_contiguous:
                 return super().linear_combination(coefficients, regions, out=out)
-        program = self.programs.row_program(
-            self.field, coefficients, optimize=self.optimize
-        )
+        program = self.programs.row_program(self.field, coefficients)
         outs = None if out is None else [out]
         return self.executor.execute(
             program, list(regions), counter=self.counter, outs=outs
@@ -120,9 +103,7 @@ class CompiledRegionOps(RegionOps):
             raise ValueError("cannot infer output shape from empty inputs")
         if not self._compilable(regions):
             return super().matrix_apply(matrix, regions)
-        program = self.programs.matrix_program(
-            self.field, matrix, optimize=self.optimize
-        )
+        program = self.programs.matrix_program(self.field, matrix)
         return self.executor.execute(program, list(regions), counter=self.counter)
 
     def matrix_chain_apply(
@@ -141,14 +122,14 @@ class CompiledRegionOps(RegionOps):
             raise ValueError(
                 f"matrix shape {mats[0].shape} incompatible with {len(regions)} regions"
             )
-        program = self.programs.chain_program(self.field, mats, optimize=self.optimize)
+        program = self.programs.chain_program(self.field, mats)
         return self.executor.execute(program, list(regions), counter=self.counter)
 
     # -- fused plan execution ----------------------------------------------
 
     def plan_program(self, plan) -> PlanProgram:
         """The compiled (cached) program for a whole decode plan."""
-        return self.programs.plan_program(self.field, plan, optimize=self.optimize)
+        return self.programs.plan_program(self.field, plan)
 
     def run_plan(self, plan, blocks) -> dict[int, np.ndarray]:
         """Execute a whole decode plan as one fused program.

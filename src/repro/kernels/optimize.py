@@ -3,10 +3,10 @@
 Three passes, run in this order by :func:`optimize_program`:
 
 1. **Pair sharing** (:func:`share_pairs`) — greedy common-subexpression
-   elimination over one stage's rows, the GF(2^w) generalisation of
-   :func:`repro.gf.schedule.pair_reuse_schedule`: the *(slot, const)*
-   term pair shared by the most rows is materialised once into a
-   temporary and every row rewrites to XOR that temporary instead.  This
+   elimination over one stage's rows, the GF(2^w) form of classic
+   XOR-schedule pair reuse: the *(slot, const)* term pair shared by the
+   most rows is materialised once into a temporary and every row
+   rewrites to XOR that temporary instead.  This
    pass runs at lowering time (it needs the row structure), the other
    two on the flat program.
 2. **Dead-temporary elimination** (:func:`eliminate_dead`) — reverse
@@ -46,9 +46,8 @@ def share_pairs(
     """Greedy pair-reuse CSE across the rows of one stage.
 
     While some term pair appears in >= 2 rows, materialise the most
-    frequent pair (smallest pair wins ties, matching
-    ``pair_reuse_schedule``) as a new temporary slot and rewrite every
-    row containing it to the single term ``(temp, 1)``.
+    frequent pair (smallest pair wins ties) as a new temporary slot and
+    rewrite every row containing it to the single term ``(temp, 1)``.
 
     Returns ``(pair_defs, rewritten_rows, next_slot)`` where each pair
     definition is ``(slot, (term_a, term_b))`` meaning

@@ -44,7 +44,7 @@ from ..core.planner import DecodePlan, Stage
 from ..core.sequences import ExecutionMode, SequencePolicy
 from ..gf.field import GF
 from ..gf.region import OpCounter, RegionOps
-from ..kernels import CompiledRegionOps, ProgramCache, ProgramCacheStats
+from ..kernels import CompiledRegionOps, ProgramCache
 from ..matrix.gfmatrix import GFMatrix
 from ..parallel.assignment import assign_lpt, assign_round_robin
 from ..stripes.scrub import verify_rows
@@ -92,26 +92,23 @@ def _blocks_of(stripe: Stripe | Mapping[int, np.ndarray]) -> Mapping[int, np.nda
 
 
 def _apply(
-    ops: RegionOps, matrices: Sequence[np.ndarray], regions: list[np.ndarray]
+    ops: CompiledRegionOps, matrices: Sequence[np.ndarray], regions: list[np.ndarray]
 ) -> list[np.ndarray]:
     if len(matrices) == 1:
         return ops.matrix_apply(matrices[0], regions)
-    # one fused chain program under the compiled backend, equivalent
-    # chained matrix_apply calls under the interpreted one
-    return ops.matrix_chain_apply(matrices, regions)
+    return ops.matrix_chain_apply(matrices, regions)  # one fused chain program
 
 
 #: Per-worker-process ops instances: the program cache inside survives
 #: across submits, so each weight matrix compiles once per worker.
-_CHILD_OPS: dict[tuple[int, int, bool], RegionOps] = {}
+_CHILD_OPS: dict[tuple[int, int], CompiledRegionOps] = {}
 
 
-def _child_ops(w: int, polynomial: int, compiled: bool) -> RegionOps:
-    key = (w, polynomial, compiled)
+def _child_ops(w: int, polynomial: int) -> CompiledRegionOps:
+    key = (w, polynomial)
     ops = _CHILD_OPS.get(key)
     if ops is None:
-        field = GF(w, polynomial)
-        ops = CompiledRegionOps(field) if compiled else RegionOps(field)
+        ops = CompiledRegionOps(GF(w, polynomial))
         # per-process memo: each pool worker owns its own interpreter,
         # so no lock is needed (or possible) across processes
         _CHILD_OPS[key] = ops  # ppm: noqa[PPM011]
@@ -119,18 +116,18 @@ def _child_ops(w: int, polynomial: int, compiled: bool) -> RegionOps:
 
 
 def _run_task_bucket(
-    w: int, polynomial: int, tasks: list[_Task], compiled: bool = True
+    w: int, polynomial: int, tasks: list[_Task]
 ) -> tuple[dict[int, dict[int, np.ndarray]], float]:
     """Process-pool worker: execute a bucket of tasks in a child process.
 
     The field is reconstructed from ``(w, polynomial)`` and the ops
-    instance (with its program cache, when compiled) persists in the
-    worker process across submissions; op accounting happens in the
-    parent (child counters cannot be shared), see
+    instance (with its program cache) persists in the worker process
+    across submissions; op accounting happens in the parent (child
+    counters cannot be shared), see
     :meth:`DecodePipeline._account_remote_tasks`.
     """
     t0 = time.perf_counter()
-    ops = _child_ops(w, polynomial, compiled)
+    ops = _child_ops(w, polynomial)
     out: dict[int, dict[int, np.ndarray]] = {}
     for task_id, matrices, regions, faulty_ids in tasks:
         out[task_id] = dict(zip(faulty_ids, _apply(ops, matrices, regions)))
@@ -179,6 +176,10 @@ class _PatternBatch:
 class DecodePipeline:
     """The decoder: plan cache + worker pool + the one stage executor.
 
+    Every plan runs as compiled :class:`~repro.kernels.RegionProgram`
+    kernels from the pipeline's :class:`~repro.kernels.ProgramCache`,
+    whatever the pool.
+
     Its native entry point is :meth:`decode_batch`; :meth:`decode` (the
     single-stripe protocol :class:`repro.stripes.DiskArray` speaks) is a
     batch of one and the ``encode*`` family is a decode of the parity
@@ -207,9 +208,9 @@ class DecodePipeline:
     counter:
         Optional shared :class:`~repro.gf.region.OpCounter`.
     compile:
-        Route region work through compiled
-        :class:`~repro.kernels.RegionProgram` kernels (default); pass
-        ``False`` for the interpreted per-call baseline.
+        Must be ``True``: the compiled program is the only executor.
+        Accepted so existing ``compile=True`` callers keep working; any
+        other value raises :class:`ValueError`.
     max_defer_s:
         How long a ``priority="background"`` batch may be held waiting
         for in-flight foreground batches to drain (see
@@ -272,6 +273,10 @@ class DecodePipeline:
             raise ValueError(
                 f"assignment must be 'lpt' or 'round_robin', got {assignment!r}"
             )
+        if not compile:
+            raise ValueError(
+                f"compile must be True (plans run only as compiled programs), got {compile!r}"
+            )
         check_straggler_knobs(hedge_percentile, hedge_factor, hedge_min_samples, deadline_s)
         self.pool = pool if isinstance(pool, WorkerPool) else make_pool(pool, workers)
         self.workers = self.pool.workers
@@ -280,8 +285,7 @@ class DecodePipeline:
         self.verify = verify
         self.counter = counter if counter is not None else OpCounter()
         self.plans = PlanCache(maxsize=plan_cache_size, verify=verify)
-        self.compile = compile
-        self.programs = ProgramCache() if compile else None
+        self.programs = ProgramCache()
         self.admission = PriorityAdmission(max_defer_s=max_defer_s)
         self.hedge = hedge
         self.hedge_percentile = hedge_percentile
@@ -291,7 +295,7 @@ class DecodePipeline:
         self.deadline_s = deadline_s
         self.faults = faults
         self.latency = LatencyTracker()
-        self._ops_cache: dict[tuple[int, bool], RegionOps] = {}
+        self._ops_cache: dict[tuple[int, bool], CompiledRegionOps] = {}
         # lifetime tallies behind metrics(); decode_batch runs on
         # whatever thread calls it (several asyncio.to_thread workers
         # at once under the async service), so the tallies and the ops
@@ -313,13 +317,8 @@ class DecodePipeline:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _make_ops(self, field: GF, counter: OpCounter) -> RegionOps:
-        if self.programs is not None:
-            return CompiledRegionOps(field, counter, programs=self.programs)
-        return RegionOps(field, counter)
-
-    def _ops_for(self, field: GF, hedge: bool = False) -> RegionOps:
-        """The (cached) region ops for ``field``.
+    def _ops_for(self, field: GF, hedge: bool = False) -> CompiledRegionOps:
+        """The (cached) compiled region ops for ``field``.
 
         ``hedge=True`` gives the ops hedge executions use: shared
         program cache, private counter.  A hedged bucket runs *twice*;
@@ -332,7 +331,11 @@ class DecodePipeline:
         with self._tally_lock:
             ops = self._ops_cache.get(key)
             if ops is None:
-                ops = self._make_ops(field, OpCounter() if hedge else self.counter)
+                ops = CompiledRegionOps(
+                    field,
+                    OpCounter() if hedge else self.counter,
+                    programs=self.programs,
+                )
                 self._ops_cache[key] = ops
         return ops
 
@@ -608,7 +611,7 @@ class DecodePipeline:
         self,
         code: ErasureCode,
         batches: list[_PatternBatch],
-        ops: RegionOps,
+        ops: CompiledRegionOps,
         deadline_s: float | None,
     ) -> int:
         """Fill ``batch.recovered`` for every batch; returns tasks queued.
@@ -620,7 +623,6 @@ class DecodePipeline:
         """
         if (
             self.pool.kind == "serial"
-            and isinstance(ops, CompiledRegionOps)
             and not self.verify_workers
             and self.faults is None
             and all(r.ndim == 1 for b in batches for r in b.concat.values())
@@ -700,7 +702,7 @@ class DecodePipeline:
         tasks: list[_Task],
         origin: dict[int, tuple[_PatternBatch, Stage]],
         task_results: dict[int, dict[int, np.ndarray]],
-        ops: RegionOps,
+        ops: CompiledRegionOps,
     ) -> None:
         """Syndrome-check every worker result; recompute the ones that fail.
 
@@ -731,7 +733,7 @@ class DecodePipeline:
     def _run_tasks(
         self,
         tasks: list[_Task],
-        ops: RegionOps,
+        ops: CompiledRegionOps,
         deadline_s: float | None = None,
     ) -> dict[int, dict[int, np.ndarray]]:
         """Spread tasks over the pool (LPT by fused cost) and gather.
@@ -757,7 +759,9 @@ class DecodePipeline:
         ]
         faults = self.faults
 
-        def run_local(bucket: list[int], local_ops: RegionOps = ops, inject: bool = True):
+        def run_local(
+            bucket: list[int], local_ops: CompiledRegionOps = ops, inject: bool = True
+        ):
             t0 = time.perf_counter()
             if inject and faults is not None:
                 delay = faults.worker_delay()
@@ -793,7 +797,7 @@ class DecodePipeline:
 
             def submit(index: int, hedged: bool) -> Future:
                 return self.pool.submit(
-                    _run_task_bucket, field.w, field.polynomial, payloads[index], self.compile
+                    _run_task_bucket, field.w, field.polynomial, payloads[index]
                 )
 
             gathered = self._gather_hedged(submit, keys, deadline_s)
@@ -903,7 +907,7 @@ class DecodePipeline:
         """Immutable snapshot of lifetime throughput and utilisation."""
         mult_xors, _xor_only, symbols = self.counter.snapshot()
         wall = self._wall
-        programs = ProgramCacheStats() if self.programs is None else self.programs.stats
+        programs = self.programs.stats
         busy = tuple((b / wall) if wall > 0 else 0.0 for b in self._busy)
         return PipelineMetrics(
             stripes=self._stripes,
@@ -925,7 +929,6 @@ class DecodePipeline:
             pool_spawns=self.pool.spawn_count,
             worker_busy_fraction=busy,
             queue_depth_peak=self._queue_peak,
-            compiled=self.programs is not None,
             program_cache_hits=programs.hits,
             program_cache_misses=programs.misses,
             program_cache_evictions=programs.evictions,
@@ -936,21 +939,20 @@ class DecodePipeline:
         )
 
     def executor_stats(self) -> dict[str, object]:
-        """Merged compiled-kernel execution tallies (empty when
-        interpreted; process-pool child executions are not visible).
+        """Merged compiled-kernel execution tallies (process-pool child
+        executions are not visible).
 
         The ``backends`` entry nests per-backend splits; everything
         else is a flat numeric tally (see
         :meth:`repro.kernels.ProgramExecutor.stats`)."""
+        # snapshot under the lock _ops_for inserts under: a decode on a
+        # worker thread may add a field's ops while this iterates
+        with self._tally_lock:
+            primaries = [ops for (_f, hedge), ops in self._ops_cache.items() if not hedge]
         stats: dict[str, object] = {}
-        if self.programs is None:
-            return stats
         backends: dict[str, dict[str, float]] = {}
-        for (_field, hedge), ops in self._ops_cache.items():
-            executor = getattr(ops, "executor", None)
-            if executor is None or hedge:
-                continue
-            for key, value in executor.stats().items():
+        for ops in primaries:
+            for key, value in ops.executor.stats().items():
                 if key == "backends":
                     for name, split in value.items():
                         agg = backends.setdefault(name, {})

@@ -141,7 +141,6 @@ class PipelineMetrics:
     pool_spawns: int = 0
     worker_busy_fraction: tuple[float, ...] = field(default_factory=tuple)
     queue_depth_peak: int = 0
-    compiled: bool = False
     program_cache_hits: int = 0
     program_cache_misses: int = 0
     program_cache_evictions: int = 0
@@ -218,7 +217,6 @@ class PipelineMetrics:
             },
             "worker_busy_fraction": list(self.worker_busy_fraction),
             "queue_depth_peak": self.queue_depth_peak,
-            "compiled": self.compiled,
             "hedges": self.hedges,
             "hedge_wins": self.hedge_wins,
             "verify_rejects": self.verify_rejects,
@@ -256,11 +254,6 @@ class PipelineMetrics:
             f"hedges               {self.hedges} ({self.hedge_wins} won)",
             f"verify rejects       {self.verify_rejects}",
             f"straggler timeouts   {self.straggler_timeouts}",
-            f"kernels              "
-            + (
-                f"compiled ({self.program_cache_hit_rate:.1%} program-cache hits)"
-                if self.compiled
-                else "interpreted"
-            ),
+            f"program-cache hits   {self.program_cache_hit_rate:.1%}",
         ]
         return "\n".join(lines)

@@ -13,10 +13,10 @@ store) and its degradation ladder:
    up to ``config.max_retries`` times (the fault injector bounds
    consecutive faults, so the retry budget always suffices).
 4. If the *batch path itself* errors, the affected requests fall back
-   to a fresh uncompiled single-stripe decode
-   (``PPMDecoder(parallel=False, compile=False)``) through the
-   fault-free recovery channel — one poisoned batch degrades latency,
-   never correctness.
+   to the independent recovery channel: a fresh ``plan_decode`` walked
+   stage by stage through the interpreted
+   :class:`~repro.gf.region.RegionOps`, reading the store fault-free —
+   one poisoned batch degrades latency, never correctness.
 5. The caller's deadline caps the whole ladder; expiry cancels the
    queued read and raises :class:`DeadlineExceeded`.
 """
@@ -28,7 +28,8 @@ import asyncio
 import numpy as np
 
 from ..config import ServiceConfig
-from ..core import PPMDecoder
+from ..core import plan_decode
+from ..gf import RegionOps
 from ..pipeline import DecodePipeline
 from ..repair import RepairManager
 from .errors import (
@@ -115,11 +116,12 @@ class BlobService:
     def _single_decode(self, stripe_id: int, block: int) -> np.ndarray:
         """The independent recovery channel behind a failed batch decode.
 
-        A fresh uncompiled single-stripe decode that re-plans every
-        call and reads the store fault-free: it shares no plan cache,
-        compiled program or worker pool with the batch path that just
-        failed.  Like the batch path it runs only the rows of the plan
-        that recover ``block``.
+        Re-plans every call, reads the store fault-free and walks the
+        plan's stages one matrix at a time through a fresh interpreted
+        :class:`~repro.gf.region.RegionOps` — it shares no plan cache,
+        lowering, optimizer, program cache, backend or worker pool with
+        the batch path that just failed.  Like the batch path it runs
+        only the rows of the plan that recover ``block``.
         """
         blocks = self.store.snapshot_blocks(stripe_id, inject=False)
         if block in blocks:
@@ -129,8 +131,12 @@ class BlobService:
             raise BlockUnavailableError(
                 f"stripe {stripe_id} has no block {block}"
             )
-        decoder = PPMDecoder(parallel=False, compile=False)
-        return decoder.decode(self.store.code, blocks, pattern, targets=(block,))[block]
+        code = self.store.code
+        ops = RegionOps(code.field)
+        for stage in plan_decode(code, pattern, targets=(block,)).stages:
+            regions = [blocks[b] for b in stage.survivor_ids]
+            blocks.update(zip(stage.faulty_ids, ops.matrix_chain_apply(stage.arrays, regions)))
+        return blocks[block]
 
     # -- request API ---------------------------------------------------------
 

@@ -1,14 +1,11 @@
-"""Static verification of decode plans, XOR schedules and repo style.
+"""Static verification of decode plans, compiled programs and repo style.
 
-Three analyzers, all purely symbolic (no block data touched):
+The analyzers, all purely symbolic (no block data touched):
 
 - :func:`verify_plan` / :func:`assert_plan_valid` — certify a
   :class:`~repro.core.planner.DecodePlan` against the parity-check
   matrix: partition soundness, GF-rank independence, weight equations,
   phase ordering and C1..C4 cost recomputation.
-- :func:`verify_schedule` / :func:`assert_schedule_valid` — symbolically
-  execute an :class:`~repro.gf.schedule.XorSchedule` over GF(2) symbol
-  sets and prove each output equals its bit-matrix row.
 - :func:`verify_plan_program` / :func:`assert_program_valid` —
   symbolically execute a compiled :class:`~repro.kernels.RegionProgram`
   over GF(2^w) coefficient vectors and prove its transfer matrix (and
@@ -41,7 +38,6 @@ from .findings import (
     Finding,
     PlanVerificationError,
     ProgramVerificationError,
-    ScheduleVerificationError,
     Severity,
     VerificationFailure,
     VerificationReport,
@@ -55,7 +51,6 @@ from .program import (
     transfer_matrix,
     verify_plan_program,
 )
-from .schedule import assert_schedule_valid, verify_schedule
 from .sweep import DEFAULT_INSTANCES, SweepResult, iter_scenarios, sweep_all, sweep_code
 
 __all__ = [
@@ -65,14 +60,11 @@ __all__ = [
     "VerificationFailure",
     "PlanVerificationError",
     "ProgramVerificationError",
-    "ScheduleVerificationError",
     "DataflowVerificationError",
     "analyze_program",
     "assert_dataflow_valid",
     "verify_plan",
     "assert_plan_valid",
-    "verify_schedule",
-    "assert_schedule_valid",
     "verify_plan_program",
     "assert_program_valid",
     "transfer_matrix",

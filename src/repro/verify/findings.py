@@ -1,11 +1,11 @@
 """Finding/report vocabulary shared by all static analyzers.
 
-Every analyzer (plan verifier, schedule verifier, scenario sweep) emits
+Every analyzer (plan, program and dataflow verifiers, scenario sweep) emits
 :class:`Finding` records into a :class:`VerificationReport` instead of
 raising on the first problem, so a single pass surfaces *every* violated
 invariant with a distinct, actionable diagnostic.  Callers that want
-fail-fast semantics raise :class:`PlanVerificationError` /
-:class:`ScheduleVerificationError` from a non-empty report.
+fail-fast semantics raise :class:`PlanVerificationError` (or another
+:class:`VerificationFailure`) from a non-empty report.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ class Severity(Enum):
 
     ``ERROR`` findings mean the artifact would compute wrong bytes (or
     report wrong costs); ``WARNING`` findings are inefficiencies that do
-    not affect correctness (e.g. a dead schedule op).
+    not affect correctness (e.g. a dead store in a compiled program).
     """
 
     ERROR = "error"
@@ -115,10 +115,6 @@ class VerificationFailure(ValueError):
 
 class PlanVerificationError(VerificationFailure):
     """A :class:`~repro.core.planner.DecodePlan` violates a static invariant."""
-
-
-class ScheduleVerificationError(VerificationFailure):
-    """An :class:`~repro.gf.schedule.XorSchedule` violates a static invariant."""
 
 
 class ProgramVerificationError(VerificationFailure):

@@ -1,4 +1,4 @@
-"""Scenario sweeps: verify plans and schedules across codes and failures.
+"""Scenario sweeps: verify plans and programs across codes and failures.
 
 ``ppm verify`` calls into this module: for every registered code (or one
 chosen instance) it draws random erasure patterns up to the code's
@@ -9,10 +9,9 @@ program's GF(2^w) transfer matrix and model op counts against the plan
 (:mod:`repro.verify.program`); every scenario's plan is also pruned to
 each single erased block and to one random multi-block subset (the
 plans a targeted degraded read runs) and those go through the same
-checks; optionally it also expands the traditional decode matrix to a
-bit-matrix, builds both the naive and pair-reuse XOR schedules, and runs
-the schedule verifier.  Everything is symbolic — no stripe data is ever
-allocated — so a full sweep is fast enough for CI.
+checks.  Everything but the opt-in backend byte comparison is symbolic —
+no stripe data is ever allocated — so a full sweep is fast enough for
+CI.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from ..codes import available_codes, get_code, is_decodable
 from ..codes.base import ErasureCode
 from ..core.planner import plan_decode
 from ..core.sequences import SequencePolicy
-from ..gf.bitmatrix import expand_matrix
-from ..gf.schedule import naive_schedule, pair_reuse_schedule
 from ..kernels import BASELINE_BACKEND, available_backends, get_backend, lower_encode, lower_plan
 from ..kernels.executor import ProgramExecutor
 from ..matrix import SingularMatrixError
@@ -35,7 +32,6 @@ from .dataflow import analyze_program
 from .findings import VerificationReport
 from .plan import verify_plan
 from .program import verify_plan_program
-from .schedule import verify_schedule
 
 #: Small, representative default instance per registry kind, used when a
 #: sweep is asked to cover "every registered code" without parameters.
@@ -57,7 +53,6 @@ class SweepResult:
     code: str
     scenarios: int = 0
     skipped_undecodable: int = 0
-    schedules: int = 0
     programs: int = 0
     pruned_plans: int = 0
     encode_programs: int = 0
@@ -80,8 +75,7 @@ class SweepResult:
         return (
             f"{self.code}: {self.scenarios} scenario(s) verified, "
             f"{self.pruned_plans} pruned plan(s), "
-            f"{self.schedules} schedule(s), {self.programs} compiled "
-            f"program(s){extras}, "
+            f"{self.programs} compiled program(s){extras}, "
             f"{self.skipped_undecodable} undecodable draw(s) skipped -> {status}"
         )
 
@@ -169,7 +163,6 @@ def sweep_code(
     samples: int = 50,
     seed: int = 2015,
     policies: Sequence[SequencePolicy] = (SequencePolicy.PAPER, SequencePolicy.AUTO),
-    check_schedules: bool = True,
     check_programs: bool = True,
     check_backends: bool = False,
     max_faults: int | None = None,
@@ -184,7 +177,6 @@ def sweep_code(
     """
     result = SweepResult(code=code.describe())
     result.report.subject = f"sweep of {code.kind}"
-    scheduled = 0
     # its own stream, so the scenarios drawn do not depend on the targets
     target_rng = np.random.default_rng([seed, 0x7A26E7])
 
@@ -243,22 +235,6 @@ def sweep_code(
                 certify(plan.for_targets(targets), f"targets={list(targets)} {label}")
                 result.pruned_plans += 1
         result.scenarios += 1
-        if check_schedules and scheduled < 2:
-            # expand the traditional decode matrix and certify both
-            # schedule constructions against it (2 scenarios is plenty:
-            # schedule bugs are construction bugs, not data-dependent)
-            plan = plan_decode(code, faulty, policy=SequencePolicy.PAPER)
-            bm = expand_matrix(code.field, plan.traditional.weights.array)
-            for name, build in (
-                ("naive", naive_schedule),
-                ("pair_reuse", pair_reuse_schedule),
-            ):
-                sub = verify_schedule(build(bm), bm)
-                if sub.findings:
-                    sub.subject = f"{name} schedule, faulty={list(faulty)}"
-                    result.report.merge(sub)
-                result.schedules += 1
-            scheduled += 1
     if check_programs:
         # the fused encode program gets the same certification a decode
         # program gets: transfer-matrix proof against its plan, strict
@@ -289,7 +265,6 @@ def sweep_code(
 def sweep_all(
     samples: int = 50,
     seed: int = 2015,
-    check_schedules: bool = True,
     check_programs: bool = True,
     check_backends: bool = False,
     instances: Mapping[str, dict[str, int]] | None = None,
@@ -307,7 +282,6 @@ def sweep_all(
                 code,
                 samples=samples,
                 seed=seed,
-                check_schedules=check_schedules,
                 check_programs=check_programs,
                 check_backends=check_backends,
             )

@@ -12,7 +12,9 @@ The redesign's contract, checked uniformly across the presets:
   of :class:`repro.pipeline.DecodePipeline`), and a differential oracle
   — a test-local interpreted ``RegionOps`` walk of ``plan.stages`` —
   agrees with each of them bit for bit and op for op, for the whole
-  pattern and for every kind of ``targets=`` subset of it.
+  pattern and for every kind of ``targets=`` subset of it;
+- plans run only as compiled programs: there is no switch to turn that
+  off.
 """
 
 from __future__ import annotations
@@ -24,14 +26,12 @@ import pytest
 
 from repro.codes import SDCode
 from repro.core import (
-    BitMatrixDecoder,
     PPMDecoder,
     ProcessParallelDecoder,
     RowParallelDecoder,
     TraditionalDecoder,
 )
 from repro.gf import OpCounter, RegionOps
-from repro.gf.bitmatrix import expand_matrix
 from repro.pipeline import DecodePipeline
 from repro.stripes import Stripe, StripeLayout, worst_case_sd
 
@@ -41,7 +41,6 @@ DECODERS: dict[str, tuple[type, dict]] = {
     "ppm": (PPMDecoder, {"threads": 2}),
     "row_parallel": (RowParallelDecoder, {"threads": 2}),
     "process_parallel": (ProcessParallelDecoder, {"threads": 2}),
-    "bitmatrix": (BitMatrixDecoder, {}),
     "pipeline": (DecodePipeline, {"workers": 2, "pool": "serial"}),
 }
 
@@ -87,14 +86,8 @@ def interpreted_walk(plan, blocks, ops):
     return {b: known[b] for b in plan.targets}
 
 
-def documented_mult_xors(kind, plan, field) -> int:
+def documented_mult_xors(kind, plan) -> int:
     """What each kind says it books for one decode of ``plan``."""
-    if kind == "bitmatrix":  # one XOR per 1-entry of every expanded matrix
-        return sum(
-            int(np.count_nonzero(expand_matrix(field, matrix)))
-            for stage in plan.stages
-            for matrix in stage.arrays
-        )
     if kind == "row_parallel":
         assert plan.predicted_cost == plan.costs.c2  # matrix-first by construction
     return plan.predicted_cost
@@ -107,7 +100,7 @@ def check_against_oracle(setup, kind, decoder, targets=None):
         recovered, stats = decoder.decode(
             code, blocks, faulty, targets=targets, return_stats=True
         )
-        expected_ops = documented_mult_xors(kind, stats.plan, code.field)
+        expected_ops = documented_mult_xors(kind, stats.plan)
     finally:
         close(decoder)
     oracle_ops = RegionOps(code.field)
@@ -148,15 +141,17 @@ POOLED = {
 }
 
 
-@pytest.mark.parametrize("compile", [True, False], ids=["compiled", "interpreted"])
+#: the one executor every plan runs on (a parameter only so the case ids
+#: name it)
+@pytest.mark.parametrize("executor", ["compiled"])
 @pytest.mark.parametrize("shape", sorted(TARGET_SHAPES))
 @pytest.mark.parametrize("kind", sorted(POOLED))
-def test_differential_oracle_over_targets(setup, kind, shape, compile):
+def test_differential_oracle_over_targets(setup, kind, shape, executor):
     from repro.core import plan_decode
 
     code, faulty, _stripe, _truth = setup
     cls, params = POOLED[kind]
-    decoder = cls(**params, compile=compile)
+    decoder = cls(**params)
     whole = plan_decode(code, faulty, decoder.policy)
     targets = tuple(sorted(TARGET_SHAPES[shape](code, faulty, whole)))
     stats = check_against_oracle(setup, kind, decoder, targets)
@@ -178,6 +173,19 @@ def test_constructors_are_keyword_only(cls):
         )
     with pytest.raises(TypeError):
         cls("positional")
+
+
+def test_pipeline_rejects_uncompiled_execution():
+    with pytest.raises(ValueError, match="compile"):
+        DecodePipeline(pool="serial", compile=False)
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls, _ in DECODERS.values() if cls is not DecodePipeline]
+)
+def test_presets_take_no_compile_switch(cls):
+    with pytest.raises(TypeError, match="compile"):
+        cls(compile=True)
 
 
 @pytest.mark.parametrize("kind", sorted(DECODERS))
@@ -207,9 +215,7 @@ def test_decode_return_stats_flag(setup, kind):
     assert stats.wall_seconds >= 0.0
 
 
-@pytest.mark.parametrize(
-    "kind", ["traditional", "ppm", "process_parallel", "bitmatrix"]
-)
+@pytest.mark.parametrize("kind", ["traditional", "ppm", "process_parallel"])
 def test_counter_parameter_is_uniform(setup, kind):
     code, faulty, stripe, _ = setup
     counter = OpCounter()

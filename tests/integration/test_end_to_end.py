@@ -16,12 +16,7 @@ from repro.codes import (
     available_codes,
     get_code,
 )
-from repro.core import (
-    BitMatrixDecoder,
-    PPMDecoder,
-    RowParallelDecoder,
-    TraditionalDecoder,
-)
+from repro.core import PPMDecoder, RowParallelDecoder, TraditionalDecoder
 from repro.gf import OpCounter, RegionOps
 from repro.pipeline import DecodePipeline
 from repro.stripes import DiskArray, Stripe, StripeLayout, worst_case_sd
@@ -64,7 +59,7 @@ def test_every_code_survives_single_failure_everywhere(code):
     for b in set(blocks):
         working = truth.copy()
         working.erase([b])
-        for decoder in (TraditionalDecoder(), PPMDecoder(threads=2), BitMatrixDecoder()):
+        for decoder in (TraditionalDecoder(), PPMDecoder(threads=2), DecodePipeline(workers=2)):
             recovered = decoder.decode(code, working, [b])
             assert np.array_equal(recovered[b], truth.get(b)), (code.kind, b)
 
@@ -84,7 +79,7 @@ def test_four_decoders_agree_on_worst_case():
         TraditionalDecoder(policy="normal"),
         PPMDecoder(threads=3),
         RowParallelDecoder(threads=3),
-        BitMatrixDecoder(),
+        DecodePipeline(workers=2, pool="serial"),
     ):
         outputs.append(decoder.decode(code, stripe, scen.faulty_blocks))
     for b in scen.faulty_blocks:
@@ -125,12 +120,12 @@ def test_shared_counter_across_decoders_and_backends():
     scen = worst_case_sd(code, z=1, rng=10)
     stripe.erase(scen.faulty_blocks)
     stripe2.erase(scen.faulty_blocks)
-    gf_dec = PPMDecoder(parallel=False, counter=counter)
-    bit_dec = BitMatrixDecoder(counter=counter)
-    gf_dec.decode(code, stripe, scen.faulty_blocks)
-    after_gf = counter.mult_xors
-    bit_dec.decode(code, stripe2, scen.faulty_blocks)
-    assert counter.mult_xors > after_gf > 0
+    ppm = PPMDecoder(parallel=False, counter=counter)
+    traditional = TraditionalDecoder(counter=counter)
+    ppm.decode(code, stripe, scen.faulty_blocks)
+    after_ppm = counter.mult_xors
+    traditional.decode(code, stripe2, scen.faulty_blocks)
+    assert counter.mult_xors > after_ppm > 0
 
 
 def test_deep_copied_arrays_rebuild_identically():

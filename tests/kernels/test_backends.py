@@ -21,7 +21,6 @@ from repro.kernels import (
     default_backend,
     get_backend,
     lower_matrix,
-    numba_available,
     register_backend,
     set_default_backend,
     unregister_backend,
@@ -48,9 +47,6 @@ class TestRegistry:
         assert names[0] == BASELINE_BACKEND
         assert "bitsliced" in names
         assert "splittab" in names
-
-    def test_numba_registered_iff_available(self):
-        assert ("numba" in available_backends()) == numba_available()
 
     def test_choices_cover_registry(self):
         """The config accepts exactly ``auto`` plus what registered."""

@@ -5,6 +5,7 @@ import pytest
 
 from repro.gf import GF, OpCounter, RegionOps
 from repro.kernels import ProgramExecutor, lower_matrix
+from repro.kernels.executor import DEFAULT_CHUNK_SYMBOLS
 
 WORD_SIZES = [4, 8, 16, 32]
 
@@ -113,3 +114,7 @@ def test_binding_is_reused_across_calls():
 def test_rejects_nonpositive_chunk():
     with pytest.raises(ValueError, match="chunk_symbols"):
         ProgramExecutor(GF(8), chunk_symbols=0)
+
+
+def test_default_chunk_is_reasonable():
+    assert 1 << 12 <= DEFAULT_CHUNK_SYMBOLS <= 1 << 20

@@ -254,7 +254,7 @@ def test_metrics_coalesce_factor_idle_is_zero():
 
 def test_executor_stats_merged_across_compiled_ops(code, faulty):
     stripes = make_stripes(code, 3)
-    with DecodePipeline(pool="serial", compile=True) as pipe:
+    with DecodePipeline(pool="serial") as pipe:
         assert pipe.executor_stats() == {}  # nothing compiled yet
         pipe.decode_batch(code, stripes, faulty)
         stats = pipe.executor_stats()
@@ -265,10 +265,46 @@ def test_executor_stats_merged_across_compiled_ops(code, faulty):
     assert stats["symbols"] == pipe.metrics().symbols
 
 
-def test_executor_stats_empty_when_interpreted(code, faulty):
-    with DecodePipeline(pool="serial", compile=False) as pipe:
+def test_executor_stats_does_not_race_a_new_fields_ops(code, faulty):
+    """Regression: ``executor_stats`` (the ``{"op":"metrics"}`` request)
+    iterated the ops cache while a decode on a worker thread could insert
+    a new field's ops into it, raising "dictionary changed size during
+    iteration".  The cache here pauses its iteration after the first
+    entry until the other thread's insert has landed (or 1 s passes)."""
+    import threading
+
+    from repro.gf import GF
+
+    paused, inserted = threading.Event(), threading.Event()
+
+    class PausingDict(dict):
+        def items(self):
+            for item in super().items():
+                yield item
+                paused.set()
+                inserted.wait(timeout=1.0)
+
+    outcome: list[object] = []
+
+    def read_stats():
+        try:
+            outcome.append(pipe.executor_stats())
+        except RuntimeError as exc:
+            outcome.append(exc)
+
+    with DecodePipeline(pool="serial") as pipe:
         pipe.decode_batch(code, make_stripes(code, 2), faulty)
-        assert pipe.executor_stats() == {}
+        pipe._ops_cache = PausingDict(pipe._ops_cache)
+        reader = threading.Thread(target=read_stats)
+        reader.start()
+        assert paused.wait(timeout=5.0)
+        pipe._ops_for(GF(16))  # a first decode over another field
+        inserted.set()
+        reader.join(timeout=10.0)
+    assert not reader.is_alive()
+    assert len(outcome) == 1 and isinstance(outcome[0], dict), outcome
+    assert outcome[0]["executions"] > 0
+    assert (id(GF(16)), False) in pipe._ops_cache
 
 
 def test_shared_pool_instance(code, faulty):

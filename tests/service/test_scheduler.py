@@ -24,7 +24,7 @@ def make_scheduler(code, store, config, decode=None, calls=None):
     submission the default decode stub receives."""
     metrics = ServiceMetrics()
     if decode is None:
-        decoder = PPMDecoder(parallel=False, compile=False)
+        decoder = PPMDecoder(parallel=False)
 
         def decode(snapshots, patterns, targets):
             if calls is not None:
@@ -242,7 +242,7 @@ def test_decode_error_with_single_decode_falls_back_per_rider(code):
         raise ValueError("poisoned batch plan")
 
     metrics = ServiceMetrics()
-    decoder = PPMDecoder(parallel=False, compile=False)
+    decoder = PPMDecoder(parallel=False)
 
     def single(stripe_id, blk):
         recovered = decoder.decode(

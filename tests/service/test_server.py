@@ -345,17 +345,18 @@ def test_single_decode_runs_only_the_targeted_plan(monkeypatch):
     """The recovery channel behind a failed batch returns one block, so it
     runs that block's row of the plan — 8 mult_XORs for a group block of
     the benchmark pattern, 61-62 for an H_rest block, never the 292."""
-    from repro.core import PPMDecoder, plan_decode
+    from repro.core import plan_decode
+    from repro.gf import RegionOps
     from repro.service import server
 
     made = []
 
-    class Recording(PPMDecoder):
-        def __init__(self, **kwargs):
-            super().__init__(**kwargs)
+    class Recording(RegionOps):
+        def __init__(self, field, counter=None):
+            super().__init__(field, counter)
             made.append(self)
 
-    monkeypatch.setattr(server, "PPMDecoder", Recording)
+    monkeypatch.setattr(server, "RegionOps", Recording)
     store = benchmark_store()
     code, pattern = store.code, store.pattern(0)
     whole = plan_decode(code, pattern)
@@ -367,10 +368,34 @@ def test_single_decode_runs_only_the_targeted_plan(monkeypatch):
             assert store.verify_block(0, block, region)
             expected = plan_decode(code, pattern, targets=[block]).predicted_cost
             assert made[-1].counter.mult_xors == expected
-        costs = [decoder.counter.mult_xors for decoder in made]
+        costs = [ops.counter.mult_xors for ops in made]
         assert costs[0] == 8 and costs[1] in (61, 62)
     finally:
         run(service.close())
+
+
+def test_fallback_shares_no_compiled_code_with_the_batch_path(code, monkeypatch):
+    """With every compiled-program execution broken, a degraded read
+    still returns the true block: the fallback channel never reaches
+    the executor the failed batch ran on."""
+    from repro.kernels import ProgramExecutor
+
+    def broken(self, *args, **kwargs):
+        raise ValueError("broken compiled executor")
+
+    store = make_store(code, num_stripes=1)
+    block = store.pattern(0)[0]
+    monkeypatch.setattr(ProgramExecutor, "execute", broken)
+
+    async def main():
+        async with BlobService(store, config=fast_config(batch_trigger=1)) as service:
+            region = await service.degraded_get(0, block)
+            assert store.verify_block(0, block, region)
+            assert service.metrics.batch_errors == 1
+            assert service.metrics.fallbacks == 1
+            assert service.metrics.failures == 0
+
+    run(main())
 
 
 def test_failed_targeted_batch_reaches_the_single_stripe_fallback(code):

@@ -166,7 +166,7 @@ def test_double_fault_between_coalesce_flush_and_decode(code):
     store.apply_scenario(0, scenario)
     block = scenario.faulty_blocks[0]
     survivor = store.stripe(0).present_ids[0]
-    decoder = PPMDecoder(parallel=False, compile=False)
+    decoder = PPMDecoder(parallel=False)
 
     def decode_with_late_fault(snapshots, patterns, targets):
         # the double fault arrives *during* the decode window: beyond the

@@ -234,13 +234,10 @@ def test_kernels_backend_is_validated():
 
 def test_kernels_backend_must_be_registered_on_this_host():
     """Regression: names came from a hand-kept list that included
-    ``numba``, so on a host without numba ``kernels.backend=numba``
+    ``numba``, an unregistered backend, so ``kernels.backend=numba``
     parsed and ``build_store`` then failed with a ``KeyError``."""
     from repro.config import KernelsConfig
-    from repro.kernels import numba_available
 
-    if numba_available():
-        pytest.skip("numba is registered here")
     with pytest.raises(ValueError, match="backend"):
         KernelsConfig(backend="numba")
     with pytest.raises(ValueError, match="backend"):

@@ -102,12 +102,6 @@ def test_cli_verify_single_code(capsys):
     assert "scenario(s) verified" in out
 
 
-def test_cli_verify_no_schedules_flag(capsys):
-    assert cli.main(["verify", "--all", "--samples", "2", "--no-schedules"]) == 0
-    out = capsys.readouterr().out
-    assert "0 schedule(s)" in out
-
-
 def test_cli_verify_reports_pruned_plans(capsys):
     """``ppm verify`` also certifies the plans targeted reads run and says
     how many."""
@@ -115,7 +109,7 @@ def test_cli_verify_reports_pruned_plans(capsys):
 
     assert cli.main(["verify", "--all", "--samples", "4", "--strict"]) == 0
     out = capsys.readouterr().out
-    per_code = [int(n) for n in re.findall(r"(\d+) pruned plan\(s\), \d+ schedule", out)]
+    per_code = [int(n) for n in re.findall(r"(\d+) pruned plan\(s\), \d+ compiled", out)]
     (total,) = re.findall(r"scenario\(s\), (\d+) pruned plan\(s\)", out)
     assert len(per_code) == 7 and all(per_code)
     assert int(total) == sum(per_code)

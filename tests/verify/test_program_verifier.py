@@ -130,12 +130,10 @@ def test_assert_program_valid_raises_with_report():
 
 def test_sweep_counts_and_certifies_programs():
     code = SDCode(6, 4, 2, 2)
-    result = sweep_code(code, samples=6, check_schedules=False)
+    result = sweep_code(code, samples=6)
     assert result.ok, result.report.format()
     assert result.programs > 0
-    skipped = sweep_code(
-        code, samples=6, check_schedules=False, check_programs=False
-    )
+    skipped = sweep_code(code, samples=6, check_programs=False)
     assert skipped.programs == 0
 
 
@@ -193,7 +191,7 @@ def test_pruned_program_booking_the_whole_cost_is_caught():
 
 def test_sweep_certifies_pruned_plans():
     code = SDCode(6, 4, 2, 2)
-    result = sweep_code(code, samples=6, check_schedules=False, check_backends=True)
+    result = sweep_code(code, samples=6, check_backends=True)
     assert result.ok, result.report.format()
     # per scenario with t > 1 faults: t single-block plans (+ one random
     # multi-block subset when t > 2), under both policies
