@@ -3,8 +3,9 @@
 The :class:`GF` object is the root of the arithmetic stack: matrices
 (:mod:`repro.matrix`), region operations (:mod:`repro.gf.region`) and the
 erasure codes all hold a reference to one.  Supported word sizes are
-4, 8 and 16 (log/exp tables) and 32 (vectorised Russian-peasant multiply
-plus per-constant SPLIT tables for region work).
+4, 8 and 16 (log/exp tables; w = 8 multiplies by indexing its full
+product table) and 32 (vectorised Russian-peasant multiply plus
+per-constant SPLIT tables for region work).
 
 Addition in GF(2^w) is XOR; ``GF`` therefore only implements the
 multiplicative structure.
@@ -92,6 +93,9 @@ class GF:
     def mul(self, a, b):
         """Element-wise field product of scalars or broadcastable arrays."""
         a_arr, b_arr = self._as_array(a), self._as_array(b)
+        if self.mul8_table is not None:
+            # one gather; 0-d operands index out a scalar of the field dtype
+            return self.mul8_table[a_arr, b_arr]
         scalar = a_arr.ndim == 0 and b_arr.ndim == 0
         if self._log is not None:
             a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)

@@ -76,22 +76,18 @@ def _matrix_key(field: GF, matrix: np.ndarray) -> tuple:
 class ProgramCache:
     """Thread-safe LRU of compiled programs (see module docstring).
 
-    ``verify_admission`` (default on) runs the cheap static dataflow
-    pass (:func:`repro.verify.dataflow.check_program`) on every program
-    admitted through a cache miss, so a buggy builder or optimiser pass
-    can never park a corrupting program where every later decode will
-    find it.  The check is one linear scan — noise next to lowering.
+    Every program it builds comes out of
+    :meth:`~repro.kernels.lower.ProgramBuilder.finish`, which validates
+    it and runs the static dataflow pass
+    (:func:`repro.verify.dataflow.check_program`) before returning, so a
+    buggy builder or optimiser pass raises on the miss and never parks a
+    corrupting program where every later decode would find it.
     """
 
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_PROGRAM_CACHE_SIZE,
-        verify_admission: bool = True,
-    ):
+    def __init__(self, maxsize: int = DEFAULT_PROGRAM_CACHE_SIZE):
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self.verify_admission = verify_admission
         self._lock = threading.Lock()
         # key -> (value, pin); pin keeps identity-keyed objects alive
         self._entries: OrderedDict[tuple, tuple[object, object]] = OrderedDict()
@@ -105,14 +101,6 @@ class ProgramCache:
         with self._lock:
             return len(self._entries)
 
-    def _admit(self, value: object) -> None:
-        # deferred: verify imports kernels (cycle guard)
-        from ..verify.dataflow import check_program
-
-        program = value.program if isinstance(value, PlanProgram) else value
-        if isinstance(program, RegionProgram):
-            check_program(program)
-
     def _get_or_build(self, key: tuple, build: Callable[[], object], pin: object = None):
         with self._lock:
             entry = self._entries.get(key)
@@ -120,9 +108,7 @@ class ProgramCache:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 return entry[0]
-        value = build()  # compile outside the lock
-        if self.verify_admission:
-            self._admit(value)  # raises before a bad program is cached
+        value = build()  # compile (and admission-check) outside the lock
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:  # a concurrent miss beat us to it

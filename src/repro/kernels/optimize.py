@@ -6,7 +6,8 @@ Three passes, run in this order by :func:`optimize_program`:
    elimination over one stage's rows, the GF(2^w) form of classic
    XOR-schedule pair reuse: the *(slot, const)* term pair shared by the
    most rows is materialised once into a temporary and every row
-   rewrites to XOR that temporary instead.  This
+   rewrites to XOR that temporary instead.  Only terms present in two
+   or more rows are paired up when counting.  This
    pass runs at lowering time (it needs the row structure), the other
    two on the flat program.
 2. **Dead-temporary elimination** (:func:`eliminate_dead`) — reverse
@@ -25,6 +26,7 @@ the executed instructions.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 from .ir import (
@@ -52,15 +54,19 @@ def share_pairs(
     Returns ``(pair_defs, rewritten_rows, next_slot)`` where each pair
     definition is ``(slot, (term_a, term_b))`` meaning
     ``pool[slot] = a_const * pool[a_slot] ^ b_const * pool[b_slot]``.
+
+    A pair can appear in two rows only if both its terms do, so each
+    round counts pairs among the terms found in >= 2 rows and nothing
+    else: every pair that could be chosen is counted in full.
     """
     row_sets = [set(row) for row in rows]
     pair_defs: list[tuple[int, tuple[Term, Term]]] = []
     while True:
+        rows_with = Counter(term for row in row_sets for term in row)
         counts: dict[tuple[Term, Term], int] = {}
         for row in row_sets:
-            if len(row) < 2:
-                continue
-            for pair in combinations(sorted(row), 2):
+            shareable = sorted(term for term in row if rows_with[term] >= 2)
+            for pair in combinations(shareable, 2):
                 counts[pair] = counts.get(pair, 0) + 1
         if not counts:
             break

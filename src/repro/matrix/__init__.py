@@ -1,9 +1,10 @@
 """Dense matrix algebra over GF(2^w).
 
 Public surface: :class:`GFMatrix`, Gaussian tools (:func:`invert`,
-:func:`rank`, :func:`select_independent_rows`, :func:`is_invertible`,
-:func:`solve`, :class:`SingularMatrixError`), the F/S split
-(:func:`split_fs`, :class:`FSSplit`) and sparsity analysis (:func:`u`).
+:func:`rank`, :func:`select_independent_rows`, :func:`select_and_invert`,
+:func:`is_invertible`, :func:`solve`, :class:`SingularMatrixError`), the
+F/S split (:func:`split_fs`, :class:`FSSplit`) and sparsity analysis
+(:func:`u`).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .solve import (
     invert,
     is_invertible,
     rank,
+    select_and_invert,
     select_independent_rows,
     solve,
 )
@@ -29,6 +31,7 @@ __all__ = [
     "invert",
     "is_invertible",
     "rank",
+    "select_and_invert",
     "select_independent_rows",
     "solve",
     "u",

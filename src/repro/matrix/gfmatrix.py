@@ -3,8 +3,8 @@
 :class:`GFMatrix` wraps a 2-D NumPy array of field symbols together with
 its field.  The matrices involved in erasure decoding are tiny compared to
 the data regions (the paper: ``w <= 4`` bytes per coefficient vs sectors of
-512+ bytes), so this module favours clarity over micro-optimisation —
-except for the GF(2^8) matmul which uses the full product table.
+512+ bytes), so this module favours clarity over micro-optimisation;
+the field's own ``mul`` decides how a product is computed.
 """
 
 from __future__ import annotations
@@ -161,14 +161,9 @@ class GFMatrix:
         f = self.field
         a, b = self._data, other._data
         out = f.zeros((self.rows, other.cols))
-        if f.w == 8:
-            mul8 = f.mul8_table
-            for k in range(self.cols):
-                # outer product of column k of A with row k of B, one gather
-                np.bitwise_xor(out, mul8[a[:, k][:, None], b[k, :][None, :]], out=out)
-        else:
-            for k in range(self.cols):
-                np.bitwise_xor(out, f.mul(a[:, k][:, None], b[k, :][None, :]), out=out)
+        for k in range(self.cols):
+            # outer product of column k of A with row k of B
+            np.bitwise_xor(out, f.mul(a[:, k][:, None], b[k, :][None, :]), out=out)
         return GFMatrix(f, out, copy=False)
 
     def matvec(self, vector: np.ndarray) -> np.ndarray:

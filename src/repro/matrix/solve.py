@@ -4,6 +4,9 @@ Decoding (Steps 2-4 of the paper's process) needs ``F`` inverted; the PPM
 partition additionally needs to *select* an invertible square submatrix
 from an overdetermined group of parity rows (e.g. an SD stripe row with
 fewer faults than coding disks contributes m rows for v < m faults).
+Both are one row-ordered Gauss-Jordan pass (:func:`select_and_invert`),
+which picks the rows and inverts the square matrix they form together.
+:func:`rank` is separate: it is the verifier's own primitive.
 """
 
 from __future__ import annotations
@@ -22,6 +25,74 @@ class SingularMatrixError(ValueError):
     """
 
 
+def _eliminate(matrix: GFMatrix, need: int) -> tuple[list[int], list[int], np.ndarray]:
+    """Row-ordered Gauss-Jordan elimination: the one elimination loop.
+
+    Rows are taken in order.  Each is reduced against the rows kept so
+    far and kept if anything is left of it (first wins), until ``need``
+    rows are kept.  The kept rows stay in reduced row-echelon form beside
+    the transform that made them: ``aug = [E | T]`` with
+    ``E = T @ matrix[chosen]``.
+
+    Returns ``(chosen, pivots, T)``: the kept row indices, the pivot
+    column of each row of ``E`` and the ``need x need`` transform.  When
+    ``need == cols``, ``E`` is a permutation matrix, so the inverse of
+    ``matrix[chosen]`` is ``T`` with its rows moved to ``pivots``.
+    Raises :class:`SingularMatrixError` if fewer than ``need`` rows are
+    independent.
+    """
+    f = matrix.field
+    cols = matrix.cols
+    a = matrix.array
+    aug = f.zeros((need, cols + need))
+    chosen: list[int] = []
+    pivots: list[int] = []
+    for i in range(matrix.rows):
+        k = len(chosen)
+        if k == need:
+            break
+        row = f.zeros(cols + need)
+        row[:cols] = a[i]
+        row[cols + k] = 1
+        factors = row[pivots]
+        nz = np.flatnonzero(factors)
+        if nz.size:
+            row ^= np.bitwise_xor.reduce(f.mul(factors[nz][:, None], aug[nz]), axis=0)
+        lead = np.flatnonzero(row[:cols])
+        if not lead.size:
+            continue  # in the span of the rows already kept
+        pivot = int(lead[0])
+        if row[pivot] != 1:
+            row = f.mul(f.inv(row[pivot]), row)
+        # clear the new pivot column from the kept rows (reduced form)
+        above = aug[:k, pivot]
+        nz = np.flatnonzero(above)
+        if nz.size:
+            aug[nz] ^= f.mul(above[nz][:, None], row[None, :])
+        aug[k] = row
+        chosen.append(i)
+        pivots.append(pivot)
+    if len(chosen) < need:
+        raise SingularMatrixError(
+            f"only {len(chosen)} independent rows available, {need} required"
+        )
+    return chosen, pivots, aug[:, cols:]
+
+
+def select_and_invert(matrix: GFMatrix) -> tuple[list[int], GFMatrix]:
+    """First-wins independent rows making ``matrix`` square, and the
+    inverse of the square matrix they form — one elimination.
+
+    ``matrix`` has at least as many rows as columns (an overdetermined
+    ``F``).  Raises :class:`SingularMatrixError` if its rank is below its
+    column count.
+    """
+    chosen, pivots, transform = _eliminate(matrix, matrix.cols)
+    inverse = np.empty_like(transform)
+    inverse[pivots] = transform
+    return chosen, GFMatrix(matrix.field, inverse, copy=False)
+
+
 def invert(matrix: GFMatrix) -> GFMatrix:
     """Inverse of a square GF matrix by Gauss-Jordan elimination.
 
@@ -29,30 +100,7 @@ def invert(matrix: GFMatrix) -> GFMatrix:
     """
     if matrix.rows != matrix.cols:
         raise ValueError(f"cannot invert non-square matrix {matrix.shape}")
-    f = matrix.field
-    n = matrix.rows
-    a = matrix.array.copy()
-    inv = f.eye(n)
-    for col in range(n):
-        pivot = _find_pivot(a, col, col)
-        if pivot is None:
-            raise SingularMatrixError(f"matrix is singular at column {col}")
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        pv = a[col, col]
-        if pv != 1:
-            scale = f.inv(pv)
-            a[col] = f.mul(scale, a[col])
-            inv[col] = f.mul(scale, inv[col])
-        # eliminate this column from every other row in one vectorised sweep
-        factors = a[:, col].copy()
-        factors[col] = 0
-        nz = np.nonzero(factors)[0]
-        if nz.size:
-            a[nz] ^= f.mul(factors[nz][:, None], a[col][None, :])
-            inv[nz] ^= f.mul(factors[nz][:, None], inv[col][None, :])
-    return GFMatrix(f, inv, copy=False)
+    return select_and_invert(matrix)[1]
 
 
 def _find_pivot(a: np.ndarray, col: int, start_row: int) -> int | None:
@@ -94,31 +142,7 @@ def select_independent_rows(matrix: GFMatrix, need: int | None = None) -> list[i
     :class:`SingularMatrixError` if fewer than ``need`` independent rows
     exist.
     """
-    f = matrix.field
-    if need is None:
-        need = matrix.cols
-    basis = np.empty((0, matrix.cols), dtype=f.dtype)
-    chosen: list[int] = []
-    for i in range(matrix.rows):
-        candidate = matrix.array[i].copy()
-        # reduce against current basis (basis rows are kept pivot-normalised)
-        for brow in basis:
-            pcol = int(np.nonzero(brow)[0][0])
-            factor = candidate[pcol]
-            if factor:
-                candidate ^= f.mul(factor, brow)
-        if candidate.any():
-            pcol = int(np.nonzero(candidate)[0][0])
-            pv = candidate[pcol]
-            if pv != 1:
-                candidate = f.mul(f.inv(pv), candidate)
-            basis = np.vstack([basis, candidate])
-            chosen.append(i)
-            if len(chosen) == need:
-                return chosen
-    raise SingularMatrixError(
-        f"only {len(chosen)} independent rows available, {need} required"
-    )
+    return _eliminate(matrix, matrix.cols if need is None else need)[0]
 
 
 def solve(a: GFMatrix, b: np.ndarray) -> np.ndarray:

@@ -108,6 +108,25 @@ def test_no_rest_plan_when_all_independent():
     assert plan.costs.c3 == plan.costs.c4 == sum(g.cost for g in plan.groups)
 
 
+def test_group_solve_is_shared_across_stripe_rows():
+    """Two patterns that differ only by stripe row solve one memoised W."""
+    from repro.core.planner import _group_weights
+
+    code = SDCode(6, 4, 2, 2)
+    _group_weights.cache_clear()
+    first = plan_decode(code, [0, 1])  # disks 0 and 1 dead in stripe row 0
+    assert _group_weights.cache_info().misses == 1
+    second = plan_decode(code, [6, 7])  # the same disks in stripe row 1
+    info = _group_weights.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    (a,), (b,) = first.groups, second.groups
+    assert a.weights == b.weights
+    # ids are bound per plan, and each plan owns its own matrix
+    assert (a.row_ids, a.faulty_ids) != (b.row_ids, b.faulty_ids)
+    assert a.survivor_ids == tuple(s - 6 for s in b.survivor_ids)
+    assert not np.shares_memory(a.weights.array, b.weights.array)
+
+
 def test_plan_accepts_raw_matrix(code, scenario):
     direct = plan_decode(code.H, scenario.faulty_blocks)
     via_code = plan_decode(code, scenario.faulty_blocks)

@@ -164,6 +164,51 @@ def test_w8_matches_mul8_table():
         assert np.array_equal(f.mul(np.uint8(a), xs), f.mul8_table[a])
 
 
+def _logexp_mul(f, a, b):
+    """Reference: GF.mul's log/exp path, which w = 8 took before it
+    indexed the product table."""
+    a_arr, b_arr = f._as_array(a), f._as_array(b)
+    scalar = a_arr.ndim == 0 and b_arr.ndim == 0
+    a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
+    out = f._exp[f._log[a_arr] + f._log[b_arr]]
+    if out.ndim:
+        zero = (a_arr == 0) | (b_arr == 0)
+        out = np.where(zero, 0, out).astype(f.dtype)
+    else:
+        out = f.dtype.type(0 if (a_arr == 0 or b_arr == 0) else out)
+    return f._ret(np.asarray(out), scalar)
+
+
+def _same(got, want):
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+
+
+def test_w8_mul_equals_logexp_reference_exhaustively():
+    f = GF(8)
+    xs = np.arange(256, dtype=np.uint8)
+    _same(f.mul(xs[:, None], xs[None, :]), _logexp_mul(f, xs[:, None], xs[None, :]))
+    for a in range(256):
+        for b in range(256):
+            # every 0-d input kind: Python int, field scalar, 0-d array
+            operand = (a, np.uint8(a), np.array(a, dtype=np.uint8))[b % 3]
+            _same(f.mul(operand, np.uint8(b)), _logexp_mul(f, operand, np.uint8(b)))
+
+
+def test_w8_mul_return_types_match_reference_on_broadcast_shapes():
+    f = GF(8)
+    rng = np.random.default_rng(28)
+    shapes = [((), (5,)), ((5,), ()), ((5,), (5,)), ((3, 1), (1, 4)), ((2, 3), (3,)),
+              ((0,), ()), ((4, 1), (4, 6))]
+    for sa, sb in shapes:
+        a = rng.integers(0, 256, size=sa).astype(np.uint8)
+        b = rng.integers(0, 256, size=sb)  # int64: converted like any input
+        _same(f.mul(a, b), _logexp_mul(f, a, b))
+        _same(f.mul(a if sa else int(a), b), _logexp_mul(f, a if sa else int(a), b))
+
+
 def test_w32_known_product():
     """Peasant multiply agrees with explicit polynomial arithmetic."""
     from repro.gf.polynomials import poly_mod, poly_mul

@@ -140,6 +140,23 @@ def test_program_cache_lru_eviction():
     assert cache.stats.misses == 4
 
 
+def test_program_cache_miss_runs_one_dataflow_pass(monkeypatch):
+    from repro.verify import dataflow
+
+    passes = []
+    real = dataflow.check_program
+    monkeypatch.setattr(
+        dataflow, "check_program", lambda program: (passes.append(program), real(program))[1]
+    )
+    code = SDCode(6, 4, 2, 2)
+    plan = plan_decode(code, [0, 7, 14])
+    cache = ProgramCache()
+    compiled = cache.plan_program(code.field, plan)
+    assert passes == [compiled.program]  # once, in ProgramBuilder.finish
+    cache.plan_program(code.field, plan)
+    assert len(passes) == 1  # a hit runs none
+
+
 @pytest.mark.parametrize(
     "faulty,policy",
     [

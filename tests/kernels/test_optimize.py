@@ -5,8 +5,12 @@ Semantic preservation is checked with the symbolic transfer matrix from
 the same GF(2^w) linear map as the program it came from.
 """
 
+from itertools import combinations
+
 import numpy as np
 
+from repro.codes import get_code, is_decodable
+from repro.core import SequencePolicy, plan_decode
 from repro.gf import GF
 from repro.kernels import (
     OP_COPY,
@@ -16,11 +20,15 @@ from repro.kernels import (
     RegionProgram,
     compact_slots,
     eliminate_dead,
+    lower_encode,
     lower_matrix,
+    lower_plan,
     optimize_program,
     share_pairs,
 )
+from repro.kernels import lower as lower_module
 from repro.verify import transfer_matrix
+from repro.verify.sweep import DEFAULT_INSTANCES, iter_scenarios
 
 
 def test_share_pairs_materialises_common_pair():
@@ -57,6 +65,67 @@ def test_share_pairs_unique_pairs_untouched():
     assert pair_defs == []
     assert rewritten == [sorted(r) for r in rows]
     assert next_slot == 2
+
+
+def _reference_share_pairs(rows, next_slot):
+    """Reference: the greedy that recounts every pair of every row."""
+    row_sets = [set(row) for row in rows]
+    pair_defs = []
+    while True:
+        counts = {}
+        for row in row_sets:
+            if len(row) < 2:
+                continue
+            for pair in combinations(sorted(row), 2):
+                counts[pair] = counts.get(pair, 0) + 1
+        if not counts:
+            break
+        pair, freq = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        if freq < 2:
+            break
+        slot = next_slot
+        next_slot += 1
+        pair_defs.append((slot, pair))
+        term_a, term_b = pair
+        for row in row_sets:
+            if term_a in row and term_b in row:
+                row.discard(term_a)
+                row.discard(term_b)
+                row.add((slot, 1))
+    return pair_defs, [sorted(row) for row in row_sets], next_slot
+
+
+def test_share_pairs_equals_reference_on_random_rows():
+    rng = np.random.default_rng(28)
+    for _ in range(300):
+        slots = int(rng.integers(1, 9))
+        consts = int(rng.integers(1, 4))  # few constants: many shared pairs
+        rows = []
+        for _ in range(int(rng.integers(0, 7))):
+            width = int(rng.integers(0, slots + 1))
+            picked = rng.choice(slots, size=width, replace=False)
+            rows.append([(int(s), int(rng.integers(1, consts + 1))) for s in picked])
+        assert share_pairs(rows, slots) == _reference_share_pairs(rows, slots)
+
+
+def test_share_pairs_equals_reference_on_every_registered_stage(monkeypatch):
+    calls = []
+
+    def checked(rows, next_slot):
+        got = share_pairs(rows, next_slot)
+        assert got == _reference_share_pairs(rows, next_slot)
+        calls.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(lower_module, "share_pairs", checked)
+    for kind, params in DEFAULT_INSTANCES.items():
+        code = get_code(kind, **params)
+        patterns = [f for f in iter_scenarios(code, 6, seed=28) if is_decodable(code, f)]
+        for faulty in patterns:
+            for policy in SequencePolicy:
+                lower_plan(code.field, plan_decode(code, faulty, policy))
+        lower_encode(code.field, code)
+    assert calls and any(calls)  # some stage really shared a pair
 
 
 def test_eliminate_dead_drops_unread_definition():

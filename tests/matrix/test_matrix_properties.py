@@ -5,7 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf import GF
-from repro.matrix import GFMatrix, invert, is_invertible, rank, u
+from repro.matrix import (
+    GFMatrix,
+    SingularMatrixError,
+    invert,
+    is_invertible,
+    rank,
+    select_and_invert,
+    select_independent_rows,
+    u,
+)
 
 
 @st.composite
@@ -58,6 +67,109 @@ def test_u_subadditive_under_product(a, b):
 @settings(max_examples=60)
 def test_addition_self_inverse(m):
     assert (m + m) == GFMatrix.zeros(m.field, m.rows, m.cols)
+
+
+def _reference_select(matrix, need):
+    """Reference: row selection as two passes did it, each candidate
+    reduced against the kept basis one basis row at a time."""
+    f = matrix.field
+    basis = np.empty((0, matrix.cols), dtype=f.dtype)
+    chosen = []
+    for i in range(matrix.rows):
+        candidate = matrix.array[i].copy()
+        for brow in basis:
+            pcol = int(np.nonzero(brow)[0][0])
+            factor = candidate[pcol]
+            if factor:
+                candidate ^= f.mul(factor, brow)
+        if candidate.any():
+            pcol = int(np.nonzero(candidate)[0][0])
+            pv = candidate[pcol]
+            if pv != 1:
+                candidate = f.mul(f.inv(pv), candidate)
+            basis = np.vstack([basis, candidate])
+            chosen.append(i)
+            if len(chosen) == need:
+                return chosen
+    raise SingularMatrixError("not enough independent rows")
+
+
+def _reference_invert(matrix):
+    """Reference: column-pivoted Gauss-Jordan inversion."""
+    f = matrix.field
+    n = matrix.rows
+    a = matrix.array.copy()
+    inv = f.eye(n)
+    for col in range(n):
+        rows = np.nonzero(a[col:, col])[0]
+        if rows.size == 0:
+            raise SingularMatrixError("singular")
+        pivot = col + int(rows[0])
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            inv[[col, pivot]] = inv[[pivot, col]]
+        pv = a[col, col]
+        if pv != 1:
+            scale = f.inv(pv)
+            a[col] = f.mul(scale, a[col])
+            inv[col] = f.mul(scale, inv[col])
+        factors = a[:, col].copy()
+        factors[col] = 0
+        nz = np.nonzero(factors)[0]
+        if nz.size:
+            a[nz] ^= f.mul(factors[nz][:, None], a[col][None, :])
+            inv[nz] ^= f.mul(factors[nz][:, None], inv[col][None, :])
+    return GFMatrix(f, inv, copy=False)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularMatrixError:
+        return SingularMatrixError
+
+
+@st.composite
+def tall_matrix(draw, max_cols=6):
+    """Square or tall; sparse 0/1 entries and copied rows make many of
+    them rank-deficient."""
+    f = GF(draw(st.sampled_from([4, 8, 16])))
+    cols = draw(st.integers(1, max_cols))
+    rows = cols + draw(st.integers(0, 3))
+    top = draw(st.sampled_from([1, f.order]))
+    data = np.array(
+        draw(
+            st.lists(
+                st.lists(st.integers(0, top), min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            )
+        ),
+        dtype=f.dtype,
+    )
+    for _ in range(draw(st.integers(0, 2))):  # scaled copies of earlier rows
+        src, dst = sorted(draw(st.integers(0, rows - 1)) for _ in range(2))
+        data[dst] = f.mul(draw(st.integers(1, f.order)), data[src])
+    return GFMatrix(f, data)
+
+
+@given(tall_matrix())
+@settings(max_examples=150)
+def test_one_elimination_equals_select_then_invert(m):
+    want_rows = _outcome(_reference_select, m, m.cols)
+    got = _outcome(select_and_invert, m)
+    if want_rows is SingularMatrixError:
+        assert got is SingularMatrixError
+    else:
+        rows, inverse = got
+        assert rows == want_rows
+        assert inverse == _reference_invert(m.take_rows(rows))
+    for need in range(1, m.cols + 1):
+        assert _outcome(select_independent_rows, m, need) == _outcome(
+            _reference_select, m, need
+        )
+    if m.rows == m.cols:
+        assert _outcome(invert, m) == _outcome(_reference_invert, m)
 
 
 @given(square_matrix())

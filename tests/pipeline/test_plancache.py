@@ -92,6 +92,38 @@ def test_verify_certifies_misses(code, faulty):
     assert plan is cache.get(code, faulty)  # hit skips re-verification
 
 
+def test_verify_certifies_plans_built_from_memoised_solves(code, monkeypatch):
+    from repro.core import planner
+    from repro.verify import PlanVerificationError
+
+    certified = []
+    real = PlanCache._certify
+    monkeypatch.setattr(
+        PlanCache,
+        "_certify",
+        staticmethod(lambda plan, h: (certified.append(plan.faulty_ids), real(plan, h))),
+    )
+    planner._group_weights.cache_clear()
+    cache = PlanCache(verify=True)
+    patterns = [tuple(worst_case_sd(code, z=1, rng=seed).faulty_blocks) for seed in range(4)]
+    for pattern in patterns:
+        cache.get(code, pattern)
+    assert planner._group_weights.cache_info().hits > 0
+    assert certified == patterns  # every miss certified, memo hit or not
+
+    # a wrong memoised solve is caught on the miss, never cached
+    solve = planner._group_weights.__wrapped__
+
+    def wrong(*key):
+        weights = solve(*key).copy()
+        weights[0, 0] ^= 1
+        return weights
+
+    monkeypatch.setattr(planner, "_group_weights", wrong)
+    with pytest.raises(PlanVerificationError):
+        PlanCache(verify=True).get(code, patterns[0])
+
+
 def test_clear_and_reset_stats(code, faulty):
     cache = PlanCache()
     cache.get(code, faulty)
