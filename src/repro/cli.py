@@ -471,15 +471,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             ("get", i % cfg.store.stripes, 0) for i in range(workload.requests)
         ]
         try:
-            if len(clients) == 1:
-                summary = await run_loadgen(
-                    clients[0],
-                    schedule,
-                    concurrency=workload.concurrency,
-                    verify=True,
-                )
-                metrics = await clients[0].metrics()
-                return summary, metrics
             multi = await run_loadgen_multi(
                 clients,
                 [schedule] * len(clients),

@@ -18,8 +18,8 @@ class ClusterMetrics:
 
     - ``routed`` — requests fanned out, by node id (the router's view
       of load spread; compare with the placement shares);
-    - ``forwarded_wire`` — requests that crossed the TCP transport
-      (0 under ``transport="local"``);
+    - ``forwarded_wire`` — requests routed over the TCP transport: all
+      of ``routed`` under ``transport="tcp"``, 0 under ``"local"``;
     - ``rebalances`` — membership events that moved stripes
       (join/drain/kill each count once);
     - ``stripes_moved`` / ``blocks_moved`` / ``bytes_moved`` — migration
@@ -32,9 +32,9 @@ class ClusterMetrics:
       rebuild debt survivors' repair queues must clear).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, transport: str) -> None:
+        self.transport = transport
         self.routed: dict[str, int] = {}
-        self.forwarded_wire = 0
         self.rebalances = 0
         self.stripes_moved = 0
         self.blocks_moved = 0
@@ -46,6 +46,10 @@ class ClusterMetrics:
 
     def route(self, node_id: str) -> None:
         self.routed[node_id] = self.routed.get(node_id, 0) + 1
+
+    @property
+    def forwarded_wire(self) -> int:
+        return sum(self.routed.values()) if self.transport == "tcp" else 0
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready snapshot (the ``cluster`` section of the doc)."""

@@ -5,7 +5,12 @@ and a :class:`~repro.cluster.placement.HashRing`, routes every request
 to the stripe's home node, and implements the same backend protocol as
 :class:`~repro.service.BlobService` — so ``repro.service.net.serve``
 exposes a cluster on the JSON-lines wire, ``connect()`` reaches it, and
-the load generator cannot tell one node from twenty.
+the load generator cannot tell one node from twenty.  The router itself
+reaches every node through a :class:`~repro.service.net.Client` — a
+:class:`~repro.service.net.LocalClient` over the node's service, or a
+:class:`~repro.service.net.ClientPool` over the node's wire server under
+``transport="tcp"`` — so a node answers the router exactly as it would
+answer any other client.
 
 Membership is explicit and asynchronous:
 
@@ -41,7 +46,7 @@ from ..codes.base import ErasureCode
 from ..config import ClusterConfig, PipelineConfig, ServiceConfig
 from ..repair.ratelimit import TokenBucket
 from ..service.errors import BlockUnavailableError, NodeFault, ServiceClosedError
-from ..service.net import ClientPool, serve
+from ..service.net import Client, ClientPool, LocalClient, serve
 from ..service.store import BlobStore, FaultInjector
 from ..stripes.failures import worst_case_sd
 from ..stripes.store import Stripe
@@ -87,12 +92,14 @@ class Cluster:
         self._pipeline_config = pipeline if pipeline is not None else PipelineConfig()
         node_ids = default_node_ids(self.config.nodes)
         self.ring = HashRing(node_ids, vnodes=self.config.vnodes, seed=self.config.seed)
-        self.metrics = ClusterMetrics()
+        self.metrics = ClusterMetrics(self.config.transport)
         self.bucket = TokenBucket(
             self.config.rebalance_blocks_per_s, self.config.rebalance_burst_blocks
         )
         self.nodes: dict[str, StorageNode] = {}
-        self._pools: dict[str, ClientPool] = {}
+        #: how the router reaches each node: a LocalClient over its
+        #: service, swapped for a ClientPool when a tcp node starts
+        self._clients: dict[str, Client] = {}
         #: authoritative stripe → node id map (the ring proposes,
         #: migrations commit); routing reads this, never the ring
         self._placement: dict[int, str] = {}
@@ -118,6 +125,7 @@ class Cluster:
             pipeline=self._pipeline_config.build(faults=store.faults),
         )
         self.nodes[node_id] = node
+        self._clients[node_id] = LocalClient(node.service)
         for sid in store.stripe_ids:
             self._placement[sid] = node_id
         if store.sector_symbols:
@@ -188,7 +196,7 @@ class Cluster:
         if self.config.transport == "tcp":
             node.server = await serve(node.service, host="127.0.0.1", port=0)
             node.address = node.server.sockets[0].getsockname()[:2]
-            self._pools[node.node_id] = await ClientPool.open(
+            self._clients[node.node_id] = await ClientPool.open(
                 node.address, self.config.connections_per_node
             )
         node.start_repair()
@@ -197,9 +205,9 @@ class Cluster:
         if self._closed:
             return
         self._closed = True
-        for pool in self._pools.values():
-            await pool.close()
-        self._pools.clear()
+        for client in self._clients.values():
+            await client.close()
+        self._clients.clear()
         for node in self.nodes.values():
             if node.state != "dead":
                 await node.close()
@@ -234,22 +242,14 @@ class Cluster:
             )
         return node
 
-    async def _route(self, op: str, stripe_id: int, block: int, deadline_s, data=None):
-        """Dispatch one request to the owner, retrying once if the
-        stripe migrated (or its node died) mid-flight."""
+    async def _route(self, stripe_id: int, call):
+        """Run ``call(client)`` against the owner's client, retrying
+        once if the stripe migrated (or its node died) mid-flight."""
         for attempt in (0, 1):
             node = self._owner(stripe_id)
             self.metrics.route(node.node_id)
             try:
-                if self.config.transport == "tcp" and node.node_id in self._pools:
-                    return await self._call_wire(
-                        node, op, stripe_id, block, deadline_s, data
-                    )
-                service = node.service
-                if op == "put":
-                    return await service.put(stripe_id, block, data)
-                method = service.get if op == "get" else service.degraded_get
-                return await method(stripe_id, block, deadline_s=deadline_s)
+                return await call(self._clients[node.node_id])
             except (BlockUnavailableError, NodeFault, ServiceClosedError):
                 # the stripe may have moved (rebalance/storm) between
                 # placement lookup and the node-side read; re-resolve
@@ -257,27 +257,24 @@ class Cluster:
                     raise
         raise AssertionError("unreachable: retry loop returns or raises")
 
-    async def _call_wire(self, node, op, stripe_id, block, deadline_s, data):
-        pool = self._pools[node.node_id]
-        self.metrics.forwarded_wire += 1
-        if op == "put":
-            return await pool.put(stripe_id, block, data)
-        method = pool.get if op == "get" else pool.degraded_get
-        symbols = await method(stripe_id, block, deadline_s)
-        return np.asarray(symbols, dtype=self.dtype)
-
     async def get(
         self, stripe_id: int, block: int, *, deadline_s: float | None = None
     ) -> np.ndarray:
-        return await self._route("get", stripe_id, block, deadline_s)
+        data = await self._route(
+            stripe_id, lambda client: client.get(stripe_id, block, deadline_s)
+        )
+        return np.asarray(data, dtype=self.dtype)
 
     async def degraded_get(
         self, stripe_id: int, block: int, *, deadline_s: float | None = None
     ) -> np.ndarray:
-        return await self._route("degraded_get", stripe_id, block, deadline_s)
+        data = await self._route(
+            stripe_id, lambda client: client.degraded_get(stripe_id, block, deadline_s)
+        )
+        return np.asarray(data, dtype=self.dtype)
 
     async def put(self, stripe_id: int, block: int, region: np.ndarray) -> None:
-        await self._route("put", stripe_id, block, None, data=region)
+        await self._route(stripe_id, lambda client: client.put(stripe_id, block, region))
 
     # -- backend protocol ----------------------------------------------------
 
@@ -374,9 +371,9 @@ class Cluster:
             self.ring.remove(node_id)
         if not self.ring.node_ids:
             raise RuntimeError("cannot kill the last node: no survivors to rebuild on")
-        pool = self._pools.pop(node_id, None)
-        if pool is not None:
-            await pool.close()
+        client = self._clients.pop(node_id, None)
+        if client is not None:
+            await client.close()
         await node.close()
         scenario = worst_case_sd(self.code, z=self.config.storm_z, rng=self.config.seed)
         doomed = list(node.store.stripe_ids)

@@ -229,10 +229,10 @@ class RepairConfig:
         :func:`repro.stripes.scrub.locate_corruptions` is
         combinatorial, and a scrub loop that stalls is worse than one
         that reports "ambiguous" and moves on.
-    verify_repairs:
-        Re-scrub every repaired stripe and count any stripe whose
-        syndromes are still nonzero as a ``verify_failure`` instead of
-        silently trusting the write-back.
+
+    Every repaired stripe is re-scrubbed; one whose syndromes are still
+    nonzero counts as a ``verify_failure`` instead of silently trusting
+    the write-back.
     """
 
     enabled: bool = False
@@ -242,7 +242,6 @@ class RepairConfig:
     rate_blocks_per_s: float = 0.0
     burst_blocks: int = 16
     max_errors: int = 1
-    verify_repairs: bool = True
 
     def __post_init__(self) -> None:
         if self.scrub_interval_s < 0:
@@ -294,10 +293,6 @@ class ServiceConfig:
     backoff_base_s / backoff_cap_s:
         Exponential backoff between retries:
         ``min(backoff_cap_s, backoff_base_s * 2**attempt)``.
-    fallback_single:
-        When the coalesced batch decode errors, re-serve the affected
-        requests through an uncompiled single-stripe decode instead of
-        failing them.
     repair:
         The background scrub-and-repair loop (:class:`RepairConfig`;
         runs only when ``repair.enabled``).
@@ -310,7 +305,6 @@ class ServiceConfig:
     max_retries: int = 3
     backoff_base_s: float = 0.001
     backoff_cap_s: float = 0.050
-    fallback_single: bool = True
     repair: RepairConfig = field(default_factory=RepairConfig)
 
     def __post_init__(self) -> None:

@@ -59,6 +59,14 @@ from .pool import StragglerTimeout, WorkerPool, make_pool
 #: ``faulty_ids``.  Pure data, picklable for process pools.
 _Task = tuple[int, tuple[np.ndarray, ...], list[np.ndarray], tuple[int, ...]]
 
+#: LRU capacity of every pipeline's :class:`PlanCache`.
+PLAN_CACHE_SIZE = 128
+
+#: How long a ``priority="background"`` batch may be held waiting for
+#: in-flight foreground batches to drain (see
+#: :class:`~repro.pipeline.admission.PriorityAdmission`).
+MAX_DEFER_S = 0.05
+
 
 @dataclass(frozen=True)
 class BatchStats:
@@ -200,8 +208,6 @@ class DecodePipeline:
     assignment:
         ``"lpt"`` (default) or ``"round_robin"`` group-to-worker
         placement.
-    plan_cache_size:
-        LRU capacity of the shared :class:`PlanCache`.
     verify:
         Statically certify every plan before it first executes (see
         :func:`repro.verify.verify_plan`); overridable per call.
@@ -211,10 +217,6 @@ class DecodePipeline:
         Must be ``True``: the compiled program is the only executor.
         Accepted so existing ``compile=True`` callers keep working; any
         other value raises :class:`ValueError`.
-    max_defer_s:
-        How long a ``priority="background"`` batch may be held waiting
-        for in-flight foreground batches to drain (see
-        :class:`~repro.pipeline.admission.PriorityAdmission`).
     hedge:
         Speculatively resubmit a phase-1 bucket whose worker has run
         longer than ``max(pX, ewma) * hedge_factor`` of similar work
@@ -256,11 +258,9 @@ class DecodePipeline:
         pool: str | WorkerPool = "thread",
         policy: SequencePolicy = SequencePolicy.PAPER,
         assignment: str = "lpt",
-        plan_cache_size: int = 128,
         verify: bool = False,
         counter: OpCounter | None = None,
         compile: bool = True,
-        max_defer_s: float = 0.05,
         hedge: bool = False,
         hedge_percentile: float = 0.95,
         hedge_factor: float = 2.0,
@@ -284,9 +284,9 @@ class DecodePipeline:
         self.assignment = assignment
         self.verify = verify
         self.counter = counter if counter is not None else OpCounter()
-        self.plans = PlanCache(maxsize=plan_cache_size, verify=verify)
+        self.plans = PlanCache(maxsize=PLAN_CACHE_SIZE, verify=verify)
         self.programs = ProgramCache()
-        self.admission = PriorityAdmission(max_defer_s=max_defer_s)
+        self.admission = PriorityAdmission(max_defer_s=MAX_DEFER_S)
         self.hedge = hedge
         self.hedge_percentile = hedge_percentile
         self.hedge_factor = hedge_factor
@@ -464,8 +464,7 @@ class DecodePipeline:
         ``priority`` classes the batch for admission: ``"foreground"``
         (live degraded reads — admitted immediately) or
         ``"background"`` (scrub/repair — deferred while foreground
-        batches are in flight, bounded by the pipeline's
-        ``max_defer_s``).
+        batches are in flight, bounded by :data:`MAX_DEFER_S`).
 
         ``deadline_s`` bounds this batch's phase-1 gather (default: the
         pipeline's ``deadline_s``); on expiry outstanding workers are

@@ -306,21 +306,18 @@ class RepairManager:
             self.store.repair(task.stripe_id, payload)
         except LookupError:
             return  # migrated away mid-decode; its new home rescrubs it
-        if self.config.verify_repairs:
-            report = scrub_stripe(
-                self.store.code, self.store.stripe(task.stripe_id), max_errors=1
+        report = scrub_stripe(
+            self.store.code, self.store.stripe(task.stripe_id), max_errors=1
+        )
+        if not report.healthy:
+            self.metrics.verify_failures += 1
+            self.unrepairable[task.stripe_id] = f"post-repair scrub still {report.status}"
+            logger.error(
+                "stripe %d: post-repair scrub still %s — repair did not heal",
+                task.stripe_id,
+                report.status,
             )
-            if not report.healthy:
-                self.metrics.verify_failures += 1
-                self.unrepairable[task.stripe_id] = (
-                    f"post-repair scrub still {report.status}"
-                )
-                logger.error(
-                    "stripe %d: post-repair scrub still %s — repair did not heal",
-                    task.stripe_id,
-                    report.status,
-                )
-                return
+            return
         self.unrepairable.pop(task.stripe_id, None)
         self.metrics.stripes_repaired += 1
         self.metrics.blocks_repaired += len(payload)

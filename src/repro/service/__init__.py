@@ -18,8 +18,10 @@ The request path this package adds on top of the offline machinery::
   :class:`FaultInjector`;
 - :mod:`repro.service.metrics` — :class:`ServiceMetrics` /
   :class:`LatencyHistogram`;
-- :mod:`repro.service.net` — the JSON-lines TCP wire
-  (``ppm serve`` / ``ppm loadgen --connect``);
+- :mod:`repro.service.net` — the one request path (``dispatch``, run
+  by the JSON-lines TCP wire and by in-process clients alike) and the
+  one :class:`Client` over three transports (``ppm serve`` /
+  ``ppm loadgen --connect``);
 - :mod:`repro.service.loadgen` — the seeded closed-loop load
   generator;
 - :mod:`repro.service.errors` — the request-failure vocabulary.

@@ -6,9 +6,10 @@ Drives a :class:`~repro.service.BlobService`, a whole
 reproducible request mix: ``concurrency`` workers each pull the next
 request from a shared schedule and issue it, so the offered load is
 closed-loop (a worker never has more than one request outstanding —
-what a fixed client fleet looks like).  :func:`run_loadgen_multi`
-drives several targets *concurrently* and reports per-endpoint plus
-aggregate summaries (``ppm loadgen --connect a --connect b``).
+what a fixed client fleet looks like).  :func:`run_loadgen_multi` is
+the one driver: it drives several targets *concurrently* and reports
+per-endpoint plus aggregate summaries (``ppm loadgen --connect a
+--connect b``); :func:`run_loadgen` is its one-target case.
 
 The schedule is built against a store whose stripes were damaged with
 :func:`repro.stripes.failures.worst_case_sd` scenarios; reads that land
@@ -26,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ServiceError
-from .net import Client, LocalClient
+from .net import Client, LocalClient, as_client
 from .store import BlobStore
 
 
@@ -82,18 +83,6 @@ def build_request_schedule(
         sid, block = pool[int(rng.integers(0, len(pool)))]
         schedule.append(("get", sid, block))
     return schedule
-
-
-def _as_client(target) -> Client:
-    """Backend → :class:`LocalClient`; a :class:`Client` passes through."""
-    if isinstance(target, Client):
-        return target
-    if hasattr(target, "degraded_get") and hasattr(target, "metrics_dict"):
-        return LocalClient(target)
-    raise TypeError(
-        f"cannot drive {type(target).__name__}: expected a Client or a "
-        "backend with degraded_get/metrics_dict"
-    )
 
 
 async def _drive(
@@ -177,45 +166,9 @@ def _latency_summary(latencies: Sequence[float]) -> dict:
     }
 
 
-async def run_loadgen(
-    target,
-    schedule: Sequence[tuple[str, int, int]],
-    *,
-    concurrency: int = 16,
-    deadline_s: float | None = None,
-    verify: bool = True,
-) -> dict:
-    """Replay ``schedule`` against any target; returns a summary dict.
-
-    ``target`` is a service, a cluster, or a
-    :class:`~repro.service.net.Client` (so one code path drives
-    in-process and TCP backends alike).  The summary separates
-    ``completed`` / ``failed`` / ``corrupt`` and reports wall-clock
-    throughput plus client-observed latency percentiles (measured here,
-    independently of the server's own histograms).
-    """
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-    counters, latencies = await _drive(
-        _as_client(target),
-        schedule,
-        concurrency=concurrency,
-        deadline_s=deadline_s,
-        verify=verify,
-    )
-    counters["latency"] = _latency_summary(latencies)
-    return counters
-
-
-def _target_label(target, index: int) -> str:
-    if isinstance(target, str):
-        return target
-    if isinstance(target, tuple):
-        return f"{target[0]}:{target[1]}"
-    name = type(target).__name__.lower()
-    if isinstance(target, LocalClient):
-        name = type(target.backend).__name__.lower()
-    return f"{name}-{index}"
+def _label(client: Client, index: int) -> str:
+    named = client.backend if isinstance(client, LocalClient) else client
+    return f"{type(named).__name__.lower()}-{index}"
 
 
 async def run_loadgen_multi(
@@ -228,19 +181,26 @@ async def run_loadgen_multi(
 ) -> dict:
     """Drive several targets *concurrently*, one schedule each.
 
-    Returns ``{"endpoints": {label: summary}, "aggregate": summary}``:
-    per-endpoint summaries shaped exactly like :func:`run_loadgen`'s,
-    and an aggregate whose throughput is total completed requests over
-    the shared wall clock (the endpoints ran side by side) with latency
-    percentiles over the merged samples.
+    Each target is a service, a cluster, or a
+    :class:`~repro.service.net.Client` (so one code path drives
+    in-process and TCP backends alike).  Returns ``{"endpoints": {label:
+    summary}, "aggregate": summary}``.  A summary separates
+    ``completed`` / ``failed`` / ``corrupt`` and reports wall-clock
+    throughput plus client-observed latency percentiles (measured here,
+    independently of the server's own histograms); the aggregate's
+    throughput is total completed requests over the shared wall clock
+    (the endpoints ran side by side), with latency percentiles over the
+    merged samples.
     """
+    if concurrency < 1:
+        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     if len(targets) != len(schedules):
         raise ValueError(
             f"{len(targets)} target(s) but {len(schedules)} schedule(s)"
         )
     if not targets:
         raise ValueError("need at least one target")
-    clients = [_as_client(t) for t in targets]
+    clients = [as_client(t) for t in targets]
     loop = asyncio.get_running_loop()
     t0 = loop.time()
     results = await asyncio.gather(
@@ -260,9 +220,9 @@ async def run_loadgen_multi(
     all_latencies: list[float] = []
     totals = {"requests": 0, "completed": 0, "failed": 0, "corrupt": 0}
     agg_errors: dict[str, int] = {}
-    for index, (target, (counters, latencies)) in enumerate(zip(targets, results)):
+    for index, (client, (counters, latencies)) in enumerate(zip(clients, results)):
         counters["latency"] = _latency_summary(latencies)
-        endpoints[_target_label(target, index)] = counters
+        endpoints[_label(client, index)] = counters
         all_latencies.extend(latencies)
         for key in totals:
             totals[key] += counters[key]
@@ -277,6 +237,23 @@ async def run_loadgen_multi(
     )
     aggregate["latency"] = _latency_summary(all_latencies)
     return {"endpoints": endpoints, "aggregate": aggregate}
+
+
+async def run_loadgen(
+    target,
+    schedule: Sequence[tuple[str, int, int]],
+    *,
+    concurrency: int = 16,
+    deadline_s: float | None = None,
+    verify: bool = True,
+) -> dict:
+    """Replay ``schedule`` against one target: the one-endpoint case of
+    :func:`run_loadgen_multi`, returning that endpoint's summary."""
+    result = await run_loadgen_multi(
+        [target], [schedule], concurrency=concurrency, deadline_s=deadline_s, verify=verify
+    )
+    (summary,) = result["endpoints"].values()
+    return summary
 
 
 def damage_store(

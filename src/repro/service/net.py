@@ -12,19 +12,26 @@ callers are not supposed to care which they reached:
     region = await client.degraded_get(3, 7)
     await client.close()
 
-Every target yields the same ``ping / get / get_verified /
-degraded_get / put / metrics / close`` interface
-(:class:`Client`).  Anything with the small backend protocol —
-``get`` / ``put`` / ``degraded_get`` coroutines, ``metrics_dict``,
+There is one request path.  :func:`dispatch` is the only code that turns
+a request dict into a backend call and an outcome into a response dict;
+the TCP server runs it on every decoded line and :class:`LocalClient`
+runs it in-process.  :class:`Client` implements ``ping / get /
+get_verified / degraded_get / degraded_get_verified / put / metrics``
+once over a transport's ``_call(request) -> response``, and turns an
+``{"ok": false}`` response into the typed
+:class:`~repro.service.errors.ServiceError` in one place — so every
+transport answers the same request with the same bytes or the same
+exception class.  Anything with the small backend protocol — ``get`` /
+``put`` / ``degraded_get`` coroutines, ``metrics_dict``,
 ``verify_block``, ``dtype`` — can sit behind :func:`serve` and
 :func:`connect`; :class:`BlobService` and ``Cluster`` both do.
 
-The wire itself is unchanged from PR 4 and deliberately tiny:
+The wire itself is deliberately tiny:
 
     -> {"op": "get", "stripe": 3, "block": 7, "deadline_s": 0.5}
     <- {"ok": true, "data": [1, 2, ...]}
 
-    -> {"op": "get", "stripe": 3, "block": 7, "verify": true}
+    -> {"op": "get", "stripe": 3, "block": 7, "deadline_s": null, "verify": true}
     <- {"ok": true, "data": [...], "verified": false}
 
     -> {"op": "put", "stripe": 3, "block": 7, "data": [1, 2, ...]}
@@ -33,91 +40,118 @@ The wire itself is unchanged from PR 4 and deliberately tiny:
     -> {"op": "metrics"}
     <- {"ok": true, "metrics": {...}}
 
-Errors come back as ``{"ok": false, "kind": "<ExceptionName>",
-"error": "<message>"}`` with the connection kept open; only a malformed
-line closes it.  Regions travel as JSON integer lists (field symbols),
-which caps practical sector sizes but keeps the wire dependency-free.
+Every request that parses as JSON gets an answer on an open connection:
+errors come back as ``{"ok": false, "kind": "<ExceptionName>",
+"error": "<message>"}``, and a request that is not an object, names an
+unknown op, carries a non-numeric field or addresses a block the code
+does not have is ``"kind": "BadRequest"`` (raised as a plain
+:class:`ServiceError`).  Only a line that is not JSON closes the
+connection.  Regions travel as JSON integer lists (field symbols),
+which caps practical sector sizes but keeps the wire dependency-free;
+in-process they stay ndarrays, and JSON encoding happens only where
+bytes reach a socket.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 import numpy as np
 
 from . import errors as _errors
 from .errors import ServiceError
 
+logger = logging.getLogger(__name__)
+
 _OPS = ("get", "degraded_get", "put", "metrics", "ping")
 
+#: what a well-formed but invalid request raises on its way through the
+#: backend (a non-numeric field, a missing key, a block the code does
+#: not have, a short or out-of-range region): answered as ``BadRequest``
+_BAD_REQUEST = (LookupError, TypeError, ValueError, ArithmeticError)
 
-def _encode_region(region: np.ndarray) -> list[int]:
-    return [int(x) for x in region]
+
+def _jsonable(value: object) -> object:
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-async def _handle_request(service, request: dict) -> dict:
-    op = request.get("op")
-    if op not in _OPS:
-        return {"ok": False, "kind": "BadRequest", "error": f"unknown op {op!r}"}
-    if op == "ping":
-        return {"ok": True}
-    if op == "metrics":
-        return {"ok": True, "metrics": service.metrics_dict()}
+#: the one JSON encoder of the wire: regions leave as integer lists
+_ENCODER = json.JSONEncoder(default=_jsonable)
+
+
+def _encode(message: object) -> bytes:
+    return _ENCODER.encode(message).encode() + b"\n"
+
+
+def _error(kind: str, message: str) -> dict:
+    return {"ok": False, "kind": kind, "error": message}
+
+
+async def dispatch(backend, request: object) -> dict:
+    """Answer one request against a backend; never raises.
+
+    The only place an op becomes a backend call.  A
+    :class:`ServiceError` comes back under its own class name, an
+    invalid request as ``BadRequest``, and anything else under its class
+    name too (a client raises a plain :class:`ServiceError` for a kind
+    it does not know).  A read's region stays the backend's ndarray.
+    """
     try:
+        if not isinstance(request, dict):
+            raise TypeError(f"a request is a JSON object, got {type(request).__name__}")
+        op = request.get("op")
+        if op not in _OPS:
+            raise ValueError(f"unknown op {op!r}")
+        if op == "ping":
+            return {"ok": True}
+        if op == "metrics":
+            return {"ok": True, "metrics": backend.metrics_dict()}
         stripe_id = int(request["stripe"])
         block = int(request["block"])
-    except (KeyError, TypeError, ValueError) as exc:
-        return {"ok": False, "kind": "BadRequest", "error": f"bad stripe/block: {exc}"}
-    deadline = request.get("deadline_s")
-    deadline_s = float(deadline) if deadline is not None else None
-    try:
+        deadline = request.get("deadline_s")
+        deadline_s = None if deadline is None else float(deadline)
         if op == "put":
-            data = np.asarray(request["data"], dtype=service.dtype)
-            await service.put(stripe_id, block, data)
+            data = np.asarray(request["data"], dtype=backend.dtype)
+            await backend.put(stripe_id, block, data)
             return {"ok": True}
-        if op == "get":
-            region = await service.get(stripe_id, block, deadline_s=deadline_s)
-        else:
-            region = await service.degraded_get(
-                stripe_id, block, deadline_s=deadline_s
-            )
-        response = {"ok": True, "data": _encode_region(region)}
+        read = backend.get if op == "get" else backend.degraded_get
+        region = await read(stripe_id, block, deadline_s=deadline_s)
+        response = {"ok": True, "data": region}
         if request.get("verify"):
             # server-side bit-verification against the backend's ground
             # truth: lets a remote load generator count real corruption
             # instead of assuming every completed response is correct
-            response["verified"] = service.verify_block(stripe_id, block, region)
+            response["verified"] = bool(backend.verify_block(stripe_id, block, region))
         return response
     except ServiceError as exc:
-        return {"ok": False, "kind": type(exc).__name__, "error": str(exc)}
-    except (KeyError, TypeError, ValueError) as exc:
-        return {"ok": False, "kind": "BadRequest", "error": str(exc)}
+        return _error(type(exc).__name__, str(exc))
+    except _BAD_REQUEST as exc:
+        return _error("BadRequest", f"{type(exc).__name__}: {exc}")
+    except Exception as exc:
+        # a backend failure that is neither (a dying pool's RuntimeError):
+        # answer it, keep serving, and keep the traceback
+        logger.exception("backend failed a %s request", op)
+        return _error(type(exc).__name__, str(exc))
 
 
 async def _serve_connection(
-    service,
+    backend,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
     try:
-        while True:
-            line = await reader.readline()
-            if not line:
-                break
+        while line := await reader.readline():
             try:
                 request = json.loads(line)
-            except json.JSONDecodeError:
-                writer.write(
-                    json.dumps(
-                        {"ok": False, "kind": "BadRequest", "error": "invalid JSON"}
-                    ).encode()
-                    + b"\n"
-                )
+            except ValueError:  # not JSON (or not UTF-8): the one fatal input
+                writer.write(_encode(_error("BadRequest", "invalid JSON")))
                 await writer.drain()
                 break
-            response = await _handle_request(service, request)
-            writer.write(json.dumps(response).encode() + b"\n")
+            writer.write(_encode(await dispatch(backend, request)))
             await writer.drain()
     except (ConnectionResetError, BrokenPipeError):
         pass  # client vanished mid-request; nothing to clean up
@@ -159,22 +193,47 @@ def parse_endpoint(endpoint: str | tuple[str, int]) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
+def _error_class(kind: object) -> type[ServiceError]:
+    """A response's ``kind`` → the typed error a client raises."""
+    exc_type = getattr(_errors, str(kind), None)
+    if isinstance(exc_type, type) and issubclass(exc_type, ServiceError):
+        return exc_type
+    return ServiceError
+
+
 class Client:
     """The unified async client interface every backend is reached by.
 
-    Concrete transports: :class:`TcpClient` (one wire connection),
-    :class:`LocalClient` (in-process backend), :class:`ClientPool`
-    (several wire connections behind one facade).  Regions are returned
-    as sequences of field symbols — JSON integer lists over TCP, numpy
-    arrays in-process; callers that need arrays should ``np.asarray``
-    the result.
+    A transport supplies ``_call(request) -> response`` (and ``close``
+    when it holds a resource); everything else lives here.  Transports:
+    :class:`TcpClient` (one wire connection), :class:`LocalClient`
+    (in-process backend), :class:`ClientPool` (several wire connections
+    behind one facade).  Regions are returned as sequences of field
+    symbols — JSON integer lists over TCP, numpy arrays in-process;
+    callers that need arrays should ``np.asarray`` the result.
     """
 
-    async def ping(self) -> None:
+    async def _call(self, request: dict) -> dict:
         raise NotImplementedError
 
+    async def close(self) -> None:
+        """Release the transport; the backend behind it stays up."""
+
+    async def _roundtrip(self, op: str, **fields) -> dict:
+        response = await self._call({"op": op, **fields})
+        if not response.get("ok"):
+            kind = _error_class(response.get("kind"))
+            raise kind(response.get("error", "request failed"))
+        return response
+
+    async def ping(self) -> None:
+        await self._roundtrip("ping")
+
     async def get(self, stripe_id: int, block: int, deadline_s: float | None = None):
-        raise NotImplementedError
+        response = await self._roundtrip(
+            "get", stripe=stripe_id, block=block, deadline_s=deadline_s
+        )
+        return response["data"]
 
     async def get_verified(
         self, stripe_id: int, block: int, deadline_s: float | None = None
@@ -185,27 +244,37 @@ class Client:
         served bytes do not match the backend's ground truth — the
         signal a load generator needs to count real corruption.
         """
-        raise NotImplementedError
+        response = await self._roundtrip(
+            "get", stripe=stripe_id, block=block, deadline_s=deadline_s, verify=True
+        )
+        return response["data"], bool(response.get("verified", False))
 
     async def degraded_get(
         self, stripe_id: int, block: int, deadline_s: float | None = None
     ):
-        raise NotImplementedError
+        response = await self._roundtrip(
+            "degraded_get", stripe=stripe_id, block=block, deadline_s=deadline_s
+        )
+        return response["data"]
 
     async def degraded_get_verified(
         self, stripe_id: int, block: int, deadline_s: float | None = None
     ):
         """:meth:`get_verified` for the explicit degraded path."""
-        raise NotImplementedError
+        response = await self._roundtrip(
+            "degraded_get",
+            stripe=stripe_id,
+            block=block,
+            deadline_s=deadline_s,
+            verify=True,
+        )
+        return response["data"], bool(response.get("verified", False))
 
     async def put(self, stripe_id: int, block: int, data) -> None:
-        raise NotImplementedError
+        await self._roundtrip("put", stripe=stripe_id, block=block, data=data)
 
     async def metrics(self) -> dict:
-        raise NotImplementedError
-
-    async def close(self) -> None:
-        raise NotImplementedError
+        return (await self._roundtrip("metrics"))["metrics"]
 
     async def __aenter__(self) -> "Client":
         return self
@@ -228,89 +297,15 @@ class TcpClient(Client):
         client._reader, client._writer = await asyncio.open_connection(host, port)
         return client
 
-    async def _roundtrip(self, request: dict) -> dict:
+    async def _call(self, request: dict) -> dict:
         if self._reader is None or self._writer is None:
             raise _errors.ServiceClosedError("client is not connected")
-        self._writer.write(json.dumps(request).encode() + b"\n")
+        self._writer.write(_encode(request))
         await self._writer.drain()
         line = await self._reader.readline()
         if not line:
             raise _errors.ServiceClosedError("server closed the connection")
-        response = json.loads(line)
-        if not response.get("ok"):
-            kind = response.get("kind", "ServiceError")
-            exc_type = getattr(_errors, kind, ServiceError)
-            if not (isinstance(exc_type, type) and issubclass(exc_type, ServiceError)):
-                exc_type = ServiceError
-            raise exc_type(response.get("error", "request failed"))
-        return response
-
-    async def ping(self) -> None:
-        await self._roundtrip({"op": "ping"})
-
-    async def get(
-        self, stripe_id: int, block: int, deadline_s: float | None = None
-    ) -> list[int]:
-        response = await self._roundtrip(
-            {"op": "get", "stripe": stripe_id, "block": block, "deadline_s": deadline_s}
-        )
-        return response["data"]
-
-    async def get_verified(
-        self, stripe_id: int, block: int, deadline_s: float | None = None
-    ) -> tuple[list[int], bool]:
-        response = await self._roundtrip(
-            {
-                "op": "get",
-                "stripe": stripe_id,
-                "block": block,
-                "deadline_s": deadline_s,
-                "verify": True,
-            }
-        )
-        return response["data"], bool(response.get("verified", False))
-
-    async def degraded_get(
-        self, stripe_id: int, block: int, deadline_s: float | None = None
-    ) -> list[int]:
-        response = await self._roundtrip(
-            {
-                "op": "degraded_get",
-                "stripe": stripe_id,
-                "block": block,
-                "deadline_s": deadline_s,
-            }
-        )
-        return response["data"]
-
-    async def degraded_get_verified(
-        self, stripe_id: int, block: int, deadline_s: float | None = None
-    ) -> tuple[list[int], bool]:
-        response = await self._roundtrip(
-            {
-                "op": "degraded_get",
-                "stripe": stripe_id,
-                "block": block,
-                "deadline_s": deadline_s,
-                "verify": True,
-            }
-        )
-        return response["data"], bool(response.get("verified", False))
-
-    async def put(self, stripe_id: int, block: int, data) -> None:
-        # int() each symbol: numpy scalars are not JSON-serializable
-        await self._roundtrip(
-            {
-                "op": "put",
-                "stripe": stripe_id,
-                "block": block,
-                "data": [int(x) for x in data],
-            }
-        )
-
-    async def metrics(self) -> dict:
-        response = await self._roundtrip({"op": "metrics"})
-        return response["metrics"]
+        return json.loads(line)
 
     async def close(self) -> None:
         if self._writer is not None:
@@ -333,42 +328,8 @@ class LocalClient(Client):
     def __init__(self, backend) -> None:
         self.backend = backend
 
-    async def ping(self) -> None:
-        return None
-
-    async def get(self, stripe_id: int, block: int, deadline_s: float | None = None):
-        return await self.backend.get(stripe_id, block, deadline_s=deadline_s)
-
-    async def get_verified(
-        self, stripe_id: int, block: int, deadline_s: float | None = None
-    ):
-        region = await self.backend.get(stripe_id, block, deadline_s=deadline_s)
-        return region, bool(self.backend.verify_block(stripe_id, block, region))
-
-    async def degraded_get(
-        self, stripe_id: int, block: int, deadline_s: float | None = None
-    ):
-        return await self.backend.degraded_get(
-            stripe_id, block, deadline_s=deadline_s
-        )
-
-    async def degraded_get_verified(
-        self, stripe_id: int, block: int, deadline_s: float | None = None
-    ):
-        region = await self.backend.degraded_get(
-            stripe_id, block, deadline_s=deadline_s
-        )
-        return region, bool(self.backend.verify_block(stripe_id, block, region))
-
-    async def put(self, stripe_id: int, block: int, data) -> None:
-        region = np.asarray(data, dtype=self.backend.dtype)
-        await self.backend.put(stripe_id, block, region)
-
-    async def metrics(self) -> dict:
-        return self.backend.metrics_dict()
-
-    async def close(self) -> None:
-        return None
+    async def _call(self, request: dict) -> dict:
+        return await dispatch(self.backend, request)
 
 
 class ClientPool(Client):
@@ -396,43 +357,29 @@ class ClientPool(Client):
         clients = [await TcpClient.open(endpoint) for _ in range(connections)]
         return cls(clients)
 
-    async def _call(self, method: str, *args):
+    async def _call(self, request: dict) -> dict:
         client = await self._idle.get()
         try:
-            return await getattr(client, method)(*args)
+            return await client._call(request)
         finally:
             self._idle.put_nowait(client)
-
-    async def ping(self) -> None:
-        await self._call("ping")
-
-    async def get(self, stripe_id: int, block: int, deadline_s: float | None = None):
-        return await self._call("get", stripe_id, block, deadline_s)
-
-    async def get_verified(
-        self, stripe_id: int, block: int, deadline_s: float | None = None
-    ):
-        return await self._call("get_verified", stripe_id, block, deadline_s)
-
-    async def degraded_get(
-        self, stripe_id: int, block: int, deadline_s: float | None = None
-    ):
-        return await self._call("degraded_get", stripe_id, block, deadline_s)
-
-    async def degraded_get_verified(
-        self, stripe_id: int, block: int, deadline_s: float | None = None
-    ):
-        return await self._call("degraded_get_verified", stripe_id, block, deadline_s)
-
-    async def put(self, stripe_id: int, block: int, data) -> None:
-        await self._call("put", stripe_id, block, data)
-
-    async def metrics(self) -> dict:
-        return await self._call("metrics")
 
     async def close(self) -> None:
         for client in self._clients:
             await client.close()
+
+
+def as_client(target) -> Client:
+    """The one backend-to-client rule: a :class:`Client` passes
+    through, an in-process backend gets a :class:`LocalClient`."""
+    if isinstance(target, Client):
+        return target
+    if hasattr(target, "degraded_get") and hasattr(target, "metrics_dict"):
+        return LocalClient(target)
+    raise TypeError(
+        f"cannot connect to {type(target).__name__}: expected an endpoint "
+        "string/tuple, a backend object, or a Client"
+    )
 
 
 async def connect(
@@ -447,15 +394,8 @@ async def connect(
       :class:`LocalClient` wrapping it;
     - an existing :class:`Client` → returned as-is.
     """
-    if isinstance(target, Client):
-        return target
     if isinstance(target, (str, tuple)):
         if connections > 1:
             return await ClientPool.open(target, connections)
         return await TcpClient.open(target)
-    if hasattr(target, "degraded_get") and hasattr(target, "metrics_dict"):
-        return LocalClient(target)
-    raise TypeError(
-        f"cannot connect to {type(target).__name__}: expected an endpoint "
-        "string/tuple, a backend object, or a Client"
-    )
+    return as_client(target)

@@ -135,7 +135,7 @@ class CoalescingScheduler:
         decode_batch: DecodeBatchFn,
         config: ServiceConfig,
         metrics: ServiceMetrics,
-        single_decode: SingleDecodeFn | None = None,
+        single_decode: SingleDecodeFn,
     ):
         self._store = store
         self._decode_batch = decode_batch
@@ -165,7 +165,8 @@ class CoalescingScheduler:
 
         Raises :class:`ServiceOverloadError` (admission),
         :class:`NodeFault` (transient, retry at the server layer),
-        :class:`BatchDecodeError` (batch path broke, fall back) or
+        :class:`BatchDecodeError` (the batch *and* this read's
+        single-stripe fallback failed) or
         :class:`BlockUnavailableError` (hard failure).
         """
         if self._closed:
@@ -269,14 +270,7 @@ class CoalescingScheduler:
                     if not read.future.done():
                         read.future.set_exception(exc)
                 return
-            if self._single_decode is not None:
-                await self._fallback_singles(live, exc)
-                return
-            wrapped = BatchDecodeError(f"coalesced decode failed: {exc!r}")
-            wrapped.__cause__ = exc
-            for read in live:
-                if not read.future.done():
-                    read.future.set_exception(wrapped)
+            await self._fallback_singles(live, exc)
             return
         self._metrics.decode.observe(loop.time() - t0)
         for read, recovered in zip(live, results):
@@ -300,7 +294,6 @@ class CoalescingScheduler:
         """Serve each rider of a failed batch through the documented
         uncompiled single-stripe fallback (fault-free recovery channel);
         only riders whose *own* fallback also fails see an error."""
-        assert self._single_decode is not None
         for read in reads:
             if read.future.done():
                 continue

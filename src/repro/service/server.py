@@ -90,9 +90,7 @@ class BlobService:
             self._decode_batch,
             self.config,
             self.metrics,
-            single_decode=(
-                self._single_decode if self.config.fallback_single else None
-            ),
+            self._single_decode,
         )
         #: background scrub-and-repair, sharing this service's pipeline
         #: (so repair batches defer to foreground reads via admission);

@@ -17,8 +17,6 @@ performance story depend on:
 - **PPM005** ``np.bitwise_xor`` on regions is reserved to ``gf``/
   ``matrix`` — elsewhere it would bypass the ``mult_XORs`` op counter
   and falsify every cost measurement;
-- **PPM006** no bare ``except:`` — it swallows ``SingularMatrixError``
-  and ``KeyboardInterrupt`` alike;
 - **PPM007** no direct ``ThreadPoolExecutor``/``ProcessPoolExecutor``
   construction outside :mod:`repro.pipeline` — every executor must come
   from the :mod:`repro.pipeline.pool` wrappers so spawn cost is
@@ -402,22 +400,6 @@ class RegionXorOutsideGfRule(LintRule):
                     "np.bitwise_xor on bulk data outside gf//matrix/; "
                     "route region XORs through RegionOps so they are "
                     "counted",
-                )
-
-
-@register_rule
-class NoBareExceptRule(LintRule):
-    code = "PPM006"
-    name = "no-bare-except"
-    explanation = "bare `except:` swallows SingularMatrixError and KeyboardInterrupt"
-
-    def check(self, tree: ast.Module, relpath: Path) -> Iterator[LintFinding]:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.finding(
-                    relpath,
-                    node,
-                    "bare `except:`; catch a specific exception type",
                 )
 
 

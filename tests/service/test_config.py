@@ -12,7 +12,6 @@ from repro.service import ServiceConfig
 def test_defaults_encode_the_benchmark_gate():
     config = ServiceConfig()
     assert config.batch_trigger == 8
-    assert config.fallback_single is True
     assert config.max_retries >= 2  # must cover FaultInjector.max_consecutive
 
 

@@ -2,30 +2,37 @@
 
 Covers the unified client facade (endpoint string/tuple → TCP, backend
 → LocalClient, Client → pass-through, junk → TypeError), the verified
-read paths every transport shares, and ``run_loadgen_multi`` fanning
-one seeded workload across several endpoints concurrently.
+read paths every transport shares, transport parity (every transport
+answers the same requests with the same bytes or the same exception
+class), and ``run_loadgen_multi`` fanning one seeded workload across
+several endpoints concurrently.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
+import numpy as np
 import pytest
 
+from repro.cluster import Cluster, ClusterConfig
 from repro.service import (
     BlobService,
-    Client,
+    BlockUnavailableError,
     ClientPool,
     LocalClient,
     ServiceConfig,
+    ServiceError,
     TcpClient,
     build_request_schedule,
     connect,
+    damage_store,
     run_loadgen_multi,
     serve,
 )
 
-from .conftest import make_store
+from .conftest import SYMBOLS, make_store
 
 
 def fast_config() -> ServiceConfig:
@@ -99,6 +106,81 @@ def test_verified_reads_local_and_wire(code):
                 await server.wait_closed()
 
     asyncio.run(run())
+
+
+@contextlib.asynccontextmanager
+async def open_transport(code, transport: str):
+    """A started backend holding ``make_store(code)``'s stripes, and the
+    client ``transport`` reaches it by."""
+    if transport.startswith("cluster-"):
+        config = ClusterConfig(
+            nodes=2, seed=7, transport=transport.removeprefix("cluster-"),
+            connections_per_node=2,
+        )
+        backend = Cluster.build(code, 4, SYMBOLS, config, rng=7, service=fast_config())
+        for node in backend.nodes.values():
+            damage_store(node.store, fraction=1.0, seed=7)
+    else:
+        backend = BlobService(make_store(code), config=fast_config())
+    async with backend:
+        if transport not in ("tcp", "pool"):
+            yield await connect(backend)
+            return
+        server = await serve(backend, port=0)
+        port = server.sockets[0].getsockname()[1]
+        client = await connect(
+            ("127.0.0.1", port), connections=2 if transport == "pool" else 1
+        )
+        try:
+            yield client
+        finally:
+            await client.close()
+            server.close()
+            await server.wait_closed()
+
+
+@pytest.mark.parametrize(
+    "transport", ["local", "tcp", "pool", "cluster-local", "cluster-tcp"]
+)
+def test_transports_answer_alike(code, transport):
+    """The same requests give the same bytes, or the same exception
+    class, whichever transport and backend carry them."""
+    reference = make_store(code)  # what every backend above holds
+    stripe = reference.stripe(0)
+    present, erased = stripe.present_ids[0], stripe.erased_ids[0]
+    truth = reference.truth(0)
+    dtype = code.field.dtype
+
+    def as_bytes(data) -> bytes:
+        return np.asarray(data, dtype=dtype).tobytes()
+
+    async def run():
+        async with open_transport(code, transport) as client:
+            requests = [
+                lambda: client.get(0, present),
+                lambda: client.degraded_get(0, erased, 5.0),
+                lambda: client.get_verified(0, erased, 5.0),
+                lambda: client.put(0, present, [1, 2, 3]),  # short region
+                lambda: client.put(0, 999, [0] * SYMBOLS),  # no such block
+                lambda: client.get(99, 0),  # no such stripe
+            ]
+            outcomes = []
+            for request in requests:
+                try:
+                    outcomes.append(await request())
+                except Exception as exc:  # the class is the outcome
+                    outcomes.append(type(exc))
+            return outcomes
+
+    got = asyncio.run(run())
+    data, verified = got[2]
+    assert [as_bytes(got[0]), as_bytes(got[1]), as_bytes(data), verified] == [
+        truth.get(present).tobytes(),
+        truth.get(erased).tobytes(),
+        truth.get(erased).tobytes(),
+        True,
+    ]
+    assert got[3:] == [ServiceError, ServiceError, BlockUnavailableError]
 
 
 def test_run_loadgen_multi_aggregates(code):

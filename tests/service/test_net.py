@@ -79,15 +79,36 @@ def test_errors_map_back_to_typed_exceptions(code):
     run_with_server(code, store, body)
 
 
+async def raw_exchange(client, request) -> dict:
+    """Send one JSON line over the client's socket; read one answer."""
+    client._writer.write(json.dumps(request).encode() + b"\n")
+    await client._writer.drain()
+    line = await client._reader.readline()
+    assert line, f"server dropped the connection on {request!r}"
+    return json.loads(line)
+
+
+BAD_REQUESTS = [
+    {"op": "frobnicate"},
+    {"op": "get", "stripe": "nope", "block": 0},
+    [1, 2],  # JSON, but not an object
+    {"op": "get", "stripe": 0, "block": 0, "deadline_s": "soon"},
+    {"op": "put", "stripe": 0, "block": 999, "data": [0] * SYMBOLS},
+    {"op": "put", "stripe": 0, "block": 0, "data": [300] * SYMBOLS},  # not a symbol
+]
+
+
 def test_bad_requests_are_rejected_not_fatal(code):
+    """Well-formed JSON the backend cannot serve is answered as
+    BadRequest, and the connection stays open for the next request."""
     store = make_store(code, num_stripes=1, damaged=0.0)
 
     async def body(client, service):
-        with pytest.raises(ServiceError):
-            await client._roundtrip({"op": "frobnicate"})
-        with pytest.raises(ServiceError):
-            await client._roundtrip({"op": "get", "stripe": "nope", "block": 0})
-        await client.ping()  # still connected
+        for request in BAD_REQUESTS:
+            response = await raw_exchange(client, request)
+            assert response["ok"] is False, request
+            assert response["kind"] == "BadRequest", (request, response)
+            await client.ping()  # still connected
 
     run_with_server(code, store, body)
 
@@ -96,13 +117,17 @@ def test_malformed_json_closes_the_connection(code):
     store = make_store(code, num_stripes=1, damaged=0.0)
 
     async def body(client, service):
-        client._writer.write(b"this is not json\n")
-        await client._writer.drain()
-        line = await client._reader.readline()
-        response = json.loads(line)
-        assert response["ok"] is False
-        assert response["kind"] == "BadRequest"
-        assert await client._reader.readline() == b""  # server hung up
+        host, port = client._writer.get_extra_info("peername")[:2]
+        for garbage in (b"this is not json\n", b"\xff\xfe not utf-8\n"):
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(garbage)
+            await writer.drain()
+            response = json.loads(await reader.readline())
+            assert response["ok"] is False
+            assert response["kind"] == "BadRequest"
+            assert await reader.readline() == b""  # server hung up
+            writer.close()
+            await writer.wait_closed()
 
     run_with_server(code, store, body)
 

@@ -19,12 +19,13 @@ from repro.service.errors import (
 from .conftest import make_store
 
 
-def make_scheduler(code, store, config, decode=None, calls=None):
+def make_scheduler(code, store, config, decode=None, calls=None, single=None):
     """``calls``, when given, collects every (patterns, targets)
-    submission the default decode stub receives."""
+    submission the default decode stub receives; the default fallback
+    decodes the stripe fault-free."""
     metrics = ServiceMetrics()
+    decoder = PPMDecoder(parallel=False)
     if decode is None:
-        decoder = PPMDecoder(parallel=False)
 
         def decode(snapshots, patterns, targets):
             if calls is not None:
@@ -34,7 +35,13 @@ def make_scheduler(code, store, config, decode=None, calls=None):
                 for blocks, pattern, wanted in zip(snapshots, patterns, targets)
             ]
 
-    return CoalescingScheduler(store, decode, config, metrics), metrics
+    if single is None:
+
+        def single(stripe_id, blk):
+            blocks = store.snapshot_blocks(stripe_id, inject=False)
+            return decoder.decode(code, blocks, store.pattern(stripe_id))[blk]
+
+    return CoalescingScheduler(store, decode, config, metrics, single), metrics
 
 
 def test_size_trigger_fuses_one_flush(code):
@@ -181,6 +188,8 @@ def test_fault_at_flush_time_fails_only_that_read(code):
 
 
 def test_batch_decode_error_wraps_and_hits_every_rider(code):
+    """Batch and fallback both failing: every rider gets a
+    BatchDecodeError caused by its own fallback's error."""
     store = make_store(code, num_stripes=2)
     block = store.pattern(0)[0]
     config = ServiceConfig(batch_trigger=2, flush_interval_s=10.0)
@@ -188,7 +197,12 @@ def test_batch_decode_error_wraps_and_hits_every_rider(code):
     def broken(snapshots, patterns, targets):
         raise ValueError("poisoned batch plan")
 
-    scheduler, metrics = make_scheduler(code, store, config, decode=broken)
+    def broken_single(stripe_id, blk):
+        raise ValueError("poisoned fallback")
+
+    scheduler, metrics = make_scheduler(
+        code, store, config, decode=broken, single=broken_single
+    )
 
     async def main():
         return await asyncio.gather(
@@ -202,6 +216,7 @@ def test_batch_decode_error_wraps_and_hits_every_rider(code):
         assert isinstance(exc, BatchDecodeError)
         assert isinstance(exc.__cause__, ValueError)
     assert metrics.batch_errors == 1
+    assert metrics.fallbacks == 0
 
 
 def test_infrastructure_error_is_not_wrapped_as_decode_failure(code):
@@ -232,8 +247,8 @@ def test_infrastructure_error_is_not_wrapped_as_decode_failure(code):
 
 
 def test_decode_error_with_single_decode_falls_back_per_rider(code):
-    """With a single_decode hook, a decode-shaped batch failure routes
-    every rider through the fallback; nobody sees an exception."""
+    """A decode-shaped batch failure routes every rider through the
+    single_decode fallback; nobody sees an exception."""
     store = make_store(code, num_stripes=2)
     block = store.pattern(0)[0]
     config = ServiceConfig(batch_trigger=2, flush_interval_s=10.0)
@@ -241,19 +256,7 @@ def test_decode_error_with_single_decode_falls_back_per_rider(code):
     def broken(snapshots, patterns, targets):
         raise ValueError("poisoned batch plan")
 
-    metrics = ServiceMetrics()
-    decoder = PPMDecoder(parallel=False)
-
-    def single(stripe_id, blk):
-        recovered = decoder.decode(
-            code, store.snapshot_blocks(stripe_id, inject=False),
-            store.pattern(stripe_id),
-        )
-        return recovered[blk]
-
-    scheduler = CoalescingScheduler(
-        store, broken, config, metrics, single_decode=single
-    )
+    scheduler, metrics = make_scheduler(code, store, config, decode=broken)
 
     async def main():
         return await asyncio.gather(

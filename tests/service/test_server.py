@@ -151,17 +151,22 @@ def test_batch_error_falls_back_to_single_decode(code):
     run(main())
 
 
-def test_batch_error_without_fallback_surfaces(code):
+def test_batch_and_fallback_both_failing_surfaces(code):
+    """The fallback always runs; only a rider whose own fallback also
+    fails sees a BatchDecodeError."""
     store = make_store(code, num_stripes=1)
     block = store.pattern(0)[0]
-    config = fast_config(batch_trigger=1, fallback_single=False)
 
     async def main():
-        async with BlobService(store, config=config) as service:
+        async with BlobService(store, config=fast_config(batch_trigger=1)) as service:
             def broken(snapshots, patterns, targets):
                 raise ValueError("poisoned batch plan")
 
+            def broken_single(stripe_id, blk):
+                raise ValueError("poisoned fallback")
+
             service.scheduler._decode_batch = broken
+            service.scheduler._single_decode = broken_single
             with pytest.raises(BatchDecodeError):
                 await service.degraded_get(0, block)
             assert service.metrics.fallbacks == 0

@@ -179,7 +179,13 @@ def test_double_fault_between_coalesce_flush_and_decode(code):
 
     config = ServiceConfig(batch_trigger=1, flush_interval_s=0.0)
     metrics = ServiceMetrics()
-    scheduler = CoalescingScheduler(store, decode_with_late_fault, config, metrics)
+
+    def no_fallback(stripe_id, blk):
+        raise AssertionError("the batch decode must not fail here")
+
+    scheduler = CoalescingScheduler(
+        store, decode_with_late_fault, config, metrics, no_fallback
+    )
 
     async def main():
         region = await scheduler.submit(0, block)

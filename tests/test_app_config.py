@@ -89,16 +89,16 @@ def test_apply_overrides_coerces_strings():
         {
             "store.stripes": "8",
             "store.fault_rate": "0.25",
-            "service.fallback_single": "false",
             "service.repair.enabled": "true",
         },
     )
     assert config.store.stripes == 8
     assert config.store.fault_rate == 0.25
-    assert config.service.fallback_single is False
     assert config.service.repair == RepairConfig(enabled=True)
+    off = apply_overrides(config, {"service.repair.enabled": "false"})
+    assert off.service.repair.enabled is False
     with pytest.raises(ValueError, match="not a bool"):
-        apply_overrides(AppConfig(), {"service.fallback_single": "maybe"})
+        apply_overrides(AppConfig(), {"service.repair.enabled": "maybe"})
 
 
 def test_apply_overrides_rejects_unknown_paths():
@@ -108,11 +108,22 @@ def test_apply_overrides_rejects_unknown_paths():
 
 
 def test_removed_service_knobs_are_unknown_keys():
-    """``coalesce`` (naive mode) and the simulated I/O envelope are gone;
-    a config still naming them fails loudly instead of being ignored."""
+    """``coalesce`` (naive mode), the simulated I/O envelope and the
+    always-on fallback / post-repair re-scrub switches are gone; a config
+    still naming them fails loudly instead of being ignored."""
     with pytest.raises(ValueError, match="unknown config key service.coalesce"):
         from_dict({"service": {"coalesce": False}})
-    for path in ("service.coalesce", "service.io_latency_s", "service.io_queue_depth"):
+    with pytest.raises(ValueError, match="unknown config key service.fallback_single"):
+        from_dict({"service": {"fallback_single": False}})
+    with pytest.raises(ValueError, match="unknown config key service.repair.verify_repairs"):
+        from_dict({"service": {"repair": {"verify_repairs": False}}})
+    for path in (
+        "service.coalesce",
+        "service.io_latency_s",
+        "service.io_queue_depth",
+        "service.fallback_single",
+        "service.repair.verify_repairs",
+    ):
         with pytest.raises(ValueError, match="unknown override path"):
             apply_overrides(AppConfig(), {path: "0.004"})
 
@@ -130,11 +141,11 @@ def test_repair_enabled_switches_repair_on_and_off():
 def test_cluster_service_copy_is_an_unknown_key():
     """Regression: the cluster section used to carry its own copy of the
     service section, which parsed and was then overwritten by
-    ``AppConfig.service`` in ``build_cluster`` — its 16 paths were
-    accepted and silently did nothing."""
+    ``AppConfig.service`` in ``build_cluster`` — its paths (16 then, 14
+    today) were accepted and silently did nothing."""
     copy = {"service": to_dict(AppConfig())["service"]}
     paths = [f"cluster.{path}" for path in flatten(copy)]
-    assert len(paths) == 16
+    assert len(paths) == 14
     for path in paths:
         with pytest.raises(ValueError, match="unknown override path"):
             apply_overrides(AppConfig(), {path: "4"})
