@@ -273,8 +273,8 @@ _FLAG_PATHS = {
     ),
     "hedge": (
         "pipeline.hedge",
-        "speculatively resubmit straggling decode buckets "
-        "(tune via --set pipeline.hedge_factor= etc.)",
+        "speculatively resubmit a decode bucket still running after "
+        "2x the p95 of similar work",
     ),
     "verify_workers": (
         "pipeline.verify_workers",

@@ -111,23 +111,12 @@ class KernelsConfig:
         set_default_backend(self.backend)
 
 
-def check_straggler_knobs(
-    hedge_percentile: float,
-    hedge_factor: float,
-    hedge_min_samples: int,
-    deadline_s: float | None,
-) -> None:
-    """Validate the hedging/deadline knobs (``deadline_s=None``: unbounded).
+def check_straggler_knobs(deadline_s: float | None) -> None:
+    """Validate the batch deadline (``deadline_s=None``: unbounded).
 
     The one rule :class:`PipelineConfig` and
     :class:`~repro.pipeline.DecodePipeline` both apply.
     """
-    if not 0.0 < hedge_percentile <= 1.0:
-        raise ValueError(f"hedge_percentile must be in (0, 1], got {hedge_percentile}")
-    if hedge_factor < 1.0:
-        raise ValueError(f"hedge_factor must be >= 1.0, got {hedge_factor}")
-    if hedge_min_samples < 1:
-        raise ValueError(f"hedge_min_samples must be >= 1, got {hedge_min_samples}")
     if deadline_s is not None and deadline_s <= 0:
         raise ValueError(f"deadline_s must be positive (or unbounded), got {deadline_s}")
 
@@ -141,7 +130,8 @@ class PipelineConfig:
     off the event loop).  The straggler-tolerance knobs mirror
     :class:`~repro.pipeline.DecodePipeline`: ``hedge`` speculatively
     resubmits a bucket once its worker exceeds
-    ``max(pX, ewma) * hedge_factor`` of similar work,
+    ``max(p95, ewma) * 2`` of similar work (the engine's ``HEDGE_*``
+    constants),
     ``verify_workers`` syndrome-checks every worker result before it
     can merge, and ``deadline_s`` (0 = unbounded) abandons a batch
     gather that outlives its budget with a
@@ -151,9 +141,6 @@ class PipelineConfig:
     pool: str = "serial"
     workers: int = 4
     hedge: bool = False
-    hedge_percentile: float = 0.95
-    hedge_factor: float = 2.0
-    hedge_min_samples: int = 8
     verify_workers: bool = False
     deadline_s: float = 0.0
 
@@ -164,12 +151,7 @@ class PipelineConfig:
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        check_straggler_knobs(
-            self.hedge_percentile,
-            self.hedge_factor,
-            self.hedge_min_samples,
-            self.deadline_s or None,
-        )
+        check_straggler_knobs(self.deadline_s or None)
 
     def build(self, *, faults=None):
         """A live :class:`~repro.pipeline.DecodePipeline` per this section."""
@@ -179,9 +161,6 @@ class PipelineConfig:
             pool=self.pool,
             workers=self.workers,
             hedge=self.hedge,
-            hedge_percentile=self.hedge_percentile,
-            hedge_factor=self.hedge_factor,
-            hedge_min_samples=self.hedge_min_samples,
             verify_workers=self.verify_workers,
             deadline_s=self.deadline_s or None,
             faults=faults,

@@ -2,7 +2,7 @@
 
 The interpreted :class:`~repro.gf.region.RegionOps` pays a full Python
 round-trip per ``mult_XORs`` call.  This package compiles the operation
-sequence once — matrix, matrix chain, or a whole
+sequence once — a matrix chain (one independent sub-matrix) or a whole
 :class:`~repro.core.planner.DecodePlan` — into the flat
 :class:`RegionProgram` IR, optimises it, and executes it with per-program
 table binding and L2-chunked ``np.take`` gathers.  See ``docs/KERNELS.md``.
@@ -21,7 +21,7 @@ from .backends import (
     set_default_backend,
     unregister_backend,
 )
-from .cache import DEFAULT_PROGRAM_CACHE_SIZE, ProgramCache, ProgramCacheStats
+from .cache import DEFAULT_PROGRAM_CACHE_SIZE, CacheStats, ProgramCache
 from .executor import ProgramExecutor
 from .ir import (
     OP_COPY,
@@ -32,15 +32,7 @@ from .ir import (
     Instruction,
     RegionProgram,
 )
-from .lower import (
-    PlanProgram,
-    ProgramBuilder,
-    lower_encode,
-    lower_linear_combination,
-    lower_matrix,
-    lower_matrix_chain,
-    lower_plan,
-)
+from .lower import PlanProgram, ProgramBuilder, lower_matrix_chain, lower_plan
 from .ops import CompiledRegionOps
 from .optimize import compact_slots, eliminate_dead, optimize_program, share_pairs
 
@@ -53,13 +45,13 @@ __all__ = [
     "BASELINE_BACKEND",
     "DEFAULT_PROGRAM_CACHE_SIZE",
     "BackendTuning",
+    "CacheStats",
     "CompiledRegionOps",
     "ExecutorBackend",
     "Instruction",
     "PlanProgram",
     "ProgramBuilder",
     "ProgramCache",
-    "ProgramCacheStats",
     "ProgramExecutor",
     "RegionProgram",
     "available_backends",
@@ -67,9 +59,6 @@ __all__ = [
     "default_backend",
     "eliminate_dead",
     "get_backend",
-    "lower_encode",
-    "lower_linear_combination",
-    "lower_matrix",
     "lower_matrix_chain",
     "lower_plan",
     "optimize_program",

@@ -1,15 +1,14 @@
-"""LRU cache of compiled RegionPrograms, the sibling of PR 2's PlanCache.
+"""LRU cache of compiled RegionPrograms, the sibling of the pipeline's PlanCache.
 
-Two key families:
+Two program kinds, one key family each:
 
-- **content keys** for matrix / chain / row programs —
-  ``GFMatrix.array`` returns a fresh read-only view on every access, so
-  identity is useless; the key hashes the coefficient bytes instead
-  (coding matrices are tiny, a few hundred bytes at most);
-- **identity keys** for plan programs — :class:`DecodePlan` objects are
-  long-lived (pinned by the decoders' plan caches and the pipeline's
-  ``PlanCache``), so ``id(plan)`` is stable; the entry pins the plan to
-  keep it that way.
+- **chains**, keyed by content — ``GFMatrix.array`` returns a fresh
+  read-only view on every access, so identity is useless; the key
+  hashes the coefficient bytes instead (coding matrices are tiny, a few
+  hundred bytes at most).  A single matrix is a chain of one;
+- **plans**, keyed by identity — :class:`DecodePlan` objects are
+  long-lived (pinned by the pipeline's ``PlanCache``), so ``id(plan)``
+  is stable; the entry pins the plan to keep it that way.
 
 Compilation happens *outside* the lock (lowering can take milliseconds
 for large plans); a double-checked insert keeps concurrent misses
@@ -28,13 +27,7 @@ import numpy as np
 from ..gf.field import GF
 from .backends import BackendTuning
 from .ir import RegionProgram
-from .lower import (
-    PlanProgram,
-    lower_linear_combination,
-    lower_matrix,
-    lower_matrix_chain,
-    lower_plan,
-)
+from .lower import PlanProgram, lower_matrix_chain, lower_plan
 
 #: Default capacity: programs are small (hundreds of instruction tuples),
 #: and a rebuild workload touches a handful of failure geometries.
@@ -42,17 +35,21 @@ DEFAULT_PROGRAM_CACHE_SIZE = 256
 
 
 @dataclass
-class ProgramCacheStats:
-    """Hit/miss/eviction tallies for a :class:`ProgramCache`."""
+class CacheStats:
+    """Hit/miss/eviction tallies of an LRU cache (programs or plans)."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
 
     @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        """Fraction of lookups served from cache (0.0 when never used)."""
+        return self.hits / self.lookups if self.lookups else 0.0
 
     def as_dict(self) -> dict[str, float | int]:
         return {
@@ -63,25 +60,15 @@ class ProgramCacheStats:
         }
 
 
-def _matrix_key(field: GF, matrix: np.ndarray) -> tuple:
-    return (
-        "matrix",
-        field.w,
-        field.polynomial,
-        matrix.shape,
-        matrix.tobytes(),
-    )
-
-
 class ProgramCache:
     """Thread-safe LRU of compiled programs (see module docstring).
 
     Every program it builds comes out of
-    :meth:`~repro.kernels.lower.ProgramBuilder.finish`, which validates
-    it and runs the static dataflow pass
-    (:func:`repro.verify.dataflow.check_program`) before returning, so a
-    buggy builder or optimiser pass raises on the miss and never parks a
-    corrupting program where every later decode would find it.
+    :meth:`~repro.kernels.lower.ProgramBuilder.finish`, which runs the
+    one structural check (:meth:`RegionProgram.validate`) before
+    returning, so a buggy builder or optimiser pass raises on the miss
+    and never parks a corrupting program where every later decode would
+    find it.
     """
 
     def __init__(self, maxsize: int = DEFAULT_PROGRAM_CACHE_SIZE):
@@ -91,7 +78,7 @@ class ProgramCache:
         self._lock = threading.Lock()
         # key -> (value, pin); pin keeps identity-keyed objects alive
         self._entries: OrderedDict[tuple, tuple[object, object]] = OrderedDict()
-        self.stats = ProgramCacheStats()
+        self.stats = CacheStats()
         #: Backend auto-tune state (winners + quarantine), shared by
         #: every executor built over this cache so a winner measured
         #: for a program class survives as long as the programs do.
@@ -124,46 +111,22 @@ class ProgramCache:
 
     # -- lookups -----------------------------------------------------------
 
-    def matrix_program(
-        self, field: GF, matrix: np.ndarray, optimize: bool = True
-    ) -> RegionProgram:
-        key = _matrix_key(field, matrix) + (optimize,)
-        return self._get_or_build(
-            key, lambda: lower_matrix(field, matrix, optimize=optimize)
-        )
-
-    def chain_program(
-        self, field: GF, matrices: Sequence[np.ndarray], optimize: bool = True
-    ) -> RegionProgram:
+    def chain_program(self, field: GF, matrices: Sequence[np.ndarray]) -> RegionProgram:
+        """The program applying ``matrices`` in order (content-keyed)."""
         key = (
             "chain",
             field.w,
             field.polynomial,
             tuple(m.shape for m in matrices),
             tuple(m.tobytes() for m in matrices),
-            optimize,
         )
-        return self._get_or_build(
-            key, lambda: lower_matrix_chain(field, matrices, optimize=optimize)
-        )
+        return self._get_or_build(key, lambda: lower_matrix_chain(field, matrices))
 
-    def row_program(
-        self, field: GF, coefficients: np.ndarray, optimize: bool = True
-    ) -> RegionProgram:
-        key = (
-            "row",
-            field.w,
-            field.polynomial,
-            coefficients.shape,
-            coefficients.tobytes(),
-            optimize,
-        )
-        return self._get_or_build(
-            key, lambda: lower_linear_combination(field, coefficients, optimize=optimize)
-        )
+    def matrix_program(self, field: GF, matrix: np.ndarray) -> RegionProgram:
+        """One matrix: the chain of one, same entry."""
+        return self.chain_program(field, [matrix])
 
-    def plan_program(self, field: GF, plan, optimize: bool = True) -> PlanProgram:
-        key = ("plan", field.w, field.polynomial, id(plan), optimize)
-        return self._get_or_build(
-            key, lambda: lower_plan(field, plan, optimize=optimize), pin=plan
-        )
+    def plan_program(self, field: GF, plan) -> PlanProgram:
+        """The whole-plan program (identity-keyed, pins ``plan``)."""
+        key = ("plan", field.w, field.polynomial, id(plan))
+        return self._get_or_build(key, lambda: lower_plan(field, plan), pin=plan)

@@ -31,6 +31,7 @@ cost-model quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 #: Opcodes (stable small ints: programs are pure data).
 OP_ZERO = 0
@@ -40,6 +41,10 @@ OP_MUL = 3
 OP_MULXOR = 4
 
 OP_NAMES = ("zero", "copy", "xor", "mul", "mulxor")
+
+_KNOWN_OPS = frozenset({OP_ZERO, OP_COPY, OP_XOR, OP_MUL, OP_MULXOR})
+_ACCUMULATING_OPS = frozenset({OP_XOR, OP_MULXOR})
+_GATHER_OPS = frozenset({OP_MUL, OP_MULXOR})
 
 #: One instruction: ``(op, dst, src, const)``.  ``src`` is ``-1`` and
 #: ``const`` is 0 for ``ZERO``; ``const`` is 1 for ``COPY``/``XOR``.
@@ -103,51 +108,127 @@ class RegionProgram:
         )
 
     def validate(self) -> None:
-        """Structural soundness; raises :class:`ValueError` on violation.
+        """Structural soundness; raises :class:`ValueError` on the first
+        violation of :func:`structural_violations`.
 
-        Checks slot bounds, input immutability, no read-before-define,
-        accumulate-into-defined-slot, constant ranges and that every
-        output slot is defined.  The *semantic* check (does the program
-        compute the plan's transfer matrix) lives in
-        :func:`repro.verify.verify_program`.
+        The *semantic* check (does the program compute the plan's
+        transfer matrix) lives in :func:`repro.verify.verify_plan_program`.
         """
-        if self.num_inputs < 1:
-            raise ValueError("a region program needs at least one input")
-        if self.pool_size < self.num_inputs:
-            raise ValueError(
-                f"pool_size {self.pool_size} < num_inputs {self.num_inputs}"
+        for _check, message, where in structural_violations(self):
+            raise ValueError(f"{where}: {message}" if where else message)
+
+
+def _op_name(op: int) -> str:
+    return OP_NAMES[op] if 0 <= op < len(OP_NAMES) else f"op{op}"
+
+
+def _inst(index: int, op: int) -> str:
+    return f"inst[{index}]({_op_name(op)})"
+
+
+def structural_violations(program: RegionProgram) -> Iterator[tuple[str, str, str]]:
+    """Every structural rule a program breaks, as ``(check, message, where)``.
+
+    The one forward pass behind both :meth:`RegionProgram.validate` (which
+    stops at the first violation) and
+    :func:`repro.verify.dataflow.analyze_program` (which reports each as
+    ``dataflow/<check>``):
+
+    - ``no-inputs`` / ``slot-range`` — at least one input; every ``dst``
+      in the temp/output range ``[num_inputs, pool_size)`` (inputs are
+      immutable); every ``src`` inside the pool; every output in the
+      temp/output range, since the executor hands outputs their own
+      full-length buffers and never treats an input as one;
+    - ``unknown-opcode`` — opcodes are in the ISA;
+    - ``aliasing`` — no instruction reads the slot it writes (the
+      executor's ``np.take(..., out=dst)`` would clobber the source);
+    - ``uninit-read`` / ``accumulate-undefined`` / ``undefined-output``
+      — no slot is read, accumulated into, or output before an
+      instruction defines it (the executor would consume stale scratch);
+    - ``missing-binding`` — ``MUL``/``MULXOR`` constants lie in
+      ``[2, 2^w)``: 0/1 have no table row and must lower to
+      ``ZERO``/``COPY``/``XOR``;
+    - ``duplicate-output`` — no slot is output twice (two outputs
+      cannot share one buffer).
+
+    An instruction with an unknown opcode or an out-of-range slot
+    defines nothing; any other instruction defines its ``dst`` even when
+    it breaks a rule, so one bad read is reported once, not again at
+    every later read of that slot.
+    """
+    num_inputs = program.num_inputs
+    pool = program.pool_size
+    if num_inputs < 1:
+        yield "no-inputs", "a region program needs at least one input", ""
+        return
+    if pool < num_inputs:
+        yield "slot-range", f"pool_size {pool} < num_inputs {num_inputs}", ""
+        return
+    order = 1 << program.w
+    defined = bytearray(pool)
+    defined[:num_inputs] = b"\x01" * num_inputs
+    for index, (op, dst, src, const) in enumerate(program.instructions):
+        if op not in _KNOWN_OPS:
+            yield "unknown-opcode", f"unknown opcode {op}", _inst(index, op)
+            continue
+        if not (num_inputs <= dst < pool):
+            yield (
+                "slot-range",
+                f"dst {dst} outside temp/output range [{num_inputs}, {pool})",
+                _inst(index, op),
             )
-        order = 1 << self.w
-        defined = set(range(self.num_inputs))
-        for index, (op, dst, src, const) in enumerate(self.instructions):
-            where = f"instruction {index} ({OP_NAMES[op] if 0 <= op < len(OP_NAMES) else op})"
-            if op not in (OP_ZERO, OP_COPY, OP_XOR, OP_MUL, OP_MULXOR):
-                raise ValueError(f"{where}: unknown opcode {op}")
-            if not (self.num_inputs <= dst < self.pool_size):
-                raise ValueError(
-                    f"{where}: dst {dst} outside temp/output range "
-                    f"[{self.num_inputs}, {self.pool_size})"
+            continue
+        if op != OP_ZERO:
+            if not (0 <= src < pool):
+                yield (
+                    "slot-range",
+                    f"src {src} out of range [0, {pool})",
+                    _inst(index, op),
                 )
-            if op is not OP_ZERO:
-                if not (0 <= src < self.pool_size):
-                    raise ValueError(f"{where}: src {src} out of range")
-                if src == dst:
-                    raise ValueError(f"{where}: src aliases dst")
-                if src not in defined:
-                    raise ValueError(f"{where}: src {src} read before definition")
-            if op in (OP_XOR, OP_MULXOR) and dst not in defined:
-                raise ValueError(
-                    f"{where}: accumulate into undefined slot {dst}"
+                continue
+            if src == dst:
+                yield (
+                    "aliasing",
+                    f"dst {dst} aliases src {src}: the executor overwrites "
+                    "dst before the instruction finishes reading src",
+                    _inst(index, op),
                 )
-            if op in (OP_MUL, OP_MULXOR):
-                if not (2 <= const < order):
-                    raise ValueError(
-                        f"{where}: constant {const} outside [2, {order}) "
-                        "(0/1 must lower to ZERO/COPY/XOR)"
-                    )
-            defined.add(dst)
-        for slot in self.outputs:
-            if not (0 <= slot < self.pool_size):
-                raise ValueError(f"output slot {slot} out of range")
-            if slot not in defined:
-                raise ValueError(f"output slot {slot} never defined")
+            elif not defined[src]:
+                yield (
+                    "uninit-read",
+                    f"src {src} read before definition "
+                    "(the executor would consume stale scratch)",
+                    _inst(index, op),
+                )
+        if op in _ACCUMULATING_OPS and not defined[dst]:
+            yield (
+                "accumulate-undefined",
+                f"{_op_name(op)} would accumulate into undefined slot {dst}",
+                _inst(index, op),
+            )
+        if op in _GATHER_OPS and not (2 <= const < order):
+            yield (
+                "missing-binding",
+                f"constant {const} has no w={program.w} table binding "
+                f"(must lie in [2, {order}); 0/1 lower to zero/copy/xor)",
+                _inst(index, op),
+            )
+        defined[dst] = 1
+    seen: set[int] = set()
+    for position, slot in enumerate(program.outputs):
+        if not (num_inputs <= slot < pool):
+            yield (
+                "slot-range",
+                f"output slot {slot} outside temp/output range [{num_inputs}, {pool})",
+                f"output[{position}]",
+            )
+            continue
+        if not defined[slot]:
+            yield "undefined-output", f"output slot {slot} never defined", f"output[{position}]"
+        if slot in seen:
+            yield (
+                "duplicate-output",
+                f"output slot {slot} appears more than once in the output list",
+                f"output[{position}]",
+            )
+        seen.add(slot)

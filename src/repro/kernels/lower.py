@@ -1,4 +1,12 @@
-"""Lowering: coefficient matrices and DecodePlans → RegionProgram IR.
+"""Lowering: matrix chains and DecodePlans → RegionProgram IR.
+
+Exactly two shapes of work are lowered, the two the paper executes:
+a *matrix chain* (:func:`lower_matrix_chain`) — one independent
+sub-matrix applying ``W_i``, or ``S_i`` then ``F_i^-1``; a single matrix
+is a chain of one — and a whole *plan* (:func:`lower_plan`), the
+serial decode.  Every program is pair-shared, dead-code-eliminated and
+slot-compacted, and admitted by one structural pass
+(:meth:`RegionProgram.validate`).
 
 Lowering is where the paper's cost model is frozen into the program:
 every nonzero coefficient of every applied matrix becomes exactly one
@@ -12,7 +20,7 @@ group stages feed their recovered slots straight into the rest stage
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -30,9 +38,7 @@ from .ir import (
 from .optimize import Term, optimize_program, share_pairs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports kernels)
-    from ..codes.base import ErasureCode
     from ..core.planner import DecodePlan
-    from ..core.sequences import SequencePolicy
 
 
 class ProgramBuilder:
@@ -77,17 +83,16 @@ class ProgramBuilder:
             else:
                 self.instructions.append((OP_MULXOR, dst, slot, const))
 
-    def emit_stage(self, rows: list[list[Term]], share: bool = True) -> list[int]:
+    def emit_stage(self, rows: list[list[Term]]) -> list[int]:
         """Emit one matrix application; returns the output slot per row."""
         for row in rows:
             self.mult_xors += len(row)  # ppm: noqa[PPM010] - call-local builder
             self.xor_only += sum(  # ppm: noqa[PPM010] - call-local builder
                 1 for _slot, const in row if const == 1
             )
-        if share:
-            pair_defs, rows, self.next_slot = share_pairs(rows, self.next_slot)
-            for slot, pair in pair_defs:
-                self.emit_terms(slot, pair)
+        pair_defs, rows, self.next_slot = share_pairs(rows, self.next_slot)
+        for slot, pair in pair_defs:
+            self.emit_terms(slot, pair)
         out_slots = []
         for row in rows:
             dst = self.new_slot()
@@ -95,26 +100,24 @@ class ProgramBuilder:
             out_slots.append(dst)
         return out_slots
 
-    def finish(self, outputs: Sequence[int], optimize: bool = True) -> RegionProgram:
-        program = RegionProgram(
-            w=self.field.w,
-            num_inputs=self.num_inputs,
-            pool_size=self.next_slot,
-            instructions=tuple(self.instructions),
-            outputs=tuple(outputs),
-            mult_xors=self.mult_xors,
-            xor_only=self.xor_only,
-            label=self.label,
+    def finish(self, outputs: Sequence[int]) -> RegionProgram:
+        """The optimised program, admitted by the one structural check
+        (a builder or optimiser bug raises here, before any cache can
+        keep the program)."""
+        program = optimize_program(
+            RegionProgram(
+                w=self.field.w,
+                num_inputs=self.num_inputs,
+                pool_size=self.next_slot,
+                instructions=tuple(self.instructions),
+                outputs=tuple(outputs),
+                mult_xors=self.mult_xors,
+                xor_only=self.xor_only,
+                label=self.label,
+            )
         )
-        if optimize:
-            program = optimize_program(program)
         program.validate()
-        # deferred: verify imports kernels, so kernels cannot import
-        # verify at module scope.  The cheap (non-strict) dataflow pass
-        # is the admission gate for every freshly compiled program.
-        from ..verify.dataflow import check_program
-
-        return check_program(program)
+        return program
 
 
 def _matrix_rows(matrix: np.ndarray, slots: Sequence[int]) -> list[list[Term]]:
@@ -131,72 +134,31 @@ def _matrix_rows(matrix: np.ndarray, slots: Sequence[int]) -> list[list[Term]]:
     return rows
 
 
-def lower_matrix(
-    field: GF,
-    matrix: np.ndarray,
-    *,
-    optimize: bool = True,
-    share: bool = True,
-    label: str = "matrix",
-) -> RegionProgram:
-    """Compile one matrix-times-block-vector product."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-D coefficient matrix, got shape {matrix.shape}")
-    if matrix.shape[1] == 0:
-        raise ValueError("cannot lower a matrix with zero input columns")
-    builder = ProgramBuilder(field, matrix.shape[1], label=label)
-    outs = builder.emit_stage(_matrix_rows(matrix, range(matrix.shape[1])), share=share)
-    return builder.finish(outs, optimize=optimize)
-
-
-def lower_matrix_chain(
-    field: GF,
-    matrices: Sequence[np.ndarray],
-    *,
-    optimize: bool = True,
-    share: bool = True,
-    label: str = "chain",
-) -> RegionProgram:
+def lower_matrix_chain(field: GF, matrices: Sequence[np.ndarray]) -> RegionProgram:
     """Compile ``regions -> m1 -> m2 -> ...`` as one fused program.
 
-    This is the *normal* calculation sequence (``S`` then ``F^-1``)
-    without the intermediate block lists the interpreted path allocates.
+    The unit one worker runs: ``(W,)`` matrix-first, or the *normal*
+    sequence ``(S, F^-1)`` without the intermediate block lists the
+    interpreted path allocates.
     """
     mats = [np.asarray(m) for m in matrices]
     if not mats:
         raise ValueError("cannot lower an empty matrix chain")
+    if any(m.ndim != 2 for m in mats):
+        raise ValueError(
+            f"expected 2-D coefficient matrices, got shapes {[m.shape for m in mats]}"
+        )
     if mats[0].shape[1] == 0:
         raise ValueError("cannot lower a matrix with zero input columns")
-    builder = ProgramBuilder(field, mats[0].shape[1], label=label)
+    builder = ProgramBuilder(field, mats[0].shape[1], label="chain")
     current = list(range(mats[0].shape[1]))
     for m in mats:
-        if m.ndim != 2 or m.shape[1] != len(current):
+        if m.shape[1] != len(current):
             raise ValueError(
                 f"matrix shape {m.shape} incompatible with {len(current)} inputs"
             )
-        current = builder.emit_stage(_matrix_rows(m, current), share=share)
-    return builder.finish(current, optimize=optimize)
-
-
-def lower_linear_combination(
-    field: GF,
-    coefficients: np.ndarray,
-    *,
-    optimize: bool = True,
-    label: str = "row",
-) -> RegionProgram:
-    """Compile one linear combination (a single-row matrix apply)."""
-    coefficients = np.asarray(coefficients)
-    if coefficients.ndim != 1:
-        raise ValueError("coefficients must be 1-D")
-    return lower_matrix(
-        field,
-        coefficients.reshape(1, -1),
-        optimize=optimize,
-        share=False,
-        label=label,
-    )
+        current = builder.emit_stage(_matrix_rows(m, current))
+    return builder.finish(current)
 
 
 @dataclass(frozen=True)
@@ -214,13 +176,7 @@ class PlanProgram:
     output_ids: tuple[int, ...]
 
 
-def lower_plan(
-    field: GF,
-    plan: "DecodePlan",
-    *,
-    optimize: bool = True,
-    share: bool = True,
-) -> PlanProgram:
+def lower_plan(field: GF, plan: "DecodePlan") -> PlanProgram:
     """Fuse an entire decode plan into one region program.
 
     One IR stage per matrix of every :attr:`DecodePlan.stages` entry, in
@@ -240,44 +196,9 @@ def lower_plan(
     for stage in plan.stages:
         slots = [slot_of[b] for b in stage.survivor_ids]
         for matrix in stage.arrays:
-            slots = builder.emit_stage(_matrix_rows(matrix, slots), share=share)
+            slots = builder.emit_stage(_matrix_rows(matrix, slots))
         slot_of.update(zip(stage.faulty_ids, slots))
 
     output_ids = plan.targets
-    program = builder.finish(
-        [slot_of[b] for b in output_ids], optimize=optimize
-    )
+    program = builder.finish([slot_of[b] for b in output_ids])
     return PlanProgram(program=program, input_ids=input_ids, output_ids=output_ids)
-
-
-def lower_encode(
-    field: GF,
-    code: "ErasureCode",
-    *,
-    policy: "SequencePolicy | None" = None,
-    optimize: bool = True,
-    share: bool = True,
-) -> PlanProgram:
-    """Compile all parity computations of ``code`` into one fused program.
-
-    Encoding is decoding with every parity position faulty (paper,
-    footnote 1), so this lowers that decode plan; under the default
-    ``matrix_first`` policy the single emitted stage *is* the generator
-    matrix's parity rows (``W = F^-1 S``).  ``input_ids`` are the data
-    blocks the program reads, ``output_ids`` the parity blocks it
-    produces.  Pass the decoder's own ``policy`` to book exactly the op
-    counts its per-stripe encode path would.
-    """
-    from ..core.planner import plan_decode  # deferred: core imports kernels
-    from ..core.sequences import SequencePolicy
-
-    if policy is None:
-        policy = SequencePolicy.MATRIX_FIRST
-    plan = plan_decode(code.H, code.parity_block_ids, policy=policy)
-    lowered = lower_plan(field, plan, optimize=optimize, share=share)
-    program = replace(lowered.program, label=f"encode:{plan.mode.value}")
-    return PlanProgram(
-        program=program,
-        input_ids=lowered.input_ids,
-        output_ids=lowered.output_ids,
-    )

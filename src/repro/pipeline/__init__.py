@@ -20,9 +20,10 @@ produces:
 from __future__ import annotations
 
 from .admission import PriorityAdmission
+from ..kernels.cache import CacheStats
 from .engine import BatchStats, DecodePipeline, DecodeStats
 from .metrics import LatencyTracker, PipelineMetrics
-from .plancache import CacheStats, PlanCache
+from .plancache import PlanCache
 from .pool import (
     ProcessWorkerPool,
     SerialPool,

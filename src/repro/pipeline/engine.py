@@ -67,6 +67,14 @@ PLAN_CACHE_SIZE = 128
 #: :class:`~repro.pipeline.admission.PriorityAdmission`).
 MAX_DEFER_S = 0.05
 
+#: The hedge trigger: once a shape has :data:`HEDGE_MIN_SAMPLES`
+#: latency observations, a primary still running after
+#: ``max(pX, ewma) * HEDGE_FACTOR`` (pX at :data:`HEDGE_PERCENTILE`)
+#: gets a speculative twin.
+HEDGE_PERCENTILE = 0.95
+HEDGE_FACTOR = 2.0
+HEDGE_MIN_SAMPLES = 8
+
 
 @dataclass(frozen=True)
 class BatchStats:
@@ -97,14 +105,6 @@ def _blocks_of(stripe: Stripe | Mapping[int, np.ndarray]) -> Mapping[int, np.nda
     if isinstance(stripe, Stripe):
         return {b: stripe.get(b) for b in stripe.present_ids}
     return stripe
-
-
-def _apply(
-    ops: CompiledRegionOps, matrices: Sequence[np.ndarray], regions: list[np.ndarray]
-) -> list[np.ndarray]:
-    if len(matrices) == 1:
-        return ops.matrix_apply(matrices[0], regions)
-    return ops.matrix_chain_apply(matrices, regions)  # one fused chain program
 
 
 #: Per-worker-process ops instances: the program cache inside survives
@@ -138,7 +138,7 @@ def _run_task_bucket(
     ops = _child_ops(w, polynomial)
     out: dict[int, dict[int, np.ndarray]] = {}
     for task_id, matrices, regions, faulty_ids in tasks:
-        out[task_id] = dict(zip(faulty_ids, _apply(ops, matrices, regions)))
+        out[task_id] = dict(zip(faulty_ids, ops.matrix_chain_apply(matrices, regions)))
     return out, time.perf_counter() - t0
 
 
@@ -219,15 +219,12 @@ class DecodePipeline:
         other value raises :class:`ValueError`.
     hedge:
         Speculatively resubmit a phase-1 bucket whose worker has run
-        longer than ``max(pX, ewma) * hedge_factor`` of similar work
-        (per-shape :class:`~repro.pipeline.metrics.LatencyTracker`),
+        longer than ``max(pX, ewma) * HEDGE_FACTOR`` of similar work
+        (per-shape :class:`~repro.pipeline.metrics.LatencyTracker`;
+        see :data:`HEDGE_PERCENTILE` / :data:`HEDGE_MIN_SAMPLES`),
         and take whichever execution finishes first.  The loser's
         output is discarded, never merged.  Requires a concurrent pool
         (no-op on ``serial``).
-    hedge_percentile / hedge_factor / hedge_min_samples:
-        The hedge trigger: the pX of the recent latency window for the
-        bucket's shape, times ``hedge_factor``; no hedging until a
-        shape has ``hedge_min_samples`` observations.
     verify_workers:
         Syndrome-check every phase-1 worker result against the parity
         rows that produced it before merging; a failing result is
@@ -262,9 +259,6 @@ class DecodePipeline:
         counter: OpCounter | None = None,
         compile: bool = True,
         hedge: bool = False,
-        hedge_percentile: float = 0.95,
-        hedge_factor: float = 2.0,
-        hedge_min_samples: int = 8,
         verify_workers: bool = False,
         deadline_s: float | None = None,
         faults=None,
@@ -277,7 +271,7 @@ class DecodePipeline:
             raise ValueError(
                 f"compile must be True (plans run only as compiled programs), got {compile!r}"
             )
-        check_straggler_knobs(hedge_percentile, hedge_factor, hedge_min_samples, deadline_s)
+        check_straggler_knobs(deadline_s)
         self.pool = pool if isinstance(pool, WorkerPool) else make_pool(pool, workers)
         self.workers = self.pool.workers
         self.policy = policy
@@ -288,9 +282,6 @@ class DecodePipeline:
         self.programs = ProgramCache()
         self.admission = PriorityAdmission(max_defer_s=MAX_DEFER_S)
         self.hedge = hedge
-        self.hedge_percentile = hedge_percentile
-        self.hedge_factor = hedge_factor
-        self.hedge_min_samples = hedge_min_samples
         self.verify_workers = verify_workers
         self.deadline_s = deadline_s
         self.faults = faults
@@ -620,12 +611,7 @@ class DecodePipeline:
         whole-plan program.  Otherwise independent stages go to the pool
         as tasks and each batch's dependent stages follow on this thread.
         """
-        if (
-            self.pool.kind == "serial"
-            and not self.verify_workers
-            and self.faults is None
-            and all(r.ndim == 1 for b in batches for r in b.concat.values())
-        ):
+        if self.pool.kind == "serial" and not self.verify_workers and self.faults is None:
             t0 = time.perf_counter()
             for batch in batches:
                 batch.recovered = ops.run_plan(batch.plan, batch.concat)
@@ -654,7 +640,7 @@ class DecodePipeline:
                     blocks = {**batch.concat, **batch.recovered}
                     regions = [blocks[b] for b in stage.survivor_ids]
                     batch.recovered.update(
-                        zip(stage.faulty_ids, _apply(ops, stage.arrays, regions))
+                        zip(stage.faulty_ids, ops.matrix_chain_apply(stage.arrays, regions))
                     )
         return len(tasks)
 
@@ -724,7 +710,7 @@ class DecodePipeline:
                 continue
             _tid, matrices, regions, faulty_ids = tasks[task_id]
             task_results[task_id] = dict(
-                zip(faulty_ids, _apply(ops, matrices, regions))
+                zip(faulty_ids, ops.matrix_chain_apply(matrices, regions))
             )
             with self._tally_lock:
                 self._verify_rejects += 1
@@ -769,7 +755,7 @@ class DecodePipeline:
             out: dict[int, dict[int, np.ndarray]] = {}
             for i in bucket:
                 task_id, matrices, regions, faulty_ids = tasks[i]
-                recovered = dict(zip(faulty_ids, _apply(local_ops, matrices, regions)))
+                recovered = dict(zip(faulty_ids, local_ops.matrix_chain_apply(matrices, regions)))
                 if inject and faults is not None:
                     faults.corrupt_worker_output(recovered)
                 out[task_id] = recovered
@@ -864,9 +850,9 @@ class DecodePipeline:
                     continue
                 trigger = self.latency.hedge_after(
                     keys[i],
-                    percentile=self.hedge_percentile,
-                    factor=self.hedge_factor,
-                    min_samples=self.hedge_min_samples,
+                    percentile=HEDGE_PERCENTILE,
+                    factor=HEDGE_FACTOR,
+                    min_samples=HEDGE_MIN_SAMPLES,
                 )
                 if trigger is None:
                     continue

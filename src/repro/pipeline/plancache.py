@@ -27,46 +27,18 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..codes.base import ErasureCode
 from ..core.planner import DecodePlan, plan_decode
 from ..core.sequences import SequencePolicy
+from ..kernels.cache import CacheStats
 from ..matrix.gfmatrix import GFMatrix
 
 #: Cache key: (id of H, sorted erasure pattern, policy).  The matrix
 #: object itself is kept alive inside the entry so the id cannot be
 #: recycled while the entry exists.
 PlanKey = tuple[int, tuple[int, ...], SequencePolicy]
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction tallies of one :class:`PlanCache`."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when never used)."""
-        if not self.lookups:
-            return 0.0
-        return self.hits / self.lookups
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class PlanCache:

@@ -3,25 +3,17 @@
 The compiled IR is straight-line code over a flat slot pool, so its
 dataflow facts are decidable by two linear passes — no execution, no
 block data.  This module *proves* the structural half of what
-:func:`repro.verify.verify_plan_program` proves semantically, and it is
-cheap enough to run on **every** compiled program at admission time:
+:func:`repro.verify.verify_plan_program` proves semantically.
 
-- **no slot is read before it is written** (``dataflow/uninit-read``) —
-  an uninitialised read makes the executor consume stale scratch from a
-  previous chunk/program, producing silently wrong bytes;
-- **no instruction's dst aliases a src it still needs**
-  (``dataflow/aliasing``) — the executor's ``np.take(..., out=dst)``
-  overwrites ``dst`` before the XOR reads it, so ``dst == src`` inside
-  one instruction corrupts the source operand mid-instruction;
-- **every multiply constant has a table binding**
-  (``dataflow/missing-binding``) — ``MUL``/``MULXOR`` constants must lie
-  in ``[2, 2^w)``: 0/1 have no table row (they must strength-reduce to
-  ``ZERO``/``COPY``/``XOR``) and ``const >= 2^w`` indexes past the
-  multiplication table;
-- **accumulates hit defined slots** (``dataflow/accumulate-undefined``)
-  and **every output is defined** (``dataflow/undefined-output``);
-- **slot ids stay inside the pool** (``dataflow/slot-range``) and
-  **opcodes are known** (``dataflow/unknown-opcode``).
+The forward pass is the one structural rule set,
+:func:`repro.kernels.ir.structural_violations` — the same rules
+:meth:`RegionProgram.validate` enforces when the builder admits a
+program and when the executor binds one.  :func:`analyze_program`
+reports every violation rather than the first, as
+``dataflow/<check>`` ERRORs: ``no-inputs``, ``slot-range``,
+``unknown-opcode``, ``aliasing``, ``uninit-read``,
+``accumulate-undefined``, ``missing-binding``, ``undefined-output`` and
+``duplicate-output``.
 
 Strict mode adds a backward liveness pass for the audits that need
 whole-program facts (run inside ``ppm verify`` / ``ppm check`` sweeps,
@@ -41,14 +33,10 @@ not on the compile hot path):
   simultaneously-live temporaries; slack means
   :func:`repro.kernels.optimize.compact_slots` failed to recycle.
 
-Cheap mode is one forward O(instructions) pass; measured against
-``lower_plan`` it adds well under the 5% compile-time budget (see
-``tests/verify/test_dataflow.py``).
-
 Entry points mirror the other verifiers: :func:`analyze_program`
 returns a :class:`~repro.verify.findings.VerificationReport`,
-:func:`check_program` raises :class:`DataflowVerificationError` on the
-first bad program (the admission-time wrapper).
+:func:`assert_dataflow_valid` raises :class:`DataflowVerificationError`
+on a bad program.
 """
 
 from __future__ import annotations
@@ -56,25 +44,15 @@ from __future__ import annotations
 from ..kernels.ir import (
     OP_COPY,
     OP_MUL,
-    OP_MULXOR,
     OP_NAMES,
-    OP_XOR,
     OP_ZERO,
     RegionProgram,
+    structural_violations,
 )
 from .findings import DataflowVerificationError, Severity, VerificationReport
 
 #: Opcodes that fully (re)define their destination slot.
 _DEFINING_OPS = frozenset({OP_ZERO, OP_COPY, OP_MUL})
-
-#: Opcodes that read their src operand.
-_READING_OPS = frozenset({OP_COPY, OP_XOR, OP_MUL, OP_MULXOR})
-
-_KNOWN_OPS = frozenset({OP_ZERO, OP_COPY, OP_XOR, OP_MUL, OP_MULXOR})
-
-
-def _op_name(op: int) -> str:
-    return OP_NAMES[op] if 0 <= op < len(OP_NAMES) else f"op{op}"
 
 
 def analyze_program(
@@ -82,110 +60,24 @@ def analyze_program(
 ) -> VerificationReport:
     """Statically verify a program's dataflow; see the module docstring.
 
-    ``strict=False`` is the cheap admission-time mode (single forward
-    pass, ERROR findings only); ``strict=True`` adds the backward
-    liveness audits, reported as WARNINGs so the semantic sweeps can
-    keep distinguishing "wrong bytes" from "wasted work".
+    ``strict=False`` reports every structural violation
+    (:func:`repro.kernels.ir.structural_violations`, the rules
+    :meth:`RegionProgram.validate` enforces) as a ``dataflow/*`` ERROR;
+    ``strict=True`` adds the backward liveness audits, reported as
+    WARNINGs so the semantic sweeps can keep distinguishing "wrong
+    bytes" from "wasted work".
     """
     report = VerificationReport(
         subject=f"dataflow of {program.label or 'program'}"
     )
-    order = 1 << program.w
-    pool = program.pool_size
-    if program.num_inputs < 1:
-        report.add(
-            "dataflow/no-inputs",
-            "a region program needs at least one input slot",
-        )
-        return report
-    if pool < program.num_inputs:
-        report.add(
-            "dataflow/slot-range",
-            f"pool_size {pool} smaller than num_inputs {program.num_inputs}",
-        )
-        return report
-
-    defined = bytearray(pool)
-    for slot in range(program.num_inputs):
-        defined[slot] = 1
-
-    # -- forward pass: the cheap admission-time invariants -----------------
-    for index, (op, dst, src, const) in enumerate(program.instructions):
-        where = f"inst[{index}]({_op_name(op)})"
-        if op not in _KNOWN_OPS:
-            report.add(
-                "dataflow/unknown-opcode", f"opcode {op} is not in the ISA", where
-            )
-            continue
-        if not (program.num_inputs <= dst < pool):
-            report.add(
-                "dataflow/slot-range",
-                f"dst {dst} outside the temp/output range "
-                f"[{program.num_inputs}, {pool})",
-                where,
-            )
-            continue
-        if op in _READING_OPS:
-            if not (0 <= src < pool):
-                report.add(
-                    "dataflow/slot-range", f"src {src} outside [0, {pool})", where
-                )
-                continue
-            if src == dst:
-                report.add(
-                    "dataflow/aliasing",
-                    f"dst {dst} aliases src {src}: the executor overwrites "
-                    "dst before the instruction finishes reading src",
-                    where,
-                )
-            elif not defined[src]:
-                report.add(
-                    "dataflow/uninit-read",
-                    f"src {src} is read before any instruction defines it "
-                    "(the executor would consume stale scratch)",
-                    where,
-                )
-        if op in (OP_XOR, OP_MULXOR) and not defined[dst]:
-            report.add(
-                "dataflow/accumulate-undefined",
-                f"{_op_name(op)} accumulates into undefined slot {dst}",
-                where,
-            )
-        if op in (OP_MUL, OP_MULXOR) and not (2 <= const < order):
-            report.add(
-                "dataflow/missing-binding",
-                f"constant {const} has no w={program.w} table binding "
-                f"(must lie in [2, {order}); 0/1 lower to zero/copy/xor)",
-                where,
-            )
-        defined[dst] = 1
-
-    seen_outputs = set()
-    for position, slot in enumerate(program.outputs):
-        ctx = f"output[{position}]"
-        if not (0 <= slot < pool):
-            report.add(
-                "dataflow/slot-range", f"output slot {slot} outside [0, {pool})", ctx
-            )
-            continue
-        if not defined[slot]:
-            report.add(
-                "dataflow/undefined-output",
-                f"output slot {slot} is never defined",
-                ctx,
-            )
-        if slot in seen_outputs:
-            report.add(
-                "dataflow/duplicate-output",
-                f"slot {slot} appears more than once in the output list",
-                ctx,
-            )
-        seen_outputs.add(slot)
+    for check, message, where in structural_violations(program):
+        report.add(f"dataflow/{check}", message, where)
 
     if not strict or not report.ok:
         return report
 
     # -- backward pass: liveness audits (strict mode only) -----------------
+    pool = program.pool_size
     live = set(program.outputs)
     peak_temps = _count_live_temps(program, live)
     touched = bytearray(pool)
@@ -213,7 +105,7 @@ def analyze_program(
             "dataflow/dead-store",
             f"value written to slot {dst} is never read and never output "
             "(eliminate_dead should have dropped it)",
-            f"inst[{index}]({_op_name(op)})",
+            f"inst[{index}]({OP_NAMES[op]})",
             severity=Severity.WARNING,
         )
 
@@ -260,15 +152,6 @@ def _count_live_temps(program: RegionProgram, live: set[int]) -> int:
     return sum(
         1 for slot in live if slot >= program.num_inputs and slot not in outputs
     )
-
-
-def check_program(program: RegionProgram) -> RegionProgram:
-    """Cheap admission gate: raise on any dataflow ERROR, return the
-    program unchanged otherwise (composes as a pass-through)."""
-    report = analyze_program(program, strict=False)
-    if not report.ok:
-        raise DataflowVerificationError(report)
-    return program
 
 
 def assert_dataflow_valid(program: RegionProgram, strict: bool = True) -> None:

@@ -25,7 +25,7 @@ from ..codes import available_codes, get_code, is_decodable
 from ..codes.base import ErasureCode
 from ..core.planner import plan_decode
 from ..core.sequences import SequencePolicy
-from ..kernels import BASELINE_BACKEND, available_backends, get_backend, lower_encode, lower_plan
+from ..kernels import BASELINE_BACKEND, available_backends, get_backend, lower_plan
 from ..kernels.executor import ProgramExecutor
 from ..matrix import SingularMatrixError
 from .dataflow import analyze_program
@@ -180,14 +180,15 @@ def sweep_code(
     # its own stream, so the scenarios drawn do not depend on the targets
     target_rng = np.random.default_rng([seed, 0x7A26E7])
 
-    def certify(plan, label: str) -> None:
-        """Plan verifier, then the compiled program against the plan."""
+    def certify(plan, label: str) -> bool:
+        """Plan verifier, then the compiled program against the plan;
+        True when a program was compiled and certified."""
         sub = verify_plan(plan, code)
         if sub.findings:
             sub.subject = label
             result.report.merge(sub)
         if not (check_programs and sub.ok):
-            return
+            return False
         # lower the verified plan and certify the compiled program
         compiled = lower_plan(code.field, plan)
         sub = verify_plan_program(compiled, code.field, plan)
@@ -195,8 +196,8 @@ def sweep_code(
             sub.subject = f"program {label}"
             result.report.merge(sub)
         # strict static dataflow: liveness audits (dead stores,
-        # unreachable slots, pool slack) on top of the cheap
-        # admission checks lower_plan already ran
+        # unreachable slots, pool slack) on top of the structural
+        # check lower_plan already ran
         sub = analyze_program(compiled.program, strict=True)
         if sub.findings:
             sub.subject = f"dataflow {label}"
@@ -205,7 +206,7 @@ def sweep_code(
             result.backend_checks += _certify_backends(
                 code.field, compiled.program, result.report, label, seed
             )
-        result.programs += 1
+        return True
 
     for faulty in iter_scenarios(code, samples, seed, max_faults):
         if not is_decodable(code, faulty):
@@ -230,35 +231,18 @@ def sweep_code(
                 )
                 continue
             label = f"faulty={list(faulty)} policy={policy.value}"
-            certify(plan, label)
+            result.programs += certify(plan, label)
             for targets in target_sets:
-                certify(plan.for_targets(targets), f"targets={list(targets)} {label}")
+                pruned_label = f"targets={list(targets)} {label}"
+                result.programs += certify(plan.for_targets(targets), pruned_label)
                 result.pruned_plans += 1
         result.scenarios += 1
     if check_programs:
-        # the fused encode program gets the same certification a decode
-        # program gets: transfer-matrix proof against its plan, strict
-        # dataflow, and (opted in) numeric backend equivalence
+        # encoding is decoding every parity position (paper, footnote
+        # 1): its plan gets the same certification a decode plan gets
         for policy in policies:
             plan = plan_decode(code, code.parity_block_ids, policy=policy)
-            compiled = lower_encode(code.field, code, policy=policy)
-            sub = verify_plan_program(compiled, code.field, plan)
-            if sub.findings:
-                sub.subject = f"encode program policy={policy.value}"
-                result.report.merge(sub)
-            sub = analyze_program(compiled.program, strict=True)
-            if sub.findings:
-                sub.subject = f"encode dataflow policy={policy.value}"
-                result.report.merge(sub)
-            if check_backends:
-                result.backend_checks += _certify_backends(
-                    code.field,
-                    compiled.program,
-                    result.report,
-                    f"encode policy={policy.value}",
-                    seed,
-                )
-            result.encode_programs += 1
+            result.encode_programs += certify(plan, f"encode policy={policy.value}")
     return result
 
 

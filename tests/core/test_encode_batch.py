@@ -1,4 +1,4 @@
-"""Compiled encode path: lower_encode, encode_batch, stale-parity safety.
+"""Compiled encode path: the parity plan's program, encode_batch, stale-parity safety.
 
 Encoding is decoding with every parity position faulty (paper, footnote
 1); the compiled path lowers that plan once per code and runs all
@@ -14,7 +14,8 @@ import pytest
 from repro.codes import RSCode, SDCode
 from repro.core import PPMDecoder, SequencePolicy, TraditionalDecoder
 from repro.gf import GF, RegionOps
-from repro.kernels import lower_encode
+from repro.core.planner import plan_decode
+from repro.kernels import lower_plan
 from repro.pipeline import DecodePipeline
 from repro.stripes import Stripe, StripeLayout
 
@@ -44,17 +45,25 @@ def naive_encode(code, stripe):
     return TraditionalDecoder().encode(code, stripe)
 
 
+def encode_program(code):
+    """The fused encode program: the decode plan of every parity block."""
+    plan = plan_decode(code, code.parity_block_ids, policy=SequencePolicy.MATRIX_FIRST)
+    return plan, lower_plan(code.field, plan)
+
+
 class TestLowerEncode:
+    """The parity-pattern plan lowered to one program."""
+
     def test_ids_partition_the_code(self, sd_code):
-        compiled = lower_encode(sd_code.field, sd_code)
+        plan, compiled = encode_program(sd_code)
         assert tuple(compiled.output_ids) == tuple(sd_code.parity_block_ids)
         assert set(compiled.input_ids) <= set(sd_code.data_block_ids)
-        assert compiled.program.label.startswith("encode:")
+        assert compiled.program.mult_xors == plan.predicted_cost
 
     def test_program_encodes_correctly(self, sd_code):
         from repro.kernels import ProgramExecutor
 
-        compiled = lower_encode(sd_code.field, sd_code)
+        _plan, compiled = encode_program(sd_code)
         stripe = data_stripes(sd_code, 1, rng=3)[0]
         inputs = [stripe.get(b) for b in compiled.input_ids]
         outputs = ProgramExecutor(sd_code.field).execute(
@@ -165,7 +174,7 @@ class TestStaleParityRegression:
             assert np.array_equal(clean[bid], poisoned[bid]), bid
 
     def test_encode_program_never_reads_parity_slots(self, sd_code):
-        compiled = lower_encode(sd_code.field, sd_code)
+        _plan, compiled = encode_program(sd_code)
         assert not set(compiled.input_ids) & set(sd_code.parity_block_ids)
 
 

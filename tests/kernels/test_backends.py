@@ -20,7 +20,7 @@ from repro.kernels import (
     available_backends,
     default_backend,
     get_backend,
-    lower_matrix,
+    lower_matrix_chain,
     register_backend,
     set_default_backend,
     unregister_backend,
@@ -91,7 +91,7 @@ class TestSupports:
     @pytest.mark.parametrize("w", WORD_SIZES)
     def test_width_support_matrix(self, w):
         field, matrix, _ = matrix_case(w)
-        program = lower_matrix(field, matrix)
+        program = lower_matrix_chain(field, [matrix])
         assert get_backend("numpy").supports(field, program)
         assert get_backend("bitsliced").supports(field, program) == (w in (4, 8))
         assert get_backend("splittab").supports(field, program) == (w in (16, 32))
@@ -99,7 +99,7 @@ class TestSupports:
     def test_unsupported_forced_backend_uses_baseline(self):
         # forcing splittab on a w=8 program silently runs the baseline
         field, matrix, regions = matrix_case(8)
-        program = lower_matrix(field, matrix)
+        program = lower_matrix_chain(field, [matrix])
         executor = ProgramExecutor(field, backend="splittab")
         got = executor.execute(program, regions)
         expected = RegionOps(field).matrix_apply(matrix, regions)
@@ -129,7 +129,7 @@ class TestCrossBackendEquivalence:
             rng.integers(0, 1 << w, size=length, dtype=field.dtype)
             for _ in range(cols)
         ]
-        program = lower_matrix(field, matrix)
+        program = lower_matrix_chain(field, [matrix])
         expected = ProgramExecutor(field, backend=BASELINE_BACKEND).execute(
             program, regions
         )
@@ -146,7 +146,7 @@ class TestCrossBackendEquivalence:
     def test_bitsliced_odd_and_even_lengths(self, w):
         for length in (1, 2, 3, 255, 256, 257):
             field, matrix, regions = matrix_case(w, length=length, seed=length)
-            program = lower_matrix(field, matrix)
+            program = lower_matrix_chain(field, [matrix])
             got = ProgramExecutor(field, backend="bitsliced").execute(
                 program, regions
             )
@@ -173,7 +173,7 @@ class _ExplodingBackend(ExecutorBackend):
 class TestFallbackAndQuarantine:
     def test_runtime_failure_falls_back_and_quarantines(self):
         field, matrix, regions = matrix_case(8)
-        program = lower_matrix(field, matrix)
+        program = lower_matrix_chain(field, [matrix])
         register_backend(_ExplodingBackend())
         try:
             executor = ProgramExecutor(field, backend="exploding")
@@ -195,7 +195,7 @@ class TestFallbackAndQuarantine:
 
     def test_quarantine_voids_recorded_wins(self):
         field, matrix, regions = matrix_case(8)
-        program = lower_matrix(field, matrix)
+        program = lower_matrix_chain(field, [matrix])
         executor = ProgramExecutor(field, backend="auto")
         executor.execute(program, regions)
         choices = executor.tuning.choices()
@@ -231,7 +231,7 @@ class TestFallbackAndQuarantine:
                 )
 
         field, matrix, regions = matrix_case(8)
-        program = lower_matrix(field, matrix)
+        program = lower_matrix_chain(field, [matrix])
         expected = RegionOps(field).matrix_apply(matrix, regions)
         register_backend(Picky())
         try:
@@ -258,7 +258,7 @@ class TestFallbackAndQuarantine:
         field = GF(8)
         rng = np.random.default_rng(7)
         matrix = rng.integers(0, 256, size=(2, 3), dtype=np.uint8)
-        program = lower_matrix(field, matrix)
+        program = lower_matrix_chain(field, [matrix])
         length = 64
         regions = []
         for _ in range(3):
@@ -278,7 +278,7 @@ class TestFallbackAndQuarantine:
 class TestDefaultBackendOverride:
     def test_process_default_applies_to_auto_executors(self):
         field, matrix, regions = matrix_case(8)
-        program = lower_matrix(field, matrix)
+        program = lower_matrix_chain(field, [matrix])
         previous = default_backend()
         set_default_backend("bitsliced")
         try:
@@ -296,7 +296,7 @@ class TestDefaultBackendOverride:
 class TestStatsAccounting:
     def test_per_backend_split_sums_to_totals(self):
         field, matrix, regions = matrix_case(8)
-        program = lower_matrix(field, matrix)
+        program = lower_matrix_chain(field, [matrix])
         executor = ProgramExecutor(field, backend=BASELINE_BACKEND)
         for _ in range(3):
             executor.execute(program, regions)

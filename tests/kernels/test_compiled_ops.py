@@ -1,8 +1,9 @@
-"""CompiledRegionOps: drop-in equality with the interpreted RegionOps.
+"""CompiledRegionOps: equality with the interpreted RegionOps.
 
-Every compiled entry point must produce bit-identical regions AND
-identical :class:`~repro.gf.OpCounter` snapshots to the interpreted
-path — the compiler may only change *how fast* the answer arrives.
+Both compiled entry points — a matrix chain and a whole plan — must
+produce bit-identical regions AND identical
+:class:`~repro.gf.OpCounter` snapshots to the interpreted path; the
+compiler may only change *how fast* the answer arrives.
 """
 
 import numpy as np
@@ -37,7 +38,7 @@ def test_matrix_apply_matches_interpreted(w):
     matrix = rng.integers(0, 1 << w, size=(4, 6), dtype=interp.field.dtype)
     regions = random_regions(interp.field, 6, 333, rng)
     expected = interp.matrix_apply(matrix, regions)
-    got = compiled.matrix_apply(matrix, regions)
+    got = compiled.matrix_chain_apply([matrix], regions)  # a chain of one
     for g, e in zip(got, expected):
         assert np.array_equal(g, e)
     assert compiled.counter.snapshot() == interp.counter.snapshot()
@@ -64,20 +65,10 @@ def test_linear_combination_matches_interpreted(w):
     coefficients = rng.integers(0, 1 << w, size=5, dtype=interp.field.dtype)
     regions = random_regions(interp.field, 5, 100, rng)
     expected = interp.linear_combination(coefficients, regions)
-    got = compiled.linear_combination(coefficients, regions)
+    # one linear combination is a one-row chain
+    (got,) = compiled.matrix_chain_apply([coefficients.reshape(1, -1)], regions)
     assert np.array_equal(got, expected)
     assert compiled.counter.snapshot() == interp.counter.snapshot()
-
-
-def test_linear_combination_out_parameter():
-    interp, compiled = pair(8)
-    rng = np.random.default_rng(3)
-    coefficients = np.array([3, 1, 0, 7], dtype=interp.field.dtype)
-    regions = random_regions(interp.field, 4, 64, rng)
-    out = np.empty_like(regions[0])
-    result = compiled.linear_combination(coefficients, regions, out=out)
-    assert result is out
-    assert np.array_equal(out, interp.linear_combination(coefficients, regions))
 
 
 def test_linear_combination_zero_coefficients_zero_cost():
@@ -86,25 +77,20 @@ def test_linear_combination_zero_coefficients_zero_cost():
     regions = random_regions(interp.field, 3, 32, rng)
     zeros = np.zeros(3, dtype=interp.field.dtype)
     expected = interp.linear_combination(zeros, regions)
-    got = compiled.linear_combination(zeros, regions)
+    (got,) = compiled.matrix_chain_apply([zeros.reshape(1, -1)], regions)
     assert np.array_equal(got, expected)
     assert compiled.counter.snapshot() == interp.counter.snapshot()
 
 
-def test_multidimensional_regions_fall_back_to_interpreted():
+def test_zero_row_chains_compile_like_any_other():
     interp, compiled = pair(8)
     rng = np.random.default_rng(5)
-    matrix = rng.integers(0, 256, size=(2, 3), dtype=interp.field.dtype)
-    regions = [
-        rng.integers(0, 256, size=(8, 8), dtype=interp.field.dtype)
-        for _ in range(3)
-    ]
-    expected = interp.matrix_apply(matrix, regions)
-    got = compiled.matrix_apply(matrix, regions)
-    for g, e in zip(got, expected):
-        assert np.array_equal(g, e)
+    regions = random_regions(interp.field, 3, 16, rng)
+    empty = np.zeros((0, 3), dtype=interp.field.dtype)
+    assert compiled.matrix_chain_apply([empty], regions) == []
+    assert interp.matrix_chain_apply([empty], regions) == []
     assert compiled.counter.snapshot() == interp.counter.snapshot()
-    assert len(compiled.programs) == 0  # nothing was compiled
+    assert len(compiled.programs) == 1  # compiled, not routed around
 
 
 def test_program_cache_hits_on_repeat_and_on_equal_content():
@@ -114,13 +100,16 @@ def test_program_cache_hits_on_repeat_and_on_equal_content():
     rng = np.random.default_rng(6)
     matrix = rng.integers(0, 256, size=(3, 4), dtype=field.dtype)
     regions = random_regions(field, 4, 50, rng)
-    compiled.matrix_apply(matrix, regions)
+    compiled.matrix_chain_apply([matrix], regions)
     assert (cache.stats.hits, cache.stats.misses) == (0, 1)
-    compiled.matrix_apply(matrix, regions)
+    compiled.matrix_chain_apply([matrix], regions)
     assert (cache.stats.hits, cache.stats.misses) == (1, 1)
     # a distinct array object with equal bytes is the same program
-    compiled.matrix_apply(matrix.copy(), regions)
+    compiled.matrix_chain_apply([matrix.copy()], regions)
     assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+    # and a single matrix is the same entry as its chain of one
+    cache.matrix_program(field, matrix)
+    assert (cache.stats.hits, cache.stats.misses) == (3, 1)
 
 
 def test_program_cache_lru_eviction():
@@ -133,28 +122,36 @@ def test_program_cache_lru_eviction():
         np.full((1, 2), fill, dtype=field.dtype) for fill in (3, 5, 7)
     ]
     for m in mats:
-        compiled.matrix_apply(m, regions)
+        compiled.matrix_chain_apply([m], regions)
     assert len(cache) == 2
     assert cache.stats.evictions == 1
-    compiled.matrix_apply(mats[0], regions)  # evicted -> recompiled
+    compiled.matrix_chain_apply([mats[0]], regions)  # evicted -> recompiled
     assert cache.stats.misses == 4
 
 
 def test_program_cache_miss_runs_one_dataflow_pass(monkeypatch):
-    from repro.verify import dataflow
+    from repro.kernels import ir
 
     passes = []
-    real = dataflow.check_program
+    real = ir.structural_violations
     monkeypatch.setattr(
-        dataflow, "check_program", lambda program: (passes.append(program), real(program))[1]
+        ir,
+        "structural_violations",
+        lambda program: (passes.append(program), real(program))[1],
     )
     code = SDCode(6, 4, 2, 2)
     plan = plan_decode(code, [0, 7, 14])
-    cache = ProgramCache()
-    compiled = cache.plan_program(code.field, plan)
-    assert passes == [compiled.program]  # once, in ProgramBuilder.finish
-    cache.plan_program(code.field, plan)
+    compiled = CompiledRegionOps(code.field)
+    program = compiled.programs.plan_program(code.field, plan).program
+    assert passes == [program]  # once, in ProgramBuilder.finish
+    compiled.programs.plan_program(code.field, plan)
     assert len(passes) == 1  # a hit runs none
+    blocks = {b: np.zeros(8, dtype=code.field.dtype) for b in range(code.num_blocks)}
+    compiled.run_plan(plan, blocks)
+    compiled.run_plan(plan, blocks)
+    # the executor checks once per binding: structural passes per cold
+    # program are the builder's and the bind's, and nothing on a warm run
+    assert len(passes) - 1 == len(compiled.executor._bound)
 
 
 @pytest.mark.parametrize(
@@ -210,6 +207,6 @@ def test_run_plan_program_cache_is_identity_keyed():
     code = SDCode(10, 8, 2, 2)
     plan = plan_decode(code, [5, 7], policy=SequencePolicy.PAPER)
     compiled = CompiledRegionOps(code.field, OpCounter())
-    first = compiled.plan_program(plan)
-    assert compiled.plan_program(plan) is first
+    first = compiled.programs.plan_program(code.field, plan)
+    assert compiled.programs.plan_program(code.field, plan) is first
     assert compiled.programs.stats.hits == 1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.gf import GF, OpCounter, RegionOps
-from repro.kernels import ProgramExecutor, lower_matrix
+from repro.kernels import ProgramExecutor, RegionProgram, lower_matrix_chain
+from repro.kernels.ir import OP_COPY
 from repro.kernels.executor import DEFAULT_CHUNK_SYMBOLS
 
 WORD_SIZES = [4, 8, 16, 32]
@@ -24,7 +25,7 @@ def random_case(w, rows=3, cols=5, length=257, seed=None):
 @pytest.mark.parametrize("w", WORD_SIZES)
 def test_execute_matches_interpreted_matrix_apply(w):
     field, matrix, regions = random_case(w)
-    program = lower_matrix(field, matrix)
+    program = lower_matrix_chain(field, [matrix])
     got = ProgramExecutor(field).execute(program, regions)
     expected = RegionOps(field).matrix_apply(matrix, regions)
     assert len(got) == len(expected)
@@ -35,7 +36,7 @@ def test_execute_matches_interpreted_matrix_apply(w):
 @pytest.mark.parametrize("w", WORD_SIZES)
 def test_chunked_execution_equals_unchunked(w):
     field, matrix, regions = random_case(w, length=1000)
-    program = lower_matrix(field, matrix)
+    program = lower_matrix_chain(field, [matrix])
     whole = ProgramExecutor(field).execute(program, regions)
     # chunk size that does not divide the length exercises the tail chunk
     chunked = ProgramExecutor(field, chunk_symbols=77).execute(program, regions)
@@ -45,7 +46,7 @@ def test_chunked_execution_equals_unchunked(w):
 
 def test_outs_buffers_are_written_in_place():
     field, matrix, regions = random_case(8)
-    program = lower_matrix(field, matrix)
+    program = lower_matrix_chain(field, [matrix])
     outs = [np.empty_like(regions[0]) for _ in program.outputs]
     got = ProgramExecutor(field).execute(program, regions, outs=outs)
     assert all(g is o for g, o in zip(got, outs))
@@ -56,7 +57,7 @@ def test_outs_buffers_are_written_in_place():
 
 def test_non_contiguous_out_rejected():
     field, matrix, regions = random_case(8)
-    program = lower_matrix(field, matrix)
+    program = lower_matrix_chain(field, [matrix])
     backing = np.empty((len(regions[0]), 2), dtype=field.dtype)
     outs = [backing[:, 0] for _ in program.outputs]
     with pytest.raises(ValueError, match="C-contiguous"):
@@ -65,7 +66,7 @@ def test_non_contiguous_out_rejected():
 
 def test_input_validation():
     field, matrix, regions = random_case(8)
-    program = lower_matrix(field, matrix)
+    program = lower_matrix_chain(field, [matrix])
     executor = ProgramExecutor(field)
     with pytest.raises(ValueError, match="input regions"):
         executor.execute(program, regions[:-1])
@@ -81,7 +82,7 @@ def test_input_validation():
 
 def test_field_width_mismatch_rejected():
     field8, matrix, _regions = random_case(8)
-    program = lower_matrix(field8, matrix)
+    program = lower_matrix_chain(field8, [matrix])
     field16 = GF(16)
     regions16 = [np.zeros(8, dtype=field16.dtype) for _ in range(matrix.shape[1])]
     with pytest.raises(ValueError, match="w="):
@@ -90,7 +91,7 @@ def test_field_width_mismatch_rejected():
 
 def test_counter_books_model_counts_once():
     field, matrix, regions = random_case(8, length=100)
-    program = lower_matrix(field, matrix)
+    program = lower_matrix_chain(field, [matrix])
     counter = OpCounter()
     ProgramExecutor(field).execute(program, regions, counter=counter)
     interp_counter = OpCounter()
@@ -100,7 +101,7 @@ def test_counter_books_model_counts_once():
 
 def test_binding_is_reused_across_calls():
     field, matrix, regions = random_case(8)
-    program = lower_matrix(field, matrix)
+    program = lower_matrix_chain(field, [matrix])
     executor = ProgramExecutor(field)
     executor.execute(program, regions)
     keys = [key for key in executor._bound if key[0] == id(program)]
@@ -118,3 +119,33 @@ def test_rejects_nonpositive_chunk():
 
 def test_default_chunk_is_reasonable():
     assert 1 << 12 <= DEFAULT_CHUNK_SYMBOLS <= 1 << 20
+
+
+def _copy_program(outputs):
+    """One input, one copy into slot 1, then the given output list."""
+    return RegionProgram(
+        w=8,
+        num_inputs=1,
+        pool_size=2,
+        instructions=((OP_COPY, 1, 0, 1),),
+        outputs=outputs,
+        mult_xors=0,
+        xor_only=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        (0,),  # an input slot is never handed an output buffer
+        (1, 1),  # two outputs cannot share one buffer
+    ],
+    ids=["input-as-output", "duplicate-output"],
+)
+def test_executor_refuses_programs_it_cannot_run(outputs):
+    # executing either would hand back uninitialised or recycled bytes
+    field = GF(8)
+    x = np.arange(1, 9, dtype=field.dtype)
+    executor = ProgramExecutor(field, backend="numpy")
+    with pytest.raises(ValueError, match="output"):
+        executor.execute(_copy_program(outputs), [x])

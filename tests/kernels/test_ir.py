@@ -90,10 +90,16 @@ def test_undefined_output_rejected():
         make([(OP_COPY, 2, 0, 1)], outputs=(3,)).validate()
 
 
-def test_input_slot_may_be_an_output():
-    # a plan whose faulty block equals a survivor cannot occur, but the
-    # IR itself permits passthrough outputs (defined := inputs)
-    make([], outputs=(0,)).validate()
+def test_input_slot_output_rejected():
+    # the executor gives every output its own buffer and never maps an
+    # input onto one, so a passthrough output would read back garbage
+    with pytest.raises(ValueError, match="output slot 0 outside temp/output range"):
+        make([(OP_COPY, 2, 0, 1)], outputs=(0,)).validate()
+
+
+def test_duplicate_output_rejected():
+    with pytest.raises(ValueError, match="more than once"):
+        make([(OP_COPY, 2, 0, 1)], outputs=(2, 2)).validate()
 
 
 def test_unknown_opcode_rejected():

@@ -1,4 +1,5 @@
-"""Lowering: matrices, chains and whole decode plans to RegionPrograms."""
+"""Lowering: matrix chains (a single matrix is a chain of one) and whole
+decode plans to RegionPrograms."""
 
 import numpy as np
 import pytest
@@ -7,12 +8,7 @@ from repro.codes import LRCCode, RSCode, SDCode
 from repro.core import SequencePolicy
 from repro.core.planner import plan_decode
 from repro.gf import GF
-from repro.kernels import (
-    lower_linear_combination,
-    lower_matrix,
-    lower_matrix_chain,
-    lower_plan,
-)
+from repro.kernels import lower_matrix_chain, lower_plan
 from repro.verify import expected_transfer, transfer_matrix
 
 WORD_SIZES = [4, 8, 16, 32]
@@ -27,7 +23,7 @@ def test_lower_matrix_transfer_and_model_counts(w):
     field = GF(w)
     rng = np.random.default_rng(w)
     matrix = random_matrix(field, 3, 5, rng)
-    program = lower_matrix(field, matrix)
+    program = lower_matrix_chain(field, [matrix])
     assert program.w == w
     assert program.num_inputs == 5
     assert len(program.outputs) == 3
@@ -39,15 +35,15 @@ def test_lower_matrix_transfer_and_model_counts(w):
 def test_lower_matrix_rejects_bad_shapes():
     field = GF(8)
     with pytest.raises(ValueError, match="2-D"):
-        lower_matrix(field, np.zeros(4, dtype=field.dtype))
+        lower_matrix_chain(field, [np.zeros(4, dtype=field.dtype)])
     with pytest.raises(ValueError, match="zero input columns"):
-        lower_matrix(field, np.zeros((2, 0), dtype=field.dtype))
+        lower_matrix_chain(field, [np.zeros((2, 0), dtype=field.dtype)])
 
 
 def test_lower_matrix_zero_rows_emit_zero_outputs():
     field = GF(8)
     matrix = np.array([[0, 0], [3, 0]], dtype=field.dtype)
-    program = lower_matrix(field, matrix)
+    program = lower_matrix_chain(field, [matrix])
     expected = np.array([[0, 0], [3, 0]], dtype=field.dtype)
     assert np.array_equal(transfer_matrix(program, field), expected)
 
@@ -83,20 +79,6 @@ def test_lower_matrix_chain_rejects_empty_and_mismatched():
         lower_matrix_chain(field, [m1, m2])
 
 
-def test_lower_linear_combination_is_single_row():
-    field = GF(8)
-    coefficients = np.array([3, 0, 1, 7], dtype=field.dtype)
-    program = lower_linear_combination(field, coefficients)
-    assert len(program.outputs) == 1
-    assert np.array_equal(
-        transfer_matrix(program, field), coefficients.reshape(1, -1)
-    )
-    assert program.mult_xors == 3
-    assert program.xor_only == 1
-    with pytest.raises(ValueError, match="1-D"):
-        lower_linear_combination(field, coefficients.reshape(2, 2))
-
-
 def scenarios():
     sd = SDCode(10, 8, 2, 2)
     yield sd, (5, 7, 12, 15), SequencePolicy.PAPER
@@ -118,16 +100,3 @@ def test_lower_plan_matches_plan_semantics(code, faulty, policy):
         transfer_matrix(program, code.field),
         expected_transfer(code.field, plan, compiled.input_ids),
     )
-
-
-def test_lower_plan_unoptimized_agrees_with_optimized():
-    code = SDCode(10, 8, 2, 2)
-    plan = plan_decode(code, [5, 7, 12, 15], policy=SequencePolicy.PAPER)
-    opt = lower_plan(code.field, plan, optimize=True)
-    raw = lower_plan(code.field, plan, optimize=False, share=False)
-    assert np.array_equal(
-        transfer_matrix(opt.program, code.field),
-        transfer_matrix(raw.program, code.field),
-    )
-    assert opt.program.mult_xors == raw.program.mult_xors
-    assert opt.program.pool_size <= raw.program.pool_size

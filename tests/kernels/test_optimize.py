@@ -17,11 +17,11 @@ from repro.kernels import (
     OP_MUL,
     OP_MULXOR,
     OP_XOR,
+    ProgramBuilder,
     RegionProgram,
     compact_slots,
     eliminate_dead,
-    lower_encode,
-    lower_matrix,
+    lower_matrix_chain,
     lower_plan,
     optimize_program,
     share_pairs,
@@ -124,7 +124,7 @@ def test_share_pairs_equals_reference_on_every_registered_stage(monkeypatch):
         for faulty in patterns:
             for policy in SequencePolicy:
                 lower_plan(code.field, plan_decode(code, faulty, policy))
-        lower_encode(code.field, code)
+        lower_plan(code.field, plan_decode(code, code.parity_block_ids))
     assert calls and any(calls)  # some stage really shared a pair
 
 
@@ -209,12 +209,29 @@ def test_compact_slots_never_recycles_output_slots():
     )
 
 
+def _raw_program(field, matrix):
+    """What the builder emits for one matrix before optimisation."""
+    builder = ProgramBuilder(field, matrix.shape[1])
+    rows = [[(j, int(c)) for j, c in enumerate(row) if c] for row in matrix]
+    outputs = builder.emit_stage(rows)
+    return RegionProgram(
+        w=field.w,
+        num_inputs=builder.num_inputs,
+        pool_size=builder.next_slot,
+        instructions=tuple(builder.instructions),
+        outputs=tuple(outputs),
+        mult_xors=builder.mult_xors,
+        xor_only=builder.xor_only,
+    )
+
+
 def test_optimize_program_preserves_semantics_on_random_matrices():
     rng = np.random.default_rng(7)
     field = GF(8)
     for _ in range(10):
         matrix = rng.integers(0, 256, size=(4, 6), dtype=field.dtype)
-        raw = lower_matrix(field, matrix, optimize=False)
+        raw = _raw_program(field, matrix)
+        raw.validate()
         slim = optimize_program(raw)
         slim.validate()
         assert np.array_equal(
@@ -230,10 +247,8 @@ def test_shared_pairs_reduce_executed_ops_but_not_model_counts():
     matrix = np.array(
         [[3, 5, 1], [3, 5, 2], [3, 5, 4]], dtype=field.dtype
     )
-    shared = lower_matrix(field, matrix, share=True)
-    unshared = lower_matrix(field, matrix, share=False)
-    assert shared.mult_xors == unshared.mult_xors == 9
-    assert shared.executed_ops < unshared.executed_ops
-    assert np.array_equal(
-        transfer_matrix(shared, field), transfer_matrix(unshared, field)
-    )
+    shared = lower_matrix_chain(field, [matrix])
+    assert shared.mult_xors == 9
+    # unshared, every nonzero coefficient is one instruction
+    assert shared.executed_ops < int(np.count_nonzero(matrix))
+    assert np.array_equal(transfer_matrix(shared, field), matrix)

@@ -23,7 +23,7 @@ from repro.core.sequences import SequencePolicy
 from repro.gf import GF
 from repro.kernels import ProgramCache
 from repro.kernels.executor import ProgramExecutor
-from repro.kernels.lower import lower_matrix
+from repro.kernels.lower import lower_matrix_chain
 from repro.pipeline import DecodePipeline
 from repro.pipeline.plancache import PlanCache
 from repro.pipeline.pool import live_pools, make_pool
@@ -98,7 +98,7 @@ class TestExecutorSmallTables:
         executor = ProgramExecutor(field, backend="numpy")
         rng = np.random.default_rng(7)
         matrix = rng.integers(1, 16, size=(3, 4), dtype=field.dtype)
-        program = lower_matrix(field, matrix)
+        program = lower_matrix_chain(field, [matrix])
         inputs = [
             rng.integers(0, 16, size=64, dtype=field.dtype) for _ in range(4)
         ]

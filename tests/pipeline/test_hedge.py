@@ -18,13 +18,14 @@ import pytest
 
 from repro.codes import SDCode
 from repro.pipeline import DecodePipeline, LatencyTracker, StragglerTimeout
+from repro.pipeline.engine import HEDGE_FACTOR, HEDGE_MIN_SAMPLES, HEDGE_PERCENTILE
 from repro.service.store import FaultInjector
 from repro.stripes import worst_case_sd
 
 from .test_engine import make_stripes
 
 SYMBOLS = 64
-WARMUP = 30  # executions needed before the measured call (min_samples <= 30)
+WARMUP = 30  # executions before the measured call (HEDGE_MIN_SAMPLES <= 30)
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +68,6 @@ def test_hedge_fires_on_straggler_and_wins(workload):
         workers=2,
         pool="thread",
         hedge=True,
-        hedge_percentile=0.9,
-        hedge_factor=2.0,
-        hedge_min_samples=8,
         faults=faults,
     ) as pipe:
         for _ in range(WARMUP):
@@ -95,8 +93,6 @@ def test_hedge_loser_output_is_discarded_not_merged(workload):
         workers=2,
         pool="thread",
         hedge=True,
-        hedge_percentile=0.9,
-        hedge_min_samples=8,
         faults=faults,
     ) as pipe:
         for _ in range(WARMUP + 1):
@@ -261,12 +257,10 @@ def test_serial_pipeline_deadline_is_best_effort(workload):
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError, match="hedge_percentile"):
-        DecodePipeline(pool="serial", hedge_percentile=0.0)
-    with pytest.raises(ValueError, match="hedge_factor"):
-        DecodePipeline(pool="serial", hedge_factor=0.5)
-    with pytest.raises(ValueError, match="hedge_min_samples"):
-        DecodePipeline(pool="serial", hedge_min_samples=0)
+    assert HEDGE_MIN_SAMPLES <= WARMUP
+    for knob in ("hedge_percentile", "hedge_factor", "hedge_min_samples"):
+        with pytest.raises(TypeError, match=knob):  # constants, not parameters
+            DecodePipeline(pool="serial", **{knob: 1})
     with pytest.raises(ValueError, match="deadline_s"):
         DecodePipeline(pool="serial", deadline_s=0.0)
 
@@ -301,12 +295,14 @@ def test_latency_tracker_window_slides():
 
 def test_hedge_after_needs_min_samples():
     tracker = LatencyTracker()
-    for _ in range(7):
+    knobs = dict(
+        percentile=HEDGE_PERCENTILE, factor=HEDGE_FACTOR, min_samples=HEDGE_MIN_SAMPLES
+    )
+    for _ in range(HEDGE_MIN_SAMPLES - 1):
         tracker.observe("k", 0.01)
-    assert tracker.hedge_after("k", min_samples=8) is None
+    assert tracker.hedge_after("k", **knobs) is None
     tracker.observe("k", 0.01)
-    trigger = tracker.hedge_after("k", percentile=0.95, factor=2.0, min_samples=8)
-    assert trigger == pytest.approx(0.02)
+    assert tracker.hedge_after("k", **knobs) == pytest.approx(0.01 * HEDGE_FACTOR)
 
 
 def test_verify_workers_still_checks_targeted_reads(workload):

@@ -277,11 +277,17 @@ def test_pipeline_section_round_trip_and_overrides():
     assert from_dict(to_dict(config)) == config
     layered = apply_overrides(
         config,
-        {"pipeline.verify_workers": "true", "pipeline.hedge_factor": "1.5"},
+        {"pipeline.verify_workers": "true", "pipeline.workers": "3"},
     )
     assert layered.pipeline.verify_workers is True
-    assert layered.pipeline.hedge_factor == 1.5
+    assert layered.pipeline.workers == 3
     assert config.pipeline.verify_workers is False  # input untouched
+    # the hedge trigger is the engine's constants, not settable paths
+    for knob in ("hedge_percentile", "hedge_factor", "hedge_min_samples"):
+        with pytest.raises(ValueError, match="unknown"):
+            apply_overrides(config, {f"pipeline.{knob}": "2"})
+        with pytest.raises(ValueError, match="unknown"):
+            from_dict({"pipeline": {knob: 2}})
 
 
 def test_pipeline_section_validates():
@@ -291,8 +297,6 @@ def test_pipeline_section_validates():
         PipelineConfig(pool="gpu")
     with pytest.raises(ValueError, match="deadline_s"):
         PipelineConfig(deadline_s=-1.0)
-    with pytest.raises(ValueError, match="hedge_factor"):
-        PipelineConfig(hedge_factor=0.9)
 
 
 def test_pipeline_section_builds_a_live_pipeline():

@@ -4,9 +4,11 @@ The mutation half constructs deliberately broken
 :class:`~repro.kernels.RegionProgram` objects — one seeded bug each —
 and asserts the analyzer reports exactly the right check id.  The
 property half proves the *absence* of false positives: every program
-the real lowering pipeline emits (optimised or not, across every
+the real lowering pipeline emits (whole and pruned plans, across every
 registered code and policy) must pass strict analysis with zero
-findings, warnings included.
+findings, warnings included.  The structural rules are the ones
+:meth:`RegionProgram.validate` enforces, so each mutation must also
+make ``validate`` raise.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 from repro.codes import get_code, is_decodable
 from repro.core.planner import plan_decode
 from repro.core.sequences import SequencePolicy
-from repro.kernels import lower_matrix, lower_plan
+from repro.kernels import lower_matrix_chain, lower_plan
 from repro.kernels.ir import (
     OP_COPY,
     OP_MUL,
@@ -26,7 +28,6 @@ from repro.kernels.ir import (
     RegionProgram,
 )
 from repro.verify import DEFAULT_INSTANCES, analyze_program, assert_dataflow_valid
-from repro.verify.dataflow import check_program
 from repro.verify.findings import DataflowVerificationError
 from repro.verify.sweep import iter_scenarios
 
@@ -107,11 +108,32 @@ class TestMutationsCaught:
         report = analyze_program(program)
         assert "dataflow/duplicate-output" in checks_of(report)
 
-    def test_check_program_raises_and_passes_through(self):
-        good = make_program(GOOD)
-        assert check_program(good) is good
-        with pytest.raises(DataflowVerificationError):
-            check_program(make_program([(OP_COPY, 3, 2, 1)]))
+    def test_input_slot_output(self):
+        report = analyze_program(make_program(GOOD, outputs=(0,)))
+        assert "dataflow/slot-range" in checks_of(report)
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            make_program([(OP_COPY, 3, 2, 1)]),
+            make_program([(OP_COPY, 2, 0, 1), (OP_MUL, 2, 2, 3)], outputs=(2,)),
+            make_program([(OP_MUL, 3, 0, 1)]),
+            make_program([(OP_MULXOR, 3, 0, 3)]),
+            make_program([(OP_ZERO, 0, -1, 0), (OP_COPY, 3, 0, 1)]),
+            make_program([(9, 3, 0, 0)]),
+            make_program([(OP_COPY, 2, 0, 1)], outputs=(3,)),
+            make_program(GOOD, outputs=(3, 3)),
+            make_program(GOOD, outputs=(0,)),
+            make_program([], num_inputs=0, pool=1, outputs=()),
+            make_program([], num_inputs=4, pool=2, outputs=()),
+        ],
+    )
+    def test_validate_raises_on_what_analysis_reports(self, program):
+        # one rule set: the first reported violation is what validate raises
+        first = analyze_program(program).errors[0]
+        with pytest.raises(ValueError) as exc_info:
+            program.validate()
+        assert first.message in str(exc_info.value)
 
     def test_assert_dataflow_valid_strict(self):
         assert_dataflow_valid(make_program(GOOD))
@@ -155,8 +177,8 @@ class TestNoFalsePositives:
     """Every real compiled program is strict-clean (warnings included)."""
 
     @pytest.mark.parametrize("kind", sorted(DEFAULT_INSTANCES))
-    @pytest.mark.parametrize("optimize", [False, True])
-    def test_lowered_plans_pass_strict(self, kind, optimize):
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_lowered_plans_pass_strict(self, kind, pruned):
         code = get_code(kind, **DEFAULT_INSTANCES[kind])
         seen = 0
         for faulty in iter_scenarios(code, samples=6, seed=7):
@@ -164,25 +186,15 @@ class TestNoFalsePositives:
                 continue
             for policy in (SequencePolicy.PAPER, SequencePolicy.AUTO):
                 plan = plan_decode(code, faulty, policy=policy)
-                compiled = lower_plan(code.field, plan, optimize=optimize)
+                if pruned:  # what a one-block degraded read compiles
+                    plan = plan.for_targets(plan.faulty_ids[-1:])
+                compiled = lower_plan(code.field, plan)
                 report = analyze_program(compiled.program, strict=True)
-                if optimize:
-                    # optimised programs must be warning-free too:
-                    # compact_slots recycled every temp, CSE left no
-                    # dead stores
-                    findings = report.findings
-                else:
-                    # unoptimised programs legitimately hold slack
-                    # slots (compact_slots has not run); errors and the
-                    # other liveness warnings must still be absent
-                    findings = [
-                        f
-                        for f in report.findings
-                        if f.check != "dataflow/pool-slack"
-                    ]
-                assert findings == [], (
+                # warning-free too: compact_slots recycled every temp,
+                # CSE and dead-code elimination left no dead stores
+                assert report.findings == [], (
                     f"{kind} faulty={faulty} policy={policy}: "
-                    + "; ".join(f.format() for f in findings)
+                    + "; ".join(f.format() for f in report.findings)
                 )
                 seen += 1
         assert seen > 0
@@ -190,6 +202,6 @@ class TestNoFalsePositives:
     @pytest.mark.parametrize("kind", ["rs", "evenodd"])
     def test_lowered_matrices_pass_strict(self, kind):
         code = get_code(kind, **DEFAULT_INSTANCES[kind])
-        program = lower_matrix(code.field, code.H.array)
+        program = lower_matrix_chain(code.field, [code.H.array])
         report = analyze_program(program, strict=True)
         assert report.findings == []
