@@ -24,12 +24,17 @@ On a concurrent pool, work is scheduled at (pattern x independent stage)
 granularity and spread over workers with the LPT greedy from
 :mod:`repro.parallel.assignment` (or round-robin, Algorithm 1's
 ``p mod T``); each pattern's dependent stage (``H_rest``) then runs on
-the caller's thread.  A serial pool runs each pattern as its one cached
-whole-plan program instead.
+the caller's thread.  On an LPT thread pool a pattern batch of at least
+``2 * MIN_TILE_SYMBOLS`` fused symbols is first cut into up to one
+symbol range per worker: every stage is column-independent, so each stage runs
+once per tile and the dependent stage's tiles go to the pool too.  A
+serial pool runs each pattern as its one cached whole-plan program
+instead.
 """
 
 from __future__ import annotations
 
+import bisect
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, wait
@@ -58,6 +63,12 @@ from .pool import StragglerTimeout, WorkerPool, make_pool
 #: ``(S, F^-1)`` — to the fused survivor ``regions``, recovering
 #: ``faulty_ids``.  Pure data, picklable for process pools.
 _Task = tuple[int, tuple[np.ndarray, ...], list[np.ndarray], tuple[int, ...]]
+
+#: Shortest tile: the bitsliced backend's paired tables pay off from
+#: ~16K symbols (:mod:`repro.kernels.backends.bitsliced`), so a batch is
+#: cut into at most ``fused length // MIN_TILE_SYMBOLS`` tiles — it tiles
+#: only from twice this.
+MIN_TILE_SYMBOLS = 1 << 14
 
 #: LRU capacity of every pipeline's :class:`PlanCache`.
 PLAN_CACHE_SIZE = 128
@@ -130,16 +141,40 @@ def _run_task_bucket(
 
     The field is reconstructed from ``(w, polynomial)`` and the ops
     instance (with its program cache) persists in the worker process
-    across submissions; op accounting happens in the parent (child
-    counters cannot be shared), see
-    :meth:`DecodePipeline._account_remote_tasks`.
+    across submissions; op accounting happens in the parent, like for
+    every pool, see :meth:`DecodePipeline._book`.
     """
     t0 = time.perf_counter()
     ops = _child_ops(w, polynomial)
     out: dict[int, dict[int, np.ndarray]] = {}
     for task_id, matrices, regions, faulty_ids in tasks:
-        out[task_id] = dict(zip(faulty_ids, ops.matrix_chain_apply(matrices, regions)))
+        out[task_id] = dict(zip(faulty_ids, _chain(ops, matrices, regions)))
     return out, time.perf_counter() - t0
+
+
+def _chain(
+    ops: CompiledRegionOps, matrices: Sequence[np.ndarray], regions: Sequence[np.ndarray]
+) -> list[np.ndarray]:
+    """Run one matrix chain without booking its model count: the engine
+    books each (batch, stage) once, however many tiles or repeats ran it
+    (see :meth:`DecodePipeline._book`)."""
+    program = ops.programs.chain_program(ops.field, matrices)
+    return ops.executor.execute(program, list(regions))
+
+
+def _walk_dependent(
+    ops: CompiledRegionOps, stages: Sequence[Stage], blocks: dict[int, np.ndarray]
+) -> tuple[dict[int, np.ndarray], float]:
+    """Run dependent ``stages`` in order over ``blocks`` (one tile's
+    survivors and phase-1 outputs, extended in place); returns what they
+    recovered and the seconds it took."""
+    t0 = time.perf_counter()
+    recovered: dict[int, np.ndarray] = {}
+    for stage in stages:
+        regions = [blocks[b] for b in stage.survivor_ids]
+        recovered.update(zip(stage.faulty_ids, _chain(ops, stage.arrays, regions)))
+        blocks.update(recovered)
+    return recovered, time.perf_counter() - t0
 
 
 class _PatternBatch:
@@ -153,7 +188,8 @@ class _PatternBatch:
         self.indices: list[int] = []  # positions in the submitted batch
         self.offsets: list[int] = [0]  # concat boundaries, len(indices)+1
         self.concat: Mapping[int, np.ndarray] = {}  # survivor id -> fused region
-        self.recovered: dict[int, np.ndarray] = {}  # faulty id -> fused region
+        self.bounds: list[int] = [0]  # tile boundaries, a subset of offsets
+        self.recovered: list[dict[int, np.ndarray]] = []  # per tile: faulty id -> region
 
     def fuse(self, blocks_list: list[Mapping[int, np.ndarray]]) -> None:
         """Concatenate the survivor regions this plan reads, per block id.
@@ -174,11 +210,44 @@ class _PatternBatch:
             else {b: np.concatenate([blocks[b] for blocks in maps]) for b in read_ids}
         )
 
+    def cut(self, tiles: int) -> None:
+        """Cut the fused range into up to ``tiles`` symbol ranges of
+        about ``MIN_TILE_SYMBOLS`` or more each.
+
+        Boundaries sit on even stripe offsets nearest the equal split
+        (a stripe's output stays inside one tile, and a tile stays
+        2-symbol aligned for the paired-gather backend); a batch shorter
+        than ``2 * MIN_TILE_SYMBOLS`` stays one tile.
+        """
+        total = self.offsets[-1]
+        tiles = min(tiles, total // MIN_TILE_SYMBOLS)
+        inner = [o for o in self.offsets[1:-1] if o % 2 == 0]
+        cuts = (
+            {min(inner, key=lambda o: abs(o * tiles - total * k)) for k in range(1, tiles)}
+            if inner
+            else set()
+        )
+        # batch owned by one decode_batch call; workers only get views
+        self.bounds = [0, *sorted(cuts), total]  # ppm: noqa[PPM010]
+        self.recovered = [{} for _ in cuts] + [{}]  # ppm: noqa[PPM010]
+
+    def tile(self, index: int) -> Mapping[int, np.ndarray]:
+        """The fused survivors of tile ``index`` (views, no copies)."""
+        if len(self.recovered) == 1:
+            return self.concat
+        lo, hi = self.bounds[index], self.bounds[index + 1]
+        return {b: region[lo:hi] for b, region in self.concat.items()}
+
     def split(self, results: list[dict[int, np.ndarray]]) -> None:
-        """Slice each fused target region back into per-stripe views."""
+        """Slice each target region back into per-stripe views of the
+        tile the stripe lies in."""
         for rank, index in enumerate(self.indices):
             lo, hi = self.offsets[rank], self.offsets[rank + 1]
-            results[index] = {bid: self.recovered[bid][lo:hi] for bid in self.targets}
+            t = min(bisect.bisect_right(self.bounds, lo), len(self.recovered)) - 1
+            base = self.bounds[t]
+            results[index] = {
+                bid: self.recovered[t][bid][lo - base : hi - base] for bid in self.targets
+            }
 
 
 class DecodePipeline:
@@ -186,7 +255,11 @@ class DecodePipeline:
 
     Every plan runs as compiled :class:`~repro.kernels.RegionProgram`
     kernels from the pipeline's :class:`~repro.kernels.ProgramCache`,
-    whatever the pool.
+    whatever the pool.  On an LPT thread pool a pattern batch of at
+    least ``2 * MIN_TILE_SYMBOLS`` fused symbols is cut into up to one
+    symbol range per worker, and every stage — ``H_rest`` included — runs once
+    per tile on the pool; shorter batches, the round-robin presets and
+    the process and serial pools run one tile.
 
     Its native entry point is :meth:`decode_batch`; :meth:`decode` (the
     single-stripe protocol :class:`repro.stripes.DiskArray` speaks) is a
@@ -242,9 +315,9 @@ class DecodePipeline:
         Overridable per call via ``decode_batch(..., deadline_s=...)``.
     faults:
         Optional :class:`~repro.service.store.FaultInjector` whose
-        slow-worker/corrupt-worker modes apply to primary worker
-        executions on the thread/serial path (hedges and process-pool
-        children are not injected) — the test hook proving the
+        slow-worker/corrupt-worker modes apply to primary phase-1
+        executions on the thread/serial path (hedges, phase-2 tiles and
+        process-pool children are not injected) — the test hook proving the
         hedging and verification machinery works.
     """
 
@@ -312,11 +385,11 @@ class DecodePipeline:
         """The (cached) compiled region ops for ``field``.
 
         ``hedge=True`` gives the ops hedge executions use: shared
-        program cache, private counter.  A hedged bucket runs *twice*;
-        booking both runs into the pipeline's :class:`OpCounter` would
-        inflate the paper's operation accounting, so hedges compute
-        with a throwaway counter.  The primary always runs to
-        completion in the pool and is counted exactly once, win or lose.
+        program cache, private counter and executor, so
+        :meth:`executor_stats` counts primaries only.  Pool executions
+        book no op counts at all — :meth:`_book` books each unit once,
+        win or lose — so a hedged bucket running *twice* cannot inflate
+        the paper's operation accounting.
         """
         key = (id(field), hedge)
         with self._tally_lock:
@@ -363,12 +436,11 @@ class DecodePipeline:
             return patterns
         return cls._per_stripe(len(stripes), faulty, "erasure patterns")
 
-    def _account_remote_tasks(self, tasks: Sequence[_Task]) -> None:
-        """Book work done in child processes into the parent counter."""
-        for _task_id, matrices, regions, _faulty in tasks:
-            if not regions:
-                continue
-            length = regions[0].shape[0]
+    def _book(self, chains: Sequence[tuple[tuple[np.ndarray, ...], int]]) -> None:
+        """Book each ``(matrix chain, fused length)`` that ran — once per
+        (batch, stage) unit, however many tiles, hedges or recomputes
+        executed it — into the pipeline's counter."""
+        for matrices, length in chains:
             for m in matrices:
                 count = int(np.count_nonzero(m))
                 ones = int(np.count_nonzero(m == 1))
@@ -609,40 +681,66 @@ class DecodePipeline:
         A serial pool has no worker to hand a stage to (and nothing to
         verify, hedge or inject into), so each batch runs as its cached
         whole-plan program.  Otherwise independent stages go to the pool
-        as tasks and each batch's dependent stages follow on this thread.
+        as tasks (phase 1), one per tile of a batch cut by
+        :meth:`_PatternBatch.cut`.  The dependent stages follow: on this
+        thread for a one-tile batch, as one pool task per tile otherwise
+        (phase 2 — each tile reads only its own slice and its own phase-1
+        outputs; like this thread's walk it is not injected, hedged or
+        deadline-bound).  Only an LPT thread pool tiles; Algorithm 1's
+        round-robin presets, the process pool and the serial pool keep
+        one tile.  Each (batch, stage) unit is booked once (:meth:`_book`).
         """
         if self.pool.kind == "serial" and not self.verify_workers and self.faults is None:
             t0 = time.perf_counter()
             for batch in batches:
-                batch.recovered = ops.run_plan(batch.plan, batch.concat)
+                batch.cut(1)
+                batch.recovered[0] = ops.run_plan(batch.plan, batch.concat)
             with self._tally_lock:
                 self._busy[0] += time.perf_counter() - t0
             return len(batches)
-        # one task per (pattern, independent stage) unit; origin remembers
-        # each task's batch and stage (whose row_ids verify its output)
+        tiles = self.workers if self.pool.kind == "thread" and self.assignment == "lpt" else 1
+        # one task per (pattern, independent stage, tile) unit; origin
+        # remembers each task's batch, stage (whose row_ids verify its
+        # output) and tile
         tasks: list[_Task] = []
-        origin: dict[int, tuple[_PatternBatch, Stage]] = {}
+        origin: dict[int, tuple[_PatternBatch, Stage, int]] = {}
+        chains: list[tuple[tuple[np.ndarray, ...], int]] = []
         for batch in batches:
+            batch.cut(tiles)
+            views = [batch.tile(t) for t in range(len(batch.recovered))]
             for stage in batch.plan.stages:
-                if stage.independent:
-                    regions = [batch.concat[b] for b in stage.survivor_ids]
-                    for matrices, faulty_ids in self._stage_tasks(stage):
-                        origin[len(tasks)] = (batch, stage)
+                if not stage.independent:
+                    chains.append((stage.arrays, batch.offsets[-1]))
+                    continue
+                for matrices, faulty_ids in self._stage_tasks(stage):
+                    chains.append((matrices, batch.offsets[-1]))
+                    for t, view in enumerate(views):
+                        regions = [view[b] for b in stage.survivor_ids]
+                        origin[len(tasks)] = (batch, stage, t)
                         tasks.append((len(tasks), matrices, regions, faulty_ids))
         task_results = self._run_tasks(tasks, ops, deadline_s=deadline_s)
         if self.verify_workers:
             self._verify_task_results(code, tasks, origin, task_results, ops)
         for task_id, recovered in task_results.items():
-            origin[task_id][0].recovered.update(recovered)
+            batch, _stage, t = origin[task_id]
+            batch.recovered[t].update(recovered)
+        walks: list[tuple[dict[int, np.ndarray], Future]] = []
         for batch in batches:
-            for stage in batch.plan.stages:
-                if not stage.independent:
-                    blocks = {**batch.concat, **batch.recovered}
-                    regions = [blocks[b] for b in stage.survivor_ids]
-                    batch.recovered.update(
-                        zip(stage.faulty_ids, ops.matrix_chain_apply(stage.arrays, regions))
-                    )
-        return len(tasks)
+            dependent = [stage for stage in batch.plan.stages if not stage.independent]
+            for t, recovered in enumerate(batch.recovered if dependent else ()):
+                blocks = {**batch.tile(t), **recovered}
+                if len(batch.recovered) == 1:
+                    recovered.update(_walk_dependent(ops, dependent, blocks)[0])
+                else:
+                    future = self.pool.submit(_walk_dependent, ops, dependent, blocks)
+                    walks.append((recovered, future))
+        for t, (recovered, future) in enumerate(walks):
+            out, elapsed = future.result()
+            recovered.update(out)
+            with self._tally_lock:
+                self._busy[t % self.workers] += elapsed
+        self._book(chains)
+        return len(tasks) + len(walks)
 
     def _stage_tasks(self, stage: Stage) -> list[tuple[tuple[np.ndarray, ...], tuple[int, ...]]]:
         """``(matrix chain, block ids it recovers)`` units of one stage —
@@ -685,33 +783,31 @@ class DecodePipeline:
         self,
         code: ErasureCode,
         tasks: list[_Task],
-        origin: dict[int, tuple[_PatternBatch, Stage]],
+        origin: dict[int, tuple[_PatternBatch, Stage, int]],
         task_results: dict[int, dict[int, np.ndarray]],
         ops: CompiledRegionOps,
     ) -> None:
         """Syndrome-check every worker result; recompute the ones that fail.
 
         The check is :func:`repro.stripes.scrub.verify_rows` over the
-        task's plan rows: survivors (from the fused batch) plus the
-        recovered regions must zero those parity rows, and since the
-        plan's ``F`` sub-matrix is invertible, *any* corruption of the
-        recovered regions is caught.  A failing result is quarantined —
-        replaced by a recompute on this (caller) thread via the same
-        counted ops, the trusted path no injection or hedging touches —
-        so a wrong worker output is never merged.  Verification itself
-        uses fresh uncounted ops, leaving the paper's operation
-        accounting untouched.
+        task's plan rows: survivors (from the fused batch, sliced to the
+        task's tile) plus the recovered regions must zero those parity
+        rows, and since the plan's ``F`` sub-matrix is invertible, *any*
+        corruption of the recovered regions is caught.  A failing result
+        is quarantined — replaced by a recompute on this (caller)
+        thread, the trusted path no injection or hedging touches — so a
+        wrong worker output is never merged.  Neither the check nor the
+        recompute is booked: the unit's model count is booked once by
+        :meth:`_book`.
         """
         check_ops = RegionOps(code.field)
         for task_id in sorted(task_results):
-            batch, stage = origin[task_id]
-            blocks = {**batch.concat, **task_results[task_id]}
+            batch, stage, t = origin[task_id]
+            blocks = {**batch.tile(t), **task_results[task_id]}
             if verify_rows(code, stage.row_ids, blocks, ops=check_ops):
                 continue
             _tid, matrices, regions, faulty_ids = tasks[task_id]
-            task_results[task_id] = dict(
-                zip(faulty_ids, ops.matrix_chain_apply(matrices, regions))
-            )
+            task_results[task_id] = dict(zip(faulty_ids, _chain(ops, matrices, regions)))
             with self._tally_lock:
                 self._verify_rejects += 1
 
@@ -721,7 +817,8 @@ class DecodePipeline:
         ops: CompiledRegionOps,
         deadline_s: float | None = None,
     ) -> dict[int, dict[int, np.ndarray]]:
-        """Spread tasks over the pool (LPT by fused cost) and gather.
+        """Spread tasks over the pool (LPT by mult-entries x region
+        length) and gather.
 
         The gather is hedging- and deadline-aware: see
         :meth:`_gather_hedged`.  Fault injection (``self.faults``)
@@ -729,19 +826,18 @@ class DecodePipeline:
         """
         if not tasks:
             return {}
+        # a task's work is its mult-entries x its own region length (tiles
+        # and patterns of different stripe counts differ in length)
         costs = [
             sum(int(np.count_nonzero(m)) for m in matrices)
-            for _tid, matrices, _regions, _faulty in tasks
+            * max(1, regions[0].shape[0] if regions else 0)
+            for _tid, matrices, regions, _faulty in tasks
         ]
         assign = assign_lpt if self.assignment == "lpt" else assign_round_robin
         buckets = [b for b in assign(costs, self.workers) if b]
-        # latency-tracker shape key: total mult-entries x fused symbols,
-        # banded to powers of two so similar buckets share a history
-        length = tasks[0][2][0].shape[0] if tasks[0][2] else 0
-        keys = [
-            (sum(costs[i] for i in bucket) * max(1, length)).bit_length()
-            for bucket in buckets
-        ]
+        # latency-tracker shape key: the bucket's work, banded to powers
+        # of two so similar buckets share a history
+        keys = [sum(costs[i] for i in bucket).bit_length() for bucket in buckets]
         faults = self.faults
 
         def run_local(
@@ -755,7 +851,7 @@ class DecodePipeline:
             out: dict[int, dict[int, np.ndarray]] = {}
             for i in bucket:
                 task_id, matrices, regions, faulty_ids = tasks[i]
-                recovered = dict(zip(faulty_ids, local_ops.matrix_chain_apply(matrices, regions)))
+                recovered = dict(zip(faulty_ids, _chain(local_ops, matrices, regions)))
                 if inject and faults is not None:
                     faults.corrupt_worker_output(recovered)
                 out[task_id] = recovered
@@ -786,7 +882,6 @@ class DecodePipeline:
                 )
 
             gathered = self._gather_hedged(submit, keys, deadline_s)
-            self._account_remote_tasks(tasks)
         merged: dict[int, dict[int, np.ndarray]] = {}
         with self._tally_lock:
             for worker_index, (out, elapsed) in enumerate(gathered):
