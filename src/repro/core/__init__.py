@@ -1,8 +1,8 @@
 """The PPM algorithm: the paper's primary contribution.
 
 Pipeline: :func:`build_log_table` -> :func:`partition` (or the SD fast
-path :func:`partition_sd`) -> :func:`plan_decode` (costs C1..C4, sequence
-choice, ``DecodePlan.stages``).  This package *plans*;
+path :func:`partition_sd`) -> :func:`plan_decode` / :func:`plan_batch`
+(costs C1..C4, sequence choice, ``DecodePlan.stages``).  This package *plans*;
 :class:`repro.pipeline.DecodePipeline` *executes*.  The decoder classes
 re-exported here (:class:`PPMDecoder`, the :class:`TraditionalDecoder`
 baseline, ...) are presets of that engine.
@@ -13,14 +13,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .logtable import LogTableEntry, build_log_table, format_log_table
-from .partition import IndependentGroup, Partition, partition, partition_sd
+from .partition import GroupPlan, IndependentGroup, Partition, partition, partition_sd
 from .planner import (
     DecodePlan,
-    GroupPlan,
     RestPlan,
     Stage,
     TraditionalPlan,
     evaluate_costs,
+    plan_batch,
     plan_decode,
 )
 from .sequences import ExecutionMode, SequenceCosts, SequencePolicy
@@ -71,6 +71,7 @@ __all__ = [
     "Stage",
     "TraditionalPlan",
     "evaluate_costs",
+    "plan_batch",
     "plan_decode",
     "ExecutionMode",
     "SequenceCosts",

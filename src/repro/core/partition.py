@@ -18,9 +18,20 @@ which the test suite asserts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from ..matrix import GFMatrix, SingularMatrixError, select_independent_rows
+import numpy as np
+
+from ..gf import GF
+from ..matrix import (
+    GFMatrix,
+    SingularMatrixError,
+    invert,
+    select_independent_rows,
+    split_fs,
+    u,
+)
 from .logtable import LogTableEntry, build_log_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (codes -> core)
@@ -76,12 +87,98 @@ class Partition:
         return bool(self.rest_faulty_ids)
 
 
+@dataclass(frozen=True)
+class GroupPlan:
+    """Matrix-first decode of one independent sub-matrix.
+
+    Recover ``faulty_ids`` as ``W @ [blocks[s] for s in survivor_ids]``;
+    the cost is ``u(W)`` mult_XORs.
+    """
+
+    row_ids: tuple[int, ...]
+    faulty_ids: tuple[int, ...]
+    survivor_ids: tuple[int, ...]
+    weights: GFMatrix
+
+    @property
+    def cost(self) -> int:
+        return u(self.weights)
+
+
+#: Distinct group coefficient blocks remembered by :func:`_group_weights`.
+#: A code has few: 512 worst-case SD(10,8,2,2) patterns hold 3,130 groups
+#: but only 45 distinct ``(F_i, S_i)`` pairs, one per dead-disk pair.
+GROUP_SOLVE_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=GROUP_SOLVE_CACHE_SIZE)
+def _group_weights(
+    field: GF, f_shape: tuple, f_bytes: bytes, s_shape: tuple, s_bytes: bytes
+) -> np.ndarray | None:
+    """``F_i^-1 S_i`` of one independent group, memoised by content, or
+    ``None`` when ``F_i`` is singular.
+
+    The key is the coefficients alone, with no block ids: groups in
+    different stripe rows of one code solve the same matrices.  Returns
+    a read-only array; callers wrap it in their own matrix.
+    """
+    f = np.frombuffer(f_bytes, dtype=field.dtype).reshape(f_shape)
+    s = np.frombuffer(s_bytes, dtype=field.dtype).reshape(s_shape)
+    try:
+        f_inv = invert(GFMatrix(field, f, copy=False))
+    except SingularMatrixError:
+        return None
+    return (f_inv @ GFMatrix(field, s, copy=False)).array
+
+
+def _solve_group(h: GFMatrix, rows: Sequence[int], support: tuple[int, ...]) -> GroupPlan:
+    """One candidate group's sub-plan: the first-wins ``len(support)`` of
+    ``rows`` whose restriction to ``support`` has full rank, and
+    ``W_i = F_i^-1 S_i``.
+
+    The first ``t`` rows are that pick whenever their ``F_i`` is
+    invertible, which the memo answers by content, so the row selection
+    is a memo lookup.  Only when it is not does the elimination choose
+    the rows, raising :class:`~repro.matrix.SingularMatrixError` if none
+    will do.
+    """
+
+    def lookup(picked: tuple[int, ...]) -> GroupPlan | None:
+        split = split_fs(h.take_rows(picked), support)
+        f, s = split.F.array, split.S.array
+        w = _group_weights(h.field, f.shape, f.tobytes(), s.shape, s.tobytes())
+        if w is None:
+            return None
+        return GroupPlan(picked, split.faulty_ids, split.survivor_ids, GFMatrix(h.field, w))
+
+    group = lookup(tuple(rows[: len(support)]))
+    if group is None:
+        f = GFMatrix(h.field, h.array[np.ix_(rows, support)], copy=False)
+        chosen = select_independent_rows(f, len(support))
+        group = lookup(tuple(rows[i] for i in chosen))
+    assert group is not None  # first-wins rows are independent by construction
+    return group
+
+
 def partition(
     h: GFMatrix,
     faulty: Sequence[int],
     log_table: Sequence[LogTableEntry] | None = None,
 ) -> Partition:
     """General log-table partition of ``h`` for a failure scenario."""
+    return solve_partition(h, faulty, log_table)[0]
+
+
+def solve_partition(
+    h: GFMatrix,
+    faulty: Sequence[int],
+    log_table: Sequence[LogTableEntry] | None = None,
+) -> tuple[Partition, tuple[GroupPlan, ...]]:
+    """:func:`partition` and each group's sub-plan, in group order.
+
+    A candidate group's rows are picked, and its ``W_i`` solved, by one
+    lookup in the content-keyed group memo.
+    """
     faulty = sorted(set(faulty))
     entries = build_log_table(h, faulty) if log_table is None else list(log_table)
     discarded = [e.i for e in entries if e.t == 0]
@@ -92,7 +189,7 @@ def partition(
     # smaller supports first so singletons claim their blocks before any
     # larger overlapping group; ties broken by first row id for determinism
     ordered = sorted(by_support.items(), key=lambda kv: (len(kv[0]), kv[1][0]))
-    groups: list[IndependentGroup] = []
+    solved: list[tuple[IndependentGroup, GroupPlan]] = []
     covered: set[int] = set()
     rest_rows: list[int] = []
     for support, rows in ordered:
@@ -101,27 +198,26 @@ def partition(
             # overlaps an accepted group, or underdetermined: H_rest decides
             rest_rows.extend(rows)
             continue
-        restricted = h.take_rows(rows).take_columns(list(support))
         try:
-            picked = select_independent_rows(restricted, t)
+            plan = _solve_group(h, rows, tuple(support))
         except SingularMatrixError:
             rest_rows.extend(rows)
             continue
-        selected = tuple(rows[i] for i in picked)
-        redundant = tuple(rid for rid in rows if rid not in selected)
-        groups.append(
-            IndependentGroup(
-                row_ids=selected, faulty_ids=tuple(support), redundant_row_ids=redundant
-            )
+        redundant = tuple(rid for rid in rows if rid not in plan.row_ids)
+        group = IndependentGroup(
+            row_ids=plan.row_ids, faulty_ids=tuple(support), redundant_row_ids=redundant
         )
+        solved.append((group, plan))
         covered.update(support)
+    solved.sort(key=lambda pair: pair[0].row_ids[0])
     rest_faulty = tuple(b for b in faulty if b not in covered)
-    return Partition(
-        groups=tuple(sorted(groups, key=lambda g: g.row_ids[0])),
+    part = Partition(
+        groups=tuple(group for group, _ in solved),
         rest_row_ids=tuple(sorted(rest_rows)),
         rest_faulty_ids=rest_faulty,
         discarded_row_ids=tuple(discarded),
     )
+    return part, tuple(plan for _, plan in solved)
 
 
 def partition_sd(code: "SDCode", faulty: Sequence[int]) -> Partition:

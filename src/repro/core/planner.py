@@ -12,41 +12,15 @@ for a rebuild touching thousands of stripes with one failure geometry).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from ..codes.base import ErasureCode
-from ..gf import GF
-from ..matrix import (
-    GFMatrix,
-    SingularMatrixError,
-    invert,
-    select_and_invert,
-    split_fs,
-    u,
-)
-from .partition import Partition, partition
+from ..matrix import GFMatrix, SingularMatrixError, select_and_invert_stack, split_fs, u
+from .partition import GroupPlan, Partition, solve_partition
 from .sequences import ExecutionMode, SequenceCosts, SequencePolicy
-
-
-@dataclass(frozen=True)
-class GroupPlan:
-    """Matrix-first decode of one independent sub-matrix.
-
-    Recover ``faulty_ids`` as ``W @ [blocks[s] for s in survivor_ids]``;
-    the cost is ``u(W)`` mult_XORs.
-    """
-
-    row_ids: tuple[int, ...]
-    faulty_ids: tuple[int, ...]
-    survivor_ids: tuple[int, ...]
-    weights: GFMatrix
-
-    @property
-    def cost(self) -> int:
-        return u(self.weights)
 
 
 @dataclass(frozen=True)
@@ -281,46 +255,127 @@ class DecodePlan:
         return tuple(sorted(read.difference(self.faulty_ids)))
 
 
-def _square_subplan(h: GFMatrix, rows: Sequence[int], faulty: Sequence[int]):
-    """Select rows making F square+invertible; return (rows, split, F^-1)."""
-    sub = h.take_rows(rows)
-    split = split_fs(sub, faulty)
-    picked, f_inv = select_and_invert(split.F)
-    selected_rows = tuple(rows[i] for i in picked)
-    s_sel = split.S.take_rows(picked)
-    # row selection may zero out survivor columns; compact again
-    keep = np.flatnonzero(s_sel.array.any(axis=0)).tolist()
-    survivor_ids = tuple(split.survivor_ids[c] for c in keep)
-    s_sel = s_sel.take_columns(keep)
-    return selected_rows, split.faulty_ids, survivor_ids, f_inv, s_sel
+@dataclass(frozen=True)
+class _Scenario:
+    """One pattern between its partition and its plan.
 
-
-#: Distinct group coefficient blocks remembered by :func:`_group_weights`.
-#: A code has few: 512 worst-case SD(10,8,2,2) patterns hold 3,130 groups
-#: but only 45 distinct ``(F_i, S_i)`` pairs, one per dead-disk pair.
-GROUP_SOLVE_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=GROUP_SOLVE_CACHE_SIZE)
-def _group_weights(
-    field: GF, f_shape: tuple, f_bytes: bytes, s_shape: tuple, s_bytes: bytes
-) -> np.ndarray:
-    """``F_i^-1 S_i`` of one independent group, memoised by content.
-
-    The key is the coefficients alone, with no block ids: groups in
-    different stripe rows of one code solve the same matrices.  Returns
-    a read-only array; callers wrap it in their own matrix.
+    ``systems`` are its square systems as ``(rows, faulty)``: the
+    traditional one, then ``H_rest``'s.
     """
-    f = np.frombuffer(f_bytes, dtype=field.dtype).reshape(f_shape)
-    s = np.frombuffer(s_bytes, dtype=field.dtype).reshape(s_shape)
-    return (invert(GFMatrix(field, f, copy=False)) @ GFMatrix(field, s, copy=False)).array
+
+    faulty: tuple[int, ...]
+    partition: Partition
+    groups: tuple[GroupPlan, ...]
+    systems: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    @classmethod
+    def partitioned(cls, h: GFMatrix, faulty: Sequence[int]) -> "_Scenario":
+        faulty = tuple(sorted(set(faulty)))
+        if not faulty:
+            raise ValueError("no faulty blocks: nothing to plan")
+        if len(faulty) > h.rows:
+            raise SingularMatrixError(
+                f"{len(faulty)} faults exceed the {h.rows} parity constraints"
+            )
+        part, groups = solve_partition(h, faulty)
+        systems = ((tuple(range(h.rows)), faulty),)
+        if part.rest_faulty_ids:
+            systems += ((part.rest_row_ids, part.rest_faulty_ids),)
+        return cls(faulty, part, groups, systems)
+
+    def plan(self, h: GFMatrix, policy: SequencePolicy, solved: Sequence) -> DecodePlan:
+        """The plan, given each system's elimination in ``systems``
+        order; a singular system raises here, the traditional one first."""
+
+        def square(rows, faulty, solved):
+            if isinstance(solved, SingularMatrixError):
+                raise solved
+            picked, inverse = solved
+            selected = tuple(rows[i] for i in picked)
+            split = split_fs(h.take_rows(selected), faulty)
+            f_inv = GFMatrix(h.field, inverse, copy=False)
+            return dict(
+                row_ids=selected,
+                faulty_ids=split.faulty_ids,
+                survivor_ids=split.survivor_ids,
+                f_inv=f_inv,
+                s=split.S,
+                weights=f_inv @ split.S,
+            )
+
+        trad = TraditionalPlan(**square(*self.systems[0], solved[0]))
+        rest = None
+        if len(self.systems) > 1:
+            rest = RestPlan(**square(*self.systems[1], solved[1]))
+        group_total = sum(g.cost for g in self.groups)
+        costs = SequenceCosts(
+            c1=trad.cost_normal,
+            c2=trad.cost_matrix_first,
+            c3=group_total + (rest.cost_matrix_first if rest else 0),
+            c4=group_total + (rest.cost_normal if rest else 0),
+        )
+        return DecodePlan(
+            faulty_ids=self.faulty,
+            targets=self.faulty,
+            partition=self.partition,
+            traditional=trad,
+            groups=self.groups,
+            rest=rest,
+            costs=costs,
+            policy=policy,
+            mode=costs.choose(policy),
+        )
+
+
+def plan_batch(
+    source: ErasureCode | GFMatrix,
+    patterns: Sequence[Sequence[int]],
+    policy: SequencePolicy = SequencePolicy.PAPER,
+) -> list[DecodePlan]:
+    """Whole-pattern plans for several failure scenarios, made together.
+
+    The one planner: :func:`plan_decode` is a batch of one.  Each
+    pattern is partitioned with its groups' sub-plans taken from the
+    content-keyed group memo.  Then the traditional and ``H_rest`` square
+    systems of every pattern are stacked by shape, and each stack runs
+    one first-wins elimination
+    (:func:`~repro.matrix.select_and_invert_stack`), so a batch costs one
+    elimination loop per distinct shape, not two per pattern.  Every
+    plan equals what planning its pattern alone gives.
+
+    Raises what planning the patterns one by one, in order, raises
+    first; nothing is returned for any of them then.
+    """
+    h = source.H if isinstance(source, ErasureCode) else source
+    scenarios: list[_Scenario | Exception] = []
+    for faulty in patterns:
+        try:
+            scenarios.append(_Scenario.partitioned(h, faulty))
+        except (ValueError, IndexError) as exc:  # raised in pattern order below
+            scenarios.append(exc)
+    # (pattern index, system index) of every square system, by shape
+    stacks: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, scenario in enumerate(scenarios):
+        if isinstance(scenario, _Scenario):
+            for k, (rows, faulty) in enumerate(scenario.systems):
+                stacks.setdefault((len(rows), len(faulty)), []).append((i, k))
+    solved: dict[tuple[int, int], object] = {}
+    for members in stacks.values():
+        stack = np.stack([h.array[np.ix_(*scenarios[i].systems[k])] for i, k in members])
+        solved.update(zip(members, select_and_invert_stack(h.field, stack)))
+    plans = []
+    for i, scenario in enumerate(scenarios):
+        if isinstance(scenario, Exception):
+            raise scenario
+        systems = range(len(scenario.systems))
+        plans.append(scenario.plan(h, policy, [solved[i, k] for k in systems]))
+    return plans
 
 
 def plan_decode(
     source: ErasureCode | GFMatrix,
     faulty: Sequence[int],
     policy: SequencePolicy = SequencePolicy.PAPER,
-    partition_result: Partition | None = None,
     targets: Sequence[int] | None = None,
 ) -> DecodePlan:
     """Build the full decode plan for a failure scenario.
@@ -332,78 +387,7 @@ def plan_decode(
     ``ValueError``.  Raises :class:`~repro.matrix.SingularMatrixError`
     if the scenario is not decodable.
     """
-    h = source.H if isinstance(source, ErasureCode) else source
-    faulty = tuple(sorted(set(faulty)))
-    if not faulty:
-        raise ValueError("no faulty blocks: nothing to plan")
-    if len(faulty) > h.rows:
-        raise SingularMatrixError(
-            f"{len(faulty)} faults exceed the {h.rows} parity constraints"
-        )
-    part = partition(h, faulty) if partition_result is None else partition_result
-
-    # traditional whole-matrix plan (C1 / C2 baseline)
-    t_rows, t_faulty, t_surv, t_finv, t_s = _square_subplan(
-        h, list(range(h.rows)), faulty
-    )
-    trad = TraditionalPlan(
-        row_ids=t_rows,
-        faulty_ids=t_faulty,
-        survivor_ids=t_surv,
-        f_inv=t_finv,
-        s=t_s,
-        weights=t_finv @ t_s,
-    )
-
-    # independent groups, always matrix-first
-    groups = []
-    for g in part.groups:
-        sub = h.take_rows(g.row_ids)
-        split = split_fs(sub, g.faulty_ids)
-        f, s = split.F.array, split.S.array
-        w = _group_weights(h.field, f.shape, f.tobytes(), s.shape, s.tobytes())
-        groups.append(
-            GroupPlan(
-                row_ids=g.row_ids,
-                faulty_ids=split.faulty_ids,
-                survivor_ids=split.survivor_ids,
-                weights=GFMatrix(h.field, w),
-            )
-        )
-
-    # remaining sub-matrix: recovered blocks act as survivors
-    rest = None
-    if part.rest_faulty_ids:
-        r_rows, r_faulty, r_surv, r_finv, r_s = _square_subplan(
-            h, list(part.rest_row_ids), part.rest_faulty_ids
-        )
-        rest = RestPlan(
-            row_ids=r_rows,
-            faulty_ids=r_faulty,
-            survivor_ids=r_surv,
-            f_inv=r_finv,
-            s=r_s,
-            weights=r_finv @ r_s,
-        )
-
-    group_total = sum(gp.cost for gp in groups)
-    costs = SequenceCosts(
-        c1=trad.cost_normal,
-        c2=trad.cost_matrix_first,
-        c3=group_total + (rest.cost_matrix_first if rest else 0),
-        c4=group_total + (rest.cost_normal if rest else 0),
-    )
-    plan = DecodePlan(
-        faulty_ids=faulty,
-        targets=faulty,
-        partition=part,
-        traditional=trad,
-        groups=tuple(groups),
-        rest=rest,
-        costs=costs,
-        policy=policy,
-        mode=costs.choose(policy),
-    )
+    (plan,) = plan_batch(source, [faulty], policy)
     return plan if targets is None else plan.for_targets(targets)
 
 

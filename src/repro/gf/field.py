@@ -57,9 +57,13 @@ class GF:
             t = build_logexp(w, poly)
             self._log = t.log
             self._exp = t.exp
+            # inverse table: index 0 is never read (inv(0) raises first)
+            self._inv = np.zeros(1 << w, dtype=self.dtype)
+            self._inv[1:] = t.exp[self.order - t.log[1:].astype(np.int64)]
         else:
             self._log = None
             self._exp = None
+            self._inv = None
         self.mul8_table = build_mul8(poly) if w == 8 else None
         # lazy per-constant split-table cache, managed by repro.gf.split
         self._split_cache: dict[int, tuple[np.ndarray, ...]] = {}
@@ -134,12 +138,12 @@ class GF:
     def inv(self, a):
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         a_arr = self._as_array(a)
-        scalar = a_arr.ndim == 0
-        if np.any(a_arr == 0):
+        if not a_arr.all():
             raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self._log is not None:
-            out = self._exp[self.order - self._log[a_arr]]
-            return self._ret(np.asarray(out, dtype=self.dtype), scalar)
+        if self._inv is not None:
+            # one gather; a 0-d operand indexes out a scalar of the field dtype
+            return self._inv[a_arr]
+        scalar = a_arr.ndim == 0
         # a^(2^w - 2) == a^-1 by Lagrange; square-and-multiply on arrays.
         return self._ret(self._pow32(a_arr, self.order - 1), scalar)
 

@@ -31,6 +31,7 @@ cost-model quantities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 #: Opcodes (stable small ints: programs are pure data).
@@ -111,11 +112,19 @@ class RegionProgram:
         """Structural soundness; raises :class:`ValueError` on the first
         violation of :func:`structural_violations`.
 
+        The program is frozen, so the check runs once per program object:
+        the compiler's admission and the executor's first bind share it.
         The *semantic* check (does the program compute the plan's
         transfer matrix) lives in :func:`repro.verify.verify_plan_program`.
         """
+        if self._violation is not None:
+            raise ValueError(self._violation)
+
+    @cached_property
+    def _violation(self) -> str | None:
         for _check, message, where in structural_violations(self):
-            raise ValueError(f"{where}: {message}" if where else message)
+            return f"{where}: {message}" if where else message
+        return None
 
 
 def _op_name(op: int) -> str:

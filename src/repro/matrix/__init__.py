@@ -2,9 +2,9 @@
 
 Public surface: :class:`GFMatrix`, Gaussian tools (:func:`invert`,
 :func:`rank`, :func:`select_independent_rows`, :func:`select_and_invert`,
-:func:`is_invertible`, :func:`solve`, :class:`SingularMatrixError`), the
-F/S split (:func:`split_fs`, :class:`FSSplit`) and sparsity analysis
-(:func:`u`).
+:func:`select_and_invert_stack`, :func:`is_invertible`, :func:`solve`,
+:class:`SingularMatrixError`), the F/S split (:func:`split_fs`,
+:class:`FSSplit`) and sparsity analysis (:func:`u`).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .solve import (
     is_invertible,
     rank,
     select_and_invert,
+    select_and_invert_stack,
     select_independent_rows,
     solve,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "is_invertible",
     "rank",
     "select_and_invert",
+    "select_and_invert_stack",
     "select_independent_rows",
     "solve",
     "u",

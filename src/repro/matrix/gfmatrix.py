@@ -15,6 +15,10 @@ import numpy as np
 
 from ..gf import GF
 
+#: Most products :meth:`GFMatrix.__matmul__` holds at once (one row of
+#: its right operand when that row alone is longer).
+MATMUL_BLOCK = 1 << 16
+
 
 class GFMatrix:
     """A rows x cols matrix of GF(2^w) symbols.
@@ -161,9 +165,14 @@ class GFMatrix:
         f = self.field
         a, b = self._data, other._data
         out = f.zeros((self.rows, other.cols))
-        for k in range(self.cols):
-            # outer product of column k of A with row k of B
-            np.bitwise_xor(out, f.mul(a[:, k][:, None], b[k, :][None, :]), out=out)
+        # every a[i, k] * b[k, j] in one broadcast multiply, XOR-reduced
+        # over k; blocks of rows and of k keep the temporary bounded
+        k_step = max(1, min(self.cols, MATMUL_BLOCK // max(1, other.cols)))
+        step = max(1, MATMUL_BLOCK // (k_step * max(1, other.cols)))
+        for lo in range(0, self.rows, step):
+            for k in range(0, self.cols, k_step):
+                terms = f.mul(a[lo : lo + step, k : k + k_step, None], b[None, k : k + k_step])
+                out[lo : lo + step] ^= np.bitwise_xor.reduce(terms, axis=1)
         return GFMatrix(f, out, copy=False)
 
     def matvec(self, vector: np.ndarray) -> np.ndarray:

@@ -63,25 +63,20 @@ def split_fs(
         survivors do not participate in this sub-matrix at all.
     """
     cols = h.cols
-    ids = list(range(cols)) if column_ids is None else list(column_ids)
+    ids = np.asarray(range(cols) if column_ids is None else list(column_ids), dtype=np.intp)
     if len(ids) != cols:
         raise ValueError(f"column_ids has {len(ids)} entries for {cols} columns")
-    faulty_set = set(faulty)
-    faulty_pos = [i for i, bid in enumerate(ids) if bid in faulty_set]
-    survivor_pos = [i for i, bid in enumerate(ids) if bid not in faulty_set]
-    f_matrix = h.take_columns(faulty_pos)
-    s_matrix = h.take_columns(survivor_pos)
-    survivor_ids = [ids[i] for i in survivor_pos]
-    if drop_zero_survivor_columns and s_matrix.cols:
-        keep = np.nonzero(s_matrix.array.any(axis=0))[0]
-        if keep.size != s_matrix.cols:
-            s_matrix = s_matrix.take_columns(list(keep))
-            survivor_ids = [survivor_ids[int(i)] for i in keep]
+    is_faulty = (ids[:, None] == np.asarray(list(faulty), dtype=np.intp)).any(axis=1)
+    faulty_pos = np.flatnonzero(is_faulty)
+    survivors = ~is_faulty
+    if drop_zero_survivor_columns:
+        survivors &= h.array.any(axis=0)
+    survivor_pos = np.flatnonzero(survivors)
     return FSSplit(
-        F=f_matrix,
-        S=s_matrix,
-        faulty_ids=tuple(ids[i] for i in faulty_pos),
-        survivor_ids=tuple(survivor_ids),
+        F=h.take_columns(faulty_pos),
+        S=h.take_columns(survivor_pos),
+        faulty_ids=tuple(ids[faulty_pos].tolist()),
+        survivor_ids=tuple(ids[survivor_pos].tolist()),
     )
 
 

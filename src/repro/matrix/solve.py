@@ -6,13 +6,17 @@ from an overdetermined group of parity rows (e.g. an SD stripe row with
 fewer faults than coding disks contributes m rows for v < m faults).
 Both are one row-ordered Gauss-Jordan pass (:func:`select_and_invert`),
 which picks the rows and inverts the square matrix they form together.
-:func:`rank` is separate: it is the verifier's own primitive.
+The pass runs over a stack of same-shape matrices at once
+(:func:`select_and_invert_stack`: the planner eliminates every square
+system of a batch of patterns together); a single matrix is a stack of
+one.  :func:`rank` is separate: it is the verifier's own primitive.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..gf import GF
 from .gfmatrix import GFMatrix
 
 
@@ -25,58 +29,111 @@ class SingularMatrixError(ValueError):
     """
 
 
-def _eliminate(matrix: GFMatrix, need: int) -> tuple[list[int], list[int], np.ndarray]:
+def _eliminate(
+    field: GF, stack: np.ndarray, need: int
+) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
     """Row-ordered Gauss-Jordan elimination: the one elimination loop.
 
-    Rows are taken in order.  Each is reduced against the rows kept so
-    far and kept if anything is left of it (first wins), until ``need``
-    rows are kept.  The kept rows stay in reduced row-echelon form beside
-    the transform that made them: ``aug = [E | T]`` with
-    ``E = T @ matrix[chosen]``.
+    ``stack`` is ``B`` matrices of one shape, ``(B, rows, cols)``.  Each
+    member runs the same first-wins pass: rows are taken in order, each
+    is reduced against the member's rows kept so far and kept if
+    anything is left of it, until ``need`` rows are kept.  The kept rows
+    stay in reduced row-echelon form beside the transform that made
+    them: ``[E | T]`` with ``E = T @ matrix[chosen]``.  Every member
+    advances one row per iteration, so a stack costs ``rows`` Python
+    iterations whatever ``B`` is; a stack of one is the single-matrix
+    pass.
 
-    Returns ``(chosen, pivots, T)``: the kept row indices, the pivot
-    column of each row of ``E`` and the ``need x need`` transform.  When
-    ``need == cols``, ``E`` is a permutation matrix, so the inverse of
+    Returns ``(chosen, pivots, T)``: per member the kept row indices —
+    fewer than ``need`` when its rank falls short, which the caller
+    turns into :class:`SingularMatrixError` — then the ``(B, need)``
+    pivot column of each row of ``E`` and the ``(B, need, need)``
+    transforms (meaningful for full-rank members only).  When ``need ==
+    cols``, ``E`` is a permutation matrix, so the inverse of
     ``matrix[chosen]`` is ``T`` with its rows moved to ``pivots``.
-    Raises :class:`SingularMatrixError` if fewer than ``need`` rows are
-    independent.
     """
-    f = matrix.field
-    cols = matrix.cols
-    a = matrix.array
-    aug = f.zeros((need, cols + need))
-    chosen: list[int] = []
-    pivots: list[int] = []
-    for i in range(matrix.rows):
-        k = len(chosen)
-        if k == need:
-            break
-        row = f.zeros(cols + need)
-        row[:cols] = a[i]
-        row[cols + k] = 1
-        factors = row[pivots]
-        nz = np.flatnonzero(factors)
-        if nz.size:
-            row ^= np.bitwise_xor.reduce(f.mul(factors[nz][:, None], aug[nz]), axis=0)
-        lead = np.flatnonzero(row[:cols])
-        if not lead.size:
-            continue  # in the span of the rows already kept
-        pivot = int(lead[0])
-        if row[pivot] != 1:
-            row = f.mul(f.inv(row[pivot]), row)
-        # clear the new pivot column from the kept rows (reduced form)
-        above = aug[:k, pivot]
-        nz = np.flatnonzero(above)
-        if nz.size:
-            aug[nz] ^= f.mul(above[nz][:, None], row[None, :])
-        aug[k] = row
-        chosen.append(i)
-        pivots.append(pivot)
-    if len(chosen) < need:
-        raise SingularMatrixError(
-            f"only {len(chosen)} independent rows available, {need} required"
-        )
-    return chosen, pivots, aug[:, cols:]
+    f = field
+    count, rows, cols = stack.shape
+    # [M | I], reduced in place: row i arrives carrying e_i, a kept row
+    # stays in its own slot and a dropped one is zeroed, so the rows
+    # above i are exactly the kept basis (zeros reduce nothing) and the
+    # transform is read back from the kept rows' columns at the end
+    work = f.zeros((count, rows, cols + rows))
+    work[:, :, :cols] = stack
+    work[:, :, cols:] = f.eye(rows)
+    pivots = np.zeros((count, rows), dtype=np.intp)
+    taken = np.zeros((count, rows), dtype=bool)
+    members = np.arange(count, dtype=np.intp)
+    for i in range(rows):
+        if i >= need or need < cols:
+            kept = np.count_nonzero(taken[:, :i], axis=1)
+            if kept.min() == need:
+                break  # every member has its rows
+        row = work[:, i]
+        if i:
+            factors = row[members[:, None], pivots[:, :i]]
+            row ^= np.bitwise_xor.reduce(f.mul(factors[:, :, None], work[:, :i]), axis=1)
+        lead = row[:, :cols] != 0
+        pivot = lead.argmax(axis=1)
+        found = lead[members, pivot]
+        if need < cols:
+            found &= kept < need  # a member with need rows takes no more
+        if np.count_nonzero(found) == count:
+            # every member keeps this row: whole-stack slices, no masking
+            at, sel = slice(None), members
+        else:
+            row[~found] = 0  # dropped: the slot stays an all-zero row
+            at = sel = np.flatnonzero(found)
+            if not at.size:
+                continue
+            pivot = pivot[at]
+        kept_row = f.mul(f.inv(row[sel, pivot])[:, None], row[at])
+        row[at] = kept_row
+        if i:
+            # clear the new pivot column from the kept rows (reduced form)
+            above = work[sel, :i, pivot]
+            work[at, :i] ^= f.mul(above[:, :, None], kept_row[:, None, :])
+        pivots[at, i] = pivot
+        taken[:, i] = found
+    chosen = [np.flatnonzero(t).tolist() for t in taken]
+    if not rows:  # nothing to read back: every member is short
+        return chosen, np.zeros((count, need), dtype=np.intp), f.zeros((count, need, need))
+    # full-rank members' kept rows; a short member reads row 0 instead
+    rows_of = np.array([c if len(c) == need else [0] * need for c in chosen], dtype=np.intp)
+    rows_of = rows_of.reshape(count, need)
+    index = members[:, None]
+    transforms = work[index[:, :, None], rows_of[:, :, None], cols + rows_of[:, None, :]]
+    return chosen, pivots[index, rows_of], transforms
+
+
+def _short_rank(found: int, need: int) -> SingularMatrixError:
+    return SingularMatrixError(
+        f"only {found} independent rows available, {need} required"
+    )
+
+
+def select_and_invert_stack(
+    field: GF, stack: np.ndarray
+) -> list[tuple[list[int], np.ndarray] | SingularMatrixError]:
+    """:func:`select_and_invert` for every member of a ``(B, rows, cols)``
+    stack in one elimination.
+
+    Each entry is the member's ``(rows, inverse array)``, or the
+    :class:`SingularMatrixError` :func:`select_and_invert` would raise
+    for it — returned, not raised, so one singular member does not stop
+    the others.
+    """
+    need = stack.shape[2]
+    chosen, pivots, transforms = _eliminate(field, stack, need)
+    results: list[tuple[list[int], np.ndarray] | SingularMatrixError] = []
+    for rows, pivot, transform in zip(chosen, pivots, transforms):
+        if len(rows) < need:
+            results.append(_short_rank(len(rows), need))
+            continue
+        inverse = np.empty_like(transform)
+        inverse[pivot] = transform
+        results.append((rows, inverse))
+    return results
 
 
 def select_and_invert(matrix: GFMatrix) -> tuple[list[int], GFMatrix]:
@@ -87,10 +144,11 @@ def select_and_invert(matrix: GFMatrix) -> tuple[list[int], GFMatrix]:
     ``F``).  Raises :class:`SingularMatrixError` if its rank is below its
     column count.
     """
-    chosen, pivots, transform = _eliminate(matrix, matrix.cols)
-    inverse = np.empty_like(transform)
-    inverse[pivots] = transform
-    return chosen, GFMatrix(matrix.field, inverse, copy=False)
+    (result,) = select_and_invert_stack(matrix.field, matrix.array[None])
+    if isinstance(result, SingularMatrixError):
+        raise result
+    rows, inverse = result
+    return rows, GFMatrix(matrix.field, inverse, copy=False)
 
 
 def invert(matrix: GFMatrix) -> GFMatrix:
@@ -142,7 +200,11 @@ def select_independent_rows(matrix: GFMatrix, need: int | None = None) -> list[i
     :class:`SingularMatrixError` if fewer than ``need`` independent rows
     exist.
     """
-    return _eliminate(matrix, matrix.cols if need is None else need)[0]
+    need = matrix.cols if need is None else need
+    (chosen,), _, _ = _eliminate(matrix.field, matrix.array[None], need)
+    if len(chosen) < need:
+        raise _short_rank(len(chosen), need)
+    return chosen
 
 
 def solve(a: GFMatrix, b: np.ndarray) -> np.ndarray:

@@ -567,17 +567,22 @@ class DecodePipeline:
             blocks_list = [_blocks_of(s) for s in stripes]
             results: list[dict[int, np.ndarray]] = [{} for _ in stripes]
 
-            # group stripes by (pattern, targets); every stripe resolves its
-            # plan through the cache, so the hit rate reads as "stripes
-            # served by a cached plan" (the first stripe of a new pattern is
-            # the one miss)
+            # group stripes by (pattern, targets); every stripe that lost
+            # something resolves its plan through the cache, so the hit rate
+            # reads as "stripes served by a cached plan" (the first stripe of
+            # a new pattern is the one miss), and the batch's misses are
+            # planned together
             batches: dict[tuple[tuple[int, ...], ...], _PatternBatch] = {}
-            for index, pattern in enumerate(patterns):
-                if not pattern:
-                    continue  # intact stripe: nothing to recover
-                plan = self.plans.get(
-                    code, pattern, self.policy, verify=verify, targets=wanted[index]
-                )
+            live = [index for index, pattern in enumerate(patterns) if pattern]
+            plans = self.plans.get_many(
+                code,
+                [patterns[index] for index in live],
+                self.policy,
+                verify=verify,
+                targets=[wanted[index] for index in live],
+            )
+            for index, plan in zip(live, plans):
+                pattern = patterns[index]
                 key = (pattern, plan.targets)
                 batch = batches.get(key)
                 if batch is None:

@@ -15,6 +15,10 @@ PR-1 verification layer, amortised the same way planning is).  A
 ``get(..., verify=True)`` on a cache built without it certifies the
 entry once and remembers that it did.
 
+:meth:`PlanCache.get_many` resolves a whole batch of stripes in one
+call, counting as the per-stripe lookups it stands for and planning its
+misses together (:func:`~repro.core.planner.plan_batch`).
+
 ``get(..., targets=...)`` hands out the entry's plan pruned to those
 blocks (:meth:`~repro.core.planner.DecodePlan.for_targets`).  Pruned
 plans are memoised *inside* their pattern's entry — capacity, hits,
@@ -30,7 +34,7 @@ from collections import OrderedDict
 from typing import Sequence
 
 from ..codes.base import ErasureCode
-from ..core.planner import DecodePlan, plan_decode
+from ..core.planner import DecodePlan, plan_batch
 from ..core.sequences import SequencePolicy
 from ..kernels.cache import CacheStats
 from ..matrix.gfmatrix import GFMatrix
@@ -99,29 +103,86 @@ class PlanCache:
         to those blocks, derived once per entry from the whole-pattern
         plan; a target outside ``faulty`` raises ``ValueError``.
         """
+        (plan,) = self.get_many(
+            source, [faulty], policy, verify, None if targets is None else [targets]
+        )
+        return plan
+
+    def get_many(
+        self,
+        source: ErasureCode | GFMatrix,
+        patterns: Sequence[Sequence[int]],
+        policy: SequencePolicy = SequencePolicy.PAPER,
+        verify: bool | None = None,
+        targets: Sequence[Sequence[int] | None] | None = None,
+    ) -> list[DecodePlan]:
+        """:meth:`get` for each pattern in turn — the same plans and the
+        same hits, misses and evictions — with every miss planned by one
+        :func:`~repro.core.planner.plan_batch`.
+
+        ``targets`` is ``None`` or one target set (or ``None``) per
+        pattern.  Misses are planned, and certified when verifying,
+        outside the lock and before they are cached.
+
+        The counts match ``get`` only when nothing raises.  A pattern
+        that cannot be planned, or a plan that fails certification,
+        raises before any of the batch's misses is cached or counted,
+        the good ones ahead of it included, where per-stripe ``get``
+        would have cached those.  A target outside its pattern raises
+        only after every miss of the batch is cached.
+        """
         h = source.H if isinstance(source, ErasureCode) else source
-        key = (id(h), tuple(sorted(set(faulty))), policy)
+        keys = [self.key_of(h, faulty, policy) for faulty in patterns]
+        wanted = [None] * len(keys) if targets is None else list(targets)
+        if len(wanted) != len(keys):
+            raise ValueError(f"{len(wanted)} target sets for {len(keys)} patterns")
         want_certified = self.verify if verify is None else verify
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-        if entry is None:
-            plan = plan_decode(h, faulty, policy=policy)  # plan outside the lock
-            if want_certified:
-                self._certify(plan, h)  # raises before a bad plan is cached
+        planned: dict[PlanKey, DecodePlan] = {}
+        entries: list[list] = []
+        while True:
             with self._lock:
-                entry = self._entries.get(key)
-                if entry is None:
-                    self.stats.misses += 1
-                    entry = self._entries[key] = [h, plan, want_certified, {}]
-                    while len(self._entries) > self.maxsize:
-                        self._entries.popitem(last=False)
-                        self.stats.evictions += 1
-                else:  # a concurrent miss planned it first
-                    self._entries.move_to_end(key)
-                    self.stats.hits += 1
+                for key in keys[len(entries) :]:
+                    entry = self._entries.get(key)
+                    if entry is not None:  # cached, maybe by a concurrent miss
+                        self._entries.move_to_end(key)
+                        self.stats.hits += 1
+                    elif key in planned:
+                        self.stats.misses += 1
+                        entry = self._entries[key] = [h, planned[key], want_certified, {}]
+                        while len(self._entries) > self.maxsize:
+                            self._entries.popitem(last=False)
+                            self.stats.evictions += 1
+                    else:
+                        break  # neither cached nor planned yet: plan it, go on
+                    entries.append(entry)
+                missing = list(
+                    dict.fromkeys(
+                        key
+                        for key in keys[len(entries) :]
+                        if key not in self._entries and key not in planned
+                    )
+                )
+            if not missing:
+                break
+            plans = plan_batch(h, [key[1] for key in missing], policy)  # outside the lock
+            if want_certified:
+                for plan in plans:
+                    self._certify(plan, h)  # raises before a bad plan is cached
+            planned.update(zip(missing, plans))
+        return [
+            self._resolve(entry, key, h, want_certified, target)
+            for entry, key, target in zip(entries, keys, wanted)
+        ]
+
+    def _resolve(
+        self,
+        entry: list,
+        key: PlanKey,
+        h: GFMatrix,
+        want_certified: bool,
+        targets: Sequence[int] | None,
+    ) -> DecodePlan:
+        """An entry's plan, certified if asked, pruned to ``targets``."""
         if want_certified and not entry[2]:
             self._certify(entry[1], h)
             entry[2] = True

@@ -110,7 +110,7 @@ def test_no_rest_plan_when_all_independent():
 
 def test_group_solve_is_shared_across_stripe_rows():
     """Two patterns that differ only by stripe row solve one memoised W."""
-    from repro.core.planner import _group_weights
+    from repro.core.partition import _group_weights
 
     code = SDCode(6, 4, 2, 2)
     _group_weights.cache_clear()

@@ -149,9 +149,10 @@ def test_program_cache_miss_runs_one_dataflow_pass(monkeypatch):
     blocks = {b: np.zeros(8, dtype=code.field.dtype) for b in range(code.num_blocks)}
     compiled.run_plan(plan, blocks)
     compiled.run_plan(plan, blocks)
-    # the executor checks once per binding: structural passes per cold
-    # program are the builder's and the bind's, and nothing on a warm run
-    assert len(passes) - 1 == len(compiled.executor._bound)
+    # the bind trusts the program the builder admitted: one structural
+    # pass per cold program, and nothing on a warm run
+    assert compiled.executor._bound
+    assert passes == [program]
 
 
 @pytest.mark.parametrize(

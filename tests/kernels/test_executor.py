@@ -147,5 +147,26 @@ def test_executor_refuses_programs_it_cannot_run(outputs):
     field = GF(8)
     x = np.arange(1, 9, dtype=field.dtype)
     executor = ProgramExecutor(field, backend="numpy")
-    with pytest.raises(ValueError, match="output"):
-        executor.execute(_copy_program(outputs), [x])
+    program = _copy_program(outputs)  # hand-built: the bind is its only check
+    for _ in range(2):  # and a remembered verdict keeps refusing
+        with pytest.raises(ValueError, match="output"):
+            executor.execute(program, [x])
+
+
+def test_a_cold_program_is_checked_once(monkeypatch):
+    from repro.kernels import ProgramCache, ir
+
+    passes = []
+    real = ir.structural_violations
+
+    def counted(program):
+        passes.append(program)
+        return real(program)
+
+    monkeypatch.setattr(ir, "structural_violations", counted)
+    field = GF(8)
+    matrix = np.array([[1, 2], [3, 4]], dtype=field.dtype)
+    program = ProgramCache().chain_program(field, [matrix])
+    x = [np.arange(1, 9, dtype=field.dtype), np.arange(9, 17, dtype=field.dtype)]
+    ProgramExecutor(field, backend="numpy").execute(program, x)
+    assert passes == [program]  # admitted by the compiler, trusted at bind

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gf import GF
-from repro.matrix import GFMatrix
+from repro.matrix import GFMatrix, gfmatrix
 
 
 @pytest.fixture(params=[8, 16, 32], ids=lambda w: f"w{w}")
@@ -182,3 +182,75 @@ def test_array_view_readonly(field):
     m = random_matrix(field, 2, 2, seed=18)
     with pytest.raises(ValueError):
         m.array[0, 0] = 1
+
+
+def _reference_matmul(a: GFMatrix, b: GFMatrix) -> np.ndarray:
+    """The per-column product loop the broadcast one replaced."""
+    f = a.field
+    out = f.zeros((a.rows, b.cols))
+    for k in range(a.cols):
+        np.bitwise_xor(out, f.mul(a.array[:, k][:, None], b.array[k, :][None, :]), out=out)
+    return out
+
+
+@pytest.mark.parametrize("w", [4, 8, 16, 32])
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 4, 5), (1, 1, 1), (0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (40, 30, 50)],
+)
+def test_matmul_matches_the_per_column_loop(w, shape):
+    f = GF(w)
+    rng = np.random.default_rng(sum(shape) + w)
+    rows, inner, cols = shape
+
+    def draw(r, c):
+        return GFMatrix(f, rng.integers(0, f.order + 1, size=(r, c), dtype=np.uint64))
+
+    a, b = draw(rows, inner), draw(inner, cols)
+    assert np.array_equal((a @ b).array, _reference_matmul(a, b))
+
+
+def test_matmul_row_blocks_bound_the_temporary(monkeypatch):
+    # 40 x 30 @ 30 x 50 in blocks of 2 rows: the same product, and no
+    # broadcast multiply holds more than the block
+    monkeypatch.setattr(gfmatrix, "MATMUL_BLOCK", 30 * 50 * 2)
+    f = GF(8)
+    rng = np.random.default_rng(7)
+    a = GFMatrix(f, rng.integers(0, 256, size=(40, 30)))
+    b = GFMatrix(f, rng.integers(0, 256, size=(30, 50)))
+    want = _reference_matmul(a, b)
+    sizes = []
+    real_mul = f.mul
+
+    def mul(x, y):
+        product = real_mul(x, y)
+        sizes.append(product.size)
+        return product
+
+    monkeypatch.setattr(f, "mul", mul)
+    assert np.array_equal((a @ b).array, want)
+    assert sizes == [gfmatrix.MATMUL_BLOCK] * 20
+
+
+@pytest.mark.parametrize("block, most", [(200, 200), (20, 50)])
+def test_matmul_k_blocks_bound_the_temporary(monkeypatch, block, most):
+    # k * cols above the block: k is cut too, so no broadcast multiply
+    # holds more than the block, or one 50-symbol row of b when longer
+    monkeypatch.setattr(gfmatrix, "MATMUL_BLOCK", block)
+    f = GF(8)
+    rng = np.random.default_rng(11)
+    a = GFMatrix(f, rng.integers(0, 256, size=(7, 30)))
+    b = GFMatrix(f, rng.integers(0, 256, size=(30, 50)))
+    want = _reference_matmul(a, b)
+    sizes = []
+    real_mul = f.mul
+
+    def mul(x, y):
+        product = real_mul(x, y)
+        sizes.append(product.size)
+        return product
+
+    monkeypatch.setattr(f, "mul", mul)
+    assert np.array_equal((a @ b).array, want)
+    assert max(sizes) == most
+    assert sum(sizes) == 7 * 30 * 50  # every product made exactly once

@@ -93,8 +93,11 @@ def test_verify_certifies_misses(code, faulty):
 
 
 def test_verify_certifies_plans_built_from_memoised_solves(code, monkeypatch):
-    from repro.core import planner
+    from importlib import import_module
+
     from repro.verify import PlanVerificationError
+
+    groups = import_module("repro.core.partition")
 
     certified = []
     real = PlanCache._certify
@@ -103,23 +106,23 @@ def test_verify_certifies_plans_built_from_memoised_solves(code, monkeypatch):
         "_certify",
         staticmethod(lambda plan, h: (certified.append(plan.faulty_ids), real(plan, h))),
     )
-    planner._group_weights.cache_clear()
+    groups._group_weights.cache_clear()
     cache = PlanCache(verify=True)
     patterns = [tuple(worst_case_sd(code, z=1, rng=seed).faulty_blocks) for seed in range(4)]
     for pattern in patterns:
         cache.get(code, pattern)
-    assert planner._group_weights.cache_info().hits > 0
+    assert groups._group_weights.cache_info().hits > 0
     assert certified == patterns  # every miss certified, memo hit or not
 
     # a wrong memoised solve is caught on the miss, never cached
-    solve = planner._group_weights.__wrapped__
+    solve = groups._group_weights.__wrapped__
 
     def wrong(*key):
         weights = solve(*key).copy()
         weights[0, 0] ^= 1
         return weights
 
-    monkeypatch.setattr(planner, "_group_weights", wrong)
+    monkeypatch.setattr(groups, "_group_weights", wrong)
     with pytest.raises(PlanVerificationError):
         PlanCache(verify=True).get(code, patterns[0])
 

@@ -151,7 +151,7 @@ def test_rate_limit_meters_and_records_waits(code):
     for sid in range(3):
         store.erase(sid, [0, 5])
     manager, pipeline = make_manager(
-        store, rate_blocks_per_s=500.0, burst_blocks=2, repair_batch=1
+        store, rate_blocks_per_s=500.0, burst_blocks=1, repair_batch=1
     )
 
     async def main():
@@ -160,7 +160,8 @@ def test_rate_limit_meters_and_records_waits(code):
 
     run(main())
     assert store_matches_truth(store)
-    # 6 blocks through a 2-block burst at 500/s: some wait was inevitable
+    # every drain takes 2 blocks from a 1-block bucket: the first one
+    # waits whatever the host's timing, so a wait is certain
     assert manager.metrics.rate_wait_seconds > 0.0
     assert manager.bucket.waited_seconds == pytest.approx(
         manager.metrics.rate_wait_seconds

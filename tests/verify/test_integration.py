@@ -14,7 +14,7 @@ import pytest
 
 from repro import cli
 from repro.codes import SDCode
-from repro.core import ExecutionMode, PPMDecoder, TraditionalDecoder, plan_decode
+from repro.core import ExecutionMode, PPMDecoder, TraditionalDecoder, plan_batch
 from repro.stripes import Stripe, StripeLayout
 from repro.verify import PlanVerificationError
 
@@ -58,12 +58,14 @@ def test_corrupted_cached_plan_is_rejected_before_execution(monkeypatch):
     from repro.pipeline import plancache
 
     # a planner bug: the plan's mode contradicts its costs
-    def bad_plan_decode(h, faulty, policy):
-        good = plan_decode(h, faulty, policy=policy)
-        wrong = next(m for m in ExecutionMode if m is not good.mode)
-        return replace(good, mode=wrong)
+    def bad_plan_batch(h, patterns, policy):
+        wrong = []
+        for good in plan_batch(h, patterns, policy):
+            mode = next(m for m in ExecutionMode if m is not good.mode)
+            wrong.append(replace(good, mode=mode))
+        return wrong
 
-    monkeypatch.setattr(plancache, "plan_decode", bad_plan_decode)
+    monkeypatch.setattr(plancache, "plan_batch", bad_plan_batch)
     decoder = PPMDecoder(parallel=False, verify=True)
     stripe = _encoded_stripe()
     stripe.erase(FAULTY)
