@@ -85,12 +85,12 @@ class KernelsConfig:
     """Compiled GF kernel knobs.
 
     ``backend`` pins the process-wide executor backend selection:
-    ``"auto"`` (default) micro-benchmarks the registered backends per
-    (program shape, w, region size) class and caches the winner; a
-    registered backend name forces it for every supporting program (an
-    optional backend that did not register on this host is rejected
-    here, not at first use).  Applied by the builders via
-    :func:`repro.kernels.backends.set_default_backend`.
+    ``"auto"`` (default) runs the backend
+    :func:`repro.kernels.backends.choose` picks from the field width and
+    the region length; a registered backend name forces it for every
+    supporting program (an optional backend that did not register on
+    this host is rejected here, not at first use).  Applied by the
+    builders via :func:`repro.kernels.backends.set_default_backend`.
     """
 
     backend: str = "auto"

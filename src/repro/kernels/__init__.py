@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from .backends import (
     BASELINE_BACKEND,
-    BackendTuning,
     ExecutorBackend,
     available_backends,
     default_backend,
@@ -44,7 +43,6 @@ __all__ = [
     "OP_ZERO",
     "BASELINE_BACKEND",
     "DEFAULT_PROGRAM_CACHE_SIZE",
-    "BackendTuning",
     "CacheStats",
     "CompiledRegionOps",
     "ExecutorBackend",

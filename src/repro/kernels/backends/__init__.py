@@ -3,18 +3,20 @@
 The :class:`~repro.kernels.executor.ProgramExecutor` delegates chunk
 execution to a registered :class:`ExecutorBackend`:
 
-- ``numpy`` — the table-gather baseline (every width; the fallback
-  target for bypasses and quarantines);
+- ``numpy`` — the table-gather baseline (every width; it runs every
+  program another backend does not support);
 - ``bitsliced`` — paired bit-plane gathers through fused two-symbol
-  tables for w=4/8 (typically 1.2-2x the baseline, see CI gate);
+  tables for w=4/8;
 - ``splittab`` — fused halfword split tables (log/antilog-built for
   w=16) for w=16/32.
 
-Selection is ``"auto"`` by default: the executor micro-benchmarks the
-candidates per *(program shape, w, region size)* class and caches the
-winner (:mod:`.tuning`).  A process-wide override is available through
-:func:`set_default_backend` (wired to ``AppConfig.kernels.backend``)
-and per-executor through ``ProgramExecutor(backend=...)``.
+Selection is ``"auto"`` by default: the pure rule :func:`choose` picks
+a backend from the field width and the region length alone (the
+measured crossovers are in docs/KERNELS.md).  A process-wide override
+is available through :func:`set_default_backend` (wired to
+``AppConfig.kernels.backend``) and per-executor through
+``ProgramExecutor(backend=...)``; a registered extra backend runs only
+when forced that way.
 
 Registering your own backend: subclass :class:`ExecutorBackend`,
 implement ``supports`` / ``bind`` / ``execute_chunk`` and call
@@ -25,14 +27,22 @@ from __future__ import annotations
 
 import threading
 
-from .base import ExecutorBackend, RegionAlignmentError
+from .base import ExecutorBackend
 from .bitsliced import BitslicedBackend, paired_table
 from .numpy_tables import NumpyTablesBackend
 from .splittab import SplitTableBackend, halfword_tables
-from .tuning import BackendTuning, shape_key, size_class
 
-#: The baseline every executor can always fall back to.
+#: The baseline: runs every program on every width.
 BASELINE_BACKEND = "numpy"
+
+#: The wide-table crossover: from this many symbols a region amortises
+#: the 128-256 KiB per-constant tables of ``bitsliced`` (w=8) and
+#: ``splittab`` (w=32), and below it their cache misses lose to the
+#: baseline's small tables.  w=4 and w=16 win at every length.
+WIDE_TABLE_SYMBOLS = 1 << 14
+
+#: The wide-table backend of each width.
+_WIDE = {4: "bitsliced", 8: "bitsliced", 16: "splittab", 32: "splittab"}
 
 _registry_lock = threading.Lock()
 _REGISTRY: dict[str, ExecutorBackend] = {}
@@ -75,6 +85,13 @@ def available_backends() -> tuple[str, ...]:
     return tuple(names)
 
 
+def choose(w: int, length: int) -> str:
+    """The backend ``"auto"`` runs over ``length``-symbol regions at width ``w``."""
+    if w in (4, 16) or length >= WIDE_TABLE_SYMBOLS:
+        return _WIDE.get(w, BASELINE_BACKEND)
+    return BASELINE_BACKEND
+
+
 def set_default_backend(name: str) -> None:
     """Process-wide default selection policy: ``"auto"`` or a name.
 
@@ -100,20 +117,18 @@ register_backend(SplitTableBackend())
 
 __all__ = [
     "BASELINE_BACKEND",
-    "BackendTuning",
+    "WIDE_TABLE_SYMBOLS",
     "BitslicedBackend",
     "ExecutorBackend",
     "NumpyTablesBackend",
-    "RegionAlignmentError",
     "SplitTableBackend",
     "available_backends",
+    "choose",
     "default_backend",
     "get_backend",
     "halfword_tables",
     "paired_table",
     "register_backend",
     "set_default_backend",
-    "shape_key",
-    "size_class",
     "unregister_backend",
 ]

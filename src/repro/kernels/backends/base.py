@@ -10,7 +10,7 @@ A backend owns exactly two things:
   of the slot pool.
 
 Everything else — slot-role classification, chunking, per-thread
-scratch, op accounting, auto-tune, fallback — stays in
+scratch, op accounting, backend selection — stays in
 :class:`~repro.kernels.executor.ProgramExecutor`, so a backend is a
 small, testable object and every backend books identical model op
 counts by construction.
@@ -37,35 +37,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 MAX_TABLE_CACHE = 1024
 
 
-class RegionAlignmentError(Exception):
-    """A caller buffer does not meet the backend's memory layout.
-
-    Raised by backends that reinterpret region memory at a wider dtype
-    (e.g. the bitsliced backend's uint16 pairing) when an input/output
-    array is not suitably aligned.  The executor treats this as a
-    *bypass*, not a failure: the call re-runs on the baseline and the
-    backend is NOT quarantined (the very next, aligned call may use it
-    again).  Checking happens inside the backend's own view
-    construction, so the aligned common case pays nothing.
-    """
-
-
 class ExecutorBackend:
     """One way of executing RegionProgram chunks (see module docstring).
 
-    Subclasses set :attr:`name`, implement :meth:`supports`,
-    :meth:`bind` and :meth:`execute_chunk`, and may raise
-    :attr:`alignment` when their kernels reinterpret region memory at a
-    wider dtype (the executor falls back to the baseline for
-    misaligned caller buffers instead of crashing).
+    Subclasses set :attr:`name` and implement :meth:`supports`,
+    :meth:`bind` and :meth:`execute_chunk`.  An exception they raise
+    reaches the caller of :meth:`ProgramExecutor.execute
+    <repro.kernels.executor.ProgramExecutor.execute>` unchanged.
     """
 
     #: Registry name (also the ``AppConfig.kernels.backend`` spelling).
     name: str = "?"
-
-    #: Required data-pointer alignment, in bytes, of every input/output
-    #: region (1 = none).  Scratch and temporaries are always aligned.
-    alignment: int = 1
 
     def __init__(self) -> None:
         self._table_lock = threading.Lock()

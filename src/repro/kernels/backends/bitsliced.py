@@ -12,18 +12,16 @@ table over two adjacent symbols::
 uint16 table (128 KiB) — and then gathers *two symbols per lookup* by
 viewing the region as ``uint16``.  Halving the gather count pays once
 the region is long enough to amortise the paired table's cache
-footprint: below ~16K symbols the 128 KiB-per-constant tables thrash
-and the 256-byte baseline tables win (the auto-tuner keeps the
-baseline there), while at 64K-symbol regions the backend measures
-~1.5-1.6x and the CI gate checks ≥1.2x.  XOR/COPY ops run exactly as
-the baseline.
+footprint: at w=8, below ~16K symbols the 128 KiB-per-constant tables
+thrash and the 256-byte baseline tables win (``"auto"`` keeps the
+baseline there, see :data:`~repro.kernels.backends.WIDE_TABLE_SYMBOLS`).
+XOR/COPY ops run exactly as the baseline.
 
 Odd-length chunks handle their final symbol through the ordinary byte
-table; misaligned caller buffers (a uint16 view needs 2-byte-aligned
-data) raise :class:`~repro.kernels.backends.base.RegionAlignmentError`
-from the view construction itself, and the executor re-runs the call on
-the baseline without quarantining.  w=4 regions (one nibble-valued
-symbol per byte) use the same pairing over a zero-padded byte table.
+table.  A caller buffer at an odd address still gets its uint16 view:
+numpy flags it unaligned and its gathers run ~6-7% slower, with the same
+bytes out.  w=4 regions (one nibble-valued symbol per byte) use the same
+pairing over a zero-padded byte table.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..ir import OP_COPY, OP_MUL, OP_MULXOR, OP_XOR
-from .base import ExecutorBackend, RegionAlignmentError
+from .base import ExecutorBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...gf.field import GF
@@ -65,7 +63,6 @@ class BitslicedBackend(ExecutorBackend):
     """Paired-gather GF(2^8)/GF(2^4) backend (see module docstring)."""
 
     name = "bitsliced"
-    alignment = 2  # regions are re-viewed as uint16 two-symbol pairs
 
     def supports(self, field: "GF", program: "RegionProgram") -> bool:
         return field.w in (4, 8)
@@ -100,12 +97,8 @@ class BitslicedBackend(ExecutorBackend):
         even = half << 1
         # one uint16 view per pool slot, shared by every instruction in
         # the chunk (view construction amortises over the whole stream);
-        # numpy refuses the dtype change on odd data pointers, which is
-        # exactly the bypass signal the executor handles
-        try:
-            pool16 = [region[:even].view(np.uint16) for region in pool]
-        except ValueError as exc:
-            raise RegionAlignmentError(str(exc)) from None
+        # numpy builds it on an odd data pointer too, as an unaligned view
+        pool16 = [region[:even].view(np.uint16) for region in pool]
         ms16 = scratch[:even].view(np.uint16)
         tail = n - even  # 0 or 1
         for op, dst, src, t16, t8 in bound:

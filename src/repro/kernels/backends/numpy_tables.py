@@ -5,8 +5,9 @@ This is the executor's original strategy, extracted verbatim: every
 ``mul8_table`` row for w=8, a 16-entry table for w=4, the SPLIT
 byte-lane tables for w=16/32) and execution is pure
 ``np.take``/``np.bitwise_xor`` with ``out=``.  It supports every field
-width and every program, so it doubles as the fallback target when a
-faster backend is bypassed (alignment) or quarantined (runtime error).
+width and every program, so it runs wherever
+:func:`~repro.kernels.backends.choose` picks no wide-table backend, and
+every program a forced backend does not support.
 """
 
 from __future__ import annotations

@@ -13,22 +13,14 @@ call, once per (program, backend):
   (:data:`DEFAULT_CHUNK_SYMBOLS`), keeping every temporary hot across
   the whole instruction stream.
 
-**Backend selection** is ``"auto"`` by default: on the first execution
-of a *(program shape, w, region size)* class the executor
-micro-benchmarks every registered, supporting backend on a small region
-and records the winner in its :class:`BackendTuning` (shared through
-the :class:`~repro.kernels.cache.ProgramCache` by
-:class:`~repro.kernels.ops.CompiledRegionOps`, so winners persist
-per-process).  A forced backend — per-executor ``backend=`` or the
-process-wide :func:`repro.kernels.backends.set_default_backend` that
-``AppConfig.kernels.backend`` applies — skips tuning.
-
-**Fallback** keeps fast paths safe: a backend that raises mid-execution
-is quarantined from all future selection, the call replays on the
-baseline, and :meth:`stats` counts it under ``backend_fallbacks``; a
-:class:`~repro.kernels.backends.base.RegionAlignmentError` (caller
-buffers the backend cannot re-view) replays on the baseline *without*
-quarantine and counts under ``backend_bypasses``.
+**Backend selection** is ``"auto"`` by default: every execution runs
+the backend :func:`repro.kernels.backends.choose` names for the field
+width and the region length.  A forced backend — per-executor
+``backend=`` or the process-wide
+:func:`repro.kernels.backends.set_default_backend` that
+``AppConfig.kernels.backend`` applies — replaces the rule.  A program
+the selected backend does not support runs on the baseline.  An
+exception a backend raises reaches the caller.
 
 Execution is thread-safe: bindings are immutable once published,
 scratch is per-thread, and the op counter's `record` is lock-free.
@@ -38,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,15 +38,11 @@ from ..gf.field import GF
 from ..gf.region import OpCounter
 from .backends import (
     BASELINE_BACKEND,
-    BackendTuning,
     ExecutorBackend,
-    available_backends,
+    choose,
     default_backend,
     get_backend,
-    shape_key,
-    size_class,
 )
-from .backends.base import RegionAlignmentError
 from .ir import RegionProgram
 
 #: Default chunk size in symbols: 64 KB of w=8 data — half a typical L2.
@@ -64,34 +53,16 @@ DEFAULT_CHUNK_SYMBOLS = 1 << 16
 #: a bounded ProgramCache, so this only triggers under cache churn).
 _MAX_BOUND = 512
 
-#: Auto-tune sample region length (symbols); small enough that a tune
-#: is a few milliseconds, large enough that table cache residency at
-#: the sample matches the gated region class (the wide-table backends
-#: only win once the region amortises their table footprint).
-_TUNE_SYMBOLS = 16384
-
-#: Timed repetitions per backend during a tune (best-of).
-_TUNE_REPEATS = 3
-
-#: A challenger must beat the incumbent by this fraction to win the
-#: class — hysteresis toward the earlier candidate (the baseline is
-#: tried first), so timer noise cannot promote a backend that merely
-#: ties.  A mispick is pure regression for every later execution of
-#: the class; a missed marginal win costs almost nothing.
-_TUNE_MARGIN = 0.05
-
 
 class _ExecCell:
     """Per-thread execution tallies (merged lock-free on read)."""
 
-    __slots__ = ("executions", "symbols", "seconds", "fallbacks", "bypasses", "by_backend")
+    __slots__ = ("executions", "symbols", "seconds", "by_backend")
 
     def __init__(self) -> None:
         self.executions = 0
         self.symbols = 0
         self.seconds = 0.0
-        self.fallbacks = 0
-        self.bypasses = 0
         # backend name -> [executions, symbols, seconds]
         self.by_backend: dict[str, list[float]] = {}
 
@@ -106,20 +77,17 @@ class ProgramExecutor:
     chunk_symbols:
         L2 blocking factor.
     backend:
-        ``"auto"`` (default) tunes per class; a backend name forces it
-        for every supporting program (unsupported programs silently use
-        the baseline).  The process-wide default from
-        ``AppConfig.kernels.backend`` applies when this is ``"auto"``.
-    tuning:
-        Shared :class:`BackendTuning` (winners + quarantine); private
-        by default.
+        ``"auto"`` (default) asks :func:`~repro.kernels.backends.choose`
+        per execution; a backend name forces it for every supporting
+        program (unsupported programs silently use the baseline).  The
+        process-wide default from ``AppConfig.kernels.backend`` applies
+        when this is ``"auto"``.
 
     Each :meth:`execute` is tallied into per-thread cells (count,
-    symbols, wall seconds, per-backend split, fallback/bypass counts) —
-    the metrics hook the serving layer reads through :meth:`stats` to
-    reconcile kernel work with request accounting.  Recording is
-    lock-free on the hot path, like
-    :class:`~repro.gf.region.OpCounter`.
+    symbols, wall seconds, per-backend split) — the metrics hook the
+    serving layer reads through :meth:`stats` to reconcile kernel work
+    with request accounting.  Recording is lock-free on the hot path,
+    like :class:`~repro.gf.region.OpCounter`.
     """
 
     def __init__(
@@ -127,7 +95,6 @@ class ProgramExecutor:
         field: GF,
         chunk_symbols: int = DEFAULT_CHUNK_SYMBOLS,
         backend: str = "auto",
-        tuning: BackendTuning | None = None,
     ):
         if chunk_symbols < 1:
             raise ValueError(f"chunk_symbols must be positive, got {chunk_symbols}")
@@ -136,7 +103,6 @@ class ProgramExecutor:
         self.field = field
         self.chunk_symbols = int(chunk_symbols)
         self.backend = backend
-        self.tuning = tuning if tuning is not None else BackendTuning()
         self._bind_lock = threading.Lock()
         # (id(program), backend) -> (program, bound); the program is
         # pinned so its id cannot be reused while the binding lives.
@@ -161,12 +127,9 @@ class ProgramExecutor:
         """Merged execution tallies across threads (JSON-ready).
 
         ``backends`` splits executions/symbols/seconds per backend that
-        actually ran; ``backend_fallbacks`` counts executions replayed
-        on the baseline after a backend raised (the backend is
-        quarantined); ``backend_bypasses`` counts alignment bypasses
-        (no quarantine).
+        actually ran.
         """
-        executions = symbols = fallbacks = bypasses = 0
+        executions = symbols = 0
         seconds = 0.0
         backends: dict[str, dict[str, float]] = {}
         with self._stats_lock:
@@ -175,8 +138,6 @@ class ProgramExecutor:
             executions += cell.executions
             symbols += cell.symbols
             seconds += cell.seconds
-            fallbacks += cell.fallbacks
-            bypasses += cell.bypasses
             for name, (execs, syms, secs) in cell.by_backend.items():
                 agg = backends.setdefault(
                     name, {"executions": 0, "symbols": 0, "seconds": 0.0}
@@ -188,10 +149,20 @@ class ProgramExecutor:
             "executions": executions,
             "symbols": symbols,
             "exec_seconds": seconds,
-            "backend_fallbacks": fallbacks,
-            "backend_bypasses": bypasses,
             "backends": backends,
         }
+
+    @property
+    def tuning(self) -> SimpleNamespace:
+        """``tuning.choices()``: ``{name: name}`` for each backend this
+        executor ran, read from :meth:`stats`.
+
+        It holds no state.  Its one caller is the autotune probe of
+        ``perf/layers.py``; delete it together with that call.
+        """
+        return SimpleNamespace(
+            choices=lambda: {name: name for name in self.stats()["backends"]}
+        )
 
     # -- binding -----------------------------------------------------------
 
@@ -258,94 +229,17 @@ class ProgramExecutor:
 
     # -- backend selection -------------------------------------------------
 
-    def _usable(self, name: str, program: RegionProgram) -> ExecutorBackend | None:
+    def _select_backend(self, program: RegionProgram, length: int) -> ExecutorBackend:
+        name = self.backend if self.backend != "auto" else default_backend()
+        if name == "auto":
+            name = choose(self.field.w, length)
         try:
             backend = get_backend(name)
-        except KeyError:
-            return None
-        if self.tuning.is_quarantined(name):
-            return None
+        except KeyError:  # unregistered since it was chosen or forced
+            return get_backend(BASELINE_BACKEND)
         if not backend.supports(self.field, program):
-            return None
+            return get_backend(BASELINE_BACKEND)
         return backend
-
-    def _select_backend(self, program: RegionProgram, length: int) -> ExecutorBackend:
-        forced = self.backend if self.backend != "auto" else default_backend()
-        baseline = get_backend(BASELINE_BACKEND)
-        if forced != "auto":
-            return self._usable(forced, program) or baseline
-        key = shape_key(program, size_class(length))
-        name = self.tuning.choice(key)
-        if name is None:
-            name = self._autotune(program, length, key)
-        if name == BASELINE_BACKEND:
-            return baseline
-        return self._usable(name, program) or baseline
-
-    def _tune_inputs(self, length: int) -> np.ndarray:
-        """Deterministic pseudo-random valid symbols for timing runs.
-
-        A splitmix64-style finalizer, not a plain multiplicative hash:
-        adjacent symbols must be jointly uniform, because backends that
-        gather multi-symbol words (the paired uint16 tables) would see
-        a structured sequence's few distinct word values as a tiny,
-        cache-resident index set and tune unrealistically fast.
-        """
-        mask = (1 << self.field.w) - 1
-        x = np.arange(1, length + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-        x ^= x >> np.uint64(30)
-        x *= np.uint64(0xBF58476D1CE4E5B9)
-        x ^= x >> np.uint64(27)
-        x *= np.uint64(0x94D049BB133111EB)
-        x ^= x >> np.uint64(31)
-        return (x & np.uint64(mask)).astype(self.field.dtype)
-
-    def _autotune(self, program: RegionProgram, length: int, key: tuple) -> str:
-        """Micro-benchmark candidates on a small region; record winner.
-
-        Failures during tuning quarantine the backend (it never wins a
-        class it cannot run) but are otherwise silent — the baseline
-        always completes.
-        """
-        sample = max(2, min(length, self.chunk_symbols, _TUNE_SYMBOLS))
-        base = self._tune_inputs(sample)
-        inputs = [base.copy() for _ in range(program.num_inputs)]
-        outs = [np.empty(sample, dtype=self.field.dtype) for _ in program.outputs]
-        candidates = [BASELINE_BACKEND] + [
-            name for name in available_backends() if name != BASELINE_BACKEND
-        ]
-        best_name = BASELINE_BACKEND
-        best_seconds = float("inf")
-        for name in candidates:
-            backend = (
-                get_backend(BASELINE_BACKEND)
-                if name == BASELINE_BACKEND
-                else self._usable(name, program)
-            )
-            if backend is None:
-                continue
-            try:
-                self._run(program, backend, inputs, outs, sample)  # warm bind + caches
-                # time a block of consecutive runs: steady-state throughput
-                # (table-eviction effects included), not the warm best case
-                t0 = time.perf_counter()
-                for _ in range(_TUNE_REPEATS):
-                    self._run(program, backend, inputs, outs, sample)
-                seconds = time.perf_counter() - t0
-            except Exception:
-                if name != BASELINE_BACKEND:
-                    self.tuning.quarantine(name)
-                continue
-            threshold = (
-                best_seconds
-                if name == BASELINE_BACKEND
-                else best_seconds * (1.0 - _TUNE_MARGIN)
-            )
-            if seconds < threshold:
-                best_seconds = seconds
-                best_name = name
-        self.tuning.record(key, best_name)
-        return best_name
 
     # -- execution ---------------------------------------------------------
 
@@ -424,24 +318,7 @@ class ProgramExecutor:
             out_arrays = outs
 
         backend = self._select_backend(program, length)
-        cell = self._stats_cell()
-        try:
-            self._run(program, backend, inputs, out_arrays, length)
-        except RegionAlignmentError:
-            # caller memory the backend cannot re-view: replay on the
-            # baseline, do NOT quarantine (the next call may be aligned)
-            cell.bypasses += 1
-            backend = get_backend(BASELINE_BACKEND)
-            self._run(program, backend, inputs, out_arrays, length)
-        except Exception:
-            if backend.name == BASELINE_BACKEND:
-                raise
-            # a broken backend (e.g. a JIT failing mid-process) must
-            # never break decoding: bench it for good and replay
-            self.tuning.quarantine(backend.name)
-            cell.fallbacks += 1
-            backend = get_backend(BASELINE_BACKEND)
-            self._run(program, backend, inputs, out_arrays, length)
+        self._run(program, backend, inputs, out_arrays, length)
 
         if counter is not None:
             counter.record(
@@ -451,6 +328,7 @@ class ProgramExecutor:
             )
         elapsed = time.perf_counter() - t_start
         worked = program.mult_xors * length
+        cell = self._stats_cell()
         cell.executions += 1
         cell.symbols += worked
         cell.seconds += elapsed

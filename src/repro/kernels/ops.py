@@ -53,9 +53,7 @@ class CompiledRegionOps:
         self.field = field
         self.counter = counter if counter is not None else OpCounter()
         self.programs = programs if programs is not None else ProgramCache()
-        # tuning state lives on the program cache: backend winners are
-        # shared by every ops/executor built over the same cache
-        self.executor = ProgramExecutor(field, tuning=self.programs.tuning)
+        self.executor = ProgramExecutor(field)
 
     def matrix_chain_apply(
         self, matrices: Sequence[np.ndarray], regions: list[np.ndarray]

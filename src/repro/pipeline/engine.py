@@ -50,6 +50,7 @@ from ..core.sequences import ExecutionMode, SequencePolicy
 from ..gf.field import GF
 from ..gf.region import OpCounter, RegionOps
 from ..kernels import CompiledRegionOps, ProgramCache
+from ..kernels.backends import WIDE_TABLE_SYMBOLS as MIN_TILE_SYMBOLS
 from ..matrix.gfmatrix import GFMatrix
 from ..parallel.assignment import assign_lpt, assign_round_robin
 from ..stripes.scrub import verify_rows
@@ -63,12 +64,6 @@ from .pool import StragglerTimeout, WorkerPool, make_pool
 #: ``(S, F^-1)`` — to the fused survivor ``regions``, recovering
 #: ``faulty_ids``.  Pure data, picklable for process pools.
 _Task = tuple[int, tuple[np.ndarray, ...], list[np.ndarray], tuple[int, ...]]
-
-#: Shortest tile: the bitsliced backend's paired tables pay off from
-#: ~16K symbols (:mod:`repro.kernels.backends.bitsliced`), so a batch is
-#: cut into at most ``fused length // MIN_TILE_SYMBOLS`` tiles — it tiles
-#: only from twice this.
-MIN_TILE_SYMBOLS = 1 << 14
 
 #: LRU capacity of every pipeline's :class:`PlanCache`.
 PLAN_CACHE_SIZE = 128
@@ -214,9 +209,12 @@ class _PatternBatch:
         """Cut the fused range into up to ``tiles`` symbol ranges of
         about ``MIN_TILE_SYMBOLS`` or more each.
 
-        Boundaries sit on even stripe offsets nearest the equal split
-        (a stripe's output stays inside one tile, and a tile stays
-        2-symbol aligned for the paired-gather backend); a batch shorter
+        ``MIN_TILE_SYMBOLS`` is the wide-table crossover, so no tile is
+        too short for the backend a long batch runs on.  Boundaries sit
+        on even stripe offsets nearest the equal split: a stripe's output
+        stays inside one tile, and a tile's regions stay 2-byte aligned
+        for the paired-gather backend, whose uint16 views of unaligned
+        memory run ~6-7% slower (they do not fail).  A batch shorter
         than ``2 * MIN_TILE_SYMBOLS`` stays one tile.
         """
         total = self.offsets[-1]

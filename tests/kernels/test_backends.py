@@ -1,11 +1,11 @@
-"""Executor backends: registry, selection, equivalence, fallback.
+"""Executor backends: registry, selection, equivalence, failure.
 
 The contract under test: every registered backend is byte-identical to
-the numpy baseline on every program it supports; a backend that raises
-at runtime is quarantined and the execution silently replays on the
-baseline; a misaligned caller buffer bypasses (no quarantine).  The
-cross-backend equivalence sweep is hypothesis-driven across all word
-sizes, including odd region lengths (paired-gather tail paths).
+the numpy baseline on every program it supports; ``"auto"`` runs the
+backend :func:`choose` names; a backend that raises at runtime raises
+out of ``execute``; a caller buffer at an odd address runs correctly.
+The cross-backend equivalence sweep is hypothesis-driven across all
+word sizes, including odd region lengths (paired-gather tail paths).
 """
 
 import numpy as np
@@ -25,7 +25,7 @@ from repro.kernels import (
     set_default_backend,
     unregister_backend,
 )
-from repro.kernels.backends import ExecutorBackend
+from repro.kernels.backends import WIDE_TABLE_SYMBOLS, ExecutorBackend, choose
 
 WORD_SIZES = [4, 8, 16, 32]
 
@@ -170,91 +170,48 @@ class _ExplodingBackend(ExecutorBackend):
         raise RuntimeError("synthetic mid-execution failure")
 
 
+class TestAutoRule:
+    #: w -> (pick below WIDE_TABLE_SYMBOLS, pick from it on)
+    RULE = {
+        4: ("bitsliced", "bitsliced"),
+        8: (BASELINE_BACKEND, "bitsliced"),
+        16: ("splittab", "splittab"),
+        32: (BASELINE_BACKEND, "splittab"),
+    }
+
+    @pytest.mark.parametrize("w", WORD_SIZES)
+    @pytest.mark.parametrize("at", [False, True], ids=["below", "at"])
+    def test_auto_runs_the_rules_pick(self, w, at):
+        length = WIDE_TABLE_SYMBOLS - 1 + at
+        pick = choose(w, length)
+        assert pick == self.RULE[w][at]
+        field, matrix, regions = matrix_case(w, rows=1, cols=2, length=length)
+        program = lower_matrix_chain(field, [matrix])
+        executor = ProgramExecutor(field, backend="auto")
+        executor.execute(program, regions)
+        assert executor.stats()["backends"].keys() == {pick}
+        assert executor.tuning.choices() == {pick: pick}
+
+
 class TestFallbackAndQuarantine:
-    def test_runtime_failure_falls_back_and_quarantines(self):
+    """There is neither: a backend's exception reaches the caller, and a
+    buffer at an odd address runs on the backend it was given."""
+
+    def test_backend_exception_propagates(self):
         field, matrix, regions = matrix_case(8)
         program = lower_matrix_chain(field, [matrix])
         register_backend(_ExplodingBackend())
         try:
             executor = ProgramExecutor(field, backend="exploding")
-            got = executor.execute(program, regions)
-            expected = RegionOps(field).matrix_apply(matrix, regions)
-            for g, e in zip(got, expected):
-                assert np.array_equal(g, e)
-            stats = executor.stats()
-            assert stats["backend_fallbacks"] == 1
-            assert executor.tuning.is_quarantined("exploding")
-            # tallied under the backend that actually completed
-            assert BASELINE_BACKEND in stats["backends"]
-            assert "exploding" not in stats["backends"]
-            # second execution skips the quarantined backend entirely
-            executor.execute(program, regions)
-            assert executor.stats()["backend_fallbacks"] == 1
+            with pytest.raises(RuntimeError, match="synthetic mid-execution"):
+                executor.execute(program, regions)
+            assert executor.stats()["executions"] == 0
         finally:
             unregister_backend("exploding")
 
-    def test_quarantine_voids_recorded_wins(self):
-        field, matrix, regions = matrix_case(8)
-        program = lower_matrix_chain(field, [matrix])
-        executor = ProgramExecutor(field, backend="auto")
-        executor.execute(program, regions)
-        choices = executor.tuning.choices()
-        assert choices, "auto-tune should record a winner"
-        key, winner = next(iter(choices.items()))
-        executor.tuning.quarantine(winner)
-        assert executor.tuning.choice(key) is None
-
-    def test_alignment_error_bypasses_without_quarantine(self):
-        from repro.kernels.backends import RegionAlignmentError
-
-        class Picky(ExecutorBackend):
-            """Raises the alignment signal once, then executes fine."""
-
-            name = "picky-alignment"
-
-            def __init__(self):
-                super().__init__()
-                self.raised = False
-
-            def supports(self, field, program):
-                return True
-
-            def bind(self, field, program):
-                return get_backend(BASELINE_BACKEND).bind(field, program)
-
-            def execute_chunk(self, bound, pool, n, scratch):
-                if not self.raised:
-                    self.raised = True
-                    raise RegionAlignmentError("synthetic misaligned buffer")
-                get_backend(BASELINE_BACKEND).execute_chunk(
-                    bound, pool, n, scratch
-                )
-
-        field, matrix, regions = matrix_case(8)
-        program = lower_matrix_chain(field, [matrix])
-        expected = RegionOps(field).matrix_apply(matrix, regions)
-        register_backend(Picky())
-        try:
-            executor = ProgramExecutor(field, backend="picky-alignment")
-            got = executor.execute(program, regions)
-            for g, e in zip(got, expected):
-                assert np.array_equal(g, e)
-            stats = executor.stats()
-            assert stats["backend_bypasses"] == 1
-            assert stats["backend_fallbacks"] == 0
-            assert not executor.tuning.is_quarantined("picky-alignment")
-            # the very next call uses the backend again (no sticky state)
-            executor.execute(program, regions)
-            stats = executor.stats()
-            assert stats["backend_bypasses"] == 1
-            assert "picky-alignment" in stats["backends"]
-        finally:
-            unregister_backend("picky-alignment")
-
     def test_bitsliced_handles_unaligned_buffers(self):
-        # whether numpy accepts the unaligned uint16 view (executing
-        # bitsliced) or refuses it (alignment bypass to the baseline),
-        # the results must be correct and nothing gets quarantined
+        # numpy builds the uint16 view of odd-address memory as an
+        # unaligned view: bitsliced runs and its bytes match
         field = GF(8)
         rng = np.random.default_rng(7)
         matrix = rng.integers(0, 256, size=(2, 3), dtype=np.uint8)
@@ -271,8 +228,7 @@ class TestFallbackAndQuarantine:
         expected = RegionOps(field).matrix_apply(matrix, regions)
         for g, e in zip(got, expected):
             assert np.array_equal(g, e)
-        assert executor.stats()["backend_fallbacks"] == 0
-        assert not executor.tuning.is_quarantined("bitsliced")
+        assert executor.stats()["backends"].keys() == {"bitsliced"}
 
 
 class TestDefaultBackendOverride:

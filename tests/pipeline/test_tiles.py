@@ -86,7 +86,7 @@ def test_tiled_batch_is_bit_identical_to_the_whole_plan(
         tiled, stats = pipe.decode_batch(
             code, maps, faulty, targets=targets, return_stats=True
         )
-        assert pipe.executor_stats()["backend_bypasses"] == 0
+        assert pipe.executor_stats()["backends"].keys() == {backend}
     with DecodePipeline(pool="serial") as serial:
         reference = serial.decode_batch(code, maps, faulty, targets=targets)
     wanted = plan.targets

@@ -143,3 +143,34 @@ def test_strict_sweep_flags_a_divergent_backend():
         f.check == "sweep/backend-divergence" and "corrupting" in f.message
         for f in result.report.findings
     )
+
+
+def test_strict_sweep_flags_a_crashing_backend():
+    from repro.kernels import register_backend, unregister_backend
+    from repro.kernels.backends import ExecutorBackend
+
+    class Crashing(ExecutorBackend):
+        """Binds fine, raises on every chunk."""
+
+        name = "crashing"
+
+        def supports(self, field, program):
+            return field.w == 8
+
+        def bind(self, field, program):
+            return tuple(program.instructions)
+
+        def execute_chunk(self, bound, pool, n, scratch):
+            raise RuntimeError("synthetic backend crash")
+
+    register_backend(Crashing())
+    try:
+        code = get_code("rs", n=6, k=4)
+        result = sweep_code(code, samples=2, check_backends=True)
+    finally:
+        unregister_backend("crashing")
+    assert not result.ok
+    assert any(
+        f.check == "sweep/backend-crash" and "crashing" in f.message
+        for f in result.report.findings
+    )
