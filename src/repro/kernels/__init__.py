@@ -5,7 +5,7 @@ round-trip per ``mult_XORs`` call.  This package compiles the operation
 sequence once — a matrix chain (one independent sub-matrix) or a whole
 :class:`~repro.core.planner.DecodePlan` — into the flat
 :class:`RegionProgram` IR, optimises it, and executes it with per-program
-table binding and L2-chunked ``np.take`` gathers.  See ``docs/KERNELS.md``.
+table binding and L2-chunked ``ndarray.take`` gathers.  See ``docs/KERNELS.md``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .ir import (
 )
 from .lower import PlanProgram, ProgramBuilder, lower_matrix_chain, lower_plan
 from .ops import CompiledRegionOps
-from .optimize import compact_slots, eliminate_dead, optimize_program, share_pairs
+from .optimize import compact_slots, eliminate_dead, optimize_program
 
 __all__ = [
     "OP_COPY",
@@ -62,6 +62,5 @@ __all__ = [
     "optimize_program",
     "register_backend",
     "set_default_backend",
-    "share_pairs",
     "unregister_backend",
 ]

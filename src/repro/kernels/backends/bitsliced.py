@@ -106,13 +106,13 @@ class BitslicedBackend(ExecutorBackend):
             if op == OP_XOR:
                 np.bitwise_xor(d, pool[src], out=d)
             elif op == OP_MULXOR:
-                np.take(t16, pool16[src], out=ms16)
+                t16.take(pool16[src], out=ms16)
                 np.bitwise_xor(pool16[dst], ms16, out=pool16[dst])
                 if tail:
                     # single odd trailing symbol per chunk, not a region loop
                     d[even] = d[even] ^ t8[pool[src][even]]  # ppm: noqa[PPM003]
             elif op == OP_MUL:
-                np.take(t16, pool16[src], out=pool16[dst])
+                t16.take(pool16[src], out=pool16[dst])
                 if tail:
                     d[even] = t8[pool[src][even]]
             elif op == OP_COPY:

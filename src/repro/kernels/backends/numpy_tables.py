@@ -1,10 +1,10 @@
-"""The baseline backend: per-constant lookup tables + ``np.take``.
+"""The baseline backend: per-constant lookup tables + ``ndarray.take``.
 
 This is the executor's original strategy, extracted verbatim: every
 ``MUL``/``MULXOR`` constant binds to its lookup table (the
 ``mul8_table`` row for w=8, a 16-entry table for w=4, the SPLIT
 byte-lane tables for w=16/32) and execution is pure
-``np.take``/``np.bitwise_xor`` with ``out=``.  It supports every field
+``table.take``/``np.bitwise_xor`` with ``out=``.  It supports every field
 width and every program, so it runs wherever
 :func:`~repro.kernels.backends.choose` picks no wide-table backend, and
 every program a forced backend does not support.
@@ -75,20 +75,20 @@ class NumpyTablesBackend(ExecutorBackend):
                 if nbytes >= 2:
                     lanes = pool[src].view(np.uint8).reshape(n, nbytes)
                     for i in range(nbytes):
-                        np.take(table[i], lanes[:, i], out=ms)
+                        table[i].take(lanes[:, i], out=ms)
                         np.bitwise_xor(d, ms, out=d)
                 else:
-                    np.take(table, pool[src], out=ms)
+                    table.take(pool[src], out=ms)
                     np.bitwise_xor(d, ms, out=d)
             elif op == OP_MUL:
                 if nbytes >= 2:
                     lanes = pool[src].view(np.uint8).reshape(n, nbytes)
-                    np.take(table[0], lanes[:, 0], out=d)
+                    table[0].take(lanes[:, 0], out=d)
                     for i in range(1, nbytes):
-                        np.take(table[i], lanes[:, i], out=ms)
+                        table[i].take(lanes[:, i], out=ms)
                         np.bitwise_xor(d, ms, out=d)
                 else:
-                    np.take(table, pool[src], out=d)
+                    table.take(pool[src], out=d)
             elif op == OP_COPY:
                 np.copyto(d, pool[src])
             else:  # OP_ZERO

@@ -7,7 +7,7 @@ backend fuses adjacent byte lanes into halfword lanes, halving both:
 - **w=16** — one 64K-entry table per constant, built through the
   field's log/antilog tables (``T[v] = exp[log[c] + log[v]]``,
   vectorised by :meth:`repro.gf.field.GF.mul`): a ``MULXOR`` is a
-  single ``np.take`` + XOR instead of two gathers + two XORs;
+  single ``take`` + XOR instead of two gathers + two XORs;
 - **w=32** — GF(2^32) has no practical log table (2^32 entries), so the
   two halfword tables are composed from the byte-lane SPLIT products
   instead: ``T_lo[b1*256+b0] = c*(b1<<8) ^ c*b0`` is the XOR-outer of
@@ -96,23 +96,23 @@ class SplitTableBackend(ExecutorBackend):
                 np.bitwise_xor(d, pool[src], out=d)
             elif op == OP_MULXOR:
                 if len(tables) == 1:  # w=16: the value is the index
-                    np.take(tables[0], pool[src], out=ms)
+                    tables[0].take(pool[src], out=ms)
                     np.bitwise_xor(d, ms, out=d)
                 else:  # w=32: low then high halfword lanes
                     np.bitwise_and(pool[src], 0xFFFF, out=idx)
-                    np.take(tables[0], idx, out=ms)
+                    tables[0].take(idx, out=ms)
                     np.bitwise_xor(d, ms, out=d)
                     np.right_shift(pool[src], 16, out=idx)
-                    np.take(tables[1], idx, out=ms)
+                    tables[1].take(idx, out=ms)
                     np.bitwise_xor(d, ms, out=d)
             elif op == OP_MUL:
                 if len(tables) == 1:
-                    np.take(tables[0], pool[src], out=d)
+                    tables[0].take(pool[src], out=d)
                 else:
                     np.bitwise_and(pool[src], 0xFFFF, out=idx)
-                    np.take(tables[0], idx, out=d)
+                    tables[0].take(idx, out=d)
                     np.right_shift(pool[src], 16, out=idx)
-                    np.take(tables[1], idx, out=ms)
+                    tables[1].take(idx, out=ms)
                     np.bitwise_xor(d, ms, out=d)
             elif op == OP_COPY:
                 np.copyto(d, pool[src])

@@ -10,6 +10,16 @@ Two program kinds, one key family each:
   long-lived (pinned by the pipeline's ``PlanCache``), so ``id(plan)``
   is stable; the entry pins the plan to keep it that way.
 
+A chain's lowered instructions depend only on its *structure* — the
+matrices' shapes and which entries are 0, 1 or another constant — and
+its constants only fill the ``MUL``/``MULXOR`` operands.  So a second
+LRU of the same size maps structure → the first program lowered for it
+(its *template*), and a content miss whose structure is there copies
+the template with the new matrices' entries stamped in at the
+instructions' recorded ``origins`` instead of lowering again.  Many
+stripes' worst-case patterns share few structures, so a cold pattern
+rarely lowers.
+
 Compilation happens *outside* the lock (lowering can take milliseconds
 for large plans); a double-checked insert keeps concurrent misses
 correct, at worst compiling the same program twice and keeping one.
@@ -19,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,12 +72,12 @@ class CacheStats:
 class ProgramCache:
     """Thread-safe LRU of compiled programs (see module docstring).
 
-    Every program it builds comes out of
-    :meth:`~repro.kernels.lower.ProgramBuilder.finish`, which runs the
-    one structural check (:meth:`RegionProgram.validate`) before
-    returning, so a buggy builder or optimiser pass raises on the miss
-    and never parks a corrupting program where every later decode would
-    find it.
+    Every program it keeps passed the one structural check
+    (:meth:`RegionProgram.validate`): a lowered one in
+    :meth:`~repro.kernels.lower.ProgramBuilder.finish`, a stamped one
+    right after stamping.  So a buggy builder, optimiser pass or stamp
+    raises on the miss and never parks a corrupting program where every
+    later decode would find it.
     """
 
     def __init__(self, maxsize: int = DEFAULT_PROGRAM_CACHE_SIZE):
@@ -77,6 +87,8 @@ class ProgramCache:
         self._lock = threading.Lock()
         # key -> (value, pin); pin keeps identity-keyed objects alive
         self._entries: OrderedDict[tuple, tuple[object, object]] = OrderedDict()
+        # chain structure -> template program (same bound, no stats)
+        self._templates: OrderedDict[tuple, RegionProgram] = OrderedDict()
         self.stats = CacheStats()
 
     def __len__(self) -> int:
@@ -104,18 +116,46 @@ class ProgramCache:
                 self.stats.evictions += 1
         return value
 
+    def _compile_chain(
+        self, field: GF, matrices: Sequence[np.ndarray], shapes: tuple
+    ) -> RegionProgram:
+        """A chain's content miss: stamp its structure's template, or
+        lower it and keep it as that structure's template."""
+        key = (field.w, shapes, tuple(np.minimum(m, 2).tobytes() for m in matrices))
+        with self._lock:
+            template = self._templates.get(key)
+            if template is not None:
+                self._templates.move_to_end(key)
+        if template is None:
+            program = lower_matrix_chain(field, matrices)
+            with self._lock:
+                self._templates[key] = program
+                if len(self._templates) > self.maxsize:
+                    self._templates.popitem(last=False)
+            return program
+        entries = np.concatenate([m.ravel() for m in matrices])[list(template.origins)]
+        program = replace(
+            template,
+            instructions=tuple(
+                [
+                    (op, dst, src, entry if origin >= 0 else const)
+                    for (op, dst, src, const), origin, entry in zip(
+                        template.instructions, template.origins, entries.tolist()
+                    )
+                ]
+            ),
+        )
+        program.validate()
+        return program
+
     # -- lookups -----------------------------------------------------------
 
     def chain_program(self, field: GF, matrices: Sequence[np.ndarray]) -> RegionProgram:
-        """The program applying ``matrices`` in order (content-keyed)."""
-        key = (
-            "chain",
-            field.w,
-            field.polynomial,
-            tuple(m.shape for m in matrices),
-            tuple(m.tobytes() for m in matrices),
-        )
-        return self._get_or_build(key, lambda: lower_matrix_chain(field, matrices))
+        """The program applying ``matrices`` in order (content-keyed;
+        a miss stamps the structure's template when there is one)."""
+        shapes = tuple(m.shape for m in matrices)
+        key = ("chain", field.w, field.polynomial, shapes, tuple(m.tobytes() for m in matrices))
+        return self._get_or_build(key, lambda: self._compile_chain(field, matrices, shapes))
 
     def matrix_program(self, field: GF, matrix: np.ndarray) -> RegionProgram:
         """One matrix: the chain of one, same entry."""

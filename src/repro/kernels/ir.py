@@ -24,13 +24,13 @@ the source matrices contain, identical to what the interpreted
 executor books into the :class:`~repro.gf.region.OpCounter`.  The
 *executed* instruction counts (:attr:`RegionProgram.gathers`,
 :attr:`RegionProgram.xors`) reflect the optimised program and may be
-lower after common-subexpression elimination; they are diagnostics, not
+lower after dead-code elimination; they are diagnostics, not
 cost-model quantities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
@@ -73,6 +73,11 @@ class RegionProgram:
         docstring); ``xor_only`` is the subset with coefficient 1.
     label:
         Human-readable tag for diagnostics (``"plan"``, ``"matrix"``...).
+    origins:
+        Per instruction, the row-major index of the source-matrix entry
+        that supplied its constant (``-1`` for none), across the
+        lowered matrices in order; empty for hand-built programs.
+        Compile-time provenance, not part of the program's identity.
     """
 
     w: int
@@ -83,6 +88,7 @@ class RegionProgram:
     mult_xors: int
     xor_only: int
     label: str = ""
+    origins: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def gathers(self) -> int:
@@ -150,7 +156,7 @@ def structural_violations(program: RegionProgram) -> Iterator[tuple[str, str, st
       full-length buffers and never treats an input as one;
     - ``unknown-opcode`` — opcodes are in the ISA;
     - ``aliasing`` — no instruction reads the slot it writes (the
-      executor's ``np.take(..., out=dst)`` would clobber the source);
+      executor's ``table.take(src, out=dst)`` would clobber the source);
     - ``uninit-read`` / ``accumulate-undefined`` / ``undefined-output``
       — no slot is read, accumulated into, or output before an
       instruction defines it (the executor would consume stale scratch);

@@ -4,7 +4,7 @@ Exactly two shapes of work are lowered, the two the paper executes:
 a *matrix chain* (:func:`lower_matrix_chain`) — one independent
 sub-matrix applying ``W_i``, or ``S_i`` then ``F_i^-1``; a single matrix
 is a chain of one — and a whole *plan* (:func:`lower_plan`), the
-serial decode.  Every program is pair-shared, dead-code-eliminated and
+serial decode.  Every program is dead-code-eliminated and
 slot-compacted, and admitted by one structural pass
 (:meth:`RegionProgram.validate`).
 
@@ -35,7 +35,7 @@ from .ir import (
     Instruction,
     RegionProgram,
 )
-from .optimize import Term, optimize_program, share_pairs
+from .optimize import optimize_program
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports kernels)
     from ..core.planner import DecodePlan
@@ -44,10 +44,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports kernels
 class ProgramBuilder:
     """Incrementally assemble a :class:`RegionProgram`.
 
-    A *stage* is one matrix application: a list of rows, each row a list
-    of ``(slot, const)`` terms with nonzero constants.  Model op counts
-    are taken from the rows as given — i.e. before pair sharing — so
-    optimisation never changes what the counter will report.
+    A *stage* is one matrix application over a list of slots: one
+    instruction per nonzero entry, or a ``ZERO`` for an all-zero row.
+    The model op counts are therefore read off the emitted instructions
+    before dead-code elimination.
+
+    Each instruction records its *origin*: the index of the entry that
+    supplied its constant in the row-major concatenation of every matrix
+    emitted so far (``-1`` for ``ZERO``), so a program of the same
+    structure can be re-stamped with another chain's constants.
     """
 
     def __init__(self, field: GF, num_inputs: int, label: str = ""):
@@ -57,53 +62,50 @@ class ProgramBuilder:
         self.num_inputs = num_inputs
         self.next_slot = num_inputs
         self.instructions: list[Instruction] = []
-        self.mult_xors = 0
-        self.xor_only = 0
+        self.origins: list[int] = []
+        self.entries = 0
         self.label = label
 
-    def new_slot(self) -> int:
-        slot = self.next_slot
+    def emit_stage(self, matrix: np.ndarray, slots: Sequence[int]) -> list[int]:
+        """Emit ``pool[out_i] = XOR_j matrix[i, j] * pool[slots[j]]`` for
+        every row ``i``, terms in column order; returns the ``out_i``."""
+        rows, cols = matrix.shape
+        nz_rows, nz_cols = np.nonzero(matrix)
+        consts = matrix[nz_rows, nz_cols].tolist()
+        srcs = np.asarray(slots)[nz_cols].tolist()
+        origins = (nz_rows * cols + nz_cols + self.entries).tolist()
+        out_slots = list(range(self.next_slot, self.next_slot + rows))
+        insts: list[Instruction] = []
+        stamps: list[int] = []
+        start = 0
+        for dst, count in zip(out_slots, np.bincount(nz_rows, minlength=rows).tolist()):
+            if not count:
+                insts.append((OP_ZERO, dst, -1, 0))
+                stamps.append(-1)
+                continue
+            end = start + count
+            const = consts[start]
+            insts.append((OP_COPY if const == 1 else OP_MUL, dst, srcs[start], const))
+            insts += [
+                (OP_XOR if c == 1 else OP_MULXOR, dst, src, c)
+                for c, src in zip(consts[start + 1 : end], srcs[start + 1 : end])
+            ]
+            stamps += origins[start:end]
+            start = end
         # builders are call-local to one lower_* invocation, never shared
-        self.next_slot += 1  # ppm: noqa[PPM010]
-        return slot
-
-    def emit_terms(self, dst: int, terms: Sequence[Term]) -> None:
-        """Emit ``pool[dst] = XOR_j const_j * pool[slot_j]`` (uncounted)."""
-        if not terms:
-            self.instructions.append((OP_ZERO, dst, -1, 0))  # ppm: noqa[PPM010]
-            return
-        slot, const = terms[0]
-        if const == 1:
-            self.instructions.append((OP_COPY, dst, slot, 1))
-        else:
-            self.instructions.append((OP_MUL, dst, slot, const))
-        for slot, const in terms[1:]:
-            if const == 1:
-                self.instructions.append((OP_XOR, dst, slot, 1))
-            else:
-                self.instructions.append((OP_MULXOR, dst, slot, const))
-
-    def emit_stage(self, rows: list[list[Term]]) -> list[int]:
-        """Emit one matrix application; returns the output slot per row."""
-        for row in rows:
-            self.mult_xors += len(row)  # ppm: noqa[PPM010] - call-local builder
-            self.xor_only += sum(  # ppm: noqa[PPM010] - call-local builder
-                1 for _slot, const in row if const == 1
-            )
-        pair_defs, rows, self.next_slot = share_pairs(rows, self.next_slot)
-        for slot, pair in pair_defs:
-            self.emit_terms(slot, pair)
-        out_slots = []
-        for row in rows:
-            dst = self.new_slot()
-            self.emit_terms(dst, row)
-            out_slots.append(dst)
+        self.instructions.extend(insts)  # ppm: noqa[PPM010]
+        self.origins.extend(stamps)  # ppm: noqa[PPM010]
+        self.next_slot, self.entries = (  # ppm: noqa[PPM010]
+            self.next_slot + rows,
+            self.entries + matrix.size,
+        )
         return out_slots
 
     def finish(self, outputs: Sequence[int]) -> RegionProgram:
         """The optimised program, admitted by the one structural check
         (a builder or optimiser bug raises here, before any cache can
         keep the program)."""
+        ops = [inst[0] for inst in self.instructions]
         program = optimize_program(
             RegionProgram(
                 w=self.field.w,
@@ -111,27 +113,14 @@ class ProgramBuilder:
                 pool_size=self.next_slot,
                 instructions=tuple(self.instructions),
                 outputs=tuple(outputs),
-                mult_xors=self.mult_xors,
-                xor_only=self.xor_only,
+                mult_xors=len(ops) - ops.count(OP_ZERO),
+                xor_only=ops.count(OP_COPY) + ops.count(OP_XOR),
                 label=self.label,
+                origins=tuple(self.origins),
             )
         )
         program.validate()
         return program
-
-
-def _matrix_rows(matrix: np.ndarray, slots: Sequence[int]) -> list[list[Term]]:
-    """Rows of (slot, const) terms, one per matrix row, zeros dropped."""
-    rows: list[list[Term]] = []
-    for i in range(matrix.shape[0]):
-        rows.append(
-            [
-                (slots[j], int(matrix[i, j]))
-                for j in range(matrix.shape[1])
-                if int(matrix[i, j]) != 0
-            ]
-        )
-    return rows
 
 
 def lower_matrix_chain(field: GF, matrices: Sequence[np.ndarray]) -> RegionProgram:
@@ -157,7 +146,7 @@ def lower_matrix_chain(field: GF, matrices: Sequence[np.ndarray]) -> RegionProgr
             raise ValueError(
                 f"matrix shape {m.shape} incompatible with {len(current)} inputs"
             )
-        current = builder.emit_stage(_matrix_rows(m, current))
+        current = builder.emit_stage(m, current)
     return builder.finish(current)
 
 
@@ -196,7 +185,7 @@ def lower_plan(field: GF, plan: "DecodePlan") -> PlanProgram:
     for stage in plan.stages:
         slots = [slot_of[b] for b in stage.survivor_ids]
         for matrix in stage.arrays:
-            slots = builder.emit_stage(_matrix_rows(matrix, slots))
+            slots = builder.emit_stage(matrix, slots)
         slot_of.update(zip(stage.faulty_ids, slots))
 
     output_ids = plan.targets

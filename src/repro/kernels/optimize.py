@@ -1,89 +1,28 @@
 """Optimisation passes over :class:`~repro.kernels.ir.RegionProgram`.
 
-Three passes, run in this order by :func:`optimize_program`:
+Two passes, run in this order by :func:`optimize_program`:
 
-1. **Pair sharing** (:func:`share_pairs`) — greedy common-subexpression
-   elimination over one stage's rows, the GF(2^w) form of classic
-   XOR-schedule pair reuse: the *(slot, const)* term pair shared by the
-   most rows is materialised once into a temporary and every row
-   rewrites to XOR that temporary instead.  Only terms present in two
-   or more rows are paired up when counting.  This
-   pass runs at lowering time (it needs the row structure), the other
-   two on the flat program.
-2. **Dead-temporary elimination** (:func:`eliminate_dead`) — reverse
+1. **Dead-temporary elimination** (:func:`eliminate_dead`) — reverse
    liveness walk dropping instructions whose destination is never read
    and never output (e.g. an ``S``-stage row whose column in ``F^-1`` is
    all zero).
-3. **Slot compaction** (:func:`compact_slots`) — renumber slots with a
+2. **Slot compaction** (:func:`compact_slots`) — renumber slots with a
    free-list so temporaries reuse buffers once dead.  Input slots keep
    their identity; output slots always get dedicated buffers (the
    executor hands them full-length arrays, not chunk scratch).
 
-None of the passes touch the program's *model* op counts
+Neither pass touches the program's *model* op counts
 (``mult_xors``/``xor_only``): those describe the source matrices, not
-the executed instructions.
+the executed instructions.  Neither looks at a constant either, so the
+optimised instruction list depends only on the source matrices'
+structure (see :class:`~repro.kernels.cache.ProgramCache`).
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
+from dataclasses import replace
 
-from .ir import (
-    OP_MUL,
-    OP_MULXOR,
-    OP_XOR,
-    OP_ZERO,
-    Instruction,
-    RegionProgram,
-)
-
-#: One linear-combination term: ``(slot, const)`` with ``const != 0``.
-Term = tuple[int, int]
-
-
-def share_pairs(
-    rows: list[list[Term]], next_slot: int
-) -> tuple[list[tuple[int, tuple[Term, Term]]], list[list[Term]], int]:
-    """Greedy pair-reuse CSE across the rows of one stage.
-
-    While some term pair appears in >= 2 rows, materialise the most
-    frequent pair (smallest pair wins ties) as a new temporary slot and
-    rewrite every row containing it to the single term ``(temp, 1)``.
-
-    Returns ``(pair_defs, rewritten_rows, next_slot)`` where each pair
-    definition is ``(slot, (term_a, term_b))`` meaning
-    ``pool[slot] = a_const * pool[a_slot] ^ b_const * pool[b_slot]``.
-
-    A pair can appear in two rows only if both its terms do, so each
-    round counts pairs among the terms found in >= 2 rows and nothing
-    else: every pair that could be chosen is counted in full.
-    """
-    row_sets = [set(row) for row in rows]
-    pair_defs: list[tuple[int, tuple[Term, Term]]] = []
-    while True:
-        rows_with = Counter(term for row in row_sets for term in row)
-        counts: dict[tuple[Term, Term], int] = {}
-        for row in row_sets:
-            shareable = sorted(term for term in row if rows_with[term] >= 2)
-            for pair in combinations(shareable, 2):
-                counts[pair] = counts.get(pair, 0) + 1
-        if not counts:
-            break
-        pair, freq = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if freq < 2:
-            break
-        slot = next_slot
-        next_slot += 1
-        pair_defs.append((slot, pair))
-        term_a, term_b = pair
-        shared: Term = (slot, 1)
-        for row in row_sets:
-            if term_a in row and term_b in row:
-                row.discard(term_a)
-                row.discard(term_b)
-                row.add(shared)
-    return pair_defs, [sorted(row) for row in row_sets], next_slot
+from .ir import OP_MULXOR, OP_XOR, Instruction, RegionProgram
 
 
 def eliminate_dead(program: RegionProgram) -> RegionProgram:
@@ -91,28 +30,28 @@ def eliminate_dead(program: RegionProgram) -> RegionProgram:
 
     Reverse liveness: ``ZERO``/``COPY``/``MUL`` fully define their
     destination (a live destination becomes dead above them); ``XOR`` /
-    ``MULXOR`` accumulate, so the destination stays live upward.
+    ``MULXOR`` accumulate, so the destination stays live upward.  The
+    program's per-instruction ``origins`` are kept aligned.
     """
     live = set(program.outputs)
-    kept_reversed: list[Instruction] = []
-    for inst in reversed(program.instructions):
-        op, dst, src, _const = inst
+    kept: list[int] = []
+    for index in range(len(program.instructions) - 1, -1, -1):
+        op, dst, src, _const = program.instructions[index]
         if dst not in live:
             continue
-        kept_reversed.append(inst)
+        kept.append(index)
         if op not in (OP_XOR, OP_MULXOR):
             live.discard(dst)
         if src >= 0:
             live.add(src)
-    return RegionProgram(
-        w=program.w,
-        num_inputs=program.num_inputs,
-        pool_size=program.pool_size,
-        instructions=tuple(reversed(kept_reversed)),
-        outputs=program.outputs,
-        mult_xors=program.mult_xors,
-        xor_only=program.xor_only,
-        label=program.label,
+    if len(kept) == len(program.instructions):
+        return program
+    kept.reverse()
+    origins = program.origins
+    return replace(
+        program,
+        instructions=tuple(program.instructions[i] for i in kept),
+        origins=tuple(origins[i] for i in kept) if origins else (),
     )
 
 
@@ -151,15 +90,11 @@ def compact_slots(program: RegionProgram) -> RegionProgram:
                 and last_seen.get(slot) == index
             ):
                 free.append(remap[slot])
-    return RegionProgram(
-        w=program.w,
-        num_inputs=program.num_inputs,
+    return replace(
+        program,
         pool_size=next_id,
         instructions=tuple(new_insts),
         outputs=tuple(remap[slot] for slot in program.outputs),
-        mult_xors=program.mult_xors,
-        xor_only=program.xor_only,
-        label=program.label,
     )
 
 

@@ -7,8 +7,9 @@ recovers ``T`` by symbolically executing the instruction stream over
 coefficient vectors (input ``j`` starts as the ``j``-th unit vector;
 XOR is vector addition over the field, MUL scales by the instruction
 constant).  No stripe data is touched and every optimisation the
-compiler performed — pair sharing, dead-code elimination, slot reuse —
-is checked *semantically* rather than trusted.
+compiler performed — dead-code elimination, slot reuse, constants
+stamped into a cached template — is checked *semantically* rather than
+trusted.
 
 :func:`verify_plan_program` certifies a fused
 :class:`~repro.kernels.PlanProgram` against the

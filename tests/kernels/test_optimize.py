@@ -1,131 +1,23 @@
-"""Optimisation passes: pair CSE, dead-code elimination, slot compaction.
+"""Optimisation passes: dead-code elimination, slot compaction.
 
 Semantic preservation is checked with the symbolic transfer matrix from
 :mod:`repro.verify.program` — an optimised program must compute exactly
 the same GF(2^w) linear map as the program it came from.
 """
 
-from itertools import combinations
-
 import numpy as np
 
-from repro.codes import get_code, is_decodable
-from repro.core import SequencePolicy, plan_decode
 from repro.gf import GF
 from repro.kernels import (
-    OP_COPY,
     OP_MUL,
     OP_MULXOR,
-    OP_XOR,
     ProgramBuilder,
     RegionProgram,
     compact_slots,
     eliminate_dead,
-    lower_matrix_chain,
-    lower_plan,
     optimize_program,
-    share_pairs,
 )
-from repro.kernels import lower as lower_module
 from repro.verify import transfer_matrix
-from repro.verify.sweep import DEFAULT_INSTANCES, iter_scenarios
-
-
-def test_share_pairs_materialises_common_pair():
-    # rows 0 and 1 share the pair ((0,3),(1,5)); row 2 shares nothing
-    rows = [
-        [(0, 3), (1, 5), (2, 1)],
-        [(0, 3), (1, 5)],
-        [(0, 7)],
-    ]
-    pair_defs, rewritten, next_slot = share_pairs(rows, next_slot=4)
-    assert pair_defs == [(4, ((0, 3), (1, 5)))]
-    assert next_slot == 5
-    assert rewritten[0] == [(2, 1), (4, 1)]
-    assert rewritten[1] == [(4, 1)]
-    assert rewritten[2] == [(0, 7)]
-
-
-def test_share_pairs_tie_break_is_smallest_pair():
-    # both pairs appear twice; the lexicographically smallest wins first
-    rows = [
-        [(0, 2), (1, 2)],
-        [(0, 2), (1, 2)],
-        [(0, 2), (2, 2)],
-        [(0, 2), (2, 2)],
-    ]
-    pair_defs, _rewritten, _next = share_pairs(rows, next_slot=3)
-    assert pair_defs[0][1] == ((0, 2), (1, 2))
-    assert len(pair_defs) == 2
-
-
-def test_share_pairs_unique_pairs_untouched():
-    rows = [[(0, 3), (1, 5)], [(0, 9), (1, 11)]]
-    pair_defs, rewritten, next_slot = share_pairs(rows, next_slot=2)
-    assert pair_defs == []
-    assert rewritten == [sorted(r) for r in rows]
-    assert next_slot == 2
-
-
-def _reference_share_pairs(rows, next_slot):
-    """Reference: the greedy that recounts every pair of every row."""
-    row_sets = [set(row) for row in rows]
-    pair_defs = []
-    while True:
-        counts = {}
-        for row in row_sets:
-            if len(row) < 2:
-                continue
-            for pair in combinations(sorted(row), 2):
-                counts[pair] = counts.get(pair, 0) + 1
-        if not counts:
-            break
-        pair, freq = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        if freq < 2:
-            break
-        slot = next_slot
-        next_slot += 1
-        pair_defs.append((slot, pair))
-        term_a, term_b = pair
-        for row in row_sets:
-            if term_a in row and term_b in row:
-                row.discard(term_a)
-                row.discard(term_b)
-                row.add((slot, 1))
-    return pair_defs, [sorted(row) for row in row_sets], next_slot
-
-
-def test_share_pairs_equals_reference_on_random_rows():
-    rng = np.random.default_rng(28)
-    for _ in range(300):
-        slots = int(rng.integers(1, 9))
-        consts = int(rng.integers(1, 4))  # few constants: many shared pairs
-        rows = []
-        for _ in range(int(rng.integers(0, 7))):
-            width = int(rng.integers(0, slots + 1))
-            picked = rng.choice(slots, size=width, replace=False)
-            rows.append([(int(s), int(rng.integers(1, consts + 1))) for s in picked])
-        assert share_pairs(rows, slots) == _reference_share_pairs(rows, slots)
-
-
-def test_share_pairs_equals_reference_on_every_registered_stage(monkeypatch):
-    calls = []
-
-    def checked(rows, next_slot):
-        got = share_pairs(rows, next_slot)
-        assert got == _reference_share_pairs(rows, next_slot)
-        calls.append(len(got[0]))
-        return got
-
-    monkeypatch.setattr(lower_module, "share_pairs", checked)
-    for kind, params in DEFAULT_INSTANCES.items():
-        code = get_code(kind, **params)
-        patterns = [f for f in iter_scenarios(code, 6, seed=28) if is_decodable(code, f)]
-        for faulty in patterns:
-            for policy in SequencePolicy:
-                lower_plan(code.field, plan_decode(code, faulty, policy))
-        lower_plan(code.field, plan_decode(code, code.parity_block_ids))
-    assert calls and any(calls)  # some stage really shared a pair
 
 
 def test_eliminate_dead_drops_unread_definition():
@@ -212,16 +104,15 @@ def test_compact_slots_never_recycles_output_slots():
 def _raw_program(field, matrix):
     """What the builder emits for one matrix before optimisation."""
     builder = ProgramBuilder(field, matrix.shape[1])
-    rows = [[(j, int(c)) for j, c in enumerate(row) if c] for row in matrix]
-    outputs = builder.emit_stage(rows)
+    outputs = builder.emit_stage(matrix, range(matrix.shape[1]))
     return RegionProgram(
         w=field.w,
         num_inputs=builder.num_inputs,
         pool_size=builder.next_slot,
         instructions=tuple(builder.instructions),
         outputs=tuple(outputs),
-        mult_xors=builder.mult_xors,
-        xor_only=builder.xor_only,
+        mult_xors=int(np.count_nonzero(matrix)),
+        xor_only=int(np.count_nonzero(matrix == 1)),
     )
 
 
@@ -239,16 +130,3 @@ def test_optimize_program_preserves_semantics_on_random_matrices():
         )
         assert slim.pool_size <= raw.pool_size
         assert (slim.mult_xors, slim.xor_only) == (raw.mult_xors, raw.xor_only)
-
-
-def test_shared_pairs_reduce_executed_ops_but_not_model_counts():
-    field = GF(8)
-    # every row contains the pair (col0 * 3, col1 * 5)
-    matrix = np.array(
-        [[3, 5, 1], [3, 5, 2], [3, 5, 4]], dtype=field.dtype
-    )
-    shared = lower_matrix_chain(field, [matrix])
-    assert shared.mult_xors == 9
-    # unshared, every nonzero coefficient is one instruction
-    assert shared.executed_ops < int(np.count_nonzero(matrix))
-    assert np.array_equal(transfer_matrix(shared, field), matrix)

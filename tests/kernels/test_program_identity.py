@@ -16,8 +16,10 @@ from repro.kernels import ProgramCache
 from repro.stripes.failures import worst_case_sd
 
 #: sha256 over 32 seeded SD(10,8,2,2) worst-case (z=1) patterns x four
-#: policies x {whole pattern, first faulty block}.
-PINNED_DIGEST = "628463932903bf03344d5dfa6f808f01864211aceffa8379c2a15a7f91154376"
+#: policies x {whole pattern, first faulty block}.  Re-pinned when pair
+#: sharing was deleted: every nonzero coefficient is now one instruction,
+#: terms in column order.
+PINNED_DIGEST = "f599b8b39b13748469d09c090c7ceee6d25c2cad5eda63cc2d5d6a40c21badef"
 
 POLICIES = (
     SequencePolicy.PAPER,
