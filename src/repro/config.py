@@ -145,9 +145,12 @@ class PipelineConfig:
     deadline_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.pool not in ("serial", "thread", "process"):
+        from .pipeline.pool import available_pools
+
+        if self.pool not in available_pools():
             raise ValueError(
-                f"pipeline.pool must be serial, thread or process, got {self.pool!r}"
+                f"pipeline.pool must be one of {', '.join(available_pools())}, "
+                f"got {self.pool!r}"
             )
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")

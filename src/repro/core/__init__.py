@@ -26,7 +26,7 @@ from .planner import (
 from .sequences import ExecutionMode, SequenceCosts, SequencePolicy
 
 if TYPE_CHECKING:  # resolved lazily at run time, see __getattr__
-    from .decoder import DecodeStats, PPMDecoder, ProcessParallelDecoder, TraditionalDecoder
+    from .decoder import DecodeStats, PPMDecoder, TraditionalDecoder
     from .rowparallel import RowParallelDecoder
 
 #: The decoder presets subclass the engine in :mod:`repro.pipeline`,
@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # resolved lazily at run time, see __getattr__
 _PRESETS = {
     "DecodeStats": "decoder",
     "PPMDecoder": "decoder",
-    "ProcessParallelDecoder": "decoder",
     "TraditionalDecoder": "decoder",
     "RowParallelDecoder": "rowparallel",
 }
@@ -63,7 +62,6 @@ __all__ = [
     "Partition",
     "partition",
     "partition_sd",
-    "ProcessParallelDecoder",
     "RowParallelDecoder",
     "DecodePlan",
     "GroupPlan",

@@ -12,7 +12,6 @@ preset                       policy              pool     workers  assignment
 ``PPMDecoder``               paper: min(C2, C4)  thread   threads  round_robin
 ``PPMDecoder(parallel=       paper               serial   1        —
 False)`` / ``threads=1``
-``ProcessParallelDecoder``   paper               process  threads  round_robin
 ===========================  ==================  =======  =======  ===========
 
 ``round_robin`` is Algorithm 1's ``p mod T``.  They share the plan
@@ -32,7 +31,6 @@ from .sequences import SequencePolicy
 __all__ = [
     "DecodeStats",
     "PPMDecoder",
-    "ProcessParallelDecoder",
     "TraditionalDecoder",
 ]
 
@@ -83,8 +81,9 @@ class PPMDecoder(DecodePipeline):
         Sequence policy; default is the paper's rule (min(C2, C4)).
     parallel:
         When False (or with ``threads=1``) the whole plan runs as one
-        program on the caller's thread — the mode used for measured
-        cost-reduction experiments on the 1-core host.
+        program on the caller's thread — the mode the measured
+        cost-reduction experiments use, so their timings hold the
+        counted work alone, whatever the host's core count.
     deadline_s:
         When set, bounds every parallel phase: a straggling worker
         raises :class:`~repro.pipeline.pool.StragglerTimeout` instead
@@ -110,32 +109,4 @@ class PPMDecoder(DecodePipeline):
             workers=threads if concurrent else 1,
             policy=policy, assignment="round_robin",
             counter=counter, verify=verify, deadline_s=deadline_s,
-        )
-
-
-class ProcessParallelDecoder(DecodePipeline):
-    """PPM with the parallel phase on a persistent process pool.
-
-    Python threads contend on the GIL for the table-gather portions of
-    the GF kernels, so thread-level PPM underestimates what a C
-    implementation gets from T cores; worker *processes* do not.
-    ``threads`` plays the role of T.  The pool is spawned lazily on the
-    first parallel decode and reused until :meth:`close` (the decoder is
-    a context manager), so a batch of stripes pays process start-up
-    once; inputs are still pickled to the workers, so this pays off for
-    large sectors on multi-core hosts.  Child work is booked into the
-    parent's counter (child counters cannot be shared).
-    """
-
-    def __init__(
-        self,
-        *,
-        threads: int = 2,
-        policy: SequencePolicy = SequencePolicy.PAPER,
-        counter: OpCounter | None = None,
-        verify: bool = False,
-    ):
-        super().__init__(
-            pool="process", workers=threads, policy=policy, assignment="round_robin",
-            counter=counter, verify=verify,
         )

@@ -25,14 +25,11 @@ from .engine import BatchStats, DecodePipeline, DecodeStats
 from .metrics import LatencyTracker, PipelineMetrics
 from .plancache import PlanCache
 from .pool import (
-    ProcessWorkerPool,
     SerialPool,
     StragglerTimeout,
     ThreadWorkerPool,
     WorkerPool,
     available_pools,
-    close_live_pools,
-    live_pools,
     make_pool,
 )
 
@@ -46,10 +43,7 @@ __all__ = [
     "WorkerPool",
     "SerialPool",
     "ThreadWorkerPool",
-    "ProcessWorkerPool",
     "available_pools",
-    "close_live_pools",
-    "live_pools",
     "make_pool",
     "BatchStats",
     "DecodeStats",

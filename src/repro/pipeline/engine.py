@@ -62,7 +62,7 @@ from .pool import StragglerTimeout, WorkerPool, make_pool
 
 #: One schedulable unit: apply ``matrices`` in order — ``(W,)`` or
 #: ``(S, F^-1)`` — to the fused survivor ``regions``, recovering
-#: ``faulty_ids``.  Pure data, picklable for process pools.
+#: ``faulty_ids``.
 _Task = tuple[int, tuple[np.ndarray, ...], list[np.ndarray], tuple[int, ...]]
 
 #: LRU capacity of every pipeline's :class:`PlanCache`.
@@ -111,40 +111,6 @@ def _blocks_of(stripe: Stripe | Mapping[int, np.ndarray]) -> Mapping[int, np.nda
     if isinstance(stripe, Stripe):
         return {b: stripe.get(b) for b in stripe.present_ids}
     return stripe
-
-
-#: Per-worker-process ops instances: the program cache inside survives
-#: across submits, so each weight matrix compiles once per worker.
-_CHILD_OPS: dict[tuple[int, int], CompiledRegionOps] = {}
-
-
-def _child_ops(w: int, polynomial: int) -> CompiledRegionOps:
-    key = (w, polynomial)
-    ops = _CHILD_OPS.get(key)
-    if ops is None:
-        ops = CompiledRegionOps(GF(w, polynomial))
-        # per-process memo: each pool worker owns its own interpreter,
-        # so no lock is needed (or possible) across processes
-        _CHILD_OPS[key] = ops  # ppm: noqa[PPM011]
-    return ops
-
-
-def _run_task_bucket(
-    w: int, polynomial: int, tasks: list[_Task]
-) -> tuple[dict[int, dict[int, np.ndarray]], float]:
-    """Process-pool worker: execute a bucket of tasks in a child process.
-
-    The field is reconstructed from ``(w, polynomial)`` and the ops
-    instance (with its program cache) persists in the worker process
-    across submissions; op accounting happens in the parent, like for
-    every pool, see :meth:`DecodePipeline._book`.
-    """
-    t0 = time.perf_counter()
-    ops = _child_ops(w, polynomial)
-    out: dict[int, dict[int, np.ndarray]] = {}
-    for task_id, matrices, regions, faulty_ids in tasks:
-        out[task_id] = dict(zip(faulty_ids, _chain(ops, matrices, regions)))
-    return out, time.perf_counter() - t0
 
 
 def _chain(
@@ -257,7 +223,7 @@ class DecodePipeline:
     least ``2 * MIN_TILE_SYMBOLS`` fused symbols is cut into up to one
     symbol range per worker, and every stage — ``H_rest`` included — runs once
     per tile on the pool; shorter batches, the round-robin presets and
-    the process and serial pools run one tile.
+    the serial pool run one tile.
 
     Its native entry point is :meth:`decode_batch`; :meth:`decode` (the
     single-stripe protocol :class:`repro.stripes.DiskArray` speaks) is a
@@ -272,8 +238,8 @@ class DecodePipeline:
         Pool width; ignored when ``pool`` is an existing
         :class:`~repro.pipeline.pool.WorkerPool` instance.
     pool:
-        ``"thread"`` (default), ``"process"``, ``"serial"``, or a
-        ready-made pool to share between pipelines.
+        ``"thread"`` (default), ``"serial"``, or a ready-made pool to
+        share between pipelines.
     policy:
         Sequence policy for every plan (part of the plan-cache key).
     assignment:
@@ -314,9 +280,8 @@ class DecodePipeline:
     faults:
         Optional :class:`~repro.service.store.FaultInjector` whose
         slow-worker/corrupt-worker modes apply to primary phase-1
-        executions on the thread/serial path (hedges, phase-2 tiles and
-        process-pool children are not injected) — the test hook proving the
-        hedging and verification machinery works.
+        executions (hedges and phase-2 tiles are not injected) — the
+        test hook proving the hedging and verification machinery works.
     """
 
     def __init__(
@@ -690,8 +655,8 @@ class DecodePipeline:
         (phase 2 — each tile reads only its own slice and its own phase-1
         outputs; like this thread's walk it is not injected, hedged or
         deadline-bound).  Only an LPT thread pool tiles; Algorithm 1's
-        round-robin presets, the process pool and the serial pool keep
-        one tile.  Each (batch, stage) unit is booked once (:meth:`_book`).
+        round-robin presets and the serial pool keep one tile.  Each
+        (batch, stage) unit is booked once (:meth:`_book`).
         """
         if self.pool.kind == "serial" and not self.verify_workers and self.faults is None:
             t0 = time.perf_counter()
@@ -825,7 +790,7 @@ class DecodePipeline:
 
         The gather is hedging- and deadline-aware: see
         :meth:`_gather_hedged`.  Fault injection (``self.faults``)
-        applies to primary executions on the thread/serial path.
+        applies to primary executions.
         """
         if not tasks:
             return {}
@@ -860,12 +825,11 @@ class DecodePipeline:
                 out[task_id] = recovered
             return out, time.perf_counter() - t0
 
-        if self.pool.kind == "serial" or (self.pool.kind == "process" and len(buckets) == 1):
-            # serial pool, or one bucket not worth pickling: run on the
-            # caller's thread (nothing to hedge or time out — there is no
-            # concurrent worker to race)
+        if self.pool.kind == "serial":
+            # nothing to hedge or time out: there is no concurrent worker
+            # to race
             gathered = [run_local(bucket) for bucket in buckets]
-        elif self.pool.kind == "thread":
+        else:
             # hedges run uncounted and uninjected (see _ops_for)
             hedge_ops = self._ops_for(ops.field, hedge=True)
 
@@ -873,16 +837,6 @@ class DecodePipeline:
                 if hedged:
                     return self.pool.submit(run_local, buckets[index], hedge_ops, False)
                 return self.pool.submit(run_local, buckets[index])
-
-            gathered = self._gather_hedged(submit, keys, deadline_s)
-        else:
-            field = ops.field
-            payloads = [[tasks[i] for i in bucket] for bucket in buckets]
-
-            def submit(index: int, hedged: bool) -> Future:
-                return self.pool.submit(
-                    _run_task_bucket, field.w, field.polynomial, payloads[index]
-                )
 
             gathered = self._gather_hedged(submit, keys, deadline_s)
         merged: dict[int, dict[int, np.ndarray]] = {}
@@ -1022,8 +976,7 @@ class DecodePipeline:
         )
 
     def executor_stats(self) -> dict[str, object]:
-        """Merged compiled-kernel execution tallies (process-pool child
-        executions are not visible).
+        """Merged compiled-kernel execution tallies of primary executions.
 
         The ``backends`` entry nests per-backend splits; everything
         else is a flat numeric tally (see

@@ -7,37 +7,26 @@ measurable quantity: a :class:`WorkerPool` is created lazily on first
 use, *stays alive across submissions* (the per-call spawn overhead the
 paper measures in §III-C is paid once, not per stripe), and counts how
 many times its underlying executor was actually spawned so tests can
-assert "one pool per batch".  Live pools are tracked in a weak registry
-and closed by an :mod:`atexit` hook, so a persistent pool abandoned
-mid-batch cannot leak worker processes past interpreter exit.
+assert "one pool per batch".  A pool abandoned without :meth:`close`
+needs no exit hook of its own: :mod:`concurrent.futures` joins every
+thread executor's workers at interpreter exit.
 
-Three implementations share the interface:
+Two implementations share the interface:
 
 - :class:`SerialPool` — runs tasks inline on the caller's thread (the
   T=1 / parallel-off path, no executor at all);
 - :class:`ThreadWorkerPool` — shared-memory threads (cheap submission,
-  GIL-bound table gathers);
-- :class:`ProcessWorkerPool` — OS processes (GIL-free, inputs pickled).
+  GIL-bound table gathers), the paper's T workers in one address space.
 
 ``make_pool(kind, workers)`` maps the CLI/config names to classes.
 """
 
 from __future__ import annotations
 
-import atexit
-import logging
 import threading
 import time
-import weakref
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from typing import Any, Callable
-
-logger = logging.getLogger(__name__)
 
 
 class StragglerTimeout(TimeoutError):
@@ -69,61 +58,6 @@ class StragglerTimeout(TimeoutError):
         self.completed = completed
         self.pending = pending
         self.results = dict(results or {})
-
-#: Every pool with a live (spawned) executor, tracked weakly so garbage
-#: collection is never blocked.  :func:`close_live_pools` runs at
-#: interpreter exit, so persistent pools abandoned mid-batch (a long-
-#: running service killed between submissions, a script that never
-#: called ``close()``) shut their executors down cleanly instead of
-#: leaking worker processes.
-_LIVE_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
-
-#: Guards :data:`_LIVE_POOLS`.  Registration happens inside
-#: ``_ensure`` on whatever thread first submits, deregistration in
-#: ``close`` on another — a WeakSet is not thread-safe, and a pool's
-#: *instance* lock cannot guard state shared across all pools.
-_REGISTRY_LOCK = threading.Lock()
-
-#: Attribute on the :mod:`atexit` module recording the installed hook.
-#: Module-level state would reset on a re-import (``importlib.reload``),
-#: stacking one duplicate hook per reload; the :mod:`atexit` module
-#: itself survives reloads of *this* module, so the marker lives there.
-_HOOK_ATTR = "_repro_close_live_pools_hook"
-
-
-def live_pools() -> tuple["WorkerPool", ...]:
-    """Pools whose executor is currently spawned (observability/tests)."""
-    with _REGISTRY_LOCK:
-        pools = tuple(_LIVE_POOLS)
-    return tuple(pool for pool in pools if pool.alive)
-
-
-def close_live_pools() -> None:
-    """Close every live pool; installed as the atexit shutdown hook."""
-    with _REGISTRY_LOCK:
-        pools = list(_LIVE_POOLS)
-    for pool in pools:
-        try:
-            pool.close()
-        except Exception as exc:  # noqa: BLE001 - best effort during shutdown
-            logger.debug("ignoring error closing pool %r at shutdown: %r", pool, exc)
-
-
-def _install_shutdown_hook() -> None:
-    """Register :func:`close_live_pools` with :mod:`atexit` exactly once.
-
-    Idempotent across repeated calls *and* module re-imports: any hook a
-    previous import registered is unregistered first, so the exit stack
-    never holds more than one copy.
-    """
-    previous = getattr(atexit, _HOOK_ATTR, None)
-    if previous is not None:
-        atexit.unregister(previous)
-    atexit.register(close_live_pools)
-    setattr(atexit, _HOOK_ATTR, close_live_pools)
-
-
-_install_shutdown_hook()
 
 
 class WorkerPool:
@@ -159,9 +93,6 @@ class WorkerPool:
                 self._executor = self._spawn()
                 self.spawn_seconds += time.perf_counter() - t0
                 self.spawn_count += 1
-                if self._executor is not None:
-                    with _REGISTRY_LOCK:
-                        _LIVE_POOLS.add(self)
             return self._executor
 
     @property
@@ -173,8 +104,6 @@ class WorkerPool:
         """Shut the executor down; the next submit re-spawns it."""
         with self._lock:
             executor, self._executor = self._executor, None
-        with _REGISTRY_LOCK:
-            _LIVE_POOLS.discard(self)
         if executor is not None:
             executor.shutdown(wait=True)
 
@@ -221,25 +150,9 @@ class ThreadWorkerPool(WorkerPool):
         )
 
 
-class ProcessWorkerPool(WorkerPool):
-    """Persistent :class:`ProcessPoolExecutor` behind the pool interface.
-
-    Submitted callables and arguments must be picklable (module-level
-    functions, plain data).  Spawning is far more expensive than for
-    threads, which is exactly why keeping the pool alive across stripes
-    matters for throughput.
-    """
-
-    kind = "process"
-
-    def _spawn(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-
 _POOL_KINDS: dict[str, type[WorkerPool]] = {
     "serial": SerialPool,
     "thread": ThreadWorkerPool,
-    "process": ProcessWorkerPool,
 }
 
 
@@ -249,7 +162,7 @@ def available_pools() -> tuple[str, ...]:
 
 
 def make_pool(kind: str, workers: int = 1) -> WorkerPool:
-    """Construct a pool by name: ``serial``, ``thread`` or ``process``."""
+    """Construct a pool by name: ``serial`` or ``thread``."""
     try:
         cls = _POOL_KINDS[kind]
     except KeyError:

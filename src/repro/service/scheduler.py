@@ -85,10 +85,10 @@ def _is_decode_error(exc: BaseException) -> bool:
     (:class:`~repro.matrix.SingularMatrixError` is a ``ValueError``,
     missing survivors raise ``KeyError``, verification failures are
     ``ValueError`` subclasses).  Infrastructure failures — a closed
-    worker pool's ``RuntimeError``, a ``BrokenProcessPool``, ``OSError``
-    — are not decode problems: retrying the same work through the
-    fallback path would mask a dying service, so they are re-raised
-    distinctly instead of being wrapped as :class:`BatchDecodeError`.
+    worker pool's ``RuntimeError``, ``OSError`` — are not decode
+    problems: retrying the same work through the fallback path would
+    mask a dying service, so they are re-raised distinctly instead of
+    being wrapped as :class:`BatchDecodeError`.
     """
     if isinstance(exc, ServiceError):
         # scheduler-internal service errors (e.g. BlockUnavailableError

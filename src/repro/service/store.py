@@ -54,9 +54,8 @@ class FaultInjector:
     worker's recovered regions are bit-flipped after computing (a
     silently-wrong result — what syndrome verification must catch).
     Wire an injector into :class:`~repro.pipeline.DecodePipeline` via
-    its ``faults=`` parameter; injection applies on the thread/serial
-    execution path only (process-pool children hold no reference to the
-    parent's injector).
+    its ``faults=`` parameter; injection applies to the engine's primary
+    worker executions.
     """
 
     def __init__(

@@ -434,7 +434,7 @@ class NoRawExecutorRule(LintRule):
                     node,
                     f"direct {name}(...) construction; use "
                     "repro.pipeline.pool (ThreadWorkerPool / "
-                    "ProcessWorkerPool / make_pool) so spawns are "
+                    "make_pool) so spawns are "
                     "accounted and pools persist",
                 )
 

@@ -27,7 +27,6 @@ import pytest
 from repro.codes import SDCode
 from repro.core import (
     PPMDecoder,
-    ProcessParallelDecoder,
     RowParallelDecoder,
     TraditionalDecoder,
 )
@@ -35,12 +34,11 @@ from repro.gf import OpCounter, RegionOps
 from repro.pipeline import DecodePipeline
 from repro.stripes import Stripe, StripeLayout, worst_case_sd
 
-#: kind -> (class, constructor params): the five presets and the engine
+#: kind -> (class, constructor params): the presets and the engine
 DECODERS: dict[str, tuple[type, dict]] = {
     "traditional": (TraditionalDecoder, {}),
     "ppm": (PPMDecoder, {"threads": 2}),
     "row_parallel": (RowParallelDecoder, {"threads": 2}),
-    "process_parallel": (ProcessParallelDecoder, {"threads": 2}),
     "pipeline": (DecodePipeline, {"workers": 2, "pool": "serial"}),
 }
 
@@ -133,11 +131,10 @@ TARGET_SHAPES = {
     "all": lambda code, faulty, plan: tuple(faulty),
 }
 
-#: the engine on every pool kind, beside the five presets
+#: the engine on every pool kind, beside the presets
 POOLED = {
     **DECODERS,
     "pipeline_thread": (DecodePipeline, {"workers": 2, "pool": "thread"}),
-    "pipeline_process": (DecodePipeline, {"workers": 2, "pool": "process"}),
 }
 
 
@@ -215,7 +212,7 @@ def test_decode_return_stats_flag(setup, kind):
     assert stats.wall_seconds >= 0.0
 
 
-@pytest.mark.parametrize("kind", ["traditional", "ppm", "process_parallel"])
+@pytest.mark.parametrize("kind", ["traditional", "ppm"])
 def test_counter_parameter_is_uniform(setup, kind):
     code, faulty, stripe, _ = setup
     counter = OpCounter()

@@ -65,6 +65,57 @@ def test_ppm_thread_validation():
         PPMDecoder(threads=0)
 
 
+@pytest.fixture
+def erased(sd_code):
+    """``(faulty, erased stripe, pre-erase truth)`` on ``sd_code``."""
+    faulty = worst_case_sd(sd_code, z=1, rng=0).faulty_blocks
+    stripe = valid_stripe(sd_code, rng=1)
+    truth = stripe.copy()
+    stripe.erase(faulty)
+    return faulty, stripe, truth
+
+
+def test_ppm_pool_spawned_once_across_decodes(sd_code, erased):
+    """The worker pool persists across decode calls: worker start-up is
+    paid once per decoder, not once per stripe."""
+    faulty, stripe, truth = erased
+    with PPMDecoder(threads=2) as decoder:
+        for _ in range(3):
+            recovered = decoder.decode(sd_code, stripe, faulty)
+        assert decoder.pool.spawn_count == 1
+    for b in faulty:
+        assert np.array_equal(recovered[b], truth.get(b))
+
+
+def test_ppm_pool_respawns_after_close(sd_code, erased):
+    faulty, stripe, _ = erased
+    decoder = PPMDecoder(threads=2)
+    decoder.decode(sd_code, stripe, faulty)
+    decoder.close()
+    assert not decoder.pool.alive
+    decoder.decode(sd_code, stripe, faulty)
+    assert decoder.pool.spawn_count == 2
+    decoder.close()
+
+
+def test_ppm_deadline_raises_on_stalled_pool(sd_code, erased):
+    """With ``deadline_s`` set, a decode behind a stalled pool raises a
+    typed timeout instead of waiting the stall out."""
+    import time
+
+    from repro.pipeline import StragglerTimeout
+
+    faulty, stripe, _ = erased
+    with PPMDecoder(threads=2, deadline_s=0.1) as decoder:
+        stalls = [decoder.pool.submit(time.sleep, 1.0) for _ in range(2)]
+        with pytest.raises(StragglerTimeout) as exc_info:
+            decoder.decode(sd_code, stripe, faulty)
+        assert exc_info.value.pending
+        assert decoder.metrics().straggler_timeouts == 1
+        for future in stalls:
+            future.result(timeout=10)
+
+
 def test_ppm_and_traditional_agree(sd_code):
     scen = worst_case_sd(sd_code, z=1, rng=5)
     stripe = valid_stripe(sd_code, rng=6)

@@ -2,11 +2,10 @@
 
 Each test hammers one of the fixed structures from many threads and
 asserts the invariant the fix restored.  Before the fixes these were
-actual data races (unlocked OrderedDict reorders, WeakSet mutation,
-lost-update tallies); with GIL scheduling they fail only
-probabilistically, so the tests assert *accounting* invariants — counts
-that add up exactly — which lost updates break reliably at this
-iteration volume.
+actual data races (unlocked OrderedDict reorders, lost-update
+tallies); with GIL scheduling they fail only probabilistically, so the
+tests assert *accounting* invariants — counts that add up exactly —
+which lost updates break reliably at this iteration volume.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.kernels.executor import ProgramExecutor
 from repro.kernels.lower import lower_matrix_chain
 from repro.pipeline import DecodePipeline
 from repro.pipeline.plancache import PlanCache
-from repro.pipeline.pool import live_pools, make_pool
 from repro.repair.scrubber import StoreScrubber
 from repro.service.store import BlobStore
 from repro.stripes import DiskArray
@@ -113,22 +111,6 @@ class TestExecutorSmallTables:
         for const in program.constants:
             table = baseline._tables.get((4, field.polynomial, const))
             assert table is not None and not table.flags.writeable
-
-
-class TestLivePoolRegistry:
-    def test_concurrent_spawn_close_keeps_registry_consistent(self):
-        pools = [make_pool("thread", 1) for _ in range(THREADS)]
-
-        def worker(i):
-            pool = pools[i]
-            for _ in range(50):
-                pool.submit(lambda: None).result()
-                pool.close()
-
-        hammer(worker)
-        for pool in pools:
-            pool.close()
-        assert all(p not in live_pools() for p in pools)
 
 
 class TestScrubberSerialization:

@@ -47,7 +47,7 @@ def assert_results_equal(expected, got):
             assert np.array_equal(exp[bid], out[bid])
 
 
-@pytest.mark.parametrize("pool", ["serial", "thread", "process"])
+@pytest.mark.parametrize("pool", ["serial", "thread"])
 def test_batch_bit_identical_to_uncached_decoder(code, faulty, pool):
     stripes = make_stripes(code, 5)
     expected = reference_decode(code, stripes, faulty)
@@ -165,16 +165,6 @@ def test_single_stripe_ops_match_serial_ppm(code, faulty):
     with DecodePipeline(pool="serial") as pipe:
         _, stats = pipe.decode_batch(code, [stripe], faulty, return_stats=True)
     assert stats.mult_xors == ref_stats.mult_xors
-
-
-def test_process_pool_accounting_matches_thread(code, faulty):
-    stripes = make_stripes(code, 4)
-    with DecodePipeline(workers=2, pool="thread") as pipe:
-        _, t_stats = pipe.decode_batch(code, stripes, faulty, return_stats=True)
-    with DecodePipeline(workers=2, pool="process") as pipe:
-        _, p_stats = pipe.decode_batch(code, stripes, faulty, return_stats=True)
-    assert p_stats.mult_xors == t_stats.mult_xors
-    assert p_stats.symbols == t_stats.symbols
 
 
 def test_policy_flows_into_plans(code, faulty):
@@ -389,7 +379,7 @@ def test_one_stripe_batch_views_its_inputs(code, faulty):
 # -- targets: a read runs the rows of the plan that recover it ---------------
 
 
-@pytest.mark.parametrize("pool", ["serial", "thread", "process"])
+@pytest.mark.parametrize("pool", ["serial", "thread"])
 def test_targets_fuse_per_pattern_and_target_set(code, faulty, pool):
     stripes = make_stripes(code, 5)
     expected = reference_decode(code, stripes, faulty)

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.config import from_dict
 from repro.pipeline import (
-    ProcessWorkerPool,
     SerialPool,
     ThreadWorkerPool,
     WorkerPool,
@@ -17,10 +23,10 @@ from repro.pipeline import (
 
 
 def test_available_pools():
-    assert available_pools() == ("process", "serial", "thread")
+    assert available_pools() == ("serial", "thread")
 
 
-@pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+@pytest.mark.parametrize("kind", ["serial", "thread"])
 def test_make_pool(kind):
     pool = make_pool(kind, workers=2)
     assert pool.kind == kind
@@ -33,7 +39,16 @@ def test_make_pool_unknown_kind():
         make_pool("gpu")
 
 
-@pytest.mark.parametrize("cls", [SerialPool, ThreadWorkerPool, ProcessWorkerPool])
+def test_process_pool_is_rejected_by_name():
+    """Config input naming a pool kind that does not exist fails at
+    parse, listing the kinds that do."""
+    with pytest.raises(ValueError, match="serial, thread"):
+        make_pool("process")
+    with pytest.raises(ValueError, match="serial, thread"):
+        from_dict({"pipeline": {"pool": "process"}})
+
+
+@pytest.mark.parametrize("cls", [SerialPool, ThreadWorkerPool])
 def test_worker_validation(cls):
     with pytest.raises(ValueError):
         cls(0)
@@ -102,112 +117,29 @@ def test_base_pool_is_serial():
     assert pool.submit(int, "9").result() == 9
 
 
-# -- the atexit registry -----------------------------------------------------
+def test_abandoned_thread_pool_does_not_block_exit():
+    """A decoder whose pool is still spawned at interpreter exit (no
+    ``close()``) exits promptly: :mod:`concurrent.futures` joins every
+    thread executor's idle workers before the interpreter finalises."""
+    script = textwrap.dedent(
+        """
+        from repro.codes import SDCode
+        from repro.core import PPMDecoder, TraditionalDecoder
+        from repro.stripes import Stripe, StripeLayout, worst_case_sd
 
-
-def test_live_registry_tracks_spawned_pools():
-    from repro.pipeline import live_pools
-
-    pool = ThreadWorkerPool(1)
-    assert pool not in live_pools()  # lazy: nothing spawned yet
-    try:
-        pool.submit(int, "1").result()
-        assert pool in live_pools()
-    finally:
-        pool.close()
-    assert pool not in live_pools()
-
-
-def test_serial_pool_never_enters_registry():
-    from repro.pipeline import live_pools
-
-    pool = SerialPool()
-    pool.submit(int, "1").result()
-    assert pool not in live_pools()
-
-
-def test_close_live_pools_closes_everything():
-    from repro.pipeline import close_live_pools, live_pools
-
-    pools = [ThreadWorkerPool(1) for _ in range(3)]
-    for pool in pools:
-        pool.submit(int, "1").result()
-    assert all(pool in live_pools() for pool in pools)
-    close_live_pools()
-    assert not any(pool.alive for pool in pools)
-    assert all(pool not in live_pools() for pool in pools)
-
-
-def test_close_live_pools_survives_a_broken_pool():
-    from repro.pipeline import close_live_pools
-
-    bad, good = ThreadWorkerPool(1), ThreadWorkerPool(1)
-    bad.submit(int, "1").result()
-    good.submit(int, "1").result()
-    bad.close = lambda: (_ for _ in ()).throw(RuntimeError("broken"))  # type: ignore[method-assign]
-    try:
-        close_live_pools()  # must not raise
-    finally:
-        WorkerPool.close(bad)  # real cleanup
-    assert not good.alive
-
-
-def test_atexit_hook_is_registered():
-    import atexit
-
-    from repro.pipeline import close_live_pools
-    from repro.pipeline import pool as pool_module
-
-    assert pool_module.close_live_pools is close_live_pools
-    # unregister returns None either way; re-register to leave state intact,
-    # but first prove the hook was there by unregistering it
-    atexit.unregister(close_live_pools)
-    atexit.register(close_live_pools)
-
-
-def test_respawn_after_registry_close_reenters_registry():
-    from repro.pipeline import close_live_pools, live_pools
-
-    pool = ThreadWorkerPool(1)
-    pool.submit(int, "1").result()
-    close_live_pools()
-    assert not pool.alive
-    pool.submit(int, "2").result()  # persistent pools respawn on demand
-    assert pool in live_pools()
-    pool.close()
-
-
-def test_shutdown_hook_installs_exactly_once():
-    """Re-running the installer (module reload) must not stack duplicate
-    atexit hooks: the marker on the atexit module dedups them."""
-    import atexit
-
-    from repro.pipeline import pool as pool_module
-
-    marker = getattr(atexit, pool_module._HOOK_ATTR)
-    assert marker is pool_module.close_live_pools
-    pool_module._install_shutdown_hook()
-    pool_module._install_shutdown_hook()
-    # still exactly one registration: unregister once, and the marker
-    # protocol lets a fresh install restore it cleanly
-    atexit.unregister(pool_module.close_live_pools)
-    pool_module._install_shutdown_hook()
-    assert getattr(atexit, pool_module._HOOK_ATTR) is pool_module.close_live_pools
-
-
-def test_swallowed_close_error_is_logged(caplog):
-    """close_live_pools keeps going past a broken pool but must leave a
-    debug trace, not vanish the error entirely."""
-    import logging
-
-    from repro.pipeline import close_live_pools
-
-    bad = ThreadWorkerPool(1)
-    bad.submit(int, "1").result()
-    bad.close = lambda: (_ for _ in ()).throw(RuntimeError("broken"))  # type: ignore[method-assign]
-    try:
-        with caplog.at_level(logging.DEBUG, logger="repro.pipeline.pool"):
-            close_live_pools()
-    finally:
-        WorkerPool.close(bad)
-    assert any("ignoring error closing pool" in r.message for r in caplog.records)
+        code = SDCode(6, 4, 2, 2)
+        faulty = worst_case_sd(code, z=1, rng=0).faulty_blocks
+        stripe = Stripe.random(StripeLayout.of_code(code), code.field, 64, rng=1)
+        TraditionalDecoder().encode_into(code, stripe)
+        decoder = PPMDecoder(threads=2)
+        decoder.decode(code, stripe, faulty)
+        assert decoder.pool.alive
+        """
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
