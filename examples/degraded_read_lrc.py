@@ -3,7 +3,7 @@
 
 Transient unavailability accounts for ~90% of datacenter failure events
 (paper, Section I); reads of unavailable blocks trigger on-the-fly
-decoding.  This example builds a (12, 4, 2)-LRC array, takes blocks
+decoding.  This example builds a (12, 4, 2)-LRC store, takes blocks
 offline, and serves degraded reads three ways:
 
 - single failure: repaired from one local group (tiny cost);
@@ -18,7 +18,15 @@ import numpy as np
 
 from repro.codes import LRCCode
 from repro.core import PPMDecoder, TraditionalDecoder, plan_decode
-from repro.stripes import DiskArray, lrc_scenario
+from repro.service import BlobStore
+from repro.stripes import lrc_scenario
+
+
+def degraded_read(store: BlobStore, decoder, sid: int, block: int) -> np.ndarray:
+    """Decode just ``block`` from the stripe's survivors; nothing is
+    written back (a read, not a repair)."""
+    snapshot = store.snapshot_blocks(sid)
+    return decoder.decode(store.code, snapshot, store.pattern(sid), targets=(block,))[block]
 
 
 def main() -> None:
@@ -26,21 +34,15 @@ def main() -> None:
     print(code.describe())
     print(f"local groups: {[list(g) for g in code.groups]}")
 
-    array = DiskArray(code, num_stripes=4, sector_symbols=4096, rng=3)
-    encoder = TraditionalDecoder()
-    for stripe, truth in zip(array.stripes, array._truth):
-        encoder.encode_into(code, stripe)
-        for b in range(code.num_blocks):
-            truth.put(b, stripe.get(b))
+    store = BlobStore.build(code, num_stripes=4, sector_symbols=4096, rng=3)
 
     # --- single-block unavailability: a local repair --------------------
     victim = 5
     group = code.group_of(victim)
-    truth_region = array._truth[0].get(victim).copy()
-    array.corrupt_sector(0, victim)
+    store.erase(0, [victim])
     decoder = TraditionalDecoder(policy="matrix_first")
-    value = array.degraded_read(decoder, 0, victim)
-    assert np.array_equal(value, truth_region)
+    value = degraded_read(store, decoder, 0, victim)
+    assert np.array_equal(value, store.truth(0).get(victim))
     plan = plan_decode(code, [victim])
     print(
         f"\nsingle failure (block {victim}, group {group}): "
@@ -51,8 +53,7 @@ def main() -> None:
     # --- multi-group unavailability ------------------------------------------
     scenario = lrc_scenario(code, local_failures=4, extra_failures=1, rng=11)
     stripe_idx = 1
-    for b in scenario.faulty_blocks:
-        array.corrupt_sector(stripe_idx, b)
+    store.apply_scenario(stripe_idx, scenario)
     print(f"\nmulti failure: blocks {list(scenario.faulty_blocks)}")
 
     for name, dec in [
@@ -60,9 +61,9 @@ def main() -> None:
         ("ppm", PPMDecoder(threads=4)),
     ]:
         target = scenario.faulty_blocks[0]
-        value = array.degraded_read(dec, stripe_idx, target)
-        assert np.array_equal(value, array._truth[stripe_idx].get(target))
-        plan = dec.plan(code, array.stripes[stripe_idx].erased_ids)
+        value = degraded_read(store, dec, stripe_idx, target)
+        assert np.array_equal(value, store.truth(stripe_idx).get(target))
+        plan = dec.plan(code, store.pattern(stripe_idx))
         extra = ""
         if plan.uses_partition:
             extra = (

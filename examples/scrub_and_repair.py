@@ -19,7 +19,6 @@ from repro.stripes import (
     Stripe,
     StripeLayout,
     locate_single_corruption,
-    repair_corruption,
     syndromes,
 )
 
@@ -48,12 +47,15 @@ def main() -> None:
     dirty = [i for i, s in enumerate(syndromes(code, stripe)) if s.any()]
     print(f"scrub: nonzero syndromes on parity rows {dirty}")
 
-    # ...the scrubber locates and repairs
-    result = repair_corruption(code, stripe, TraditionalDecoder())
+    # ...the scrubber locates the block, then erases and decodes it
+    result = locate_single_corruption(code, stripe)
     print(
         f"located block {result.corrupted_block} "
         f"(expected {victim}): {'MATCH' if result.corrupted_block == victim else 'MISS'}"
     )
+    stripe.erase([result.corrupted_block])
+    recovered = TraditionalDecoder().decode(code, stripe, [result.corrupted_block])
+    stripe.put(result.corrupted_block, recovered[result.corrupted_block])
     restored = np.array_equal(stripe.get(victim), truth.get(victim))
     print(f"repaired content matches original: {restored}")
     final = locate_single_corruption(code, stripe)

@@ -8,7 +8,7 @@ Layering (bottom-up):
 - :mod:`repro.matrix` — dense matrix algebra over GF(2^w).
 - :mod:`repro.codes` — SD, PMDS, LRC (asymmetric) and RS, EVENODD, RDP
   (symmetric) code constructions.
-- :mod:`repro.stripes` — stripe/disk-array storage substrate and failure
+- :mod:`repro.stripes` — stripe storage substrate, scrubbing and failure
   scenario generation.
 - :mod:`repro.core` — the PPM algorithm: log table, partition, calculation
   sequences C1..C4, planner and the traditional/PPM decoders.
@@ -48,7 +48,7 @@ _LAZY_EXPORTS = {
         "RDPCode",
         "get_code",
     ],
-    "repro.stripes": ["StripeLayout", "Stripe", "DiskArray", "FailureScenario", "worst_case_sd"],
+    "repro.stripes": ["StripeLayout", "Stripe", "FailureScenario", "worst_case_sd"],
     "repro.core": [
         "PPMDecoder",
         "TraditionalDecoder",

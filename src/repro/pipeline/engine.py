@@ -225,10 +225,10 @@ class DecodePipeline:
     per tile on the pool; shorter batches, the round-robin presets and
     the serial pool run one tile.
 
-    Its native entry point is :meth:`decode_batch`; :meth:`decode` (the
-    single-stripe protocol :class:`repro.stripes.DiskArray` speaks) is a
-    batch of one and the ``encode*`` family is a decode of the parity
-    positions (paper, footnote 1).  The decoder classes of
+    Its native entry point is :meth:`decode_batch`; :meth:`decode` (one
+    stripe, as a degraded read asks for it) is a batch of one and the
+    ``encode*`` family is a decode of the parity positions (paper,
+    footnote 1).  The decoder classes of
     :mod:`repro.core` are this class with fixed ``policy`` / ``pool`` /
     ``workers`` / ``assignment`` choices.
 

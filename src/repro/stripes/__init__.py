@@ -1,14 +1,14 @@
-"""Stripe storage substrate: layout, sector data, failures, disk arrays.
+"""Stripe storage substrate: layout, sector data, failures, scrubbing.
 
-Public surface: :class:`StripeLayout`, :class:`Stripe`, :class:`DiskArray`,
+Public surface: :class:`StripeLayout`, :class:`Stripe`,
 :class:`FailureScenario` and the scenario generators matching the paper's
 experimental methodology (:func:`worst_case_sd`, :func:`lrc_scenario`,
-:func:`random_scenario`).
+:func:`random_scenario`).  The multi-stripe store built on them is
+:class:`repro.service.BlobStore`.
 """
 
 from __future__ import annotations
 
-from .array import DiskArray
 from .failures import (
     FailureScenario,
     UndecodableScenarioError,
@@ -25,9 +25,7 @@ from .scrub import (
     StripeScrubReport,
     locate_corruptions,
     locate_single_corruption,
-    repair_corruption,
     partial_syndromes,
-    scrub_array,
     scrub_stripe,
     syndromes,
     verify_rows,
@@ -45,13 +43,10 @@ __all__ = [
     "corrupt_blocks",
     "locate_corruptions",
     "locate_single_corruption",
-    "repair_corruption",
     "partial_syndromes",
-    "scrub_array",
     "scrub_stripe",
     "syndromes",
     "verify_rows",
-    "DiskArray",
     "FailureScenario",
     "UndecodableScenarioError",
     "lrc_scenario",

@@ -11,10 +11,11 @@ coefficient ratios match — and the block is repaired by erasure-decoding
 it from the others.
 
 :func:`scrub_stripe` classifies one stripe into a uniform
-:class:`StripeScrubReport`; ``DiskArray``-wide scrubbing lives in
-:func:`scrub_array`; :class:`ScrubCursor` provides the incremental,
-resumable iteration order an *online* scrubber needs (scan a bounded
-chunk per tick, survive restarts, keep going as stripes come and go).
+:class:`StripeScrubReport`; :class:`ScrubCursor` provides the
+incremental, resumable iteration order an *online* scrubber needs (scan
+a bounded chunk per tick, survive restarts, keep going as stripes come
+and go).  Repair itself is the store's: :class:`repro.repair.RepairManager`
+erases what a scrub located and decodes it in one batch.
 """
 
 from __future__ import annotations
@@ -154,7 +155,7 @@ def locate_corruptions(
     """
     from itertools import combinations
 
-    from ..core.planner import plan_decode
+    from ..core.decoder import TraditionalDecoder
     from ..matrix import SingularMatrixError
 
     single = locate_single_corruption(code, stripe)
@@ -165,20 +166,17 @@ def locate_corruptions(
     if max_errors < 2:
         return single
     ops = RegionOps(code.field)
+    decoder = TraditionalDecoder()
     all_regions = [stripe.get(b) for b in range(code.num_blocks)]
     for size in range(2, max_errors + 1):
         for combo in combinations(range(code.num_blocks), size):
-            try:
-                plan = plan_decode(code, list(combo))
-            except SingularMatrixError:
-                continue
             survivors = {
                 b: all_regions[b] for b in range(code.num_blocks) if b not in combo
             }
-            from ..core.decoder import TraditionalDecoder
-
-            decoder = TraditionalDecoder()
-            recovered = decoder.decode(code, survivors, list(combo))
+            try:
+                recovered = decoder.decode(code, survivors, list(combo))
+            except SingularMatrixError:
+                continue
             trial = list(all_regions)
             changed = False
             for b, region in recovered.items():
@@ -307,20 +305,3 @@ class ScrubCursor:
                 break  # never revisit a key within one chunk
         return chunk
 
-
-def repair_corruption(code: ErasureCode, stripe: Stripe, decoder) -> ScrubResult:
-    """Scrub, locate and repair a single corrupted block in place."""
-    result = locate_single_corruption(code, stripe)
-    if result.clean or not result.located:
-        return result
-    block = result.corrupted_block
-    working = stripe.copy()
-    working.erase([block])
-    recovered = decoder.decode(code, working, [block])
-    stripe.put(block, recovered[block])
-    return result
-
-
-def scrub_array(code: ErasureCode, stripes: list[Stripe], decoder) -> list[ScrubResult]:
-    """Scrub every stripe, repairing located single corruptions."""
-    return [repair_corruption(code, stripe, decoder) for stripe in stripes]

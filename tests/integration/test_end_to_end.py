@@ -1,7 +1,5 @@
 """End-to-end integration tests crossing every layer of the stack."""
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,10 @@ from repro.codes import (
 from repro.core import PPMDecoder, RowParallelDecoder, TraditionalDecoder
 from repro.gf import OpCounter, RegionOps
 from repro.pipeline import DecodePipeline
-from repro.stripes import DiskArray, Stripe, StripeLayout, worst_case_sd
+from repro.service import BlobStore
+from repro.stripes import Stripe, StripeLayout, worst_case_sd
+
+from ..stripes.test_array import degraded_read, fail_disk, fully_intact, rebuild
 
 
 def encoded_stripe(code, symbols=24, rng=0):
@@ -90,25 +91,21 @@ def test_four_decoders_agree_on_worst_case():
 def test_full_array_lifecycle():
     """Create, encode, degrade, read-degraded, rebuild, verify — end to end."""
     code = SDCode(6, 8, 2, 2)
-    array = DiskArray(code, num_stripes=4, sector_symbols=48, rng=7)
-    encoder = TraditionalDecoder()
-    for stripe, truth in zip(array.stripes, array._truth):
-        encoder.encode_into(code, stripe)
-        for b in range(code.num_blocks):
-            truth.put(b, stripe.get(b))
+    store = BlobStore.build(code, 4, 48, rng=7)
     # degrade
-    array.fail_disk(0)
-    for stripe_index, block in [(1, 9), (2, 14), (2, 27), (3, 4)]:
-        array.corrupt_sector(stripe_index, block)
+    fail_disk(store, 0)
+    for sid, block in [(1, 9), (2, 14), (2, 27), (3, 4)]:
+        store.erase(sid, [block])
     # serve a degraded read before repair
-    target_stripe, target_block = 0, array.layout.block_id(3, 0)
-    value = array.degraded_read(PPMDecoder(threads=2), target_stripe, target_block)
-    assert np.array_equal(value, array._truth[0].get(target_block))
+    target = store.layout.block_id(3, 0)
+    with PPMDecoder(threads=2) as ppm:
+        value = degraded_read(store, ppm, 0, target)
+    assert np.array_equal(value, store.truth(0).get(target))
     # rebuild with the batched pipeline scheduler
-    expected = sum(len(s.erased_ids) for s in array.stripes)
+    expected = sum(len(store.pattern(sid)) for sid in store.stripe_ids)
     with DecodePipeline(workers=2) as pipe:
-        assert array.rebuild(pipe) == expected
-    assert array.fully_intact()
+        assert rebuild(store, pipe) == expected
+    assert fully_intact(store)
 
 
 def test_shared_counter_across_decoders_and_backends():
@@ -128,17 +125,13 @@ def test_shared_counter_across_decoders_and_backends():
     assert counter.mult_xors > after_ppm > 0
 
 
-def test_deep_copied_arrays_rebuild_identically():
+def test_same_seed_stores_rebuild_identically():
     code = SDCode(6, 4, 2, 1)
-    array = DiskArray(code, num_stripes=2, sector_symbols=16, rng=11)
-    encoder = TraditionalDecoder()
-    for stripe, truth in zip(array.stripes, array._truth):
-        encoder.encode_into(code, stripe)
-        for b in range(code.num_blocks):
-            truth.put(b, stripe.get(b))
-    array.fail_disk(2)
-    clone = copy.deepcopy(array)
-    array.rebuild(TraditionalDecoder())
-    clone.rebuild(PPMDecoder(threads=2))
-    for a, b in zip(array.stripes, clone.stripes):
-        assert a.equals_on(b, range(code.num_blocks))
+    stores = [BlobStore.build(code, 2, 16, rng=11) for _ in range(2)]
+    for store in stores:
+        fail_disk(store, 2)
+    rebuild(stores[0], TraditionalDecoder())
+    with PPMDecoder(threads=2) as ppm:
+        rebuild(stores[1], ppm)
+    for sid in stores[0].stripe_ids:
+        assert stores[0].stripe(sid).equals_on(stores[1].stripe(sid), range(code.num_blocks))

@@ -27,7 +27,6 @@ from repro.pipeline import DecodePipeline
 from repro.pipeline.plancache import PlanCache
 from repro.repair.scrubber import StoreScrubber
 from repro.service.store import BlobStore
-from repro.stripes import DiskArray
 
 THREADS = 8
 ROUNDS = 200
@@ -134,8 +133,8 @@ class TestScrubberSerialization:
 
 class TestPipelineTallies:
     def test_concurrent_decode_batches_account_exactly(self, code):
-        array = DiskArray(code, num_stripes=4, sector_symbols=32, rng=11)
-        stripes = array.stripes
+        store = BlobStore.build(code, num_stripes=4, sector_symbols=32, rng=11)
+        stripes = [store.stripe(sid) for sid in store.stripe_ids]
         for stripe in stripes:
             stripe.erase([1])
         pipeline = DecodePipeline(workers=2, pool="thread")

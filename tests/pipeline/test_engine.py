@@ -9,7 +9,10 @@ from repro.codes import SDCode
 from repro.core import PPMDecoder, SequencePolicy, TraditionalDecoder
 from repro.gf import OpCounter
 from repro.pipeline import BatchStats, DecodePipeline, PipelineMetrics, SerialPool
-from repro.stripes import DiskArray, Stripe, StripeLayout, worst_case_sd
+from repro.service import BlobStore
+from repro.stripes import Stripe, StripeLayout, worst_case_sd
+
+from ..stripes.test_array import degraded_read, fail_disk, fully_intact, rebuild
 
 
 @pytest.fixture(scope="module")
@@ -305,52 +308,49 @@ def test_shared_pool_instance(code, faulty):
         pipe.decode_batch(code, make_stripes(code, 2), faulty)
 
 
-def valid_array(code, num_stripes=3, symbols=16, rng=0):
-    arr = DiskArray(code, num_stripes=num_stripes, sector_symbols=symbols, rng=rng)
-    encoder = TraditionalDecoder()
-    for stripe, truth in zip(arr.stripes, arr._truth):
-        encoder.encode_into(code, stripe)
-        for b in range(code.num_blocks):
-            truth.put(b, stripe.get(b))
-    return arr
+def disk_loss_store(code, disk=None, num_stripes=3, symbols=16, rng=0):
+    """An encoded store, with ``disk`` (if given) lost from every stripe."""
+    store = BlobStore.build(code, num_stripes, symbols, rng=rng)
+    if disk is not None:
+        fail_disk(store, disk)
+    return store
 
 
 def test_array_rebuild_routes_through_decode_batch(code):
-    arr = valid_array(code)
-    arr.fail_disk(2)
+    store = disk_loss_store(code, disk=2)
     with DecodePipeline(workers=2, pool="thread") as pipe:
-        repaired = arr.rebuild(pipe)
-    assert repaired == code.r * arr.num_stripes
-    assert arr.fully_intact()
+        repaired = rebuild(store, pipe)
+    assert repaired == code.r * len(store.stripe_ids)
+    assert fully_intact(store)
     # all stripes shared the disk-loss pattern: one miss, rest hits
     m = pipe.metrics()
     assert m.plan_cache_misses == 1
-    assert m.plan_cache_hits == arr.num_stripes - 1
+    assert m.plan_cache_hits == len(store.stripe_ids) - 1
 
 
 def test_array_rebuild_nothing_to_do(code):
-    arr = valid_array(code)
+    store = disk_loss_store(code)
     with DecodePipeline(pool="serial") as pipe:
-        assert arr.rebuild(pipe) == 0
-    assert arr.fully_intact()
+        assert rebuild(store, pipe) == 0
+        assert pipe.metrics().batches == 0
+    assert fully_intact(store)
 
 
 def test_array_rebuild_on_default_pool(code):
-    arr = valid_array(code, rng=5)
-    arr.fail_disk(1)
+    store = disk_loss_store(code, disk=1, rng=5)
     with DecodePipeline(workers=2) as pipe:
-        assert arr.rebuild(pipe) == code.r * arr.num_stripes
-    assert arr.fully_intact()
+        assert rebuild(store, pipe) == code.r * len(store.stripe_ids)
+    assert fully_intact(store)
 
 
 def test_degraded_read_with_pipeline(code, faulty):
-    arr = valid_array(code, rng=7)
+    store = disk_loss_store(code, rng=7)
     victim = faulty[0]
-    truth = arr._truth[0].get(victim).copy()
-    arr.corrupt_sector(0, victim)
+    store.erase(0, [victim])
     with DecodePipeline(pool="serial") as pipe:
-        value = arr.degraded_read(pipe, 0, victim)
-    assert np.array_equal(value, truth)
+        value = degraded_read(store, pipe, 0, victim)
+    assert np.array_equal(value, store.truth(0).get(victim))
+    assert not store.stripe(0).has(victim)  # a read, not a repair
 
 
 def test_one_stripe_batch_views_its_inputs(code, faulty):
@@ -429,17 +429,15 @@ def test_target_set_count_and_membership_are_checked(code, faulty):
 
 
 def test_degraded_read_runs_only_the_targeted_plan(code, faulty):
-    """``DiskArray.degraded_read`` asks for its one block: the counted
-    work is that block's row of the plan, not the whole rebuild."""
-    array = DiskArray(code, num_stripes=1, sector_symbols=16, rng=3)
-    TraditionalDecoder().encode_into(code, array.stripes[0])
-    truth = array.stripes[0].copy()
-    array.stripes[0].erase(faulty)
+    """A degraded read asks for its one block: the counted work is that
+    block's row of the plan, not the whole rebuild."""
+    store = disk_loss_store(code, num_stripes=1, rng=3)
+    store.erase(0, faulty)
     counter = OpCounter()
     with DecodePipeline(pool="serial", counter=counter) as pipe:
         block = faulty[0]
-        got = array.degraded_read(pipe, 0, block)
+        got = degraded_read(store, pipe, 0, block)
         targeted = pipe.plan(code, faulty, targets=[block])
         whole = pipe.plan(code, faulty)
-    assert np.array_equal(got, truth.get(block))
+    assert np.array_equal(got, store.truth(0).get(block))
     assert counter.mult_xors == targeted.predicted_cost < whole.predicted_cost

@@ -1,91 +1,115 @@
-"""Unit tests for the disk-array substrate (rebuild, LSEs, degraded reads)."""
+"""The disk-array workflow on the one multi-stripe store.
+
+Whole-disk failures and latent sector errors (LSEs) go into a
+:class:`~repro.service.BlobStore` as erasures.  A rebuild is one
+``decode_batch`` over every damaged stripe's snapshot and pattern,
+written back with ``store.repair``; a degraded read decodes just the
+block asked for and writes nothing back.  The helpers here are shared
+with the pipeline and end-to-end tests.
+"""
 
 import numpy as np
 import pytest
 
 from repro.codes import LRCCode, SDCode
 from repro.core import PPMDecoder, TraditionalDecoder
-from repro.stripes import DiskArray
+from repro.service import BlobStore
 
 
 @pytest.fixture
-def array():
-    code = SDCode(6, 4, 2, 2)
-    arr = DiskArray(code, num_stripes=3, sector_symbols=32, rng=0)
-    decoder = TraditionalDecoder()
-    # make stripes code-valid: overwrite parity with real encodings
-    for stripe in arr.stripes:
-        decoder.encode_into(arr.code, stripe)
-    for stripe, truth in zip(arr.stripes, arr._truth):
-        for b in range(arr.code.num_blocks):
-            truth.put(b, stripe.get(b))
-    return arr
+def store():
+    return BlobStore.build(SDCode(6, 4, 2, 2), 3, 32, rng=0)
 
 
-def test_construction_validates():
-    with pytest.raises(ValueError):
-        DiskArray(SDCode(4, 4, 1, 1), num_stripes=0, sector_symbols=8)
+def fail_disk(store, disk):
+    for sid in store.stripe_ids:
+        store.erase(sid, store.layout.blocks_of_disk(disk))
 
 
-def test_fail_disk(array):
-    array.fail_disk(1)
-    for stripe in array.stripes:
-        assert 1 in {array.layout.disk_of(b) for b in stripe.erased_ids}
-        assert len(stripe.erased_ids) == array.code.r
+def lose_first_present_sector(store):
+    """One LSE per stripe, on top of whatever is already lost."""
+    for sid in store.stripe_ids:
+        store.erase(sid, [store.stripe(sid).present_ids[0]])
+
+
+def rebuild(store, decoder):
+    """Every damaged stripe in one ``decode_batch``, written back; the
+    number of blocks repaired.  The loop ``RepairManager`` drains with."""
+    damaged = [sid for sid in store.stripe_ids if store.pattern(sid)]
+    if not damaged:
+        return 0
+    results = decoder.decode_batch(
+        store.code,
+        [store.snapshot_blocks(sid, inject=False) for sid in damaged],
+        [store.pattern(sid) for sid in damaged],
+    )
+    for sid, recovered in zip(damaged, results):
+        store.repair(sid, recovered)
+    return sum(len(recovered) for recovered in results)
+
+
+def fully_intact(store):
+    return all(
+        not store.pattern(sid)
+        and store.stripe(sid).equals_on(store.truth(sid), range(store.code.num_blocks))
+        for sid in store.stripe_ids
+    )
+
+
+def degraded_read(store, decoder, sid, block):
+    return decoder.decode(
+        store.code, store.snapshot_blocks(sid), store.pattern(sid), targets=(block,)
+    )[block]
+
+
+def test_fail_disk(store):
+    fail_disk(store, 1)
+    for sid in store.stripe_ids:
+        erased = store.pattern(sid)
+        assert {store.layout.disk_of(b) for b in erased} == {1}
+        assert len(erased) == store.code.r
     with pytest.raises(IndexError):
-        array.fail_disk(6)
+        fail_disk(store, 6)
 
 
-def test_rebuild_after_disk_and_lse(array):
-    array.fail_disk(2)
-    array.fail_disk(5)
+def test_rebuild_after_disk_and_lse(store):
+    fail_disk(store, 2)
+    fail_disk(store, 5)
     # one extra sector per stripe keeps each within the (m=2, s=2) budget
-    for si in range(array.num_stripes):
-        present = [
-            b for b in array.stripes[si].present_ids
-        ]
-        array.corrupt_sector(si, present[0])
-    repaired = array.rebuild(PPMDecoder(threads=2))
-    assert repaired == array.num_stripes * (2 * array.code.r + 1)
-    assert array.fully_intact()
+    lose_first_present_sector(store)
+    with PPMDecoder(threads=2) as decoder:
+        repaired = rebuild(store, decoder)
+    assert repaired == len(store.stripe_ids) * (2 * store.code.r + 1)
+    assert fully_intact(store)
 
 
-def test_rebuild_noop_when_intact(array):
-    assert array.rebuild(TraditionalDecoder()) == 0
-    assert array.fully_intact()
+def test_rebuild_noop_when_intact(store):
+    assert rebuild(store, TraditionalDecoder()) == 0
+    assert fully_intact(store)
 
 
-def test_degraded_read(array):
-    truth = array._truth[1].get(8).copy()
-    array.corrupt_sector(1, 8)
-    value = array.degraded_read(TraditionalDecoder(), 1, 8)
-    assert np.array_equal(value, truth)
+def test_degraded_read(store):
+    store.erase(1, [8])
+    value = degraded_read(store, TraditionalDecoder(), 1, 8)
+    assert np.array_equal(value, store.truth(1).get(8))
     # a read does not repair
-    assert not array.stripes[1].has(8)
+    assert not store.stripe(1).has(8)
 
 
-def test_degraded_read_present_block(array):
-    value = array.degraded_read(TraditionalDecoder(), 0, 0)
-    assert np.array_equal(value, array.stripes[0].get(0))
+def test_degraded_read_present_block(store):
+    assert np.array_equal(store.read(0, 0), store.truth(0).get(0))
 
 
-def test_verify_detects_corruption(array):
-    region = array.stripes[0].get(0)
-    corrupted = region.copy()
-    corrupted[0] ^= 1
-    array.stripes[0].put(0, corrupted)
-    assert not array.verify()
+def test_verify_detects_corruption(store):
+    store.corrupt(0, [0], rng=1)
+    assert not store.verify_block(0, 0, store.read(0, 0))
 
 
 def test_lrc_array_roundtrip():
-    code = LRCCode(6, 2, 2)
-    arr = DiskArray(code, num_stripes=2, sector_symbols=16, rng=3)
-    decoder = TraditionalDecoder()
-    for stripe, truth in zip(arr.stripes, arr._truth):
-        decoder.encode_into(code, stripe)
-        for b in range(code.num_blocks):
-            truth.put(b, stripe.get(b))
-    arr.corrupt_sector(0, 1)
-    arr.corrupt_sector(1, 7)
-    assert arr.rebuild(PPMDecoder(threads=2)) == 2
-    assert arr.fully_intact()
+    store = BlobStore.build(LRCCode(6, 2, 2), 2, 16, rng=3)
+    fail_disk(store, 2)
+    fail_disk(store, 5)
+    lose_first_present_sector(store)
+    with PPMDecoder(threads=2) as decoder:
+        assert rebuild(store, decoder) == 2 * 3
+    assert fully_intact(store)
