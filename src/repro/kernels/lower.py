@@ -11,7 +11,7 @@ slot-compacted, and admitted by one structural pass
 Lowering is where the paper's cost model is frozen into the program:
 every nonzero coefficient of every applied matrix becomes exactly one
 *model* ``mult_XOR`` (recorded in :attr:`RegionProgram.mult_xors`
-before any CSE), so a compiled program books the same counts the
+before dead-code elimination), so a compiled program books the same counts the
 interpreted :class:`~repro.gf.region.RegionOps` path would.  A full
 :class:`~repro.core.planner.DecodePlan` lowers to ONE fused program:
 group stages feed their recovered slots straight into the rest stage

@@ -1,8 +1,9 @@
 """Dense matrix algebra over GF(2^w).
 
 Public surface: :class:`GFMatrix`, Gaussian tools (:func:`invert`,
-:func:`rank`, :func:`select_independent_rows`, :func:`select_and_invert`,
-:func:`select_and_invert_stack`, :func:`is_invertible`, :func:`solve`,
+:func:`rank`, :func:`reduced_row_echelon`, :func:`select_independent_rows`,
+:func:`select_and_invert`, :func:`select_and_invert_stack`,
+:func:`is_invertible`, :func:`solve`,
 :class:`SingularMatrixError`), the F/S split (:func:`split_fs`,
 :class:`FSSplit`) and sparsity analysis (:func:`u`).
 """
@@ -16,6 +17,7 @@ from .solve import (
     invert,
     is_invertible,
     rank,
+    reduced_row_echelon,
     select_and_invert,
     select_and_invert_stack,
     select_independent_rows,
@@ -32,6 +34,7 @@ __all__ = [
     "invert",
     "is_invertible",
     "rank",
+    "reduced_row_echelon",
     "select_and_invert",
     "select_and_invert_stack",
     "select_independent_rows",

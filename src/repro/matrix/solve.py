@@ -9,7 +9,8 @@ which picks the rows and inverts the square matrix they form together.
 The pass runs over a stack of same-shape matrices at once
 (:func:`select_and_invert_stack`: the planner eliminates every square
 system of a batch of patterns together); a single matrix is a stack of
-one.  :func:`rank` is separate: it is the verifier's own primitive.
+one.  :func:`rank` and :func:`reduced_row_echelon` are separate: they are the
+verifier's own primitives.
 """
 
 from __future__ import annotations
@@ -168,12 +169,15 @@ def _find_pivot(a: np.ndarray, col: int, start_row: int) -> int | None:
     return start_row + int(rows[0])
 
 
-def rank(matrix: GFMatrix) -> int:
-    """Rank of a GF matrix via row echelon reduction."""
+def _echelon(matrix: GFMatrix, reduced: bool) -> tuple[list[int], np.ndarray]:
+    """Row echelon form by elimination, pivots scaled to 1: the pivot
+    columns, and the array whose first ``len(pivots)`` rows hold the
+    form.  ``reduced`` also clears each pivot column above its pivot."""
     f = matrix.field
     a = matrix.array.copy()
-    r = 0
+    pivots: list[int] = []
     for col in range(matrix.cols):
+        r = len(pivots)
         if r == matrix.rows:
             break
         pivot = _find_pivot(a, col, r)
@@ -184,12 +188,26 @@ def rank(matrix: GFMatrix) -> int:
         pv = a[r, col]
         if pv != 1:
             a[r] = f.mul(f.inv(pv), a[r])
-        below = a[r + 1 :, col].copy()
-        nz = np.nonzero(below)[0]
+        factors = a[:, col].copy()
+        factors[r if reduced else 0 : r + 1] = 0
+        nz = np.nonzero(factors)[0]
         if nz.size:
-            a[r + 1 + nz] ^= f.mul(below[nz][:, None], a[r][None, :])
-        r += 1
-    return r
+            a[nz] ^= f.mul(factors[nz][:, None], a[r][None, :])
+        pivots.append(col)
+    return pivots, a
+
+
+def rank(matrix: GFMatrix) -> int:
+    """Rank of a GF matrix via row echelon reduction."""
+    return len(_echelon(matrix, reduced=False)[0])
+
+
+def reduced_row_echelon(matrix: GFMatrix) -> tuple[list[int], np.ndarray]:
+    """Pivot columns and the ``(rank, cols)`` reduced row-echelon basis of
+    the row space: a vector ``v`` lies in it iff
+    ``v - v[pivots] @ basis`` is zero."""
+    pivots, a = _echelon(matrix, reduced=True)
+    return pivots, a[: len(pivots)]
 
 
 def select_independent_rows(matrix: GFMatrix, need: int | None = None) -> list[int]:

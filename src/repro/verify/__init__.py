@@ -4,13 +4,13 @@ The analyzers, all purely symbolic (no block data touched):
 
 - :func:`verify_plan` / :func:`assert_plan_valid` — certify a
   :class:`~repro.core.planner.DecodePlan` against the parity-check
-  matrix: partition soundness, GF-rank independence, weight equations,
-  phase ordering and C1..C4 cost recomputation.
+  matrix: partition soundness, GF-rank independence, phase ordering,
+  C1..C4 cost recomputation, and one certificate that every recovered
+  block's relation lies in the row space of ``H``.
 - :func:`verify_plan_program` / :func:`assert_program_valid` —
   symbolically execute a compiled :class:`~repro.kernels.RegionProgram`
-  over GF(2^w) coefficient vectors and prove its transfer matrix (and
-  model op counts) match the :class:`~repro.core.planner.DecodePlan` it
-  was lowered from.
+  over GF(2^w) coefficient vectors and hold its transfer matrix against
+  ``H`` with the same certificate (plus I/O wiring and model op counts).
 - :func:`analyze_program` / :func:`assert_dataflow_valid` — static
   dataflow over a compiled :class:`~repro.kernels.RegionProgram`
   (definite-assignment, aliasing, table bindings; strict mode adds
@@ -47,7 +47,6 @@ from .plan import assert_plan_valid, verify_plan
 from .races import RACE_RULES, analyze_races
 from .program import (
     assert_program_valid,
-    expected_transfer,
     transfer_matrix,
     verify_plan_program,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "verify_plan_program",
     "assert_program_valid",
     "transfer_matrix",
-    "expected_transfer",
     "LintRule",
     "LintFinding",
     "RULES",

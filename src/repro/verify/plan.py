@@ -1,120 +1,149 @@
 """Static verification of :class:`~repro.core.planner.DecodePlan`.
 
-A decode plan is pure data — matrices and block-id bookkeeping — so every
-correctness property the decoder relies on can be checked *before* a
-single region op runs, against the parity-check matrix alone:
+Every decode is a linear map, so one rule certifies its algebra: a
+recovered block ``t`` is right for every codeword iff its relation
+``v_t = e_t + Σ_r c_r·e_r`` lies in the row space of the parity-check
+matrix ``H`` and reads no erased block (:func:`certify_relations`).
+:func:`verify_plan` composes, symbolically over ``H``'s columns, the
+``stages`` the executors will run (whole, pruned and encode plans
+alike) and each of the four modes' :func:`reference_walk`, so a corrupt
+sub-plan the chosen mode does not run is caught too, and holds every
+target's relation from all five walks against ``H`` in one stacked
+check (``plan/certificate``).
 
-1. **Partition soundness** — independent groups are pairwise disjoint,
-   disjoint from the rest phase, and together recover every faulty block
-   exactly once (the paper's Section III-A independence requirement).
-2. **Group independence** — each group's ``F_i`` (its rows of ``H``
-   restricted to its faulty columns) is square and full-rank over the
-   field, i.e. the group really is an independent sub-matrix.
-3. **Weight certification** — the stored decode weights satisfy the
-   defining equations ``F_i @ W_i == S_i`` (and ``F^-1 @ F == I`` for the
-   stored inverses), re-deriving nothing from the planner under test.
-4. **Phase ordering** — groups read only true survivors; only the rest
-   phase may consume group-recovered blocks (acyclic two-phase order).
-5. **Cost certification** — the reported C1..C4 equal the ``u(·)``
-   nonzero counts recomputed from the certified matrices, and the chosen
-   execution mode is what the policy dictates for those costs.
-6. **Pruned plans** (``targets`` fewer than the faulty blocks) — the
-   costs are recounted on the verifier's own pruning of each mode's
-   matrices (:func:`reference_walk`), and the ``stages`` the executors
-   will run are composed symbolically: every block a stage reads must be
-   a survivor or already recovered, every target must come out, and each
-   target's composed row over the true survivors must lie in the row
-   space of ``H`` — i.e. satisfy the parity checks for every codeword.
+Around that certificate stay the checks that are specific to the paper:
 
-Checks are structured so a corrupted plan produces a *specific*
-diagnostic naming the offending group/coefficient, not a generic
-failure; the mutation tests in ``tests/verify`` pin this down.
+1. **Input sanity** — a non-empty pattern inside ``H``, sorted targets
+   among the faulty blocks, parity-check rows that exist.
+2. **Partition soundness** — each block is recovered once, only faulty
+   blocks are, phases use disjoint rows, and each group's ``F_i`` is
+   square and full-rank (the Section III-A independence requirement).
+3. **Phase ordering** — groups run concurrently and read only true
+   survivors; only the rest phase consumes group-recovered blocks.
+4. **Cost certification** — the reported C1..C4 equal the ``u(·)``
+   counts of the reference walks, the chosen mode is what the policy
+   dictates, and the stages hold the predicted mult_XORs.
+
+A corrupted plan yields a finding naming the offending group, mode,
+stage or target; the mutation tests in ``tests/verify`` pin this down.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..codes.base import ErasureCode
-from ..matrix import GFMatrix, rank, u
+from ..matrix import GFMatrix, rank, reduced_row_echelon, u
 from .findings import PlanVerificationError, Severity, VerificationReport
 
-# imported for type context only at runtime via duck typing; the verifier
-# deliberately accepts any object with the DecodePlan attribute surface so
-# mutation tests can feed dataclasses.replace()-corrupted copies.
-
-
-def _check_weight_equation(
-    report: VerificationReport,
-    h: GFMatrix,
-    row_ids: tuple[int, ...],
-    faulty_ids: tuple[int, ...],
-    survivor_ids: tuple[int, ...],
-    weights: GFMatrix,
-    context: str,
-    check: str,
-) -> None:
-    """Certify ``F @ weights == S`` for one sub-plan, shape-safely."""
-    f_sub = h.take_rows(list(row_ids)).take_columns(list(faulty_ids))
-    s_sub = h.take_rows(list(row_ids)).take_columns(list(survivor_ids))
-    expected_shape = (len(faulty_ids), len(survivor_ids))
-    if weights.shape != expected_shape:
-        report.add(
-            "plan/weights-shape",
-            f"weights are {weights.rows}x{weights.cols} but "
-            f"{len(faulty_ids)} faulty blocks x {len(survivor_ids)} survivors "
-            f"require {expected_shape[0]}x{expected_shape[1]} "
-            "(a row or column was dropped or duplicated)",
-            context,
-        )
-        return
-    product = f_sub @ weights
-    if product != s_sub:
-        diff = product.array != s_sub.array
-        bad = [(int(i), int(j)) for i, j in zip(*diff.nonzero())]
-        i, j = bad[0]
-        report.add(
-            check,
-            f"F @ W != S at {len(bad)} position(s); first mismatch at "
-            f"(row {i}, survivor {survivor_ids[j]}): "
-            f"got {int(product.array[i, j])}, expected {int(s_sub.array[i, j])} "
-            "(a decode coefficient is corrupt)",
-            context,
-        )
-
-
-def _check_inverse(
-    report: VerificationReport,
-    h: GFMatrix,
-    row_ids: tuple[int, ...],
-    faulty_ids: tuple[int, ...],
-    f_inv: GFMatrix,
-    context: str,
-    check: str,
-) -> None:
-    """Certify that a stored ``F^-1`` really inverts ``F``."""
-    f_sub = h.take_rows(list(row_ids)).take_columns(list(faulty_ids))
-    t = len(faulty_ids)
-    if f_inv.shape != (t, t) or f_sub.shape != (t, t):
-        report.add(
-            "plan/inverse-shape",
-            f"F is {f_sub.rows}x{f_sub.cols} and F^-1 is "
-            f"{f_inv.rows}x{f_inv.cols}; both must be {t}x{t}",
-            context,
-        )
-        return
-    if f_inv @ f_sub != GFMatrix.identity(h.field, t):
-        report.add(
-            check,
-            "stored F^-1 does not invert F (F^-1 @ F != I); "
-            "the scenario would decode to wrong bytes",
-            context,
-        )
-
+# plans are duck-typed (any object with the DecodePlan attributes), so
+# mutation tests can feed dataclasses.replace()-corrupted copies
 
 #: One matrix application of a walk: (chain applied in order, ids of the
 #: blocks it reads, ids of the blocks it produces).
 Step = tuple[list[np.ndarray], tuple[int, ...], tuple[int, ...]]
+
+#: One recovered block to certify: (context, block id, its coefficients
+#: over H's columns).
+Relation = tuple[str, int, np.ndarray]
+
+
+@lru_cache(maxsize=64)
+def _row_space(field, shape: tuple, data: bytes) -> tuple[list[int], GFMatrix]:
+    """``H``'s reduced row-echelon basis, once per parity-check matrix."""
+    h = GFMatrix(field, np.frombuffer(data, dtype=field.dtype).reshape(shape))
+    pivots, basis = reduced_row_echelon(h)
+    return pivots, GFMatrix(field, basis, copy=False)
+
+
+def certify_relations(
+    report: VerificationReport, h: GFMatrix, erased: set[int], relations: list[Relation], check: str
+) -> None:
+    """Hold each recovered block's relation against ``H``.
+
+    A block computed as ``Σ_r c_r·x_r`` is right for every codeword iff
+    no ``r`` is erased and ``v = e_t + c`` lies in the row space of
+    ``H``, i.e. ``rank([H; v]) == rank(H)``.  The relations are stacked
+    into ``V`` and reduced together against ``H``'s reduced row-echelon
+    basis (one elimination per ``H``, cached): a row with anything left
+    is a finding naming its context and block.
+    """
+    if not relations:
+        return
+    coeffs = np.stack([c for _context, _block, c in relations])
+    erased_cols = np.array(sorted(erased), dtype=int)
+    reads = coeffs[:, erased_cols] != 0
+    for i in np.flatnonzero(reads.any(axis=1)):
+        context, block, _ = relations[i]
+        report.add(
+            check,
+            f"block {block} is computed from erased block(s) "
+            f"{erased_cols[reads[i]].tolist()} that nothing recovered "
+            "first; the decode would read lost data",
+            context,
+        )
+    clean = np.flatnonzero(~reads.any(axis=1))
+    v = coeffs[clean]
+    v[np.arange(clean.size), [relations[i][1] for i in clean]] ^= 1
+    pivots, basis = _row_space(h.field, h.shape, h.array.tobytes())
+    v ^= (GFMatrix(h.field, v[:, pivots], copy=False) @ basis).array
+    for i in clean[v.any(axis=1)]:
+        context, block, _ = relations[i]
+        report.add(
+            check,
+            f"block {block} is recovered as a combination that H's "
+            "parity checks do not imply (a decode coefficient is "
+            "corrupt, or a needed block is not read); the decode "
+            "would produce wrong bytes",
+            context,
+        )
+
+
+def _check_chain(report: VerificationReport, chain, src_ids, dst_ids, context: str) -> bool:
+    """Report unless ``chain`` maps ``src_ids`` to ``dst_ids`` shape-wise."""
+    shapes = [tuple(m.shape) for m in chain]
+    widths = [len(src_ids)] + [rows for rows, _cols in shapes]
+    if [cols for _rows, cols in shapes] == widths[:-1] and widths[-1] == len(dst_ids):
+        return True
+    report.add(
+        "plan/certificate",
+        f"matrix chain {shapes} does not map the {len(src_ids)} blocks it "
+        f"reads to the {len(dst_ids)} blocks {list(dst_ids)} it recovers "
+        "(a row or column was dropped or duplicated)",
+        context,
+    )
+    return False
+
+
+def _compose(
+    report: VerificationReport, h: GFMatrix, steps: list[Step], targets: tuple[int, ...], label: str
+) -> list[Relation]:
+    """Run a walk symbolically over ``H``'s columns and return the
+    targets' relations.  A block no step has recovered yet reads as
+    itself, so a step that reads one shows in its relation."""
+    eye = h.field.eye(h.cols)
+    value: dict[int, np.ndarray] = {}
+    for k, (chain, src_ids, dst_ids) in enumerate(steps):
+        if not _check_chain(report, chain, src_ids, dst_ids, f"{label} step[{k}]"):
+            continue
+        acc = eye[list(src_ids)]
+        for i, b in enumerate(src_ids):
+            if b in value:
+                acc[i] = value[b]
+        for matrix in chain:
+            acc = (GFMatrix(h.field, matrix, copy=False) @ GFMatrix(h.field, acc, copy=False)).array
+        value.update(zip(dst_ids, acc))
+    missing = [t for t in targets if t not in value]
+    if missing:
+        report.add(
+            "plan/certificate",
+            f"target block(s) {missing} are recovered by no step; the read "
+            "would come back without them",
+            label,
+        )
+    return [(f"{label} target {t}", t, value[t]) for t in targets if t in value]
 
 
 def reference_walk(plan, mode) -> list[Step]:
@@ -139,10 +168,7 @@ def reference_walk(plan, mode) -> list[Step]:
         chain = [sub.weights.array] if use_weights else [sub.s.array, sub.f_inv.array]
         return chain, tuple(sub.survivor_ids), tuple(sub.faulty_ids)
 
-    if mode in (
-        ExecutionMode.PPM_REST_NORMAL,
-        ExecutionMode.PPM_REST_MATRIX_FIRST,
-    ):
+    if mode in (ExecutionMode.PPM_REST_NORMAL, ExecutionMode.PPM_REST_MATRIX_FIRST):
         steps = [step(group, True) for group in plan.groups]
         if plan.rest is not None:
             steps.append(step(plan.rest, matrix_first))
@@ -166,74 +192,6 @@ def reference_walk(plan, mode) -> list[Step]:
         wanted.update(src_ids)
         pruned.append((cut[::-1], src_ids, dst_ids))
     return pruned[::-1]
-
-
-def _check_pruned_stages(report: VerificationReport, h: GFMatrix, plan) -> None:
-    """Compose ``plan.stages`` over the true survivors and hold every
-    target's row against the parity checks (see the module docstring)."""
-    field = h.field
-    faulty_set = set(plan.faulty_ids)
-    survivors = [b for b in range(h.cols) if b not in faulty_set]
-    column = {b: j for j, b in enumerate(survivors)}
-    # block id -> its value as a coefficient vector over the survivors
-    composed: dict[int, np.ndarray] = {}
-    for si, stage in enumerate(plan.stages):
-        context = f"stage[{si}]"
-        unknown = [
-            b for b in stage.survivor_ids if b not in column and b not in composed
-        ]
-        if unknown:
-            report.add(
-                "plan/pruned-reads-unrecovered",
-                f"stage reads block(s) {unknown} which are neither survivors "
-                "nor recovered by an earlier stage (a stage a target "
-                "depends on was dropped)",
-                context,
-            )
-            return
-        widths = [len(stage.survivor_ids)] + [m.rows for m in stage.matrices]
-        if [m.cols for m in stage.matrices] != widths[:-1] or widths[-1] != len(
-            stage.faulty_ids
-        ):
-            report.add(
-                "plan/pruned-shape",
-                f"matrix chain {[m.shape for m in stage.matrices]} does not map "
-                f"{len(stage.survivor_ids)} read blocks to "
-                f"{len(stage.faulty_ids)} recovered ones",
-                context,
-            )
-            return
-        vectors = field.zeros((len(stage.survivor_ids), len(survivors)))
-        for i, b in enumerate(stage.survivor_ids):
-            if b in column:
-                vectors[i, column[b]] = 1
-            else:
-                vectors[i] = composed[b]
-        value = GFMatrix(field, vectors, copy=False)
-        for matrix in stage.matrices:
-            value = matrix @ value
-        composed.update(zip(stage.faulty_ids, value.array))
-    missing = sorted(set(plan.targets) - set(composed))
-    if missing:
-        report.add(
-            "plan/pruned-coverage",
-            f"target block(s) {missing} are recovered by no stage; the "
-            "read would come back without them",
-        )
-        return
-    h_rank = rank(h)
-    for b in plan.targets:
-        relation = field.zeros((1, h.cols))
-        relation[0, survivors] = composed[b]
-        relation[0, b] = 1
-        if rank(h.vstack(GFMatrix(field, relation, copy=False))) != h_rank:
-            report.add(
-                "plan/pruned-row",
-                f"the stages recover block {b} as a combination of survivors "
-                "that is not implied by H's parity checks (a pruned "
-                "coefficient is corrupt, or a needed column was dropped)",
-                f"target {b}",
-            )
 
 
 def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
@@ -271,7 +229,7 @@ def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
         )
         return report
 
-    # -- partition soundness: disjointness and exact-once coverage -------
+    # -- partition soundness: each block recovered once, only faulty ones --
     recovered_by: dict[int, list[str]] = {}
     for gi, group in enumerate(plan.groups):
         for b in group.faulty_ids:
@@ -287,13 +245,6 @@ def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
                 f"{' and '.join(owners)}; each faulty block must be "
                 "recovered exactly once",
             )
-    missing = sorted(faulty_set - set(recovered_by))
-    if missing:
-        report.add(
-            "plan/coverage-missing",
-            f"faulty block(s) {missing} are recovered by no group and not "
-            "by the rest phase; the decode would leave them lost",
-        )
     spurious = sorted(set(recovered_by) - faulty_set)
     if spurious:
         report.add(
@@ -328,17 +279,18 @@ def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
                 seen_rows[r] = label
 
     # -- phase ordering (acyclicity) --------------------------------------
-    group_recovered = {b for g in plan.groups for b in g.faulty_ids}
-    for gi, group in enumerate(plan.groups):
-        leaked = sorted(set(group.survivor_ids) & faulty_set)
+    readers = [(f"group[{gi}]", g) for gi, g in enumerate(plan.groups)]
+    for label, sub in readers + [("traditional", plan.traditional)]:
+        leaked = sorted(set(sub.survivor_ids) & faulty_set)
         if leaked:
             report.add(
                 "plan/phase-order",
-                f"group reads block(s) {leaked} which are faulty; groups "
-                "run concurrently in phase 1 and may only read true "
-                "survivors (recovered blocks may feed H_rest only)",
-                f"group[{gi}]",
+                f"{label} reads block(s) {leaked} which are faulty; it may "
+                "only read true survivors (recovered blocks may feed H_rest "
+                "only)",
+                label,
             )
+    group_recovered = {b for g in plan.groups for b in g.faulty_ids}
     if plan.rest is not None:
         allowed = (set(range(h.cols)) - faulty_set) | group_recovered
         illegal = sorted(set(plan.rest.survivor_ids) - allowed)
@@ -350,7 +302,7 @@ def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
                 "rest",
             )
 
-    # -- group independence and weight certification ----------------------
+    # -- group independence ------------------------------------------------
     for gi, group in enumerate(plan.groups):
         context = f"group[{gi}]"
         if any(not (0 <= r < h.rows) for r in group.row_ids):
@@ -364,9 +316,7 @@ def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
                 "independent sub-matrix needs exactly t rows",
                 context,
             )
-            continue
-        got_rank = rank(f_sub)
-        if got_rank != t:
+        elif (got_rank := rank(f_sub)) != t:
             report.add(
                 "plan/group-rank",
                 f"F_i restricted to faulty blocks {list(group.faulty_ids)} "
@@ -374,66 +324,24 @@ def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
                 "independent sub-matrix",
                 context,
             )
-            continue
-        _check_weight_equation(
-            report,
-            h,
-            group.row_ids,
-            group.faulty_ids,
-            group.survivor_ids,
-            group.weights,
-            context,
-            "plan/group-weights",
-        )
 
-    # -- rest and traditional sub-plans -----------------------------------
+    # -- every sub-plan chain must compose before any walk is taken --------
+    chains = [(label, [g.weights], g) for label, g in readers]
     for label, sub in (("rest", plan.rest), ("traditional", plan.traditional)):
-        if sub is None:
-            continue
-        if any(not (0 <= r < h.rows) for r in sub.row_ids):
-            continue
-        _check_inverse(
-            report, h, sub.row_ids, sub.faulty_ids, sub.f_inv, label,
-            f"plan/{label}-inverse",
-        )
-        s_sub = h.take_rows(list(sub.row_ids)).take_columns(list(sub.survivor_ids))
-        if sub.s != s_sub:
-            report.add(
-                f"plan/{label}-s-matrix",
-                "stored S does not match H restricted to the declared "
-                "rows and survivors",
-                label,
-            )
-        _check_weight_equation(
-            report,
-            h,
-            sub.row_ids,
-            sub.faulty_ids,
-            sub.survivor_ids,
-            sub.weights,
-            label,
-            f"plan/{label}-weights",
-        )
-    if plan.traditional is not None:
-        leaked = sorted(set(plan.traditional.survivor_ids) & faulty_set)
-        if leaked:
-            report.add(
-                "plan/phase-order",
-                f"traditional plan reads faulty block(s) {leaked}",
-                "traditional",
-            )
+        if sub is not None:
+            chains += [(label, [sub.s, sub.f_inv], sub), (label, [sub.weights], sub)]
+    fits = [
+        _check_chain(report, chain, sub.survivor_ids, sub.faulty_ids, label)
+        for label, chain, sub in chains
+    ]
+    if not all(fits):
+        return report
 
     # -- cost certification (recomputed u(.) counts) -----------------------
     from ..core.sequences import ExecutionMode  # deferred: avoid core cycle
 
-    if targets != faulty and not report.ok:
-        return report  # the pruned walks derive from the sub-plans just faulted
-    expected = {
-        name: sum(
-            int(np.count_nonzero(matrix))
-            for chain, _src, _dst in reference_walk(plan, mode)
-            for matrix in chain
-        )
+    walks = {
+        name: reference_walk(plan, mode)
         for name, mode in (
             ("c1", ExecutionMode.TRADITIONAL_NORMAL),
             ("c2", ExecutionMode.TRADITIONAL_MATRIX_FIRST),
@@ -441,8 +349,9 @@ def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
             ("c4", ExecutionMode.PPM_REST_NORMAL),
         )
     }
-    for name, want in expected.items():
+    for name, walk in walks.items():
         got = getattr(plan.costs, name)
+        want = sum(int(np.count_nonzero(m)) for chain, _s, _d in walk for m in chain)
         if got != want:
             report.add(
                 "plan/cost-mismatch",
@@ -459,18 +368,21 @@ def verify_plan(plan, source: ErasureCode | GFMatrix) -> VerificationReport:
             f"{plan.policy.value} dictates {chosen.value} for costs "
             f"{plan.costs.as_dict()}",
         )
+    staged = sum(u(m) for stage in plan.stages for m in stage.matrices)
+    if staged != plan.costs.cost_of(plan.mode):
+        report.add(
+            "plan/cost-mismatch",
+            f"the stages hold {staged} nonzero coefficients but the plan "
+            f"predicts {plan.costs.cost_of(plan.mode)} mult_XORs",
+            "stages",
+        )
 
-    # -- pruned plans: what the executors will actually run ----------------
-    if targets != faulty:
-        _check_pruned_stages(report, h, plan)
-        staged = sum(u(m) for stage in plan.stages for m in stage.matrices)
-        if staged != plan.costs.cost_of(plan.mode):
-            report.add(
-                "plan/cost-mismatch",
-                f"the stages hold {staged} nonzero coefficients but the plan "
-                f"predicts {plan.costs.cost_of(plan.mode)} mult_XORs",
-                "stages",
-            )
+    # -- the certificate: what runs, and every mode's walk, against H -----
+    stages = [(s.arrays, s.survivor_ids, s.faulty_ids) for s in plan.stages]
+    relations = _compose(report, h, stages, targets, "stages")
+    for name, walk in walks.items():
+        relations += _compose(report, h, walk, targets, name)
+    certify_relations(report, h, faulty_set, relations, "plan/certificate")
 
     # -- advisory: redundant groups ---------------------------------------
     for gi, group in enumerate(plan.groups):

@@ -12,19 +12,18 @@ stamped into a cached template — is checked *semantically* rather than
 trusted.
 
 :func:`verify_plan_program` certifies a fused
-:class:`~repro.kernels.PlanProgram` against the
-:class:`~repro.core.planner.DecodePlan` it was lowered from:
+:class:`~repro.kernels.PlanProgram` lowered from a
+:class:`~repro.core.planner.DecodePlan` against the parity-check matrix
+itself, not against a second reading of the plan:
 
 1. **Structure** — the IR invariants (:meth:`RegionProgram.validate`)
    and the field width match.
-2. **I/O contract** — the program reads only true survivors, every one
-   the plan's targets need, and writes exactly ``plan.targets`` in
-   order (all of ``plan.faulty_ids`` unless the plan is pruned).
-3. **Transfer equality** — ``T`` equals the matrix the plan's own
-   sub-plans dictate (group weights feeding the rest stage, or the
-   traditional ``W`` / ``F^-1 S`` per the execution mode, cut down to
-   the targets by the verifier's own pruning), recomputed here from
-   the plan's matrices without consulting the lowering.
+2. **I/O contract** — the program writes exactly ``plan.targets`` in
+   order and reads no erased block.
+3. **Certificate** — each row of ``T``, placed on ``H``'s columns, is a
+   relation ``H`` implies (:func:`~repro.verify.plan.certify_relations`),
+   so the program recovers every target right for every codeword even
+   when the plan it came from is corrupt.
 4. **Op accounting** — the program's *model* counts
    (``mult_xors`` / ``xor_only``) equal the nonzero/one coefficient
    counts of the applied matrices, so a compiled decode books exactly
@@ -36,6 +35,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..codes.base import ErasureCode
 from ..gf.field import GF
 from ..matrix import GFMatrix
 from ..kernels import (
@@ -48,7 +48,7 @@ from ..kernels import (
     RegionProgram,
 )
 from .findings import ProgramVerificationError, VerificationReport
-from .plan import reference_walk
+from .plan import certify_relations, reference_walk
 
 
 def transfer_matrix(program: RegionProgram, field: GF) -> np.ndarray:
@@ -85,42 +85,17 @@ def transfer_matrix(program: RegionProgram, field: GF) -> np.ndarray:
     return out
 
 
-def expected_transfer(field: GF, plan, input_ids: tuple[int, ...]) -> np.ndarray:
-    """The transfer matrix the plan dictates for its targets over
-    ``input_ids``.
-
-    Composed from :func:`~repro.verify.plan.reference_walk` — the plan's
-    sub-plans read per execution mode, never its ``stages`` or the
-    lowering.  A normal-sequence chain (``S`` then ``F^-1``) folds into
-    the same linear map as its product, so chains are simply applied in
-    order.
-    """
-    vec_of: dict[int, np.ndarray] = dict(zip(input_ids, field.eye(len(input_ids))))
-    for chain, src_ids, dst_ids in reference_walk(plan, plan.mode):
-        value = GFMatrix(field, np.stack([vec_of[b] for b in src_ids]), copy=False)
-        for matrix in chain:
-            value = GFMatrix(field, matrix, copy=False) @ value
-        vec_of.update(zip(dst_ids, value.array))
-    return np.stack([vec_of[b] for b in plan.targets])
-
-
-def _expected_model_counts(walk) -> tuple[int, int]:
-    """(mult_xors, xor_only) the applied matrices dictate, per mode.
-
-    The model counts every nonzero coefficient of every applied matrix —
-    for normal modes that is ``S`` and ``F^-1`` *separately* (the
-    interpreted path applies them as two sweeps), not their product.
-    """
-    mats = [m for chain, _src, _dst in walk for m in chain]
-    mult_xors = sum(int(np.count_nonzero(m)) for m in mats)
-    xor_only = sum(int(np.count_nonzero(m == 1)) for m in mats)
-    return mult_xors, xor_only
-
-
 def verify_plan_program(
-    plan_program: PlanProgram, field: GF, plan
+    plan_program: PlanProgram, source: ErasureCode | GFMatrix, plan
 ) -> VerificationReport:
-    """Certify a compiled plan program against the plan it came from."""
+    """Certify a compiled plan program against ``H``.
+
+    ``source`` is the code (its ``H`` is used) or the matrix the plan was
+    built from; ``plan`` supplies the erasure pattern, the targets and
+    the costs the program must book.
+    """
+    h = source.H if isinstance(source, ErasureCode) else source
+    field = h.field
     program = plan_program.program
     report = VerificationReport(
         subject=f"PlanProgram(targets={list(plan.targets)} of "
@@ -136,10 +111,7 @@ def verify_plan_program(
     try:
         program.validate()
     except ValueError as exc:
-        report.add(
-            "program/structure",
-            f"IR invariant violated: {exc}",
-        )
+        report.add("program/structure", f"IR invariant violated: {exc}")
         return report
 
     # -- I/O contract ------------------------------------------------------
@@ -149,6 +121,12 @@ def verify_plan_program(
             "program/io-outputs",
             f"program outputs blocks {list(plan_program.output_ids)} but the "
             f"plan recovers {list(plan.targets)}",
+        )
+    if len(plan_program.output_ids) != len(program.outputs):
+        report.add(
+            "program/io-outputs",
+            f"{len(plan_program.output_ids)} output ids for a program with "
+            f"{len(program.outputs)} output slots",
         )
     overlap = sorted(set(plan_program.input_ids) & faulty_set)
     if overlap:
@@ -163,42 +141,27 @@ def verify_plan_program(
             f"{len(plan_program.input_ids)} input ids for a program with "
             f"{program.num_inputs} input slots",
         )
-    walk = reference_walk(plan, plan.mode)
-    needed = {b for _chain, src_ids, _dst in walk for b in src_ids} - faulty_set
-    unread = sorted(needed - set(plan_program.input_ids))
-    if unread:
-        report.add(
-            "program/io-inputs",
-            f"program does not read survivor block(s) {unread} the plan's "
-            "targets depend on",
-        )
     if report.findings:
         return report
 
-    # -- transfer equality -------------------------------------------------
+    # -- the certificate: every output row against H -----------------------
     got = transfer_matrix(program, field)
-    expected = expected_transfer(field, plan, plan_program.input_ids)
-    if got.shape != expected.shape:
-        report.add(
-            "program/transfer",
-            f"transfer matrix is {got.shape[0]}x{got.shape[1]} but the plan "
-            f"dictates {expected.shape[0]}x{expected.shape[1]}",
-        )
-    elif not np.array_equal(got, expected):
-        diff = got != expected
-        i, j = (int(x) for x in next(zip(*diff.nonzero())))
-        report.add(
-            "program/transfer",
-            f"program computes a different linear map than the plan at "
-            f"{int(np.count_nonzero(diff))} position(s); first mismatch: "
-            f"output {plan_program.output_ids[i]} x input "
-            f"{plan_program.input_ids[j]} is {int(got[i, j])}, plan dictates "
-            f"{int(expected[i, j])} (the compiled decode would produce "
-            "wrong bytes)",
-        )
+    coeffs = field.zeros((got.shape[0], h.cols))
+    for j, b in enumerate(plan_program.input_ids):
+        coeffs[:, b] ^= got[:, j]
+    certify_relations(
+        report,
+        h,
+        faulty_set,
+        [(f"output {b}", b, row) for b, row in zip(plan_program.output_ids, coeffs)],
+        "program/certificate",
+    )
 
-    # -- op accounting -----------------------------------------------------
-    want_mult, want_xor = _expected_model_counts(walk)
+    # -- op accounting: every nonzero of every applied matrix — S and F^-1
+    # *separately* for normal modes (two sweeps), not their product -------
+    mats = [m for chain, _src, _dst in reference_walk(plan, plan.mode) for m in chain]
+    want_mult = sum(int(np.count_nonzero(m)) for m in mats)
+    want_xor = sum(int(np.count_nonzero(m == 1)) for m in mats)
     if program.mult_xors != want_mult:
         report.add(
             "program/op-count",
@@ -221,8 +184,10 @@ def verify_plan_program(
     return report
 
 
-def assert_program_valid(plan_program: PlanProgram, field: GF, plan) -> None:
+def assert_program_valid(
+    plan_program: PlanProgram, source: ErasureCode | GFMatrix, plan
+) -> None:
     """Raise :class:`ProgramVerificationError` unless the program verifies."""
-    report = verify_plan_program(plan_program, field, plan)
+    report = verify_plan_program(plan_program, source, plan)
     if not report.ok:
         raise ProgramVerificationError(report)

@@ -5,8 +5,8 @@ chosen instance) it draws random erasure patterns up to the code's
 decodable tolerance, builds the decode plan for each, and runs the
 static plan verifier on it; it then lowers each verified plan to a
 compiled :class:`~repro.kernels.RegionProgram` and certifies the
-program's GF(2^w) transfer matrix and model op counts against the plan
-(:mod:`repro.verify.program`); every scenario's plan is also pruned to
+program's GF(2^w) transfer matrix against the parity-check matrix and
+its model op counts against the plan (:mod:`repro.verify.program`); every scenario's plan is also pruned to
 each single erased block and to one random multi-block subset (the
 plans a targeted degraded read runs) and those go through the same
 checks.  Everything but the opt-in backend byte comparison is symbolic —
@@ -191,7 +191,7 @@ def sweep_code(
             return False
         # lower the verified plan and certify the compiled program
         compiled = lower_plan(code.field, plan)
-        sub = verify_plan_program(compiled, code.field, plan)
+        sub = verify_plan_program(compiled, code, plan)
         if sub.findings:
             sub.subject = f"program {label}"
             result.report.merge(sub)

@@ -10,6 +10,7 @@ from repro.matrix import (
     invert,
     is_invertible,
     rank,
+    reduced_row_echelon,
     select_independent_rows,
     solve,
 )
@@ -81,6 +82,24 @@ def test_rank_rectangular(field):
     m = random_invertible(field, 4, seed=2)
     wide = m.take_rows([0, 1])
     assert rank(wide) == 2
+
+
+def test_reduced_row_echelon_spans_the_row_space(field):
+    rng = np.random.default_rng(5)
+    base = GFMatrix(field, rng.integers(0, field.order + 1, size=(3, 6)))
+    # a dependent fourth row: the sum of twice row 0 and row 2
+    extra = field.mul(field.dtype.type(2), base.array[0]) ^ base.array[2]
+    m = GFMatrix(field, np.vstack([base.array, extra[None]]))
+    pivots, basis = reduced_row_echelon(m)
+    assert len(pivots) == rank(m) == 3 and basis.shape == (3, 6)
+    assert np.array_equal(basis[:, pivots], field.eye(3))
+    assert rank(m.vstack(GFMatrix(field, basis))) == 3
+    # v lies in the row space iff v - v[pivots] @ basis is zero
+    residual = extra ^ (GFMatrix(field, extra[None, pivots]) @ GFMatrix(field, basis)).array[0]
+    assert not residual.any()
+    outside = field.eye(6)[[c for c in range(6) if c not in pivots][0]]
+    residual = outside ^ (GFMatrix(field, outside[None, pivots]) @ GFMatrix(field, basis)).array[0]
+    assert residual.any()
 
 
 def test_is_invertible(field):

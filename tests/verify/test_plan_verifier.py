@@ -62,8 +62,8 @@ def test_mutation_dropped_weight_row_is_caught(plan):
     truncated = group.weights.take_rows(range(group.weights.rows - 1))
     bad = replace(plan, groups=(replace(group, weights=truncated),) + plan.groups[1:])
     report = verify_plan(bad, CODE)
-    assert report.has("plan/weights-shape")
-    (finding,) = [f for f in report.findings if f.check == "plan/weights-shape"]
+    assert report.has("plan/certificate")
+    (finding,) = [f for f in report.findings if f.check == "plan/certificate"]
     assert "dropped" in finding.message and "group[0]" in finding.context
 
 
@@ -78,10 +78,16 @@ def test_mutation_swapped_coefficient_is_caught(plan):
     bad_w = GFMatrix(group.weights.field, arr)
     bad = replace(plan, groups=(replace(group, weights=bad_w),) + plan.groups[1:])
     report = verify_plan(bad, CODE)
-    assert report.has("plan/group-weights")
-    (finding,) = [f for f in report.findings if f.check == "plan/group-weights"]
-    assert "F @ W != S" in finding.message
-    assert "coefficient is corrupt" in finding.message
+    assert report.has("plan/certificate")
+    findings = [f for f in report.findings if f.check == "plan/certificate"]
+    # the chosen mode's stages and both partition walks run group[0] (and
+    # the rest phase reads its output); the traditional walks do not
+    named = {f.context for f in findings}
+    assert {
+        f"{walk} target {b}" for walk in ("stages", "c3", "c4") for b in group.faulty_ids
+    } <= named
+    assert {name.split()[0] for name in named} == {"stages", "c3", "c4"}
+    assert all("coefficient is corrupt" in f.message for f in findings)
 
 
 # -- mutation 3: a faulty block recovered twice --------------------------
@@ -106,9 +112,29 @@ def test_mutation_missing_coverage_is_caught(plan):
     dropped = plan.rest.faulty_ids[-1]
     bad_rest = replace(plan.rest, faulty_ids=plan.rest.faulty_ids[:-1])
     report = verify_plan(replace(plan, rest=bad_rest), CODE)
-    assert report.has("plan/coverage-missing")
-    (finding,) = [f for f in report.findings if f.check == "plan/coverage-missing"]
-    assert str(dropped) in finding.message and "leave them lost" in finding.message
+    assert report.has("plan/certificate")
+    findings = [f for f in report.findings if f.check == "plan/certificate"]
+    # F^-1 and W still have a row for the dropped block
+    assert {f.context for f in findings} == {"rest"}
+    assert dropped not in bad_rest.faulty_ids
+    assert all(f"{list(bad_rest.faulty_ids)} it recovers" in f.message for f in findings)
+    assert all("dropped" in f.message for f in findings)
+
+
+def test_mutation_dropped_group_is_caught(disk_plan):
+    """Shapes intact, one group gone: its blocks come out of no step of
+    the partition walks."""
+    lost = disk_plan.groups[0].faulty_ids
+    bad = replace(disk_plan, groups=disk_plan.groups[1:])
+    report = verify_plan(bad, DISK_CODE)
+    missing = [
+        f for f in report.findings
+        if f.check == "plan/certificate" and "recovered by no step" in f.message
+    ]
+    assert {f.context for f in missing} == {"c3", "c4"} | (
+        {"stages"} if bad.uses_partition else set()
+    )
+    assert all(str(list(lost)) in f.message for f in missing)
 
 
 # -- mutation 5: tampered cost report ------------------------------------
@@ -194,12 +220,13 @@ def test_shared_row_between_phases_rejected(disk_plan):
 
 
 def test_distinct_diagnostics_across_mutations(plan, disk_plan):
-    """The six headline corruptions produce six *different* check ids."""
+    """The six headline corruptions produce four *different* check ids:
+    the three algebra faults are the certificate's, each named apart."""
     checks = set()
     # 1 dropped row
     g = plan.groups[0]
     bad = replace(plan, groups=(replace(g, weights=g.weights.take_rows([])),) + plan.groups[1:])
-    checks.update(f.check for f in verify_plan(bad, CODE).findings if f.check.startswith("plan/weights"))
+    checks.update(f.check for f in verify_plan(bad, CODE).findings)
     # 2 swapped coefficient
     arr = g.weights.array.copy()
     i, j = np.argwhere(arr != 0)[0]
@@ -219,10 +246,8 @@ def test_distinct_diagnostics_across_mutations(plan, disk_plan):
     bad = replace(plan, mode=ExecutionMode.TRADITIONAL_NORMAL)
     checks.update(f.check for f in verify_plan(bad, CODE).findings)
     assert {
-        "plan/weights-shape",
-        "plan/group-weights",
+        "plan/certificate",
         "plan/duplicate-recovery",
-        "plan/coverage-missing",
         "plan/cost-mismatch",
         "plan/mode-mismatch",
     } <= checks
@@ -266,9 +291,10 @@ def test_mutation_flipped_pruned_coefficient_is_caught():
     arr[0, 3] ^= 0x1D  # one coefficient of the one kept row
     bad_stage = replace(stage, matrices=(GFMatrix(BENCH_CODE.field, arr),))
     report = verify_plan(with_stages(plan, [bad_stage]), BENCH_CODE)
-    assert report.has("plan/pruned-row")
-    (finding,) = [f for f in report.findings if f.check == "plan/pruned-row"]
-    assert "target 5" in finding.context and "parity checks" in finding.message
+    assert report.has("plan/certificate")
+    (finding,) = [f for f in report.findings if f.check == "plan/certificate"]
+    assert finding.context == "stages target 5"
+    assert "parity checks" in finding.message
 
 
 def test_mutation_dropped_dependency_stage_is_caught():
@@ -278,10 +304,10 @@ def test_mutation_dropped_dependency_stage_is_caught():
     assert len(plan.stages) > 1 and not plan.stages[-1].independent
     dropped = plan.stages[0]
     report = verify_plan(with_stages(plan, plan.stages[1:]), BENCH_CODE)
-    assert report.has("plan/pruned-reads-unrecovered")
-    (finding,) = [
-        f for f in report.findings if f.check == "plan/pruned-reads-unrecovered"
-    ]
+    assert report.has("plan/certificate")
+    (finding,) = [f for f in report.findings if f.check == "plan/certificate"]
+    assert finding.context == "stages target 12"
+    assert "erased block(s)" in finding.message
     assert str(dropped.faulty_ids[0]) in finding.message
 
 
@@ -289,7 +315,9 @@ def test_mutation_missing_target_stage_is_caught():
     plan = pruned_plan([5, 25])
     assert len(plan.stages) == 2
     report = verify_plan(with_stages(plan, plan.stages[:1]), BENCH_CODE)
-    assert report.has("plan/pruned-coverage")
+    assert report.has("plan/certificate")
+    (finding,) = [f for f in report.findings if f.check == "plan/certificate"]
+    assert finding.context == "stages" and "[25]" in finding.message
 
 
 def test_mutation_misreported_pruned_cost_is_caught():
