@@ -130,8 +130,8 @@ class PipelineConfig:
     off the event loop).  The straggler-tolerance knobs mirror
     :class:`~repro.pipeline.DecodePipeline`: ``hedge`` speculatively
     resubmits a bucket once its worker exceeds
-    ``max(p95, ewma) * 2`` of similar work (the engine's ``HEDGE_*``
-    constants),
+    ``max(p95, ewma) * 2`` of similar work and 50 ms (the engine's
+    ``HEDGE_*`` constants),
     ``verify_workers`` syndrome-checks every worker result before it
     can merge, and ``deadline_s`` (0 = unbounded) abandons a batch
     gather that outlives its budget with a

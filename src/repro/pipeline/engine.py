@@ -76,10 +76,15 @@ MAX_DEFER_S = 0.05
 #: The hedge trigger: once a shape has :data:`HEDGE_MIN_SAMPLES`
 #: latency observations, a primary still running after
 #: ``max(pX, ewma) * HEDGE_FACTOR`` (pX at :data:`HEDGE_PERCENTILE`)
-#: gets a speculative twin.
+#: gets a speculative twin, but never before :data:`HEDGE_MIN_S`.
+#: Below that floor a delay is host scheduling jitter (a GIL hand-off,
+#: a descheduled vCPU), which a twin would suffer alike: on a 2-vCPU
+#: host a 0.8 ms decode took over 5 ms in 1 call of 750 and over 20 ms
+#: in 1 of 3000, so a bare ``2 * p95`` trigger twinned healthy calls.
 HEDGE_PERCENTILE = 0.95
 HEDGE_FACTOR = 2.0
 HEDGE_MIN_SAMPLES = 8
+HEDGE_MIN_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -258,7 +263,8 @@ class DecodePipeline:
         Speculatively resubmit a phase-1 bucket whose worker has run
         longer than ``max(pX, ewma) * HEDGE_FACTOR`` of similar work
         (per-shape :class:`~repro.pipeline.metrics.LatencyTracker`;
-        see :data:`HEDGE_PERCENTILE` / :data:`HEDGE_MIN_SAMPLES`),
+        see :data:`HEDGE_PERCENTILE` / :data:`HEDGE_MIN_SAMPLES`) and
+        than :data:`HEDGE_MIN_S`,
         and take whichever execution finishes first.  The loser's
         output is discarded, never merged.  Requires a concurrent pool
         (no-op on ``serial``).
@@ -905,6 +911,7 @@ class DecodePipeline:
                     percentile=HEDGE_PERCENTILE,
                     factor=HEDGE_FACTOR,
                     min_samples=HEDGE_MIN_SAMPLES,
+                    floor=HEDGE_MIN_S,
                 )
                 if trigger is None:
                     continue

@@ -80,13 +80,15 @@ class LatencyTracker:
         percentile: float = 0.95,
         factor: float = 2.0,
         min_samples: int = 8,
+        floor: float = 0.0,
     ) -> float | None:
         """Seconds after which an in-flight ``key`` task should be hedged.
 
         ``None`` until ``min_samples`` observations exist — hedging
         needs a latency baseline before "slow" means anything.  The
         trigger is ``max(pX, ewma) * factor`` so one fast outlier in
-        the window cannot arm a hair-trigger hedge.
+        the window cannot arm a hair-trigger hedge, and never less than
+        ``floor`` seconds.
         """
         with self._lock:
             ring = self._samples.get(key)
@@ -95,7 +97,7 @@ class LatencyTracker:
             ordered = sorted(ring)
             average = self._ewma.get(key, ordered[-1])
         rank = min(len(ordered) - 1, max(0, round(percentile * (len(ordered) - 1))))
-        return max(ordered[rank], average) * factor
+        return max(max(ordered[rank], average) * factor, floor)
 
 
 @dataclass(frozen=True)

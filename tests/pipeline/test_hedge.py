@@ -18,7 +18,12 @@ import pytest
 
 from repro.codes import SDCode
 from repro.pipeline import DecodePipeline, LatencyTracker, StragglerTimeout
-from repro.pipeline.engine import HEDGE_FACTOR, HEDGE_MIN_SAMPLES, HEDGE_PERCENTILE
+from repro.pipeline.engine import (
+    HEDGE_FACTOR,
+    HEDGE_MIN_S,
+    HEDGE_MIN_SAMPLES,
+    HEDGE_PERCENTILE,
+)
 from repro.service.store import FaultInjector
 from repro.stripes import worst_case_sd
 
@@ -303,6 +308,19 @@ def test_hedge_after_needs_min_samples():
     assert tracker.hedge_after("k", **knobs) is None
     tracker.observe("k", 0.01)
     assert tracker.hedge_after("k", **knobs) == pytest.approx(0.01 * HEDGE_FACTOR)
+
+
+def test_hedge_trigger_never_undercuts_its_floor():
+    """Sub-millisecond work must not arm a trigger inside host
+    scheduling jitter; slow work keeps its ``factor`` trigger."""
+    tracker = LatencyTracker()
+    for _ in range(HEDGE_MIN_SAMPLES):
+        tracker.observe("fast", 0.0005)
+        tracker.observe("slow", HEDGE_MIN_S)
+    assert tracker.hedge_after("fast", floor=HEDGE_MIN_S) == HEDGE_MIN_S
+    assert tracker.hedge_after("slow", floor=HEDGE_MIN_S) == pytest.approx(
+        HEDGE_MIN_S * HEDGE_FACTOR
+    )
 
 
 def test_verify_workers_still_checks_targeted_reads(workload):
