@@ -4,9 +4,9 @@
 Erasure decoding handles *known* losses; silent corruption (bit rot,
 misdirected writes — the paper's ref [12]) leaves every block present
 but the stripe inconsistent.  A scrub recomputes the syndromes
-``H @ B``; a single corrupted block is *located* by matching the
-syndrome against column signatures and then repaired by erasure-decoding
-it from the rest.
+``H @ B``; the corrupted block is *located* as the one column of ``H``
+that explains them, and then repaired by erasure-decoding it from the
+rest.
 
 Run:  python examples/scrub_and_repair.py
 """
@@ -15,12 +15,7 @@ import numpy as np
 
 from repro.codes import SDCode
 from repro.core import TraditionalDecoder
-from repro.stripes import (
-    Stripe,
-    StripeLayout,
-    locate_single_corruption,
-    syndromes,
-)
+from repro.stripes import Stripe, StripeLayout, scrub_stripe, syndromes
 
 
 def main() -> None:
@@ -32,8 +27,7 @@ def main() -> None:
     truth = stripe.copy()
 
     # a clean scrub
-    clean = locate_single_corruption(code, stripe)
-    print(f"\ninitial scrub: clean={clean.clean}")
+    print(f"\ninitial scrub: clean={scrub_stripe(code, stripe).healthy}")
 
     # bit rot flips part of one sector, silently
     victim = layout.block_id(3, 5)
@@ -48,19 +42,19 @@ def main() -> None:
     print(f"scrub: nonzero syndromes on parity rows {dirty}")
 
     # ...the scrubber locates the block, then erases and decodes it
-    result = locate_single_corruption(code, stripe)
+    (located,) = scrub_stripe(code, stripe).corrupted_blocks
     print(
-        f"located block {result.corrupted_block} "
-        f"(expected {victim}): {'MATCH' if result.corrupted_block == victim else 'MISS'}"
+        f"located block {located} "
+        f"(expected {victim}): {'MATCH' if located == victim else 'MISS'}"
     )
-    stripe.erase([result.corrupted_block])
-    recovered = TraditionalDecoder().decode(code, stripe, [result.corrupted_block])
-    stripe.put(result.corrupted_block, recovered[result.corrupted_block])
+    stripe.erase([located])
+    recovered = TraditionalDecoder().decode(code, stripe, [located])
+    stripe.put(located, recovered[located])
     restored = np.array_equal(stripe.get(victim), truth.get(victim))
     print(f"repaired content matches original: {restored}")
-    final = locate_single_corruption(code, stripe)
-    print(f"final scrub: clean={final.clean}")
-    assert restored and final.clean
+    final = scrub_stripe(code, stripe)
+    print(f"final scrub: clean={final.healthy}")
+    assert restored and final.healthy
 
 
 if __name__ == "__main__":

@@ -207,10 +207,10 @@ class RepairConfig:
         back-to-back before the rate limit bites.
     max_errors:
         Corruption-location search depth per stripe.  Keep at 1
-        online: the pair-and-beyond search in
-        :func:`repro.stripes.scrub.locate_corruptions` is
-        combinatorial, and a scrub loop that stalls is worse than one
-        that reports "ambiguous" and moves on.
+        online: :func:`repro.stripes.scrub.scrub_stripe` tries up to
+        C(n, k) small solves for each size ``k`` up to this depth,
+        and a scrub loop that stalls is worse than one that reports
+        "ambiguous" and moves on.
 
     Every repaired stripe is re-scrubbed; one whose syndromes are still
     nonzero counts as a ``verify_failure`` instead of silently trusting

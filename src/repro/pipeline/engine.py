@@ -770,20 +770,29 @@ class DecodePipeline:
         corruption of the recovered regions is caught.  A failing result
         is quarantined — replaced by a recompute on this (caller)
         thread, the trusted path no injection or hedging touches — so a
-        wrong worker output is never merged.  Neither the check nor the
+        wrong worker output is never merged.  The recompute runs the
+        same cached program, so it is checked again: one that still
+        fails means the program itself is wrong, and raises
+        ``ValueError`` instead of merging.  Neither the check nor the
         recompute is booked: the unit's model count is booked once by
         :meth:`_book`.
         """
         check_ops = RegionOps(code.field)
         for task_id in sorted(task_results):
             batch, stage, t = origin[task_id]
-            blocks = {**batch.tile(t), **task_results[task_id]}
-            if verify_rows(code, stage.row_ids, blocks, ops=check_ops):
+            tile = batch.tile(t)
+            if verify_rows(code, stage.row_ids, {**tile, **task_results[task_id]}, ops=check_ops):
                 continue
-            _tid, matrices, regions, faulty_ids = tasks[task_id]
-            task_results[task_id] = dict(zip(faulty_ids, _chain(ops, matrices, regions)))
             with self._tally_lock:
                 self._verify_rejects += 1
+            _tid, matrices, regions, faulty_ids = tasks[task_id]
+            recomputed = dict(zip(faulty_ids, _chain(ops, matrices, regions)))
+            if not verify_rows(code, stage.row_ids, {**tile, **recomputed}, ops=check_ops):
+                raise ValueError(
+                    f"blocks {list(faulty_ids)} fail their syndrome check after a "
+                    "trusted recompute: the stage's program is wrong"
+                )
+            task_results[task_id] = recomputed
 
     def _run_tasks(
         self,
@@ -870,8 +879,9 @@ class DecodePipeline:
         output dict, so a discard can never half-merge).  A worker
         exception cancels all outstanding work and re-raises; deadline
         expiry raises :class:`StragglerTimeout` naming the finished
-        buckets.  Completed latencies feed the tracker, so the trigger
-        adapts as the workload shifts.
+        buckets.  Each winner's time from submission to completion feeds
+        the tracker — the clock the trigger reads, pool dispatch
+        included — so the trigger adapts as the workload shifts.
         """
         n = len(keys)
         t0 = time.perf_counter()
@@ -881,6 +891,7 @@ class DecodePipeline:
             f: (i, False) for i, f in enumerate(primaries)
         }
         hedges: dict[int, Future] = {}
+        hedge_starts: dict[int, float] = {}
         results: list[tuple[dict, float] | None] = [None] * n
         resolved = [False] * n
         outstanding = set(primaries)
@@ -918,6 +929,7 @@ class DecodePipeline:
                 wait_left = starts[i] + trigger - now
                 if wait_left <= 0.0:
                     hedges[i] = submit(i, True)
+                    hedge_starts[i] = now
                     owner[hedges[i]] = (i, True)
                     outstanding.add(hedges[i])
                     with self._tally_lock:
@@ -936,7 +948,10 @@ class DecodePipeline:
                     future.result()  # re-raises
                 results[index] = future.result()
                 resolved[index] = True
-                self.latency.observe(keys[index], results[index][1])
+                # the trigger counts from submission, so the baseline
+                # does too: the winner's submission-to-completion time
+                start = hedge_starts[index] if was_hedge else starts[index]
+                self.latency.observe(keys[index], time.perf_counter() - start)
                 if was_hedge:
                     with self._tally_lock:
                         self._hedge_wins += 1

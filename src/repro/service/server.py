@@ -13,7 +13,8 @@ store) and its degradation ladder:
    up to ``config.max_retries`` times (the fault injector bounds
    consecutive faults, so the retry budget always suffices).
 4. If the *batch path itself* errors, the affected requests fall back
-   to the independent recovery channel: a fresh ``plan_decode`` walked
+   to the independent recovery channel: a fresh ``plan_decode``
+   (certified against ``H`` when the pipeline verifies plans) walked
    stage by stage through the interpreted
    :class:`~repro.gf.region.RegionOps`, reading the store fault-free —
    one poisoned batch degrades latency, never correctness.
@@ -119,7 +120,10 @@ class BlobService:
         :class:`~repro.gf.region.RegionOps` — it shares no plan cache,
         lowering, optimizer, program cache, backend or worker pool with
         the batch path that just failed.  Like the batch path it runs
-        only the rows of the plan that recover ``block``.
+        only the rows of the plan that recover ``block``, and certifies
+        the fresh plan against ``H`` first when the pipeline verifies
+        plans: a planner fault the batch path's certificate caught must
+        not be served through this channel instead.
         """
         blocks = self.store.snapshot_blocks(stripe_id, inject=False)
         if block in blocks:
@@ -130,8 +134,15 @@ class BlobService:
                 f"stripe {stripe_id} has no block {block}"
             )
         code = self.store.code
+        plan = plan_decode(code, pattern, targets=(block,))
+        if self.pipeline.verify:
+            # deferred like PlanCache's: serving without plan
+            # verification never pays for importing the verifiers
+            from ..verify import assert_plan_valid
+
+            assert_plan_valid(plan, code)
         ops = RegionOps(code.field)
-        for stage in plan_decode(code, pattern, targets=(block,)).stages:
+        for stage in plan.stages:
             regions = [blocks[b] for b in stage.survivor_ids]
             blocks.update(zip(stage.faulty_ids, ops.matrix_chain_apply(stage.arrays, regions)))
         return blocks[block]

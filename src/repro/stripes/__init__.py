@@ -21,10 +21,7 @@ from .layout import StripeLayout
 from .reads import RepairIO, compare_degraded_read, degraded_read_cost, plan_io
 from .scrub import (
     ScrubCursor,
-    ScrubResult,
     StripeScrubReport,
-    locate_corruptions,
-    locate_single_corruption,
     partial_syndromes,
     scrub_stripe,
     syndromes,
@@ -38,11 +35,8 @@ __all__ = [
     "degraded_read_cost",
     "plan_io",
     "ScrubCursor",
-    "ScrubResult",
     "StripeScrubReport",
     "corrupt_blocks",
-    "locate_corruptions",
-    "locate_single_corruption",
     "partial_syndromes",
     "scrub_stripe",
     "syndromes",

@@ -1,16 +1,15 @@
-"""Scrubbing: syndrome checks and single-corruption location.
+"""Scrubbing: syndrome checks and corruption location.
 
 Erasure codes recover *known* losses; silent data corruption
 (Bairavasundaram et al., "An Analysis of Data Corruption in the Storage
 Stack" — the paper's ref [12]) presents as a stripe whose blocks are all
-present but whose parity-check syndrome ``H @ B`` is nonzero.  A scrub
-computes the syndromes; for a single corrupted block the syndrome is
-``H[:, j] * e`` for the corrupt column ``j`` and per-symbol error ``e``,
-so ``j`` is identified as the unique column whose nonzero pattern and
-coefficient ratios match — and the block is repaired by erasure-decoding
-it from the others.
+present but whose parity-check syndrome ``S = H @ B`` is nonzero.  A
+scrub computes the syndromes; corrupt blocks ``J`` with per-symbol
+errors ``E`` give ``S = H[:, J] @ E``, so the smallest ``J`` whose
+columns span ``S`` names them — and they are repaired by
+erasure-decoding them from the others.
 
-:func:`scrub_stripe` classifies one stripe into a uniform
+:func:`scrub_stripe` classifies one stripe into a
 :class:`StripeScrubReport`; :class:`ScrubCursor` provides the
 incremental, resumable iteration order an *online* scrubber needs (scan
 a bounded chunk per tick, survive restarts, keep going as stripes come
@@ -21,26 +20,15 @@ erases what a scrub located and decodes it in one batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from ..codes.base import ErasureCode
 from ..gf import RegionOps
+from ..matrix import SingularMatrixError, select_and_invert_stack
 from .store import Stripe
-
-
-@dataclass(frozen=True)
-class ScrubResult:
-    """Outcome of scrubbing one stripe."""
-
-    clean: bool
-    corrupted_block: int | None = None
-    located: bool = False
-
-    @property
-    def needs_repair(self) -> bool:
-        return not self.clean
 
 
 def syndromes(code: ErasureCode, stripe: Stripe) -> list[np.ndarray]:
@@ -104,93 +92,6 @@ def verify_rows(
     )
 
 
-def locate_single_corruption(code: ErasureCode, stripe: Stripe) -> ScrubResult:
-    """Scrub and, when exactly one block is corrupt, identify which.
-
-    Location logic: for candidate column ``j``, the syndrome must be
-    nonzero exactly on rows where ``H[i, j] != 0``, and the error region
-    implied by each such row — ``syndrome_i / H[i, j]`` — must be the
-    same for all of them.  With one corrupted block the candidate is
-    unique for any code whose columns are pairwise linearly independent
-    (true of every construction here: otherwise two erasures would be
-    undecodable).
-    """
-    s = syndromes(code, stripe)
-    nonzero_rows = [i for i, region in enumerate(s) if region.any()]
-    if not nonzero_rows:
-        return ScrubResult(clean=True)
-    field = code.field
-    h = code.H.array
-    pattern = set(nonzero_rows)
-    for j in range(code.num_blocks):
-        column_rows = set(int(i) for i in np.nonzero(h[:, j])[0])
-        if column_rows != pattern:
-            continue
-        error = None
-        consistent = True
-        for i in nonzero_rows:
-            candidate = field.mul(field.inv(h[i, j]), s[i])
-            if error is None:
-                error = candidate
-            elif not np.array_equal(error, candidate):
-                consistent = False
-                break
-        if consistent:
-            return ScrubResult(clean=False, corrupted_block=j, located=True)
-    return ScrubResult(clean=False, corrupted_block=None, located=False)
-
-
-def locate_corruptions(
-    code: ErasureCode, stripe: Stripe, max_errors: int = 2
-) -> ScrubResult | list[int]:
-    """Locate up to ``max_errors`` corrupted blocks.
-
-    Generalises :func:`locate_single_corruption`: a set ``J`` of corrupt
-    columns explains the syndrome iff the syndrome regions lie in the
-    span of ``H[:, J]`` symbol-wise — checked by erasure-decoding ``J``
-    from the (consistent) remainder and seeing whether re-encoding
-    clears the syndrome.  Searches singles first, then pairs.  Returns a
-    sorted list of located blocks (empty when clean), or an unlocated
-    :class:`ScrubResult` when nothing up to ``max_errors`` explains it.
-    """
-    from itertools import combinations
-
-    from ..core.decoder import TraditionalDecoder
-    from ..matrix import SingularMatrixError
-
-    single = locate_single_corruption(code, stripe)
-    if single.clean:
-        return []
-    if single.located:
-        return [single.corrupted_block]
-    if max_errors < 2:
-        return single
-    ops = RegionOps(code.field)
-    decoder = TraditionalDecoder()
-    all_regions = [stripe.get(b) for b in range(code.num_blocks)]
-    for size in range(2, max_errors + 1):
-        for combo in combinations(range(code.num_blocks), size):
-            survivors = {
-                b: all_regions[b] for b in range(code.num_blocks) if b not in combo
-            }
-            try:
-                recovered = decoder.decode(code, survivors, list(combo))
-            except SingularMatrixError:
-                continue
-            trial = list(all_regions)
-            changed = False
-            for b, region in recovered.items():
-                if not np.array_equal(region, all_regions[b]):
-                    changed = True
-                trial[b] = region
-            if not changed:
-                continue
-            residual = ops.matrix_apply(code.H.array, trial)
-            if all(not s.any() for s in residual):
-                return sorted(combo)
-    return ScrubResult(clean=False, corrupted_block=None, located=False)
-
-
 @dataclass(frozen=True)
 class StripeScrubReport:
     """Uniform classification of one stripe's health.
@@ -222,21 +123,47 @@ def scrub_stripe(
 ) -> StripeScrubReport:
     """Classify one stripe: clean, erased, located corruption, or ambiguous.
 
-    ``max_errors`` bounds the corruption-location search depth (pair
-    search is combinatorial; online scrubbers keep it at 1 and treat
-    multi-corruption as ambiguous rather than stalling the loop).
+    One rule locates corruption of any size: a candidate block set ``J``
+    explains the syndromes ``S`` iff ``S = H[:, J] @ E`` for some error
+    ``E``.  With ``(R, F^-1)`` from :func:`~repro.matrix.select_and_invert`
+    on ``H[:, J]`` the only such ``E`` is ``F^-1 @ S[R]``, so ``J`` is the
+    answer iff ``H[:, J] @ F^-1 @ S[R] == S`` — the same verdict as
+    erasure-decoding ``J`` from the other blocks and re-encoding, without
+    planning or decoding anything.  Candidates are tried singles first,
+    then pairs, ... up to ``max_errors``, each size in
+    ``combinations`` order, and the first that explains ``S`` wins.  A
+    candidate whose columns miss a nonzero syndrome row, or whose
+    columns are dependent, cannot explain ``S`` and is skipped.
+    ``max_errors`` bounds the search: size ``k`` tries up to C(n, k)
+    small solves, and a scrub loop that stalls is worse than one that
+    reports "ambiguous" and moves on.
     """
     erased = stripe.erased_ids
     if erased:
         return StripeScrubReport(status="erased", erased_blocks=tuple(erased))
-    located = locate_corruptions(code, stripe, max_errors=max_errors)
-    if isinstance(located, ScrubResult):
-        if located.clean:
-            return StripeScrubReport(status="clean")
-        return StripeScrubReport(status="ambiguous")
-    if not located:
+    s = np.stack(syndromes(code, stripe))
+    dirty = s.any(axis=1)
+    if not dirty.any():
         return StripeScrubReport(status="clean")
-    return StripeScrubReport(status="corrupt", corrupted_blocks=tuple(located))
+    h = code.H.array
+    ops = RegionOps(code.field)
+    for k in range(1, max_errors + 1):
+        candidates = [
+            combo
+            for combo in combinations(range(code.num_blocks), k)
+            if not (dirty & ~h[:, combo].any(axis=1)).any()
+        ]
+        if not candidates:
+            continue
+        stack = h[:, candidates].transpose(1, 0, 2)
+        for combo, solved in zip(candidates, select_and_invert_stack(code.field, stack)):
+            if isinstance(solved, SingularMatrixError):
+                continue
+            rows, inverse = solved
+            error = ops.matrix_apply(inverse, [s[r] for r in rows])
+            if np.array_equal(ops.matrix_apply(h[:, combo], error), s):
+                return StripeScrubReport(status="corrupt", corrupted_blocks=combo)
+    return StripeScrubReport(status="ambiguous")
 
 
 class ScrubCursor:

@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.codes import SDCode
+from repro.kernels import ProgramCache
+from repro.kernels.ir import OP_MUL, OP_MULXOR
 from repro.pipeline import DecodePipeline, LatencyTracker, StragglerTimeout
 from repro.pipeline.engine import (
     HEDGE_FACTOR,
@@ -139,11 +143,58 @@ def test_corruption_leaks_without_verify_workers(workload):
     assert leaked
 
 
+def test_verify_workers_raises_when_the_recompute_still_fails(workload, monkeypatch):
+    """A wrong cached program fails the worker check *and* the trusted
+    recompute, which runs the same program: decode_batch raises instead
+    of merging the recompute."""
+    code, stripes, faulty, _expected = workload
+    real = ProgramCache._compile_chain
+
+    def one_constant_flipped(self, field, matrices, shapes):
+        program = real(self, field, matrices, shapes)
+        instructions = list(program.instructions)
+        for i, (op, dst, src, const) in enumerate(instructions):
+            if op in (OP_MUL, OP_MULXOR):
+                instructions[i] = (op, dst, src, 3 if const == 2 else 2)
+                break
+        planted = replace(program, instructions=tuple(instructions))
+        planted.validate()  # the fault is invisible to the structural check
+        return planted
+
+    monkeypatch.setattr(ProgramCache, "_compile_chain", one_constant_flipped)
+    with DecodePipeline(workers=2, pool="thread", verify_workers=True) as pipe:
+        with pytest.raises(ValueError, match="trusted recompute"):
+            pipe.decode_batch(code, stripes, faulty)
+        assert pipe.metrics().verify_rejects >= 1
+
+
 def test_verify_workers_clean_path_is_silent(workload):
     code, stripes, faulty, expected = workload
     with DecodePipeline(workers=2, pool="thread", verify_workers=True) as pipe:
         _assert_truth(expected, pipe.decode_batch(code, stripes, faulty))
         assert pipe.metrics().verify_rejects == 0
+
+
+def test_hedge_baseline_counts_from_submission():
+    """The tracker records submission-to-completion time, the clock the
+    trigger reads: a bucket that waits in the pool for ``delay`` but
+    reports ~0 s inside its worker is recorded as taking ``delay``."""
+    delay = 0.05
+    timers = []
+
+    def submit(index, hedged):
+        future = Future()
+        timer = threading.Timer(delay, future.set_result, args=(({}, 0.0),))
+        timers.append(timer)
+        timer.start()
+        return future
+
+    with DecodePipeline(workers=2, pool="thread", hedge=True) as pipe:
+        pipe._gather_hedged(submit, ["bucket"], None)
+        recorded = pipe.latency.ewma("bucket")
+    for timer in timers:
+        timer.join()
+    assert recorded >= delay
 
 
 class AlwaysSlow:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+from importlib import import_module
 
 import numpy as np
 import pytest
 
+from repro.pipeline import DecodePipeline
 from repro.service import BlobService, FaultInjector, ServiceConfig
 from repro.service.errors import (
     BatchDecodeError,
@@ -399,6 +401,49 @@ def test_fallback_shares_no_compiled_code_with_the_batch_path(code, monkeypatch)
             assert service.metrics.batch_errors == 1
             assert service.metrics.fallbacks == 1
             assert service.metrics.failures == 0
+
+    run(main())
+
+
+def test_fallback_certifies_its_plan_when_the_pipeline_verifies(code, monkeypatch):
+    """A planner fault the batch path's certificate rejects is not served
+    through the fallback instead.  The planted fault changes one
+    coefficient in every group row, so every block's plan is wrong: with
+    plan verification on, every degraded read fails and no wrong block
+    is returned."""
+    partition = import_module("repro.core.partition")
+    real = partition._group_weights
+
+    def one_coefficient_changed_per_row(*args):
+        weights = real(*args)
+        if weights is None:
+            return None
+        weights = weights.copy()
+        for row in weights:
+            i = np.flatnonzero(row)[0]
+            row[i] = 3 if row[i] == 2 else 2
+        return weights
+
+    monkeypatch.setattr(partition, "_group_weights", one_coefficient_changed_per_row)
+    store = make_store(code, num_stripes=4)
+    reads = [(sid, block) for sid in range(4) for block in store.pattern(sid)]
+
+    async def main():
+        pipeline = DecodePipeline(pool="serial", verify=True)
+        async with BlobService(
+            store, config=fast_config(batch_trigger=1), pipeline=pipeline, own_pipeline=True
+        ) as service:
+            outcomes = []
+            for sid, block in reads:
+                try:
+                    region = await service.degraded_get(sid, block)
+                except BatchDecodeError:
+                    outcomes.append("failed")
+                else:
+                    outcomes.append(store.verify_block(sid, block, region))
+            assert outcomes == ["failed"] * len(reads)
+            assert service.metrics.batch_errors == len(reads)
+            assert service.metrics.fallbacks == 0
 
     run(main())
 

@@ -1,21 +1,16 @@
 """Unit tests for scrubbing and corruption location."""
 
 import importlib
-from math import comb
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from repro.codes import LRCCode, SDCode
 from repro.core import TraditionalDecoder
-from repro.stripes import (
-    Stripe,
-    StripeLayout,
-    locate_corruptions,
-    locate_single_corruption,
-    scrub_stripe,
-    syndromes,
-)
+from repro.gf import RegionOps
+from repro.matrix import SingularMatrixError
+from repro.stripes import Stripe, StripeLayout, scrub_stripe, syndromes
 
 
 def valid_stripe(code, symbols=16, rng=0):
@@ -45,9 +40,8 @@ def erase_and_decode(code, stripe, block):
 def test_clean_stripe(code):
     stripe = valid_stripe(code)
     assert all(not s.any() for s in syndromes(code, stripe))
-    result = locate_single_corruption(code, stripe)
-    assert result.clean
-    assert not result.needs_repair
+    report = scrub_stripe(code, stripe)
+    assert report.status == "clean" and report.healthy
 
 
 def test_syndromes_require_full_stripe(code):
@@ -61,32 +55,31 @@ def test_syndromes_require_full_stripe(code):
 def test_locate_single_corruption(code, block):
     stripe = valid_stripe(code, rng=1)
     corrupt(stripe, block)
-    result = locate_single_corruption(code, stripe)
-    assert result.needs_repair
-    assert result.located
-    assert result.corrupted_block == block
+    report = scrub_stripe(code, stripe)
+    assert not report.healthy
+    assert report.status == "corrupt"
+    assert report.corrupted_blocks == (block,)
 
 
 def test_located_corruption_is_restored_by_erase_and_decode(code):
     stripe = valid_stripe(code, rng=2)
     truth = stripe.copy()
     corrupt(stripe, 7)
-    result = locate_single_corruption(code, stripe)
-    assert result.located and result.corrupted_block == 7
+    assert scrub_stripe(code, stripe).corrupted_blocks == (7,)
     erase_and_decode(code, stripe, 7)
     assert np.array_equal(stripe.get(7), truth.get(7))
     # stripe is clean again
-    assert locate_single_corruption(code, stripe).clean
+    assert scrub_stripe(code, stripe).healthy
 
 
 def test_double_corruption_detected_but_not_located(code):
     stripe = valid_stripe(code, rng=4)
     corrupt(stripe, 1, seed=5)
     corrupt(stripe, 8, seed=6)
-    result = locate_single_corruption(code, stripe)
-    assert result.needs_repair
-    # two corrupted columns generally match no single-column signature
-    assert not result.located or result.corrupted_block in (1, 8)
+    report = scrub_stripe(code, stripe)
+    assert not report.healthy
+    # no single column generally explains two corrupted columns
+    assert report.status == "ambiguous" or report.corrupted_blocks in ((1,), (8,))
 
 
 def test_lrc_scrub():
@@ -94,8 +87,7 @@ def test_lrc_scrub():
     stripe = valid_stripe(lrc, rng=7)
     truth = stripe.copy()
     corrupt(stripe, 3, seed=8)
-    result = locate_single_corruption(lrc, stripe)
-    assert result.located and result.corrupted_block == 3
+    assert scrub_stripe(lrc, stripe).corrupted_blocks == (3,)
     erase_and_decode(lrc, stripe, 3)
     assert stripe.equals_on(truth, range(lrc.num_blocks))
 
@@ -112,9 +104,9 @@ def test_scrub_stripe_classifies_each_stripe(code):
         assert stripe.equals_on(truth, range(code.num_blocks))
 
 
-def test_pair_search_plans_each_candidate_once(code, monkeypatch):
-    """A pair search plans every candidate pair once: the decode that
-    tests the pair is also what finds a singular one."""
+def test_location_never_plans(code, monkeypatch):
+    """Location solves each candidate against the syndromes: even a
+    search that reaches the last pair calls no planner."""
     stripe = valid_stripe(code, rng=14)
     last_pair = (code.num_blocks - 2, code.num_blocks - 1)
     for b in last_pair:
@@ -129,6 +121,54 @@ def test_pair_search_plans_each_candidate_once(code, monkeypatch):
             return real(*args, **kwargs)
 
         monkeypatch.setattr(module, "plan_batch", counting)
-    assert locate_corruptions(code, stripe, max_errors=2) == list(last_pair)
-    # the pair is the last candidate, so every pair was tried
-    assert len(calls) == comb(code.num_blocks, 2)
+    assert scrub_stripe(code, stripe, max_errors=2).corrupted_blocks == last_pair
+    assert calls == []
+
+
+def trial_decode_scrub(code, stripe, max_errors):
+    """The trial-decode oracle: erasure-decode each candidate set from
+    the other blocks and accept the first whose re-encoded stripe has
+    zero syndromes (singles first, then pairs, ...)."""
+    all_regions = [stripe.get(b) for b in range(code.num_blocks)]
+    if all(not s.any() for s in syndromes(code, stripe)):
+        return "clean", ()
+    ops = RegionOps(code.field)
+    decoder = TraditionalDecoder()
+    for size in range(1, max_errors + 1):
+        for combo in combinations(range(code.num_blocks), size):
+            survivors = {
+                b: all_regions[b] for b in range(code.num_blocks) if b not in combo
+            }
+            try:
+                recovered = decoder.decode(code, survivors, list(combo))
+            except SingularMatrixError:
+                continue
+            trial = list(all_regions)
+            for b, region in recovered.items():
+                trial[b] = region
+            residual = ops.matrix_apply(code.H.array, trial)
+            if all(not s.any() for s in residual):
+                return "corrupt", combo
+    return "ambiguous", ()
+
+
+@pytest.mark.parametrize(
+    "make_code",
+    [lambda: SDCode(6, 4, 2, 2), lambda: SDCode(8, 4, 2, 2), lambda: LRCCode(8, 2, 2)],
+    ids=["sd6422", "sd8422", "lrc822"],
+)
+def test_scrub_matches_trial_decode_oracle(make_code):
+    code = make_code()
+    cases = 0
+    for seed in range(2):
+        rng = np.random.default_rng(seed)
+        for count in range(4):
+            stripe = valid_stripe(code, symbols=8, rng=seed)
+            for b in rng.choice(code.num_blocks, count, replace=False):
+                corrupt(stripe, int(b), seed=int(rng.integers(1 << 30)))
+            for max_errors in (1, 2):
+                report = scrub_stripe(code, stripe, max_errors=max_errors)
+                expected = trial_decode_scrub(code, stripe, max_errors)
+                assert (report.status, report.corrupted_blocks) == expected
+                cases += 1
+    assert cases == 16

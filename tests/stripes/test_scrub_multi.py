@@ -5,7 +5,7 @@ import pytest
 
 from repro.codes import SDCode
 from repro.core import TraditionalDecoder
-from repro.stripes import Stripe, StripeLayout, locate_corruptions
+from repro.stripes import Stripe, StripeLayout, scrub_stripe
 
 
 @pytest.fixture
@@ -27,13 +27,15 @@ def corrupt(stripe, block, seed):
 
 
 def test_clean_returns_empty(code):
-    assert locate_corruptions(code, valid_stripe(code)) == []
+    report = scrub_stripe(code, valid_stripe(code), max_errors=2)
+    assert report.status == "clean" and report.corrupted_blocks == ()
 
 
 def test_single_located_via_fast_path(code):
+    """Singles are tried before any pair."""
     stripe = valid_stripe(code, rng=1)
     corrupt(stripe, 9, seed=2)
-    assert locate_corruptions(code, stripe) == [9]
+    assert scrub_stripe(code, stripe, max_errors=2).corrupted_blocks == (9,)
 
 
 @pytest.mark.parametrize("pair", [(3, 17), (0, 1), (5, 23)])
@@ -41,16 +43,16 @@ def test_pairs_located(code, pair):
     stripe = valid_stripe(code, rng=3)
     for b in pair:
         corrupt(stripe, b, seed=10 + b)
-    assert locate_corruptions(code, stripe, max_errors=2) == sorted(pair)
+    report = scrub_stripe(code, stripe, max_errors=2)
+    assert report.status == "corrupt" and report.corrupted_blocks == pair
 
 
 def test_max_errors_one_gives_up_on_pairs(code):
     stripe = valid_stripe(code, rng=4)
     corrupt(stripe, 2, seed=5)
     corrupt(stripe, 11, seed=6)
-    result = locate_corruptions(code, stripe, max_errors=1)
-    assert not isinstance(result, list)
-    assert result.needs_repair and not result.located
+    assert scrub_stripe(code, stripe, max_errors=1).status == "ambiguous"
+    assert scrub_stripe(code, stripe, max_errors=2).corrupted_blocks == (2, 11)
 
 
 def test_beyond_capability_unlocated(code):
@@ -58,10 +60,6 @@ def test_beyond_capability_unlocated(code):
     stripe = valid_stripe(code, rng=7)
     for b, s in [(1, 8), (6, 9), (14, 10), (20, 11)]:
         corrupt(stripe, b, seed=s)
-    result = locate_corruptions(code, stripe, max_errors=2)
-    if isinstance(result, list):
-        # a false pair explanation is combinatorially possible but must
-        # at least be a subset claim the syndrome fully supports; with 4
-        # random corruptions on this code it does not occur
-        pytest.fail(f"unexpectedly located {result}")
-    assert result.needs_repair
+    # a false pair explanation is combinatorially possible; with 4 random
+    # corruptions on this code it does not occur
+    assert scrub_stripe(code, stripe, max_errors=2).status == "ambiguous"
