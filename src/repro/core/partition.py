@@ -17,9 +17,10 @@ which the test suite asserts.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -27,12 +28,12 @@ from ..gf import GF
 from ..matrix import (
     GFMatrix,
     SingularMatrixError,
-    invert,
+    matmul_stack,
+    select_and_invert_stack,
     select_independent_rows,
-    split_fs,
     u,
 )
-from .logtable import LogTableEntry, build_log_table
+from .logtable import support_groups
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (codes -> core)
     from ..codes.sd import SDCode
@@ -100,124 +101,153 @@ class GroupPlan:
     survivor_ids: tuple[int, ...]
     weights: GFMatrix
 
-    @property
+    @cached_property
     def cost(self) -> int:
         return u(self.weights)
 
 
-#: Distinct group coefficient blocks remembered by :func:`_group_weights`.
-#: A code has few: 512 worst-case SD(10,8,2,2) patterns hold 3,130 groups
-#: but only 45 distinct ``(F_i, S_i)`` pairs, one per dead-disk pair.
+#: Candidate groups the group memo remembers.  A code has few positions:
+#: 512 worst-case SD(10,8,2,2) patterns hold 3,130 groups at only 360
+#: positions, one per dead-disk pair and stripe row.
 GROUP_SOLVE_CACHE_SIZE = 1024
 
+#: The one group memo, keyed by position ``(id(H), rows, support)``.  An
+#: entry is ``(solved, H)``: ``(first row, IndependentGroup, GroupPlan)``,
+#: or ``None`` with no full-rank pick; holding ``H`` keeps its id from
+#: being reused.  Writes take the lock; a full memo drops its oldest entry.
+_group_memo: dict[tuple, tuple] = {}
+_group_memo_lock = threading.Lock()
 
-@lru_cache(maxsize=GROUP_SOLVE_CACHE_SIZE)
-def _group_weights(
-    field: GF, f_shape: tuple, f_bytes: bytes, s_shape: tuple, s_bytes: bytes
-) -> np.ndarray | None:
-    """``F_i^-1 S_i`` of one independent group, memoised by content, or
-    ``None`` when ``F_i`` is singular.
 
-    The key is the coefficients alone, with no block ids: groups in
-    different stripe rows of one code solve the same matrices.  Returns
-    a read-only array; callers wrap it in their own matrix.
+def solve_squares(h: GFMatrix, systems: Sequence[tuple], product=matmul_stack) -> list[Any]:
+    """Each square system ``(rows, faulty)`` of ``h`` solved: its plan
+    fields with ``u(F^-1) + u(S)`` and ``u(W)``, or its
+    :class:`~repro.matrix.SingularMatrixError`.  Systems of one shape are
+    one stack: one first-wins elimination picks each member's rows, then
+    one ``product`` gives ``W = F^-1 S`` over ``H[picked]``'s non-faulty
+    columns, and each member drops the columns where its ``S`` is zero.
     """
-    f = np.frombuffer(f_bytes, dtype=field.dtype).reshape(f_shape)
-    s = np.frombuffer(s_bytes, dtype=field.dtype).reshape(s_shape)
-    try:
-        f_inv = invert(GFMatrix(field, f, copy=False))
-    except SingularMatrixError:
-        return None
-    return (f_inv @ GFMatrix(field, s, copy=False)).array
+    solved: list[Any] = [None] * len(systems)
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for i, (rows, faulty) in enumerate(systems):
+        stacks.setdefault((len(rows), len(faulty)), []).append(i)
+    for members in stacks.values():
+        rows = np.array([systems[i][0] for i in members], dtype=np.intp)
+        faulty = np.array([systems[i][1] for i in members], dtype=np.intp)
+        eliminated = select_and_invert_stack(h.field, h.array[rows[:, :, None], faulty[:, None, :]])
+        full = {j: result for j, result in enumerate(eliminated) if isinstance(result, tuple)}
+        for i, result in zip(members, eliminated):
+            solved[i] = result  # a full-rank member's is replaced below
+        if not full:
+            continue
+        at = np.arange(len(full))[:, None]
+        picked = rows[list(full)][at, [chosen for chosen, _ in full.values()]]
+        f_inv = np.stack([inverse for _, inverse in full.values()])
+        free = np.ones((len(full), h.cols), dtype=bool)
+        free[at, faulty[list(full)]] = False
+        others = free.nonzero()[1].reshape(len(full), -1)  # non-faulty columns
+        s = h.array[picked[:, :, None], others[:, None, :]]
+        w, kept = product(h.field, f_inv, s), s.any(axis=1)
+        normal = np.count_nonzero(f_inv, axis=(1, 2)) + np.count_nonzero(s, axis=(1, 2))
+        first = np.count_nonzero(w, axis=(1, 2))
+        for j, i in enumerate(np.take(members, list(full)).tolist()):
+            keep = kept[j]
+            fields = dict(
+                row_ids=tuple(picked[j].tolist()),
+                faulty_ids=systems[i][1],
+                survivor_ids=tuple(others[j, keep].tolist()),
+                f_inv=GFMatrix(h.field, f_inv[j], copy=False),
+                s=GFMatrix(h.field, s[j][:, keep], copy=False),
+                weights=GFMatrix(h.field, w[j][:, keep], copy=False),
+            )
+            solved[i] = (fields, int(normal[j]), int(first[j]))
+    return solved
 
 
-def _solve_group(h: GFMatrix, rows: Sequence[int], support: tuple[int, ...]) -> GroupPlan:
-    """One candidate group's sub-plan: the first-wins ``len(support)`` of
-    ``rows`` whose restriction to ``support`` has full rank, and
-    ``W_i = F_i^-1 S_i``.
-
-    The first ``t`` rows are that pick whenever their ``F_i`` is
-    invertible, which the memo answers by content, so the row selection
-    is a memo lookup.  Only when it is not does the elimination choose
-    the rows, raising :class:`~repro.matrix.SingularMatrixError` if none
-    will do.
-    """
-
-    def lookup(picked: tuple[int, ...]) -> GroupPlan | None:
-        split = split_fs(h.take_rows(picked), support)
-        f, s = split.F.array, split.S.array
-        w = _group_weights(h.field, f.shape, f.tobytes(), s.shape, s.tobytes())
-        if w is None:
-            return None
-        return GroupPlan(picked, split.faulty_ids, split.survivor_ids, GFMatrix(h.field, w))
-
-    group = lookup(tuple(rows[: len(support)]))
-    if group is None:
-        f = GFMatrix(h.field, h.array[np.ix_(rows, support)], copy=False)
-        chosen = select_independent_rows(f, len(support))
-        group = lookup(tuple(rows[i] for i in chosen))
-    assert group is not None  # first-wins rows are independent by construction
-    return group
+def _group_weights(field: GF, f_inv: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The stacked groups' ``W_i = F_i^-1 S_i``: the product behind memo misses."""
+    return matmul_stack(field, f_inv, s)
 
 
-def partition(
-    h: GFMatrix,
-    faulty: Sequence[int],
-    log_table: Sequence[LogTableEntry] | None = None,
-) -> Partition:
+def _solve_groups(h: GFMatrix, keys: Sequence[tuple]) -> list[tuple]:
+    """Group-memo misses, solved together (:func:`solve_squares`) and
+    remembered: a key's first-wins ``len(support)`` rows whose ``F_i``
+    has full rank, and ``W_i`` from :func:`_group_weights`."""
+    entries = []
+    solved = solve_squares(h, [key[1:] for key in keys], _group_weights)
+    with _group_memo_lock:
+        for (_, rows, support), result in zip(keys, solved):
+            group = None
+            if isinstance(result, tuple):
+                fields = result[0]
+                picked, survivors = fields["row_ids"], fields["survivor_ids"]
+                w = GFMatrix(h.field, fields["weights"].array, copy=False)  # shared: read-only
+                independent = IndependentGroup(
+                    picked, support, tuple(rid for rid in rows if rid not in picked)
+                )
+                group = (picked[0], independent, GroupPlan(picked, support, survivors, w))
+            if len(_group_memo) >= GROUP_SOLVE_CACHE_SIZE:
+                del _group_memo[next(iter(_group_memo))]
+            entries.append((group, h))
+            _group_memo[(id(h), rows, support)] = entries[-1]
+    return entries
+
+
+def partition(h: GFMatrix, faulty: Sequence[int]) -> Partition:
     """General log-table partition of ``h`` for a failure scenario."""
-    return solve_partition(h, faulty, log_table)[0]
+    return solve_partitions(h, [sorted(set(faulty))])[0][0]
 
 
-def solve_partition(
-    h: GFMatrix,
-    faulty: Sequence[int],
-    log_table: Sequence[LogTableEntry] | None = None,
-) -> tuple[Partition, tuple[GroupPlan, ...]]:
-    """:func:`partition` and each group's sub-plan, in group order.
+def solve_partitions(
+    h: GFMatrix, patterns: Sequence[Sequence[int]]
+) -> list[tuple[Partition, tuple[GroupPlan, ...]]]:
+    """:func:`partition` of each pattern (sorted, in-range faulty ids)
+    and each of its groups' sub-plans, in group order.
 
-    A candidate group's rows are picked, and its ``W_i`` solved, by one
-    lookup in the content-keyed group memo.
+    The patterns' log tables are grouped in one array pass
+    (:func:`~repro.core.logtable.support_groups`).  Candidate groups are
+    taken smallest support first, so singletons claim their blocks
+    before any larger overlapping group; each one's rows are picked, and
+    its ``W_i`` solved, by one lookup in the position-keyed group memo.
+    The batch's misses are solved first, together.
     """
-    faulty = sorted(set(faulty))
-    entries = build_log_table(h, faulty) if log_table is None else list(log_table)
-    discarded = [e.i for e in entries if e.t == 0]
-    by_support: dict[tuple[int, ...], list[int]] = {}
-    for e in entries:
-        if e.t > 0:
-            by_support.setdefault(e.l, []).append(e.i)
-    # smaller supports first so singletons claim their blocks before any
-    # larger overlapping group; ties broken by first row id for determinism
-    ordered = sorted(by_support.items(), key=lambda kv: (len(kv[0]), kv[1][0]))
-    solved: list[tuple[IndependentGroup, GroupPlan]] = []
-    covered: set[int] = set()
-    rest_rows: list[int] = []
-    for support, rows in ordered:
-        t = len(support)
-        if covered.intersection(support) or len(rows) < t:
-            # overlaps an accepted group, or underdetermined: H_rest decides
-            rest_rows.extend(rows)
-            continue
-        try:
-            plan = _solve_group(h, rows, tuple(support))
-        except SingularMatrixError:
-            rest_rows.extend(rows)
-            continue
-        redundant = tuple(rid for rid in rows if rid not in plan.row_ids)
-        group = IndependentGroup(
-            row_ids=plan.row_ids, faulty_ids=tuple(support), redundant_row_ids=redundant
+    grouped, hid = support_groups(h, patterns), id(h)
+    keys = {
+        (hid, rows, support): None
+        for groups in grouped
+        for support, rows in groups
+        if len(rows) >= len(support) > 0
+    }
+    _solve_groups(h, [key for key in keys if key not in _group_memo])
+    partitions = []
+    for faulty, groups in zip(patterns, grouped):
+        solved: list[tuple] = []
+        covered: set[int] = set()
+        rest_rows: list[int] = []
+        discarded: tuple[int, ...] = ()
+        for support, rows in groups:
+            if not support:
+                discarded = rows
+                continue
+            group: tuple | None = None
+            if len(rows) >= len(support) and covered.isdisjoint(support):
+                key = (hid, rows, support)
+                group = (_group_memo.get(key) or _solve_groups(h, [key])[0])[0]
+            if group is None:
+                # overlaps an accepted group, underdetermined or singular: H_rest decides
+                rest_rows.extend(rows)
+                continue
+            solved.append(group)
+            covered.update(support)
+        solved.sort()  # by first row: rows belong to one group each
+        part = Partition(
+            groups=tuple([g for _, g, _ in solved]),
+            rest_row_ids=tuple(sorted(rest_rows)),
+            rest_faulty_ids=tuple([b for b in faulty if b not in covered]),
+            discarded_row_ids=discarded,
         )
-        solved.append((group, plan))
-        covered.update(support)
-    solved.sort(key=lambda pair: pair[0].row_ids[0])
-    rest_faulty = tuple(b for b in faulty if b not in covered)
-    part = Partition(
-        groups=tuple(group for group, _ in solved),
-        rest_row_ids=tuple(sorted(rest_rows)),
-        rest_faulty_ids=rest_faulty,
-        discarded_row_ids=tuple(discarded),
-    )
-    return part, tuple(plan for _, plan in solved)
+        partitions.append((part, tuple([p for _, _, p in solved])))
+    return partitions
 
 
 def partition_sd(code: "SDCode", faulty: Sequence[int]) -> Partition:

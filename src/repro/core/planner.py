@@ -18,18 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from ..codes.base import ErasureCode
-from ..matrix import GFMatrix, SingularMatrixError, select_and_invert_stack, split_fs, u
-from .partition import GroupPlan, Partition, solve_partition
+from ..matrix import GFMatrix, SingularMatrixError, u
+from .partition import GroupPlan, Partition, solve_partitions, solve_squares
 from .sequences import ExecutionMode, SequenceCosts, SequencePolicy
 
 
 @dataclass(frozen=True)
-class RestPlan:
-    """Decode of H_rest, runnable in either sequence.
-
-    ``survivor_ids`` include the blocks the parallel phase recovered
-    (paper Step 4: recovered independent sectors participate).
-    """
+class _SquarePlan:
+    """One square system ``F^-1 S``, runnable in either sequence:
+    ``cost_normal`` is ``u(F^-1) + u(S)``, ``cost_matrix_first`` ``u(W)``."""
 
     row_ids: tuple[int, ...]
     faulty_ids: tuple[int, ...]
@@ -47,26 +44,15 @@ class RestPlan:
         return u(self.weights)
 
 
-@dataclass(frozen=True)
-class TraditionalPlan:
-    """Whole-matrix decode (Steps 2-4 of the traditional process)."""
+class RestPlan(_SquarePlan):
+    """Decode of H_rest.  ``survivor_ids`` include the blocks the parallel
+    phase recovered (paper Step 4: recovered independent sectors
+    participate)."""
 
-    row_ids: tuple[int, ...]
-    faulty_ids: tuple[int, ...]
-    survivor_ids: tuple[int, ...]
-    f_inv: GFMatrix
-    s: GFMatrix
-    weights: GFMatrix
 
-    @property
-    def cost_normal(self) -> int:
-        """C1."""
-        return u(self.f_inv) + u(self.s)
-
-    @property
-    def cost_matrix_first(self) -> int:
-        """C2."""
-        return u(self.weights)
+class TraditionalPlan(_SquarePlan):
+    """Whole-matrix decode (Steps 2-4 of the traditional process); its
+    ``cost_normal`` is C1 and ``cost_matrix_first`` C2."""
 
 
 @dataclass(frozen=True)
@@ -255,76 +241,18 @@ class DecodePlan:
         return tuple(sorted(read.difference(self.faulty_ids)))
 
 
-@dataclass(frozen=True)
-class _Scenario:
-    """One pattern between its partition and its plan.
-
-    ``systems`` are its square systems as ``(rows, faulty)``: the
-    traditional one, then ``H_rest``'s.
-    """
-
-    faulty: tuple[int, ...]
-    partition: Partition
-    groups: tuple[GroupPlan, ...]
-    systems: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    @classmethod
-    def partitioned(cls, h: GFMatrix, faulty: Sequence[int]) -> "_Scenario":
-        faulty = tuple(sorted(set(faulty)))
-        if not faulty:
-            raise ValueError("no faulty blocks: nothing to plan")
-        if len(faulty) > h.rows:
-            raise SingularMatrixError(
-                f"{len(faulty)} faults exceed the {h.rows} parity constraints"
-            )
-        part, groups = solve_partition(h, faulty)
-        systems = ((tuple(range(h.rows)), faulty),)
-        if part.rest_faulty_ids:
-            systems += ((part.rest_row_ids, part.rest_faulty_ids),)
-        return cls(faulty, part, groups, systems)
-
-    def plan(self, h: GFMatrix, policy: SequencePolicy, solved: Sequence) -> DecodePlan:
-        """The plan, given each system's elimination in ``systems``
-        order; a singular system raises here, the traditional one first."""
-
-        def square(rows, faulty, solved):
-            if isinstance(solved, SingularMatrixError):
-                raise solved
-            picked, inverse = solved
-            selected = tuple(rows[i] for i in picked)
-            split = split_fs(h.take_rows(selected), faulty)
-            f_inv = GFMatrix(h.field, inverse, copy=False)
-            return dict(
-                row_ids=selected,
-                faulty_ids=split.faulty_ids,
-                survivor_ids=split.survivor_ids,
-                f_inv=f_inv,
-                s=split.S,
-                weights=f_inv @ split.S,
-            )
-
-        trad = TraditionalPlan(**square(*self.systems[0], solved[0]))
-        rest = None
-        if len(self.systems) > 1:
-            rest = RestPlan(**square(*self.systems[1], solved[1]))
-        group_total = sum(g.cost for g in self.groups)
-        costs = SequenceCosts(
-            c1=trad.cost_normal,
-            c2=trad.cost_matrix_first,
-            c3=group_total + (rest.cost_matrix_first if rest else 0),
-            c4=group_total + (rest.cost_normal if rest else 0),
+def _checked(h: GFMatrix, faulty: Sequence[int]) -> tuple[int, ...]:
+    faulty = sorted(set(faulty))
+    if not faulty:
+        raise ValueError("no faulty blocks: nothing to plan")
+    if len(faulty) > h.rows:
+        raise SingularMatrixError(
+            f"{len(faulty)} faults exceed the {h.rows} parity constraints"
         )
-        return DecodePlan(
-            faulty_ids=self.faulty,
-            targets=self.faulty,
-            partition=self.partition,
-            traditional=trad,
-            groups=self.groups,
-            rest=rest,
-            costs=costs,
-            policy=policy,
-            mode=costs.choose(policy),
-        )
+    if faulty[0] < 0 or faulty[-1] >= h.cols:
+        bad = next(b for b in faulty if not 0 <= b < h.cols)
+        raise IndexError(f"faulty column {bad} outside 0..{h.cols - 1}")
+    return tuple(faulty)
 
 
 def plan_batch(
@@ -334,41 +262,61 @@ def plan_batch(
 ) -> list[DecodePlan]:
     """Whole-pattern plans for several failure scenarios, made together.
 
-    The one planner: :func:`plan_decode` is a batch of one.  Each
-    pattern is partitioned with its groups' sub-plans taken from the
-    content-keyed group memo.  Then the traditional and ``H_rest`` square
-    systems of every pattern are stacked by shape, and each stack runs
-    one first-wins elimination
-    (:func:`~repro.matrix.select_and_invert_stack`), so a batch costs one
-    elimination loop per distinct shape, not two per pattern.  Every
-    plan equals what planning its pattern alone gives.
+    The one planner: :func:`plan_decode` is a batch of one.  The log
+    tables of all patterns are grouped in one array pass
+    (:func:`~repro.core.logtable.support_groups`), and each pattern's
+    groups come from the position-keyed group memo
+    (:func:`~repro.core.partition.solve_partitions`).  Then the
+    traditional and ``H_rest`` square systems of every pattern are
+    stacked by shape, and each stack runs one first-wins elimination and
+    one ``F^-1 S`` product, so a batch costs one elimination loop per
+    distinct shape, not two per pattern.  Every plan equals what
+    planning its pattern alone gives.
 
     Raises what planning the patterns one by one, in order, raises
     first; nothing is returned for any of them then.
     """
     h = source.H if isinstance(source, ErasureCode) else source
-    scenarios: list[_Scenario | Exception] = []
+    checked: list = []
     for faulty in patterns:
         try:
-            scenarios.append(_Scenario.partitioned(h, faulty))
+            checked.append(_checked(h, faulty))
         except (ValueError, IndexError) as exc:  # raised in pattern order below
-            scenarios.append(exc)
-    # (pattern index, system index) of every square system, by shape
-    stacks: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, scenario in enumerate(scenarios):
-        if isinstance(scenario, _Scenario):
-            for k, (rows, faulty) in enumerate(scenario.systems):
-                stacks.setdefault((len(rows), len(faulty)), []).append((i, k))
-    solved: dict[tuple[int, int], object] = {}
-    for members in stacks.values():
-        stack = np.stack([h.array[np.ix_(*scenarios[i].systems[k])] for i, k in members])
-        solved.update(zip(members, select_and_invert_stack(h.field, stack)))
+            checked.append(exc)
+    valid = [faulty for faulty in checked if not isinstance(faulty, Exception)]
+    parts = solve_partitions(h, valid)
+    systems = []
+    for faulty, (part, _) in zip(valid, parts):
+        systems.append((tuple(range(h.rows)), faulty))
+        if part.rest_faulty_ids:
+            systems.append((part.rest_row_ids, part.rest_faulty_ids))
+    solved, planned = iter(solve_squares(h, systems)), iter(parts)
     plans = []
-    for i, scenario in enumerate(scenarios):
-        if isinstance(scenario, Exception):
-            raise scenario
-        systems = range(len(scenario.systems))
-        plans.append(scenario.plan(h, policy, [solved[i, k] for k in systems]))
+    for faulty in checked:
+        if isinstance(faulty, Exception):
+            raise faulty
+        part, groups = next(planned)
+        squares = [next(solved) for _ in range(1 + bool(part.rest_faulty_ids))]
+        for square in squares:  # the traditional system's error first
+            if isinstance(square, SingularMatrixError):
+                raise square
+        trad, c1, c2 = squares[0]
+        rest, normal, first = squares[1] if len(squares) > 1 else (None, 0, 0)
+        group_total = sum([g.cost for g in groups])
+        costs = SequenceCosts(c1, c2, c3=group_total + first, c4=group_total + normal)
+        plans.append(
+            DecodePlan(
+                faulty_ids=faulty,
+                targets=faulty,
+                partition=part,
+                traditional=TraditionalPlan(**trad),
+                groups=groups,
+                rest=RestPlan(**rest) if rest else None,
+                costs=costs,
+                policy=policy,
+                mode=costs.choose(policy),
+            )
+        )
     return plans
 
 

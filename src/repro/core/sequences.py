@@ -91,7 +91,7 @@ class SequenceCosts:
                 ExecutionMode.TRADITIONAL_NORMAL,
             ]
         # stable min: PPM modes win ties so parallelism is preserved
-        return min(candidates, key=lambda m: self.cost_of(m))
+        return min(candidates, key=self.cost_of)
 
     def as_dict(self) -> dict[str, int]:
         return {"C1": self.c1, "C2": self.c2, "C3": self.c3, "C4": self.c4}

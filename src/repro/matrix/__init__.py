@@ -1,6 +1,7 @@
 """Dense matrix algebra over GF(2^w).
 
-Public surface: :class:`GFMatrix`, Gaussian tools (:func:`invert`,
+Public surface: :class:`GFMatrix` and its stacked product
+(:func:`matmul_stack`), Gaussian tools (:func:`invert`,
 :func:`rank`, :func:`reduced_row_echelon`, :func:`select_independent_rows`,
 :func:`select_and_invert`, :func:`select_and_invert_stack`,
 :func:`is_invertible`, :func:`solve`,
@@ -10,7 +11,7 @@ Public surface: :class:`GFMatrix`, Gaussian tools (:func:`invert`,
 
 from __future__ import annotations
 
-from .gfmatrix import GFMatrix
+from .gfmatrix import GFMatrix, matmul_stack
 from .paritycheck import FSSplit, nonzero_columns, split_fs
 from .solve import (
     SingularMatrixError,
@@ -27,6 +28,7 @@ from .sparsity import column_weights, density, row_support, row_weights, u
 
 __all__ = [
     "GFMatrix",
+    "matmul_stack",
     "FSSplit",
     "split_fs",
     "nonzero_columns",

@@ -15,9 +15,30 @@ import numpy as np
 
 from ..gf import GF
 
-#: Most products :meth:`GFMatrix.__matmul__` holds at once (one row of
-#: its right operand when that row alone is longer).
+#: Most products :func:`matmul_stack` holds at once (one row of its
+#: right operand when that row alone is longer).
 MATMUL_BLOCK = 1 << 16
+
+
+def matmul_stack(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` over ``field`` for a ``(B, n, k)`` and a ``(B, k, m)``
+    stack (:meth:`GFMatrix.__matmul__` is a stack of one): broadcast
+    ``field.mul`` products XOR-reduced over ``k``, in blocks of members,
+    rows and ``k`` of at most :data:`MATMUL_BLOCK` products."""
+    count, rows, inner = a.shape
+    cols = max(1, b.shape[2])
+    out = field.zeros((count, rows, b.shape[2]))
+    k_step = max(1, min(inner, MATMUL_BLOCK // cols))
+    step = max(1, MATMUL_BLOCK // (k_step * cols))  # (member, row) pairs per block
+    r_step, m_step = min(rows, step) or 1, max(1, step // max(1, rows))
+    for m in range(0, count, m_step):
+        for lo in range(0, rows, r_step):
+            at = (slice(m, m + m_step), slice(lo, lo + r_step))
+            for k in range(0, inner, k_step):
+                ks = slice(k, k + k_step)
+                terms = field.mul(a[at + (ks, None)], b[m : m + m_step, None, ks])
+                out[at] ^= np.bitwise_xor.reduce(terms, axis=2)
+    return out
 
 
 class GFMatrix:
@@ -38,7 +59,8 @@ class GFMatrix:
             arr = arr.astype(field.dtype)
         elif copy:
             arr = arr.copy()
-        if arr.size and int(arr.max()) > field.order:
+        # only a dtype wider than w bits (w = 4) can hold a non-symbol
+        if arr.dtype.itemsize * 8 > field.w and arr.size and int(arr.max()) > field.order:
             raise ValueError("matrix entries exceed the field order")
         self.field = field
         self._data = arr
@@ -162,18 +184,8 @@ class GFMatrix:
             raise ValueError("cannot multiply matrices over different fields")
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        f = self.field
-        a, b = self._data, other._data
-        out = f.zeros((self.rows, other.cols))
-        # every a[i, k] * b[k, j] in one broadcast multiply, XOR-reduced
-        # over k; blocks of rows and of k keep the temporary bounded
-        k_step = max(1, min(self.cols, MATMUL_BLOCK // max(1, other.cols)))
-        step = max(1, MATMUL_BLOCK // (k_step * max(1, other.cols)))
-        for lo in range(0, self.rows, step):
-            for k in range(0, self.cols, k_step):
-                terms = f.mul(a[lo : lo + step, k : k + k_step, None], b[None, k : k + k_step])
-                out[lo : lo + step] ^= np.bitwise_xor.reduce(terms, axis=1)
-        return GFMatrix(f, out, copy=False)
+        product = matmul_stack(self.field, self._data[None], other._data[None])
+        return GFMatrix(self.field, product[0], copy=False)
 
     def matvec(self, vector: np.ndarray) -> np.ndarray:
         """Matrix times a symbol vector (not a region; used in tests)."""

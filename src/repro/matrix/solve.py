@@ -96,7 +96,7 @@ def _eliminate(
             work[at, :i] ^= f.mul(above[:, :, None], kept_row[:, None, :])
         pivots[at, i] = pivot
         taken[:, i] = found
-    chosen = [np.flatnonzero(t).tolist() for t in taken]
+    chosen = [t.nonzero()[0].tolist() for t in taken]
     if not rows:  # nothing to read back: every member is short
         return chosen, np.zeros((count, need), dtype=np.intp), f.zeros((count, need, need))
     # full-rank members' kept rows; a short member reads row 0 instead

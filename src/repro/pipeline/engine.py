@@ -269,15 +269,15 @@ class DecodePipeline:
         output is discarded, never merged.  Requires a concurrent pool
         (no-op on ``serial``).
     verify_workers:
-        Syndrome-check every phase-1 worker result against the parity
-        rows that produced it before merging; a failing result is
-        quarantined and recomputed on the caller's thread (the trusted
-        serial path), counted in ``verify_rejects``.  Roughly doubles
-        the phase-1 region work — the price of not merging a silently
-        corrupt worker output.  A syndrome needs every block of its
-        rows, so ``targets`` are widened to whole stages here (a group
-        block brings its group along); callers still get only what they
-        asked for.
+        Syndrome-check every phase-1 worker result, and every tile's
+        phase-2 walk, against the parity rows that produced it before
+        merging; a failing result is quarantined and recomputed on the
+        caller's thread (the trusted serial path), counted in
+        ``verify_rejects``.  Roughly doubles the region work — the price
+        of not merging a silently corrupt output.  A syndrome needs
+        every block of its rows, so ``targets`` are widened to whole
+        stages here (a group block brings its group along); callers
+        still get only what they asked for.
     deadline_s:
         Default per-batch bound on the phase-1 gather; on expiry
         outstanding buckets are abandoned and
@@ -698,21 +698,30 @@ class DecodePipeline:
         for task_id, recovered in task_results.items():
             batch, _stage, t = origin[task_id]
             batch.recovered[t].update(recovered)
-        walks: list[tuple[dict[int, np.ndarray], Future]] = []
+        walks: list[tuple[_PatternBatch, int, list[Stage], Future]] = []
+        done: list[tuple[_PatternBatch, int, list[Stage], dict[int, np.ndarray]]] = []
         for batch in batches:
             dependent = [stage for stage in batch.plan.stages if not stage.independent]
             for t, recovered in enumerate(batch.recovered if dependent else ()):
                 blocks = {**batch.tile(t), **recovered}
                 if len(batch.recovered) == 1:
-                    recovered.update(_walk_dependent(ops, dependent, blocks)[0])
+                    done.append((batch, t, dependent, _walk_dependent(ops, dependent, blocks)[0]))
                 else:
                     future = self.pool.submit(_walk_dependent, ops, dependent, blocks)
-                    walks.append((recovered, future))
-        for t, (recovered, future) in enumerate(walks):
+                    walks.append((batch, t, dependent, future))
+        for k, (batch, t, dependent, future) in enumerate(walks):
             out, elapsed = future.result()
-            recovered.update(out)
             with self._tally_lock:
-                self._busy[t % self.workers] += elapsed
+                self._busy[k % self.workers] += elapsed
+            done.append((batch, t, dependent, out))
+        for batch, t, dependent, out in done:
+            if self.verify_workers:  # a tile's walk is checked like a phase-1 task
+                base = {**batch.tile(t), **batch.recovered[t]}
+                out = self._trusted(
+                    code, [stage.row_ids for stage in dependent], base, out,
+                    lambda: _walk_dependent(ops, dependent, dict(base))[0],
+                )
+            batch.recovered[t].update(out)
         self._book(chains)
         return len(tasks) + len(walks)
 
@@ -724,25 +733,25 @@ class DecodePipeline:
     def _checkable(
         self, code: ErasureCode, plan: DecodePlan, verify: bool | None
     ) -> DecodePlan:
-        """``plan`` with its targets widened until every independent
-        stage recovers all the erased blocks its parity rows touch.
+        """``plan`` with its targets widened until every stage's parity
+        rows are closed: an independent stage recovers all the erased
+        blocks its rows touch, and a dependent one's rows touch no erased
+        block the plan leaves unrecovered.
 
-        :meth:`_verify_task_results` can only zero a stage's rows with
-        every block in them known, and a stage pruned to single rows
-        leaves its siblings unrecovered.  Widening by whole stages keeps
-        the check (and most of the pruning: a group target pulls in its
-        group, not the pattern).  A whole-pattern plan is already closed.
+        :meth:`_verify_task_results` and a checked walk can only zero a
+        stage's rows with every block in them known, and a stage pruned
+        to single rows leaves its siblings unrecovered.  Widening by
+        whole stages keeps the check (and most of the pruning: a group
+        target pulls in its group, not the pattern).  A whole-pattern
+        plan is already closed.
         """
         while True:
             missing: set[int] = set()
+            recovered = {b for stage in plan.stages for b in stage.faulty_ids}
             for stage in plan.stages:
-                if stage.independent:
-                    touched = code.H.array[list(stage.row_ids)].any(axis=0)
-                    missing.update(
-                        b
-                        for b in plan.faulty_ids
-                        if touched[b] and b not in stage.faulty_ids
-                    )
+                known = stage.faulty_ids if stage.independent else recovered
+                touched = code.H.array[list(stage.row_ids)].any(axis=0)
+                missing.update(b for b in plan.faulty_ids if touched[b] and b not in known)
             if not missing:
                 return plan
             plan = self.plans.get(
@@ -777,22 +786,37 @@ class DecodePipeline:
         recompute is booked: the unit's model count is booked once by
         :meth:`_book`.
         """
-        check_ops = RegionOps(code.field)
         for task_id in sorted(task_results):
             batch, stage, t = origin[task_id]
-            tile = batch.tile(t)
-            if verify_rows(code, stage.row_ids, {**tile, **task_results[task_id]}, ops=check_ops):
-                continue
-            with self._tally_lock:
-                self._verify_rejects += 1
             _tid, matrices, regions, faulty_ids = tasks[task_id]
-            recomputed = dict(zip(faulty_ids, _chain(ops, matrices, regions)))
-            if not verify_rows(code, stage.row_ids, {**tile, **recomputed}, ops=check_ops):
-                raise ValueError(
-                    f"blocks {list(faulty_ids)} fail their syndrome check after a "
-                    "trusted recompute: the stage's program is wrong"
-                )
-            task_results[task_id] = recomputed
+            task_results[task_id] = self._trusted(
+                code, [stage.row_ids], batch.tile(t), task_results[task_id],
+                lambda: dict(zip(faulty_ids, _chain(ops, matrices, regions))),
+            )
+
+    def _trusted(
+        self, code: ErasureCode, row_sets: list, base: Mapping, out: dict, recompute: Callable
+    ) -> dict[int, np.ndarray]:
+        """``out`` if ``base`` plus ``out`` zero every parity row set of
+        ``row_sets``; else ``recompute()`` on this thread, checked again.
+        One that still fails raises ``ValueError``."""
+        check_ops = RegionOps(code.field)
+
+        def closed(out: dict[int, np.ndarray]) -> bool:
+            blocks = {**base, **out}
+            return all(verify_rows(code, rows, blocks, ops=check_ops) for rows in row_sets)
+
+        if closed(out):
+            return out
+        with self._tally_lock:
+            self._verify_rejects += 1
+        out = recompute()
+        if not closed(out):
+            raise ValueError(
+                f"blocks {sorted(out)} fail their syndrome check after a "
+                "trusted recompute: their program is wrong"
+            )
+        return out
 
     def _run_tasks(
         self,

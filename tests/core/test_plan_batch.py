@@ -4,6 +4,10 @@ patterns in order would."""
 
 from __future__ import annotations
 
+import sys
+import threading
+from importlib import import_module
+
 import pytest
 
 from repro.codes import SDCode
@@ -92,3 +96,62 @@ def test_the_first_bad_pattern_wins():
         plan_batch(CODE, [tuple(range(19)), (0, 1, 2, 3, 4)])
     with pytest.raises(SingularMatrixError, match="independent rows"):
         plan_batch(CODE, [(0, 1, 2, 3, 4), tuple(range(19))])
+
+
+def test_a_cold_batch_makes_few_python_calls(pool, monkeypatch):
+    """EXPERIMENTS.md's cold-path count: from a cold group memo, plan pool
+    patterns 0-63 in batches of 16, then count the ``call`` and
+    ``c_call`` profile events of one ``plan_batch`` of patterns 64-79.
+    The planner made 20,735 before it planned in arrays (Python 3.11);
+    the bound is under half of that, so it holds on other versions."""
+    monkeypatch.setattr(import_module("repro.core.partition"), "_group_memo", {})
+    for start in range(0, 64, 16):
+        plan_batch(CODE, pool[start : start + 16])
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        events += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        plan_batch(CODE, pool[64:80])
+    finally:
+        sys.setprofile(None)
+    assert events <= 10_000
+
+
+def test_the_group_memo_holds_under_thread_stress(pool, monkeypatch):
+    """Four threads (more than two cores) plan overlapping batches at a
+    tiny switch interval through a memo bounded far below the pool's 360
+    positions, so entries are evicted while others read them: every plan
+    still equals the pattern planned alone, and the memo stays bounded."""
+    partition = import_module("repro.core.partition")
+    patterns = pool[:64]
+    want = {faulty: plan_decode(CODE, faulty) for faulty in patterns}
+    monkeypatch.setattr(partition, "_group_memo", {})
+    monkeypatch.setattr(partition, "GROUP_SOLVE_CACHE_SIZE", 16)
+    errors: list[BaseException] = []
+
+    def planner(offset: int) -> None:
+        try:
+            for start in range(offset, offset + 48, 8):
+                batch = patterns[start % 64 : start % 64 + 8]
+                for faulty, plan in zip(batch, plan_batch(CODE, batch)):
+                    assert_same_plan(plan, want[faulty])
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=planner, args=(8 * k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(partition._group_memo) <= 16

@@ -10,12 +10,15 @@ re-pin it and say why.
 from __future__ import annotations
 
 import hashlib
+from importlib import import_module
 
 import numpy as np
+import pytest
 
 from repro.codes import SDCode
 from repro.core import SequencePolicy
-from repro.core.planner import plan_decode
+from repro.core.planner import plan_batch, plan_decode
+from repro.matrix import SingularMatrixError
 from repro.stripes.failures import worst_case_sd
 
 #: sha256 over the first 64 distinct worst-case SD(10,8,2,2) patterns
@@ -72,12 +75,22 @@ def pool_head(code, count: int = 64) -> list[tuple[int, ...]]:
     return list(pool)
 
 
-def plan_digest() -> str:
+def plan_digest(batch: int = 1) -> str:
+    """The digest, the head planned by ``plan_batch`` in batches of
+    ``batch`` patterns (one: ``plan_decode``)."""
     code = SDCode(10, 8, 2, 2)
+    head = pool_head(code)
+    by_policy = [
+        [
+            plan
+            for start in range(0, len(head), batch)
+            for plan in plan_batch(code, head[start : start + batch], policy)
+        ]
+        for policy in POLICIES
+    ]
     digest = hashlib.sha256()
-    for faulty in pool_head(code):
-        for policy in POLICIES:
-            whole = plan_decode(code, faulty, policy=policy)
+    for faulty, wholes in zip(head, zip(*by_policy)):
+        for whole in wholes:
             for plan in (whole, whole.for_targets(faulty[:1]), whole.for_targets(faulty[-1:])):
                 digest.update(_fingerprint(plan))
     return digest.hexdigest()
@@ -85,3 +98,26 @@ def plan_digest() -> str:
 
 def test_plans_match_pinned_digest():
     assert plan_digest() == PINNED_DIGEST
+
+
+@pytest.mark.parametrize("batch", [16, 64])
+def test_batching_changes_no_plan(batch, monkeypatch):
+    """The head planned cold in batches of 16, or in one batch of 64,
+    gives the pinned plans: batching and the group memo change nothing."""
+    monkeypatch.setattr(import_module("repro.core.partition"), "_group_memo", {})
+    assert plan_digest(batch) == PINNED_DIGEST
+
+
+def test_a_singular_pattern_inside_a_batch_raises_as_planned_in_order(monkeypatch):
+    """A singular pattern between decodable ones raises what planning the
+    patterns in order raises, and leaves the memo serving the same plans."""
+    monkeypatch.setattr(import_module("repro.core.partition"), "_group_memo", {})
+    code = SDCode(10, 8, 2, 2)
+    head = pool_head(code, 16)
+    singular = (0, 1, 2, 3, 10, 11, 12, 13)  # four faults in each of two stripe rows
+    with pytest.raises(SingularMatrixError) as alone:
+        plan_decode(code, singular)
+    with pytest.raises(SingularMatrixError) as batched:
+        plan_batch(code, head[:8] + [singular] + head[8:])
+    assert str(batched.value) == str(alone.value)
+    assert plan_batch(code, head) == [plan_decode(code, faulty) for faulty in head]

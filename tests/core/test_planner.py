@@ -1,5 +1,7 @@
 """Unit tests for decode planning."""
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 
@@ -108,23 +110,32 @@ def test_no_rest_plan_when_all_independent():
     assert plan.costs.c3 == plan.costs.c4 == sum(g.cost for g in plan.groups)
 
 
-def test_group_solve_is_shared_across_stripe_rows():
-    """Two patterns that differ only by stripe row solve one memoised W."""
-    from repro.core.partition import _group_weights
-
+def test_group_solve_is_memoised_by_position(monkeypatch):
+    """A group is solved once per position ``(H, rows, support)``: the
+    same pattern again is one memo hit serving the same sub-plan, and
+    the same disks in another stripe row are another position with the
+    same ``W``."""
+    partition = import_module("repro.core.partition")
+    monkeypatch.setattr(partition, "_group_memo", {})
+    solves = []
+    real = partition._group_weights
+    monkeypatch.setattr(
+        partition, "_group_weights", lambda *args: solves.append(args) or real(*args)
+    )
     code = SDCode(6, 4, 2, 2)
-    _group_weights.cache_clear()
     first = plan_decode(code, [0, 1])  # disks 0 and 1 dead in stripe row 0
-    assert _group_weights.cache_info().misses == 1
+    again = plan_decode(code, [0, 1])
+    assert len(solves) == 1 and len(partition._group_memo) == 1
     second = plan_decode(code, [6, 7])  # the same disks in stripe row 1
-    info = _group_weights.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    (a,), (b,) = first.groups, second.groups
-    assert a.weights == b.weights
-    # ids are bound per plan, and each plan owns its own matrix
-    assert (a.row_ids, a.faulty_ids) != (b.row_ids, b.faulty_ids)
-    assert a.survivor_ids == tuple(s - 6 for s in b.survivor_ids)
-    assert not np.shares_memory(a.weights.array, b.weights.array)
+    assert len(solves) == 2 and len(partition._group_memo) == 2
+    (a,), (b,), (c,) = first.groups, again.groups, second.groups
+    assert a is b
+    assert a.weights == c.weights
+    assert (a.row_ids, a.faulty_ids) != (c.row_ids, c.faulty_ids)
+    assert a.survivor_ids == tuple(s - 6 for s in c.survivor_ids)
+    # one matrix serves every plan of its position, so it is read-only
+    with pytest.raises(ValueError):
+        a.weights[0, 0] = 1
 
 
 def test_plan_accepts_raw_matrix(code, scenario):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gf import GF
-from repro.matrix import GFMatrix, gfmatrix
+from repro.matrix import GFMatrix, gfmatrix, matmul_stack
 
 
 @pytest.fixture(params=[8, 16, 32], ids=lambda w: f"w{w}")
@@ -254,3 +254,48 @@ def test_matmul_k_blocks_bound_the_temporary(monkeypatch, block, most):
     assert np.array_equal((a @ b).array, want)
     assert max(sizes) == most
     assert sum(sizes) == 7 * 30 * 50  # every product made exactly once
+
+
+@pytest.mark.parametrize("w", [4, 8, 16, 32])
+@pytest.mark.parametrize(
+    "shape",  # (members, rows, inner, cols)
+    [(5, 3, 4, 6), (1, 1, 1, 1), (3, 1, 1, 1), (3, 2, 3, 0), (3, 2, 0, 4), (2, 0, 3, 4),
+     (0, 2, 3, 4), (16, 18, 18, 62)],
+)
+def test_matmul_stack_equals_each_members_product(w, shape):
+    f = GF(w)
+    rng = np.random.default_rng(sum(shape) + w)
+    count, rows, inner, cols = shape
+    a = rng.integers(0, f.order + 1, size=(count, rows, inner), dtype=np.uint64).astype(f.dtype)
+    b = rng.integers(0, f.order + 1, size=(count, inner, cols), dtype=np.uint64).astype(f.dtype)
+    product = matmul_stack(f, a, b)
+    assert product.shape == (count, rows, cols) and product.dtype == f.dtype
+    for member, x, y in zip(product, a, b):
+        x, y = GFMatrix(f, x), GFMatrix(f, y)
+        assert np.array_equal(member, (x @ y).array)
+        assert np.array_equal(member, _reference_matmul(x, y))
+
+
+def test_matmul_stack_member_blocks_bound_the_temporary(monkeypatch):
+    # 12 members of 3 x 4 @ 4 x 5 in blocks of 120 products: a block
+    # holds six rows, so each multiply covers two whole members
+    monkeypatch.setattr(gfmatrix, "MATMUL_BLOCK", 120)
+    f = GF(8)
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 256, size=(12, 3, 4)).astype(f.dtype)
+    b = rng.integers(0, 256, size=(12, 4, 5)).astype(f.dtype)
+    sizes = []
+    real_mul = f.mul
+
+    def mul(x, y):
+        product = real_mul(x, y)
+        sizes.append(product.size)
+        return product
+
+    monkeypatch.setattr(f, "mul", mul)
+    product = matmul_stack(f, a, b)
+    monkeypatch.setattr(f, "mul", real_mul)
+    for member, x, y in zip(product, a, b):
+        assert np.array_equal(member, _reference_matmul(GFMatrix(f, x), GFMatrix(f, y)))
+    assert sizes == [120] * 6
+    assert sum(sizes) == 12 * 3 * 4 * 5  # every product made exactly once

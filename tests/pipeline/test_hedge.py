@@ -168,6 +168,39 @@ def test_verify_workers_raises_when_the_recompute_still_fails(workload, monkeypa
         assert pipe.metrics().verify_rejects >= 1
 
 
+@pytest.mark.parametrize("count", [1, 8])
+def test_verify_workers_checks_the_dependent_walk(count, monkeypatch):
+    """Phase-2 (``H_rest``) outputs are syndrome-checked too.  With one
+    constant flipped in every two-matrix chain program (the
+    normal-sequence ``H_rest`` stage; group stages run one matrix), the
+    walk fails its check and the trusted recompute, which runs the same
+    program: decode_batch raises and returns no wrong block.  One stripe
+    walks on the caller's thread; eight cut into two pooled tiles."""
+    code = SDCode(10, 8, 2, 2)
+    faulty = list(worst_case_sd(code, rng=2015).faulty_blocks)
+    stripes = make_stripes(code, count, SYMBOLS, rng=3)
+    real = ProgramCache._compile_chain
+
+    def one_constant_flipped_in_chains(self, field, matrices, shapes):
+        program = real(self, field, matrices, shapes)
+        if len(matrices) != 2:
+            return program
+        instructions = list(program.instructions)
+        for i, (op, dst, src, const) in enumerate(instructions):
+            if op in (OP_MUL, OP_MULXOR):
+                instructions[i] = (op, dst, src, 3 if const == 2 else 2)
+                break
+        return replace(program, instructions=tuple(instructions))
+
+    monkeypatch.setattr(ProgramCache, "_compile_chain", one_constant_flipped_in_chains)
+    returned = []
+    with DecodePipeline(workers=2, pool="thread", verify_workers=True) as pipe:
+        with pytest.raises(ValueError, match="trusted recompute"):
+            returned.append(pipe.decode_batch(code, stripes, faulty))
+        assert pipe.metrics().verify_rejects >= 1
+    assert returned == []
+
+
 def test_verify_workers_clean_path_is_silent(workload):
     code, stripes, faulty, expected = workload
     with DecodePipeline(workers=2, pool="thread", verify_workers=True) as pipe:

@@ -106,22 +106,26 @@ def test_verify_certifies_plans_built_from_memoised_solves(code, monkeypatch):
         "_certify",
         staticmethod(lambda plan, h: (certified.append(plan.faulty_ids), real(plan, h))),
     )
-    groups._group_weights.cache_clear()
-    cache = PlanCache(verify=True)
+    monkeypatch.setattr(groups, "_group_memo", {})
     patterns = [tuple(worst_case_sd(code, z=1, rng=seed).faulty_blocks) for seed in range(4)]
     for pattern in patterns:
+        plan_decode(code, pattern)  # every group of these patterns is now memoised
+    solve = groups._group_weights
+    solves = []
+    monkeypatch.setattr(groups, "_group_weights", lambda *args: solves.append(args))
+    cache = PlanCache(verify=True)
+    for pattern in patterns:
         cache.get(code, pattern)
-    assert groups._group_weights.cache_info().hits > 0
+    assert not solves  # every group a memo hit
     assert certified == patterns  # every miss certified, memo hit or not
 
-    # a wrong memoised solve is caught on the miss, never cached
-    solve = groups._group_weights.__wrapped__
-
-    def wrong(*key):
-        weights = solve(*key).copy()
+    # a wrong solve is caught on the miss, never cached
+    def wrong(*args):
+        weights = solve(*args).copy()
         weights[0, 0] ^= 1
         return weights
 
+    monkeypatch.setattr(groups, "_group_memo", {})
     monkeypatch.setattr(groups, "_group_weights", wrong)
     with pytest.raises(PlanVerificationError):
         PlanCache(verify=True).get(code, patterns[0])

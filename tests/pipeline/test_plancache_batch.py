@@ -4,6 +4,7 @@ per-stripe ``get`` calls it stands for, its misses planned together."""
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -93,8 +94,12 @@ def test_verify_rejects_a_planted_wrong_plan(code, patterns, monkeypatch):
 
     def wrong(source, batch, policy):
         plans = real(source, batch, policy)
-        weights = plans[-1].groups[0].weights
+        # memoised group sub-plans are shared and read-only: plant a copy
+        group, *others = plans[-1].groups
+        weights = group.weights.copy()
         weights[0, 0] ^= 1
+        groups = (replace(group, weights=weights), *others)
+        plans[-1] = replace(plans[-1], groups=groups)
         return plans
 
     monkeypatch.setattr(plancache, "plan_batch", wrong)

@@ -415,15 +415,13 @@ def test_fallback_certifies_its_plan_when_the_pipeline_verifies(code, monkeypatc
     real = partition._group_weights
 
     def one_coefficient_changed_per_row(*args):
-        weights = real(*args)
-        if weights is None:
-            return None
-        weights = weights.copy()
-        for row in weights:
+        weights = real(*args).copy()  # a stack: every solved group's W
+        for row in weights.reshape(-1, weights.shape[-1]):
             i = np.flatnonzero(row)[0]
             row[i] = 3 if row[i] == 2 else 2
         return weights
 
+    monkeypatch.setattr(partition, "_group_memo", {})  # every group solve is a miss
     monkeypatch.setattr(partition, "_group_weights", one_coefficient_changed_per_row)
     store = make_store(code, num_stripes=4)
     reads = [(sid, block) for sid in range(4) for block in store.pattern(sid)]
