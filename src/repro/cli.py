@@ -10,7 +10,7 @@ calibrate       print this host's measured GF-kernel profile
 demo            encode/fail/decode a stripe and verify, with both decoders
 list-codes      show the registered erasure-code constructions
 verify          static verification sweep of decode plans + compiled programs
-check           static-analysis gate: lint + race analysis (+ sweeps, --strict)
+check           static-analysis gate: lint + race analysis
 verify-code     Monte-Carlo decodability verification of a code instance
 search          search SD coefficient sets (the SD authors' pipeline)
 extra NAME      extra experiments (paper-average, c2-share, degraded-read-io)
@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     # with no "-" prefix char here, every argument passes through to it
     p_chk = sub.add_parser(
         "check",
-        help="static-analysis gate: lint + race analysis (+ sweeps with --strict)",
+        help="static-analysis gate: lint + race analysis",
         add_help=False,
         prefix_chars="+",
     )

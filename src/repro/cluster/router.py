@@ -116,13 +116,11 @@ class Cluster:
             self._attach(node_id, store)
 
     def _attach(self, node_id: str, store: BlobStore) -> StorageNode:
-        # the store's injector is shared in, so slow/corrupt *worker*
-        # faults ride the same seeded stream as read faults
         node = StorageNode(
             node_id,
             store,
             service=self._service_config,
-            pipeline=self._pipeline_config.build(faults=store.faults),
+            pipeline=self._pipeline_config.build(),
         )
         self.nodes[node_id] = node
         self._clients[node_id] = LocalClient(node.service)

@@ -156,7 +156,7 @@ class PipelineConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         check_straggler_knobs(self.deadline_s or None)
 
-    def build(self, *, faults=None):
+    def build(self):
         """A live :class:`~repro.pipeline.DecodePipeline` per this section."""
         from .pipeline import DecodePipeline
 
@@ -166,7 +166,6 @@ class PipelineConfig:
             hedge=self.hedge,
             verify_workers=self.verify_workers,
             deadline_s=self.deadline_s or None,
-            faults=faults,
         )
 
 
@@ -558,14 +557,13 @@ def build_service(config: AppConfig):
 
     The service decodes through a pipeline built from
     ``config.pipeline`` (straggler hedging, worker verification,
-    deadlines) and owns it; the store's fault injector is shared into
-    the pipeline so injected slow/corrupt *worker* modes flow through
-    the same seeded stream as read faults.
+    deadlines) and owns it.  The store's injector faults reads only: no
+    config field sets a worker fault mode.
     """
     from .service import BlobService
 
     store = build_store(config)
-    pipeline = config.pipeline.build(faults=store.faults)
+    pipeline = config.pipeline.build()
     return BlobService(
         store, config=config.service, pipeline=pipeline, own_pipeline=True
     )

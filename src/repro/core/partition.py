@@ -126,7 +126,14 @@ def solve_squares(h: GFMatrix, systems: Sequence[tuple], product=matmul_stack) -
     one stack: one first-wins elimination picks each member's rows, then
     one ``product`` gives ``W = F^-1 S`` over ``H[picked]``'s non-faulty
     columns, and each member drops the columns where its ``S`` is zero.
+    Every matrix is read-only: a cached plan serves every stripe of its
+    pattern.
     """
+
+    def frozen(array: np.ndarray) -> GFMatrix:
+        array.setflags(write=False)
+        return GFMatrix(h.field, array, copy=False)
+
     solved: list[Any] = [None] * len(systems)
     stacks: dict[tuple[int, int], list[int]] = {}
     for i, (rows, faulty) in enumerate(systems):
@@ -156,9 +163,9 @@ def solve_squares(h: GFMatrix, systems: Sequence[tuple], product=matmul_stack) -
                 row_ids=tuple(picked[j].tolist()),
                 faulty_ids=systems[i][1],
                 survivor_ids=tuple(others[j, keep].tolist()),
-                f_inv=GFMatrix(h.field, f_inv[j], copy=False),
-                s=GFMatrix(h.field, s[j][:, keep], copy=False),
-                weights=GFMatrix(h.field, w[j][:, keep], copy=False),
+                f_inv=frozen(f_inv[j]),
+                s=frozen(s[j][:, keep]),
+                weights=frozen(w[j][:, keep]),
             )
             solved[i] = (fields, int(normal[j]), int(first[j]))
     return solved
@@ -181,11 +188,13 @@ def _solve_groups(h: GFMatrix, keys: Sequence[tuple]) -> list[tuple]:
             if isinstance(result, tuple):
                 fields = result[0]
                 picked, survivors = fields["row_ids"], fields["survivor_ids"]
-                w = GFMatrix(h.field, fields["weights"].array, copy=False)  # shared: read-only
                 independent = IndependentGroup(
                     picked, support, tuple(rid for rid in rows if rid not in picked)
                 )
-                group = (picked[0], independent, GroupPlan(picked, support, survivors, w))
+                group = (
+                    picked[0], independent,
+                    GroupPlan(picked, support, survivors, fields["weights"]),
+                )
             if len(_group_memo) >= GROUP_SOLVE_CACHE_SIZE:
                 del _group_memo[next(iter(_group_memo))]
             entries.append((group, h))

@@ -79,9 +79,15 @@ class Stage:
     row_ids: tuple[int, ...]
     independent: bool
 
-    @property
+    @cached_property
     def cost(self) -> int:
+        """mult_XORs per symbol: the chain's nonzero coefficients."""
         return sum(u(m) for m in self.matrices)
+
+    @cached_property
+    def xor_only(self) -> int:
+        """How many of :attr:`cost` have coefficient 1 (pure XORs)."""
+        return sum(int(np.count_nonzero(m.array == 1)) for m in self.matrices)
 
     @property
     def arrays(self) -> tuple[np.ndarray, ...]:
@@ -96,9 +102,11 @@ def _prune_stage(stage: Stage, rows: list[int]) -> Stage:
     faulty_ids = tuple(stage.faulty_ids[i] for i in rows)
     matrices = []
     for matrix in reversed(stage.matrices):
-        kept = matrix.take_rows(rows)
-        rows = np.flatnonzero(kept.array.any(axis=0)).tolist()
-        matrices.append(kept.take_columns(rows))
+        kept = matrix.array[rows]
+        rows = np.flatnonzero(kept.any(axis=0)).tolist()
+        kept = kept[:, rows]
+        kept.setflags(write=False)  # a cached plan serves every stripe
+        matrices.append(GFMatrix(matrix.field, kept, copy=False))
     survivor_ids = tuple(stage.survivor_ids[c] for c in rows)
     return Stage(
         tuple(reversed(matrices)), survivor_ids, faulty_ids, stage.row_ids,

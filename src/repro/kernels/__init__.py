@@ -32,7 +32,6 @@ from .ir import (
     RegionProgram,
 )
 from .lower import PlanProgram, ProgramBuilder, lower_matrix_chain, lower_plan
-from .ops import CompiledRegionOps
 from .optimize import compact_slots, eliminate_dead, optimize_program
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "BASELINE_BACKEND",
     "DEFAULT_PROGRAM_CACHE_SIZE",
     "CacheStats",
-    "CompiledRegionOps",
     "ExecutorBackend",
     "Instruction",
     "PlanProgram",

@@ -23,7 +23,9 @@ the selected backend does not support runs on the baseline.  An
 exception a backend raises reaches the caller.
 
 Execution is thread-safe: bindings are immutable once published,
-scratch is per-thread, and the op counter's `record` is lock-free.
+scratch is per-thread, and the execution tallies are per-thread cells.
+The executor books no model op counts: the engine books each plan
+stage it runs (``DecodePipeline._book``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from ..gf.field import GF
-from ..gf.region import OpCounter
 from .backends import (
     BASELINE_BACKEND,
     ExecutorBackend,
@@ -86,8 +87,7 @@ class ProgramExecutor:
     Each :meth:`execute` is tallied into per-thread cells (count,
     symbols, wall seconds, per-backend split) — the metrics hook the
     serving layer reads through :meth:`stats` to reconcile kernel work
-    with request accounting.  Recording is lock-free on the hot path,
-    like :class:`~repro.gf.region.OpCounter`.
+    with request accounting.  Recording is lock-free on the hot path.
     """
 
     def __init__(
@@ -272,7 +272,6 @@ class ProgramExecutor:
         self,
         program: RegionProgram,
         inputs: list[np.ndarray],
-        counter: OpCounter | None = None,
         outs: list[np.ndarray] | None = None,
     ) -> list[np.ndarray]:
         """Run ``program`` over input regions; returns the output regions.
@@ -280,9 +279,6 @@ class ProgramExecutor:
         All regions must be 1-D, of equal length and of the field's
         dtype.  ``outs``, when given, supplies the output arrays (must
         be C-contiguous — the executor writes chunk views into them).
-        The program's *model* op counts are booked into ``counter`` in
-        one lock-free call, exactly matching what the interpreted path
-        would have recorded for the same matrices.
         """
         t_start = time.perf_counter()
         if len(inputs) != program.num_inputs:
@@ -320,12 +316,6 @@ class ProgramExecutor:
         backend = self._select_backend(program, length)
         self._run(program, backend, inputs, out_arrays, length)
 
-        if counter is not None:
-            counter.record(
-                program.mult_xors,
-                program.mult_xors * length,
-                xor_only=program.xor_only,
-            )
         elapsed = time.perf_counter() - t_start
         worked = program.mult_xors * length
         cell = self._stats_cell()

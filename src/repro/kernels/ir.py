@@ -20,8 +20,8 @@ opcode      semantics                               table bound
 A program carries two op counts.  ``mult_xors``/``xor_only`` are the
 *paper-model* counts — the number of nonzero coefficient applications
 the source matrices contain, identical to what the interpreted
-:class:`~repro.gf.region.RegionOps` path records — and are what the
-executor books into the :class:`~repro.gf.region.OpCounter`.  The
+:class:`~repro.gf.region.RegionOps` path records and to what the engine
+books per plan stage; the executor's ``stats()`` weighs work by them.  The
 *executed* instruction counts (:attr:`RegionProgram.gathers`,
 :attr:`RegionProgram.xors`) reflect the optimised program and may be
 lower after dead-code elimination; they are diagnostics, not

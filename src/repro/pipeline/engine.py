@@ -49,7 +49,7 @@ from ..core.planner import DecodePlan, Stage
 from ..core.sequences import ExecutionMode, SequencePolicy
 from ..gf.field import GF
 from ..gf.region import OpCounter, RegionOps
-from ..kernels import CompiledRegionOps, ProgramCache
+from ..kernels import ProgramCache, ProgramExecutor
 from ..kernels.backends import WIDE_TABLE_SYMBOLS as MIN_TILE_SYMBOLS
 from ..matrix.gfmatrix import GFMatrix
 from ..parallel.assignment import assign_lpt, assign_round_robin
@@ -116,31 +116,6 @@ def _blocks_of(stripe: Stripe | Mapping[int, np.ndarray]) -> Mapping[int, np.nda
     if isinstance(stripe, Stripe):
         return {b: stripe.get(b) for b in stripe.present_ids}
     return stripe
-
-
-def _chain(
-    ops: CompiledRegionOps, matrices: Sequence[np.ndarray], regions: Sequence[np.ndarray]
-) -> list[np.ndarray]:
-    """Run one matrix chain without booking its model count: the engine
-    books each (batch, stage) once, however many tiles or repeats ran it
-    (see :meth:`DecodePipeline._book`)."""
-    program = ops.programs.chain_program(ops.field, matrices)
-    return ops.executor.execute(program, list(regions))
-
-
-def _walk_dependent(
-    ops: CompiledRegionOps, stages: Sequence[Stage], blocks: dict[int, np.ndarray]
-) -> tuple[dict[int, np.ndarray], float]:
-    """Run dependent ``stages`` in order over ``blocks`` (one tile's
-    survivors and phase-1 outputs, extended in place); returns what they
-    recovered and the seconds it took."""
-    t0 = time.perf_counter()
-    recovered: dict[int, np.ndarray] = {}
-    for stage in stages:
-        regions = [blocks[b] for b in stage.survivor_ids]
-        recovered.update(zip(stage.faulty_ids, _chain(ops, stage.arrays, regions)))
-        blocks.update(recovered)
-    return recovered, time.perf_counter() - t0
 
 
 class _PatternBatch:
@@ -328,11 +303,11 @@ class DecodePipeline:
         self.deadline_s = deadline_s
         self.faults = faults
         self.latency = LatencyTracker()
-        self._ops_cache: dict[tuple[int, bool], CompiledRegionOps] = {}
+        self._executors: dict[tuple[int, bool], ProgramExecutor] = {}
         # lifetime tallies behind metrics(); decode_batch runs on
         # whatever thread calls it (several asyncio.to_thread workers
-        # at once under the async service), so the tallies and the ops
-        # cache share one lock
+        # at once under the async service), so the tallies and the
+        # executors share one lock
         self._tally_lock = threading.Lock()
         self._stripes = 0
         self._batches = 0
@@ -350,27 +325,47 @@ class DecodePipeline:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _ops_for(self, field: GF, hedge: bool = False) -> CompiledRegionOps:
-        """The (cached) compiled region ops for ``field``.
+    def _executor_for(self, field: GF, hedge: bool = False) -> ProgramExecutor:
+        """The (cached) program executor for ``field``.
 
-        ``hedge=True`` gives the ops hedge executions use: shared
-        program cache, private counter and executor, so
-        :meth:`executor_stats` counts primaries only.  Pool executions
-        book no op counts at all — :meth:`_book` books each unit once,
+        ``hedge=True`` gives the private executor hedge executions run
+        on, so :meth:`executor_stats` counts primaries only.  No
+        execution books op counts — :meth:`_book` books each unit once,
         win or lose — so a hedged bucket running *twice* cannot inflate
         the paper's operation accounting.
         """
         key = (id(field), hedge)
         with self._tally_lock:
-            ops = self._ops_cache.get(key)
-            if ops is None:
-                ops = CompiledRegionOps(
-                    field,
-                    OpCounter() if hedge else self.counter,
-                    programs=self.programs,
-                )
-                self._ops_cache[key] = ops
-        return ops
+            executor = self._executors.get(key)
+            if executor is None:
+                executor = self._executors[key] = ProgramExecutor(field)
+        return executor
+
+    def _chain(
+        self,
+        executor: ProgramExecutor,
+        matrices: Sequence[np.ndarray],
+        regions: Sequence[np.ndarray],
+    ) -> list[np.ndarray]:
+        """Run one matrix chain as its cached program."""
+        program = self.programs.chain_program(executor.field, matrices)
+        return executor.execute(program, list(regions))
+
+    def _walk_dependent(
+        self, executor: ProgramExecutor, stages: Sequence[Stage], blocks: dict[int, np.ndarray]
+    ) -> tuple[dict[int, np.ndarray], float]:
+        """Run dependent ``stages`` in order over ``blocks`` (one tile's
+        survivors and phase-1 outputs, extended in place); returns what
+        they recovered and the seconds it took."""
+        t0 = time.perf_counter()
+        recovered: dict[int, np.ndarray] = {}
+        for stage in stages:
+            regions = [blocks[b] for b in stage.survivor_ids]
+            recovered.update(
+                zip(stage.faulty_ids, self._chain(executor, stage.arrays, regions))
+            )
+            blocks.update(recovered)
+        return recovered, time.perf_counter() - t0
 
     @staticmethod
     def _per_stripe(
@@ -405,15 +400,15 @@ class DecodePipeline:
             return patterns
         return cls._per_stripe(len(stripes), faulty, "erasure patterns")
 
-    def _book(self, chains: Sequence[tuple[tuple[np.ndarray, ...], int]]) -> None:
-        """Book each ``(matrix chain, fused length)`` that ran — once per
-        (batch, stage) unit, however many tiles, hedges or recomputes
-        executed it — into the pipeline's counter."""
-        for matrices, length in chains:
-            for m in matrices:
-                count = int(np.count_nonzero(m))
-                ones = int(np.count_nonzero(m == 1))
-                self.counter.record(count, count * length, xor_only=ones)
+    def _book(self, batches: Sequence[_PatternBatch]) -> None:
+        """The one booking rule: each stage of each batch's plan, over the
+        batch's fused length, into the pipeline's counter — once per
+        (batch, stage) unit, whichever route, program, tiles, hedges or
+        recomputes ran it."""
+        for batch in batches:
+            length = batch.offsets[-1]
+            for stage in batch.plan.stages:
+                self.counter.record(stage.cost, stage.cost * length, xor_only=stage.xor_only)
 
     # -- the decode API ------------------------------------------------------
 
@@ -563,7 +558,7 @@ class DecodePipeline:
                 batch.fuse(blocks_list)
 
             queue_depth = self._execute(
-                code, list(batches.values()), self._ops_for(code.field), deadline_s
+                code, list(batches.values()), self._executor_for(code.field), deadline_s
             )
             for batch in batches.values():
                 batch.split(results)
@@ -647,7 +642,7 @@ class DecodePipeline:
         self,
         code: ErasureCode,
         batches: list[_PatternBatch],
-        ops: CompiledRegionOps,
+        executor: ProgramExecutor,
         deadline_s: float | None,
     ) -> int:
         """Fill ``batch.recovered`` for every batch; returns tasks queued.
@@ -661,16 +656,20 @@ class DecodePipeline:
         (phase 2 — each tile reads only its own slice and its own phase-1
         outputs; like this thread's walk it is not injected, hedged or
         deadline-bound).  Only an LPT thread pool tiles; Algorithm 1's
-        round-robin presets and the serial pool keep one tile.  Each
-        (batch, stage) unit is booked once (:meth:`_book`).
+        round-robin presets and the serial pool keep one tile.  Either
+        route books each (batch, stage) unit once (:meth:`_book`).
         """
         if self.pool.kind == "serial" and not self.verify_workers and self.faults is None:
             t0 = time.perf_counter()
             for batch in batches:
                 batch.cut(1)
-                batch.recovered[0] = ops.run_plan(batch.plan, batch.concat)
+                compiled = self.programs.plan_program(executor.field, batch.plan)
+                inputs = [batch.concat[b] for b in compiled.input_ids]
+                outs = executor.execute(compiled.program, inputs)
+                batch.recovered[0] = dict(zip(compiled.output_ids, outs))
             with self._tally_lock:
                 self._busy[0] += time.perf_counter() - t0
+            self._book(batches)
             return len(batches)
         tiles = self.workers if self.pool.kind == "thread" and self.assignment == "lpt" else 1
         # one task per (pattern, independent stage, tile) unit; origin
@@ -678,23 +677,20 @@ class DecodePipeline:
         # output) and tile
         tasks: list[_Task] = []
         origin: dict[int, tuple[_PatternBatch, Stage, int]] = {}
-        chains: list[tuple[tuple[np.ndarray, ...], int]] = []
         for batch in batches:
             batch.cut(tiles)
             views = [batch.tile(t) for t in range(len(batch.recovered))]
             for stage in batch.plan.stages:
                 if not stage.independent:
-                    chains.append((stage.arrays, batch.offsets[-1]))
                     continue
                 for matrices, faulty_ids in self._stage_tasks(stage):
-                    chains.append((matrices, batch.offsets[-1]))
                     for t, view in enumerate(views):
                         regions = [view[b] for b in stage.survivor_ids]
                         origin[len(tasks)] = (batch, stage, t)
                         tasks.append((len(tasks), matrices, regions, faulty_ids))
-        task_results = self._run_tasks(tasks, ops, deadline_s=deadline_s)
+        task_results = self._run_tasks(tasks, executor, deadline_s=deadline_s)
         if self.verify_workers:
-            self._verify_task_results(code, tasks, origin, task_results, ops)
+            self._verify_task_results(code, tasks, origin, task_results, executor)
         for task_id, recovered in task_results.items():
             batch, _stage, t = origin[task_id]
             batch.recovered[t].update(recovered)
@@ -705,9 +701,10 @@ class DecodePipeline:
             for t, recovered in enumerate(batch.recovered if dependent else ()):
                 blocks = {**batch.tile(t), **recovered}
                 if len(batch.recovered) == 1:
-                    done.append((batch, t, dependent, _walk_dependent(ops, dependent, blocks)[0]))
+                    out = self._walk_dependent(executor, dependent, blocks)[0]
+                    done.append((batch, t, dependent, out))
                 else:
-                    future = self.pool.submit(_walk_dependent, ops, dependent, blocks)
+                    future = self.pool.submit(self._walk_dependent, executor, dependent, blocks)
                     walks.append((batch, t, dependent, future))
         for k, (batch, t, dependent, future) in enumerate(walks):
             out, elapsed = future.result()
@@ -719,10 +716,10 @@ class DecodePipeline:
                 base = {**batch.tile(t), **batch.recovered[t]}
                 out = self._trusted(
                     code, [stage.row_ids for stage in dependent], base, out,
-                    lambda: _walk_dependent(ops, dependent, dict(base))[0],
+                    lambda: self._walk_dependent(executor, dependent, dict(base))[0],
                 )
             batch.recovered[t].update(out)
-        self._book(chains)
+        self._book(batches)
         return len(tasks) + len(walks)
 
     def _stage_tasks(self, stage: Stage) -> list[tuple[tuple[np.ndarray, ...], tuple[int, ...]]]:
@@ -768,7 +765,7 @@ class DecodePipeline:
         tasks: list[_Task],
         origin: dict[int, tuple[_PatternBatch, Stage, int]],
         task_results: dict[int, dict[int, np.ndarray]],
-        ops: CompiledRegionOps,
+        executor: ProgramExecutor,
     ) -> None:
         """Syndrome-check every worker result; recompute the ones that fail.
 
@@ -791,7 +788,7 @@ class DecodePipeline:
             _tid, matrices, regions, faulty_ids = tasks[task_id]
             task_results[task_id] = self._trusted(
                 code, [stage.row_ids], batch.tile(t), task_results[task_id],
-                lambda: dict(zip(faulty_ids, _chain(ops, matrices, regions))),
+                lambda: dict(zip(faulty_ids, self._chain(executor, matrices, regions))),
             )
 
     def _trusted(
@@ -821,7 +818,7 @@ class DecodePipeline:
     def _run_tasks(
         self,
         tasks: list[_Task],
-        ops: CompiledRegionOps,
+        executor: ProgramExecutor,
         deadline_s: float | None = None,
     ) -> dict[int, dict[int, np.ndarray]]:
         """Spread tasks over the pool (LPT by mult-entries x region
@@ -848,7 +845,7 @@ class DecodePipeline:
         faults = self.faults
 
         def run_local(
-            bucket: list[int], local_ops: CompiledRegionOps = ops, inject: bool = True
+            bucket: list[int], local: ProgramExecutor = executor, inject: bool = True
         ):
             t0 = time.perf_counter()
             if inject and faults is not None:
@@ -858,7 +855,7 @@ class DecodePipeline:
             out: dict[int, dict[int, np.ndarray]] = {}
             for i in bucket:
                 task_id, matrices, regions, faulty_ids = tasks[i]
-                recovered = dict(zip(faulty_ids, _chain(local_ops, matrices, regions)))
+                recovered = dict(zip(faulty_ids, self._chain(local, matrices, regions)))
                 if inject and faults is not None:
                     faults.corrupt_worker_output(recovered)
                 out[task_id] = recovered
@@ -869,12 +866,12 @@ class DecodePipeline:
             # to race
             gathered = [run_local(bucket) for bucket in buckets]
         else:
-            # hedges run uncounted and uninjected (see _ops_for)
-            hedge_ops = self._ops_for(ops.field, hedge=True)
+            # hedges run uninjected on their own executor (see _executor_for)
+            hedge_executor = self._executor_for(executor.field, hedge=True)
 
             def submit(index: int, hedged: bool) -> Future:
                 if hedged:
-                    return self.pool.submit(run_local, buckets[index], hedge_ops, False)
+                    return self.pool.submit(run_local, buckets[index], hedge_executor, False)
                 return self.pool.submit(run_local, buckets[index])
 
             gathered = self._gather_hedged(submit, keys, deadline_s)
@@ -1027,14 +1024,14 @@ class DecodePipeline:
         The ``backends`` entry nests per-backend splits; everything
         else is a flat numeric tally (see
         :meth:`repro.kernels.ProgramExecutor.stats`)."""
-        # snapshot under the lock _ops_for inserts under: a decode on a
-        # worker thread may add a field's ops while this iterates
+        # snapshot under the lock _executor_for inserts under: a decode
+        # on a worker thread may add a field's executor while this iterates
         with self._tally_lock:
-            primaries = [ops for (_f, hedge), ops in self._ops_cache.items() if not hedge]
+            primaries = [ex for (_f, hedge), ex in self._executors.items() if not hedge]
         stats: dict[str, object] = {}
         backends: dict[str, dict[str, float]] = {}
-        for ops in primaries:
-            for key, value in ops.executor.stats().items():
+        for executor in primaries:
+            for key, value in executor.stats().items():
                 if key == "backends":
                     for name, split in value.items():
                         agg = backends.setdefault(name, {})

@@ -230,32 +230,3 @@ class PipelineMetrics:
                 "hit_rate": self.program_cache_hit_rate,
             },
         }
-
-    def format_table(self) -> str:
-        """Human-readable one-metric-per-line rendering."""
-        busy = ", ".join(f"{b:.2f}" for b in self.worker_busy_fraction) or "-"
-        lines = [
-            f"stripes decoded      {self.stripes}",
-            f"batches              {self.batches} "
-            f"({self.background_batches} background, "
-            f"{self.batches_deferred} deferred {self.deferred_seconds:.3f}s)",
-            f"coalesce factor      {self.coalesce_factor:.2f} "
-            f"({self.stripes} stripes / {self.patterns} pattern sweeps)",
-            f"blocks read          {self.blocks_read} "
-            f"(for {self.blocks_recovered} recovered)",
-            f"wall seconds         {self.wall_seconds:.4f}",
-            f"stripes/sec          {self.stripes_per_sec:.1f}",
-            f"mult_XORs            {self.mult_xors}",
-            f"symbols              {self.symbols}",
-            f"plan-cache hit rate  {self.plan_cache_hit_rate:.1%} "
-            f"({self.plan_cache_hits} hits / {self.plan_cache_misses} misses)",
-            f"pool                 {self.pool_kind} x{self.workers} "
-            f"({self.pool_spawns} spawn(s))",
-            f"worker busy fraction {busy}",
-            f"queue depth (peak)   {self.queue_depth_peak}",
-            f"hedges               {self.hedges} ({self.hedge_wins} won)",
-            f"verify rejects       {self.verify_rejects}",
-            f"straggler timeouts   {self.straggler_timeouts}",
-            f"program-cache hits   {self.program_cache_hit_rate:.1%}",
-        ]
-        return "\n".join(lines)

@@ -190,21 +190,3 @@ class ServiceMetrics:
         if pipeline is not None:
             out["pipeline"] = dict(pipeline)
         return out
-
-    def format_table(self) -> str:
-        """Human-readable one-metric-per-line rendering."""
-        req = self.request.as_dict()
-        lines = [
-            f"requests served      {self.requests} "
-            f"({self.gets} get / {self.puts} put / {self.degraded_gets} degraded)",
-            f"rejected/timeout     {self.rejected} / {self.timeouts}",
-            f"failures             {self.failures}",
-            f"faults -> retries    {self.faults_seen} -> {self.retries} "
-            f"(+{self.fallbacks} fallbacks, {self.batch_errors} batch errors)",
-            f"coalesce factor      {self.coalesce_factor:.2f} "
-            f"({self.flushed_reads} reads / {self.flushes} flushes)",
-            f"queue depth (peak)   {self.queue_depth_peak}",
-            f"request latency      p50 {req['p50_s'] * 1e3:.2f} ms  "
-            f"p99 {req['p99_s'] * 1e3:.2f} ms  max {req['max_s'] * 1e3:.2f} ms",
-        ]
-        return "\n".join(lines)

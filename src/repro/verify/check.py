@@ -6,16 +6,15 @@ front-end with one report and stable exit codes:
 - **lint** — the per-file AST rules PPM001-PPM009, PPM014
   (:mod:`repro.verify.lint`), sharing one parse per file;
 - **races** — the whole-program concurrency analysis PPM010-PPM013
-  (:mod:`repro.verify.races`), run over the *same* parsed modules;
-- **sweeps** (``--strict``) — plan verification, compiled-program
-  transfer-matrix certification and strict IR dataflow
-  (:mod:`repro.verify.sweep` + :mod:`repro.verify.dataflow`) across
-  every registered code under random failure scenarios.
+  (:mod:`repro.verify.races`), run over the *same* parsed modules.
+
+The scenario sweeps (plan, program and backend certification) are
+``ppm verify --all --strict``, not part of this gate.
 
 Exit codes (stable, scripted against by CI):
 
 - ``0`` — clean: no unsuppressed findings;
-- ``1`` — findings reported (lint, races, or sweep errors);
+- ``1`` — findings reported (lint or races);
 - ``2`` — the checker itself failed (bad paths, internal error).
 
 Both output formats render the same :class:`CheckReport`: ``--json``
@@ -56,20 +55,15 @@ class CheckReport:
     """Everything one ``ppm check`` run found, in one place."""
 
     paths: list[str]
-    strict: bool
     lint: list[LintFinding] = field(default_factory=list)
     races: list[LintFinding] = field(default_factory=list)
-    sweep_errors: list[str] = field(default_factory=list)
-    sweep_warnings: list[str] = field(default_factory=list)
     suppressed: int = 0
     files: int = 0
-    scenarios: int = 0
-    programs: int = 0
     seconds: float = 0.0
 
     @property
     def findings(self) -> int:
-        return len(self.lint) + len(self.races) + len(self.sweep_errors)
+        return len(self.lint) + len(self.races)
 
     @property
     def ok(self) -> bool:
@@ -92,19 +86,12 @@ class CheckReport:
 
         return {
             "paths": self.paths,
-            "strict": self.strict,
             "ok": self.ok,
             "exit_code": self.exit_code,
             "files": self.files,
             "suppressed": self.suppressed,
             "lint": [fd(f) for f in self.lint],
             "races": [fd(f) for f in self.races],
-            "sweeps": {
-                "scenarios": self.scenarios,
-                "programs": self.programs,
-                "errors": self.sweep_errors,
-                "warnings": self.sweep_warnings,
-            },
             "seconds": round(self.seconds, 3),
         }
 
@@ -114,22 +101,11 @@ class CheckReport:
             if findings:
                 lines.append(f"{title}: {len(findings)} finding(s)")
                 lines.extend(f"  {f.format()}" for f in findings)
-        if self.sweep_errors:
-            lines.append(f"sweeps: {len(self.sweep_errors)} error(s)")
-            lines.extend(f"  {msg}" for msg in self.sweep_errors)
-        if self.sweep_warnings:
-            lines.append(f"sweep warnings: {len(self.sweep_warnings)}")
-            lines.extend(f"  {msg}" for msg in self.sweep_warnings)
         verdict = "clean" if self.ok else f"{self.findings} finding(s)"
-        swept = (
-            f", {self.scenarios} scenario(s)/{self.programs} program(s) swept"
-            if self.strict
-            else ""
-        )
         suppressed = f", {self.suppressed} suppressed" if self.suppressed else ""
         lines.append(
             f"ppm check: {verdict} across {self.files} file(s)"
-            f"{swept}{suppressed} in {self.seconds:.1f}s"
+            f"{suppressed} in {self.seconds:.1f}s"
         )
         return "\n".join(lines)
 
@@ -137,20 +113,15 @@ class CheckReport:
 def run_check(
     paths: Sequence[str],
     *,
-    strict: bool = False,
-    samples: int = 10,
-    seed: int = 2015,
     modules: Sequence[ParsedModule] | None = None,
 ) -> CheckReport:
     """Run every analyzer over ``paths`` and aggregate one report.
 
-    ``strict`` adds the scenario sweeps (plan + program + strict
-    dataflow verification); without it the gate is purely syntactic and
-    fast enough for a pre-commit hook.  ``modules`` lets tests inject
-    already-parsed sources.
+    The gate is purely syntactic and fast enough for a pre-commit hook.
+    ``modules`` lets tests inject already-parsed sources.
     """
     t0 = time.perf_counter()
-    report = CheckReport(paths=list(paths), strict=strict)
+    report = CheckReport(paths=list(paths))
     if modules is None:
         modules = parse_modules(paths)
     report.files = len(modules)
@@ -163,17 +134,6 @@ def run_check(
     # report shows everything hidden by noqa markers
     raw_lint = run_lint(paths, modules=modules, respect_noqa=False)
     report.suppressed = (len(raw_lint) - len(report.lint)) + suppressed_races
-
-    if strict:
-        from .sweep import sweep_all  # deferred: pulls in codes + kernels
-
-        for result in sweep_all(samples=samples, seed=seed):
-            report.scenarios += result.scenarios
-            report.programs += result.programs
-            for finding in result.report.errors:
-                report.sweep_errors.append(f"{result.code}: {finding.format()}")
-            for finding in result.report.warnings:
-                report.sweep_warnings.append(f"{result.code}: {finding.format()}")
     report.seconds = time.perf_counter() - t0
     return report
 
@@ -197,13 +157,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="ppm check", description="repo static-analysis gate"
     )
     parser.add_argument("paths", nargs="*", default=["src"], help="files or directories")
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="also sweep plan/program/dataflow verification across all codes",
-    )
-    parser.add_argument("--samples", type=int, default=10, help="sweep scenarios per code")
-    parser.add_argument("--seed", type=int, default=2015)
     parser.add_argument("--json", action="store_true", help="machine-readable report")
     parser.add_argument("--list-rules", action="store_true", help="print the catalogue")
     args = parser.parse_args(argv)
@@ -211,12 +164,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(list_rules())
         return EXIT_CLEAN
     try:
-        report = run_check(
-            args.paths or ["src"],
-            strict=args.strict,
-            samples=args.samples,
-            seed=args.seed,
-        )
+        report = run_check(args.paths or ["src"])
     except FileNotFoundError as exc:
         print(f"ppm check: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -23,9 +23,9 @@ performance story depend on:
   accounted and pools can be kept alive across stripes;
 - **PPM008** no per-coefficient ``mult_xors`` loops in decoder modules
   (``core``/``pipeline``) — interpreted loops over matrix entries belong
-  to :mod:`repro.gf` and :mod:`repro.kernels`; decoders must call the
-  ``matrix_apply``/``matrix_chain_apply``/``run_plan`` entry points so
-  the compiled backend can take over;
+  to :mod:`repro.gf` and :mod:`repro.kernels`; decoders must run a
+  ``ProgramCache`` program (``chain_program``/``plan_program``) on a
+  ``ProgramExecutor`` so the compiled backend can take over;
 - **PPM009** no blocking calls inside :mod:`repro.service` or
   :mod:`repro.repair` — ``time.sleep``, builtin ``open``, raw sockets
   or subprocesses on the event loop stall *every* in-flight request
@@ -445,8 +445,9 @@ class NoMultXorsLoopRule(LintRule):
     name = "no-mult-xors-loop"
     explanation = (
         "per-coefficient mult_xors loops in core//pipeline/ reimplement "
-        "matrix application interpretively; use matrix_apply / "
-        "matrix_chain_apply / run_plan so the compiled kernels apply"
+        "matrix application interpretively; run a ProgramCache program "
+        "(chain_program / plan_program) on a ProgramExecutor so the "
+        "compiled kernels apply"
     )
 
     def applies_to(self, relpath: Path) -> bool:
@@ -466,8 +467,8 @@ class NoMultXorsLoopRule(LintRule):
                         relpath,
                         node,
                         "mult_xors call inside a loop in a decoder module; "
-                        "express the computation as matrix_apply / "
-                        "matrix_chain_apply / run_plan so repro.kernels "
+                        "express the computation as a ProgramCache "
+                        "chain_program / plan_program so repro.kernels "
                         "can compile it",
                     )
 

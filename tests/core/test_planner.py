@@ -136,6 +136,17 @@ def test_group_solve_is_memoised_by_position(monkeypatch):
     # one matrix serves every plan of its position, so it is read-only
     with pytest.raises(ValueError):
         a.weights[0, 0] = 1
+    # so is every matrix of a plan, which serves every stripe of its
+    # pattern: the traditional and H_rest systems, and the stages of
+    # the plan pruned to each one block
+    whole = plan_decode(code, [0, 1, 6, 7, 2, 3])
+    squares = (whole.traditional, whole.rest)
+    matrices = [getattr(sq, name) for sq in squares for name in ("f_inv", "s", "weights")]
+    for target in whole.faulty_ids:
+        matrices += [m for stage in whole.for_targets([target]).stages for m in stage.matrices]
+    for matrix in matrices:
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1
 
 
 def test_plan_accepts_raw_matrix(code, scenario):

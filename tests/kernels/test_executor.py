@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gf import GF, OpCounter, RegionOps
+from repro.gf import GF, RegionOps
 from repro.kernels import ProgramExecutor, RegionProgram, lower_matrix_chain
 from repro.kernels.ir import OP_COPY
 from repro.kernels.executor import DEFAULT_CHUNK_SYMBOLS
@@ -87,16 +87,6 @@ def test_field_width_mismatch_rejected():
     regions16 = [np.zeros(8, dtype=field16.dtype) for _ in range(matrix.shape[1])]
     with pytest.raises(ValueError, match="w="):
         ProgramExecutor(field16).execute(program, regions16)
-
-
-def test_counter_books_model_counts_once():
-    field, matrix, regions = random_case(8, length=100)
-    program = lower_matrix_chain(field, [matrix])
-    counter = OpCounter()
-    ProgramExecutor(field).execute(program, regions, counter=counter)
-    interp_counter = OpCounter()
-    RegionOps(field, interp_counter).matrix_apply(matrix, regions)
-    assert counter.snapshot() == interp_counter.snapshot()
 
 
 def test_binding_is_reused_across_calls():

@@ -156,8 +156,8 @@ class TestDecoderCaches:
         plans = hammer(lambda _i: [decoder.plan(code, (1,)) for _ in range(50)])
         flat = [p for sub in plans for p in sub]
         assert len({id(p) for p in flat}) == 1
-        ops = hammer(lambda _i: decoder._ops_for(code.field))
-        assert len({id(o) for o in ops}) == 1
+        executors = hammer(lambda _i: decoder._executor_for(code.field))
+        assert len({id(e) for e in executors}) == 1
 
 
 class TestBlobStoreWrites:

@@ -124,4 +124,3 @@ def test_pipeline_counts_background_batches():
     assert metrics.batches == 2
     doc = metrics.as_dict()
     assert doc["background_batches"] == 1
-    assert "deferred" in metrics.format_table()

@@ -83,12 +83,3 @@ def test_as_dict_is_json_ready_and_nests_pipeline():
     assert d["latency"]["request"]["count"] == 1
     assert d["pipeline"]["mult_xors"] == 123
     assert "pipeline" not in m.as_dict()
-
-
-def test_format_table_mentions_key_counters():
-    m = ServiceMetrics()
-    m.gets = 1
-    m.request.observe(0.005)
-    text = m.format_table()
-    assert "coalesce factor" in text
-    assert "p99" in text

@@ -322,18 +322,28 @@ def test_pipeline_section_builds_a_live_pipeline():
 
 
 def test_build_service_wires_pipeline_section_and_faults():
+    """The pipeline section reaches the service's pipeline; the store's
+    fault injector does not.  It faults reads only (no config field sets
+    a worker fault mode), and any injector pushes a serial pool off its
+    one-program whole-plan route."""
+    from repro.stripes import Stripe, StripeLayout
+    from repro.stripes.failures import worst_case_sd
+
     config = from_dict(
         {
             "store": {"n": 6, "r": 4, "stripes": 1, "symbols": 16, "damaged": 0.0},
-            "pipeline": {"verify_workers": True},
+            "pipeline": {"deadline_s": 5.0},
         }
     )
     service = build_service(config)
     try:
-        assert service.pipeline.verify_workers is True
-        # worker fault injection shares the store's injector, so one
-        # --set store.* knob drives both read faults and worker faults
-        assert service.pipeline.faults is service.store.faults
+        pipeline, code = service.pipeline, service.store.code
+        assert pipeline.deadline_s == 5.0
+        assert pipeline.faults is None
+        faulty = worst_case_sd(code, z=1, rng=0).faulty_blocks
+        stripe = Stripe.random(StripeLayout.of_code(code), code.field, 64, rng=3)
+        pipeline.decode(code, stripe, faulty)
+        assert pipeline.executor_stats()["executions"] == 1
     finally:
         asyncio_run_close(service)
 
@@ -361,7 +371,7 @@ def test_build_cluster_wires_pipeline_section_into_every_node():
                 assert pipe.pool.kind == "thread" and pipe.workers == 2
                 assert pipe.verify_workers is True
                 assert pipe.hedge is True
-                assert pipe.faults is node.store.faults
+                assert pipe.faults is None  # the store's injector faults reads only
         finally:
             await cluster.close()
 

@@ -82,13 +82,6 @@ class TestRunCheck:
         assert report.ok
         assert report.suppressed == 1
 
-    def test_strict_runs_sweeps(self, tree):
-        report = run_check([tree(a=CLEAN)], strict=True, samples=2)
-        assert report.ok
-        assert report.scenarios > 0
-        assert report.programs > 0
-        assert report.sweep_errors == []
-
     def test_json_roundtrip(self, tree):
         report = run_check([tree(a=DIRTY, b=RACY)])
         data = json.loads(json.dumps(report.to_dict()))
@@ -134,7 +127,7 @@ class TestCli:
 
 
 class TestRepoGate:
-    """The invariant CI enforces: ``ppm check --strict src`` is clean."""
+    """The invariant CI enforces: ``ppm check src`` is clean."""
 
     def test_repo_is_clean_nonstrict(self, repo_src):
         report = run_check([repo_src])
