@@ -27,7 +27,6 @@ from .sequences import ExecutionMode, SequenceCosts, SequencePolicy
 
 if TYPE_CHECKING:  # resolved lazily at run time, see __getattr__
     from .decoder import DecodeStats, PPMDecoder, TraditionalDecoder
-    from .rowparallel import RowParallelDecoder
 
 #: The decoder presets subclass the engine in :mod:`repro.pipeline`,
 #: which (with :mod:`repro.stripes` and :mod:`repro.parallel` under it)
@@ -36,7 +35,6 @@ _PRESETS = {
     "DecodeStats": "decoder",
     "PPMDecoder": "decoder",
     "TraditionalDecoder": "decoder",
-    "RowParallelDecoder": "rowparallel",
 }
 
 
@@ -62,7 +60,6 @@ __all__ = [
     "Partition",
     "partition",
     "partition_sd",
-    "RowParallelDecoder",
     "DecodePlan",
     "GroupPlan",
     "RestPlan",

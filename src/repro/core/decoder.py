@@ -2,19 +2,21 @@
 
 Every decoder here is a *preset* of
 :class:`repro.pipeline.DecodePipeline` — the one executor — fixing its
-sequence policy, pool kind, pool width and group-to-worker assignment:
+sequence policy, pool kind and pool width:
 
-===========================  ==================  =======  =======  ===========
-preset                       policy              pool     workers  assignment
-===========================  ==================  =======  =======  ===========
-``TraditionalDecoder``       normal (C1) or      serial   1        —
+===========================  ==================  =======  =======
+preset                       policy              pool     workers
+===========================  ==================  =======  =======
+``TraditionalDecoder``       normal (C1) or      serial   1
                              matrix_first (C2)
-``PPMDecoder``               paper: min(C2, C4)  thread   threads  round_robin
-``PPMDecoder(parallel=       paper               serial   1        —
+``PPMDecoder``               paper: min(C2, C4)  thread   threads
+``PPMDecoder(parallel=       paper               serial   1
 False)`` / ``threads=1``
-===========================  ==================  =======  =======  ===========
+===========================  ==================  =======  =======
 
-``round_robin`` is Algorithm 1's ``p mod T``.  They share the plan
+A thread pool places (stage x tile) tasks on workers by the engine's
+one rule, LPT; Algorithm 1's ``p mod T`` is the parallel model's (see
+:mod:`repro.parallel.simulate`).  The presets share the plan
 cache, compiled kernels and counted ``mult_XORs`` primitive of the
 pipeline, so their measured costs are directly comparable, and inherit
 its whole API (``decode``, ``decode_batch``, ``encode*``, ``plan``,
@@ -107,6 +109,5 @@ class PPMDecoder(DecodePipeline):
         super().__init__(
             pool="thread" if concurrent else "serial",
             workers=threads if concurrent else 1,
-            policy=policy, assignment="round_robin",
-            counter=counter, verify=verify, deadline_s=deadline_s,
+            policy=policy, counter=counter, verify=verify, deadline_s=deadline_s,
         )

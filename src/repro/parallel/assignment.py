@@ -13,9 +13,11 @@ the optimal makespan, as a drop-in alternative:
   currently least-loaded worker;
 - :func:`makespan` — evaluate an assignment's bottleneck load.
 
-``PPMDecoder`` keeps the paper's rule (this is a reproduction); the
-ablation bench and :func:`repro.parallel.simulate.simulate_ppm_time`
-users can quantify what LPT would buy.
+The paper's rule lives in the parallel model
+(:func:`repro.parallel.simulate.simulate_ppm_time` bins phase 1 with
+:func:`assign_round_robin`); the decode engine places its (stage x tile)
+tasks with :func:`assign_lpt`, and :func:`lpt_advantage` quantifies what
+LPT buys over the paper's rule.
 """
 
 from __future__ import annotations

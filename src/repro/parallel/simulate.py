@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.planner import DecodePlan
+from .assignment import assign_round_robin, makespan
 
 #: Default per-core throughput: symbols * mult_XORs per second.  This is
 #: overwritten by host calibration in the bench harness; the raw value
@@ -75,13 +76,6 @@ class SimulatedTime:
         return self.phase1_seconds + self.rest_seconds + self.spawn_seconds
 
 
-def _round_robin_bins(costs: tuple[int, ...], t: int) -> list[int]:
-    bins = [0] * t
-    for p, c in enumerate(costs):
-        bins[p % t] += c
-    return bins
-
-
 def simulate_ppm_time(
     plan: DecodePlan,
     profile: CPUProfile,
@@ -101,14 +95,14 @@ def simulate_ppm_time(
         phase1 = sum(parallel_costs) * per_op
         spawn = 0.0
     else:
-        bins = _round_robin_bins(parallel_costs, t_eff)
+        busiest = makespan(parallel_costs, assign_round_robin(parallel_costs, t_eff))
         concurrent = min(t_eff, profile.cores)
         # cores bound the achievable parallelism; oversubscription adds churn
-        makespan = max(max(bins), sum(parallel_costs) / concurrent)
+        bound = max(busiest, sum(parallel_costs) / concurrent)
         penalty = 1.0
         if t_eff > profile.cores:
             penalty += OVERSUBSCRIPTION_PENALTY * (t_eff - profile.cores)
-        phase1 = makespan * per_op * penalty
+        phase1 = bound * per_op * penalty
         spawn = profile.spawn_overhead_s * t_eff
     return SimulatedTime(
         phase1_seconds=phase1,

@@ -20,16 +20,16 @@ paper's two fixed costs and the per-stripe dispatch cost at once:
   fewer rows — which is what makes a one-block degraded read cost one
   row of its group instead of the whole rebuild.
 
-On a concurrent pool, work is scheduled at (pattern x independent stage)
-granularity and spread over workers with the LPT greedy from
-:mod:`repro.parallel.assignment` (or round-robin, Algorithm 1's
-``p mod T``); each pattern's dependent stage (``H_rest``) then runs on
-the caller's thread.  On an LPT thread pool a pattern batch of at least
-``2 * MIN_TILE_SYMBOLS`` fused symbols is first cut into up to one
-symbol range per worker: every stage is column-independent, so each stage runs
-once per tile and the dependent stage's tiles go to the pool too.  A
-serial pool runs each pattern as its one cached whole-plan program
-instead.
+On a concurrent pool, work is scheduled at (pattern x independent stage
+x tile) granularity and spread over workers with the LPT greedy from
+:mod:`repro.parallel.assignment`.  A thread pool cuts a pattern batch of
+at least ``2 * MIN_TILE_SYMBOLS`` fused symbols into up to one symbol
+range per worker: every stage is column-independent, so each stage runs
+once per tile and the dependent stage's (``H_rest``) tiles go to the
+pool too; a one-tile batch walks its dependent stage on the caller's
+thread.  A serial pool runs each pattern as its one cached whole-plan
+program instead.  Algorithm 1's ``p mod T`` placement is the parallel
+model's (:mod:`repro.parallel.simulate`), not the engine's.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from ..gf.region import OpCounter, RegionOps
 from ..kernels import ProgramCache, ProgramExecutor
 from ..kernels.backends import WIDE_TABLE_SYMBOLS as MIN_TILE_SYMBOLS
 from ..matrix.gfmatrix import GFMatrix
-from ..parallel.assignment import assign_lpt, assign_round_robin
+from ..parallel.assignment import assign_lpt
 from ..stripes.scrub import verify_rows
 from ..stripes.store import Stripe
 from .admission import PriorityAdmission
@@ -199,18 +199,18 @@ class DecodePipeline:
 
     Every plan runs as compiled :class:`~repro.kernels.RegionProgram`
     kernels from the pipeline's :class:`~repro.kernels.ProgramCache`,
-    whatever the pool.  On an LPT thread pool a pattern batch of at
-    least ``2 * MIN_TILE_SYMBOLS`` fused symbols is cut into up to one
-    symbol range per worker, and every stage — ``H_rest`` included — runs once
-    per tile on the pool; shorter batches, the round-robin presets and
-    the serial pool run one tile.
+    whatever the pool.  On a thread pool a pattern batch of at least
+    ``2 * MIN_TILE_SYMBOLS`` fused symbols is cut into up to one symbol
+    range per worker, and every stage — ``H_rest`` included — runs once
+    per tile on the pool; shorter batches and the serial pool run one
+    tile.
 
     Its native entry point is :meth:`decode_batch`; :meth:`decode` (one
     stripe, as a degraded read asks for it) is a batch of one and the
     ``encode*`` family is a decode of the parity positions (paper,
     footnote 1).  The decoder classes of
     :mod:`repro.core` are this class with fixed ``policy`` / ``pool`` /
-    ``workers`` / ``assignment`` choices.
+    ``workers`` choices.
 
     Parameters
     ----------
@@ -222,9 +222,6 @@ class DecodePipeline:
         share between pipelines.
     policy:
         Sequence policy for every plan (part of the plan-cache key).
-    assignment:
-        ``"lpt"`` (default) or ``"round_robin"`` group-to-worker
-        placement.
     verify:
         Statically certify every plan before it first executes (see
         :func:`repro.verify.verify_plan`); overridable per call.
@@ -271,7 +268,6 @@ class DecodePipeline:
         workers: int = 4,
         pool: str | WorkerPool = "thread",
         policy: SequencePolicy = SequencePolicy.PAPER,
-        assignment: str = "lpt",
         verify: bool = False,
         counter: OpCounter | None = None,
         compile: bool = True,
@@ -280,10 +276,6 @@ class DecodePipeline:
         deadline_s: float | None = None,
         faults=None,
     ):
-        if assignment not in ("lpt", "round_robin"):
-            raise ValueError(
-                f"assignment must be 'lpt' or 'round_robin', got {assignment!r}"
-            )
         if not compile:
             raise ValueError(
                 f"compile must be True (plans run only as compiled programs), got {compile!r}"
@@ -292,7 +284,6 @@ class DecodePipeline:
         self.pool = pool if isinstance(pool, WorkerPool) else make_pool(pool, workers)
         self.workers = self.pool.workers
         self.policy = policy
-        self.assignment = assignment
         self.verify = verify
         self.counter = counter if counter is not None else OpCounter()
         self.plans = PlanCache(maxsize=PLAN_CACHE_SIZE, verify=verify)
@@ -655,9 +646,8 @@ class DecodePipeline:
         thread for a one-tile batch, as one pool task per tile otherwise
         (phase 2 — each tile reads only its own slice and its own phase-1
         outputs; like this thread's walk it is not injected, hedged or
-        deadline-bound).  Only an LPT thread pool tiles; Algorithm 1's
-        round-robin presets and the serial pool keep one tile.  Either
-        route books each (batch, stage) unit once (:meth:`_book`).
+        deadline-bound).  Only a thread pool tiles.  Either route books
+        each (batch, stage) unit once (:meth:`_book`).
         """
         if self.pool.kind == "serial" and not self.verify_workers and self.faults is None:
             t0 = time.perf_counter()
@@ -671,7 +661,7 @@ class DecodePipeline:
                 self._busy[0] += time.perf_counter() - t0
             self._book(batches)
             return len(batches)
-        tiles = self.workers if self.pool.kind == "thread" and self.assignment == "lpt" else 1
+        tiles = self.workers if self.pool.kind == "thread" else 1
         # one task per (pattern, independent stage, tile) unit; origin
         # remembers each task's batch, stage (whose row_ids verify its
         # output) and tile
@@ -683,11 +673,10 @@ class DecodePipeline:
             for stage in batch.plan.stages:
                 if not stage.independent:
                     continue
-                for matrices, faulty_ids in self._stage_tasks(stage):
-                    for t, view in enumerate(views):
-                        regions = [view[b] for b in stage.survivor_ids]
-                        origin[len(tasks)] = (batch, stage, t)
-                        tasks.append((len(tasks), matrices, regions, faulty_ids))
+                for t, view in enumerate(views):
+                    regions = [view[b] for b in stage.survivor_ids]
+                    origin[len(tasks)] = (batch, stage, t)
+                    tasks.append((len(tasks), stage.arrays, regions, stage.faulty_ids))
         task_results = self._run_tasks(tasks, executor, deadline_s=deadline_s)
         if self.verify_workers:
             self._verify_task_results(code, tasks, origin, task_results, executor)
@@ -721,11 +710,6 @@ class DecodePipeline:
             batch.recovered[t].update(out)
         self._book(batches)
         return len(tasks) + len(walks)
-
-    def _stage_tasks(self, stage: Stage) -> list[tuple[tuple[np.ndarray, ...], tuple[int, ...]]]:
-        """``(matrix chain, block ids it recovers)`` units of one stage —
-        the whole stage; presets may split it finer."""
-        return [(stage.arrays, stage.faulty_ids)]
 
     def _checkable(
         self, code: ErasureCode, plan: DecodePlan, verify: bool | None
@@ -837,8 +821,7 @@ class DecodePipeline:
             * max(1, regions[0].shape[0] if regions else 0)
             for _tid, matrices, regions, _faulty in tasks
         ]
-        assign = assign_lpt if self.assignment == "lpt" else assign_round_robin
-        buckets = [b for b in assign(costs, self.workers) if b]
+        buckets = [b for b in assign_lpt(costs, self.workers) if b]
         # latency-tracker shape key: the bucket's work, banded to powers
         # of two so similar buckets share a history
         keys = [sum(costs[i] for i in bucket).bit_length() for bucket in buckets]

@@ -14,7 +14,7 @@ from repro.codes import (
     available_codes,
     get_code,
 )
-from repro.core import PPMDecoder, RowParallelDecoder, TraditionalDecoder
+from repro.core import PPMDecoder, TraditionalDecoder
 from repro.gf import OpCounter, RegionOps
 from repro.pipeline import DecodePipeline
 from repro.service import BlobStore
@@ -78,8 +78,8 @@ def test_four_decoders_agree_on_worst_case():
     outputs = []
     for decoder in (
         TraditionalDecoder(policy="normal"),
+        TraditionalDecoder(policy="matrix_first"),
         PPMDecoder(threads=3),
-        RowParallelDecoder(threads=3),
         DecodePipeline(workers=2, pool="serial"),
     ):
         outputs.append(decoder.decode(code, stripe, scen.faulty_blocks))

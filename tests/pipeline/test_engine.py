@@ -184,19 +184,6 @@ def test_verify_mode_certifies_plans(code, faulty):
     assert all(set(out) == set(faulty) for out in got)
 
 
-def test_round_robin_assignment(code, faulty):
-    stripes = make_stripes(code, 3)
-    expected = reference_decode(code, stripes, faulty)
-    with DecodePipeline(workers=2, pool="thread", assignment="round_robin") as pipe:
-        got = pipe.decode_batch(code, stripes, faulty)
-    assert_results_equal(expected, got)
-
-
-def test_invalid_assignment_rejected():
-    with pytest.raises(ValueError, match="assignment"):
-        DecodePipeline(assignment="random")
-
-
 def test_metrics_snapshot(code, faulty):
     with DecodePipeline(workers=2, pool="thread") as pipe:
         assert pipe.metrics().stripes == 0

@@ -1,12 +1,13 @@
 """Symbol-range tiles: a long pattern batch runs every stage once per tile.
 
-A batch of at least ``2 * MIN_TILE_SYMBOLS`` fused symbols on an LPT
-thread pool is cut at even stripe offsets into up to one tile per worker;
+A batch of at least ``2 * MIN_TILE_SYMBOLS`` fused symbols on a thread
+pool is cut at even stripe offsets into up to one tile per worker;
 independent stages x tiles go to the pool (phase 1) and so do the
 dependent stage's tiles (phase 2).  These tests pin that the tiled path
 returns the whole-plan program's bytes, books the paper's counts once
-per (batch, stage), leaves the untiled presets' task counts alone and
-keeps the worker fault checks working per tile.
+per (batch, stage), tiles the ``PPMDecoder`` preset like any thread
+pipeline, leaves short batches at one task per stage and keeps the
+worker fault checks working per tile.
 """
 
 from __future__ import annotations
@@ -132,14 +133,21 @@ def test_two_tiled_patterns_book_each_plan_once(code, faulty):
     assert stats.queue_depth == sum(2 * independent_units(p) + 2 for p in plans)
 
 
-def test_untiled_batches_queue_todays_task_count(code, faulty):
+def test_ppm_preset_tiles_and_short_batches_stay_whole(code, faulty):
     maps, truth = long_batch(code, faulty, 8)
-    # Algorithm 1's round-robin preset keeps one task per independent stage
+    # the preset is the engine every pipeline runs: two tiles of every
+    # stage, the same bytes and the same tallies as its serial twin
     with PPMDecoder(threads=2) as ppm:
         plan = ppm.plan(code, faulty)
         outs, stats = ppm.decode_batch(code, maps, faulty, return_stats=True)
+    with PPMDecoder(threads=1) as serial:
+        reference = serial.decode_batch(code, maps, faulty)
     assert_truth(truth, outs, faulty)
-    assert stats.queue_depth == independent_units(plan)
+    assert stats.queue_depth == 2 * independent_units(plan) + 2
+    for out, ref in zip(outs, reference):
+        assert out.keys() == ref.keys()
+        assert all(np.array_equal(out[b], ref[b]) for b in ref)
+    assert ppm.counter.snapshot() == serial.counter.snapshot()
     # a short multi-pattern batch on the LPT pool stays one tile per pattern
     other = list(worst_case_sd(code, z=1, rng=11).faulty_blocks)
     short = make_stripes(code, 4, 64)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.codes import LRCCode, RSCode, SDCode
-from repro.core import PPMDecoder, RowParallelDecoder, TraditionalDecoder
+from repro.core import PPMDecoder, TraditionalDecoder
 from repro.filecodec import FileCodecMeta, decode_file, encode_file, repair_files
 
 
@@ -73,7 +73,7 @@ def test_decode_with_all_decoders(payload, tmp_path):
     _, content = payload
     out, _ = encode(payload, tmp_path, SDCode(6, 4, 2, 2))
     os.remove(out / "data_disk001.dat")
-    for decoder in (TraditionalDecoder(), PPMDecoder(threads=2), RowParallelDecoder(threads=2)):
+    for decoder in (TraditionalDecoder(), PPMDecoder(threads=2)):
         restored = tmp_path / f"r_{type(decoder).__name__}.bin"
         decode_file(str(out / "data_meta.json"), str(restored), decoder=decoder)
         assert restored.read_bytes() == content
