@@ -48,12 +48,11 @@ from ..config import check_straggler_knobs
 from ..core.planner import DecodePlan, Stage
 from ..core.sequences import ExecutionMode, SequencePolicy
 from ..gf.field import GF
-from ..gf.region import OpCounter, RegionOps
+from ..gf.region import OpCounter
 from ..kernels import ProgramCache, ProgramExecutor
 from ..kernels.backends import WIDE_TABLE_SYMBOLS as MIN_TILE_SYMBOLS
 from ..matrix.gfmatrix import GFMatrix
 from ..parallel.assignment import assign_lpt
-from ..stripes.scrub import verify_rows
 from ..stripes.store import Stripe
 from .admission import PriorityAdmission
 from .metrics import LatencyTracker, PipelineMetrics
@@ -245,11 +244,12 @@ class DecodePipeline:
         phase-2 walk, against the parity rows that produced it before
         merging; a failing result is quarantined and recomputed on the
         caller's thread (the trusted serial path), counted in
-        ``verify_rejects``.  Roughly doubles the region work — the price
-        of not merging a silently corrupt output.  A syndrome needs
-        every block of its rows, so ``targets`` are widened to whole
-        stages here (a group block brings its group along); callers
-        still get only what they asked for.
+        ``verify_rejects``.  A checked ``rebuild_large``-shape op takes
+        about 2.2x an unchecked one (EXPERIMENTS.md, "Pricing the worker
+        check") — the price of not merging a silently corrupt output.
+        A syndrome needs every block of its rows, so ``targets`` are
+        widened to whole stages here (a group block brings its group
+        along); callers still get only what they asked for.
     deadline_s:
         Default per-batch bound on the phase-1 gather; on expiry
         outstanding buckets are abandoned and
@@ -429,7 +429,7 @@ class DecodePipeline:
         """Recover the faulty blocks of one stripe: a batch of one.
 
         ``code`` may also be a bare parity-check ``GFMatrix`` (it carries
-        its field), except with ``verify_workers``.
+        its field).
 
         ``targets`` are the erased blocks wanted back (default: all of
         ``faulty``): only they are returned, and only the rows of the
@@ -678,10 +678,14 @@ class DecodePipeline:
                     origin[len(tasks)] = (batch, stage, t)
                     tasks.append((len(tasks), stage.arrays, regions, stage.faulty_ids))
         task_results = self._run_tasks(tasks, executor, deadline_s=deadline_s)
-        if self.verify_workers:
-            self._verify_task_results(code, tasks, origin, task_results, executor)
         for task_id, recovered in task_results.items():
-            batch, _stage, t = origin[task_id]
+            batch, stage, t = origin[task_id]
+            if self.verify_workers:  # phase 1: each worker result is checked
+                _tid, matrices, regions, faulty_ids = tasks[task_id]
+                recovered = self._trusted(
+                    code, executor, [stage.row_ids], batch.tile(t), recovered,
+                    lambda: dict(zip(faulty_ids, self._chain(executor, matrices, regions))),
+                )
             batch.recovered[t].update(recovered)
         walks: list[tuple[_PatternBatch, int, list[Stage], Future]] = []
         done: list[tuple[_PatternBatch, int, list[Stage], dict[int, np.ndarray]]] = []
@@ -704,7 +708,7 @@ class DecodePipeline:
             if self.verify_workers:  # a tile's walk is checked like a phase-1 task
                 base = {**batch.tile(t), **batch.recovered[t]}
                 out = self._trusted(
-                    code, [stage.row_ids for stage in dependent], base, out,
+                    code, executor, [stage.row_ids for stage in dependent], base, out,
                     lambda: self._walk_dependent(executor, dependent, dict(base))[0],
                 )
             batch.recovered[t].update(out)
@@ -712,26 +716,26 @@ class DecodePipeline:
         return len(tasks) + len(walks)
 
     def _checkable(
-        self, code: ErasureCode, plan: DecodePlan, verify: bool | None
+        self, code: ErasureCode | GFMatrix, plan: DecodePlan, verify: bool | None
     ) -> DecodePlan:
         """``plan`` with its targets widened until every stage's parity
         rows are closed: an independent stage recovers all the erased
         blocks its rows touch, and a dependent one's rows touch no erased
         block the plan leaves unrecovered.
 
-        :meth:`_verify_task_results` and a checked walk can only zero a
-        stage's rows with every block in them known, and a stage pruned
-        to single rows leaves its siblings unrecovered.  Widening by
-        whole stages keeps the check (and most of the pruning: a group
-        target pulls in its group, not the pattern).  A whole-pattern
-        plan is already closed.
+        :meth:`_trusted` can only zero a stage's rows with every block in
+        them known, and a stage pruned to single rows leaves its siblings
+        unrecovered.  Widening by whole stages keeps the check (and most
+        of the pruning: a group target pulls in its group, not the
+        pattern).  A whole-pattern plan is already closed.
         """
+        h = (code.H if isinstance(code, ErasureCode) else code).array
         while True:
             missing: set[int] = set()
             recovered = {b for stage in plan.stages for b in stage.faulty_ids}
             for stage in plan.stages:
                 known = stage.faulty_ids if stage.independent else recovered
-                touched = code.H.array[list(stage.row_ids)].any(axis=0)
+                touched = h[list(stage.row_ids)].any(axis=0)
                 missing.update(b for b in plan.faulty_ids if touched[b] and b not in known)
             if not missing:
                 return plan
@@ -743,49 +747,42 @@ class DecodePipeline:
                 targets=plan.targets + tuple(missing),
             )
 
-    def _verify_task_results(
-        self,
-        code: ErasureCode,
-        tasks: list[_Task],
-        origin: dict[int, tuple[_PatternBatch, Stage, int]],
-        task_results: dict[int, dict[int, np.ndarray]],
-        executor: ProgramExecutor,
-    ) -> None:
-        """Syndrome-check every worker result; recompute the ones that fail.
-
-        The check is :func:`repro.stripes.scrub.verify_rows` over the
-        task's plan rows: survivors (from the fused batch, sliced to the
-        task's tile) plus the recovered regions must zero those parity
-        rows, and since the plan's ``F`` sub-matrix is invertible, *any*
-        corruption of the recovered regions is caught.  A failing result
-        is quarantined — replaced by a recompute on this (caller)
-        thread, the trusted path no injection or hedging touches — so a
-        wrong worker output is never merged.  The recompute runs the
-        same cached program, so it is checked again: one that still
-        fails means the program itself is wrong, and raises
-        ``ValueError`` instead of merging.  Neither the check nor the
-        recompute is booked: the unit's model count is booked once by
-        :meth:`_book`.
-        """
-        for task_id in sorted(task_results):
-            batch, stage, t = origin[task_id]
-            _tid, matrices, regions, faulty_ids = tasks[task_id]
-            task_results[task_id] = self._trusted(
-                code, [stage.row_ids], batch.tile(t), task_results[task_id],
-                lambda: dict(zip(faulty_ids, self._chain(executor, matrices, regions))),
-            )
-
     def _trusted(
-        self, code: ErasureCode, row_sets: list, base: Mapping, out: dict, recompute: Callable
+        self,
+        code: ErasureCode | GFMatrix,
+        executor: ProgramExecutor,
+        row_sets: list,
+        base: Mapping,
+        out: dict,
+        recompute: Callable,
     ) -> dict[int, np.ndarray]:
         """``out`` if ``base`` plus ``out`` zero every parity row set of
         ``row_sets``; else ``recompute()`` on this thread, checked again.
-        One that still fails raises ``ValueError``."""
-        check_ops = RegionOps(code.field)
+
+        Each row set's syndrome is ``H[rows][:, touched]`` over the blocks
+        those rows touch (survivors sliced to the unit's tile, plus what
+        it recovered; the identity holds per symbol of a fused batch),
+        run as a chain of one on ``executor``, the one that ran the unit.
+        Since the plan's ``F`` sub-matrix is invertible, *any* corruption
+        of ``out`` is caught.  A failing result is quarantined: replaced
+        by ``recompute()`` on this (caller) thread, the trusted path no
+        injection or hedging touches.  The recompute runs the same cached
+        program, so it is checked again, and one that still fails means
+        the program itself is wrong: it raises ``ValueError`` instead of
+        merging.  Neither the check nor the recompute is booked; the
+        unit's model count is booked once by :meth:`_book`.
+        """
+        h = (code.H if isinstance(code, ErasureCode) else code).array
 
         def closed(out: dict[int, np.ndarray]) -> bool:
             blocks = {**base, **out}
-            return all(verify_rows(code, rows, blocks, ops=check_ops) for rows in row_sets)
+            for rows in row_sets:
+                check = h[list(rows)]
+                touched = np.flatnonzero(check.any(axis=0))
+                regions = [blocks[int(b)] for b in touched]
+                if any(s.any() for s in self._chain(executor, [check[:, touched]], regions)):
+                    return False
+            return True
 
         if closed(out):
             return out

@@ -22,10 +22,8 @@ from .reads import RepairIO, compare_degraded_read, degraded_read_cost, plan_io
 from .scrub import (
     ScrubCursor,
     StripeScrubReport,
-    partial_syndromes,
     scrub_stripe,
     syndromes,
-    verify_rows,
 )
 from .store import Stripe
 
@@ -37,10 +35,8 @@ __all__ = [
     "ScrubCursor",
     "StripeScrubReport",
     "corrupt_blocks",
-    "partial_syndromes",
     "scrub_stripe",
     "syndromes",
-    "verify_rows",
     "FailureScenario",
     "UndecodableScenarioError",
     "lrc_scenario",

@@ -9,6 +9,10 @@ errors ``E`` give ``S = H[:, J] @ E``, so the smallest ``J`` whose
 columns span ``S`` names them — and they are repaired by
 erasure-decoding them from the others.
 
+:func:`syndromes` runs ``H`` as a compiled program, like every decode;
+only :func:`scrub_stripe`'s location solves, tiny matrices on a dirty
+stripe, stay on the interpreted :class:`~repro.gf.region.RegionOps`.
+
 :func:`scrub_stripe` classifies one stripe into a
 :class:`StripeScrubReport`; :class:`ScrubCursor` provides the
 incremental, resumable iteration order an *online* scrubber needs (scan
@@ -27,6 +31,7 @@ import numpy as np
 
 from ..codes.base import ErasureCode
 from ..gf import RegionOps
+from ..kernels import ProgramExecutor, lower_matrix_chain
 from ..matrix import SingularMatrixError, select_and_invert_stack
 from .store import Stripe
 
@@ -35,61 +40,15 @@ def syndromes(code: ErasureCode, stripe: Stripe) -> list[np.ndarray]:
     """``H @ B`` per parity row (all-zero regions iff the stripe is valid).
 
     Requires every block present (scrubs run on nominally-healthy data).
+    ``H`` runs as one compiled program on an executor made for the call,
+    so a scrub holds no program cache between stripes.
     """
     missing = stripe.erased_ids
     if missing:
         raise ValueError(f"cannot scrub with erased blocks {list(missing)[:4]}...")
-    ops = RegionOps(code.field)
+    program = lower_matrix_chain(code.field, [code.H.array])
     regions = [stripe.get(b) for b in range(code.num_blocks)]
-    return ops.matrix_apply(code.H.array, regions)
-
-
-def partial_syndromes(
-    code: ErasureCode,
-    row_ids: Sequence[int],
-    blocks,
-    *,
-    ops: RegionOps | None = None,
-) -> list[np.ndarray]:
-    """``H[row_ids] @ B`` using only the blocks those rows touch.
-
-    The whole-stripe :func:`syndromes` needs every block present; a
-    decode-plan sub-matrix (``GroupPlan`` / ``TraditionalPlan`` /
-    ``RestPlan`` ``row_ids``) touches only its own survivor and faulty
-    columns, so this variant reads just those from the ``blocks``
-    mapping (``{block_id: region}``) and skips the zero columns.  This
-    is the cheap per-worker check of the parity-checked-multiplication
-    style: a worker's recovered regions are valid iff the rows that
-    produced them still vanish over survivors + recovered.  Regions may
-    be fused multi-stripe concatenations — the identity holds per
-    symbol.  Ops default to a fresh uncounted :class:`RegionOps` so
-    verification never perturbs the paper's operation accounting.
-    """
-    rows = code.H.array[np.asarray(row_ids, dtype=np.intp)]
-    cols = np.nonzero(rows.any(axis=0))[0]
-    if ops is None:
-        ops = RegionOps(code.field)
-    regions = [blocks[int(j)] for j in cols]
-    return ops.matrix_apply(rows[:, cols], regions)
-
-
-def verify_rows(
-    code: ErasureCode,
-    row_ids: Sequence[int],
-    blocks,
-    *,
-    ops: RegionOps | None = None,
-) -> bool:
-    """True iff the partial syndromes of ``row_ids`` over ``blocks`` vanish.
-
-    This is sound as a worker-output check: with ``F = H[row_ids,
-    faulty]`` invertible (guaranteed by plan construction), any error
-    ``e != 0`` in the recovered regions shifts the syndrome by ``F @ e
-    != 0`` — a corrupt worker result cannot pass.
-    """
-    return all(
-        not s.any() for s in partial_syndromes(code, row_ids, blocks, ops=ops)
-    )
+    return ProgramExecutor(code.field).execute(program, regions)
 
 
 @dataclass(frozen=True)
