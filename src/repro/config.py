@@ -125,15 +125,15 @@ def check_straggler_knobs(deadline_s: float | None) -> None:
 class PipelineConfig:
     """The decode pipeline behind a service node.
 
-    ``pool``/``workers`` shape the phase-1 worker pool (``"serial"``
-    stays the low-overhead default on small hosts — decode already runs
-    off the event loop).  The straggler-tolerance knobs mirror
-    :class:`~repro.pipeline.DecodePipeline`: ``hedge`` speculatively
-    resubmits a bucket once its worker exceeds
+    ``pool``/``workers`` shape the worker pool that runs the decode's
+    units, each a pattern batch's whole-plan program over one tile
+    (``"serial"`` stays the low-overhead default on small hosts — decode
+    already runs off the event loop).  The straggler-tolerance knobs
+    mirror :class:`~repro.pipeline.DecodePipeline`: ``hedge``
+    speculatively resubmits a bucket once its worker exceeds
     ``max(p95, ewma) * 2`` of similar work and 50 ms (the engine's
-    ``HEDGE_*`` constants),
-    ``verify_workers`` syndrome-checks every worker result before it
-    can merge, and ``deadline_s`` (0 = unbounded) abandons a batch
+    ``HEDGE_*`` constants), ``verify_workers`` syndrome-checks every
+    unit's output on its worker before it can merge, and ``deadline_s`` (0 = unbounded) abandons a batch
     gather that outlives its budget with a
     :class:`~repro.pipeline.StragglerTimeout`.
     """

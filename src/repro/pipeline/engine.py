@@ -20,16 +20,18 @@ paper's two fixed costs and the per-stripe dispatch cost at once:
   fewer rows — which is what makes a one-block degraded read cost one
   row of its group instead of the whole rebuild.
 
-On a concurrent pool, work is scheduled at (pattern x independent stage
-x tile) granularity and spread over workers with the LPT greedy from
-:mod:`repro.parallel.assignment`.  A thread pool cuts a pattern batch of
-at least ``2 * MIN_TILE_SYMBOLS`` fused symbols into up to one symbol
-range per worker: every stage is column-independent, so each stage runs
-once per tile and the dependent stage's (``H_rest``) tiles go to the
-pool too; a one-tile batch walks its dependent stage on the caller's
-thread.  A serial pool runs each pattern as its one cached whole-plan
-program instead.  Algorithm 1's ``p mod T`` placement is the parallel
-model's (:mod:`repro.parallel.simulate`), not the engine's.
+Work is scheduled in *units*: one unit is one pattern batch over one
+symbol range (tile), running the batch's cached whole-plan program over
+that range — decoding is symbol-wise, so the tiles' outputs are the
+batch's outputs.  A thread pool cuts a batch of at least
+``2 * MIN_TILE_SYMBOLS`` fused symbols into up to one tile per worker;
+shorter batches, and every batch on a serial pool, are one unit.  Units
+are spread over workers with the LPT greedy from
+:mod:`repro.parallel.assignment`, and hedging, deadlines, fault
+injection and the worker check all act on them.  The engine
+parallelises by tile; Algorithm 1's ``p mod T`` placement of the
+independent sub-matrices is the parallel model's
+(:mod:`repro.parallel.simulate`), not the engine's.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ import numpy as np
 
 from ..codes.base import ErasureCode
 from ..config import check_straggler_knobs
-from ..core.planner import DecodePlan, Stage
+from ..core.planner import DecodePlan
 from ..core.sequences import ExecutionMode, SequencePolicy
 from ..gf.field import GF
 from ..gf.region import OpCounter
-from ..kernels import ProgramCache, ProgramExecutor
+from ..kernels import PlanProgram, ProgramCache, ProgramExecutor
 from ..kernels.backends import WIDE_TABLE_SYMBOLS as MIN_TILE_SYMBOLS
 from ..matrix.gfmatrix import GFMatrix
 from ..parallel.assignment import assign_lpt
@@ -58,11 +60,6 @@ from .admission import PriorityAdmission
 from .metrics import LatencyTracker, PipelineMetrics
 from .plancache import PlanCache
 from .pool import StragglerTimeout, WorkerPool, make_pool
-
-#: One schedulable unit: apply ``matrices`` in order — ``(W,)`` or
-#: ``(S, F^-1)`` — to the fused survivor ``regions``, recovering
-#: ``faulty_ids``.
-_Task = tuple[int, tuple[np.ndarray, ...], list[np.ndarray], tuple[int, ...]]
 
 #: LRU capacity of every pipeline's :class:`PlanCache`.
 PLAN_CACHE_SIZE = 128
@@ -193,16 +190,20 @@ class _PatternBatch:
             }
 
 
+#: One unit of work: a pattern batch, one of its tiles, and the batch's
+#: compiled whole-plan program.
+_Unit = tuple[_PatternBatch, int, PlanProgram]
+
+
 class DecodePipeline:
     """The decoder: plan cache + worker pool + the one stage executor.
 
     Every plan runs as compiled :class:`~repro.kernels.RegionProgram`
     kernels from the pipeline's :class:`~repro.kernels.ProgramCache`,
-    whatever the pool.  On a thread pool a pattern batch of at least
+    whatever the pool: each unit (pattern batch x tile) runs the batch's
+    whole-plan program.  On a thread pool a pattern batch of at least
     ``2 * MIN_TILE_SYMBOLS`` fused symbols is cut into up to one symbol
-    range per worker, and every stage — ``H_rest`` included — runs once
-    per tile on the pool; shorter batches and the serial pool run one
-    tile.
+    range per worker; shorter batches and the serial pool run one tile.
 
     Its native entry point is :meth:`decode_batch`; :meth:`decode` (one
     stripe, as a degraded read asks for it) is a batch of one and the
@@ -231,7 +232,7 @@ class DecodePipeline:
         Accepted so existing ``compile=True`` callers keep working; any
         other value raises :class:`ValueError`.
     hedge:
-        Speculatively resubmit a phase-1 bucket whose worker has run
+        Speculatively resubmit a bucket of units whose worker has run
         longer than ``max(pX, ewma) * HEDGE_FACTOR`` of similar work
         (per-shape :class:`~repro.pipeline.metrics.LatencyTracker`;
         see :data:`HEDGE_PERCENTILE` / :data:`HEDGE_MIN_SAMPLES`) and
@@ -240,26 +241,27 @@ class DecodePipeline:
         output is discarded, never merged.  Requires a concurrent pool
         (no-op on ``serial``).
     verify_workers:
-        Syndrome-check every phase-1 worker result, and every tile's
-        phase-2 walk, against the parity rows that produced it before
-        merging; a failing result is quarantined and recomputed on the
-        caller's thread (the trusted serial path), counted in
-        ``verify_rejects``.  A checked ``rebuild_large``-shape op takes
-        about 2.2x an unchecked one (EXPERIMENTS.md, "Pricing the worker
-        check") — the price of not merging a silently corrupt output.
+        Syndrome-check every unit's output, on the worker that ran it,
+        against the parity rows of every stage of its plan before
+        merging; a failing unit is quarantined and recomputed on the
+        caller's thread (the trusted path), counted in
+        ``verify_rejects``.  EXPERIMENTS.md, "Pricing the worker check",
+        prices it on the ``rebuild_large`` shape — the price of not
+        merging a silently corrupt output.
         A syndrome needs every block of its rows, so ``targets`` are
         widened to whole stages here (a group block brings its group
         along); callers still get only what they asked for.
     deadline_s:
-        Default per-batch bound on the phase-1 gather; on expiry
+        Default per-batch bound on the gather of every unit; on expiry
         outstanding buckets are abandoned and
         :class:`~repro.pipeline.pool.StragglerTimeout` is raised.
         Overridable per call via ``decode_batch(..., deadline_s=...)``.
     faults:
         Optional :class:`~repro.service.store.FaultInjector` whose
-        slow-worker/corrupt-worker modes apply to primary phase-1
-        executions (hedges and phase-2 tiles are not injected) — the
-        test hook proving the hedging and verification machinery works.
+        slow-worker/corrupt-worker modes apply to every primary unit
+        execution, on any pool (hedges and trusted recomputes are not
+        injected) — the test hook proving the hedging and verification
+        machinery works.
     """
 
     def __init__(
@@ -332,32 +334,6 @@ class DecodePipeline:
                 executor = self._executors[key] = ProgramExecutor(field)
         return executor
 
-    def _chain(
-        self,
-        executor: ProgramExecutor,
-        matrices: Sequence[np.ndarray],
-        regions: Sequence[np.ndarray],
-    ) -> list[np.ndarray]:
-        """Run one matrix chain as its cached program."""
-        program = self.programs.chain_program(executor.field, matrices)
-        return executor.execute(program, list(regions))
-
-    def _walk_dependent(
-        self, executor: ProgramExecutor, stages: Sequence[Stage], blocks: dict[int, np.ndarray]
-    ) -> tuple[dict[int, np.ndarray], float]:
-        """Run dependent ``stages`` in order over ``blocks`` (one tile's
-        survivors and phase-1 outputs, extended in place); returns what
-        they recovered and the seconds it took."""
-        t0 = time.perf_counter()
-        recovered: dict[int, np.ndarray] = {}
-        for stage in stages:
-            regions = [blocks[b] for b in stage.survivor_ids]
-            recovered.update(
-                zip(stage.faulty_ids, self._chain(executor, stage.arrays, regions))
-            )
-            blocks.update(recovered)
-        return recovered, time.perf_counter() - t0
-
     @staticmethod
     def _per_stripe(
         count: int, ids: Sequence[int] | Sequence[Sequence[int]], what: str
@@ -394,8 +370,8 @@ class DecodePipeline:
     def _book(self, batches: Sequence[_PatternBatch]) -> None:
         """The one booking rule: each stage of each batch's plan, over the
         batch's fused length, into the pipeline's counter — once per
-        (batch, stage) unit, whichever route, program, tiles, hedges or
-        recomputes ran it."""
+        (batch, stage), whichever pool, tiles, hedges or recomputes ran
+        it."""
         for batch in batches:
             length = batch.offsets[-1]
             for stage in batch.plan.stages:
@@ -484,7 +460,7 @@ class DecodePipeline:
         ``"background"`` (scrub/repair — deferred while foreground
         batches are in flight, bounded by :data:`MAX_DEFER_S`).
 
-        ``deadline_s`` bounds this batch's phase-1 gather (default: the
+        ``deadline_s`` bounds this batch's whole decode (default: the
         pipeline's ``deadline_s``); on expiry outstanding workers are
         abandoned and :class:`~repro.pipeline.pool.StragglerTimeout`
         propagates — no partial batch is ever returned.  ``verify``
@@ -636,84 +612,76 @@ class DecodePipeline:
         executor: ProgramExecutor,
         deadline_s: float | None,
     ) -> int:
-        """Fill ``batch.recovered`` for every batch; returns tasks queued.
+        """Fill ``batch.recovered`` for every batch; returns the units run.
 
-        A serial pool has no worker to hand a stage to (and nothing to
-        verify, hedge or inject into), so each batch runs as its cached
-        whole-plan program.  Otherwise independent stages go to the pool
-        as tasks (phase 1), one per tile of a batch cut by
-        :meth:`_PatternBatch.cut`.  The dependent stages follow: on this
-        thread for a one-tile batch, as one pool task per tile otherwise
-        (phase 2 — each tile reads only its own slice and its own phase-1
-        outputs; like this thread's walk it is not injected, hedged or
-        deadline-bound).  Only a thread pool tiles.  Either route books
-        each (batch, stage) unit once (:meth:`_book`).
+        One unit is one batch over one tile of :meth:`_PatternBatch.cut`
+        (only a thread pool cuts more than one), running the batch's
+        cached whole-plan program over that tile's symbol range: decoding
+        is symbol-wise, so the tiles' outputs are the batch's outputs.
+        :meth:`_run_units` spreads the units over the pool; a unit that
+        fails its worker check is recomputed here, on the caller's
+        thread, and one that fails again raises :class:`ValueError`.
+        Each (batch, stage) is booked once (:meth:`_book`).
         """
-        if self.pool.kind == "serial" and not self.verify_workers and self.faults is None:
-            t0 = time.perf_counter()
-            for batch in batches:
-                batch.cut(1)
-                compiled = self.programs.plan_program(executor.field, batch.plan)
-                inputs = [batch.concat[b] for b in compiled.input_ids]
-                outs = executor.execute(compiled.program, inputs)
-                batch.recovered[0] = dict(zip(compiled.output_ids, outs))
-            with self._tally_lock:
-                self._busy[0] += time.perf_counter() - t0
-            self._book(batches)
-            return len(batches)
         tiles = self.workers if self.pool.kind == "thread" else 1
-        # one task per (pattern, independent stage, tile) unit; origin
-        # remembers each task's batch, stage (whose row_ids verify its
-        # output) and tile
-        tasks: list[_Task] = []
-        origin: dict[int, tuple[_PatternBatch, Stage, int]] = {}
+        units: list[_Unit] = []
         for batch in batches:
             batch.cut(tiles)
-            views = [batch.tile(t) for t in range(len(batch.recovered))]
-            for stage in batch.plan.stages:
-                if not stage.independent:
-                    continue
-                for t, view in enumerate(views):
-                    regions = [view[b] for b in stage.survivor_ids]
-                    origin[len(tasks)] = (batch, stage, t)
-                    tasks.append((len(tasks), stage.arrays, regions, stage.faulty_ids))
-        task_results = self._run_tasks(tasks, executor, deadline_s=deadline_s)
-        for task_id, recovered in task_results.items():
-            batch, stage, t = origin[task_id]
-            if self.verify_workers:  # phase 1: each worker result is checked
-                _tid, matrices, regions, faulty_ids = tasks[task_id]
-                recovered = self._trusted(
-                    code, executor, [stage.row_ids], batch.tile(t), recovered,
-                    lambda: dict(zip(faulty_ids, self._chain(executor, matrices, regions))),
-                )
-            batch.recovered[t].update(recovered)
-        walks: list[tuple[_PatternBatch, int, list[Stage], Future]] = []
-        done: list[tuple[_PatternBatch, int, list[Stage], dict[int, np.ndarray]]] = []
-        for batch in batches:
-            dependent = [stage for stage in batch.plan.stages if not stage.independent]
-            for t, recovered in enumerate(batch.recovered if dependent else ()):
-                blocks = {**batch.tile(t), **recovered}
-                if len(batch.recovered) == 1:
-                    out = self._walk_dependent(executor, dependent, blocks)[0]
-                    done.append((batch, t, dependent, out))
-                else:
-                    future = self.pool.submit(self._walk_dependent, executor, dependent, blocks)
-                    walks.append((batch, t, dependent, future))
-        for k, (batch, t, dependent, future) in enumerate(walks):
-            out, elapsed = future.result()
-            with self._tally_lock:
-                self._busy[k % self.workers] += elapsed
-            done.append((batch, t, dependent, out))
-        for batch, t, dependent, out in done:
-            if self.verify_workers:  # a tile's walk is checked like a phase-1 task
-                base = {**batch.tile(t), **batch.recovered[t]}
-                out = self._trusted(
-                    code, executor, [stage.row_ids for stage in dependent], base, out,
-                    lambda: self._walk_dependent(executor, dependent, dict(base))[0],
-                )
-            batch.recovered[t].update(out)
+            # looked up (lowered on a miss) here, not in the workers,
+            # where lowering's Python contends for the GIL with the other
+            # worker's units
+            compiled = self.programs.plan_program(executor.field, batch.plan)
+            units.extend((batch, t, compiled) for t in range(len(batch.recovered)))
+        for unit, (out, closed) in zip(
+            units, self._run_units(code, units, executor, deadline_s)
+        ):
+            if not closed:
+                with self._tally_lock:
+                    self._verify_rejects += 1
+                out, closed = self._run_unit(code, executor, unit, inject=False)
+                if not closed:
+                    raise ValueError(
+                        f"blocks {sorted(out)} fail their syndrome check after a "
+                        "trusted recompute: their program is wrong"
+                    )
+            unit[0].recovered[unit[1]] = out
         self._book(batches)
-        return len(tasks) + len(walks)
+        return len(units)
+
+    def _run_unit(
+        self,
+        code: ErasureCode | GFMatrix,
+        executor: ProgramExecutor,
+        unit: _Unit,
+        inject: bool,
+    ) -> tuple[dict[int, np.ndarray], bool]:
+        """Run a unit's whole-plan program over its tile on ``executor``;
+        returns what it recovered and whether that passed the worker
+        check (always, without ``verify_workers``).
+
+        ``inject`` applies ``self.faults``' slow and corrupt modes, which
+        only primary executions get.  The check runs here, on the
+        executor that ran the unit: the tile's survivors plus its outputs
+        must zero every stage's parity rows (see :meth:`_closed`).
+        """
+        faults = self.faults if inject else None
+        if faults is not None:
+            delay = faults.worker_delay()
+            if delay > 0.0:
+                time.sleep(delay)
+        batch, t, compiled = unit
+        view = batch.tile(t)
+        out = dict(
+            zip(
+                compiled.output_ids,
+                executor.execute(compiled.program, [view[b] for b in compiled.input_ids]),
+            )
+        )
+        if faults is not None:
+            faults.corrupt_worker_output(out)
+        return out, not self.verify_workers or self._closed(
+            code, executor, batch.plan, {**view, **out}
+        )
 
     def _checkable(
         self, code: ErasureCode | GFMatrix, plan: DecodePlan, verify: bool | None
@@ -723,11 +691,13 @@ class DecodePipeline:
         blocks its rows touch, and a dependent one's rows touch no erased
         block the plan leaves unrecovered.
 
-        :meth:`_trusted` can only zero a stage's rows with every block in
+        :meth:`_closed` can only zero a stage's rows with every block in
         them known, and a stage pruned to single rows leaves its siblings
         unrecovered.  Widening by whole stages keeps the check (and most
         of the pruning: a group target pulls in its group, not the
-        pattern).  A whole-pattern plan is already closed.
+        pattern).  A whole-pattern plan is already closed.  The widened
+        plan's targets are every block its stages recover, so its
+        whole-plan program outputs all of them.
         """
         h = (code.H if isinstance(code, ErasureCode) else code).array
         while True:
@@ -747,120 +717,84 @@ class DecodePipeline:
                 targets=plan.targets + tuple(missing),
             )
 
-    def _trusted(
+    def _closed(
         self,
         code: ErasureCode | GFMatrix,
         executor: ProgramExecutor,
-        row_sets: list,
-        base: Mapping,
-        out: dict,
-        recompute: Callable,
-    ) -> dict[int, np.ndarray]:
-        """``out`` if ``base`` plus ``out`` zero every parity row set of
-        ``row_sets``; else ``recompute()`` on this thread, checked again.
+        plan: DecodePlan,
+        blocks: Mapping[int, np.ndarray],
+    ) -> bool:
+        """Whether ``blocks`` (a unit's survivors and outputs) zero the
+        parity rows of every stage of ``plan``.
 
-        Each row set's syndrome is ``H[rows][:, touched]`` over the blocks
-        those rows touch (survivors sliced to the unit's tile, plus what
-        it recovered; the identity holds per symbol of a fused batch),
-        run as a chain of one on ``executor``, the one that ran the unit.
-        Since the plan's ``F`` sub-matrix is invertible, *any* corruption
-        of ``out`` is caught.  A failing result is quarantined: replaced
-        by ``recompute()`` on this (caller) thread, the trusted path no
-        injection or hedging touches.  The recompute runs the same cached
-        program, so it is checked again, and one that still fails means
-        the program itself is wrong: it raises ``ValueError`` instead of
-        merging.  Neither the check nor the recompute is booked; the
-        unit's model count is booked once by :meth:`_book`.
+        Each stage's syndrome is ``H[rows][:, touched]`` over the blocks
+        those rows touch (the identity holds per symbol of a fused
+        batch), run as a chain of one on ``executor``.  Since the plan's
+        ``F`` sub-matrix is invertible, *any* corruption of an output is
+        caught.  The check books nothing; the unit's model count is
+        booked once by :meth:`_book`.
         """
         h = (code.H if isinstance(code, ErasureCode) else code).array
+        for stage in plan.stages:
+            check = h[list(stage.row_ids)]
+            touched = np.flatnonzero(check.any(axis=0))
+            program = self.programs.chain_program(executor.field, [check[:, touched]])
+            syndromes = executor.execute(program, [blocks[int(b)] for b in touched])
+            if any(s.any() for s in syndromes):
+                return False
+        return True
 
-        def closed(out: dict[int, np.ndarray]) -> bool:
-            blocks = {**base, **out}
-            for rows in row_sets:
-                check = h[list(rows)]
-                touched = np.flatnonzero(check.any(axis=0))
-                regions = [blocks[int(b)] for b in touched]
-                if any(s.any() for s in self._chain(executor, [check[:, touched]], regions)):
-                    return False
-            return True
-
-        if closed(out):
-            return out
-        with self._tally_lock:
-            self._verify_rejects += 1
-        out = recompute()
-        if not closed(out):
-            raise ValueError(
-                f"blocks {sorted(out)} fail their syndrome check after a "
-                "trusted recompute: their program is wrong"
-            )
-        return out
-
-    def _run_tasks(
+    def _run_units(
         self,
-        tasks: list[_Task],
+        code: ErasureCode,
+        units: list[_Unit],
         executor: ProgramExecutor,
         deadline_s: float | None = None,
-    ) -> dict[int, dict[int, np.ndarray]]:
-        """Spread tasks over the pool (LPT by mult-entries x region
-        length) and gather.
+    ) -> list[tuple[dict[int, np.ndarray], bool]]:
+        """Run every unit (:meth:`_run_unit`) and return the results in
+        unit order.
 
-        The gather is hedging- and deadline-aware: see
-        :meth:`_gather_hedged`.  Fault injection (``self.faults``)
-        applies to primary executions.
+        Units are spread by LPT on ``predicted_cost x tile length`` over
+        at most one bucket per ``MIN_TILE_SYMBOLS`` of their symbols, the
+        rule :meth:`_PatternBatch.cut` tiles by: shorter programs are
+        Python dispatch, which a second thread only contends for (a
+        ``scatter_small`` op read a median 1.25x slower spread over two
+        workers than on one).  Each bucket is one pool task; the gather
+        is hedging- and deadline-aware (:meth:`_gather_hedged`).  A
+        serial pool runs its one bucket on the caller's thread, where
+        there is nothing to hedge or time out.
         """
-        if not tasks:
-            return {}
-        # a task's work is its mult-entries x its own region length (tiles
-        # and patterns of different stripe counts differ in length)
-        costs = [
-            sum(int(np.count_nonzero(m)) for m in matrices)
-            * max(1, regions[0].shape[0] if regions else 0)
-            for _tid, matrices, regions, _faulty in tasks
-        ]
-        buckets = [b for b in assign_lpt(costs, self.workers) if b]
+        lengths = [batch.bounds[t + 1] - batch.bounds[t] for batch, t, _c in units]
+        costs = [batch.plan.predicted_cost * n for (batch, _t, _c), n in zip(units, lengths)]
+        spread = min(self.workers, max(1, sum(lengths) // MIN_TILE_SYMBOLS))
+        buckets = [b for b in assign_lpt(costs, spread) if b]
         # latency-tracker shape key: the bucket's work, banded to powers
         # of two so similar buckets share a history
         keys = [sum(costs[i] for i in bucket).bit_length() for bucket in buckets]
-        faults = self.faults
 
-        def run_local(
-            bucket: list[int], local: ProgramExecutor = executor, inject: bool = True
-        ):
+        def run_bucket(bucket: list[int], local: ProgramExecutor = executor, inject: bool = True):
             t0 = time.perf_counter()
-            if inject and faults is not None:
-                delay = faults.worker_delay()
-                if delay > 0.0:
-                    time.sleep(delay)
-            out: dict[int, dict[int, np.ndarray]] = {}
-            for i in bucket:
-                task_id, matrices, regions, faulty_ids = tasks[i]
-                recovered = dict(zip(faulty_ids, self._chain(local, matrices, regions)))
-                if inject and faults is not None:
-                    faults.corrupt_worker_output(recovered)
-                out[task_id] = recovered
+            out = {i: self._run_unit(code, local, units[i], inject) for i in bucket}
             return out, time.perf_counter() - t0
 
         if self.pool.kind == "serial":
-            # nothing to hedge or time out: there is no concurrent worker
-            # to race
-            gathered = [run_local(bucket) for bucket in buckets]
+            gathered = [run_bucket(bucket) for bucket in buckets]
         else:
             # hedges run uninjected on their own executor (see _executor_for)
             hedge_executor = self._executor_for(executor.field, hedge=True)
 
             def submit(index: int, hedged: bool) -> Future:
                 if hedged:
-                    return self.pool.submit(run_local, buckets[index], hedge_executor, False)
-                return self.pool.submit(run_local, buckets[index])
+                    return self.pool.submit(run_bucket, buckets[index], hedge_executor, False)
+                return self.pool.submit(run_bucket, buckets[index])
 
             gathered = self._gather_hedged(submit, keys, deadline_s)
-        merged: dict[int, dict[int, np.ndarray]] = {}
+        merged: dict[int, tuple[dict[int, np.ndarray], bool]] = {}
         with self._tally_lock:
             for worker_index, (out, elapsed) in enumerate(gathered):
                 self._busy[worker_index % self.workers] += elapsed
                 merged.update(out)
-        return merged
+        return [merged[i] for i in range(len(units))]
 
     def _gather_hedged(
         self,

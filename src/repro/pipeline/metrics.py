@@ -105,9 +105,9 @@ class PipelineMetrics:
     """One snapshot of pipeline throughput, cost and utilisation.
 
     ``worker_busy_fraction[i]`` is worker *i*'s share of the pipeline's
-    decode wall time spent executing tasks; ``queue_depth_peak`` is the
-    largest number of phase-1 tasks ever outstanding at once (how far
-    submission ran ahead of execution).  ``background_batches`` counts
+    decode wall time spent executing units; ``queue_depth_peak`` is the
+    largest number of units (pattern batch x tile, one whole-plan
+    program execution each) one batch ever ran.  ``background_batches`` counts
     ``priority="background"`` submissions (scrub/repair traffic);
     ``batches_deferred`` / ``deferred_seconds`` tally how often and how
     long admission held background work for in-flight foreground reads.

@@ -1,13 +1,13 @@
-"""One booking rule: both execution routes book the paper's count alike.
+"""One booking rule: every pool books the paper's count alike.
 
-A serial pool runs each pattern batch as its one whole-plan program; an
-LPT thread pool sends the plan's stages to workers, cut into symbol-range
-tiles once the fused batch reaches ``2 * MIN_TILE_SYMBOLS``.  Either way
-each (batch, stage) unit is booked once from the plan's stage matrices,
-so the same batches leave the same ``OpCounter`` tallies on both routes:
-``mult_xors`` is ``predicted_cost``, ``symbols`` is ``predicted_cost``
-times the fused length, and ``xor_only`` counts the stages' unit
-coefficients.
+Every pool runs units — one pattern batch over one symbol-range tile,
+running the batch's whole-plan program.  A serial pool runs each batch
+as one unit; a thread pool cuts a batch into tiles once the fused batch
+reaches ``2 * MIN_TILE_SYMBOLS``.  Either way each (batch, stage) is
+booked once from the plan's stage matrices, so the same batches leave
+the same ``OpCounter`` tallies on both pools: ``mult_xors`` is
+``predicted_cost``, ``symbols`` is ``predicted_cost`` times the fused
+length, and ``xor_only`` counts the stages' unit coefficients.
 """
 
 from __future__ import annotations
@@ -84,8 +84,8 @@ def test_both_routes_book_the_plan_stages_alike(w, faulty):
             plan = serial.plan(code, faulty, targets=targets)
             whole, whole_outs, whole_stats = booked(serial, code, maps, faulty, targets)
             tiled, tiled_outs, tiled_stats = booked(staged, code, maps, faulty, targets)
-            assert whole_stats.queue_depth == 1  # the one whole-plan program
-            assert tiled_stats.queue_depth == 2 * len(plan.stages)  # 2 tiles per stage
+            assert whole_stats.queue_depth == 1  # one unit: the batch
+            assert tiled_stats.queue_depth == 2  # one unit per tile
             mult_xors, xor_only = stage_counts(plan)
             assert mult_xors == plan.predicted_cost
             assert whole == tiled == (mult_xors, xor_only, mult_xors * length)

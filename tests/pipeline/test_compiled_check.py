@@ -1,8 +1,9 @@
 """The worker check runs on the executor it checks.
 
-``verify_workers`` zeroes each unit's parity rows, ``H[rows][:, touched]``
-over the blocks those rows touch, as a compiled chain of one on the
-pipeline's own program cache and executor; the scrubber's whole-stripe
+``verify_workers`` zeroes each stage's parity rows of a unit's plan,
+``H[rows][:, touched]`` over the blocks those rows touch, as a compiled
+chain of one on the pipeline's own program cache and the executor that
+ran the unit; the scrubber's whole-stripe
 syndromes are one compiled program too.  These tests pin that neither
 reaches the interpreted ``RegionOps``, that a wrong *check* program
 fails closed, that the check books nothing, and that a bare
@@ -74,7 +75,7 @@ def test_checks_make_no_interpreted_region_calls(code, faulty, monkeypatch):
     with DecodePipeline(workers=2, pool="thread", verify_workers=True) as pipe:
         outs, stats = pipe.decode_batch(code, maps, faulty, return_stats=True)
         assert_truth(truth, outs, faulty)
-        assert stats.queue_depth > len(pipe.plan(code, faulty).stages)  # it tiled
+        assert stats.queue_depth == 2  # it tiled: one unit per tile
         out = pipe.decode(code, maps[0], faulty, targets=[faulty[0]])
         assert np.array_equal(out[faulty[0]], truth[0][faulty[0]])
         assert pipe.metrics().verify_rejects == 0
@@ -89,7 +90,7 @@ def test_a_wrong_check_program_fails_closed(code, faulty, count, monkeypatch):
     whose matrix is an ``H[rows][:, touched]`` slice of the plan): the
     decode is right but its check cannot close, so the recompute fails
     it too and decode_batch raises instead of returning a block.  One
-    stripe checks on the caller's thread; four cut into pooled tiles."""
+    stripe runs as one unit; four cut into two tiles."""
     planted = check_matrices(code, DecodePipeline(pool="serial").plan(code, faulty))
     real = ProgramCache._compile_chain
     flipped = []
@@ -137,3 +138,22 @@ def test_a_bare_parity_check_matrix_decodes_like_its_code(code, faulty, verify_w
         assert_truth([truth], [pipe.decode(code.H, blocks, faulty)], faulty)
         target = faulty[-1]
         assert_truth([truth], [pipe.decode(code.H, blocks, faulty, targets=[target])], [target])
+
+
+def test_a_widened_plan_program_outputs_every_block_its_stages_recover():
+    """The check zeroes each stage's rows over a unit's survivors and
+    outputs, so a checked unit's whole-plan program must output every
+    block its stages recover: it does for every widened one-target plan
+    of SD(10,8,2,2) over 40 worst-case z=1 patterns (720 plans)."""
+    code = SDCode(10, 8, 2, 2)
+    plans = 0
+    with DecodePipeline(pool="serial", verify_workers=True) as pipe:
+        for seed in range(40):
+            faulty = worst_case_sd(code, z=1, rng=seed).faulty_blocks
+            for block in faulty:
+                plan = pipe._checkable(code, pipe.plan(code, faulty, targets=[block]), None)
+                compiled = pipe.programs.plan_program(code.field, plan)
+                recovered = {b for stage in plan.stages for b in stage.faulty_ids}
+                assert set(compiled.output_ids) == recovered, (seed, block)
+                plans += 1
+    assert plans == 720

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.codes import SDCode
-from repro.kernels import ProgramCache
+from repro.kernels import cache as cache_module
 from repro.kernels.ir import OP_MUL, OP_MULXOR
 from repro.pipeline import DecodePipeline, LatencyTracker, StragglerTimeout
 from repro.pipeline.engine import (
@@ -27,6 +27,7 @@ from repro.pipeline.engine import (
     HEDGE_MIN_S,
     HEDGE_MIN_SAMPLES,
     HEDGE_PERCENTILE,
+    MIN_TILE_SYMBOLS,
 )
 from repro.service.store import FaultInjector
 from repro.stripes import worst_case_sd
@@ -143,58 +144,65 @@ def test_corruption_leaks_without_verify_workers(workload):
     assert leaked
 
 
-def test_verify_workers_raises_when_the_recompute_still_fails(workload, monkeypatch):
-    """A wrong cached program fails the worker check *and* the trusted
-    recompute, which runs the same program: decode_batch raises instead
-    of merging the recompute."""
-    code, stripes, faulty, _expected = workload
-    real = ProgramCache._compile_chain
+def plant_wrong_last_stage(monkeypatch):
+    """Flip one constant in the last stage's rows (``H_rest`` when the
+    plan has one) of every whole-plan program lowered from now on.
 
-    def one_constant_flipped(self, field, matrices, shapes):
-        program = real(self, field, matrices, shapes)
+    The planted program passes the structural check and returns wrong
+    bytes, so the worker check fails, and so does the trusted
+    recompute, which runs the same cached program.
+    """
+    real = cache_module.lower_plan
+
+    def planted(field, plan):
+        compiled = real(field, plan)
+        first = sum(m.size for stage in plan.stages[:-1] for m in stage.arrays)
+        program = compiled.program
         instructions = list(program.instructions)
-        for i, (op, dst, src, const) in enumerate(instructions):
-            if op in (OP_MUL, OP_MULXOR):
+        for i, ((op, dst, src, const), origin) in enumerate(
+            zip(instructions, program.origins)
+        ):
+            if origin >= first and op in (OP_MUL, OP_MULXOR):
                 instructions[i] = (op, dst, src, 3 if const == 2 else 2)
                 break
-        planted = replace(program, instructions=tuple(instructions))
-        planted.validate()  # the fault is invisible to the structural check
-        return planted
+        else:
+            raise AssertionError("the last stage has no multiply to flip")
+        wrong = replace(program, instructions=tuple(instructions))
+        wrong.validate()  # the fault is invisible to the structural check
+        return replace(compiled, program=wrong)
 
-    monkeypatch.setattr(ProgramCache, "_compile_chain", one_constant_flipped)
+    monkeypatch.setattr(cache_module, "lower_plan", planted)
+
+
+def test_verify_workers_raises_when_the_recompute_still_fails(workload, monkeypatch):
+    """A wrong cached whole-plan program fails the worker check *and*
+    the trusted recompute, which runs the same program: decode_batch
+    raises instead of merging the recompute."""
+    code, stripes, faulty, _expected = workload
+    plant_wrong_last_stage(monkeypatch)
+    returned = []
     with DecodePipeline(workers=2, pool="thread", verify_workers=True) as pipe:
         with pytest.raises(ValueError, match="trusted recompute"):
-            pipe.decode_batch(code, stripes, faulty)
+            returned.append(pipe.decode_batch(code, stripes, faulty))
         assert pipe.metrics().verify_rejects >= 1
+    assert returned == []
 
 
 @pytest.mark.parametrize("count", [1, 8])
 def test_verify_workers_checks_the_dependent_walk(count, monkeypatch):
-    """Phase-2 (``H_rest``) outputs are syndrome-checked too.  With one
-    constant flipped in every two-matrix chain program (the
-    normal-sequence ``H_rest`` stage; group stages run one matrix), the
-    walk fails its check and the trusted recompute, which runs the same
-    program: decode_batch raises and returns no wrong block.  One stripe
-    walks on the caller's thread; eight cut into two pooled tiles."""
+    """``H_rest`` outputs are syndrome-checked too.  With one constant
+    flipped in the ``H_rest`` rows of the whole-plan program, its output
+    fails the check and the trusted recompute, which runs the same
+    program: decode_batch raises and returns no wrong block.  One short
+    stripe is one unit; eight fuse into a batch cut into two tiles."""
     code = SDCode(10, 8, 2, 2)
     faulty = list(worst_case_sd(code, rng=2015).faulty_blocks)
-    stripes = make_stripes(code, count, SYMBOLS, rng=3)
-    real = ProgramCache._compile_chain
-
-    def one_constant_flipped_in_chains(self, field, matrices, shapes):
-        program = real(self, field, matrices, shapes)
-        if len(matrices) != 2:
-            return program
-        instructions = list(program.instructions)
-        for i, (op, dst, src, const) in enumerate(instructions):
-            if op in (OP_MUL, OP_MULXOR):
-                instructions[i] = (op, dst, src, 3 if const == 2 else 2)
-                break
-        return replace(program, instructions=tuple(instructions))
-
-    monkeypatch.setattr(ProgramCache, "_compile_chain", one_constant_flipped_in_chains)
+    symbols = SYMBOLS if count == 1 else 2 * MIN_TILE_SYMBOLS // count
+    stripes = make_stripes(code, count, symbols, rng=3)
+    plant_wrong_last_stage(monkeypatch)
     returned = []
     with DecodePipeline(workers=2, pool="thread", verify_workers=True) as pipe:
+        assert not pipe.plan(code, faulty).stages[-1].independent  # H_rest
         with pytest.raises(ValueError, match="trusted recompute"):
             returned.append(pipe.decode_batch(code, stripes, faulty))
         assert pipe.metrics().verify_rejects >= 1
@@ -289,15 +297,19 @@ class StallAfterFirst:
 
 @pytest.fixture(scope="module")
 def grouped():
-    """A pattern whose plan has several independent stages, so a
-    two-worker pool runs it as two concurrent buckets."""
+    """Two stripes with two different erasure patterns: two pattern
+    batches of ``MIN_TILE_SYMBOLS`` each, long enough that a two-worker
+    pool runs them as two concurrent buckets of one unit each.  The
+    third item is one pattern per stripe."""
     code = SDCode(8, 4, 2, 2)
-    faulty = list(worst_case_sd(code, z=1, rng=7).faulty_blocks)
-    stripes = make_stripes(code, 2, SYMBOLS, rng=7)
+    patterns = [list(worst_case_sd(code, z=1, rng=seed).faulty_blocks) for seed in (7, 11)]
+    assert sorted(patterns[0]) != sorted(patterns[1])
+    stripes = make_stripes(code, 2, MIN_TILE_SYMBOLS, rng=7)
     expected = [
-        {bid: np.array(stripe.get(bid)) for bid in faulty} for stripe in stripes
+        {bid: np.array(stripe.get(bid)) for bid in pattern}
+        for stripe, pattern in zip(stripes, patterns)
     ]
-    return code, stripes, faulty, expected
+    return code, stripes, patterns, expected
 
 
 def test_first_worker_failure_abandons_sibling_buckets(grouped):

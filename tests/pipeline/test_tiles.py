@@ -1,13 +1,13 @@
-"""Symbol-range tiles: a long pattern batch runs every stage once per tile.
+"""Symbol-range tiles: a long pattern batch runs as one unit per tile.
 
 A batch of at least ``2 * MIN_TILE_SYMBOLS`` fused symbols on a thread
-pool is cut at even stripe offsets into up to one tile per worker;
-independent stages x tiles go to the pool (phase 1) and so do the
-dependent stage's tiles (phase 2).  These tests pin that the tiled path
-returns the whole-plan program's bytes, books the paper's counts once
-per (batch, stage), tiles the ``PPMDecoder`` preset like any thread
-pipeline, leaves short batches at one task per stage and keeps the
-worker fault checks working per tile.
+pool is cut at even stripe offsets into up to one tile per worker, and
+each (batch, tile) unit runs the batch's whole-plan program over its
+symbol range.  These tests pin that the tiled path returns the serial
+pool's bytes, books the paper's counts once per (batch, stage), runs
+exactly one program execution per unit, tiles the ``PPMDecoder`` preset
+like any thread pipeline, leaves short batches at one unit and keeps
+the worker fault checks working per tile.
 """
 
 from __future__ import annotations
@@ -60,10 +60,6 @@ def long_batch(code, faulty, count, odd=False, rng=1, total=TILED):
     return maps, truth
 
 
-def independent_units(plan):
-    return sum(1 for stage in plan.stages if stage.independent)
-
-
 def assert_truth(truth, outs, wanted):
     for exp, out in zip(truth, outs):
         assert set(out) == set(wanted)
@@ -93,13 +89,8 @@ def test_tiled_batch_is_bit_identical_to_the_whole_plan(
     wanted = plan.targets
     assert_truth(truth, tiled, wanted)
     assert_truth(truth, reference, wanted)
-    # two stripes of odd length meet only at an odd offset: one tile;
-    # otherwise every stage runs once per tile (a one-block read's
-    # pruned plan is a single matrix-first stage, a rebuild's has H_rest)
-    if count == 2 and odd:
-        assert stats.queue_depth == independent_units(plan)
-    else:
-        assert stats.queue_depth == 2 * len(plan.stages)
+    # two stripes of odd length meet only at an odd offset: one tile
+    assert stats.queue_depth == (1 if count == 2 and odd else 2)
 
 
 def test_tiled_counts_are_booked_once_per_stage(code, faulty):
@@ -109,7 +100,7 @@ def test_tiled_counts_are_booked_once_per_stage(code, faulty):
     with DecodePipeline(workers=2, pool="thread", hedge=True) as pipe:
         plan = pipe.plan(code, faulty)
         _, stats = pipe.decode_batch(code, maps, faulty, return_stats=True)
-        assert stats.queue_depth > independent_units(plan)  # it did tile
+        assert stats.queue_depth == 2  # it did tile
         assert stats.mult_xors == plan.predicted_cost
         assert stats.symbols == untiled.symbols
         # every bucket hedges at once: twins run, and book nothing
@@ -130,25 +121,24 @@ def test_two_tiled_patterns_book_each_plan_once(code, faulty):
             code, maps_a + maps_b, [faulty] * 4 + [other] * 4, return_stats=True
         )
     assert stats.mult_xors == sum(p.predicted_cost for p in plans)
-    assert stats.queue_depth == sum(2 * independent_units(p) + 2 for p in plans)
+    assert stats.queue_depth == 2 * len(plans)  # two tiles per pattern
 
 
 def test_ppm_preset_tiles_and_short_batches_stay_whole(code, faulty):
     maps, truth = long_batch(code, faulty, 8)
-    # the preset is the engine every pipeline runs: two tiles of every
-    # stage, the same bytes and the same tallies as its serial twin
+    # the preset is the engine every pipeline runs: two tiles, the same
+    # bytes and the same tallies as its serial twin
     with PPMDecoder(threads=2) as ppm:
-        plan = ppm.plan(code, faulty)
         outs, stats = ppm.decode_batch(code, maps, faulty, return_stats=True)
     with PPMDecoder(threads=1) as serial:
         reference = serial.decode_batch(code, maps, faulty)
     assert_truth(truth, outs, faulty)
-    assert stats.queue_depth == 2 * independent_units(plan) + 2
+    assert stats.queue_depth == 2
     for out, ref in zip(outs, reference):
         assert out.keys() == ref.keys()
         assert all(np.array_equal(out[b], ref[b]) for b in ref)
     assert ppm.counter.snapshot() == serial.counter.snapshot()
-    # a short multi-pattern batch on the LPT pool stays one tile per pattern
+    # a short multi-pattern batch on the LPT pool stays one unit per pattern
     other = list(worst_case_sd(code, z=1, rng=11).faulty_blocks)
     short = make_stripes(code, 4, 64)
     patterns = [faulty, other, faulty, other]
@@ -156,29 +146,70 @@ def test_ppm_preset_tiles_and_short_batches_stay_whole(code, faulty):
         {b: s.get(b) for b in s.present_ids if b not in p} for s, p in zip(short, patterns)
     ]
     with DecodePipeline(workers=2, pool="thread") as pipe:
-        plans = [pipe.plan(code, faulty), pipe.plan(code, other)]
         _, stats = pipe.decode_batch(code, survivors, patterns, return_stats=True)
-    assert stats.queue_depth == sum(independent_units(p) for p in plans)
+    assert stats.queue_depth == 2  # two patterns
 
 
 def test_a_wide_pool_keeps_tiles_near_the_crossover(code, faulty):
     maps, truth = long_batch(code, faulty, 8)  # 2 x MIN_TILE_SYMBOLS fused
     with DecodePipeline(workers=4, pool="thread") as pipe:
-        plan = pipe.plan(code, faulty)
         outs, stats = pipe.decode_batch(code, maps, faulty, return_stats=True)
     assert_truth(truth, outs, faulty)
-    assert stats.queue_depth == 2 * len(plan.stages)  # two tiles, not four
+    assert stats.queue_depth == 2  # two tiles, not four
+
+
+def scatter_batch(code, count, symbols):
+    """``count`` stripes of ``symbols`` symbols, each with its own
+    worst-case pattern, as survivor maps and patterns."""
+    patterns: dict[tuple[int, ...], None] = {}
+    rng = np.random.default_rng(2015)
+    while len(patterns) < count:
+        patterns[worst_case_sd(code, rng=rng).faulty_blocks] = None
+    stripes = make_stripes(code, count, symbols)
+    maps = [
+        {b: s.get(b) for b in s.present_ids if b not in p} for s, p in zip(stripes, patterns)
+    ]
+    return maps, list(patterns)
+
+
+@pytest.mark.parametrize(
+    "shape,pool,units",
+    [
+        ("scatter", "thread", 16),  # 16 patterns x 128 symbols: one unit each
+        ("tiled", "thread", 2),  # one pattern cut into two tiles
+        ("tiled", "serial", 1),  # the serial pool never cuts
+    ],
+)
+def test_one_program_execution_per_unit(shape, pool, units):
+    """A ``decode_batch`` runs exactly one program execution per unit
+    (pattern batch x tile), and ``queue_depth`` counts those units."""
+    code = SDCode(10, 8, 2, 2)
+    if shape == "scatter":
+        maps, patterns = scatter_batch(code, 16, 128)
+    else:
+        faulty = list(worst_case_sd(code, z=1, rng=7).faulty_blocks)
+        maps, _truth = long_batch(code, faulty, 2)
+        patterns = [faulty] * len(maps)
+    with DecodePipeline(workers=2, pool=pool) as pipe:
+        before = pipe.executor_stats().get("executions", 0)
+        _, stats = pipe.decode_batch(code, maps, patterns, return_stats=True)
+        executions = pipe.executor_stats()["executions"] - before
+    assert stats.queue_depth == executions == units
 
 
 def test_hedge_key_is_each_buckets_own_work(code):
-    """Two patterns of 1 and 8 stripes run as two buckets; each bucket's
-    latency key is its own mult-entries x its own fused length, so the
-    two histories never mix."""
-    small = SDCode(6, 4, 2, 2)  # worst case plans into one task per pattern
+    """Two patterns of 1 and 8 stripes run as two one-unit buckets (the
+    eight fuse to just under ``2 * MIN_TILE_SYMBOLS``, so neither batch
+    tiles, and all nine reach two buckets' worth); each bucket's latency
+    key is its own ``predicted_cost`` x its own fused length, so the two
+    histories never mix."""
+    small = SDCode(6, 4, 2, 2)
     first = list(worst_case_sd(small, z=1, rng=7).faulty_blocks)
     second = list(worst_case_sd(small, z=1, rng=8).faulty_blocks)
     assert sorted(first) != sorted(second)
-    stripes = make_stripes(small, 9, 64)
+    symbols = 4000
+    assert 8 * symbols < TILED <= 9 * symbols
+    stripes = make_stripes(small, 9, symbols)
     patterns = [first] + [second] * 8
     maps = [
         {b: s.get(b) for b in s.present_ids if b not in p} for s, p in zip(stripes, patterns)
@@ -190,9 +221,7 @@ def test_hedge_key_is_each_buckets_own_work(code):
         pipe.decode_batch(small, maps, patterns)
         expected = []
         for pattern, stripe_count in ((first, 1), (second, 8)):
-            plan = pipe.plan(small, pattern)
-            (stage,) = [s for s in plan.stages if s.independent]
-            work = sum(int(np.count_nonzero(m)) for m in stage.arrays) * 64 * stripe_count
+            work = pipe.plan(small, pattern).predicted_cost * symbols * stripe_count
             expected.append(work.bit_length())
     assert expected[0] != expected[1]
     assert sorted(seen) == sorted(expected)
@@ -214,7 +243,7 @@ def test_fault_checks_hold_per_tile(code, faulty):
         for _ in range(6):
             outs, stats = pipe.decode_batch(code, maps, faulty, return_stats=True)
             assert_truth(truth, outs, faulty)  # no corrupt region reaches a caller
-            assert stats.queue_depth > independent_units(plan)
+            assert stats.queue_depth == 2  # one unit per tile
             assert stats.mult_xors == plan.predicted_cost
         metrics = pipe.metrics()
     assert faults.corrupt_injected >= 1 and faults.slow_injected >= 1
@@ -238,7 +267,7 @@ def test_tiles_hold_under_thread_stress(code, faulty):
                     for _ in range(3):
                         outs, stats = pipe.decode_batch(code, maps, faulty, return_stats=True)
                         assert_truth(truth, outs, faulty)
-                        assert stats.queue_depth == 4 * len(plan.stages)
+                        assert stats.queue_depth == 4  # one unit per tile
                 except BaseException as exc:  # surfaced below
                     errors.append(exc)
 
